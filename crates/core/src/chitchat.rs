@@ -73,8 +73,8 @@
 //!
 //! [`ChitChat::run_reference`] preserves the pre-optimization execution —
 //! serial, eager recomputation after every selection, exact oracle seeding,
-//! allocating heap-peel oracle, per-probe singleton costs — as the baseline
-//! `opt_bench` measures speedups against and a differential-testing oracle.
+//! allocating heap-peel oracle, per-probe singleton costs — as the
+//! differential-testing oracle of this module's tests.
 //! Both drive the same argmin greedy, but exact ties between equally-priced
 //! candidates can resolve differently (the eager path's refreshed keys
 //! carry last-ulp float noise that the skip-path's older bounds do not), so
@@ -744,11 +744,10 @@ impl ChitChat {
     /// re-validation, allocating `BinaryHeap` oracle, per-probe singleton
     /// costs.
     ///
-    /// Kept as (a) the baseline `opt_bench` measures the optimized path
-    /// against and (b) a differential-testing oracle — `run` drives the
-    /// identical greedy, so the two must agree *exactly* (schedule,
-    /// selection counts, oracle calls); the regression tests compare them
-    /// on every graph family.
+    /// Kept only as a differential-testing oracle — `run` drives the
+    /// identical greedy, so the two must agree (up to float tie-breaking,
+    /// see the module docs); this module's tests compare them on every
+    /// graph family. No production or benchmark code calls it.
     pub fn run_reference(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
         self.run_impl(g, rates, true, |e| {
             let (u, v) = g.edge_endpoints(e);

@@ -60,9 +60,10 @@
 //! Leftover uncovered edges take their hybrid assignment, exactly like the
 //! batch greedy's singleton tail. The result: one peel per surviving hub
 //! plus one per admission, instead of the batch path's schedule of seed,
-//! re-validation, and strict-recompute calls — `opt_bench` measures the
-//! wall ratio, and the differential suite (`chitchat_stream_differential`)
-//! pins the cost within 5% of batch CHITCHAT on the benchmark families.
+//! re-validation, and strict-recompute calls — pigbench's `opt_stream` and
+//! `opt_chitchat` workloads measure both, and the differential suite
+//! (`chitchat_stream_differential`) pins the cost within 5% of batch
+//! CHITCHAT on the benchmark families.
 
 use std::time::Instant;
 

@@ -22,8 +22,9 @@
 //!
 //! * [`densest_hub_graph`] + [`peel_weighted`]: the straightforward
 //!   reference — per-call `Vec<Vec<…>>` adjacency and a lazy
-//!   `BinaryHeap` peel. Kept as the differential-testing oracle and the
-//!   pre-optimization baseline that `opt_bench` measures speedups against.
+//!   `BinaryHeap` peel. Kept as the differential-testing oracle (it is
+//!   what [`ChitChat::run_reference`](crate::chitchat::ChitChat::run_reference)
+//!   peels with).
 //! * [`densest_hub_graph_scratch`] + the bucket peel inside
 //!   [`PeelScratch`]: the production path. All working memory lives in a
 //!   reusable arena; producer/consumer roles come straight off the CSR

@@ -4,8 +4,8 @@
 //! for *every* parallel batch. For CHITCHAT that meant one `thread::spawn`
 //! round-trip per lazy re-validation batch — thousands per run, each batch
 //! only tens of oracle calls — and the spawn/join overhead alone was enough
-//! to flatten the thread-scaling curve (`BENCH_opt.json`: 8 threads no
-//! faster than 1 at 100k nodes). [`FanoutPool`] fixes the shape: workers
+//! to flatten the thread-scaling curve (8 threads no faster than 1 at
+//! 100k nodes). [`FanoutPool`] fixes the shape: workers
 //! are spawned **once** per run inside the caller's `crossbeam::scope`,
 //! park on an MPMC job channel, and chunks of work are stolen off the
 //! shared receiver as workers free up. Dispatching a batch costs two

@@ -44,7 +44,6 @@ pub mod parallelnosy;
 pub mod schedule;
 pub mod schedule_io;
 pub mod scheduler;
-pub mod sharded_chitchat;
 pub mod staleness;
 pub mod validate;
 
@@ -56,5 +55,4 @@ pub use incremental::IncrementalScheduler;
 pub use parallelnosy::{ParallelNosy, ParallelNosyResult};
 pub use schedule::{EdgeAssignment, Schedule};
 pub use scheduler::{Instance, ScheduleOutcome, ScheduleStats, Scheduler};
-pub use sharded_chitchat::{ShardedChitChat, ShardedChitChatResult};
 pub use validate::{coverage_report, validate_bounded_staleness};

@@ -2,7 +2,7 @@
 //!
 //! The crate grew one request-schedule optimizer per paper section —
 //! baselines (§1), CHITCHAT (§3.1), PARALLELNOSY (§3.2, threaded and
-//! MapReduce), the sharded CHITCHAT extension, and the exact solver — each
+//! MapReduce), streaming CHITCHAT, and the exact solver — each
 //! with its own entry point and result struct. Benches, examples and the
 //! CLI all had per-algorithm call sites, so adding an algorithm meant
 //! touching every consumer.
@@ -35,7 +35,6 @@ use crate::cost::schedule_cost;
 use crate::optimal::{optimal_schedule, search_space};
 use crate::parallelnosy::ParallelNosy;
 use crate::schedule::Schedule;
-use crate::sharded_chitchat::ShardedChitChat;
 
 /// One DISSEMINATION instance: the social graph and its workload.
 ///
@@ -321,30 +320,6 @@ impl Scheduler for MapReduceNosy {
     }
 }
 
-impl Scheduler for ShardedChitChat {
-    fn name(&self) -> &str {
-        "sharded-chitchat"
-    }
-
-    fn schedule(&self, inst: &Instance) -> ScheduleOutcome {
-        timed(inst, || {
-            let res = self.run(inst.graph, inst.rates);
-            let (fanout_busy_ms, fanout_capacity_ms) = telemetry_ms(&res.telemetry);
-            let stats = ScheduleStats {
-                oracle_calls: res.oracle_calls,
-                // One full CHITCHAT per shard; expose shard count where the
-                // iteration counter lives for the other algorithms.
-                iterations: res.shards,
-                hubs_applied: res.hub_selections,
-                fanout_busy_ms,
-                fanout_capacity_ms,
-                ..Default::default()
-            };
-            (res.schedule, stats)
-        })
-    }
-}
-
 /// The exact (exponential) DISSEMINATION solver. Only [`supports`] tiny
 /// instances — see [`MAX_ASSIGNMENTS`](crate::optimal::MAX_ASSIGNMENTS).
 ///
@@ -387,10 +362,6 @@ pub fn registry() -> Vec<Box<dyn Scheduler>> {
 /// available core). Every parallel algorithm in the registry is
 /// deterministic across thread counts, so the knob only changes wall time.
 pub fn registry_with_threads(threads: usize) -> Vec<Box<dyn Scheduler>> {
-    let chitchat = ChitChat {
-        threads,
-        ..Default::default()
-    };
     let nosy = if threads == 0 {
         ParallelNosy::default()
     } else {
@@ -408,7 +379,10 @@ pub fn registry_with_threads(threads: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(PushAll),
         Box::new(PullAll),
         Box::new(Hybrid),
-        Box::new(chitchat),
+        Box::new(ChitChat {
+            threads,
+            ..Default::default()
+        }),
         Box::new(ChitChatStream {
             threads,
             ..Default::default()
@@ -417,11 +391,6 @@ pub fn registry_with_threads(threads: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(MapReduceNosy {
             inner: nosy,
             engine,
-        }),
-        Box::new(ShardedChitChat {
-            threads,
-            inner: chitchat,
-            ..Default::default()
         }),
         Box::new(Exact),
     ]
@@ -441,7 +410,6 @@ pub fn by_name_with_threads(name: &str, threads: usize) -> Option<Box<dyn Schedu
         "pn" => "parallelnosy",
         "cc" => "chitchat",
         "ccs" | "stream" => "chitchat-stream",
-        "sharded" => "sharded-chitchat",
         other => other,
     };
     registry_with_threads(threads)
@@ -479,7 +447,6 @@ mod tests {
                 "chitchat-stream",
                 "parallelnosy",
                 "parallelnosy-mr",
-                "sharded-chitchat",
                 "exact",
             ]
         );
@@ -493,7 +460,6 @@ mod tests {
             ("cc", "chitchat"),
             ("ccs", "chitchat-stream"),
             ("stream", "chitchat-stream"),
-            ("sharded", "sharded-chitchat"),
             ("exact", "exact"),
         ] {
             assert_eq!(by_name(alias).expect(alias).name(), canonical);
@@ -563,7 +529,6 @@ mod tests {
             "chitchat-stream",
             "parallelnosy",
             "parallelnosy-mr",
-            "sharded-chitchat",
         ] {
             let base = by_name(name).unwrap().schedule(&inst);
             for threads in [1usize, 2, 5] {

@@ -24,16 +24,6 @@ pub struct SampledGraph {
     pub original_ids: Vec<NodeId>,
 }
 
-/// Builds the subgraph induced by `keep` (which must not contain
-/// duplicates); the order of `keep` defines the new node labels.
-///
-/// Besides the samplers in this module, the sharded CHITCHAT scaler in
-/// `piggyback-core` uses this to hand each worker a self-contained
-/// partition of the graph.
-pub fn induced_subgraph(g: &CsrGraph, keep: &[NodeId]) -> SampledGraph {
-    induced(g, keep)
-}
-
 /// Internal: collect the induced subgraph over `keep` (insertion order
 /// defines the new labels).
 fn induced(g: &CsrGraph, keep: &[NodeId]) -> SampledGraph {

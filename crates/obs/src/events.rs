@@ -52,13 +52,6 @@ pub enum EventKind {
         /// Wall time of the migration.
         wall_ms: f64,
     },
-    /// Pull-cache expiry sweep.
-    CacheSweep {
-        /// Entries examined.
-        scanned: usize,
-        /// Entries dropped as TTL-expired.
-        expired: usize,
-    },
     /// One fan-out pool batch dispatch (oracle fan-out inside a scheduler).
     FanoutBatch {
         /// Jobs in the batch.
@@ -147,9 +140,6 @@ impl std::fmt::Display for EventKind {
             ),
             EventKind::Rebalance { moved, wall_ms } => {
                 write!(f, "rebalance moved={moved} wall={wall_ms:.1}ms")
-            }
-            EventKind::CacheSweep { scanned, expired } => {
-                write!(f, "cache-sweep scanned={scanned} expired={expired}")
             }
             EventKind::FanoutBatch {
                 jobs,
@@ -384,9 +374,9 @@ mod tests {
             let inner = EventLog::new(4);
             {
                 let _g2 = set_ambient_events(&inner);
-                ambient_events().unwrap().record(EventKind::CacheSweep {
-                    scanned: 1,
-                    expired: 0,
+                ambient_events().unwrap().record(EventKind::Rebalance {
+                    moved: 1,
+                    wall_ms: 0.0,
                 });
             }
             assert_eq!(inner.len(), 1);

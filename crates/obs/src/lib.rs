@@ -14,7 +14,7 @@
 //!   dumps can report rates, not just lifetime totals.
 //! - **Events** ([`EventLog`]): a bounded ring of structured control-plane
 //!   transitions (epoch swaps, background re-optimizations, rebalances,
-//!   cache sweeps, fan-out dispatches) that would otherwise vanish between
+//!   failovers, fan-out dispatches) that would otherwise vanish between
 //!   a run's start and its final report.
 //!
 //! The sequential [`LatencyHistogram`] lives here too (moved from

@@ -2,7 +2,7 @@
 //!
 //! Moved here from `piggyback-core::fanout` (which re-exports it): the
 //! struct is pure arithmetic over two counters and belongs with the other
-//! instruments, so the sharded drivers, the MapReduce emulation, and the
+//! instruments, so the optimizers, the MapReduce emulation, and the
 //! serving runtime all share one definition.
 
 /// Busy-time accounting across the parallel and inline fan-out sections of
@@ -40,12 +40,6 @@ impl FanoutTelemetry {
         self.busy_ns += wall_ns;
         self.capacity_ns += wall_ns;
     }
-
-    /// Merges another run's counters (used by sharded drivers).
-    pub fn merge(&mut self, other: &FanoutTelemetry) {
-        self.busy_ns += other.busy_ns;
-        self.capacity_ns += other.capacity_ns;
-    }
 }
 
 #[cfg(test)]
@@ -66,10 +60,6 @@ mod tests {
         t.record_inline(50);
         assert_eq!(t.busy_ns, 350);
         assert_eq!(t.capacity_ns, 450);
-        let mut other = FanoutTelemetry::default();
-        other.record_inline(10);
-        t.merge(&other);
-        assert_eq!(t.busy_ns, 360);
-        assert!((t.busy_fraction() - 360.0 / 460.0).abs() < 1e-12);
+        assert!((t.busy_fraction() - 350.0 / 450.0).abs() < 1e-12);
     }
 }

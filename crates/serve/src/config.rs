@@ -20,19 +20,14 @@ pub enum RpcMode {
     /// worker — the embedded-deployment mode, and the fastest one when
     /// clients outnumber cores.
     Direct,
-    /// The pre-coalescing plane: one fresh rendezvous channel per shard
-    /// request, fresh view lists and reply buffers, flat sort-merge.
-    /// Exists for the serve benchmark's before/after mode.
-    Legacy,
 }
 
 impl RpcMode {
-    /// Parses `"batched"` / `"direct"` / `"legacy"`.
+    /// Parses `"batched"` / `"direct"`.
     pub fn parse(s: &str) -> Option<RpcMode> {
         match s {
             "batched" => Some(RpcMode::Batched),
             "direct" => Some(RpcMode::Direct),
-            "legacy" => Some(RpcMode::Legacy),
             _ => None,
         }
     }
@@ -42,7 +37,6 @@ impl RpcMode {
         match self {
             RpcMode::Batched => "batched",
             RpcMode::Direct => "direct",
-            RpcMode::Legacy => "legacy",
         }
     }
 }
@@ -100,10 +94,12 @@ pub struct ServeConfig {
     /// How user views are partitioned onto the shards at boot and on every
     /// live rebalance.
     pub partition: PartitionStrategy,
-    /// Staleness budget of the pull cache: queries may be answered from a
-    /// cached result at most this old (zero disables the cache). This is
-    /// Theorem 1's staleness bound turned into a runtime knob.
-    pub pull_cache_ttl: Duration,
+    /// Theorem 1's staleness bound as a runtime knob: how long a replica
+    /// may have been silent on heartbeats and still serve reads (a
+    /// `Suspect` replica inside the budget is readable; a rejoined shard
+    /// is readmitted only once its silence fits it). Zero = a `Suspect`
+    /// replica is never read and readmission has no extra gate.
+    pub staleness_budget: Duration,
     /// Fire a background full re-optimization once the incremental
     /// schedule's cost degradation exceeds this fraction of the optimized
     /// base cost (`f64::INFINITY` disables re-optimization). Only
@@ -124,8 +120,8 @@ pub struct ServeConfig {
     pub rebalance_threshold: f64,
     /// Bound on the operation front-end channels (back-pressure depth).
     pub queue_depth: usize,
-    /// Which shard-RPC plane clients speak (benchmarking knob; production
-    /// is [`RpcMode::Batched`]).
+    /// Which shard-RPC plane clients speak (production is
+    /// [`RpcMode::Batched`]; [`RpcMode::Direct`] is the embedded mode).
     pub rpc: RpcMode,
     /// Whether the runtime carries live metrics + event tracing
     /// ([`ServeMetrics`](crate::metrics::ServeMetrics)). On by default —
@@ -169,7 +165,7 @@ impl Default for ServeConfig {
             view_capacity: 128,
             placement_seed: 0,
             partition: PartitionStrategy::Hash,
-            pull_cache_ttl: Duration::ZERO,
+            staleness_budget: Duration::ZERO,
             reopt_threshold: 0.2,
             reopt_mode: ReoptMode::Threshold,
             reopt_budget_frac: 0.5,
@@ -201,7 +197,7 @@ mod tests {
         // mode is the opt-in for cheap re-optimizers.
         assert_eq!(c.reopt_mode, ReoptMode::Threshold);
         assert!(c.reopt_budget_frac > 0.0 && c.reopt_budget_frac <= 1.0);
-        assert_eq!(c.pull_cache_ttl, Duration::ZERO);
+        assert_eq!(c.staleness_budget, Duration::ZERO);
         // Defaults preserve the paper's baseline behavior: hash placement,
         // no live rebalancing.
         assert_eq!(c.partition, PartitionStrategy::Hash);
@@ -224,9 +220,9 @@ mod tests {
     fn rpc_mode_parses() {
         assert_eq!(RpcMode::parse("batched"), Some(RpcMode::Batched));
         assert_eq!(RpcMode::parse("direct"), Some(RpcMode::Direct));
-        assert_eq!(RpcMode::parse("legacy"), Some(RpcMode::Legacy));
+        assert_eq!(RpcMode::parse("legacy"), None, "removed plane");
         assert_eq!(RpcMode::parse("bogus"), None);
-        assert_eq!(RpcMode::Legacy.name(), "legacy");
+        assert_eq!(RpcMode::Direct.name(), "direct");
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use piggyback_core::schedule::Schedule;
 use piggyback_core::scheduler::Scheduler;
 use piggyback_graph::CsrGraph;
+use piggyback_obs::LatencyHistogram;
 use piggyback_store::fault::PartitionDir;
-use piggyback_store::latency::LatencyHistogram;
 use piggyback_workload::{Op, OpTrace, Rates};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,8 +94,8 @@ pub struct HarnessConfig {
     /// Trace seed (client `i` uses `seed + i`).
     pub seed: u64,
     /// Dump a live stats delta (instruments + wire scrape + recent events)
-    /// to stderr every interval, and sweep the pull cache. `None` (the
-    /// default) disables the dumper thread entirely.
+    /// to stderr every interval. `None` (the default) disables the dumper
+    /// thread entirely.
     pub stats_interval: Option<Duration>,
     /// Kill shards mid-run (`None` = no chaos). Requires a runtime booted
     /// with replication ≥ 2 and heartbeats on for the load to survive.
@@ -135,7 +135,7 @@ pub struct HarnessReport {
     pub elapsed_secs: f64,
     /// Per-operation latency, merged across clients.
     pub latency: LatencyHistogram,
-    /// The runtime's end-of-run report (churn, re-opts, cache, validation).
+    /// The runtime's end-of-run report (churn, re-opts, validation).
     pub serve: ServeReport,
 }
 
@@ -174,9 +174,9 @@ pub fn run_harness(
     let mut total = ClientTally::default();
     std::thread::scope(|s| {
         if let Some(interval) = load.stats_interval {
-            // Periodic observer: snapshot → delta → stderr, plus a cache
-            // expiry sweep. Borrows the runtime immutably alongside the
-            // clients; exits at the deadline like they do.
+            // Periodic observer: snapshot → delta → stderr. Borrows the
+            // runtime immutably alongside the clients; exits at the
+            // deadline like they do.
             let rt = &runtime;
             s.spawn(move || {
                 let mut prev = rt.stats_snapshot();
@@ -201,7 +201,6 @@ pub fn run_harness(
                             eprintln!("  {e}");
                         }
                     }
-                    rt.sweep_cache();
                     prev = snap;
                     next += interval;
                 }

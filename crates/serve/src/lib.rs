@@ -15,10 +15,6 @@
 //!   a single uncontended read-lock acquisition (arc-swap style). A
 //!   request uses exactly one snapshot end-to-end, so concurrent swaps can
 //!   never show it a mix of two schedules.
-//! * [`cache`] — the staleness-bounded pull cache: Theorem 1 guarantees
-//!   every event is visible within one propagation step; an operator who
-//!   accepts a bounded staleness window can trade freshness for query
-//!   fan-out. The budget becomes a runtime TTL.
 //! * [`runtime`] — the sharded serving core ([`piggyback_store`] shard
 //!   workers behind channels, one batched message per touched server) plus
 //!   the churn manager: `Follow`/`Unfollow` flow through
@@ -30,7 +26,7 @@
 //!   fresh schedule in atomically.
 //! * [`harness`] — the load harness: closed-loop and open-loop (fixed
 //!   arrival rate) generators reporting throughput plus p50/p95/p99
-//!   latency via the [`piggyback_store::latency`] histogram.
+//!   latency via the [`piggyback_obs::LatencyHistogram`].
 //! * [`metrics`] — the runtime's live instrument bundle
 //!   ([`piggyback_obs`]): per-operation latency histograms and counters,
 //!   churn gauges, and the control-plane event ring. On by default
@@ -47,7 +43,6 @@
 //!   ([`ChaosSpec`]) through the store's fault injector
 //!   ([`piggyback_store::fault`]).
 
-pub mod cache;
 pub mod config;
 pub mod epoch;
 pub mod harness;
@@ -55,7 +50,6 @@ pub mod metrics;
 pub mod ops;
 pub mod runtime;
 
-pub use cache::PullCache;
 pub use config::{ReoptMode, RpcMode, ServeConfig};
 pub use epoch::{EpochHandle, ServingSchedule};
 pub use harness::{run_harness, Arrival, ChaosSpec, HarnessConfig, HarnessReport};

@@ -3,7 +3,7 @@
 //! One [`ServeMetrics`] per runtime: a [`Registry`] holding the
 //! front-end's per-operation latency histograms and counters plus the
 //! churn manager's gauges, and an [`EventLog`] recording the control-plane
-//! transitions (epoch swaps, re-optimizations, rebalances, cache sweeps,
+//! transitions (epoch swaps, re-optimizations, rebalances, failovers,
 //! fan-out dispatches). Everything here is designed to stay on in
 //! production serving: the hot path touches only lock-free instruments
 //! through pre-resolved handles — no name lookup, no registry lock.
@@ -114,7 +114,7 @@ impl ServeMetrics {
 
     /// Point-in-time capture of every registered instrument. The runtime's
     /// [`stats_snapshot`](crate::ServeRuntime::stats_snapshot) folds the
-    /// shard scrape and cache/queue gauges on top of this.
+    /// shard scrape and queue/pool gauges on top of this.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
     }

@@ -124,13 +124,9 @@ impl ChurnReport {
 pub struct ServeReport {
     /// Churn-manager accounting and post-run staleness validation.
     pub churn: ChurnReport,
-    /// Pull-cache hits over the run.
-    pub cache_hits: u64,
-    /// Pull-cache misses over the run.
-    pub cache_misses: u64,
     /// Epoch of the final published schedule snapshot (number of swaps).
     pub final_epoch: u64,
-    /// Final metrics capture (registry + per-shard scrape + cache/queue
+    /// Final metrics capture (registry + per-shard scrape + queue/pool
     /// gauges), taken just before teardown. `None` when the runtime ran
     /// with [`ServeConfig::metrics`](crate::ServeConfig) off.
     pub metrics: Option<piggyback_obs::Snapshot>,

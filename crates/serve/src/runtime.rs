@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
@@ -43,16 +44,14 @@ use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_obs::{set_ambient_events, EventKind, Snapshot};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::{HealthTracker, ShardHealth};
-use piggyback_store::merge::sort_merge;
 use piggyback_store::server::{QueryScratch, ShardStats, StoreServer};
 use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
 use piggyback_store::worker::{
-    dispatch, worker_loop, BufferPool, ShardClient, ShardRequest, Transport,
+    worker_loop, BatchOp, BufferPool, ShardBatch, ShardClient, ShardRequest, Transport,
 };
 use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
-use crate::cache::PullCache;
 use crate::config::{ReoptMode, RpcMode, ServeConfig};
 use crate::epoch::{CompiledSets, EpochHandle, ServingSchedule};
 use crate::metrics::{OpRecorder, ServeMetrics};
@@ -69,10 +68,8 @@ pub struct ServeRuntime {
     transport: Transport,
     pool: Arc<BufferPool>,
     churn_tx: Sender<ChurnMsg>,
-    cache: Arc<PullCache>,
     clock: Arc<AtomicU64>,
     top_k: usize,
-    rpc: RpcMode,
     shards_n: usize,
     replication: usize,
     metrics: Option<Arc<ServeMetrics>>,
@@ -166,15 +163,14 @@ impl ServeRuntime {
             .faults
             .map(|plan| Arc::new(FaultInjector::new(plan, config.shards)));
         // The detector exists whenever replicas or heartbeats are in play;
-        // the pull-cache TTL doubles as the Theorem-1 staleness budget a
-        // Suspect replica may legally lag (reads are allowed to be that
-        // stale anyway).
+        // the staleness budget is how far a Suspect replica may legally
+        // lag and still serve reads.
         let health = (replication > 1 || !config.heartbeat_interval.is_zero()).then(|| {
             Arc::new(HealthTracker::new(
                 config.shards,
                 config.suspect_misses.max(1),
                 config.down_misses.max(config.suspect_misses.max(1)),
-                config.pull_cache_ttl,
+                config.staleness_budget,
             ))
         });
         // A push edge to a k-replicated consumer fans out to k replica
@@ -242,10 +238,8 @@ impl ServeRuntime {
             transport,
             pool,
             churn_tx,
-            cache: Arc::new(PullCache::new(config.pull_cache_ttl, 64)),
             clock: Arc::new(AtomicU64::new(1)),
             top_k: config.top_k,
-            rpc: config.rpc,
             shards_n: config.shards,
             replication,
             metrics,
@@ -262,14 +256,11 @@ impl ServeRuntime {
         let id = self.client_counter.fetch_add(1, Ordering::Relaxed);
         ServeClient {
             handle: Arc::clone(&self.handle),
-            senders: Arc::clone(&self.senders),
             shard: ShardClient::new(self.transport.clone(), Arc::clone(&self.pool))
                 .with_resilience(self.health.clone(), self.faults.clone()),
             churn_tx: self.churn_tx.clone(),
-            cache: Arc::clone(&self.cache),
             clock: Arc::clone(&self.clock),
             top_k: self.top_k,
-            rpc: self.rpc,
             obs: self.metrics.as_deref().map(ServeMetrics::recorder),
             next_event: id << 40,
             targets: Vec::new(),
@@ -375,9 +366,9 @@ impl ServeRuntime {
 
     /// One point-in-time capture of everything observable: the registry's
     /// instruments (when metrics are on), the per-shard wire scrape folded
-    /// into `store.*` counters, pull-cache counters, and queue/pool
-    /// occupancy gauges. Safe to call while serving; periodic dumps diff
-    /// successive snapshots with [`Snapshot::delta_since`].
+    /// into `store.*` counters, and queue/pool occupancy gauges. Safe to
+    /// call while serving; periodic dumps diff successive snapshots with
+    /// [`Snapshot::delta_since`].
     pub fn stats_snapshot(&self) -> Snapshot {
         let mut snap = match &self.metrics {
             Some(m) => m.snapshot(),
@@ -401,30 +392,7 @@ impl ServeRuntime {
         let (bufs, vecs) = self.pool.pooled_counts();
         snap.set_gauge("store.pool_bufs", bufs as f64);
         snap.set_gauge("store.pool_vecs", vecs as f64);
-        let (hits, misses) = self.cache.stats();
-        snap.set_counter("cache.hits", hits);
-        snap.set_counter("cache.misses", misses);
-        snap.set_counter("cache.expired", self.cache.expired());
-        snap.set_gauge("cache.resident", self.cache.resident() as f64);
-        snap.set_gauge(
-            "cache.max_served_staleness_s",
-            self.cache.max_served_staleness().as_secs_f64(),
-        );
         snap
-    }
-
-    /// Sweeps TTL-expired pull-cache entries (memory reclamation for
-    /// read-cold keys), recording a [`EventKind::CacheSweep`] event.
-    /// Returns `(entries scanned, entries dropped)`.
-    pub fn sweep_cache(&self) -> (usize, usize) {
-        let (scanned, expired) = self.cache.sweep_expired();
-        if let Some(m) = &self.metrics {
-            if scanned > 0 {
-                m.events()
-                    .record(EventKind::CacheSweep { scanned, expired });
-            }
-        }
-        (scanned, expired)
     }
 
     /// Epoch of the currently published schedule snapshot.
@@ -469,7 +437,6 @@ impl ServeRuntime {
                 h.join().expect("shard worker panicked");
             }
         }
-        let (cache_hits, cache_misses) = self.cache.stats();
         ServeReport {
             failovers: churn.failovers,
             unavailable_ms: churn.failover_unavailable_ms,
@@ -481,8 +448,6 @@ impl ServeRuntime {
             catchup_ms: churn.catchup_ms,
             readmit_ms: churn.readmit_ms,
             churn,
-            cache_hits,
-            cache_misses,
             final_epoch: self.handle.epoch(),
             metrics,
             replication: self.replication,
@@ -498,20 +463,16 @@ impl ServeRuntime {
 ///
 /// Every operation loads the schedule snapshot exactly once and uses it
 /// end-to-end, so a concurrent epoch swap can never split one request
-/// across two schedules. In the default [`RpcMode::Batched`] plane the
-/// client owns every per-operation buffer (targets, merge output, the
-/// [`ShardClient`]'s grouping/reply scratch), so a warmed-up client
-/// sends shares with one payload allocation and assembles streams with
-/// one shared snapshot allocation.
+/// across two schedules. The client owns every per-operation buffer
+/// (targets, merge output, the [`ShardClient`]'s grouping/reply scratch),
+/// so a warmed-up client sends shares from recycled buffers and assembles
+/// streams with one allocation, the returned snapshot.
 pub struct ServeClient {
     handle: Arc<EpochHandle>,
-    senders: Arc<Vec<Sender<ShardRequest>>>,
     shard: ShardClient,
     churn_tx: Sender<ChurnMsg>,
-    cache: Arc<PullCache>,
     clock: Arc<AtomicU64>,
     top_k: usize,
-    rpc: RpcMode,
     /// Per-client instrument handles (`None` when metrics are off; the
     /// metrics-off hot path then pays no `Instant::now` either).
     obs: Option<OpRecorder>,
@@ -547,35 +508,13 @@ impl ServeClient {
         self.next_event += 1;
         let ts = self.clock.fetch_add(1, Ordering::Relaxed);
         let event = EventTuple::new(u, self.next_event, ts);
-        match self.rpc {
-            RpcMode::Batched | RpcMode::Direct => {
-                snap.collect_push_targets(u, &mut self.targets);
-                self.shard
-                    .update(snap.topology(), &self.targets, event.to_wire())
-            }
-            RpcMode::Legacy => {
-                let payload = event.to_bytes();
-                let mut targets = snap.push_targets(u).to_vec();
-                targets.push(u);
-                dispatch(
-                    snap.topology(),
-                    &self.senders,
-                    &targets,
-                    |shard, views, done| ShardRequest::Update {
-                        shard,
-                        views,
-                        payload: payload.clone(),
-                        done,
-                    },
-                )
-                .len() as u64
-            }
-        }
+        snap.collect_push_targets(u, &mut self.targets);
+        self.shard
+            .update(snap.topology(), &self.targets, event.to_wire())
     }
 
-    /// Assembles `u`'s event stream (Algorithm 3 lines 8–16), possibly
-    /// from the staleness-bounded cache. Returns `(events, messages)`;
-    /// a cache hit costs zero messages and shares the cached allocation.
+    /// Assembles `u`'s event stream (Algorithm 3 lines 8–16): one batched
+    /// query per touched server, k-way merged. Returns `(events, messages)`.
     pub fn query(&mut self, u: NodeId) -> (Arc<[EventTuple]>, u64) {
         if self.obs.is_none() {
             return self.query_inner(u);
@@ -593,43 +532,11 @@ impl ServeClient {
         if u as usize >= snap.topology().users() {
             return (Arc::from(&[][..]), 0);
         }
-        if let Some(events) = self.cache.get(u, snap.epoch()) {
-            return (events, 0);
-        }
-        let k = self.top_k;
-        let messages = match self.rpc {
-            RpcMode::Batched | RpcMode::Direct => {
-                snap.collect_pull_sources(u, &mut self.targets);
-                self.shard
-                    .query(snap.topology(), &self.targets, k, &mut self.merged)
-            }
-            RpcMode::Legacy => {
-                let mut targets = snap.pull_sources(u).to_vec();
-                targets.push(u);
-                let replies = dispatch(
-                    snap.topology(),
-                    &self.senders,
-                    &targets,
-                    |shard, views, done| ShardRequest::Query {
-                        shard,
-                        views,
-                        k,
-                        done,
-                    },
-                );
-                let messages = replies.len() as u64;
-                self.merged.clear();
-                for mut reply in replies {
-                    EventTuple::decode_all(&mut reply, &mut self.merged);
-                }
-                sort_merge(&mut self.merged, k);
-                messages
-            }
-        };
-        // One allocation shared between the caller and the pull cache.
-        let events: Arc<[EventTuple]> = Arc::from(&self.merged[..]);
-        self.cache.put(u, snap.epoch(), Arc::clone(&events));
-        (events, messages)
+        snap.collect_pull_sources(u, &mut self.targets);
+        let messages =
+            self.shard
+                .query(snap.topology(), &self.targets, self.top_k, &mut self.merged);
+        (Arc::from(&self.merged[..]), messages)
     }
 
     /// `v` starts following `u`. Blocks until the churn manager has
@@ -796,6 +703,25 @@ struct CatchUp {
     behind: usize,
     /// When the rejoin was detected (phase-timing anchor).
     since: Instant,
+}
+
+/// Non-destructive read of one whole view (anti-entropy's donor read): a
+/// one-off query batch with unbounded `k` answering into its own channel.
+fn read_view_async(
+    transport: &Transport,
+    pool: &BufferPool,
+    scratch: &mut QueryScratch,
+    shard: usize,
+    view: NodeId,
+) -> Receiver<BytesMut> {
+    transport.request_async(pool, scratch, |reply| {
+        ShardRequest::Batch(ShardBatch {
+            shard,
+            views: vec![view],
+            op: BatchOp::Query { k: usize::MAX },
+            reply,
+        })
+    })
 }
 
 /// Churn overrides above this count are compacted into a fresh compiled
@@ -1094,18 +1020,11 @@ impl ChurnManager {
                 (&self.transport, &self.pool, &mut self.migrate_scratch);
             let reads: Vec<_> = moved
                 .iter()
-                .map(|&u| {
-                    transport.request_async(pool, scratch, |done| ShardRequest::Query {
-                        shard: new_t.server_of(u),
-                        views: vec![u],
-                        k: usize::MAX,
-                        done,
-                    })
-                })
+                .map(|&u| read_view_async(transport, pool, scratch, new_t.server_of(u), u))
                 .collect();
             let mut installs = Vec::new();
             for (&u, rx) in moved.iter().zip(reads) {
-                let payload = rx.recv().expect("worker dropped catch-up reply");
+                let payload = rx.recv().expect("worker dropped catch-up reply").freeze();
                 if payload.is_empty() {
                     continue;
                 }
@@ -1264,27 +1183,20 @@ impl ChurnManager {
                     (&self.transport, &self.pool, &mut self.migrate_scratch);
                 // Pipelined like every other migration: all donor reads in
                 // flight before the first install streams out. Reads are
-                // non-destructive (Query, not ExtractView): the donor keeps
+                // non-destructive (a query, not ExtractView): the donor keeps
                 // serving throughout.
                 let reads: Vec<_> = batch
                     .iter()
                     .map(|(u, targets)| {
                         t.replica_slots(*u)
                             .find(|&r| !targets.contains(&(r as u32)) && alive(r))
-                            .map(|donor| {
-                                transport.request_async(pool, scratch, |done| ShardRequest::Query {
-                                    shard: donor,
-                                    views: vec![*u],
-                                    k: usize::MAX,
-                                    done,
-                                })
-                            })
+                            .map(|donor| read_view_async(transport, pool, scratch, donor, *u))
                     })
                     .collect();
                 let mut installs = Vec::new();
                 for ((u, targets), rx) in batch.iter().zip(reads) {
                     let Some(rx) = rx else { continue };
-                    let payload = rx.recv().expect("worker dropped catch-up reply");
+                    let payload = rx.recv().expect("worker dropped catch-up reply").freeze();
                     if payload.is_empty() {
                         continue;
                     }
@@ -1317,7 +1229,7 @@ impl ChurnManager {
             // Backlog drained and writes have been live since the rejoin
             // epoch: the shard's worst view lag is now its heartbeat
             // silence. Readmit only once that fits the staleness budget
-            // (zero budget = cache disabled = no extra gate).
+            // (zero budget = no extra gate).
             let budget = health.laxity();
             if !budget.is_zero() && health.silence(s) > budget {
                 self.catching_up[s] = Some(cu);
@@ -1480,8 +1392,8 @@ impl ChurnManager {
         if moved.is_empty() {
             // The partitioner reproduced the current map (always true for
             // deterministic hash with a fixed seed): nothing to migrate,
-            // and publishing an identical topology would only flush every
-            // client's pull cache. Reset the trigger and keep the epoch.
+            // and publishing an identical topology would be a wasted epoch
+            // swap. Reset the trigger and keep the epoch.
             self.cross_churned = 0.0;
             return;
         }
@@ -1898,9 +1810,6 @@ mod tests {
         assert!(snap.counter("store.updates") >= 1, "share hit the store");
         assert!(snap.counter("store.queries") >= 1, "query hit the store");
         assert!(snap.counter("store.events_inserted") >= 1);
-        // TTL zero disables the cache; the counters still fold in as zero.
-        assert!(snap.get("cache.misses").is_some());
-        assert_eq!(snap.counter("cache.hits"), 0);
         // The follow published an epoch; the event ring saw the swap.
         let events = rt.metrics().unwrap().events().recent(16);
         assert!(
@@ -1939,30 +1848,6 @@ mod tests {
         drop(c);
         let report = rt.shutdown();
         assert!(report.metrics.is_none());
-        assert!(report.churn.zero_violations());
-    }
-
-    #[test]
-    fn cached_query_skips_messages_and_respects_epoch() {
-        let rt = boot(ServeConfig {
-            shards: 4,
-            workers: 2,
-            pull_cache_ttl: std::time::Duration::from_secs(60),
-            ..Default::default()
-        });
-        let mut c = rt.client();
-        c.share(0);
-        let (_, msgs) = c.query(2);
-        assert!(msgs >= 1, "first query fans out");
-        let (_, msgs) = c.query(2);
-        assert_eq!(msgs, 0, "second query served from cache");
-        // A churn-published epoch invalidates the cached result.
-        assert!(c.follow(2, 1));
-        let (_, msgs) = c.query(2);
-        assert!(msgs >= 1, "epoch swap must invalidate the cache");
-        drop(c);
-        let report = rt.shutdown();
-        assert_eq!(report.cache_hits, 1);
         assert!(report.churn.zero_violations());
     }
 }

@@ -34,7 +34,7 @@ fn killed_shard_fails_over_and_queries_keep_answering() {
             workers: 2,
             replication: 2,
             heartbeat_interval: Duration::from_millis(2),
-            pull_cache_ttl: Duration::from_millis(50),
+            staleness_budget: Duration::from_millis(50),
             // A zero fault plan: no drops/duplicates/delays, but the
             // injector's kill switches are armed.
             faults: Some(FaultPlan::default()),

@@ -77,10 +77,10 @@ fn churn_triggers_background_reoptimization() {
 }
 
 /// The full harness on a mid-size graph: concurrent clients, churn, the
-/// pull cache, and open/closed arrival generators all compose, and the
+/// stats dumper and the closed-loop generator all compose, and the
 /// post-run validation is clean.
 #[test]
-fn harness_sustains_concurrent_churn_with_cache() {
+fn harness_sustains_concurrent_churn() {
     let (g, r) = world(1_000, 4);
     let opt = by_name("chitchat").unwrap();
     let schedule = opt.schedule(&Instance::new(&g, &r)).schedule;
@@ -92,7 +92,6 @@ fn harness_sustains_concurrent_churn_with_cache() {
         ServeConfig {
             shards: 8,
             workers: 2,
-            pull_cache_ttl: Duration::from_millis(50),
             reopt_threshold: 0.05,
             ..Default::default()
         },
@@ -113,8 +112,6 @@ fn harness_sustains_concurrent_churn_with_cache() {
         report.serve.final_epoch >= report.serve.churn.follows_applied,
         "every applied mutation publishes an epoch"
     );
-    // The cache saw traffic (hits are load-dependent, misses are certain).
-    assert!(report.serve.cache_hits + report.serve.cache_misses > 0);
     // The live metrics capture agrees with the harness's own tallies:
     // shares/queries count issued ops, follows count *applied* mutations.
     let snap = report

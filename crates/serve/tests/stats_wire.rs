@@ -229,7 +229,7 @@ fn rejoin_lifecycle_is_traced_in_the_event_log() {
             workers: 2,
             replication: 2,
             heartbeat_interval: Duration::from_millis(2),
-            pull_cache_ttl: Duration::from_millis(50),
+            staleness_budget: Duration::from_millis(50),
             faults: Some(FaultPlan::default()),
             ..Default::default()
         },

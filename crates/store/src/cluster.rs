@@ -26,6 +26,7 @@ use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use piggyback_core::schedule::Schedule;
 use piggyback_graph::{CsrGraph, NodeId};
+use piggyback_obs::LatencyHistogram;
 use piggyback_workload::{Rates, RequestKind, RequestTrace};
 
 use crate::merge::sort_merge;
@@ -93,7 +94,7 @@ pub struct ActualStats {
     /// Data-store messages sent.
     pub messages: u64,
     /// Per-request latency distribution, merged across clients.
-    pub latency: crate::latency::LatencyHistogram,
+    pub latency: LatencyHistogram,
 }
 
 impl ActualStats {
@@ -315,7 +316,7 @@ impl Cluster {
                     s.spawn(move |_| {
                         let mut event_id = (c as u64) << 40;
                         let mut msgs = 0u64;
-                        let mut hist = crate::latency::LatencyHistogram::new();
+                        let mut hist = LatencyHistogram::new();
                         let mut targets: Vec<NodeId> = Vec::new();
                         let mut merged: Vec<EventTuple> = Vec::new();
                         for _ in 0..requests_per_client {
@@ -350,7 +351,7 @@ impl Cluster {
                 })
                 .collect();
             let mut total = 0u64;
-            let mut latency = crate::latency::LatencyHistogram::new();
+            let mut latency = LatencyHistogram::new();
             for h in handles {
                 let (msgs, hist) = h.join().expect("client thread panicked");
                 total += msgs;
@@ -387,69 +388,6 @@ impl Cluster {
     /// Read-only access to a shard (tests/diagnostics).
     pub fn shard(&self, s: usize) -> &StoreServer {
         &self.shards[s]
-    }
-
-    /// Simulates a crash-restart of server `s`: all views it held are lost
-    /// (memcached semantics — views are caches, the system must keep
-    /// operating and repopulate them from new traffic). Placement is
-    /// unchanged, so subsequent requests still route to the restarted
-    /// server.
-    pub fn restart_server(&mut self, s: usize) {
-        assert!(s < self.shards.len(), "no such server: {s}");
-        self.shards[s] = StoreServer::new(self.config.view_capacity);
-    }
-
-    /// Re-partitions the cluster to `servers` servers (elastic resize).
-    ///
-    /// Views whose hash assignment is unchanged keep their contents; views
-    /// that move land on their new server *empty* — exactly what happens
-    /// with memcached-style stores where resharding implies cache misses
-    /// (§4.3 discusses why schedules deliberately do not depend on
-    /// placement: it "can be modified often during the lifetime of a
-    /// system").
-    pub fn resize(&mut self, servers: usize) {
-        assert!(servers >= 1, "need at least one server");
-        let new_topology =
-            Topology::hash(self.push_sets.len(), servers, self.config.placement_seed);
-        let mut new_shards: Vec<StoreServer> = (0..servers)
-            .map(|_| StoreServer::new(self.config.view_capacity))
-            .collect();
-        // Preserve views that stay put (possible only for server indexes
-        // that exist in both configurations).
-        for user in 0..self.push_sets.len() as NodeId {
-            let old_s = self.topology.server_of(user);
-            let new_s = new_topology.server_of(user);
-            if old_s == new_s && new_s < new_shards.len() {
-                if let Some(view) = self.shards[old_s].view(user) {
-                    new_shards[new_s].adopt_view(user, view.clone());
-                }
-            }
-        }
-        self.shards = new_shards;
-        self.topology = new_topology;
-        self.config.servers = servers;
-    }
-
-    /// Switches to an arbitrary new [`Topology`], migrating every view to
-    /// its new home (no cache loss — the topology-managed counterpart of
-    /// the hash-only [`resize`](Cluster::resize)).
-    pub fn repartition(&mut self, topology: Topology) {
-        assert!(
-            topology.users() >= self.push_sets.len(),
-            "topology covers fewer users than the cluster serves"
-        );
-        let mut new_shards: Vec<StoreServer> = (0..topology.servers())
-            .map(|_| StoreServer::new(self.config.view_capacity))
-            .collect();
-        for user in 0..self.push_sets.len() as NodeId {
-            let old_s = self.topology.server_of(user);
-            if let Some(view) = self.shards[old_s].remove_view(user) {
-                new_shards[topology.server_of(user)].adopt_view(user, view);
-            }
-        }
-        self.config.servers = topology.servers();
-        self.shards = new_shards;
-        self.topology = topology;
     }
 }
 
@@ -613,108 +551,6 @@ mod tests {
             })
             .sum();
         assert_eq!(processed, stats.messages);
-    }
-
-    #[test]
-    fn restart_loses_data_but_not_service() {
-        let (g, _r, s) = fig2_world();
-        let mut c = Cluster::new(
-            &g,
-            &s,
-            ClusterConfig {
-                servers: 4,
-                ..Default::default()
-            },
-        );
-        c.share(0, 1);
-        // Find the server holding Billie's pull sources and nuke every
-        // server — the strongest failure.
-        for srv in 0..4 {
-            c.restart_server(srv);
-        }
-        let (events, _) = c.query(2);
-        assert!(events.is_empty(), "restarted caches cannot hold events");
-        // New traffic repopulates: service continues.
-        c.share(0, 2);
-        let (events, _) = c.query(2);
-        assert!(
-            events.iter().any(|e| e.user == 0 && e.event_id == 2),
-            "post-restart event must flow again"
-        );
-    }
-
-    #[test]
-    fn resize_preserves_stationary_views_and_keeps_delivering() {
-        let (g, _r, s) = fig2_world();
-        let mut c = Cluster::new(
-            &g,
-            &s,
-            ClusterConfig {
-                servers: 4,
-                ..Default::default()
-            },
-        );
-        c.share(0, 1);
-        c.resize(8);
-        // Service continues after the resize for new events.
-        c.share(0, 2);
-        let (events, _) = c.query(2);
-        assert!(events.iter().any(|e| e.user == 0 && e.event_id == 2));
-        // Shrinking also works.
-        c.resize(1);
-        c.share(1, 50);
-        let (events, _) = c.query(2);
-        assert!(events.iter().any(|e| e.user == 1 && e.event_id == 50));
-    }
-
-    #[test]
-    fn resize_to_same_count_is_lossless() {
-        let (g, _r, s) = fig2_world();
-        let mut c = Cluster::new(
-            &g,
-            &s,
-            ClusterConfig {
-                servers: 4,
-                ..Default::default()
-            },
-        );
-        c.share(0, 1);
-        let before = c.query(2).0;
-        c.resize(4); // identical placement: every view "stays put"
-        let after = c.query(2).0;
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn repartition_migrates_every_view_losslessly() {
-        use crate::topology::{PartitionRequest, Partitioner, ScheduleAwarePartitioner};
-        let (g, r, s) = fig2_world();
-        let mut c = Cluster::new(
-            &g,
-            &s,
-            ClusterConfig {
-                servers: 4,
-                ..Default::default()
-            },
-        );
-        c.share(0, 1);
-        c.share(1, 2);
-        let before = c.query(2).0;
-        assert!(!before.is_empty());
-        // Move to a schedule-aware topology on a different server count:
-        // unlike resize(), every view travels with its user.
-        let next = ScheduleAwarePartitioner::default().partition(&PartitionRequest {
-            graph: &g,
-            rates: &r,
-            schedule: Some(&s),
-            servers: 2,
-            seed: 9,
-            domains: None,
-        });
-        c.repartition(next);
-        assert_eq!(c.topology().servers(), 2);
-        let after = c.query(2).0;
-        assert_eq!(before, after, "repartition must not lose events");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! success snaps the shard back to `Up`.
 //!
 //! **Reads and the Theorem-1 laxity.** A replica is a *legal* read target
-//! while its lag stays inside the feed's staleness budget — the same TTL
-//! the pull cache is allowed to serve from (Theorem 1 bounds staleness by
-//! the schedule's pull period; anything already allowed to be `ttl` old
-//! may equally be served by a replica at most `ttl` behind). We measure
+//! while its lag stays inside the feed's staleness budget (Theorem 1
+//! bounds staleness by the schedule's pull period; a feed already allowed
+//! to be that old may equally be served by a replica at most that far
+//! behind). We measure
 //! lag as *silence*: time since the shard last answered a heartbeat. An
 //! `Up` shard is always readable; a `Suspect` shard stays readable while
 //! its silence is within the laxity; a `Down` shard never is, until

@@ -23,9 +23,9 @@
 //!   use on per-shard wire replies.
 //! * [`worker`] — the wire-format shard-worker protocol shared by every
 //!   execution harness (batch replay and the online serve runtime),
-//!   including the extract/install requests of live rebalancing. The hot
-//!   path is the coalesced [`ShardBatch`] plane: pooled view lists and
-//!   reply buffers ([`BufferPool`]) and one pooled reply channel per
+//!   including the extract/install requests of live rebalancing. Updates
+//!   and queries travel as coalesced [`worker::ShardBatch`]es: pooled view lists
+//!   and reply buffers ([`BufferPool`]) and one pooled reply channel per
 //!   client ([`ShardClient`]).
 //! * [`cluster`] — Algorithm 3's application servers driving the shards,
 //!   with a deterministic single-threaded mode (message accounting) and a
@@ -42,7 +42,6 @@
 pub mod cluster;
 pub mod fault;
 pub mod health;
-pub mod latency;
 pub mod merge;
 pub mod placement;
 pub mod server;

@@ -234,9 +234,10 @@ impl StoreServer {
     }
 
     /// The pre-ring-buffer query path: copy every candidate, full-sort,
-    /// dedup, truncate. Kept as the differential-testing oracle for
-    /// [`query_with`](StoreServer::query_with) (`tests/query_differential.rs`)
-    /// and as the legacy half of the serve benchmark's before/after mode.
+    /// dedup, truncate. Kept only as the differential-testing oracle for
+    /// [`query_with`](StoreServer::query_with) (`tests/query_differential.rs`
+    /// and the worker round-trip test); no production or benchmark code
+    /// calls it.
     pub fn query_reference(&mut self, views: &[NodeId], k: usize) -> Vec<EventTuple> {
         self.stats.queries += 1;
         if k == 0 {
@@ -285,12 +286,6 @@ impl StoreServer {
     /// Read-only access to a view (tests/diagnostics).
     pub fn view(&self, user: NodeId) -> Option<&View> {
         self.views.get(&user)
-    }
-
-    /// Installs a pre-populated view (used by cluster re-partitioning to
-    /// carry over views whose placement did not change).
-    pub fn adopt_view(&mut self, user: NodeId, view: View) {
-        self.views.insert(user, view);
     }
 
     /// Removes `user`'s view and returns it — the donor side of a live

@@ -12,26 +12,20 @@
 //! every message pays realistic (de)serialization work — as a memcached
 //! round trip would (§4.3).
 //!
-//! Two request planes coexist:
+//! Every update and query travels as a [`ShardBatch`] (issued by a
+//! [`ShardClient`]): one operation's shard fan-out is packed into one
+//! message per touched shard, every message answers into the *same* pooled
+//! per-client reply channel, view lists and reply payloads ride pooled
+//! buffers ([`BufferPool`]), and the client merges per-shard replies with
+//! a bounded k-way merge. Steady state sends no fresh channel, `Vec`, or
+//! reply buffer per operation.
 //!
-//! * **Batched** ([`ShardBatch`] via [`ShardClient`]) — the hot path. One
-//!   operation's shard fan-out is packed into one message per touched
-//!   shard, every message answers into the *same* pooled per-client reply
-//!   channel, view lists and reply payloads ride pooled buffers
-//!   ([`BufferPool`]), and the client merges per-shard replies with a
-//!   bounded k-way merge. Steady state sends no fresh channel, `Vec`, or
-//!   reply buffer per operation.
-//! * **Legacy** (the free-standing [`ShardRequest::Update`] /
-//!   [`ShardRequest::Query`] variants plus [`dispatch`]) — the pre-PR
-//!   protocol: one fresh rendezvous channel per request and a fresh
-//!   allocation per view list and reply. Kept verbatim as the *before*
-//!   half of the serve benchmark's before/after mode, and as the shape of
-//!   the migration plane.
-//!
-//! View migration (live rebalancing onto a new [`Topology`]) speaks the
-//! same wire format over [`ShardRequest::ExtractView`] /
-//! [`ShardRequest::InstallView`]: a view is extracted as its wire encoding
-//! and installed by replaying the tuples.
+//! The control plane (migration, stats scrape, heartbeat, restart) sends
+//! one-shot requests with a rendezvous reply channel each. View migration
+//! (live rebalancing onto a new [`Topology`]) speaks the same wire format
+//! over [`ShardRequest::ExtractView`] / [`ShardRequest::InstallView`]: a
+//! view is extracted as its wire encoding and installed by replaying the
+//! tuples.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -167,30 +161,8 @@ pub struct ShardBatch {
 
 /// One message to a data-store shard.
 pub enum ShardRequest {
-    /// The coalesced hot path (see [`ShardClient`]).
+    /// An update or query (see [`ShardClient`]).
     Batch(ShardBatch),
-    /// Legacy update: insert a wire-encoded event into every listed view.
-    Update {
-        /// Target shard index.
-        shard: usize,
-        /// Views on that shard to insert into.
-        views: Vec<NodeId>,
-        /// Wire-encoded [`EventTuple`].
-        payload: Bytes,
-        /// Acknowledgement channel (empty reply).
-        done: Sender<Bytes>,
-    },
-    /// Legacy query: read the `k` latest events across the listed views.
-    Query {
-        /// Target shard index.
-        shard: usize,
-        /// Views on that shard to read.
-        views: Vec<NodeId>,
-        /// Server-side filter width.
-        k: usize,
-        /// Reply channel (wire-encoded tuples, newest first).
-        done: Sender<Bytes>,
-    },
     /// Remove `view` from the shard and reply with its wire-encoded
     /// contents (empty if the view was never materialized) — the donor
     /// half of a live migration.
@@ -253,9 +225,7 @@ impl ShardRequest {
     pub fn shard(&self) -> usize {
         match self {
             ShardRequest::Batch(b) => b.shard,
-            ShardRequest::Update { shard, .. }
-            | ShardRequest::Query { shard, .. }
-            | ShardRequest::ExtractView { shard, .. }
+            ShardRequest::ExtractView { shard, .. }
             | ShardRequest::InstallView { shard, .. }
             | ShardRequest::Stats { shard, .. }
             | ShardRequest::Heartbeat { shard, .. }
@@ -302,25 +272,6 @@ pub fn handle_request(
             };
             pool.put_vec(views);
             let _ = reply.send(out);
-        }
-        ShardRequest::Update {
-            shard,
-            views,
-            mut payload,
-            done,
-        } => {
-            let event = EventTuple::decode(&mut payload).expect("malformed update payload");
-            shards[shard].lock().update(&views, event);
-            let _ = done.send(Bytes::new());
-        }
-        ShardRequest::Query {
-            shard,
-            views,
-            k,
-            done,
-        } => {
-            let out = shards[shard].lock().query_reference(&views, k);
-            let _ = done.send(encode_tuples(&out));
         }
         ShardRequest::ExtractView { shard, view, done } => {
             let taken = shards[shard].lock().remove_view(view);
@@ -403,13 +354,15 @@ impl Transport {
     /// Executes `make`'s request asynchronously: through the worker pool
     /// (`shard % workers` routing) or inline on the calling thread. The
     /// returned receiver yields the reply; under [`Transport::Direct`]
-    /// it is already resolved.
-    pub fn request_async(
+    /// it is already resolved. `R` is the request's reply type: `Bytes`
+    /// for the control-plane variants, `BytesMut` for a one-off
+    /// [`ShardRequest::Batch`] (the failover controller's view reads).
+    pub fn request_async<R>(
         &self,
         pool: &BufferPool,
         scratch: &mut QueryScratch,
-        make: impl FnOnce(Sender<Bytes>) -> ShardRequest,
-    ) -> Receiver<Bytes> {
+        make: impl FnOnce(Sender<R>) -> ShardRequest,
+    ) -> Receiver<R> {
         match self {
             Transport::Workers(senders) => send_to_shard_async(senders, make),
             Transport::Direct(shards) => {
@@ -480,11 +433,11 @@ impl ShardClient {
         self
     }
 
-    /// The worker that serves this operation. Unlike the legacy plane's
-    /// per-shard `shard % workers` routing, the batched plane gives one
-    /// operation's whole fan-out to a single worker (round-robin across
-    /// ops): shard state is owned by the mutex, not the thread, so any
-    /// worker may serve any shard, and landing all of an op's batches on
+    /// The worker that serves this operation. Unlike the control plane's
+    /// per-shard `shard % workers` routing, one operation's whole fan-out
+    /// goes to a single worker (round-robin across ops): shard state is
+    /// owned by the mutex, not the thread, so any worker may serve any
+    /// shard, and landing all of an op's batches on
     /// one queue means one worker wake-up per operation instead of one
     /// per touched worker — the scheduler cost that dominates once the
     /// per-message allocations are gone. Ops are the unit of parallelism
@@ -756,10 +709,10 @@ fn read_slot(
 /// (`shard % senders.len()` routing) without waiting; the returned
 /// receiver yields the reply. Lets a migration pipeline many requests
 /// instead of paying one round trip per view.
-pub fn send_to_shard_async(
+pub fn send_to_shard_async<R>(
     senders: &[Sender<ShardRequest>],
-    make: impl FnOnce(Sender<Bytes>) -> ShardRequest,
-) -> Receiver<Bytes> {
+    make: impl FnOnce(Sender<R>) -> ShardRequest,
+) -> Receiver<R> {
     let (done_tx, done_rx) = bounded(1);
     let req = make(done_tx);
     let worker = req.shard() % senders.len();
@@ -775,33 +728,6 @@ pub fn send_to_shard(
     send_to_shard_async(senders, make)
         .recv()
         .expect("worker dropped reply")
-}
-
-/// Groups `targets` by home server under `topology`, sends one request per
-/// touched server via the worker channels (`shard % senders.len()`
-/// routing), and waits for every reply — a request completes when all
-/// per-server replies arrived (Algorithm 3's ack handling).
-///
-/// This is the **legacy** request plane: every request mints a fresh
-/// rendezvous channel and a fresh view list. The batched plane
-/// ([`ShardClient`]) replaces it on the serving hot path; this survives as
-/// the before/after baseline and for one-shot callers.
-pub fn dispatch(
-    topology: &Topology,
-    senders: &[Sender<ShardRequest>],
-    targets: &[NodeId],
-    make: impl Fn(usize, Vec<NodeId>, Sender<Bytes>) -> ShardRequest,
-) -> Vec<Bytes> {
-    let mut pending = Vec::new();
-    topology.group_by_server(targets, |shard, views| {
-        pending.push(send_to_shard_async(senders, |done| {
-            make(shard, views.to_vec(), done)
-        }));
-    });
-    pending
-        .into_iter()
-        .map(|rx| rx.recv().expect("worker dropped reply"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -820,47 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_serves_legacy_update_then_query() {
-        let (shards, pool) = boot_two_shards();
-        let topology = Topology::hash(16, 2, 0);
-        let (tx, rx) = unbounded::<ShardRequest>();
-        std::thread::scope(|s| {
-            let (shards, pool) = (&shards, &pool);
-            s.spawn(move || worker_loop(shards, pool, &rx));
-            let senders = vec![tx.clone(), tx.clone()];
-            let event = EventTuple::new(7, 1, 100);
-            let replies = dispatch(&topology, &senders, &[1, 2, 3], |shard, views, done| {
-                ShardRequest::Update {
-                    shard,
-                    views,
-                    payload: event.to_bytes(),
-                    done,
-                }
-            });
-            assert!(!replies.is_empty());
-            let replies = dispatch(&topology, &senders, &[1, 2, 3], |shard, views, done| {
-                ShardRequest::Query {
-                    shard,
-                    views,
-                    k: 10,
-                    done,
-                }
-            });
-            // Each shard returns the event once (server-side dedup across
-            // co-located views), so the merged total is one per shard hit.
-            let mut seen = 0;
-            for mut reply in replies {
-                while let Some(t) = EventTuple::decode(&mut reply) {
-                    assert_eq!(t, event);
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, topology.distinct_servers([1, 2, 3]));
-            drop(tx);
-        });
-    }
-
-    #[test]
     fn batched_client_round_trips_and_recycles_buffers() {
         let (shards, pool) = boot_two_shards();
         let topology = Topology::hash(64, 2, 0);
@@ -872,7 +757,7 @@ mod tests {
             let mut client =
                 ShardClient::new(Transport::Workers(Arc::clone(&senders)), Arc::clone(&pool));
             let mut out = Vec::new();
-            let mut targets: Vec<NodeId> = (0..32).collect();
+            let targets: Vec<NodeId> = (0..32).collect();
             for round in 0..50u64 {
                 let event = EventTuple::new(5, round, round + 1);
                 let msgs = client.update(&topology, &targets, event.to_wire());
@@ -883,20 +768,12 @@ mod tests {
                 assert!(out.windows(2).all(|w| w[0] > w[1]), "newest first");
                 assert_eq!(out[0], event);
             }
-            // Same answer as the legacy plane.
-            targets.sort_unstable();
-            let legacy = dispatch(&topology, &senders, &targets, |shard, views, done| {
-                ShardRequest::Query {
-                    shard,
-                    views,
-                    k: 10,
-                    done,
-                }
-            });
+            // Same answer as the reference path: `query_reference` on
+            // every touched shard, flat sort-merge of the per-shard answers.
             let mut flat = Vec::new();
-            for mut reply in legacy {
-                EventTuple::decode_all(&mut reply, &mut flat);
-            }
+            topology.group_by_server(&targets, |shard, views| {
+                flat.extend(shards[shard].lock().query_reference(views, 10));
+            });
             crate::merge::sort_merge(&mut flat, 10);
             assert_eq!(out, flat);
             drop(tx);

@@ -28,7 +28,6 @@ use std::process::ExitCode;
 
 use social_piggybacking::core::cost::CostModel;
 use social_piggybacking::core::schedule_io::{load_schedule, save_schedule};
-use social_piggybacking::core::sharded_chitchat::ShardedChitChat;
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::graph::io::{load_edge_list, save_edge_list};
 use social_piggybacking::graph::stats as gstats;
@@ -51,29 +50,72 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   piggyback generate --model <flickr|twitter|erdos-renyi|copying> --nodes <n> \\
-                     [--seed <s>] [--edges <m>] --out <file>
+                     [--seed <s>] [--edges <m>] [--follows <k>] [--copy-prob <p>] \\
+                     --out <file>
   piggyback stats    --graph <file>
   piggyback schedule --graph <file> --algorithm <name> \\
-                     [--rw-ratio <r>] [--shards <k>] [--threads <t>] --out <file>
+                     [--rw-ratio <r>] [--threads <t>] --out <file>
   piggyback evaluate --graph <file> --schedule <file> [--rw-ratio <r>] [--servers <n>]
   piggyback partition --graph <file> [--schedule <file>] [--partitioner <name>] \\
                      [--servers <n>] [--seed <s>] [--rw-ratio <r>]
   piggyback analyze  --graph <file> --schedule <file> [--rw-ratio <r>] [--top <k>]
   piggyback compare  [--preset <flickr-like|twitter-like>] [--graph <file>] \\
-                     [--nodes <n>] [--seed <s>] [--rw-ratio <r>] [--shards <k>] \\
+                     [--nodes <n>] [--seed <s>] [--rw-ratio <r>] \\
                      [--threads <t>] [--servers <n>]
   piggyback serve    [--graph <file> | --model <m> --nodes <n>] [--algorithm <name>] \\
                      [--duration <2s|500ms>] [--clients <n>] [--servers <n>] \\
                      [--workers <n>] [--churn-ratio <f>] [--rate <ops/s>] \\
-                     [--cache-ttl-ms <n>] [--reopt-threshold <f>] \\
+                     [--reopt-threshold <f>] \\
                      [--partitioner <name>] [--rebalance-threshold <f>] \\
+                     [--replication <k>] [--domains <d>] [--heartbeat-ms <n>] \\
+                     [--staleness-ms <n>] \\
                      [--rw-ratio <r>] [--seed <s>] [--threads <t>] \\
-                     [--rpc <batched|direct|legacy>] [--stats-interval <1s|500ms>]
+                     [--rpc <batched|direct>] [--stats-interval <1s|500ms>]
 
 <name> under --algorithm is any registered scheduler (see `compare`
-output), e.g. hybrid, chitchat, parallelnosy, parallelnosy-mr,
-sharded-chitchat, exact; under --partitioner it is hash, ldg, or
-schedule-aware.";
+output), e.g. hybrid, chitchat, chitchat-stream, parallelnosy,
+parallelnosy-mr, exact; under --partitioner it is hash, ldg, or
+schedule-aware. --staleness-ms is how long a replica may miss heartbeats
+and still serve reads (0 = never).";
+
+type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// Every subcommand: its name, the flags it accepts (space-separated), and
+/// its handler. The one table [`run`] validates against and the tests
+/// check [`USAGE`] against, so a flag is neither parsed undocumented nor
+/// silently ignored.
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    (
+        "generate",
+        "model nodes seed edges follows copy-prob out",
+        cmd_generate,
+    ),
+    ("stats", "graph", cmd_stats),
+    (
+        "schedule",
+        "graph algorithm rw-ratio threads out",
+        cmd_schedule,
+    ),
+    ("evaluate", "graph schedule rw-ratio servers", cmd_evaluate),
+    (
+        "partition",
+        "graph schedule partitioner servers seed rw-ratio",
+        cmd_partition,
+    ),
+    ("analyze", "graph schedule rw-ratio top", cmd_analyze),
+    (
+        "compare",
+        "preset graph nodes seed rw-ratio threads servers",
+        cmd_compare,
+    ),
+    (
+        "serve",
+        "graph model nodes algorithm duration clients servers workers churn-ratio rate \
+         reopt-threshold partitioner rebalance-threshold replication domains heartbeat-ms \
+         staleness-ms rw-ratio seed threads rpc stats-interval",
+        cmd_serve,
+    ),
+];
 
 /// Parses `--key value` pairs after the subcommand.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -116,18 +158,23 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("no subcommand given".into());
     };
+    let &(_, accepted, handler) = COMMANDS
+        .iter()
+        .find(|(name, ..)| name == cmd)
+        .ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
     let flags = parse_flags(rest)?;
-    match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "schedule" => cmd_schedule(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "partition" => cmd_partition(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "compare" => cmd_compare(&flags),
-        "serve" => cmd_serve(&flags),
-        other => Err(format!("unknown subcommand {other:?}")),
+    let accepted: Vec<&str> = accepted.split_whitespace().collect();
+    if let Some(key) = flags
+        .keys()
+        .filter(|k| !accepted.contains(&k.as_str()))
+        .min()
+    {
+        return Err(format!(
+            "unknown flag --{key} for '{cmd}' (accepted: --{})",
+            accepted.join(", --")
+        ));
     }
+    handler(&flags)
 }
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -200,17 +247,6 @@ fn configure_scheduler(
     scheduler: Box<dyn Scheduler>,
 ) -> Result<Box<dyn Scheduler>, String> {
     let threads: usize = parsed(flags, "threads", 0)?;
-    if scheduler.name() == "sharded-chitchat" {
-        let shards: usize = parsed(flags, "shards", 4)?;
-        if shards < 1 {
-            return Err("--shards must be at least 1".into());
-        }
-        return Ok(Box::new(ShardedChitChat {
-            shards,
-            threads,
-            ..Default::default()
-        }));
-    }
     if threads > 0 {
         return scheduler::by_name_with_threads(scheduler.name(), threads)
             .ok_or_else(|| format!("unknown algorithm {:?}", scheduler.name()));
@@ -224,8 +260,16 @@ fn resolve_scheduler(
     flags: &HashMap<String, String>,
     algorithm: &str,
 ) -> Result<Box<dyn Scheduler>, String> {
-    let scheduler =
-        scheduler::by_name(algorithm).ok_or_else(|| format!("unknown algorithm {algorithm:?}"))?;
+    let scheduler = scheduler::by_name(algorithm).ok_or_else(|| {
+        let names: Vec<_> = scheduler::registry()
+            .iter()
+            .map(|s| s.name().to_string())
+            .collect();
+        format!(
+            "unknown algorithm {algorithm:?} (registered: {})",
+            names.join(", ")
+        )
+    })?;
     configure_scheduler(flags, scheduler)
 }
 
@@ -455,12 +499,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .ok_or_else(|| format!("unknown partitioner {partition_name:?}"))?;
     let rpc_name = flags.get("rpc").map(String::as_str).unwrap_or("batched");
     let rpc = piggyback_serve::RpcMode::parse(rpc_name)
-        .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct|legacy)"))?;
+        .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct)"))?;
     let serve_config = ServeConfig {
         shards: parsed(flags, "servers", 64)?,
         rpc,
         workers: parsed(flags, "workers", 4)?,
-        pull_cache_ttl: std::time::Duration::from_millis(parsed(flags, "cache-ttl-ms", 0)?),
+        staleness_budget: std::time::Duration::from_millis(parsed(flags, "staleness-ms", 0)?),
         reopt_threshold: parsed(flags, "reopt-threshold", 0.2)?,
         partition,
         rebalance_threshold: parsed(flags, "rebalance-threshold", f64::INFINITY)?,
@@ -549,15 +593,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             0.0
         }
     );
-    if report.serve.cache_hits + report.serve.cache_misses > 0 {
-        println!(
-            "pull cache:  {} hits / {} misses ({:.1}% hit rate)",
-            report.serve.cache_hits,
-            report.serve.cache_misses,
-            100.0 * report.serve.cache_hits as f64
-                / (report.serve.cache_hits + report.serve.cache_misses) as f64
-        );
-    }
     if let Some(snap) = &report.serve.metrics {
         println!(
             "metrics:     {} instruments; final snapshot (rates over {:.2}s):",
@@ -811,7 +846,7 @@ mod tests {
             "generate", "--model", "flickr", "--nodes", "200", "--seed", "1", "--out", &graph,
         ]))
         .unwrap();
-        for algo in ["hybrid", "chitchat", "sharded-chitchat", "parallelnosy-mr"] {
+        for algo in ["hybrid", "chitchat", "parallelnosy-mr"] {
             let sched = dir
                 .join(format!("{algo}.sched"))
                 .to_string_lossy()
@@ -853,7 +888,7 @@ mod tests {
         .unwrap();
         // schedule: any algorithm accepts --threads (identical schedules,
         // so the files must round-trip through evaluate).
-        for algo in ["chitchat", "parallelnosy", "sharded-chitchat"] {
+        for algo in ["chitchat", "parallelnosy", "chitchat-stream"] {
             let sched = dir
                 .join(format!("{algo}.sched"))
                 .to_string_lossy()
@@ -993,7 +1028,7 @@ mod tests {
             "2",
             "--churn-ratio",
             "0.05",
-            "--cache-ttl-ms",
+            "--staleness-ms",
             "20",
         ]))
         .unwrap();
@@ -1066,6 +1101,80 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unknown algorithm"));
+        // The removed sharded optimizer fails the same way, by name and by
+        // its old alias, and the error names what is registered.
+        for gone in ["sharded-chitchat", "sharded"] {
+            let err = run(&s(&[
+                "schedule",
+                "--graph",
+                &graph,
+                "--algorithm",
+                gone,
+                "--out",
+                "/dev/null",
+            ]))
+            .unwrap_err();
+            assert!(
+                err.contains("unknown algorithm") && err.contains("chitchat-stream, parallelnosy"),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        // A typo must not run with defaults and exit 0.
+        let err = run(&s(&["serve", "--duraton", "2s"])).unwrap_err();
+        assert!(err.contains("unknown flag --duraton for 'serve'"), "{err}");
+        assert!(
+            err.contains("--duration"),
+            "lists the accepted flags: {err}"
+        );
+        // Flags removed with the pull cache and the sharded optimizer.
+        let err = run(&s(&["serve", "--cache-ttl-ms", "20"])).unwrap_err();
+        assert!(
+            err.contains("--cache-ttl-ms") && err.contains("--staleness-ms"),
+            "{err}"
+        );
+        let err = run(&s(&["compare", "--shards", "4"])).unwrap_err();
+        assert!(err.contains("unknown flag --shards for 'compare'"), "{err}");
+        // A flag another subcommand owns is still unknown here.
+        assert!(run(&s(&["stats", "--graph", "g.edges", "--servers", "4"])).is_err());
+        // The removed RPC plane names the surviving choices.
+        let err = run(&s(&["serve", "--nodes", "50", "--rpc", "legacy"])).unwrap_err();
+        assert!(
+            err.contains("batched|direct") && !err.contains("|legacy"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        for &(cmd, accepted, _) in COMMANDS {
+            let head = format!("  piggyback {cmd} ");
+            let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(&head));
+            let mut section = lines
+                .next()
+                .unwrap_or_else(|| panic!("USAGE lacks {cmd}"))
+                .to_string();
+            // Continuation lines are indented deeper than a command line.
+            for l in lines.take_while(|l| l.starts_with("   ")) {
+                section.push_str(l);
+            }
+            let mut listed: Vec<&str> = section
+                .split("--")
+                .skip(1)
+                .map(|t| {
+                    t.split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                        .next()
+                        .unwrap()
+                })
+                .collect();
+            listed.sort_unstable();
+            let mut want: Vec<&str> = accepted.split_whitespace().collect();
+            want.sort_unstable();
+            assert_eq!(listed, want, "USAGE vs flag table for '{cmd}'");
+        }
     }
 }

@@ -23,8 +23,8 @@
 //!   cost models used by the paper's prototype evaluation.
 //! * [`serve`] — the online feed-serving runtime: live follow/unfollow
 //!   churn through the §3.3 incremental maintenance path, epoch-swapped
-//!   schedules, background re-optimization, a staleness-bounded pull
-//!   cache, and a latency-percentile load harness.
+//!   schedules, background re-optimization, replicated shards with
+//!   failover, and a latency-percentile load harness.
 //!
 //! # Quickstart
 //!
@@ -78,15 +78,14 @@ pub mod prelude {
         self, Exact, Hybrid, Instance, MapReduceNosy, PullAll, PushAll, ScheduleOutcome,
         ScheduleStats, Scheduler,
     };
-    pub use piggyback_core::sharded_chitchat::{Partitioning, ShardedChitChat};
     pub use piggyback_core::staleness::{check_semantic_staleness, random_actions};
     pub use piggyback_core::validate::validate_bounded_staleness;
     pub use piggyback_graph::{gen, sample, stats, CsrGraph, DynamicGraph, GraphBuilder};
+    pub use piggyback_obs::LatencyHistogram;
     pub use piggyback_serve::{
         run_harness, Arrival, HarnessConfig, HarnessReport, ServeClient, ServeConfig, ServeRuntime,
     };
     pub use piggyback_store::cluster::{Cluster, ClusterConfig};
-    pub use piggyback_store::latency::LatencyHistogram;
     pub use piggyback_store::placement::PlacementCost;
     pub use piggyback_store::topology::{
         partitioner_by_name, partitioners, PartitionRequest, PartitionStrategy, Partitioner,

@@ -41,12 +41,7 @@ fn piggybacking_schedulers_never_lose_to_hybrid() {
     let (g, r) = world();
     let inst = Instance::new(&g, &r);
     let ff = scheduler::by_name("hybrid").unwrap().schedule(&inst);
-    for name in [
-        "chitchat",
-        "parallelnosy",
-        "parallelnosy-mr",
-        "sharded-chitchat",
-    ] {
+    for name in ["chitchat", "parallelnosy", "parallelnosy-mr"] {
         let s = scheduler::by_name(name).unwrap();
         let out = s.schedule(&inst);
         let imp = predicted_improvement(&g, &r, &out.schedule, &ff.schedule);
