@@ -1,5 +1,6 @@
 //! Log-bucketed latency histograms: a sequential, mergeable form and a
-//! lock-free concurrent form sharing the same bucketing scheme.
+//! lock-free, thread-striped concurrent form sharing the same bucketing
+//! scheme.
 //!
 //! The paper observes that "since queries involve only simple processing of
 //! in-memory data structures, the latency per request is very low unless
@@ -11,7 +12,9 @@
 //! ≤ ~4% relative quantile error with a fixed 128-slot footprint that can
 //! be merged across client threads without locks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::instruments::STRIPES;
 
 /// Number of histogram buckets; covers ~1ns to ~100s.
 const BUCKETS: usize = 128;
@@ -161,16 +164,35 @@ impl LatencyHistogram {
     }
 }
 
+/// One writer stripe of a [`ConcurrentHistogram`], on cache lines of its
+/// own so threads recording on different stripes never share a line.
+#[repr(align(64))]
+#[derive(Debug)]
+struct HistogramStripe {
+    counts: [AtomicU64; BUCKETS],
+    max_ns: AtomicU64,
+}
+
+/// Round-robin seed for [`THREAD_STRIPE`].
+static NEXT_THREAD_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The stripe this thread records into, assigned on first use: the
+    /// first [`STRIPES`] recording threads get a stripe each.
+    static THREAD_STRIPE: usize = NEXT_THREAD_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
 /// Lock-free histogram for concurrent writers: the same buckets as
-/// [`LatencyHistogram`], held in relaxed atomics. Recording is one
-/// `fetch_add` plus one `fetch_max`; reading is a [`snapshot`] into the
+/// [`LatencyHistogram`], held in relaxed atomics and striped eight-fold
+/// by recording thread. Recording is one `fetch_add` on the thread's own
+/// stripe, plus a `fetch_max` only when the sample is a new maximum
+/// there; reading is a [`snapshot`] that sums the stripes into the
 /// sequential form.
 ///
 /// [`snapshot`]: ConcurrentHistogram::snapshot
 #[derive(Debug)]
 pub struct ConcurrentHistogram {
-    counts: [AtomicU64; BUCKETS],
-    max_ns: AtomicU64,
+    stripes: [HistogramStripe; STRIPES],
 }
 
 impl Default for ConcurrentHistogram {
@@ -183,8 +205,10 @@ impl ConcurrentHistogram {
     /// Empty histogram.
     pub fn new() -> Self {
         ConcurrentHistogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            max_ns: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| HistogramStripe {
+                counts: std::array::from_fn(|_| AtomicU64::new(0)),
+                max_ns: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -192,8 +216,13 @@ impl ConcurrentHistogram {
     /// the sequential form). Safe to call from any number of threads.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        self.counts[bucket(ns.min(MAX_SAMPLE_NS))].fetch_add(1, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let stripe = &self.stripes[THREAD_STRIPE.with(|s| *s)];
+        stripe.counts[bucket(ns.min(MAX_SAMPLE_NS))].fetch_add(1, Ordering::Relaxed);
+        // `fetch_max` takes the line exclusive even when it changes
+        // nothing; the plain load keeps the common case a read.
+        if ns > stripe.max_ns.load(Ordering::Relaxed) {
+            stripe.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
     }
 
     /// Records a [`std::time::Duration`].
@@ -204,7 +233,7 @@ impl ConcurrentHistogram {
 
     /// Total samples recorded (sums the buckets; a point-in-time view).
     pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.snapshot().count()
     }
 
     /// Point-in-time copy as a sequential [`LatencyHistogram`]. Each bucket
@@ -212,8 +241,10 @@ impl ConcurrentHistogram {
     /// one's bucket-wise, and the derived total is always the sum of the
     /// captured counts (sum-consistent even mid-write).
     pub fn snapshot(&self) -> LatencyHistogram {
-        let counts = std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed));
-        LatencyHistogram::from_counts(counts, self.max_ns.load(Ordering::Relaxed))
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let counts = std::array::from_fn(|i| self.stripes.iter().map(|s| load(&s.counts[i])).sum());
+        let max_ns = self.stripes.iter().map(|s| load(&s.max_ns)).max();
+        LatencyHistogram::from_counts(counts, max_ns.unwrap_or(0))
     }
 }
 
@@ -336,6 +367,24 @@ mod tests {
             s.record_ns(ns);
         }
         assert_eq!(c.snapshot(), s);
+    }
+
+    #[test]
+    fn max_and_count_are_exact_across_thread_stripes() {
+        let c = ConcurrentHistogram::new();
+        c.record_ns(10);
+        // Twice as many threads as stripes, each on the stripe it drew:
+        // the largest sample sits on some other thread's stripe.
+        for k in 0..2 * STRIPES as u64 {
+            std::thread::scope(|s| {
+                s.spawn(|| c.record_ns(1_000 + k));
+            });
+        }
+        c.record_ns(20);
+        let snap = c.snapshot();
+        assert_eq!(snap.max_ns(), 1_000 + 2 * STRIPES as u64 - 1);
+        assert_eq!(snap.count(), 2 * STRIPES as u64 + 2);
+        assert_eq!(c.count(), snap.count());
     }
 
     #[test]

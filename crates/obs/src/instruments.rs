@@ -11,9 +11,10 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Write stripes per counter. Eight covers the worker counts the serving
-/// runtime uses while keeping `get()` (a sum over stripes) trivially cheap.
-const STRIPES: usize = 8;
+/// Write stripes per counter and per concurrent histogram. Eight covers
+/// the worker counts the serving runtime uses while keeping `get()` (a sum
+/// over stripes) trivially cheap.
+pub(crate) const STRIPES: usize = 8;
 
 /// One cache line of counter storage; the padding keeps neighbouring
 /// stripes from false-sharing under concurrent `fetch_add`.

@@ -3,12 +3,17 @@
 //! The hot serving path cannot take a lock around schedule lookups while a
 //! churn manager mutates the schedule underneath it. Instead, the schedule
 //! is *compiled* into immutable per-user push/pull sets ([`ServingSchedule`])
-//! and published through an [`EpochHandle`]: readers grab an `Arc` snapshot
-//! with one uncontended read-lock acquisition (arc-swap style — the write
-//! side holds the lock only for the pointer exchange), then use that
-//! snapshot for the whole request. A request therefore sees exactly one
-//! epoch end-to-end: concurrent swaps can never show it a mix of the old
-//! and new schedule.
+//! and published through an [`EpochHandle`]. Each serving client holds an
+//! [`EpochReader`]: its own `Arc` of the snapshot it last used plus the
+//! publish count that snapshot belongs to. Starting a request is one
+//! atomic load of the handle's publish counter — a cache line nobody
+//! writes between publishes — and only a changed count sends the reader to
+//! the lock to fetch the new snapshot. The request then uses that one
+//! snapshot throughout, so it sees exactly one epoch end-to-end:
+//! concurrent swaps can never show it a mix of the old and new schedule.
+//! Two consequences of readers caching: an idle client keeps the snapshot
+//! it last used alive until its next request, and the last reader to move
+//! on — not the publisher — may be the one that frees a retired snapshot.
 //!
 //! Churn publishes cheap *overrides* on top of the compiled base — only
 //! the users whose serving sets a follow/unfollow touched — while a full
@@ -24,6 +29,7 @@
 //! route one batch with the old `user → shard` map and the next with the
 //! new one.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -233,13 +239,17 @@ impl ServingSchedule {
 
 /// The swap point between the serving path and the churn manager.
 ///
-/// Readers call [`load`](EpochHandle::load) once per request; the single
+/// Serving clients follow it through an [`EpochReader`]
+/// ([`reader`](EpochHandle::reader)); the control plane and diagnostics
+/// take one-off snapshots with [`load`](EpochHandle::load); the single
 /// writer (the churn manager) calls [`swap`](EpochHandle::swap). The write
-/// lock is held only for the pointer exchange, so the read path never
-/// blocks for longer than a pointer copy.
+/// lock is held only for the pointer exchange and the count bump.
 #[derive(Debug)]
 pub struct EpochHandle {
     slot: RwLock<Arc<ServingSchedule>>,
+    /// Publishes so far. Written only under `slot`'s write lock, so the
+    /// pair (count, snapshot) read under the read lock is consistent.
+    swaps: AtomicU64,
 }
 
 impl EpochHandle {
@@ -247,11 +257,13 @@ impl EpochHandle {
     pub fn new(initial: ServingSchedule) -> Self {
         EpochHandle {
             slot: RwLock::new(Arc::new(initial)),
+            swaps: AtomicU64::new(0),
         }
     }
 
-    /// The current snapshot. Requests must call this exactly once and use
-    /// the returned snapshot for their entire lifetime.
+    /// The current snapshot, through the lock. A request that loads must
+    /// do so exactly once and use the returned snapshot for its entire
+    /// lifetime.
     pub fn load(&self) -> Arc<ServingSchedule> {
         Arc::clone(&self.slot.read())
     }
@@ -260,12 +272,56 @@ impl EpochHandle {
     pub fn swap(&self, next: ServingSchedule) -> Arc<ServingSchedule> {
         let next = Arc::new(next);
         let mut slot = self.slot.write();
+        // Release pairs with the Acquire load in `EpochReader::current`.
+        self.swaps.fetch_add(1, Ordering::Release);
         std::mem::replace(&mut *slot, next)
     }
 
     /// Epoch of the current snapshot.
     pub fn epoch(&self) -> u64 {
         self.slot.read().epoch()
+    }
+
+    /// A cached view of this handle for one serving client.
+    pub fn reader(self: &Arc<Self>) -> EpochReader {
+        let slot = self.slot.read();
+        EpochReader {
+            seen: self.swaps.load(Ordering::Relaxed),
+            snapshot: Arc::clone(&slot),
+            handle: Arc::clone(self),
+        }
+    }
+}
+
+/// One client's cached snapshot of an [`EpochHandle`], revalidated per
+/// request by the handle's publish count instead of re-fetched through the
+/// lock.
+///
+/// Visibility contract: a request that starts after a publish was
+/// *acknowledged* to anyone sees it. The publisher bumps the count before
+/// it acknowledges, and whatever carries the acknowledgement to the
+/// requesting thread (the churn ack channel, a message between clients)
+/// orders the bump before the request's load. A publish still in flight
+/// may or may not be seen — as with the lock.
+#[derive(Debug)]
+pub struct EpochReader {
+    handle: Arc<EpochHandle>,
+    snapshot: Arc<ServingSchedule>,
+    /// The publish count `snapshot` was current at.
+    seen: u64,
+}
+
+impl EpochReader {
+    /// The current snapshot. Requests must call this exactly once and use
+    /// the returned snapshot for their entire lifetime.
+    #[inline]
+    pub fn current(&mut self) -> &Arc<ServingSchedule> {
+        if self.handle.swaps.load(Ordering::Acquire) != self.seen {
+            let slot = self.handle.slot.read();
+            self.seen = self.handle.swaps.load(Ordering::Relaxed);
+            self.snapshot = Arc::clone(&slot);
+        }
+        &self.snapshot
     }
 }
 
@@ -377,6 +433,32 @@ mod tests {
         let prev = h.swap(ServingSchedule::from_sets(CompiledSets::default(), t, 1));
         assert_eq!(prev.epoch(), 0);
         assert_eq!(h.load().epoch(), 1);
+    }
+
+    #[test]
+    fn reader_revalidates_for_free_and_follows_swaps() {
+        let t = Arc::new(Topology::single_server(0));
+        let empty =
+            |epoch| ServingSchedule::from_sets(CompiledSets::default(), Arc::clone(&t), epoch);
+        let h = Arc::new(EpochHandle::new(empty(0)));
+        let mut r = h.reader();
+        let first = Arc::clone(r.current());
+        let holders = Arc::strong_count(&first); // the slot, the reader, `first`
+        for _ in 0..100 {
+            assert!(Arc::ptr_eq(r.current(), &first), "no swap, same snapshot");
+        }
+        assert_eq!(
+            Arc::strong_count(&first),
+            holders,
+            "revalidation must not touch the snapshot's reference count"
+        );
+        drop(h.swap(empty(1)));
+        assert_eq!(r.current().epoch(), 1, "the next request sees the publish");
+        // The reader, not `swap`'s caller, let go of the retired snapshot
+        // last: only this test's own clone is left.
+        assert_eq!(Arc::strong_count(&first), 1);
+        // A reader created after the swap starts at the current epoch.
+        assert_eq!(h.reader().current().epoch(), 1);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!   alphabet) entering via bounded channels.
 //! * [`epoch`] — the epoch-swapped schedule handle: per-user push/pull
 //!   sets compiled from a [`Schedule`](piggyback_core::schedule::Schedule),
-//!   published as immutable snapshots that the hot read path picks up with
-//!   a single uncontended read-lock acquisition (arc-swap style). A
-//!   request uses exactly one snapshot end-to-end, so concurrent swaps can
-//!   never show it a mix of two schedules.
+//!   published as immutable snapshots that each client caches and
+//!   revalidates per request with one atomic load of a publish counter.
+//!   A request uses exactly one snapshot end-to-end, so concurrent swaps
+//!   can never show it a mix of two schedules.
 //! * [`runtime`] — the sharded serving core ([`piggyback_store`] shard
 //!   workers behind channels, one batched message per touched server) plus
 //!   the churn manager: `Follow`/`Unfollow` flow through
@@ -51,7 +51,7 @@ pub mod ops;
 pub mod runtime;
 
 pub use config::{ReoptMode, RpcMode, ServeConfig};
-pub use epoch::{EpochHandle, ServingSchedule};
+pub use epoch::{EpochHandle, EpochReader, ServingSchedule};
 pub use harness::{run_harness, Arrival, ChaosSpec, HarnessConfig, HarnessReport};
 pub use metrics::ServeMetrics;
 pub use ops::{ChurnReport, ServeReport};

@@ -10,8 +10,9 @@
 //!
 //! Clients do not record through the shared handles directly: each
 //! [`ServeClient`](crate::runtime::ServeClient) draws an [`OpRecorder`] —
-//! cloned counter handles, each clone writing its own cache-line stripe —
-//! so concurrent clients rarely contend on a counter line.
+//! cloned counter handles, each clone writing its own cache-line stripe,
+//! and shared latency histograms that stripe themselves by recording
+//! thread — so concurrent clients rarely contend on an instrument line.
 
 use std::time::Duration;
 
@@ -134,8 +135,8 @@ impl ServeMetrics {
     }
 }
 
-/// One client's cloned instrument handles (hot path: every record is a
-/// relaxed atomic op on a stripe this client rarely shares).
+/// One client's instrument handles (hot path: every record is a relaxed
+/// atomic op on a stripe this client, or its thread, rarely shares).
 pub(crate) struct OpRecorder {
     share_latency: Arc<ConcurrentHistogram>,
     query_latency: Arc<ConcurrentHistogram>,

@@ -11,8 +11,8 @@
 //!   the same coalesced batches inline against the shard mutexes —
 //!   identical protocol and message accounting, no scheduler round trip.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
-//!   current [`ServingSchedule`] snapshot (one [`EpochHandle::load`] per
-//!   operation) and forward `Follow`/`Unfollow` to the churn manager.
+//!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
+//!   per operation) and forward `Follow`/`Unfollow` to the churn manager.
 //! * **The churn manager** (one thread) owns the
 //!   [`IncrementalScheduler`]: it applies graph mutations (§3.3 —
 //!   new edges served directly with the hybrid rule, orphaned piggybacked
@@ -53,7 +53,7 @@ use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
 use crate::config::{ReoptMode, RpcMode, ServeConfig};
-use crate::epoch::{CompiledSets, EpochHandle, ServingSchedule};
+use crate::epoch::{CompiledSets, EpochHandle, EpochReader, ServingSchedule};
 use crate::metrics::{OpRecorder, ServeMetrics};
 use crate::ops::{ChurnMsg, ChurnReport, ReoptResult, ServeReport};
 
@@ -255,7 +255,7 @@ impl ServeRuntime {
     pub fn client(&self) -> ServeClient {
         let id = self.client_counter.fetch_add(1, Ordering::Relaxed);
         ServeClient {
-            handle: Arc::clone(&self.handle),
+            epoch: self.handle.reader(),
             shard: ShardClient::new(self.transport.clone(), Arc::clone(&self.pool))
                 .with_resilience(self.health.clone(), self.faults.clone()),
             churn_tx: self.churn_tx.clone(),
@@ -277,8 +277,9 @@ impl ServeRuntime {
     /// [`ShardRequest::Stats`] per shard through the same transport data
     /// ops use, pipelined (all requests in flight before the first reply
     /// is awaited). Works identically under the worker pool and the
-    /// caller-runs transport — both route through the single
-    /// `handle_request`, which is what guarantees the differential test's
+    /// caller-runs transport: the scrape goes through the single
+    /// `handle_request` and every counted batch through the single
+    /// `serve_batch`, which is what guarantees the differential test's
     /// counter identity.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let mut scratch = QueryScratch::new();
@@ -461,14 +462,16 @@ impl ServeRuntime {
 
 /// A front-end handle issuing operations against the runtime.
 ///
-/// Every operation loads the schedule snapshot exactly once and uses it
-/// end-to-end, so a concurrent epoch swap can never split one request
-/// across two schedules. The client owns every per-operation buffer
-/// (targets, merge output, the [`ShardClient`]'s grouping/reply scratch),
-/// so a warmed-up client sends shares from recycled buffers and assembles
-/// streams with one allocation, the returned snapshot.
+/// Every operation revalidates its cached schedule snapshot exactly once
+/// ([`EpochReader::current`]) and uses it end-to-end, so a concurrent
+/// epoch swap can never split one request across two schedules; an idle
+/// client keeps the snapshot it last used alive until its next operation.
+/// The client owns every per-operation buffer (targets, merge output, the
+/// [`ShardClient`]'s grouping/reply scratch), so a warmed-up client sends
+/// shares from recycled buffers and assembles streams with one allocation,
+/// the returned snapshot.
 pub struct ServeClient {
-    handle: Arc<EpochHandle>,
+    epoch: EpochReader,
     shard: ShardClient,
     churn_tx: Sender<ChurnMsg>,
     clock: Arc<AtomicU64>,
@@ -501,7 +504,7 @@ impl ServeClient {
     }
 
     fn share_inner(&mut self, u: NodeId) -> u64 {
-        let snap = self.handle.load();
+        let snap = self.epoch.current();
         if u as usize >= snap.topology().users() {
             return 0;
         }
@@ -528,7 +531,7 @@ impl ServeClient {
     }
 
     fn query_inner(&mut self, u: NodeId) -> (Arc<[EventTuple]>, u64) {
-        let snap = self.handle.load();
+        let snap = self.epoch.current();
         if u as usize >= snap.topology().users() {
             return (Arc::from(&[][..]), 0);
         }
@@ -1717,6 +1720,49 @@ mod tests {
         assert_eq!(report.churn.unfollows_applied, 1);
         assert_eq!(report.churn.churn_rejected, 1);
         assert!(report.churn.zero_violations());
+    }
+
+    /// The contract [`follow_takes_effect_for_future_shares`] checks for
+    /// one client, across two: once `a`'s follow has been acknowledged and
+    /// `b` has been told so, `b`'s next requests serve under it — although
+    /// `b` has a snapshot cached from before.
+    #[test]
+    fn acknowledged_follow_is_visible_to_other_clients() {
+        for rpc in [RpcMode::Batched, RpcMode::Direct] {
+            let rt = boot(ServeConfig {
+                shards: 2,
+                workers: 1,
+                rpc,
+                ..Default::default()
+            });
+            let a = rt.client();
+            let mut b = rt.client();
+            let (warm_tx, warm_rx) = bounded::<()>(0);
+            let (told_tx, told_rx) = bounded::<()>(0);
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    // No edge 2 → 0 yet; serving now caches epoch 0 in `b`.
+                    b.share(2);
+                    assert!(!b.query(0).0.iter().any(|e| e.user == 2));
+                    warm_tx.send(()).unwrap();
+                    told_rx.recv().unwrap();
+                    // Whether the new edge is pushed (the share must reach
+                    // Art's view) or pulled (the query must read Billie's),
+                    // `b` only gets this right under the new epoch.
+                    b.share(2);
+                    let (events, _) = b.query(0);
+                    assert!(
+                        events.iter().any(|e| e.user == 2),
+                        "{rpc:?}: acknowledged follow not visible to b: {events:?}"
+                    );
+                });
+                warm_rx.recv().unwrap();
+                assert!(a.follow(2, 0), "new edge must apply");
+                told_tx.send(()).unwrap();
+            });
+            drop(a);
+            assert!(rt.shutdown().churn.zero_violations());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use crossbeam::channel::bounded;
 use piggyback_graph::NodeId;
-use piggyback_serve::epoch::{CompiledSets, EpochHandle, ServingSchedule};
+use piggyback_serve::epoch::{CompiledSets, EpochHandle, EpochReader, ServingSchedule};
 use piggyback_store::topology::Topology;
 
 const USERS: usize = 64;
@@ -79,22 +79,28 @@ fn request_spanning_a_swap_sees_one_schedule_in_full() {
 }
 
 /// Stress the handle: readers hammer load-and-verify while a writer swaps
-/// thousands of epochs. Every observed snapshot must be internally
-/// uniform, and epochs must never run backwards for any single reader.
+/// thousands of epochs — half of them through the lock
+/// ([`EpochHandle::load`]), half through a cached [`EpochReader`], the way
+/// serving clients do. Every observed snapshot must be internally uniform,
+/// and epochs must never run backwards for any single reader.
 #[test]
 fn concurrent_swaps_never_tear_or_reorder() {
     let handle = Arc::new(EpochHandle::new(tagged(0)));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     std::thread::scope(|s| {
         let mut readers = Vec::new();
-        for _ in 0..4 {
+        for i in 0..4 {
             let handle = Arc::clone(&handle);
             let stop = Arc::clone(&stop);
             readers.push(s.spawn(move || {
+                let mut cached: Option<EpochReader> = (i % 2 == 1).then(|| handle.reader());
                 let mut last = 0u64;
                 let mut distinct = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let snap = handle.load();
+                    let snap = match &mut cached {
+                        Some(reader) => Arc::clone(reader.current()),
+                        None => handle.load(),
+                    };
                     assert_uniform(&snap);
                     assert!(
                         snap.epoch() >= last,

@@ -23,8 +23,8 @@
 //!   payload never reaches the shard. Queries are never dropped — a
 //!   fabricated empty reply would corrupt results rather than model loss.
 //! * **Duplicate** — the same batch is delivered twice back-to-back
-//!   (redelivery), exercising the view's recent-id filter: per-producer
-//!   monotonic event ids make the second application a no-op.
+//!   (redelivery), exercising the view's duplicate test: the second
+//!   copy is bit-identical, so its application is a no-op.
 //! * **Delay** — the batch is held for a fixed interval before delivery.
 //!
 //! Decisions are a pure function of `(seed, decision counter)` via a

@@ -24,9 +24,11 @@
 //! * [`worker`] — the wire-format shard-worker protocol shared by every
 //!   execution harness (batch replay and the online serve runtime),
 //!   including the extract/install requests of live rebalancing. Updates
-//!   and queries travel as coalesced [`worker::ShardBatch`]es: pooled view lists
-//!   and reply buffers ([`BufferPool`]) and one pooled reply channel per
-//!   client ([`ShardClient`]).
+//!   and queries are coalesced batches served by [`worker::serve_batch`]:
+//!   [`worker::ShardBatch`] messages with pooled view lists and reply
+//!   buffers ([`BufferPool`]) and one reply channel per client over the
+//!   worker pool, borrowed slices and client-owned buffers caller-runs
+//!   ([`ShardClient`]).
 //! * [`cluster`] — Algorithm 3's application servers driving the shards,
 //!   with a deterministic single-threaded mode (message accounting) and a
 //!   concurrent mode (real threads, wall-clock throughput).

@@ -10,8 +10,8 @@ use crate::tuple::EventTuple;
 use crate::view::View;
 
 /// Per-shard operation counters, kept as plain integers under the shard's
-/// existing lock (both transports route every request through the same
-/// `handle_request`, so the counts are identical whether the shard runs on
+/// existing lock (both transports serve every batch through the same
+/// `serve_batch`, so the counts are identical whether the shard runs on
 /// a worker thread or caller-runs in `RpcMode::Direct`). Scraped over the
 /// wire via `ShardRequest::Stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -5,70 +5,55 @@
 //! exceeds its capacity the oldest events are trimmed away ("we added a
 //! thin layer ... to trim views when they contain too many events").
 //!
-//! Storage is a power-of-two **ring buffer** ordered oldest → newest from
-//! the head. The dominant insert — a fresh event carrying the newest
-//! timestamp — is a single write at the tail, and trimming a full view is
-//! a head-pointer bump; neither ever shifts memory. Out-of-order arrivals
-//! (piggybacked redeliveries, migration merges) binary-search their slot
-//! and shift the shorter side of the ring, bounded by the view capacity.
+//! Storage is a power-of-two **ring buffer** of 20-byte slots ordered
+//! oldest → newest from the head. The dominant insert — a fresh event
+//! carrying the newest timestamp — is a single write at the tail, and
+//! trimming a full view is a head-pointer bump; neither ever shifts memory.
+//! Out-of-order arrivals (piggybacked redeliveries, migration merges)
+//! binary-search their slot and shift the shorter side of the ring,
+//! bounded by the view capacity. An empty view is 48 bytes.
 //!
-//! Duplicate suppression is a small direct-mapped **recent-id filter**
-//! over `(producer, event id)` keys instead of the previous per-insert
-//! linear scan: an exact match on one of the [`FILTER_SLOTS`] most recent
-//! distinct keys drops the redelivery in O(1). A duplicate that has aged
-//! out of the filter may re-enter the ring. For the redeliveries the
-//! system actually produces — piggyback fan-out and migration merges
-//! re-send the *bit-identical* tuple — the query path's merge dedup is
-//! the backstop, so at most some slack capacity is spent. A redelivery
-//! that re-stamps an old `(producer, event id)` with a *different*
-//! timestamp (a misbehaving producer; no in-repo path emits one) is only
-//! suppressed while its key is in the filter window — the old exhaustive
-//! scan suppressed it for as long as the event stayed in the view. The
-//! semantics are deterministic and are property-tested against a
-//! reference model in `tests/view_properties.rs`.
+//! Duplicate suppression is **positional and exact**. Every insert
+//! binary-searches its position anyway, and in a sorted ring a
+//! bit-identical tuple can only sit *at* that position, so one comparison
+//! there drops a redelivery for as long as the original is retained —
+//! however old. That covers every redelivery the system produces: chaos
+//! duplicates, k-way replicated writes, catch-up installs and migration
+//! merges all re-send the same wire bytes. A trimmed event cannot come
+//! back either: it is older than everything in a full view, which rejects
+//! it. What is *not* suppressed is a re-stamped `(producer, event id)` —
+//! the same key under a different timestamp is a different tuple and is
+//! stored as one. No in-repo path emits one (an event is stamped once,
+//! when it is shared). The semantics are deterministic and are
+//! property-tested against a reference model in `tests/view_properties.rs`.
 
 use crate::tuple::EventTuple;
 
-/// Slots in the per-view recent-id filter (direct-mapped, power of two).
-pub const FILTER_SLOTS: usize = 32;
-
-/// Direct-mapped filter of recently inserted `(user, event_id)` keys.
-#[derive(Clone, Debug)]
-struct RecentFilter {
-    keys: [(u32, u64); FILTER_SLOTS],
-    occupied: u32,
+/// One ring slot: an [`EventTuple`] without its four bytes of alignment
+/// padding (20 bytes instead of 24).
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed(4))]
+struct Slot {
+    timestamp: u64,
+    event_id: u64,
+    user: u32,
 }
 
-impl Default for RecentFilter {
-    fn default() -> Self {
-        RecentFilter {
-            keys: [(0, 0); FILTER_SLOTS],
-            occupied: 0,
+impl From<EventTuple> for Slot {
+    #[inline]
+    fn from(t: EventTuple) -> Self {
+        Slot {
+            timestamp: t.timestamp,
+            event_id: t.event_id,
+            user: t.user,
         }
     }
 }
 
-impl RecentFilter {
+impl From<Slot> for EventTuple {
     #[inline]
-    fn slot(user: u32, event_id: u64) -> usize {
-        // Fibonacci-style mix of both key halves; low bits index the table.
-        let h = (user as u64 ^ event_id.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (FILTER_SLOTS - 1)
-    }
-
-    /// Exact-match membership among the retained recent keys.
-    #[inline]
-    fn contains(&self, user: u32, event_id: u64) -> bool {
-        let s = Self::slot(user, event_id);
-        self.occupied & (1 << s) != 0 && self.keys[s] == (user, event_id)
-    }
-
-    /// Records a key, evicting whatever shared its slot.
-    #[inline]
-    fn record(&mut self, user: u32, event_id: u64) {
-        let s = Self::slot(user, event_id);
-        self.keys[s] = (user, event_id);
-        self.occupied |= 1 << s;
+    fn from(s: Slot) -> Self {
+        EventTuple::new(s.user, s.event_id, s.timestamp)
     }
 }
 
@@ -77,14 +62,13 @@ impl RecentFilter {
 pub struct View {
     /// Physical ring storage; length is zero or a power of two. Events are
     /// logically ascending by [`EventTuple`] order from `head`.
-    buf: Vec<EventTuple>,
+    buf: Vec<Slot>,
     /// Physical index of the oldest event.
     head: usize,
     /// Live events in the ring.
     len: usize,
     /// Maximum events retained (0 = unbounded).
     capacity: usize,
-    filter: RecentFilter,
 }
 
 impl View {
@@ -127,6 +111,12 @@ impl View {
         (self.head + i) & self.mask()
     }
 
+    /// The event at logical position `i` (0 = oldest).
+    #[inline]
+    fn at(&self, i: usize) -> EventTuple {
+        self.buf[self.phys(i)].into()
+    }
+
     /// The `j`-th newest event (0 = newest). O(1).
     ///
     /// # Panics
@@ -135,7 +125,7 @@ impl View {
     #[inline]
     pub fn nth_newest(&self, j: usize) -> EventTuple {
         debug_assert!(j < self.len);
-        self.buf[self.phys(self.len - 1 - j)]
+        self.at(self.len - 1 - j)
     }
 
     /// Iterates events newest first.
@@ -156,21 +146,21 @@ impl View {
         for i in 0..self.len {
             next.push(self.buf[self.phys(i)]);
         }
-        next.resize(new_size, EventTuple::new(0, 0, 0));
+        next.resize(new_size, EventTuple::new(0, 0, 0).into());
         self.buf = next;
         self.head = 0;
     }
 
     /// Inserts an event reference, keeping recency order and trimming to
-    /// capacity. A redelivery whose `(producer, event id)` key is still in
-    /// the recent-id filter is dropped.
+    /// capacity. Redelivery of a tuple the view still holds is a no-op,
+    /// however long ago the original arrived (see the module docs).
     pub fn insert(&mut self, t: EventTuple) {
-        if self.filter.contains(t.user, t.event_id) {
-            return; // idempotent redelivery (recent)
-        }
         // Logical position among ascending events: everything before `pos`
-        // is older than `t`.
+        // is older than `t`, so a bit-identical tuple can only sit at `pos`.
         let pos = self.partition_point(&t);
+        if pos < self.len && self.at(pos) == t {
+            return; // idempotent redelivery
+        }
         if self.capacity > 0 && self.len == self.capacity {
             if pos == 0 {
                 // Older than everything in a full view: it would be the
@@ -187,7 +177,6 @@ impl View {
             }
             self.insert_at(pos, t);
         }
-        self.filter.record(t.user, t.event_id);
     }
 
     /// Number of live events strictly older than `t` (binary search over
@@ -196,7 +185,7 @@ impl View {
         let (mut lo, mut hi) = (0, self.len);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.buf[self.phys(mid)] < *t {
+            if self.at(mid) < *t {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -230,7 +219,7 @@ impl View {
             }
         }
         let slot = (self.head + pos) & mask;
-        self.buf[slot] = t;
+        self.buf[slot] = t.into();
         self.len += 1;
     }
 }
@@ -284,10 +273,12 @@ mod tests {
         v.insert(t(1, 7, 10));
         v.insert(t(1, 7, 10));
         assert_eq!(v.len(), 1);
-        // Same event redelivered with a different timestamp is also dropped
-        // (same producer + event id, still in the recent-id filter).
+        // The same key under a different timestamp is a different tuple,
+        // not a redelivery (module docs): it is stored as a distinct
+        // event, and is itself idempotent from then on.
         v.insert(t(1, 7, 99));
-        assert_eq!(v.len(), 1);
+        v.insert(t(1, 7, 99));
+        assert_eq!(timestamps(&v), vec![99, 10]);
     }
 
     #[test]
@@ -347,17 +338,35 @@ mod tests {
     }
 
     #[test]
-    fn filter_is_a_window_not_a_set() {
+    fn redelivery_is_dropped_however_old() {
         let mut v = View::new();
         v.insert(t(1, 1, 1));
-        // Push enough distinct keys to cycle the direct-mapped filter.
         for i in 2..200u64 {
             v.insert(t(1, i, i));
         }
-        // The first key has been evicted from the filter, so an exact
-        // redelivery re-enters the ring; the query-side dedup owns that
-        // case (documented slack).
+        // 198 distinct events later the exact redelivery is still
+        // recognized: the test is positional, not a window of recent keys.
         v.insert(t(1, 1, 1));
-        assert_eq!(v.len(), 200);
+        assert_eq!(v.len(), 199);
+    }
+
+    #[test]
+    fn view_and_slot_are_compact() {
+        assert_eq!(std::mem::size_of::<Slot>(), 20);
+        assert!(std::mem::size_of::<View>() <= 56);
+    }
+
+    #[test]
+    fn slot_round_trips_extreme_values() {
+        let max = EventTuple {
+            user: u32::MAX,
+            event_id: u64::MAX,
+            timestamp: u64::MAX,
+        };
+        assert_eq!(EventTuple::from(Slot::from(max)), max);
+        let mut v = View::new();
+        v.insert(max);
+        v.insert(t(0, 0, 0));
+        assert_eq!(v.to_vec_newest(), vec![max, t(0, 0, 0)]);
     }
 }

@@ -12,13 +12,17 @@
 //! every message pays realistic (de)serialization work — as a memcached
 //! round trip would (§4.3).
 //!
-//! Every update and query travels as a [`ShardBatch`] (issued by a
-//! [`ShardClient`]): one operation's shard fan-out is packed into one
-//! message per touched shard, every message answers into the *same* pooled
-//! per-client reply channel, view lists and reply payloads ride pooled
-//! buffers ([`BufferPool`]), and the client merges per-shard replies with
-//! a bounded k-way merge. Steady state sends no fresh channel, `Vec`, or
-//! reply buffer per operation.
+//! Every update and query is a batch issued by a [`ShardClient`]: one
+//! operation's shard fan-out is packed into one message per touched shard,
+//! each served by [`serve_batch`], and the client merges the per-shard
+//! replies with a bounded k-way merge. The two [`Transport`]s share
+//! `serve_batch`, the wire format and the accounting, and differ in who
+//! owns the buffers. Over worker threads a batch travels as a
+//! [`ShardBatch`]: view lists and reply payloads ride pooled buffers
+//! ([`BufferPool`]) and every message answers into the *same* per-client
+//! reply channel. Caller-runs, the client lends `serve_batch` the grouped
+//! slice and its own reply buffers. Either way, steady state mints no
+//! channel, `Vec`, or reply buffer per operation.
 //!
 //! The control plane (migration, stats scrape, heartbeat, restart) sends
 //! one-shot requests with a rendezvous reply channel each. View migration
@@ -234,6 +238,41 @@ impl ShardRequest {
     }
 }
 
+/// Serves one batch against its shard — what both transports execute:
+/// decode the wire payload, take the shard lock, account the batch, insert
+/// or merge, and append the wire-encoded reply to `out` (an update's ack
+/// is empty and leaves `out` untouched). Callers own every buffer: the
+/// worker plane passes a pooled list and a pooled reply buffer, the
+/// caller-runs plane its grouped slice and a reply slot of its own.
+pub fn serve_batch(
+    shards: &[Mutex<StoreServer>],
+    scratch: &mut QueryScratch,
+    shard: usize,
+    views: &[NodeId],
+    op: BatchOp,
+    out: &mut BytesMut,
+) {
+    match op {
+        BatchOp::Update { payload } => {
+            let mut cursor: &[u8] = &payload;
+            let event = EventTuple::decode(&mut cursor).expect("malformed update payload");
+            let mut srv = shards[shard].lock();
+            record_batch(srv.stats_mut(), views.len());
+            srv.update(views, event);
+        }
+        BatchOp::Query { k } => {
+            // The merged slice borrows only the scratch, so the shard
+            // lock is dropped before encoding the reply.
+            let merged = {
+                let mut srv = shards[shard].lock();
+                record_batch(srv.stats_mut(), views.len());
+                srv.query_with(views, k, scratch)
+            };
+            EventTuple::encode_all(merged, out);
+        }
+    }
+}
+
 /// Serves one request against the shard array.
 pub fn handle_request(
     shards: &[Mutex<StoreServer>],
@@ -248,28 +287,11 @@ pub fn handle_request(
             op,
             reply,
         }) => {
-            let out = match op {
-                BatchOp::Update { payload } => {
-                    let mut cursor: &[u8] = &payload;
-                    let event = EventTuple::decode(&mut cursor).expect("malformed update payload");
-                    let mut srv = shards[shard].lock();
-                    record_batch(srv.stats_mut(), views.len());
-                    srv.update(&views, event);
-                    BytesMut::new() // empty ack, no allocation
-                }
-                BatchOp::Query { k } => {
-                    // The merged slice borrows only the scratch, so the
-                    // shard lock is dropped before encoding the reply.
-                    let merged = {
-                        let mut srv = shards[shard].lock();
-                        record_batch(srv.stats_mut(), views.len());
-                        srv.query_with(&views, k, scratch)
-                    };
-                    let mut buf = pool.get_buf();
-                    EventTuple::encode_all(merged, &mut buf);
-                    buf
-                }
+            let mut out = match op {
+                BatchOp::Update { .. } => BytesMut::new(), // empty ack, no allocation
+                BatchOp::Query { .. } => pool.get_buf(),
             };
+            serve_batch(shards, scratch, shard, &views, op, &mut out);
             pool.put_vec(views);
             let _ = reply.send(out);
         }
@@ -339,14 +361,14 @@ pub enum Transport {
     /// uses (and the only choice when store work must overlap the
     /// caller's).
     Workers(Arc<Vec<Sender<ShardRequest>>>),
-    /// Caller-runs: the issuing thread executes each batch inline against
-    /// the shard mutexes. The protocol is bit-identical — the same
-    /// [`ShardBatch`] messages, the same wire (de)serialization, the same
-    /// one-message-per-touched-server accounting, replies through the
-    /// same pooled channel — only the thread hop is gone, which is
-    /// exactly the right trade when clients outnumber cores (an embedded
-    /// single-process deployment): no scheduler round trip per
-    /// operation.
+    /// Caller-runs: the issuing thread executes each batch inline through
+    /// the same [`serve_batch`] the workers call — the same wire
+    /// (de)serialization, the same one-message-per-touched-server
+    /// accounting — on buffers the caller owns: no [`ShardBatch`], no
+    /// pool, no channel, no thread hop. The right trade when clients
+    /// outnumber cores (an embedded single-process deployment). Only the
+    /// control plane's one-off requests still go through
+    /// [`handle_request`] ([`Transport::request_async`]).
     Direct(Arc<Vec<Mutex<StoreServer>>>),
 }
 
@@ -376,18 +398,25 @@ impl Transport {
 
 /// A per-client handle onto the batched request plane.
 ///
-/// Owns the one pooled reply channel all of the client's batches answer
-/// into, plus the grouping and merge scratch. One operation = one
-/// [`update`](ShardClient::update) or [`query`](ShardClient::query) call;
-/// both group the target views by home server, send one [`ShardBatch`]
-/// per touched shard, and collect exactly that many replies before
-/// returning, so replies can never leak across operations.
+/// One operation = one [`update`](ShardClient::update) or
+/// [`query`](ShardClient::query) call; both group the target views by home
+/// server, deliver one batch per touched shard, and collect exactly that
+/// many replies before returning, so replies can never leak across
+/// operations: from the one channel all of the client's batches answer
+/// into ([`Transport::Workers`]), or already sitting in the client's own
+/// `replies` slots when the fan-out returns ([`Transport::Direct`]).
 pub struct ShardClient {
     transport: Transport,
+    /// Worker plane only. A `Direct` client still *takes* a pool — one
+    /// constructor for both transports, pinned by the benchmark — and
+    /// never touches it, nor the reply channel.
     pool: Arc<BufferPool>,
     reply_tx: Sender<BytesMut>,
     reply_rx: Receiver<BytesMut>,
     group: GroupScratch,
+    /// Per-shard query replies: received from the channel and returned to
+    /// the pool per operation (workers), or client-owned slots reused
+    /// across operations (caller-runs).
     replies: Vec<BytesMut>,
     merger: ReplyMerger,
     /// Worker-side merge scratch, used when the transport is caller-runs.
@@ -401,8 +430,64 @@ pub struct ShardClient {
     faults: Option<Arc<FaultInjector>>,
 }
 
+/// The send side of one operation, borrowed apart from the grouping
+/// scratch and the fault hooks so the grouping callbacks can hold all
+/// three at once.
+struct Outbox<'a> {
+    transport: &'a Transport,
+    pool: &'a BufferPool,
+    reply_tx: &'a Sender<BytesMut>,
+    scratch: &'a mut QueryScratch,
+    replies: &'a mut Vec<BytesMut>,
+    /// The worker serving this operation (worker plane only).
+    worker: usize,
+    /// Replies the caller must collect: messages on the reply channel
+    /// (workers) or filled slots of `replies` (caller-runs).
+    pending: usize,
+}
+
+impl Outbox<'_> {
+    /// Delivers one batch to `shard`. With `keep_reply` unset the batch
+    /// lands but its reply is lost on the way back (chaos): a worker
+    /// answers into a throwaway channel whose receiver is already gone —
+    /// workers tolerate that — and a caller-runs reply sits in a slot the
+    /// next batch overwrites.
+    fn deliver(&mut self, shard: usize, views: &[NodeId], op: BatchOp, keep_reply: bool) {
+        match self.transport {
+            Transport::Workers(senders) => {
+                let mut list = self.pool.get_vec();
+                list.extend_from_slice(views);
+                let reply = if keep_reply {
+                    self.reply_tx.clone()
+                } else {
+                    bounded(1).0
+                };
+                senders[self.worker]
+                    .send(ShardRequest::Batch(ShardBatch {
+                        shard,
+                        views: list,
+                        op,
+                        reply,
+                    }))
+                    .expect("worker channel closed");
+            }
+            Transport::Direct(shards) => {
+                if self.pending == self.replies.len() {
+                    self.replies.push(BytesMut::new());
+                }
+                // `merge_into` consumed the slot's last reply by advancing
+                // its read cursor; `clear` rewinds it.
+                let slot = &mut self.replies[self.pending];
+                slot.clear();
+                serve_batch(shards, self.scratch, shard, views, op, slot);
+            }
+        }
+        self.pending += usize::from(keep_reply);
+    }
+}
+
 impl ShardClient {
-    /// A client speaking over `transport` through `pool`.
+    /// A client speaking over `transport` (`pool`: worker plane only).
     pub fn new(transport: Transport, pool: Arc<BufferPool>) -> Self {
         let (reply_tx, reply_rx) = unbounded();
         ShardClient {
@@ -433,20 +518,6 @@ impl ShardClient {
         self
     }
 
-    /// The worker that serves this operation. Unlike the control plane's
-    /// per-shard `shard % workers` routing, one operation's whole fan-out
-    /// goes to a single worker (round-robin across ops): shard state is
-    /// owned by the mutex, not the thread, so any worker may serve any
-    /// shard, and landing all of an op's batches on
-    /// one queue means one worker wake-up per operation instead of one
-    /// per touched worker — the scheduler cost that dominates once the
-    /// per-message allocations are gone. Ops are the unit of parallelism
-    /// (many concurrent clients), so worker utilization stays balanced.
-    fn op_worker(next_op: &mut usize, senders: &[Sender<ShardRequest>]) -> usize {
-        *next_op = next_op.wrapping_add(1);
-        *next_op % senders.len()
-    }
-
     /// Sends one batched update per server holding a view in `targets`
     /// and waits for every ack. Returns the number of store messages.
     pub fn update(
@@ -455,10 +526,12 @@ impl ShardClient {
         targets: &[NodeId],
         payload: [u8; TUPLE_BYTES],
     ) -> u64 {
-        let sent = self.fan_out(topology, targets, true, |_| BatchOp::Update { payload });
-        for _ in 0..sent {
-            let ack = self.reply_rx.recv().expect("worker dropped reply");
-            self.pool.put_buf(ack);
+        let (sent, pending) = self.fan_out(topology, targets, BatchOp::Update { payload });
+        if let Transport::Workers(_) = self.transport {
+            for _ in 0..pending {
+                let ack = self.reply_rx.recv().expect("worker dropped reply");
+                self.pool.put_buf(ack);
+            }
         }
         sent
     }
@@ -473,97 +546,68 @@ impl ShardClient {
         k: usize,
         out: &mut Vec<EventTuple>,
     ) -> u64 {
-        let sent = self.fan_out(topology, targets, false, |_| BatchOp::Query { k });
-        self.replies.clear();
-        for _ in 0..sent {
-            self.replies
-                .push(self.reply_rx.recv().expect("worker dropped reply"));
+        let (sent, pending) = self.fan_out(topology, targets, BatchOp::Query { k });
+        let pooled = matches!(self.transport, Transport::Workers(_));
+        if pooled {
+            for _ in 0..pending {
+                self.replies
+                    .push(self.reply_rx.recv().expect("worker dropped reply"));
+            }
         }
-        self.merger.merge_into(&mut self.replies, k, out);
-        for buf in self.replies.drain(..) {
-            self.pool.put_buf(buf);
+        self.merger.merge_into(&mut self.replies[..pending], k, out);
+        if pooled {
+            for buf in self.replies.drain(..) {
+                self.pool.put_buf(buf);
+            }
         }
         sent
     }
 
-    /// Groups `targets` by home server and issues one [`ShardBatch`] per
-    /// touched server over the transport. Returns the number of messages —
-    /// exactly the number of replies the caller must collect.
+    /// Groups `targets` by home server and delivers one batch per touched
+    /// server over the transport. Returns `(messages, replies to
+    /// collect)`; the two differ only when chaos loses a message the
+    /// transport had accepted.
     ///
     /// With replication 1 and no resilience attached this is the original
     /// fan-out, untouched. Otherwise writes cover every replica slot,
     /// reads route per view to the healthiest readable replica, and the
-    /// fault injector gets a say on each outgoing batch.
-    fn fan_out(
-        &mut self,
-        topology: &Topology,
-        targets: &[NodeId],
-        write: bool,
-        op_of: impl Fn(usize) -> BatchOp,
-    ) -> u64 {
-        if topology.replication() == 1 && self.health.is_none() && self.faults.is_none() {
-            let mut sent = 0u64;
-            let (pool, reply_tx, scratch) = (&self.pool, &self.reply_tx, &mut self.scratch);
-            match &self.transport {
-                Transport::Workers(senders) => {
-                    let worker = Self::op_worker(&mut self.next_op, senders);
-                    topology.group_by_server_with(targets, &mut self.group, |shard, views| {
-                        let mut list = pool.get_vec();
-                        list.extend_from_slice(views);
-                        senders[worker]
-                            .send(ShardRequest::Batch(ShardBatch {
-                                shard,
-                                views: list,
-                                op: op_of(shard),
-                                reply: reply_tx.clone(),
-                            }))
-                            .expect("worker channel closed");
-                        sent += 1;
-                    });
-                }
-                Transport::Direct(shards) => {
-                    topology.group_by_server_with(targets, &mut self.group, |shard, views| {
-                        let mut list = pool.get_vec();
-                        list.extend_from_slice(views);
-                        handle_request(
-                            shards,
-                            pool,
-                            scratch,
-                            ShardRequest::Batch(ShardBatch {
-                                shard,
-                                views: list,
-                                op: op_of(shard),
-                                reply: reply_tx.clone(),
-                            }),
-                        );
-                        sent += 1;
-                    });
-                }
+    /// fault injector gets a say on each outgoing batch. Kill semantics
+    /// are connection-refused: the batch is never sent and no reply is
+    /// awaited, so a dead shard costs a health miss, not a hang.
+    fn fan_out(&mut self, topology: &Topology, targets: &[NodeId], op: BatchOp) -> (u64, usize) {
+        let write = matches!(op, BatchOp::Update { .. });
+        // Unlike the control plane's `shard % workers` routing, one
+        // operation's whole fan-out goes to a single worker (round-robin
+        // across ops): the mutex owns shard state, not the thread, so any
+        // worker may serve any shard, and one queue means one worker
+        // wake-up per operation instead of one per touched worker. Ops are
+        // the unit of parallelism, so worker utilization stays balanced.
+        let worker = match &self.transport {
+            Transport::Workers(senders) => {
+                self.next_op = self.next_op.wrapping_add(1);
+                self.next_op % senders.len()
             }
-            return sent;
-        }
-        self.fan_out_resilient(topology, targets, write, op_of)
-    }
-
-    /// The replicated / fault-aware fan-out. Kill semantics are
-    /// connection-refused: the batch is never sent and no reply slot is
-    /// reserved, so a dead shard costs a health miss, not a hang.
-    fn fan_out_resilient(
-        &mut self,
-        topology: &Topology,
-        targets: &[NodeId],
-        write: bool,
-        op_of: impl Fn(usize) -> BatchOp,
-    ) -> u64 {
-        let mut sent = 0u64;
-        let (pool, reply_tx, scratch) = (&self.pool, &self.reply_tx, &mut self.scratch);
-        let health = self.health.as_deref();
-        let faults = self.faults.as_deref();
-        let transport = &self.transport;
-        let worker = match transport {
-            Transport::Workers(senders) => Self::op_worker(&mut self.next_op, senders),
             Transport::Direct(_) => 0,
         };
+        let mut outbox = Outbox {
+            transport: &self.transport,
+            pool: &self.pool,
+            reply_tx: &self.reply_tx,
+            scratch: &mut self.scratch,
+            replies: &mut self.replies,
+            worker,
+            pending: 0,
+        };
+        let health = self.health.as_deref();
+        let faults = self.faults.as_deref();
+        let mut sent = 0u64;
+        if topology.replication() == 1 && health.is_none() && faults.is_none() {
+            topology.group_by_server_with(targets, &mut self.group, |shard, views| {
+                outbox.deliver(shard, views, op, true);
+                sent += 1;
+            });
+            return (sent, outbox.pending);
+        }
         let mut emit = |shard: usize, views: &[NodeId]| {
             if let Some(f) = faults {
                 if f.is_killed(shard) {
@@ -585,24 +629,9 @@ impl ShardClient {
                     }
                     Some(PartitionDir::Outbound) => {
                         // The request arrives and mutates shard state,
-                        // but the reply is lost: deliver into a shadow
-                        // channel the caller never reads.
+                        // but the reply is lost.
                         f.note_partitioned();
-                        let mut list = pool.get_vec();
-                        list.extend_from_slice(views);
-                        let (shadow_tx, _shadow_rx) = bounded(1);
-                        let req = ShardRequest::Batch(ShardBatch {
-                            shard,
-                            views: list,
-                            op: op_of(shard),
-                            reply: shadow_tx,
-                        });
-                        match transport {
-                            Transport::Workers(senders) => {
-                                senders[worker].send(req).expect("worker channel closed");
-                            }
-                            Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
-                        }
+                        outbox.deliver(shard, views, op, false);
                         return;
                     }
                     None => {}
@@ -610,10 +639,8 @@ impl ShardClient {
             }
             let decision = faults.map_or(FaultDecision::Deliver, |f| f.decide(write));
             if write && decision == FaultDecision::DropUpdate {
-                // Lost on the wire after the transport accepted it: ack
-                // the sender ourselves so accounting stays balanced; the
-                // payload never reaches the shard.
-                let _ = reply_tx.send(BytesMut::new());
+                // Lost on the wire after the transport accepted it: a
+                // message sent, nothing delivered, no ack to wait for.
                 sent += 1;
                 return;
             }
@@ -622,43 +649,14 @@ impl ShardClient {
             }
             if decision == FaultDecision::Duplicate {
                 // Redelivery: the same batch lands twice back-to-back.
-                // The shadow copy answers into a throwaway channel whose
-                // receiver is already gone — workers tolerate that.
-                let mut list = pool.get_vec();
-                list.extend_from_slice(views);
-                let (shadow_tx, _shadow_rx) = bounded(1);
-                let req = ShardRequest::Batch(ShardBatch {
-                    shard,
-                    views: list,
-                    op: op_of(shard),
-                    reply: shadow_tx,
-                });
-                match transport {
-                    Transport::Workers(senders) => {
-                        senders[worker].send(req).expect("worker channel closed");
-                    }
-                    Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
-                }
+                outbox.deliver(shard, views, op, false);
             }
-            let mut list = pool.get_vec();
-            list.extend_from_slice(views);
-            let req = ShardRequest::Batch(ShardBatch {
-                shard,
-                views: list,
-                op: op_of(shard),
-                reply: reply_tx.clone(),
-            });
-            match transport {
-                Transport::Workers(senders) => {
-                    senders[worker].send(req).expect("worker channel closed");
-                }
-                Transport::Direct(shards) => handle_request(shards, pool, scratch, req),
-            }
+            outbox.deliver(shard, views, op, true);
             sent += 1;
         };
         if write && topology.replication() > 1 {
             topology.group_by_replica_server_with(targets, &mut self.group, &mut emit);
-        } else if !write && (topology.replication() > 1 || health.is_some() || faults.is_some()) {
+        } else if !write {
             topology.group_by_picked_server_with(
                 targets,
                 &mut self.group,
@@ -668,7 +666,7 @@ impl ShardClient {
         } else {
             topology.group_by_server_with(targets, &mut self.group, &mut emit);
         }
-        sent
+        (sent, outbox.pending)
     }
 }
 

@@ -2,26 +2,23 @@
 //! reference model.
 //!
 //! The model reimplements the view contract independently — a sorted
-//! `Vec` with explicit trim plus its own copy of the direct-mapped
-//! recent-id filter — and random insert/trim/migrate-merge sequences with
-//! fixed seeds must leave both sides with identical contents. If the
-//! ring's wrap/shift/trim arithmetic or the filter semantics drift, these
-//! diverge immediately.
+//! `Vec` with explicit trim and an exact duplicate test — and random
+//! insert/trim/migrate-merge sequences with fixed seeds must leave both
+//! sides with identical contents. If the ring's wrap/shift/trim arithmetic
+//! or the duplicate semantics drift, these diverge immediately.
 
-use piggyback_store::view::{View, FILTER_SLOTS};
+use piggyback_store::view::View;
 use piggyback_store::EventTuple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Independent reimplementation of the view semantics: ascending sorted
-/// `Vec`, oldest-first trim, and the same recent-id filter contract.
+/// `Vec`, oldest-first trim, bit-identical redeliveries dropped.
 #[derive(Default)]
 struct ModelView {
     /// Ascending by `EventTuple` order (oldest first).
     events: Vec<EventTuple>,
     capacity: usize,
-    filter: [(u32, u64); FILTER_SLOTS],
-    occupied: u32,
 }
 
 impl ModelView {
@@ -32,19 +29,11 @@ impl ModelView {
         }
     }
 
-    /// Mirror of the view's direct-mapped slot function (kept in sync by
-    /// these very tests: a drift shows up as a contents mismatch).
-    fn slot(user: u32, event_id: u64) -> usize {
-        let h = (user as u64 ^ event_id.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (FILTER_SLOTS - 1)
-    }
-
     fn insert(&mut self, t: EventTuple) {
-        let s = Self::slot(t.user, t.event_id);
-        if self.occupied & (1 << s) != 0 && self.filter[s] == (t.user, t.event_id) {
+        let pos = self.events.partition_point(|e| *e < t);
+        if self.events[pos..].first() == Some(&t) {
             return;
         }
-        let pos = self.events.partition_point(|e| *e < t);
         if self.capacity > 0 && self.events.len() == self.capacity {
             if pos == 0 {
                 return; // older than the whole full window
@@ -54,8 +43,6 @@ impl ModelView {
         } else {
             self.events.insert(pos, t);
         }
-        self.filter[s] = (t.user, t.event_id);
-        self.occupied |= 1 << s;
     }
 
     /// Newest first, like `View::to_vec_newest`.
@@ -91,7 +78,8 @@ fn random_inserts_match_the_model() {
             for step in 0..600 {
                 // Skewed toward fresh timestamps so the monotonic-append
                 // fast path and the shift paths both run; narrow id space
-                // forces plenty of exact duplicates through the filter.
+                // forces plenty of same-key events, exact duplicates among
+                // them.
                 let t = if rng.random_range(0..4) == 0 {
                     random_event(&mut rng, 5, 40, 1000)
                 } else {
@@ -167,6 +155,63 @@ fn replicated_delivery_converges_across_replicas() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn duplicate_storm_leaves_exactly_the_newest_distinct_events() {
+    // Every event is delivered one to three times to a small bounded
+    // view, in a jittered, mostly ascending order so that nearly every
+    // first copy is admitted — except that the seven newest events arrive
+    // once at the very start and again at the very end. They stay in the
+    // ring throughout (nothing newer ever displaces them) while hundreds
+    // of other events are admitted beneath them, so their last copies are
+    // redeliveries of *retained* events that no bounded memory of recent
+    // keys would still recognize. Dedup has to be exact: the ring must end
+    // as the `CAPACITY` newest distinct events, each once.
+    const CAPACITY: usize = 8;
+    const EVENTS: u64 = 300;
+    const PINNED: u64 = 7;
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x570F ^ seed);
+        let event = |i: u64| EventTuple::new((i % 7) as u32, i, i);
+        // (delivery key, event): sorted by key = delivery order.
+        let mut deliveries: Vec<(u64, u64)> = Vec::new();
+        for i in 0..EVENTS {
+            for _ in 0..rng.random_range(1..=3u32) {
+                deliveries.push((100 + i + rng.random_range(0..40u64), i));
+            }
+            if i >= EVENTS - PINNED {
+                deliveries.push((rng.random_range(0..100u64), i));
+                deliveries.push((1_000 + rng.random_range(0..100u64), i));
+            }
+        }
+        deliveries.sort_unstable();
+        let mut view = View::with_capacity(CAPACITY);
+        // Admissions so far, and the count at which each event got in.
+        let mut admissions = 0usize;
+        let mut admitted_at = vec![0usize; EVENTS as usize];
+        let mut stalest_redelivery = 0usize;
+        for &(_, i) in &deliveries {
+            let retained = view.iter_newest().any(|e| e == event(i));
+            view.insert(event(i));
+            if retained {
+                stalest_redelivery = stalest_redelivery.max(admissions - admitted_at[i as usize]);
+            } else if view.iter_newest().any(|e| e == event(i)) {
+                admissions += 1;
+                admitted_at[i as usize] = admissions;
+            }
+        }
+        assert!(
+            stalest_redelivery >= 64,
+            "storm too tame to prove anything: the stalest redelivery of a \
+             retained event came {stalest_redelivery} admissions after the original"
+        );
+        let want: Vec<EventTuple> = (EVENTS - CAPACITY as u64..EVENTS)
+            .rev()
+            .map(event)
+            .collect();
+        assert_eq!(view.to_vec_newest(), want, "seed {seed}");
     }
 }
 
