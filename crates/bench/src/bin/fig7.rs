@@ -13,9 +13,9 @@
 use piggyback_bench::{
     flickr_dataset, nodes_from_args, print_dataset_banner, print_header, print_row,
 };
+use piggyback_core::cost::CostModel;
 use piggyback_core::parallelnosy::ParallelNosy;
 use piggyback_core::scheduler::{Hybrid, Instance, Scheduler};
-use piggyback_store::placement::PlacementCost;
 use piggyback_store::topology::Topology;
 
 fn main() {
@@ -32,8 +32,7 @@ fn main() {
         },
         &Hybrid,
     ];
-    let [pc_pn, pc_ff] =
-        schedulers.map(|s| PlacementCost::new(&d.graph, &d.rates, &s.schedule(&inst).schedule));
+    let [pn, ff] = schedulers.map(|s| s.schedule(&inst).schedule);
 
     print_header(&[
         "servers",
@@ -48,8 +47,13 @@ fn main() {
         let (mut tp, mut tf) = (0.0, 0.0);
         for &s in &seeds {
             let p = Topology::hash(d.graph.node_count(), servers, s);
-            tp += pc_pn.normalized_throughput(&p);
-            tf += pc_ff.normalized_throughput(&p);
+            let model = CostModel::with_topology(p.assignment(), servers);
+            tp += model
+                .batched(&d.graph, &d.rates, &pn)
+                .normalized_throughput();
+            tf += model
+                .batched(&d.graph, &d.rates, &ff)
+                .normalized_throughput();
         }
         tp /= seeds.len() as f64;
         tf /= seeds.len() as f64;

@@ -11,9 +11,9 @@
 use piggyback_bench::{
     flickr_dataset, nodes_from_args, print_dataset_banner, print_header, print_row,
 };
+use piggyback_core::cost::CostModel;
 use piggyback_core::parallelnosy::ParallelNosy;
 use piggyback_core::scheduler::{Hybrid, Instance, Scheduler};
-use piggyback_store::placement::PlacementCost;
 use piggyback_store::topology::Topology;
 
 fn main() {
@@ -30,8 +30,7 @@ fn main() {
         },
         &Hybrid,
     ];
-    let [pc_pn, pc_ff] =
-        schedulers.map(|s| PlacementCost::new(&d.graph, &d.rates, &s.schedule(&inst).schedule));
+    let [pn, ff] = schedulers.map(|s| s.schedule(&inst).schedule);
 
     print_header(&[
         "servers",
@@ -42,8 +41,9 @@ fn main() {
     ]);
     for servers in [1usize, 10, 100, 1000, 10000] {
         let p = Topology::hash(d.graph.node_count(), servers, 5);
-        let (pn_mean, pn_var) = pc_pn.load_balance(&p);
-        let (ff_mean, ff_var) = pc_ff.load_balance(&p);
+        let model = CostModel::with_topology(p.assignment(), servers);
+        let (pn_mean, pn_var) = model.batched(&d.graph, &d.rates, &pn).load_balance();
+        let (ff_mean, ff_var) = model.batched(&d.graph, &d.rates, &ff).load_balance();
         print_row(&[
             servers.to_string(),
             format!("{pn_mean:.6}"),

@@ -227,16 +227,16 @@ fn json_result(name: &str, rpc: RpcMode, cost: f64, r: &HarnessReport) -> String
         r.serve.final_epoch,
         churn.zero_violations(),
         r.serve.replication,
-        r.serve.failovers,
-        r.serve.unavailable_ms,
+        churn.failovers,
+        churn.failover_unavailable_ms,
         r.serve.max_replica_lag_ms,
-        r.serve.views_lost,
-        r.serve.rejoins,
-        r.serve.readmits,
-        r.serve.detection_ms,
-        r.serve.failover_ms,
-        r.serve.catchup_ms,
-        r.serve.readmit_ms,
+        churn.views_lost,
+        churn.rejoins,
+        churn.readmits,
+        churn.detection_ms,
+        churn.failover_ms,
+        churn.catchup_ms,
+        churn.readmit_ms,
         obs
     )
 }
@@ -512,14 +512,14 @@ fn run_chaos(args: &Args) {
             sc.name,
             report.throughput(),
             vs_faultless * 100.0,
-            report.serve.failovers,
-            report.serve.views_lost,
-            report.serve.rejoins,
-            report.serve.readmits,
-            report.serve.detection_ms,
-            report.serve.failover_ms,
-            report.serve.catchup_ms,
-            report.serve.readmit_ms,
+            churn.failovers,
+            churn.views_lost,
+            churn.rejoins,
+            churn.readmits,
+            churn.detection_ms,
+            churn.failover_ms,
+            churn.catchup_ms,
+            churn.readmit_ms,
             churn.zero_violations()
         );
         assert!(
@@ -530,40 +530,40 @@ fn run_chaos(args: &Args) {
         );
         if sc.min_failovers == 0 {
             assert_eq!(
-                report.serve.failovers, 0,
+                churn.failovers, 0,
                 "{}: sustained wire faults must not trigger failovers, saw {}",
-                sc.name, report.serve.failovers
+                sc.name, churn.failovers
             );
         } else {
             assert!(
-                report.serve.failovers >= sc.min_failovers,
+                churn.failovers >= sc.min_failovers,
                 "{}: expected >= {} failovers, saw {}",
                 sc.name,
                 sc.min_failovers,
-                report.serve.failovers
+                churn.failovers
             );
         }
         if sc.expect_loss {
             assert!(
-                report.serve.views_lost > 0,
+                churn.views_lost > 0,
                 "{}: the domain-blind control lost no views — the spread-placement \
                  win is unmeasured",
                 sc.name
             );
         } else {
             assert_eq!(
-                report.serve.views_lost, 0,
+                churn.views_lost, 0,
                 "{}: lost {} views despite domain-spread replicas",
-                sc.name, report.serve.views_lost
+                sc.name, churn.views_lost
             );
         }
         if sc.expect_readmit {
             assert!(
-                report.serve.rejoins >= 1 && report.serve.readmits >= 1,
+                churn.rejoins >= 1 && churn.readmits >= 1,
                 "{}: expected a completed rejoin + readmit cycle, saw {} rejoins / {} readmits",
                 sc.name,
-                report.serve.rejoins,
-                report.serve.readmits
+                churn.rejoins,
+                churn.readmits
             );
             // Foreground traffic must ride through catch-up: the full run
             // gates 80% of faultless throughput (smoke runs are too short
@@ -587,15 +587,15 @@ fn run_chaos(args: &Args) {
             ),
             sc.name,
             churn.zero_violations(),
-            report.serve.failovers,
-            report.serve.views_lost,
-            report.serve.rejoins,
-            report.serve.readmits,
-            report.serve.detection_ms,
-            report.serve.failover_ms,
-            report.serve.catchup_ms,
-            report.serve.readmit_ms,
-            report.serve.unavailable_ms,
+            churn.failovers,
+            churn.views_lost,
+            churn.rejoins,
+            churn.readmits,
+            churn.detection_ms,
+            churn.failover_ms,
+            churn.catchup_ms,
+            churn.readmit_ms,
+            churn.failover_unavailable_ms,
             report.serve.max_replica_lag_ms,
             vs_faultless
         ));
@@ -616,9 +616,9 @@ fn run_chaos(args: &Args) {
             ",\n  \"recovery\": {{\"failovers\": {}, \"users_failed_over\": {}, \
              \"unavailable_ms\": {:.1}, \"max_replica_lag_ms\": {:.2}, \
              \"throughput_vs_faultless\": {:.3}, \"staleness_ok\": {}}}",
-            r.serve.failovers,
+            r.serve.churn.failovers,
             r.serve.churn.users_failed_over,
-            r.serve.unavailable_ms,
+            r.serve.churn.failover_unavailable_ms,
             r.serve.max_replica_lag_ms,
             r.throughput() / baseline.throughput().max(1e-9),
             r.serve.churn.zero_violations()

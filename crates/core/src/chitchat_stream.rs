@@ -8,7 +8,7 @@
 //! trades that per-step exactness for a single ordered sweep:
 //!
 //! 1. **Streaming priority.** Every hub's closed-form density lower bound
-//!    ([`seed_lower_bound`], PR 6's seeding bound) is computed in one CSR
+//!    (`seed_lower_bound`, PR 6's seeding bound) is computed in one CSR
 //!    pass — `O(deg)` per hub, no peels. The bound is *permanently* valid
 //!    for any hub whose legs are never paid (covering only shrinks `Z`,
 //!    raising every candidate's cost-per-element, and a leg `x → w` is
@@ -45,7 +45,7 @@
 //!    of bounded capacity and re-evaluated in short refinement passes; a
 //!    pass that admits nothing ends the run (the state is a fixed point).
 //! 4. **Deterministic parallel evaluation.** Hubs are peeled in fixed-size
-//!    batches against a frozen [`Cover`] through the same persistent
+//!    batches against a frozen `Cover` through the same persistent
 //!    [`FanoutPool`] as the batch path, reassembled in chunk order. A
 //!    frozen result is only trusted if no admission since the freeze
 //!    touched the hub's closed neighborhood (admissions mark `{w} ∪ X ∪

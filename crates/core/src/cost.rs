@@ -14,8 +14,19 @@
 //! (the paper's objective), and a message between two views on the same
 //! server is free — batching folds it into a request that was being sent
 //! anyway. [`CostModel::with_topology`] prices a schedule against a
-//! `user → server` map: intra-server messages are discounted (free by
-//! default) and each server's ingress/egress rates are tallied.
+//! `user → server` map, two ways:
+//!
+//! * [`CostModel::accounting`] — per *edge*: intra-server messages are
+//!   discounted (free by default) and each server's ingress/egress rates
+//!   are tallied. What the partitioners and the rebalance trigger optimize.
+//! * [`CostModel::batched`] — per *request*: Algorithm 3 sends one batched
+//!   message per distinct server a request touches, own view included
+//!   (§4.3, Figures 7–8). What the store actually bills — the formula
+//!   measured messages per request agree with.
+//!
+//! ```text
+//! batched = Σ_u rp(u) · |servers({u} ∪ h[u])|  +  rc(u) · |servers({u} ∪ l[u])|
+//! ```
 
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::Rates;
@@ -155,17 +166,7 @@ impl<'a> CostModel<'a> {
     /// Panics if the schedule is sized for a different graph or the
     /// topology does not cover every node.
     pub fn accounting(&self, g: &CsrGraph, rates: &Rates, s: &Schedule) -> TopologyAccounting {
-        assert_eq!(
-            g.edge_count(),
-            s.edge_count(),
-            "schedule sized for a different graph"
-        );
-        assert!(
-            self.shard_of.len() >= g.node_count(),
-            "topology covers {} users, graph has {}",
-            self.shard_of.len(),
-            g.node_count()
-        );
+        self.assert_covers(g, s);
         let mut acct = TopologyAccounting {
             ingress: vec![0.0; self.servers],
             egress: vec![0.0; self.servers],
@@ -217,6 +218,139 @@ impl<'a> CostModel<'a> {
         stats.intra_cost = acct.intra;
         stats.cross_cost = acct.cross;
         stats.replica_cost = acct.replica;
+    }
+
+    /// Per-request pricing of `s` under §4.3's batching: a share from `u`
+    /// costs one message per distinct server holding `{u} ∪ h[u]`, a query
+    /// one per distinct server holding `{u} ∪ l[u]`. With one server every
+    /// request is one message whatever the schedule; with one server per
+    /// user it is the flat [`schedule_cost`] plus one own-view message per
+    /// request — the two limits Figure 7 runs between. One pass over the
+    /// CSR and the schedule's bitsets; nothing is compiled per user.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule is sized for a different graph, the topology
+    /// does not cover every node, or the model carries a replication
+    /// factor: it knows primaries only, so it prices the unreplicated
+    /// plane and refuses to silently ignore
+    /// [`with_replication`](CostModel::with_replication).
+    pub fn batched(&self, g: &CsrGraph, rates: &Rates, s: &Schedule) -> BatchedAccounting {
+        self.assert_covers(g, s);
+        assert_eq!(
+            self.replication, 1,
+            "batched pricing covers the unreplicated plane only"
+        );
+        let mut acct = BatchedAccounting {
+            query_load: vec![0.0; self.servers],
+            ..Default::default()
+        };
+        // `stamp[server]` is the ordinal of the last request that touched
+        // it, so "already billed for this request" is one compare.
+        let mut stamp = vec![0u64; self.servers];
+        let mut request = 0u64;
+        for u in g.nodes() {
+            let (rp, rc) = (rates.rp(u), rates.rc(u));
+            acct.requests += rp + rc;
+            let pushed = g.out_edges(u).filter(|&(_, e)| s.is_push(e));
+            let share = std::iter::once(u).chain(pushed.map(|(v, _)| v));
+            request += 1;
+            acct.update += rp * self.bill_distinct(&mut stamp, request, share, |_| {});
+            let pulled = g.in_edges(u).filter(|&(_, e)| s.is_pull(e));
+            let query = std::iter::once(u).chain(pulled.map(|(p, _)| p));
+            request += 1;
+            let load = &mut acct.query_load;
+            acct.query += rc * self.bill_distinct(&mut stamp, request, query, |sv| load[sv] += rc);
+        }
+        acct
+    }
+
+    /// Calls `bill(server)` once per distinct server holding `views` and
+    /// returns how many there were; `request` must be fresh per call.
+    fn bill_distinct(
+        &self,
+        stamp: &mut [u64],
+        request: u64,
+        views: impl Iterator<Item = NodeId>,
+        mut bill: impl FnMut(usize),
+    ) -> f64 {
+        let mut servers = 0.0;
+        for view in views {
+            let server = self.shard_of[view as usize] as usize;
+            if stamp[server] != request {
+                stamp[server] = request;
+                bill(server);
+                servers += 1.0;
+            }
+        }
+        servers
+    }
+
+    fn assert_covers(&self, g: &CsrGraph, s: &Schedule) {
+        assert_eq!(
+            g.edge_count(),
+            s.edge_count(),
+            "schedule sized for a different graph"
+        );
+        assert!(
+            self.shard_of.len() >= g.node_count(),
+            "topology covers {} users, graph has {}",
+            self.shard_of.len(),
+            g.node_count()
+        );
+    }
+}
+
+/// Per-request message accounting of a schedule under §4.3's batching
+/// ([`CostModel::batched`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct BatchedAccounting {
+    /// Update-message rate: `Σ_u rp(u) · |servers({u} ∪ h[u])|`.
+    pub update: f64,
+    /// Query-message rate: `Σ_u rc(u) · |servers({u} ∪ l[u])|`.
+    pub query: f64,
+    /// Request rate `Σ_u rp(u) + rc(u)` — the cost on a single server,
+    /// where every request is exactly one message.
+    pub requests: f64,
+    /// Query-message rate arriving at each server (sums to
+    /// [`query`](BatchedAccounting::query)) — Figure 8's load metric.
+    pub query_load: Vec<f64>,
+}
+
+impl BatchedAccounting {
+    /// Total message rate (lower is better).
+    pub fn total(&self) -> f64 {
+        self.update + self.query
+    }
+
+    /// Predicted data-store messages per request (0 for an empty workload).
+    pub fn msgs_per_request(&self) -> f64 {
+        if self.requests == 0.0 {
+            return 0.0;
+        }
+        self.total() / self.requests
+    }
+
+    /// Predicted throughput (inverse cost) normalized by the single-server
+    /// optimum — the y-axis of Figure 7.
+    pub fn normalized_throughput(&self) -> f64 {
+        if self.total() == 0.0 {
+            return 1.0;
+        }
+        self.requests / self.total()
+    }
+
+    /// `(mean, variance)` of each server's share of the total query-message
+    /// rate — Figure 8.
+    pub fn load_balance(&self) -> (f64, f64) {
+        let total: f64 = self.query_load.iter().sum();
+        if total == 0.0 {
+            return (0.0, 0.0);
+        }
+        let share: Vec<f64> = self.query_load.iter().map(|l| l / total).collect();
+        let mean = share.iter().sum::<f64>() / share.len() as f64;
+        let var = share.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / share.len() as f64;
+        (mean, var)
     }
 }
 
@@ -442,6 +576,43 @@ mod tests {
             .annotate(&g, &r, &s, &mut stats);
         assert!((stats.replica_cost - 4.0).abs() < 1e-12);
         assert!((stats.cross_cost - stats.replica_cost - base.cross).abs() < 1e-12);
+    }
+
+    #[test]
+    fn batched_counts_distinct_servers_per_request() {
+        let g = triangle();
+        let r = rates();
+        let mut s = Schedule::for_graph(&g);
+        s.set_push(0); // 0 -> 1: user 0 shares to views {0, 1}
+        s.set_pull(2); // 1 -> 2: user 2 queries views {2, 1}
+        s.set_covered(1, 1);
+        // Users 0 and 1 co-located; 2 alone.
+        let shard_of = [0u32, 0, 1];
+        let acct = CostModel::with_topology(&shard_of, 2).batched(&g, &r, &s);
+        // Shares: every user touches one server (0's push stays home).
+        assert!((acct.update - (2.0 + 3.0 + 5.0)).abs() < 1e-12);
+        // Queries: users 0 and 1 read their own view; user 2 reads its own
+        // server and view 1's.
+        assert!((acct.query - (7.0 + 11.0 + 2.0 * 13.0)).abs() < 1e-12);
+        assert_eq!(acct.query_load, vec![7.0 + 11.0 + 13.0, 13.0]);
+        assert!((acct.requests - 41.0).abs() < 1e-12);
+        assert!((acct.total() - 54.0).abs() < 1e-12);
+        assert!((acct.msgs_per_request() - 54.0 / 41.0).abs() < 1e-12);
+        assert!((acct.normalized_throughput() - 41.0 / 54.0).abs() < 1e-12);
+        let (mean, var) = acct.load_balance();
+        assert!((mean - 0.5).abs() < 1e-12);
+        assert!((var - (31.0_f64 / 44.0 - 0.5).powi(2)).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "unreplicated plane only")]
+    fn batched_refuses_a_replicated_model() {
+        let g = triangle();
+        let s = Schedule::for_graph(&g);
+        let shard_of = [0u32, 0, 1];
+        let _ = CostModel::with_topology(&shard_of, 2)
+            .with_replication(2)
+            .batched(&g, &rates(), &s);
     }
 
     #[test]

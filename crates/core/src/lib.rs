@@ -25,7 +25,7 @@
 //! * [`staleness`] — a discrete-time delivery simulator checking Definition
 //!   2's bounded staleness *semantically*, including the Theorem 1
 //!   necessity counterexamples.
-//! * [`scheduler`] — the unified [`Scheduler`](scheduler::Scheduler) trait
+//! * [`scheduler`] — the unified [`Scheduler`] trait
 //!   and name-keyed registry every optimizer above implements, so benches,
 //!   examples and the CLI drive all algorithms through one API.
 

@@ -24,7 +24,7 @@
 //! mirroring the paper's Hadoop implementation.
 //!
 //! The threaded execution runs phase 1 on a persistent
-//! [`FanoutPool`](crate::fanout::FanoutPool): workers are spawned once per
+//! [`FanoutPool`]: workers are spawned once per
 //! run and survive every iteration (the pre-optimization code paid a full
 //! thread spawn/join round-trip per iteration). Edge-range chunks are
 //! reassembled in ascending chunk order, so the candidate list — and with

@@ -21,7 +21,7 @@ const BUCKETS: usize = 128;
 
 /// Largest recordable sample. Samples above this are clamped *at record
 /// time* so that every reachable bucket index stays below the `1u64 << 62`
-/// shift ceiling in [`bucket_value`]. Without the clamp, samples in the top
+/// shift ceiling in `bucket_value`. Without the clamp, samples in the top
 /// two octaves (≥ 2^62 ns ≈ 146 years) landed in slots whose representative
 /// values alias *downward* (bucket 126 reported a smaller value than bucket
 /// 125), breaking quantile monotonicity at the boundary. `max_ns` is kept

@@ -21,7 +21,7 @@
 //! Overrides are layered to keep the per-publish copy small: a tiny
 //! `delta` map (the last few publishes) is deep-cloned per epoch, while
 //! the flattened older overrides ride behind an `Arc` and cost a refcount
-//! bump; once the delta outgrows [`DELTA_LIMIT`] it is folded into a new
+//! bump; once the delta outgrows `DELTA_LIMIT` it is folded into a new
 //! flattened layer, amortizing the large copy over many publishes.
 //!
 //! The snapshot also carries the cluster [`Topology`]: a live rebalance
@@ -81,7 +81,7 @@ pub struct ServingSchedule {
     /// Flattened older overrides; shared across epochs (Arc bump).
     merged: Arc<FxHashMap<NodeId, UserOverride>>,
     /// Overrides from the most recent publishes; deep-cloned per epoch,
-    /// kept under [`DELTA_LIMIT`] entries. Shadows `merged` per side.
+    /// kept under `DELTA_LIMIT` entries. Shadows `merged` per side.
     delta: FxHashMap<NodeId, UserOverride>,
     topology: Arc<Topology>,
 }
@@ -204,7 +204,7 @@ impl ServingSchedule {
 
     /// The next epoch: same base, with the given users' sets replaced.
     /// The churn manager (single writer) builds this and swaps it in.
-    /// Cost per publish: a deep clone of the (≤ [`DELTA_LIMIT`]-entry)
+    /// Cost per publish: a deep clone of the (≤ `DELTA_LIMIT`-entry)
     /// delta plus an Arc bump of the flattened layer; the flatten itself
     /// runs once per `DELTA_LIMIT` publishes.
     pub fn with_updates(

@@ -9,7 +9,7 @@
 //! through pre-resolved handles — no name lookup, no registry lock.
 //!
 //! Clients do not record through the shared handles directly: each
-//! [`ServeClient`](crate::runtime::ServeClient) draws an [`OpRecorder`] —
+//! [`ServeClient`](crate::runtime::ServeClient) draws an `OpRecorder` —
 //! cloned counter handles, each clone writing its own cache-line stripe,
 //! and shared latency histograms that stripe themselves by recording
 //! thread — so concurrent clients rarely contend on an instrument line.

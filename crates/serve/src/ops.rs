@@ -45,7 +45,7 @@ pub(crate) struct ReoptResult {
 }
 
 /// What the churn manager did over the runtime's lifetime.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChurnReport {
     /// Follows applied (excluding duplicates of existing edges).
     pub follows_applied: u64,
@@ -122,7 +122,9 @@ impl ChurnReport {
 /// [`ServeRuntime::shutdown`]: crate::runtime::ServeRuntime::shutdown
 #[derive(Clone, Debug)]
 pub struct ServeReport {
-    /// Churn-manager accounting and post-run staleness validation.
+    /// Churn-manager accounting — churn, re-optimization, rebalance and
+    /// the failure lifecycle (failovers, rejoins, phase timings) — and the
+    /// post-run staleness validation.
     pub churn: ChurnReport,
     /// Epoch of the final published schedule snapshot (number of swaps).
     pub final_epoch: u64,
@@ -132,30 +134,7 @@ pub struct ServeReport {
     pub metrics: Option<piggyback_obs::Snapshot>,
     /// Replica slots per view the run served with (1 = no replication).
     pub replication: usize,
-    /// Failovers executed over the run (mirrors the churn report).
-    pub failovers: u64,
-    /// Unavailability closed by failovers, in milliseconds.
-    pub unavailable_ms: f64,
     /// High-water heartbeat silence among replicas that actually served
     /// reads — the worst legal staleness any answer could have carried.
     pub max_replica_lag_ms: f64,
-    /// Views destroyed by correlated failures (no surviving replica slot
-    /// at failover time). Mirrors the churn report.
-    pub views_lost: u64,
-    /// Dead shards that rejoined and entered catch-up (mirrors the churn
-    /// report).
-    pub rejoins: u64,
-    /// Rejoined shards promoted back to read targets (mirrors the churn
-    /// report).
-    pub readmits: u64,
-    /// Failure-lifecycle phase timings, mirrored from the churn report:
-    /// first-miss→Down, Down→epoch-published, rejoin→last-batch,
-    /// rejoin→readmitted.
-    pub detection_ms: f64,
-    /// See [`ChurnReport::failover_ms`].
-    pub failover_ms: f64,
-    /// See [`ChurnReport::catchup_ms`].
-    pub catchup_ms: f64,
-    /// See [`ChurnReport::readmit_ms`].
-    pub readmit_ms: f64,
 }

@@ -4,12 +4,12 @@
 //! Thread layout:
 //!
 //! * **Shard workers** (`config.workers` threads) own the
-//!   [`StoreServer`] shards behind channels — the same wire-format
-//!   [`worker`](piggyback_store::worker) protocol the batch prototype
-//!   uses, now long-running. Under [`RpcMode::Direct`] no workers are
-//!   spawned at all: clients (and the churn manager's migrations) execute
-//!   the same coalesced batches inline against the shard mutexes —
-//!   identical protocol and message accounting, no scheduler round trip.
+//!   [`StoreServer`] shards behind channels, speaking the wire-format
+//!   [`worker`](piggyback_store::worker) protocol. Under
+//!   [`RpcMode::Direct`] no workers are spawned at all: clients (and the
+//!   churn manager's migrations) execute the same coalesced batches inline
+//!   against the shard mutexes — identical protocol and message
+//!   accounting, no scheduler round trip.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
 //!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
 //!   per operation) and forward `Follow`/`Unfollow` to the churn manager.
@@ -203,33 +203,16 @@ impl ServeRuntime {
             reopt_unsupported: false,
             reopt_started: Instant::now(),
             replay_log: Vec::new(),
-            follows: 0,
-            unfollows: 0,
-            rejected: 0,
-            reopts: 0,
-            rebalances: 0,
-            users_migrated: 0,
+            report: ChurnReport::default(),
             cross_churned: 0.0,
-            live_violations: 0,
-            first_violation: None,
             health: health.clone(),
             faults: faults.clone(),
             heartbeat: config.heartbeat_interval,
             probes: (0..config.shards).map(|_| None).collect(),
             failed_over: vec![false; config.shards],
-            failovers: 0,
-            users_failed_over: 0,
-            failover_unavailable_ms: 0.0,
             desired: topology,
             catching_up: (0..config.shards).map(|_| None).collect(),
             catchup_batch: config.catchup_batch.max(1),
-            views_lost: 0,
-            rejoins: 0,
-            readmits: 0,
-            detection_ms: 0.0,
-            failover_ms: 0.0,
-            catchup_ms: 0.0,
-            readmit_ms: 0.0,
         };
         let churn_handle = std::thread::spawn(move || manager.run());
         ServeRuntime {
@@ -439,15 +422,6 @@ impl ServeRuntime {
             }
         }
         ServeReport {
-            failovers: churn.failovers,
-            unavailable_ms: churn.failover_unavailable_ms,
-            views_lost: churn.views_lost,
-            rejoins: churn.rejoins,
-            readmits: churn.readmits,
-            detection_ms: churn.detection_ms,
-            failover_ms: churn.failover_ms,
-            catchup_ms: churn.catchup_ms,
-            readmit_ms: churn.readmit_ms,
             churn,
             final_epoch: self.handle.epoch(),
             metrics,
@@ -647,18 +621,12 @@ struct ChurnManager {
     /// Mutations applied while a re-optimization is in flight; replayed
     /// onto the fresh schedule before it is swapped in.
     replay_log: Vec<(bool, NodeId, NodeId)>,
-    follows: u64,
-    unfollows: u64,
-    rejected: u64,
-    reopts: u64,
-    rebalances: u64,
-    users_migrated: u64,
+    /// The end-of-run report, counted in place as things happen
+    /// (`staleness_violation` holds the first *live* violation until
+    /// [`ChurnManager::final_report`] backs it with the post-run sweep).
+    report: ChurnReport,
     /// Cross-server message rate added by churn since the last rebalance.
     cross_churned: f64,
-    /// Live bounded-staleness violations (per-mutation serving-set check).
-    live_violations: u64,
-    /// First live violation, verbatim, for the final report.
-    first_violation: Option<String>,
     /// Shared failure detector; the churn thread is its prober.
     health: Option<Arc<HealthTracker>>,
     /// Fault injector (killed shards must not be probed over the wire).
@@ -672,10 +640,6 @@ struct ChurnManager {
     /// keeps being probed, and a recovered heartbeat re-enters it through
     /// anti-entropy catch-up ([`ChurnManager::begin_rejoin`]).
     failed_over: Vec<bool>,
-    failovers: u64,
-    users_failed_over: u64,
-    /// Wall milliseconds of unavailability the failovers closed.
-    failover_unavailable_ms: f64,
     /// The failure-free topology the cluster converges back to as shards
     /// rejoin. Rebalances update it; failovers never do.
     desired: Arc<Topology>,
@@ -685,16 +649,6 @@ struct ChurnManager {
     /// Views streamed per catching-up shard per tick (the anti-entropy
     /// rate limit).
     catchup_batch: usize,
-    /// Views destroyed by correlated failures: no surviving replica slot
-    /// existed at failover time.
-    views_lost: u64,
-    rejoins: u64,
-    readmits: u64,
-    /// Failure-lifecycle phase accumulators (see [`ChurnReport`]).
-    detection_ms: f64,
-    failover_ms: f64,
-    catchup_ms: f64,
-    readmit_ms: f64,
 }
 
 /// Anti-entropy state of one rejoined shard.
@@ -973,7 +927,7 @@ impl ChurnManager {
             .first_miss_elapsed(dead)
             .or_else(|| self.faults.as_ref().and_then(|f| f.killed_since(dead)))
             .unwrap_or_default();
-        self.detection_ms += detected.as_secs_f64() * 1e3;
+        self.report.detection_ms += detected.as_secs_f64() * 1e3;
         if old.replication() < 2 {
             return;
         }
@@ -997,7 +951,7 @@ impl ChurnManager {
                 // (whole-domain) kill and what domain-spread placement
                 // makes impossible for a single-domain failure. Leave the
                 // assignment in place; the count is the measurement.
-                self.views_lost += 1;
+                self.report.views_lost += 1;
                 continue;
             };
             assign[u as usize] = next as u32;
@@ -1052,10 +1006,10 @@ impl ChurnManager {
             }
         }
         self.handle.swap(snap.with_topology(Arc::new(new_t)));
-        self.failovers += 1;
-        self.users_failed_over += moved.len() as u64;
+        self.report.failovers += 1;
+        self.report.users_failed_over += moved.len() as u64;
         // Failover phase: `Down` verdict to the repaired epoch publishing.
-        self.failover_ms += started.elapsed().as_secs_f64() * 1e3;
+        self.report.failover_ms += started.elapsed().as_secs_f64() * 1e3;
         // The unavailability window runs from the first evidence of death
         // (first missed heartbeat, or the kill instant if earlier
         // evidence exists) to the epoch publish that routed around it.
@@ -1063,7 +1017,7 @@ impl ChurnManager {
             .first_miss_elapsed(dead)
             .or_else(|| faults.as_ref().and_then(|f| f.killed_since(dead)))
             .unwrap_or_else(|| started.elapsed());
-        self.failover_unavailable_ms += window.as_secs_f64() * 1e3;
+        self.report.failover_unavailable_ms += window.as_secs_f64() * 1e3;
         if let Some(m) = &self.metrics {
             m.failover_count.inc();
             m.events().record(EventKind::Failover {
@@ -1091,7 +1045,7 @@ impl ChurnManager {
         let since = Instant::now();
         self.failed_over[s] = false;
         health.mark_catching_up(s);
-        self.rejoins += 1;
+        self.report.rejoins += 1;
         // Rebuild from the failure-free assignment: shards still dead
         // keep their failed-over repair, the rejoined shard gets its
         // desired views back. Catching-up shards count as alive here —
@@ -1238,10 +1192,10 @@ impl ChurnManager {
                 self.catching_up[s] = Some(cu);
                 continue;
             }
-            self.catchup_ms += cu.since.elapsed().as_secs_f64() * 1e3;
+            self.report.catchup_ms += cu.since.elapsed().as_secs_f64() * 1e3;
             if health.readmit(s) {
-                self.readmits += 1;
-                self.readmit_ms += cu.since.elapsed().as_secs_f64() * 1e3;
+                self.report.readmits += 1;
+                self.report.readmit_ms += cu.since.elapsed().as_secs_f64() * 1e3;
                 if let Some(m) = &self.metrics {
                     m.events().record(EventKind::Readmit {
                         shard: s,
@@ -1259,7 +1213,7 @@ impl ChurnManager {
         let n = self.rates.len() as u64;
         if u as u64 >= n || v as u64 >= n {
             // Users outside the rate model cannot be priced; reject.
-            self.rejected += 1;
+            self.report.churn_rejected += 1;
             return false;
         }
         let effect = if add {
@@ -1268,13 +1222,13 @@ impl ChurnManager {
             self.inc.remove_edge_detailed(u, v)
         };
         if !effect.applied {
-            self.rejected += 1;
+            self.report.churn_rejected += 1;
             return false;
         }
         if add {
-            self.follows += 1;
+            self.report.follows_applied += 1;
         } else {
-            self.unfollows += 1;
+            self.report.unfollows_applied += 1;
         }
         if self.reopt_in_flight {
             self.replay_log.push((add, u, v));
@@ -1286,12 +1240,12 @@ impl ChurnManager {
         // would break. `serves_edge_directly` is an allocation-free probe.
         for &(x, y) in &effect.reserved_direct {
             if !self.inc.serves_edge_directly(x, y) {
-                self.live_violations += 1;
+                self.report.live_staleness_violations += 1;
                 if let Some(m) = &self.metrics {
                     m.staleness_violations.inc();
                 }
-                if self.first_violation.is_none() {
-                    self.first_violation = Some(format!(
+                if self.report.staleness_violation.is_none() {
+                    self.report.staleness_violation = Some(format!(
                         "live: edge {x} -> {y} reserved direct but absent from serving sets \
                          after {} mutation ({u} -> {v})",
                         if add { "follow" } else { "unfollow" },
@@ -1360,8 +1314,8 @@ impl ChurnManager {
     /// caches; re-placement implies cache misses): an update that races
     /// the migration — routed via an old snapshot after its view was
     /// extracted or after the swap — can land at the old home and stay
-    /// invisible to later queries, exactly as a resized batch cluster
-    /// drops moved views. Bounded staleness of the *schedule* is
+    /// invisible to later queries, exactly as a resized memcached pool
+    /// drops moved keys. Bounded staleness of the *schedule* is
     /// unaffected (validated post-run); quiescent-traffic migration is
     /// lossless (`tests/rebalance.rs`).
     ///
@@ -1428,8 +1382,8 @@ impl ChurnManager {
         for rx in installs {
             rx.recv().expect("worker dropped install reply");
         }
-        self.users_migrated += moved.len() as u64;
-        self.rebalances += 1;
+        self.report.users_migrated += moved.len() as u64;
+        self.report.rebalances += 1;
         self.cross_churned = 0.0;
         let new = Arc::new(new);
         // The rebalanced map is the new failure-free baseline rejoins
@@ -1583,7 +1537,7 @@ impl ChurnManager {
         }
         self.inc = fresh;
         self.reopt_in_flight = false;
-        self.reopts += 1;
+        self.report.reopts += 1;
         let elapsed = self.reopt_started.elapsed();
         // Amortized budget: a run of W may occupy at most `frac` of wall
         // time, so the next fires no sooner than W * (1 - frac) / frac
@@ -1609,34 +1563,16 @@ impl ChurnManager {
     }
 
     fn final_report(&self) -> ChurnReport {
-        ChurnReport {
-            follows_applied: self.follows,
-            unfollows_applied: self.unfollows,
-            churn_rejected: self.rejected,
-            reopts: self.reopts,
-            rebalances: self.rebalances,
-            users_migrated: self.users_migrated,
-            cross_cost_churned: self.cross_churned,
-            base_cost: self.inc.base_cost(),
-            final_cost: self.inc.cost(),
-            live_staleness_violations: self.live_violations,
-            failovers: self.failovers,
-            users_failed_over: self.users_failed_over,
-            failover_unavailable_ms: self.failover_unavailable_ms,
-            views_lost: self.views_lost,
-            rejoins: self.rejoins,
-            readmits: self.readmits,
-            detection_ms: self.detection_ms,
-            failover_ms: self.failover_ms,
-            catchup_ms: self.catchup_ms,
-            readmit_ms: self.readmit_ms,
-            // The live per-mutation check fires first; the post-run sweep
-            // over the whole dynamic graph backs it up.
-            staleness_violation: self
-                .first_violation
-                .clone()
-                .or_else(|| self.inc.validate().err().map(|e| e.to_string())),
+        let mut report = self.report.clone();
+        report.cross_cost_churned = self.cross_churned;
+        report.base_cost = self.inc.base_cost();
+        report.final_cost = self.inc.cost();
+        // The live per-mutation check fires first; the post-run sweep over
+        // the whole dynamic graph backs it up.
+        if report.staleness_violation.is_none() {
+            report.staleness_violation = self.inc.validate().err().map(|e| e.to_string());
         }
+        report
     }
 }
 

@@ -82,13 +82,16 @@ fn killed_shard_fails_over_and_queries_keep_answering() {
     drop(c);
     let report = rt.shutdown();
     assert_eq!(report.replication, 2);
-    assert!(report.failovers >= 1, "report must count the failover");
+    assert!(
+        report.churn.failovers >= 1,
+        "report must count the failover"
+    );
     assert!(
         report.churn.users_failed_over > 0,
         "shard 3 hosted views that must have moved"
     );
     assert!(
-        report.unavailable_ms > 0.0,
+        report.churn.failover_unavailable_ms > 0.0,
         "the detection window is real wall time"
     );
     assert!(

@@ -281,12 +281,15 @@ fn rejoin_lifecycle_is_traced_in_the_event_log() {
     drop(c);
     let report = rt.shutdown();
     assert!(
-        report.rejoins >= 1 && report.readmits >= 1,
+        report.churn.rejoins >= 1 && report.churn.readmits >= 1,
         "report must count the rejoin + readmit cycle: {} rejoins, {} readmits",
-        report.rejoins,
-        report.readmits
+        report.churn.rejoins,
+        report.churn.readmits
     );
-    assert!(report.catchup_ms > 0.0, "catch-up took real wall time");
+    assert!(
+        report.churn.catchup_ms > 0.0,
+        "catch-up took real wall time"
+    );
     assert!(
         report.churn.zero_violations(),
         "bounded staleness violated across the rejoin: {:?}",

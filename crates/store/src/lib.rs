@@ -6,8 +6,10 @@
 //! push-set views, queries fan out to the pull-set views with one batched
 //! request per data-store server and return the 10 latest events.
 //!
-//! We do not have their cluster; this crate rebuilds the prototype
-//! in-process with the same moving parts:
+//! We do not have their cluster; this crate rebuilds the data-store side
+//! of the prototype in-process. Algorithm 3's application servers are
+//! `piggyback-serve`'s `ServeClient`, and the batched cost those requests
+//! are predicted by is `piggyback_core::cost::CostModel::batched`:
 //!
 //! * [`mod@tuple`] — the 24-byte event tuple and its wire encoding.
 //! * [`view`] — a materialized per-user view with trimming and top-k reads.
@@ -21,42 +23,32 @@
 //! * [`merge`] — the shared top-k reply merge: the flat sort-merge
 //!   reference and the allocation-free k-way [`ReplyMerger`] the clients
 //!   use on per-shard wire replies.
-//! * [`worker`] — the wire-format shard-worker protocol shared by every
-//!   execution harness (batch replay and the online serve runtime),
+//! * [`worker`] — the wire-format shard-worker protocol the online serve
+//!   runtime speaks on both of its planes (worker pool and caller-runs),
 //!   including the extract/install requests of live rebalancing. Updates
 //!   and queries are coalesced batches served by [`worker::serve_batch`]:
 //!   [`worker::ShardBatch`] messages with pooled view lists and reply
 //!   buffers ([`BufferPool`]) and one reply channel per client over the
 //!   worker pool, borrowed slices and client-owned buffers caller-runs
 //!   ([`ShardClient`]).
-//! * [`cluster`] — Algorithm 3's application servers driving the shards,
-//!   with a deterministic single-threaded mode (message accounting) and a
-//!   concurrent mode (real threads, wall-clock throughput).
-//! * [`placement`] — the placement-aware predicted cost of Figures 7–8:
-//!   batching makes co-located views free, so cost = distinct servers
-//!   touched per request, weighted by rates.
 //! * [`health`] — per-shard failure detection (`Up/Suspect/Down` from
 //!   heartbeat outcomes) with the Theorem-1 staleness budget reused as
 //!   the legal replica-lag window for read routing.
 //! * [`fault`] — deterministic chaos injection at the transport send seam
 //!   (kill / drop / duplicate / delay).
 
-pub mod cluster;
 pub mod fault;
 pub mod health;
 pub mod merge;
-pub mod placement;
 pub mod server;
 pub mod topology;
 pub mod tuple;
 pub mod view;
 pub mod worker;
 
-pub use cluster::{Cluster, ClusterConfig};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, PartitionDir};
 pub use health::{HealthTracker, ShardHealth};
 pub use merge::ReplyMerger;
-pub use placement::PlacementCost;
 pub use server::QueryScratch;
 pub use topology::{
     GroupScratch, HashPartitioner, LdgPartitioner, PartitionRequest, PartitionStrategy,

@@ -4,9 +4,9 @@
 //! duplicates removed, truncated to `k`:
 //!
 //! * [`sort_merge`] — the straightforward sort + dedup + truncate over a
-//!   flat buffer. This is the *reference* path: it used to be copied
-//!   verbatim in three places (the batch cluster's simulated query, its
-//!   concurrent client, and the serve runtime) and now lives here once.
+//!   flat buffer. This is the *reference* path: no request runs it; it is
+//!   what `StoreServer::query_reference` and the differential tests
+//!   compare the k-way merges against.
 //! * [`ReplyMerger`] — a bounded k-way tournament merge over per-shard
 //!   wire replies. Each reply is already sorted newest first (the
 //!   server-side filter emits merged order), so the client only needs a

@@ -267,11 +267,6 @@ impl StoreServer {
         self.views.clear();
     }
 
-    /// `(updates, queries)` processed since construction.
-    pub fn request_counts(&self) -> (u64, u64) {
-        (self.stats.updates, self.stats.queries)
-    }
-
     /// Point-in-time copy of every per-shard counter.
     pub fn stats(&self) -> ShardStats {
         self.stats
@@ -361,7 +356,7 @@ mod tests {
         let r = s.query(&[1, 2], 0);
         assert!(r.is_empty());
         // The query is still counted.
-        assert_eq!(s.request_counts(), (1, 1));
+        assert_eq!((s.stats().updates, s.stats().queries), (1, 1));
     }
 
     #[test]
@@ -462,7 +457,7 @@ mod tests {
         s.update(&[1], ev(1, 1, 1));
         s.query(&[1], 10);
         s.query(&[1], 10);
-        assert_eq!(s.request_counts(), (1, 2));
+        assert_eq!((s.stats().updates, s.stats().queries), (1, 2));
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The cluster topology: which data-store server owns each user's view.
 //!
-//! Every layer that needs shard ownership — the placement-aware cost model,
-//! the batch prototype ([`crate::cluster`]), the wire-format worker protocol
-//! ([`crate::worker`]) and the online serve runtime — routes through one
-//! [`Topology`]: a server count plus a flat `user → shard` array (CSR-style
-//! flat storage instead of per-user hash maps, after the in-memory
-//! graph-analytics playbook). The paper's prototype hashes users to random
-//! servers (§4.3); that policy is now just one [`Partitioner`] among
-//! several, and the partition map itself becomes an optimized dimension:
-//! the schedule-aware partitioner places the heavy hub → consumer traffic
-//! of an optimized push/pull schedule *intra-server*, where batching makes
-//! it free.
+//! Every layer that needs shard ownership — the placement-aware cost model
+//! (`piggyback_core::cost::CostModel`, fed by [`Topology::assignment`]), the
+//! wire-format worker protocol ([`crate::worker`]) and the online serve
+//! runtime — routes through one [`Topology`]: a server count plus a flat
+//! `user → shard` array (CSR-style flat storage instead of per-user hash
+//! maps, after the in-memory graph-analytics playbook). The paper's
+//! prototype hashes users to random servers (§4.3); that policy is now just
+//! one [`Partitioner`] among several, and the partition map itself becomes
+//! an optimized dimension: the schedule-aware partitioner places the heavy
+//! hub → consumer traffic of an optimized push/pull schedule
+//! *intra-server*, where batching makes it free.
 //!
 //! Partitioners:
 //!
@@ -258,15 +258,10 @@ impl Topology {
 
     /// Groups `targets` by home server and invokes `f(server, views)` once
     /// per touched server — the one batched message per server of
-    /// Algorithm 3. The single shard-ownership derivation every execution
-    /// path (batch cluster, wire dispatch, serve runtime) shares.
-    pub fn group_by_server(&self, targets: &[NodeId], f: impl FnMut(usize, &[NodeId])) {
-        self.group_by_server_with(targets, &mut GroupScratch::default(), f);
-    }
-
-    /// [`group_by_server`](Topology::group_by_server) with caller-owned
-    /// scratch: the hot serving path calls this once per operation, and a
-    /// warmed-up scratch makes the grouping allocation-free.
+    /// Algorithm 3, and the single shard-ownership derivation every request
+    /// shares. The scratch is caller-owned: the hot serving path calls this
+    /// once per operation, and a warmed-up scratch makes the grouping
+    /// allocation-free.
     pub fn group_by_server_with(
         &self,
         targets: &[NodeId],
@@ -1064,7 +1059,7 @@ mod tests {
         let targets: Vec<NodeId> = (0..200).collect();
         let mut seen = Vec::new();
         let mut total = 0;
-        t.group_by_server(&targets, |server, views| {
+        t.group_by_server_with(&targets, &mut GroupScratch::default(), |server, views| {
             assert!(views.iter().all(|&v| t.server_of(v) == server));
             seen.push(server);
             total += views.len();

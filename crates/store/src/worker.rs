@@ -1,12 +1,10 @@
 //! Reusable shard-worker plumbing: the wire-format request/reply protocol
 //! between application-server clients and data-store shards.
 //!
-//! Both execution harnesses share this module — the batch-replay
-//! [`Cluster`](crate::cluster::Cluster) (scoped worker threads, fixed
-//! request count) and the online `piggyback-serve` runtime (long-running
-//! owned worker threads, live churn). A worker owns the channel receiver;
-//! shard `s` is handled by worker `s % workers`, so thousands of logical
-//! servers multiplex onto a bounded thread pool.
+//! The online `piggyback-serve` runtime is this module's client on both of
+//! its planes (long-running owned worker threads, or caller-runs). A worker
+//! owns the channel receiver; shard `s` is handled by worker `s % workers`,
+//! so thousands of logical servers multiplex onto a bounded thread pool.
 //!
 //! Requests and replies cross the channel in the 24-byte wire format, so
 //! every message pays realistic (de)serialization work — as a memcached
@@ -357,9 +355,8 @@ pub fn worker_loop(shards: &[Mutex<StoreServer>], pool: &BufferPool, rx: &Receiv
 #[derive(Clone)]
 pub enum Transport {
     /// Channels to the shard-worker pool: batches execute on worker
-    /// threads, the distributed-store simulation every earlier harness
-    /// uses (and the only choice when store work must overlap the
-    /// caller's).
+    /// threads, the distributed-store simulation Figure 6 measures (and
+    /// the only choice when store work must overlap the caller's).
     Workers(Arc<Vec<Sender<ShardRequest>>>),
     /// Caller-runs: the issuing thread executes each batch inline through
     /// the same [`serve_batch`] the workers call — the same wire
@@ -718,20 +715,20 @@ pub fn send_to_shard_async<R>(
     done_rx
 }
 
-/// [`send_to_shard_async`], blocking for the reply.
-pub fn send_to_shard(
-    senders: &[Sender<ShardRequest>],
-    make: impl FnOnce(Sender<Bytes>) -> ShardRequest,
-) -> Bytes {
-    send_to_shard_async(senders, make)
-        .recv()
-        .expect("worker dropped reply")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
+
+    /// [`send_to_shard_async`], blocking for the reply.
+    fn send_to_shard(
+        senders: &[Sender<ShardRequest>],
+        make: impl FnOnce(Sender<Bytes>) -> ShardRequest,
+    ) -> Bytes {
+        send_to_shard_async(senders, make)
+            .recv()
+            .expect("worker dropped reply")
+    }
 
     fn boot_two_shards() -> (Vec<Mutex<StoreServer>>, Arc<BufferPool>) {
         (
@@ -769,9 +766,13 @@ mod tests {
             // Same answer as the reference path: `query_reference` on
             // every touched shard, flat sort-merge of the per-shard answers.
             let mut flat = Vec::new();
-            topology.group_by_server(&targets, |shard, views| {
-                flat.extend(shards[shard].lock().query_reference(views, 10));
-            });
+            topology.group_by_server_with(
+                &targets,
+                &mut GroupScratch::default(),
+                |shard, views| {
+                    flat.extend(shards[shard].lock().query_reference(views, 10));
+                },
+            );
             crate::merge::sort_merge(&mut flat, 10);
             assert_eq!(out, flat);
             drop(tx);

@@ -1,5 +1,6 @@
 //! Property tests for the topology subsystem: conservation of the
-//! server-aware cost accounting, and determinism of every partitioner.
+//! server-aware cost accounting (per edge and per batched request), and
+//! determinism of every partitioner.
 //!
 //! Seeded-RNG style (no proptest in the offline build): each property is
 //! exercised across a grid of graphs, schedules, server counts and seeds.
@@ -93,6 +94,94 @@ fn ingress_and_egress_sums_equal_the_flat_total() {
                 }
             }
         }
+    }
+}
+
+/// The batched (one message per touched server) cost runs between two
+/// limits — Figure 7's: on one server every request is one message
+/// whatever the schedule, with a server per user it is the flat §2.1 cost
+/// plus one own-view message per request — and never falls on the way as
+/// hash placement spreads over more servers.
+#[test]
+fn batched_cost_runs_between_the_one_server_and_flat_limits() {
+    for (gname, g, r) in &instances() {
+        let n = g.node_count();
+        for (sname, s) in &schedules(g, r) {
+            let ctx = format!("{gname}/{sname}");
+            let one = Topology::single_server(n);
+            let acct = CostModel::with_topology(one.assignment(), 1).batched(g, r, s);
+            assert!(
+                (acct.total() - acct.requests).abs() < 1e-9,
+                "{ctx}: one server bills {} for {} requests",
+                acct.total(),
+                acct.requests
+            );
+            assert!((acct.normalized_throughput() - 1.0).abs() < 1e-12, "{ctx}");
+            assert!((acct.msgs_per_request() - 1.0).abs() < 1e-12, "{ctx}");
+
+            let own = Topology::from_assignment((0..n as u32).collect(), n);
+            let acct = CostModel::with_topology(own.assignment(), n).batched(g, r, s);
+            let flat = schedule_cost(g, r, s) + acct.requests;
+            assert!(
+                (acct.total() - flat).abs() < 1e-6,
+                "{ctx}: a server per user bills {}, flat + own-view is {flat}",
+                acct.total()
+            );
+
+            let mut last = acct.requests;
+            for servers in [4usize, 32, 256, 100_000] {
+                let t = Topology::hash(n, servers, 0);
+                let total = CostModel::with_topology(t.assignment(), servers)
+                    .batched(g, r, s)
+                    .total();
+                assert!(
+                    total >= last - 1e-9 && total <= flat + 1e-6,
+                    "{ctx} @{servers}: {total} outside [{last}, {flat}]"
+                );
+                last = total;
+            }
+        }
+    }
+}
+
+/// Figure 8's load metric and Figure 7's crossover: per-server query load
+/// reassembles the query cost, each server's mean share is `1/servers`,
+/// hash placement balances it, and piggybacking is ahead of hybrid once
+/// co-location has vanished.
+#[test]
+fn batched_query_load_is_conserved_and_piggybacking_wins_at_scale() {
+    for (gname, g, r) in &instances() {
+        let n = g.node_count();
+        let schedules = schedules(g, r);
+        for (sname, s) in &schedules {
+            for servers in [1usize, 4, 32, 64] {
+                let t = Topology::hash(n, servers, 1);
+                let acct = CostModel::with_topology(t.assignment(), servers).batched(g, r, s);
+                let ctx = format!("{gname}/{sname} @{servers} servers");
+                let load: f64 = acct.query_load.iter().sum();
+                assert!(
+                    (load - acct.query).abs() < 1e-6,
+                    "{ctx}: Σload {load} != query {}",
+                    acct.query
+                );
+                let (mean, var) = acct.load_balance();
+                assert!((mean - 1.0 / servers as f64).abs() < 1e-12, "{ctx}: {mean}");
+                if servers == 32 {
+                    assert!(var < 1e-3, "{ctx}: hash should balance well: {var}");
+                }
+            }
+        }
+        // One server ties every schedule at `requests` (above); here
+        // co-location has vanished.
+        let big = Topology::hash(n, 2000, 0);
+        let total = |name: &str| {
+            let (_, s) = schedules.iter().find(|(n, _)| *n == name).unwrap();
+            CostModel::with_topology(big.assignment(), 2000)
+                .batched(g, r, s)
+                .total()
+        };
+        let (pn, ff) = (total("parallelnosy"), total("hybrid"));
+        assert!(pn < ff, "{gname}: PN should win at scale: {pn} vs {ff}");
     }
 }
 

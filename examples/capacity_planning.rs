@@ -24,15 +24,19 @@ fn main() {
 
     let inst = Instance::new(&graph, &rates);
     let schedulers: [&dyn Scheduler; 2] = [&Hybrid, &ParallelNosy::default()];
-    let [cost_ff, cost_pn] =
-        schedulers.map(|s| PlacementCost::new(&graph, &rates, &s.schedule(&inst).schedule));
+    let [ff, pn] = schedulers.map(|s| s.schedule(&inst).schedule);
+    // Batched (one message per touched server) pricing of a schedule on
+    // `servers` hash-placed servers.
+    let priced = |schedule: &Schedule, servers: usize| {
+        let placement = Topology::hash(graph.node_count(), servers, 1);
+        CostModel::with_topology(placement.assignment(), servers).batched(&graph, &rates, schedule)
+    };
 
     println!("\nservers  hybrid msg-rate  piggyback msg-rate  savings");
     let mut crossover: Option<usize> = None;
     for servers in [1usize, 8, 32, 128, 512, 2048, 8192] {
-        let placement = Topology::hash(graph.node_count(), servers, 1);
-        let a = cost_ff.cost(&placement);
-        let b = cost_pn.cost(&placement);
+        let a = priced(&ff, servers).total();
+        let b = priced(&pn, servers).total();
         if b < a && crossover.is_none() {
             crossover = Some(servers);
         }
@@ -45,17 +49,13 @@ fn main() {
         Some(s) => println!(
             "\npiggybacking starts paying off somewhere at or below {s} servers; \
              beyond it, the same fleet sustains up to {:.0}% more requests",
-            100.0
-                * (cost_ff.cost(&Topology::hash(graph.node_count(), 8192, 1))
-                    / cost_pn.cost(&Topology::hash(graph.node_count(), 8192, 1))
-                    - 1.0)
+            100.0 * (priced(&ff, 8192).total() / priced(&pn, 8192).total() - 1.0)
         ),
         None => println!("\nthis workload never crosses over — stay on hybrid"),
     }
 
     // Load balance check before signing off the plan (Figure 8).
-    let placement = Topology::hash(graph.node_count(), 512, 1);
-    let (mean, var) = cost_pn.load_balance(&placement);
+    let (mean, var) = priced(&pn, 512).load_balance();
     println!(
         "load balance @512 servers: mean share {:.4}, σ {:.5}",
         mean,

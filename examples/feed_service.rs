@@ -1,12 +1,13 @@
-//! A miniature event-stream ("news feed") service: the store prototype of
-//! §4.3 running end-to-end with a piggybacking schedule.
+//! A miniature event-stream ("news feed") service: the serving runtime end
+//! to end — Algorithm 3 of §4.3 over a sharded store — with a piggybacking
+//! schedule.
 //!
 //! The social graph is a celebrity cluster: a group of artists, a curator
 //! who follows all of them, and fans who follow the curator *and* the
 //! artists. The curator's view is a natural hub: artists push into it once,
 //! every fan pulls it once, and all artist→fan edges ride along for free.
 //!
-//! Demonstrates: building the sharded store, sharing events, assembling
+//! Demonstrates: booting the sharded store, sharing events, assembling
 //! feeds, and comparing data-store message counts between schedules — the
 //! quantity that determines real throughput once the store saturates.
 //!
@@ -15,7 +16,7 @@
 //! ```
 
 use social_piggybacking::prelude::*;
-use social_piggybacking::store::cluster::ClusterConfig;
+use social_piggybacking::serve::RpcMode;
 
 const ARTISTS: u32 = 10;
 const CURATOR: u32 = ARTISTS; // node 10
@@ -46,29 +47,35 @@ fn main() {
     );
     assert!(covered > 0, "the curator hub should be exploited");
 
-    // A 4-server store cluster running that schedule.
-    let mut cluster = Cluster::new(
-        &graph,
-        &schedule,
-        ClusterConfig {
-            servers: 4,
-            top_k: 10,
-            ..Default::default()
-        },
-    );
+    // A 4-server store running that schedule, served caller-side (the
+    // embedded deployment: no worker threads).
+    let boot = |schedule: &Schedule, shards: usize| {
+        ServeRuntime::start(
+            graph.clone(),
+            rates.clone(),
+            schedule.clone(),
+            Box::new(Hybrid),
+            ServeConfig {
+                shards,
+                rpc: RpcMode::Direct,
+                ..Default::default()
+            },
+        )
+    };
+    let runtime = boot(&schedule, 4);
+    let mut client = runtime.client();
 
     // Three artists share events; the curator shares one too.
-    for (event_id, artist) in [(1u64, 0u32), (2, 1), (3, 2)] {
-        cluster.share(artist, event_id);
+    for artist in [0, 1, 2, CURATOR] {
+        client.share(artist);
     }
-    cluster.share(CURATOR, 100);
 
     // A fan assembles their feed: artist events must arrive even though
     // most artist→fan edges are never pushed or pulled directly.
     let billie = 11;
-    let (feed, messages) = cluster.query(billie);
+    let (feed, messages) = client.query(billie);
     println!("fan {billie}'s feed ({messages} store messages):");
-    for e in &feed {
+    for e in feed.iter() {
         println!(
             "  event {} from user {} at t={}",
             e.event_id, e.user, e.timestamp
@@ -78,24 +85,30 @@ fn main() {
         feed.iter().filter(|e| e.user < ARTISTS).count() >= 3,
         "fan must see the artists' events"
     );
+    drop(client);
+    assert!(runtime.shutdown().churn.zero_violations());
 
     // Message accounting: replay one trace under both schedules.
     let ff = Hybrid.schedule(&inst).schedule;
-    let cfg = ClusterConfig {
-        servers: 64,
-        ..Default::default()
+    let replay = |schedule: &Schedule| -> u64 {
+        let runtime = boot(schedule, 64);
+        let mut client = runtime.client();
+        let messages = OpTrace::new(&rates, 0.0, 7)
+            .take(50_000)
+            .map(|op| client.apply_op(op))
+            .sum();
+        drop(client);
+        runtime.shutdown();
+        messages
     };
-    let mut t1 = RequestTrace::new(&rates, 7);
-    let mut t2 = RequestTrace::new(&rates, 7);
-    let pn_stats = Cluster::new(&graph, &schedule, cfg).simulate(&mut t1, 50_000);
-    let ff_stats = Cluster::new(&graph, &ff, cfg).simulate(&mut t2, 50_000);
+    let (pn_msgs, ff_msgs) = (replay(&schedule), replay(&ff));
     println!(
         "50k requests on 64 servers: piggybacking {:.3} msgs/req vs hybrid {:.3} msgs/req",
-        pn_stats.messages_per_request(),
-        ff_stats.messages_per_request()
+        pn_msgs as f64 / 50_000.0,
+        ff_msgs as f64 / 50_000.0
     );
     println!(
         "=> {:.1}% fewer data-store messages",
-        100.0 * (1.0 - pn_stats.messages as f64 / ff_stats.messages as f64)
+        100.0 * (1.0 - pn_msgs as f64 / ff_msgs as f64)
     );
 }

@@ -26,13 +26,11 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use social_piggybacking::core::cost::CostModel;
 use social_piggybacking::core::schedule_io::{load_schedule, save_schedule};
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::graph::io::{load_edge_list, save_edge_list};
 use social_piggybacking::graph::stats as gstats;
 use social_piggybacking::prelude::*;
-use social_piggybacking::store::placement::PlacementCost as Pc;
 use social_piggybacking::store::topology::edges_cut;
 
 fn main() -> ExitCode {
@@ -152,6 +150,30 @@ fn parsed<T: std::str::FromStr>(
             .parse()
             .map_err(|_| format!("invalid value for --{key}: {v:?}")),
     }
+}
+
+/// [`parsed`] for a count with a lower bound, checked where the flag is
+/// read — before anything is printed or booted — so an out-of-range value
+/// is a usage error, not a library panic.
+fn at_least(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+    min: usize,
+) -> Result<usize, String> {
+    let v = parsed(flags, key, default)?;
+    if v < min {
+        return Err(format!("--{key} must be at least {min}"));
+    }
+    Ok(v)
+}
+
+/// `--servers` where it is optional: `None` when absent.
+fn optional_servers(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
+    flags
+        .contains_key("servers")
+        .then(|| at_least(flags, "servers", 1, 1))
+        .transpose()
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -305,6 +327,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let nodes: usize = parsed(flags, "nodes", 2000)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
     let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
+    let servers = optional_servers(flags)?;
     let g = match flags.get("graph") {
         Some(path) => {
             // --graph fixes the instance; generation flags would be
@@ -336,18 +359,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let hybrid_cost = Hybrid.schedule(&inst).stats.cost;
     // With --servers, re-price every schedule against a hash topology and
     // append the intra/cross split (batching makes intra-server free).
-    let topology = match flags.get("servers") {
-        Some(v) => {
-            let servers: usize = v
-                .parse()
-                .map_err(|_| "invalid value for --servers".to_string())?;
-            if servers < 1 {
-                return Err("--servers must be at least 1".into());
-            }
-            Some(Topology::hash(g.node_count(), servers, seed))
-        }
-        None => None,
-    };
+    let topology = servers.map(|servers| Topology::hash(g.node_count(), servers, seed));
     match &topology {
         Some(t) => println!(
             "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12} {:>12}",
@@ -410,6 +422,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
+    let servers = optional_servers(flags)?;
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
     let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let rates = Rates::log_degree(&g, ratio);
@@ -427,18 +440,15 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
         "serving:     {} push, {} pull, {} both, {} piggybacked, {} unserved",
         report.push, report.pull, report.both, report.covered, report.unserved
     );
-    if let Some(servers) = flags.get("servers") {
-        let servers: usize = servers
-            .parse()
-            .map_err(|_| "invalid value for --servers".to_string())?;
+    if let Some(servers) = servers {
         let placement = Topology::hash(g.node_count(), servers, 1);
-        let pc = Pc::new(&g, &rates, &schedule);
-        let pc_ff = Pc::new(&g, &rates, &ff);
+        let model = CostModel::with_topology(placement.assignment(), servers);
+        let batched = model.batched(&g, &rates, &schedule);
         println!(
             "@{servers} servers: normalized throughput {:.4} (hybrid {:.4}), load balance σ {:.2e}",
-            pc.normalized_throughput(&placement),
-            pc_ff.normalized_throughput(&placement),
-            pc.load_balance(&placement).1.sqrt()
+            batched.normalized_throughput(),
+            model.batched(&g, &rates, &ff).normalized_throughput(),
+            batched.load_balance().1.sqrt()
         );
     }
     Ok(())
@@ -464,10 +474,30 @@ fn parse_duration(v: &str) -> Result<std::time::Duration, String> {
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = parsed(flags, "seed", 42)?;
+    let servers = at_least(flags, "servers", 64, 1)?;
+    let workers = at_least(flags, "workers", 4, 1)?;
+    let clients = at_least(flags, "clients", 4, 1)?;
+    let replication: usize = parsed(flags, "replication", 1)?;
+    let domains: usize = parsed(flags, "domains", 0)?;
+    if domains > servers {
+        return Err(format!("--domains {domains} exceeds --servers {servers}"));
+    }
+    // Replicas of a view never share a server, nor a failure domain when
+    // domains are given.
+    let spread = if domains > 0 { domains } else { servers };
+    if replication > spread {
+        return Err(format!("--replication must be at most {spread}"));
+    }
     let g = match flags.get("graph") {
-        Some(path) => load_edge_list(path).map_err(|e| e.to_string())?,
+        Some(path) => {
+            let g = load_edge_list(path).map_err(|e| e.to_string())?;
+            if g.node_count() < 2 {
+                return Err(format!("{path}: serve needs at least two users"));
+            }
+            g
+        }
         None => {
-            let nodes: usize = parsed(flags, "nodes", 10_000)?;
+            let nodes = at_least(flags, "nodes", 10_000, 2)?;
             match flags.get("model").map(String::as_str).unwrap_or("flickr") {
                 "flickr" => gen::flickr_like(nodes, seed),
                 "twitter" => gen::twitter_like(nodes, seed),
@@ -501,16 +531,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let rpc = piggyback_serve::RpcMode::parse(rpc_name)
         .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct)"))?;
     let serve_config = ServeConfig {
-        shards: parsed(flags, "servers", 64)?,
+        shards: servers,
         rpc,
-        workers: parsed(flags, "workers", 4)?,
+        workers,
         staleness_budget: std::time::Duration::from_millis(parsed(flags, "staleness-ms", 0)?),
         reopt_threshold: parsed(flags, "reopt-threshold", 0.2)?,
         partition,
         rebalance_threshold: parsed(flags, "rebalance-threshold", f64::INFINITY)?,
         placement_seed: seed,
-        replication: parsed(flags, "replication", 1)?,
-        domains: parsed(flags, "domains", 0)?,
+        replication,
+        domains,
         heartbeat_interval: std::time::Duration::from_millis(parsed(flags, "heartbeat-ms", 0)?),
         ..Default::default()
     };
@@ -519,7 +549,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("--churn-ratio must be in [0, 1]".into());
     }
     let load = HarnessConfig {
-        clients: parsed(flags, "clients", 4)?,
+        clients,
         duration: parse_duration(flags.get("duration").map(String::as_str).unwrap_or("2s"))?,
         churn_ratio,
         arrival: match flags.get("rate") {
@@ -613,10 +643,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
     let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
-    let servers: usize = parsed(flags, "servers", 16)?;
-    if servers < 1 {
-        return Err("--servers must be at least 1".into());
-    }
+    let servers = at_least(flags, "servers", 16, 1)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
     let rates = Rates::log_degree(&g, ratio);
     // Without --schedule the hybrid baseline prices the traffic; with one,
@@ -760,16 +787,19 @@ mod tests {
             &sched,
         ]))
         .unwrap();
-        run(&s(&[
-            "evaluate",
-            "--graph",
-            &graph,
-            "--schedule",
-            &sched,
-            "--servers",
-            "100",
-        ]))
-        .unwrap();
+        // Out-of-range input is a usage error, not a library panic.
+        for (servers, err) in [("100", None), ("0", Some("--servers must be at least 1"))] {
+            let out = run(&s(&[
+                "evaluate",
+                "--graph",
+                &graph,
+                "--schedule",
+                &sched,
+                "--servers",
+                servers,
+            ]));
+            assert_eq!(out.err().as_deref(), err);
+        }
         run(&s(&[
             "analyze",
             "--graph",
@@ -780,6 +810,9 @@ mod tests {
             "5",
         ]))
         .unwrap();
+        std::fs::write(&graph, "").unwrap();
+        let err = run(&s(&["serve", "--graph", &graph])).unwrap_err();
+        assert!(err.contains("at least two users"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1053,6 +1086,23 @@ mod tests {
         assert!(run(&s(&["serve", "--duration", "9e99s"])).is_err());
         assert!(run(&s(&["serve", "--churn-ratio", "1.5"])).is_err());
         assert!(run(&s(&["serve", "--model", "weird"])).is_err());
+    }
+
+    #[test]
+    fn out_of_range_counts_are_usage_errors_not_panics() {
+        for (args, flag) in [
+            ("--servers 0", "--servers"),
+            ("--workers 0", "--workers"),
+            ("--clients 0", "--clients"),
+            ("--nodes 1", "--nodes"),
+            ("--replication 3 --servers 2", "--replication"),
+            ("--replication 3 --domains 2", "--replication"),
+            ("--domains 9 --servers 8", "--domains"),
+        ] {
+            let args: Vec<&str> = args.split(' ').collect();
+            let err = run(&s(&[&["serve"], &args[..]].concat())).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   CHITCHAT approximation algorithm, the PARALLELNOSY heuristic, and
 //!   incremental maintenance.
 //! * [`mapreduce`] — the in-memory MapReduce engine PARALLELNOSY runs on.
-//! * [`store`] — the memcached-style prototype store and placement-aware
-//!   cost models used by the paper's prototype evaluation.
+//! * [`store`] — the memcached-style prototype store: views, shards, the
+//!   cluster topology and its partitioners, the shard-worker protocol.
 //! * [`serve`] — the online feed-serving runtime: live follow/unfollow
 //!   churn through the §3.3 incremental maintenance path, epoch-swapped
 //!   schedules, background re-optimization, replicated shards with
@@ -68,7 +68,9 @@ pub mod prelude {
     pub use piggyback_core::active::ActiveSchedule;
     pub use piggyback_core::baseline::{hybrid_schedule, pull_all_schedule, push_all_schedule};
     pub use piggyback_core::chitchat::{ChitChat, ChitChatResult};
-    pub use piggyback_core::cost::{predicted_improvement, predicted_throughput, schedule_cost};
+    pub use piggyback_core::cost::{
+        predicted_improvement, predicted_throughput, schedule_cost, CostModel,
+    };
     pub use piggyback_core::incremental::IncrementalScheduler;
     pub use piggyback_core::optimal::optimal_schedule;
     pub use piggyback_core::parallelnosy::{ParallelNosy, ParallelNosyResult};
@@ -85,8 +87,6 @@ pub mod prelude {
     pub use piggyback_serve::{
         run_harness, Arrival, HarnessConfig, HarnessReport, ServeClient, ServeConfig, ServeRuntime,
     };
-    pub use piggyback_store::cluster::{Cluster, ClusterConfig};
-    pub use piggyback_store::placement::PlacementCost;
     pub use piggyback_store::topology::{
         partitioner_by_name, partitioners, PartitionRequest, PartitionStrategy, Partitioner,
         Topology,

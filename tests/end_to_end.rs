@@ -3,12 +3,49 @@
 
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::prelude::*;
-use social_piggybacking::store::cluster::ClusterConfig;
+use social_piggybacking::serve::RpcMode;
 
 fn world(nodes: usize, seed: u64) -> (CsrGraph, Rates) {
     let g = gen::flickr_like(nodes, seed);
     let r = Rates::log_degree(&g, 5.0);
     (g, r)
+}
+
+/// The serving runtime for a static `schedule`, served caller-side on
+/// hash-placed shards (placement seed 0 unless `config` says otherwise).
+fn serve(g: &CsrGraph, r: &Rates, schedule: &Schedule, config: ServeConfig) -> ServeRuntime {
+    ServeRuntime::start(
+        g.clone(),
+        r.clone(),
+        schedule.clone(),
+        Box::new(Hybrid),
+        ServeConfig {
+            rpc: RpcMode::Direct,
+            ..config
+        },
+    )
+}
+
+/// Store messages billed for the first `n` requests of the seed-17 trace
+/// under `schedule` on `servers` servers.
+fn replay(g: &CsrGraph, r: &Rates, schedule: &Schedule, servers: usize, n: usize) -> u64 {
+    let rt = serve(
+        g,
+        r,
+        schedule,
+        ServeConfig {
+            shards: servers,
+            ..Default::default()
+        },
+    );
+    let mut client = rt.client();
+    let messages = OpTrace::new(r, 0.0, 17)
+        .take(n)
+        .map(|op| client.apply_op(op))
+        .sum();
+    drop(client);
+    assert!(rt.shutdown().churn.zero_violations());
+    messages
 }
 
 #[test]
@@ -30,37 +67,62 @@ fn full_pipeline_produces_feasible_improving_schedule() {
 #[test]
 fn schedule_drives_store_and_events_flow() {
     let (g, r) = world(600, 9);
+    for schedule in [
+        hybrid_schedule(&g, &r),
+        ParallelNosy::default().run(&g, &r).schedule,
+    ] {
+        // Delivery-semantics check: disable the top-k filter and view
+        // trimming so no event can be legitimately aged out (hub views
+        // aggregate many producers, so even a small-fan-in consumer's
+        // events can fall outside a top-10 window).
+        let rt = serve(
+            &g,
+            &r,
+            &schedule,
+            ServeConfig {
+                shards: 16,
+                top_k: usize::MAX,
+                view_capacity: 0,
+                ..Default::default()
+            },
+        );
+        let mut client = rt.client();
+        // Every user shares once, then every consumer must see its own
+        // event and all its producers'.
+        for u in g.nodes() {
+            client.share(u);
+        }
+        for v in g.nodes() {
+            let (events, _) = client.query(v);
+            for &p in std::iter::once(&v).chain(g.in_neighbors(v)) {
+                assert!(
+                    events.iter().any(|e| e.user == p),
+                    "user {v} missing event from {p}"
+                );
+            }
+        }
+        drop(client);
+        assert!(rt.shutdown().churn.zero_violations());
+    }
+}
+
+#[test]
+fn batching_bills_one_message_per_touched_server() {
+    let (g, r) = world(400, 4);
+    let ff = hybrid_schedule(&g, &r);
     let pn = ParallelNosy::default().run(&g, &r).schedule;
-    // Delivery-semantics check: disable the top-k filter and view trimming
-    // so no event can be legitimately aged out (hub views aggregate many
-    // producers, so even a small-fan-in consumer's events can fall outside
-    // a top-10 window).
-    let mut cluster = Cluster::new(
-        &g,
-        &pn,
-        ClusterConfig {
-            servers: 16,
-            top_k: usize::MAX,
-            view_capacity: 0,
-            ..Default::default()
-        },
+    // One server: every request is exactly one message whatever the
+    // schedule — piggybacking cannot help (left edge of Figure 6).
+    assert_eq!(replay(&g, &r, &ff, 1, 2_000), 2_000);
+    assert_eq!(replay(&g, &r, &pn, 1, 2_000), 2_000);
+    // Many servers: co-location vanishes and piggybacking sends fewer.
+    let (pn_msgs, ff_msgs) = (
+        replay(&g, &r, &pn, 200, 20_000),
+        replay(&g, &r, &ff, 200, 20_000),
     );
-    // Every user shares once, then every consumer must see all producers.
-    for u in g.nodes() {
-        cluster.share(u, 1000 + u as u64);
-    }
-    for v in g.nodes() {
-        if g.in_degree(v) == 0 {
-            continue;
-        }
-        let (events, _) = cluster.query(v);
-        for &p in g.in_neighbors(v) {
-            assert!(
-                events.iter().any(|e| e.user == p),
-                "user {v} missing event from followed producer {p}"
-            );
-        }
-    }
+    assert!(pn_msgs < ff_msgs, "PN {pn_msgs} vs FF {ff_msgs} messages");
+    // A replay is a function of the trace seed.
+    assert_eq!(replay(&g, &r, &pn, 200, 20_000), pn_msgs);
 }
 
 #[test]
@@ -147,34 +209,19 @@ fn timed_trace_respects_bounded_staleness_semantically() {
 
 #[test]
 fn placement_model_matches_simulated_messages() {
-    // The analytic placement-aware cost must agree with the message counts
-    // the simulator observes (law of large numbers over a long trace).
+    // The analytic batched cost must agree with the message counts the
+    // store bills (law of large numbers over a long trace).
     let (g, r) = world(400, 21);
     let pn = ParallelNosy::default().run(&g, &r).schedule;
     let servers = 32;
-    let pc = PlacementCost::new(&g, &r, &pn);
     let placement = Topology::hash(g.node_count(), servers, 0);
-    let analytic_msgs_per_request = {
-        let total_rate: f64 = (0..g.node_count())
-            .map(|u| r.rp(u as u32) + r.rc(u as u32))
-            .sum();
-        pc.cost(&placement) / total_rate
-    };
-    let mut cluster = Cluster::new(
-        &g,
-        &pn,
-        ClusterConfig {
-            servers,
-            placement_seed: 0,
-            ..Default::default()
-        },
-    );
-    let mut trace = RequestTrace::new(&r, 17);
-    let stats = cluster.simulate(&mut trace, 60_000);
-    let simulated = stats.messages_per_request();
-    let rel_err = (simulated - analytic_msgs_per_request).abs() / analytic_msgs_per_request;
+    let analytic = CostModel::with_topology(placement.assignment(), servers)
+        .batched(&g, &r, &pn)
+        .msgs_per_request();
+    let served = replay(&g, &r, &pn, servers, 60_000) as f64 / 60_000.0;
+    let rel_err = (served - analytic).abs() / analytic;
     assert!(
         rel_err < 0.03,
-        "analytic {analytic_msgs_per_request:.3} vs simulated {simulated:.3}"
+        "analytic {analytic:.3} vs served {served:.3}"
     );
 }
