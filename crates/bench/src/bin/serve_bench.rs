@@ -296,8 +296,8 @@ fn run_chaos(args: &Args) {
     let opt = by_name("hybrid").expect("registered scheduler");
     let outcome = opt.schedule(&inst);
     let cost = outcome.stats.cost;
-    // Heartbeat every 5ms: with down_misses = 4 a dead shard is confirmed
-    // in ~20ms, well inside the 50ms Theorem-1 staleness budget a lagging
+    // Heartbeat every 5ms: a dead shard is confirmed `Down` after 4 misses,
+    // ~20ms, well inside the 50ms Theorem-1 staleness budget a lagging
     // replica may legally carry — and that a rejoining shard must fit
     // before readmission.
     let config = ServeConfig {

@@ -1,5 +1,4 @@
-//! Shared harness for the figure-regeneration binaries and criterion
-//! benchmarks.
+//! Shared harness for the figure-regeneration binaries.
 //!
 //! Every binary regenerates one figure of the paper's evaluation (§4) on
 //! scaled-down synthetic stand-ins for the Flickr/Twitter crawls (see

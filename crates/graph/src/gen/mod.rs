@@ -13,26 +13,19 @@
 //!    clustering coefficient of social networks implies the presence of many
 //!    hubs").
 //!
-//! The [`copying`] model delivers both; [`preferential`] gives heavy tails
-//! with moderate clustering; [`watts_strogatz`] gives tunable clustering
-//! with uniform degrees; [`erdos_renyi`] is the low-clustering control.
+//! The [`copying`] model delivers both; [`planted_partition`] adds
+//! community structure; [`erdos_renyi`] is the low-clustering control.
 //! [`presets`] packages `flickr_like` / `twitter_like` configurations used
 //! throughout the benchmark harness.
 
 mod communities;
 mod copying_model;
-mod degree_sequence;
 mod erdos_renyi;
-mod preferential;
 pub mod presets;
 mod reciprocity;
-mod watts_strogatz;
 
 pub use communities::{planted_partition, PlantedPartitionConfig};
 pub use copying_model::{copying, CopyingConfig};
-pub use degree_sequence::{configuration_model, power_law_sequence};
 pub use erdos_renyi::erdos_renyi;
-pub use preferential::preferential;
 pub use presets::{flickr_like, twitter_like};
 pub use reciprocity::add_reciprocity;
-pub use watts_strogatz::watts_strogatz;

@@ -209,11 +209,10 @@ mod tests {
 
     #[test]
     fn streaming_matches_buffered_on_generated_graphs() {
-        use crate::gen::{flickr_like, preferential};
+        use crate::gen::flickr_like;
         for (case, g) in [
             ("er", erdos_renyi(200, 1500, 11)),
             ("flickr", flickr_like(300, 7)),
-            ("pref", preferential(250, 4, 13)),
         ] {
             let mut buf = Vec::new();
             write_edge_list(&g, &mut buf).unwrap();

@@ -12,9 +12,9 @@
 //! * [`DynamicGraph`] — a mutation overlay on top of a [`CsrGraph`] used by
 //!   the incremental-update machinery of the scheduling algorithms (§3.3 of
 //!   the paper).
-//! * [`gen`] — synthetic social-graph generators (Erdős–Rényi, preferential
-//!   attachment, copying model, Watts–Strogatz and the `flickr_like` /
-//!   `twitter_like` presets used by the evaluation harness).
+//! * [`gen`] — synthetic social-graph generators (Erdős–Rényi, copying
+//!   model, planted partition and the `flickr_like` / `twitter_like`
+//!   presets used by the evaluation harness).
 //! * [`sample`] — random-walk and breadth-first subgraph sampling (§4.4).
 //! * [`stats`] — degree distributions, reciprocity, clustering coefficient.
 //! * [`io`] — a plain-text edge-list format for persisting graphs.

@@ -118,8 +118,6 @@ pub struct ServeConfig {
     /// rate added by churn exceeds this fraction of the optimized base
     /// cost (`f64::INFINITY` disables rebalancing).
     pub rebalance_threshold: f64,
-    /// Bound on the operation front-end channels (back-pressure depth).
-    pub queue_depth: usize,
     /// Which shard-RPC plane clients speak (production is
     /// [`RpcMode::Batched`]; [`RpcMode::Direct`] is the embedded mode).
     pub rpc: RpcMode,
@@ -140,18 +138,11 @@ pub struct ServeConfig {
     /// domain-spread so a whole-domain kill can never destroy every copy
     /// of a view.
     pub domains: usize,
-    /// Views per anti-entropy batch while a rejoined shard catches up.
-    /// Each failover-controller tick streams at most this many views to
-    /// each catching-up shard, so catch-up floods can't starve
-    /// foreground operations.
-    pub catchup_batch: usize,
     /// Heartbeat cadence of the failure detector (ZERO = detection off;
-    /// a dead shard is then only noticed at the send seam).
+    /// a dead shard is then only noticed at the send seam). A shard is
+    /// `Suspect` after 2 silent windows and `Down` — the failover trigger
+    /// — after 4.
     pub heartbeat_interval: Duration,
-    /// Consecutive heartbeat misses before a shard turns `Suspect`.
-    pub suspect_misses: u32,
-    /// Consecutive misses before `Down` — the failover trigger.
-    pub down_misses: u32,
     /// Chaos-mode fault injection on the transport (`None` = faultless).
     pub faults: Option<FaultPlan>,
 }
@@ -170,15 +161,11 @@ impl Default for ServeConfig {
             reopt_mode: ReoptMode::Threshold,
             reopt_budget_frac: 0.5,
             rebalance_threshold: f64::INFINITY,
-            queue_depth: 1024,
             rpc: RpcMode::Batched,
             metrics: true,
             replication: 1,
             domains: 0,
-            catchup_batch: 512,
             heartbeat_interval: Duration::ZERO,
-            suspect_misses: 2,
-            down_misses: 4,
             faults: None,
         }
     }
@@ -210,9 +197,7 @@ mod tests {
         // unchanged.
         assert_eq!(c.replication, 1);
         assert_eq!(c.domains, 0, "trivial failure domains by default");
-        assert!(c.catchup_batch >= 1, "anti-entropy must make progress");
         assert_eq!(c.heartbeat_interval, Duration::ZERO);
-        assert!(c.suspect_misses >= 1 && c.down_misses >= c.suspect_misses);
         assert!(c.faults.is_none());
     }
 

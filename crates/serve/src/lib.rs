@@ -34,17 +34,20 @@
 //!   [`ServeRuntime::stats_snapshot`] or dumped periodically by the
 //!   harness (`stats_interval`).
 //! * Fault tolerance — with [`ServeConfig::replication`] ≥ 2 writes fan
-//!   out to every replica slot, reads route to the healthiest replica, a
-//!   heartbeat failure detector ([`piggyback_store::health`]) classifies
-//!   shards Up/Suspect/Down, and the churn manager doubles as a failover
-//!   controller: a dead primary is re-pointed at surviving replicas
+//!   out to every replica slot, reads route to the healthiest replica, and
+//!   a heartbeat failure detector ([`piggyback_store::health`]) classifies
+//!   shards Up/Suspect/Down. The churn manager *calls* the failover
+//!   controller (the private `failover` module) at the heartbeat cadence:
+//!   it owns the shard lifecycle — probing, routing around dead primaries
 //!   through the same epoch-swap machinery after a non-destructive
-//!   catch-up copy. The [`harness`] can kill shards mid-run
-//!   ([`ChaosSpec`]) through the store's fault injector
+//!   catch-up copy, rejoin and budgeted anti-entropy — one state record
+//!   per shard, tickable by hand in its tests. The [`harness`] can kill
+//!   shards mid-run ([`ChaosSpec`]) through the store's fault injector
 //!   ([`piggyback_store::fault`]).
 
 pub mod config;
 pub mod epoch;
+mod failover;
 pub mod harness;
 pub mod metrics;
 pub mod ops;

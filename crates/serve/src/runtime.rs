@@ -28,13 +28,19 @@
 //!   the partition map, moved views are migrated shard-to-shard over the
 //!   wire protocol, and the new topology is published through the same
 //!   epoch swap the schedule uses, so no request ever mixes two maps.
+//!   With heartbeats on, the same thread *calls* the failover controller
+//!   (the private `failover` module) once per heartbeat interval, between
+//!   churn messages. The controller owns the shard lifecycle — one record
+//!   per shard (probe in flight, `Serving`/`FailedOver`/`CatchingUp`), the
+//!   failure-free topology rejoins converge back to, and every decision
+//!   about probing, failover, rejoin and anti-entropy; the manager lends
+//!   it the shard I/O handle and the report it counts into.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
@@ -43,19 +49,21 @@ use piggyback_core::scheduler::{Instance, Scheduler};
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_obs::{set_ambient_events, EventKind, Snapshot};
 use piggyback_store::fault::FaultInjector;
-use piggyback_store::health::{HealthTracker, ShardHealth};
-use piggyback_store::server::{QueryScratch, ShardStats, StoreServer};
+use piggyback_store::health::HealthTracker;
+use piggyback_store::server::{ShardStats, StoreServer};
 use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
-use piggyback_store::worker::{
-    worker_loop, BatchOp, BufferPool, ShardBatch, ShardClient, ShardRequest, Transport,
-};
+use piggyback_store::worker::{worker_loop, BufferPool, ShardClient, ShardRequest, Transport};
 use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
 use crate::config::{ReoptMode, RpcMode, ServeConfig};
 use crate::epoch::{CompiledSets, EpochHandle, EpochReader, ServingSchedule};
+use crate::failover::{reachable, FailoverController, ShardIo, DOWN_MISSES, SUSPECT_MISSES};
 use crate::metrics::{OpRecorder, ServeMetrics};
 use crate::ops::{ChurnMsg, ChurnReport, ReoptResult, ServeReport};
+
+/// Bound on the shard-worker and churn channels (back-pressure depth).
+const QUEUE_DEPTH: usize = 1024;
 
 /// The long-running serving system.
 ///
@@ -144,14 +152,14 @@ impl ServeRuntime {
         let mut worker_handles = Vec::new();
         if config.rpc != RpcMode::Direct {
             for _ in 0..config.workers {
-                let (tx, rx) = bounded::<ShardRequest>(config.queue_depth);
+                let (tx, rx) = bounded::<ShardRequest>(QUEUE_DEPTH);
                 let shards = Arc::clone(&shards);
                 let pool = Arc::clone(&pool);
                 worker_handles.push(std::thread::spawn(move || worker_loop(&shards, &pool, &rx)));
                 senders.push(tx);
             }
         }
-        let (churn_tx, churn_rx) = bounded::<ChurnMsg>(config.queue_depth);
+        let (churn_tx, churn_rx) = bounded::<ChurnMsg>(QUEUE_DEPTH);
         let senders = Arc::new(senders);
         let transport = if config.rpc == RpcMode::Direct {
             Transport::Direct(Arc::clone(&shards))
@@ -168,8 +176,8 @@ impl ServeRuntime {
         let health = (replication > 1 || !config.heartbeat_interval.is_zero()).then(|| {
             Arc::new(HealthTracker::new(
                 config.shards,
-                config.suspect_misses.max(1),
-                config.down_misses.max(config.suspect_misses.max(1)),
+                SUSPECT_MISSES,
+                DOWN_MISSES,
                 config.staleness_budget,
             ))
         });
@@ -180,6 +188,20 @@ impl ServeRuntime {
         // with replication folded in). k = 1 returns the rates untouched,
         // which is what keeps the replication-1 plane bit-identical.
         let sched_rates = rates.push_amplified(replication);
+        // The failover controller runs whenever there are heartbeats to
+        // poll and a detector to feed.
+        let failover = health
+            .clone()
+            .filter(|_| !config.heartbeat_interval.is_zero())
+            .map(|health| {
+                FailoverController::new(
+                    Arc::clone(&handle),
+                    health,
+                    faults.clone(),
+                    metrics.clone(),
+                    config.heartbeat_interval,
+                )
+            });
         let manager = ChurnManager {
             inc: IncrementalScheduler::new(graph, sched_rates.clone(), schedule),
             rates: sched_rates,
@@ -193,9 +215,7 @@ impl ServeRuntime {
             partition: config.partition,
             rebalance_threshold: config.rebalance_threshold,
             placement_seed: config.placement_seed,
-            transport: transport.clone(),
-            pool: Arc::clone(&pool),
-            migrate_scratch: QueryScratch::new(),
+            io: ShardIo::new(transport.clone(), Arc::clone(&pool)),
             rx: churn_rx,
             self_tx: churn_tx.clone(),
             metrics: metrics.clone(),
@@ -205,16 +225,9 @@ impl ServeRuntime {
             replay_log: Vec::new(),
             report: ChurnReport::default(),
             cross_churned: 0.0,
-            health: health.clone(),
-            faults: faults.clone(),
-            heartbeat: config.heartbeat_interval,
-            probes: (0..config.shards).map(|_| None).collect(),
-            failed_over: vec![false; config.shards],
-            desired: topology,
-            catching_up: (0..config.shards).map(|_| None).collect(),
-            catchup_batch: config.catchup_batch.max(1),
+            failover,
         };
-        let churn_handle = std::thread::spawn(move || manager.run());
+        let churn_handle = std::thread::spawn(move || manager.run(config.heartbeat_interval));
         ServeRuntime {
             handle,
             senders,
@@ -265,21 +278,14 @@ impl ServeRuntime {
     /// `serve_batch`, which is what guarantees the differential test's
     /// counter identity.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut scratch = QueryScratch::new();
-        // A chaos-killed shard refuses the scrape like any other request;
-        // it reports as zeros rather than hanging the snapshot.
+        let mut io = ShardIo::new(self.transport.clone(), Arc::clone(&self.pool));
+        // An unreachable shard (chaos-killed or partitioned) cannot answer
+        // the scrape any more than another request; it reports as zeros
+        // rather than hanging the snapshot.
         let pending: Vec<Option<_>> = (0..self.shards_n)
             .map(|shard| {
-                if self.faults.as_ref().is_some_and(|f| f.is_killed(shard)) {
-                    return None;
-                }
-                Some(
-                    self.transport
-                        .request_async(&self.pool, &mut scratch, |done| ShardRequest::Stats {
-                            shard,
-                            done,
-                        }),
-                )
+                reachable(self.faults.as_deref(), shard)
+                    .then(|| io.request(|done| ShardRequest::Stats { shard, done }))
             })
             .collect();
         pending
@@ -325,7 +331,8 @@ impl ServeRuntime {
     /// wire), then the kill is lifted so it answers connections again.
     /// The failover controller notices the recovered heartbeat, re-admits
     /// the shard to the write path, and streams its views back through
-    /// budgeted anti-entropy before reads resume ([`ShardHealth::CatchingUp`]).
+    /// budgeted anti-entropy before reads resume
+    /// ([`ShardHealth::CatchingUp`](piggyback_store::health::ShardHealth)).
     /// Returns `false` when no fault plan is configured or the shard was
     /// not killed.
     pub fn restart_shard(&self, shard: usize) -> bool {
@@ -337,14 +344,10 @@ impl ServeRuntime {
         }
         // Reset *before* revive: the replacement process must be visibly
         // empty from its first answered request.
-        let mut scratch = QueryScratch::new();
-        let rx = self
-            .transport
-            .request_async(&self.pool, &mut scratch, |done| ShardRequest::ResetViews {
-                shard,
-                done,
-            });
-        rx.recv().expect("worker dropped reset reply");
+        ShardIo::new(self.transport.clone(), Arc::clone(&self.pool))
+            .request(|done| ShardRequest::ResetViews { shard, done })
+            .recv()
+            .expect("worker dropped reset reply");
         f.revive(shard)
     }
 
@@ -601,12 +604,9 @@ struct ChurnManager {
     /// the optimized base cost (infinite = disabled).
     rebalance_threshold: f64,
     placement_seed: u64,
-    /// Shard transport, for shard-to-shard view migration.
-    transport: Transport,
-    /// Buffer pool shared with the serving plane (migration replies).
-    pool: Arc<BufferPool>,
-    /// Scratch for caller-runs migration requests.
-    migrate_scratch: QueryScratch,
+    /// The shards, for view migration (lent to the failover controller
+    /// each tick).
+    io: ShardIo,
     rx: Receiver<ChurnMsg>,
     self_tx: Sender<ChurnMsg>,
     /// Shared instrument bundle (`None` when metrics are off).
@@ -627,58 +627,8 @@ struct ChurnManager {
     report: ChurnReport,
     /// Cross-server message rate added by churn since the last rebalance.
     cross_churned: f64,
-    /// Shared failure detector; the churn thread is its prober.
-    health: Option<Arc<HealthTracker>>,
-    /// Fault injector (killed shards must not be probed over the wire).
-    faults: Option<Arc<FaultInjector>>,
-    /// Heartbeat cadence (ZERO = detection off).
-    heartbeat: Duration,
-    /// Outstanding heartbeat probes: per shard, the reply receiver and
-    /// when the current grace window opened (one probe in flight each).
-    probes: Vec<Option<(Receiver<bytes::Bytes>, Instant)>>,
-    /// Shards currently failed over. Not terminal: a failed-over shard
-    /// keeps being probed, and a recovered heartbeat re-enters it through
-    /// anti-entropy catch-up ([`ChurnManager::begin_rejoin`]).
-    failed_over: Vec<bool>,
-    /// The failure-free topology the cluster converges back to as shards
-    /// rejoin. Rebalances update it; failovers never do.
-    desired: Arc<Topology>,
-    /// Per-shard anti-entropy state: `Some` while the shard is streaming
-    /// its backlog back after a rejoin.
-    catching_up: Vec<Option<CatchUp>>,
-    /// Views streamed per catching-up shard per tick (the anti-entropy
-    /// rate limit).
-    catchup_batch: usize,
-}
-
-/// Anti-entropy state of one rejoined shard.
-struct CatchUp {
-    /// Views still owed, each with the replica slots to install to
-    /// (drained from the tail, `catchup_batch` per tick).
-    pending: Vec<(NodeId, Vec<u32>)>,
-    /// Backlog size at rejoin (for the readmit event).
-    behind: usize,
-    /// When the rejoin was detected (phase-timing anchor).
-    since: Instant,
-}
-
-/// Non-destructive read of one whole view (anti-entropy's donor read): a
-/// one-off query batch with unbounded `k` answering into its own channel.
-fn read_view_async(
-    transport: &Transport,
-    pool: &BufferPool,
-    scratch: &mut QueryScratch,
-    shard: usize,
-    view: NodeId,
-) -> Receiver<BytesMut> {
-    transport.request_async(pool, scratch, |reply| {
-        ShardRequest::Batch(ShardBatch {
-            shard,
-            views: vec![view],
-            op: BatchOp::Query { k: usize::MAX },
-            reply,
-        })
-    })
+    /// The shard lifecycle (`None` = heartbeats off or no detector).
+    failover: Option<FailoverController>,
 }
 
 /// Churn overrides above this count are compacted into a fresh compiled
@@ -688,8 +638,8 @@ fn read_view_async(
 const OVERRIDE_COMPACT_LIMIT: usize = 1024;
 
 impl ChurnManager {
-    fn run(mut self) {
-        if self.heartbeat.is_zero() || self.health.is_none() {
+    fn run(mut self, tick: Duration) {
+        if self.failover.is_none() {
             while let Ok(msg) = self.rx.recv() {
                 if self.handle_msg(msg) {
                     return;
@@ -697,11 +647,9 @@ impl ChurnManager {
             }
             return;
         }
-        // Failure-detection mode: the churn thread doubles as the prober,
-        // waking every heartbeat interval even while churn is idle. Under
-        // a busy churn stream the deadline check after each message keeps
-        // the cadence honest.
-        let tick = self.heartbeat;
+        // Failure-detection mode: the churn thread wakes every heartbeat
+        // interval even while churn is idle. Under a busy churn stream the
+        // deadline check after each message keeps the cadence honest.
         let mut next_tick = Instant::now() + tick;
         loop {
             let wait = next_tick.saturating_duration_since(Instant::now());
@@ -715,7 +663,9 @@ impl ChurnManager {
                 Err(RecvTimeoutError::Disconnected) => return,
             }
             if Instant::now() >= next_tick {
-                self.health_tick();
+                if let Some(failover) = &mut self.failover {
+                    failover.tick(&mut self.io, &mut self.report);
+                }
                 next_tick = Instant::now() + tick;
             }
         }
@@ -752,457 +702,6 @@ impl ChurnManager {
                 }
                 let _ = done.send(self.final_report());
                 true
-            }
-        }
-    }
-
-    /// One heartbeat round. Probing is **asynchronous**: each live shard
-    /// has at most one probe in flight, polled with a zero-wait receive
-    /// on later ticks, so a slow data plane never stretches the tick
-    /// cadence. A live shard accrues a miss only when a full grace
-    /// window passes with its probe unanswered, and the window re-arms
-    /// after each miss — `down_misses` misses therefore mean the shard
-    /// answered *nothing* for `down_misses` consecutive windows. Killed
-    /// shards are never probed over the wire (the injector refuses the
-    /// connection) and accrue a miss every tick, so a real death is
-    /// confirmed in `down_misses` ticks regardless of the grace window.
-    /// Runs on the churn thread — the single writer — so failover's
-    /// migrate-then-swap inherits the same race-freedom as rebalancing.
-    fn health_tick(&mut self) {
-        let Some(health) = self.health.clone() else {
-            return;
-        };
-        // Heartbeats share the data-plane queues, so under closed-loop
-        // saturation a probe legitimately waits behind a deep batch
-        // backlog: give replies a generous window. This costs nothing on
-        // true-death detection (killed shards bypass the wire entirely),
-        // it only insulates live-but-busy shards from false positives.
-        let grace = (self.heartbeat * 2).max(Duration::from_millis(100));
-        let shards = health.shards();
-        for s in 0..shards {
-            // A partitioned shard is unreachable on the probe path too:
-            // inbound drops the request, outbound drops the reply —
-            // either way heartbeat silence, which is exactly how a
-            // sustained partial partition is detected.
-            let partitioned = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.partition_of(s).is_some());
-            if self.failed_over[s] {
-                // A failed-over shard is probed for *rejoin*, not for
-                // more misses: the first answered heartbeat re-enters it
-                // through anti-entropy catch-up.
-                if self.faults.as_ref().is_some_and(|f| f.is_killed(s)) || partitioned {
-                    self.probes[s] = None;
-                    continue;
-                }
-                if let Some((rx, since)) = self.probes[s].take() {
-                    match rx.recv_deadline(Instant::now()) {
-                        Ok(_) => {
-                            self.begin_rejoin(s);
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            self.probes[s] = Some((rx, since));
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => continue,
-                    }
-                }
-                let rx =
-                    self.transport
-                        .request_async(&self.pool, &mut self.migrate_scratch, |done| {
-                            ShardRequest::Heartbeat { shard: s, done }
-                        });
-                self.probes[s] = Some((rx, Instant::now()));
-                continue;
-            }
-            if self.faults.as_ref().is_some_and(|f| f.is_killed(s)) || partitioned {
-                // Connection refused (or partitioned): no wire probe,
-                // direct miss.
-                self.probes[s] = None;
-                self.note_miss(&health, s);
-                continue;
-            }
-            if let Some((rx, since)) = self.probes[s].take() {
-                // Zero-deadline receive: pops an arrived reply, never waits.
-                match rx.recv_deadline(Instant::now()) {
-                    Ok(_) => health.record_ok(s),
-                    Err(RecvTimeoutError::Timeout) => {
-                        if since.elapsed() >= grace {
-                            self.note_miss(&health, s);
-                            // Re-arm the window but keep the same probe:
-                            // any late reply still proves liveness.
-                            self.probes[s] = Some((rx, Instant::now()));
-                        } else {
-                            self.probes[s] = Some((rx, since));
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Worker gone (teardown in progress).
-                        self.note_miss(&health, s);
-                        continue;
-                    }
-                }
-            }
-            let rx = self
-                .transport
-                .request_async(&self.pool, &mut self.migrate_scratch, |done| {
-                    ShardRequest::Heartbeat { shard: s, done }
-                });
-            self.probes[s] = Some((rx, Instant::now()));
-        }
-        if let Some(m) = &self.metrics {
-            m.health_suspect.set(health.not_up() as f64);
-            m.replica_lag
-                .set(health.max_live_silence().as_secs_f64() * 1e3);
-        }
-        let mut failed_any = false;
-        for s in 0..shards {
-            if !self.failed_over[s] && health.state(s) == ShardHealth::Down {
-                self.fail_over(s);
-                failed_any = true;
-            }
-        }
-        if failed_any {
-            // Failover amnesty: the catch-up copy just flooded the data
-            // plane, and heartbeat probes queue behind it, so every live
-            // shard now looks silent. Restart detection from a clean
-            // slate — recovery traffic must never be mistaken for more
-            // failures, or one real death cascades into failing over the
-            // whole fleet. Truly dead shards lose nothing: kills are
-            // detected without wire traffic, in `down_misses` ticks.
-            // Catching-up shards are excluded: amnesty must never promote
-            // a rejoined shard to `Up` before its backlog has drained —
-            // only the explicit readmit may do that (the tracker refuses
-            // the promotion too; skipping here keeps its rejoin probe
-            // state intact as well).
-            for s in 0..shards {
-                if !self.failed_over[s]
-                    && self.catching_up[s].is_none()
-                    && !self.faults.as_ref().is_some_and(|f| f.is_killed(s))
-                {
-                    health.record_ok(s);
-                    self.probes[s] = None;
-                }
-            }
-        }
-        self.catchup_tick(&health);
-    }
-
-    /// Records a heartbeat miss, logging the state transition if any.
-    fn note_miss(&mut self, health: &HealthTracker, s: usize) {
-        let miss = health.record_miss(s);
-        if miss.transitioned {
-            if let Some(m) = &self.metrics {
-                m.events().record(EventKind::HeartbeatMiss {
-                    shard: s,
-                    misses: miss.misses,
-                });
-            }
-        }
-    }
-
-    /// Re-points every user whose primary is `dead` at its first
-    /// surviving replica slot, catches newly exposed replica slots up,
-    /// and publishes the new topology epoch. No-op (beyond marking the
-    /// shard terminal) with replication 1 — there is nowhere to go.
-    fn fail_over(&mut self, dead: usize) {
-        self.failed_over[dead] = true;
-        // A shard that dies again mid-catch-up abandons the rejoin; the
-        // next recovered heartbeat starts a fresh one.
-        self.catching_up[dead] = None;
-        let started = Instant::now();
-        let snap = self.handle.load();
-        let old = Arc::clone(snap.topology());
-        let health = match &self.health {
-            Some(h) => Arc::clone(h),
-            None => return,
-        };
-        // Detection phase: first evidence of death (first missed
-        // heartbeat, or the kill instant) to the `Down` verdict landing
-        // here.
-        let detected = health
-            .first_miss_elapsed(dead)
-            .or_else(|| self.faults.as_ref().and_then(|f| f.killed_since(dead)))
-            .unwrap_or_default();
-        self.report.detection_ms += detected.as_secs_f64() * 1e3;
-        if old.replication() < 2 {
-            return;
-        }
-        let faults = self.faults.clone();
-        let dead_set: Vec<bool> = (0..old.servers())
-            .map(|s| {
-                self.failed_over[s]
-                    || health.state(s) == ShardHealth::Down
-                    || faults.as_ref().is_some_and(|f| f.is_killed(s))
-            })
-            .collect();
-        let mut assign = old.assignment().to_vec();
-        let mut moved: Vec<NodeId> = Vec::new();
-        for u in 0..assign.len() as NodeId {
-            if assign[u as usize] as usize != dead {
-                continue;
-            }
-            let Some(next) = old.replica_slots(u).find(|&r| !dead_set[r]) else {
-                // Every replica is gone too — data loss. This is exactly
-                // what domain-blind placement risks under a correlated
-                // (whole-domain) kill and what domain-spread placement
-                // makes impossible for a single-domain failure. Leave the
-                // assignment in place; the count is the measurement.
-                self.report.views_lost += 1;
-                continue;
-            };
-            assign[u as usize] = next as u32;
-            moved.push(u);
-        }
-        let mut new_t =
-            Topology::from_assignment(assign, old.servers()).with_replication(old.replication());
-        if !old.domains().is_empty() {
-            // The repaired topology keeps the failure-domain map: replica
-            // slots of re-homed users stay domain-spread.
-            new_t = new_t.with_domains(old.domains().to_vec());
-        }
-        // Anti-entropy *before* publish: re-pointing a primary exposes
-        // replica slots that never received writes (they were behind the
-        // dead shard in the slot ring). Copy the surviving view in via a
-        // non-destructive read + merge-install — deliberately NOT
-        // ExtractView, which would remove the donor view and open a
-        // window where concurrent queries see nothing.
-        let catch_started = Instant::now();
-        let mut catch_up = 0usize;
-        {
-            let (transport, pool, scratch) =
-                (&self.transport, &self.pool, &mut self.migrate_scratch);
-            let reads: Vec<_> = moved
-                .iter()
-                .map(|&u| read_view_async(transport, pool, scratch, new_t.server_of(u), u))
-                .collect();
-            let mut installs = Vec::new();
-            for (&u, rx) in moved.iter().zip(reads) {
-                let payload = rx.recv().expect("worker dropped catch-up reply").freeze();
-                if payload.is_empty() {
-                    continue;
-                }
-                for slot in new_t.replica_slots(u) {
-                    let had_it = old.replica_slots(u).any(|r| r == slot);
-                    if had_it || dead_set[slot] {
-                        continue;
-                    }
-                    catch_up += 1;
-                    installs.push(transport.request_async(pool, scratch, |done| {
-                        ShardRequest::InstallView {
-                            shard: slot,
-                            view: u,
-                            payload: payload.clone(),
-                            done,
-                        }
-                    }));
-                }
-            }
-            for rx in installs {
-                rx.recv().expect("worker dropped install reply");
-            }
-        }
-        self.handle.swap(snap.with_topology(Arc::new(new_t)));
-        self.report.failovers += 1;
-        self.report.users_failed_over += moved.len() as u64;
-        // Failover phase: `Down` verdict to the repaired epoch publishing.
-        self.report.failover_ms += started.elapsed().as_secs_f64() * 1e3;
-        // The unavailability window runs from the first evidence of death
-        // (first missed heartbeat, or the kill instant if earlier
-        // evidence exists) to the epoch publish that routed around it.
-        let window = health
-            .first_miss_elapsed(dead)
-            .or_else(|| faults.as_ref().and_then(|f| f.killed_since(dead)))
-            .unwrap_or_else(|| started.elapsed());
-        self.report.failover_unavailable_ms += window.as_secs_f64() * 1e3;
-        if let Some(m) = &self.metrics {
-            m.failover_count.inc();
-            m.events().record(EventKind::Failover {
-                shard: dead,
-                moved: moved.len(),
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            });
-            m.events().record(EventKind::CatchUp {
-                views: catch_up,
-                wall_ms: catch_started.elapsed().as_secs_f64() * 1e3,
-            });
-        }
-    }
-
-    /// A failed-over shard answered a heartbeat again: the restarted
-    /// (empty) process is back. Re-admit it to the **write** path
-    /// immediately — the repaired topology restores its desired replica
-    /// slots, so new events flow to it live from this epoch on — but keep
-    /// it out of the **read** path ([`ShardHealth::CatchingUp`] is not
-    /// readable) until anti-entropy has streamed its backlog to parity.
-    fn begin_rejoin(&mut self, s: usize) {
-        let Some(health) = self.health.clone() else {
-            return;
-        };
-        let since = Instant::now();
-        self.failed_over[s] = false;
-        health.mark_catching_up(s);
-        self.report.rejoins += 1;
-        // Rebuild from the failure-free assignment: shards still dead
-        // keep their failed-over repair, the rejoined shard gets its
-        // desired views back. Catching-up shards count as alive here —
-        // writes must flow to them.
-        let snap = self.handle.load();
-        let old = Arc::clone(snap.topology());
-        let desired = Arc::clone(&self.desired);
-        let dead: Vec<bool> = (0..desired.servers())
-            .map(|d| self.failed_over[d] || self.faults.as_ref().is_some_and(|f| f.is_killed(d)))
-            .collect();
-        let mut assign = desired.assignment().to_vec();
-        for u in 0..assign.len() as NodeId {
-            let home = assign[u as usize] as usize;
-            if !dead[home] {
-                continue;
-            }
-            if let Some(next) = desired.replica_slots(u).find(|&r| !dead[r]) {
-                assign[u as usize] = next as u32;
-            }
-        }
-        let mut new_t = Topology::from_assignment(assign, desired.servers())
-            .with_replication(desired.replication());
-        if !desired.domains().is_empty() {
-            new_t = new_t.with_domains(desired.domains().to_vec());
-        }
-        // The anti-entropy backlog: every view with a replica slot on the
-        // rejoined shard (its copy died with the process — or silently
-        // missed writes, if the outage was a partition), plus any slot
-        // the repaired ring newly exposes. Each entry remembers its
-        // install targets; the donor is resolved per batch from whichever
-        // old-ring slot is still alive.
-        let mut pending: Vec<(NodeId, Vec<u32>)> = Vec::new();
-        for u in 0..new_t.users() as NodeId {
-            let targets: Vec<u32> = new_t
-                .replica_slots(u)
-                .filter(|&r| r == s || !old.replica_slots(u).any(|o| o == r))
-                .map(|r| r as u32)
-                .collect();
-            if !targets.is_empty() {
-                pending.push((u, targets));
-            }
-        }
-        let behind = pending.len();
-        self.handle.swap(snap.with_topology(Arc::new(new_t)));
-        self.catching_up[s] = Some(CatchUp {
-            pending,
-            behind,
-            since,
-        });
-        if let Some(m) = &self.metrics {
-            m.events().record(EventKind::Rejoin {
-                shard: s,
-                views_behind: behind,
-            });
-        }
-    }
-
-    /// Streams one budgeted anti-entropy batch to every catching-up
-    /// shard (at most [`ServeConfig::catchup_batch`] views each per
-    /// heartbeat tick, so catch-up floods cannot starve the foreground
-    /// data plane), and readmits a shard to the read path once its
-    /// backlog drains **and** its heartbeat silence fits the Theorem-1
-    /// staleness budget.
-    fn catchup_tick(&mut self, health: &Arc<HealthTracker>) {
-        for s in 0..self.catching_up.len() {
-            let Some(mut cu) = self.catching_up[s].take() else {
-                continue;
-            };
-            // Died again mid-catch-up (kill, partition, or detector
-            // verdict): abandon the rejoin; normal detection owns the
-            // shard from here.
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.is_killed(s) || f.partition_of(s).is_some())
-                || health.state(s) == ShardHealth::Down
-            {
-                continue;
-            }
-            let n = cu.pending.len().min(self.catchup_batch);
-            let batch: Vec<(NodeId, Vec<u32>)> = cu.pending.split_off(cu.pending.len() - n);
-            let remaining = cu.pending.len();
-            if n > 0 {
-                let faults = self.faults.clone();
-                let alive = |r: usize| {
-                    !faults.as_ref().is_some_and(|f| f.is_killed(r))
-                        && health.state(r) != ShardHealth::Down
-                };
-                let snap = self.handle.load();
-                let t = snap.topology();
-                let (transport, pool, scratch) =
-                    (&self.transport, &self.pool, &mut self.migrate_scratch);
-                // Pipelined like every other migration: all donor reads in
-                // flight before the first install streams out. Reads are
-                // non-destructive (a query, not ExtractView): the donor keeps
-                // serving throughout.
-                let reads: Vec<_> = batch
-                    .iter()
-                    .map(|(u, targets)| {
-                        t.replica_slots(*u)
-                            .find(|&r| !targets.contains(&(r as u32)) && alive(r))
-                            .map(|donor| read_view_async(transport, pool, scratch, donor, *u))
-                    })
-                    .collect();
-                let mut installs = Vec::new();
-                for ((u, targets), rx) in batch.iter().zip(reads) {
-                    let Some(rx) = rx else { continue };
-                    let payload = rx.recv().expect("worker dropped catch-up reply").freeze();
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    for &r in targets {
-                        installs.push(transport.request_async(pool, scratch, |done| {
-                            ShardRequest::InstallView {
-                                shard: r as usize,
-                                view: *u,
-                                payload: payload.clone(),
-                                done,
-                            }
-                        }));
-                    }
-                }
-                for rx in installs {
-                    rx.recv().expect("worker dropped install reply");
-                }
-                if let Some(m) = &self.metrics {
-                    m.events().record(EventKind::CatchUpBatch {
-                        shard: s,
-                        views: n,
-                        remaining,
-                    });
-                }
-            }
-            if !cu.pending.is_empty() {
-                self.catching_up[s] = Some(cu);
-                continue;
-            }
-            // Backlog drained and writes have been live since the rejoin
-            // epoch: the shard's worst view lag is now its heartbeat
-            // silence. Readmit only once that fits the staleness budget
-            // (zero budget = no extra gate).
-            let budget = health.laxity();
-            if !budget.is_zero() && health.silence(s) > budget {
-                self.catching_up[s] = Some(cu);
-                continue;
-            }
-            self.report.catchup_ms += cu.since.elapsed().as_secs_f64() * 1e3;
-            if health.readmit(s) {
-                self.report.readmits += 1;
-                self.report.readmit_ms += cu.since.elapsed().as_secs_f64() * 1e3;
-                if let Some(m) = &self.metrics {
-                    m.events().record(EventKind::Readmit {
-                        shard: s,
-                        views: cu.behind,
-                        wall_ms: cu.since.elapsed().as_secs_f64() * 1e3,
-                    });
-                }
             }
         }
     }
@@ -1354,41 +853,16 @@ impl ChurnManager {
             self.cross_churned = 0.0;
             return;
         }
-        let (transport, pool, scratch) = (&self.transport, &self.pool, &mut self.migrate_scratch);
-        let extracts: Vec<_> = moved
-            .iter()
-            .map(|&u| {
-                transport.request_async(pool, scratch, |done| ShardRequest::ExtractView {
-                    shard: old.server_of(u),
-                    view: u,
-                    done,
-                })
-            })
-            .collect();
-        let mut installs = Vec::new();
-        for (&u, rx) in moved.iter().zip(extracts) {
-            let payload = rx.recv().expect("worker dropped extract reply");
-            if !payload.is_empty() {
-                installs.push(transport.request_async(pool, scratch, |done| {
-                    ShardRequest::InstallView {
-                        shard: new.server_of(u),
-                        view: u,
-                        payload,
-                        done,
-                    }
-                }));
-            }
-        }
-        for rx in installs {
-            rx.recv().expect("worker dropped install reply");
-        }
+        let jobs: Vec<(NodeId, usize)> = moved.iter().map(|&u| (u, old.server_of(u))).collect();
+        self.io
+            .copy_views(&jobs, true, |i, to| to.push(new.server_of(jobs[i].0)));
         self.report.users_migrated += moved.len() as u64;
         self.report.rebalances += 1;
         self.cross_churned = 0.0;
         let new = Arc::new(new);
-        // The rebalanced map is the new failure-free baseline rejoins
-        // converge back to.
-        self.desired = Arc::clone(&new);
+        if let Some(failover) = &mut self.failover {
+            failover.set_desired(Arc::clone(&new));
+        }
         self.handle.swap(snap.with_topology(new));
         if let Some(m) = &self.metrics {
             m.events().record(EventKind::Rebalance {

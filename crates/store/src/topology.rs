@@ -332,6 +332,47 @@ impl Topology {
             .filter(|&u| self.server_of(u) != next.server_of(u))
             .collect()
     }
+
+    /// This topology routed around the servers marked in `dead`: every
+    /// user whose primary is dead is re-pointed at its first surviving
+    /// replica slot. Server count, replication and the domain map carry
+    /// over untouched — the spread table is indexed by primary, so the
+    /// replica slots of a re-homed user stay domain-spread. A user whose
+    /// every slot is dead stays where it is and is reported in
+    /// [`Repair::lost`]: exactly what domain-blind placement risks under a
+    /// whole-domain kill and domain-spread placement rules out.
+    pub fn repaired(&self, dead: &[bool]) -> Repair {
+        let mut topology = self.clone();
+        let (mut moved, mut lost) = (Vec::new(), Vec::new());
+        for u in 0..self.users() as NodeId {
+            if !dead[self.server_of(u)] {
+                continue;
+            }
+            match self.replica_slots(u).find(|&r| !dead[r]) {
+                Some(next) => {
+                    topology.shard_of[u as usize] = next as u32;
+                    moved.push(u);
+                }
+                None => lost.push(u),
+            }
+        }
+        Repair {
+            topology,
+            moved,
+            lost,
+        }
+    }
+}
+
+/// Outcome of [`Topology::repaired`].
+#[derive(Clone, Debug)]
+pub struct Repair {
+    /// The repaired map.
+    pub topology: Topology,
+    /// Users re-pointed at a surviving replica slot, ascending.
+    pub moved: Vec<NodeId>,
+    /// Users with no surviving replica slot (left homed on a dead server).
+    pub lost: Vec<NodeId>,
 }
 
 /// Sorts the pre-tagged `(server, view)` pairs in `scratch` and emits one

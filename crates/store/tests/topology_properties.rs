@@ -1,6 +1,6 @@
 //! Property tests for the topology subsystem: conservation of the
-//! server-aware cost accounting (per edge and per batched request), and
-//! determinism of every partitioner.
+//! server-aware cost accounting (per edge and per batched request),
+//! determinism of every partitioner, and failover's topology repair.
 //!
 //! Seeded-RNG style (no proptest in the offline build): each property is
 //! exercised across a grid of graphs, schedules, server counts and seeds.
@@ -261,5 +261,87 @@ fn moved_users_matches_assignment_diff() {
     for u in 0..500u32 {
         let differs = a.server_of(u) != b.server_of(u);
         assert_eq!(moved.contains(&u), differs, "user {u}");
+    }
+}
+
+/// Failover's repair, over every partitioner × replication 1–3 × trivial
+/// and block domains × seeded dead sets: a user ends up homed on a dead
+/// server only if it is reported lost, and it is lost exactly when every
+/// one of its replica slots died; the users touched are exactly those
+/// whose primary died; a re-homed user's slots stay domain-spread; and
+/// the repair is the identity on a healthy fleet and idempotent on a
+/// repaired one.
+#[test]
+fn repaired_routes_around_the_dead_set_or_reports_the_loss() {
+    const SERVERS: usize = 12;
+    for (gname, g, r) in &instances() {
+        let s = hybrid_schedule(g, r);
+        for p in partitioners() {
+            for domains in [None, Some(Topology::block_domains(SERVERS, 4))] {
+                let placed = p.partition(&PartitionRequest {
+                    graph: g,
+                    rates: r,
+                    schedule: Some(&s),
+                    servers: SERVERS,
+                    seed: 11,
+                    domains: domains.as_deref(),
+                });
+                for replication in 1..=3usize {
+                    let t = placed.clone().with_replication(replication);
+                    let ctx = format!(
+                        "{gname}/{} x{replication} domains={}",
+                        p.name(),
+                        domains.is_some()
+                    );
+                    let healthy = t.repaired(&[false; SERVERS]);
+                    assert_eq!(healthy.topology, t, "{ctx}: identity");
+                    assert!(healthy.moved.is_empty() && healthy.lost.is_empty(), "{ctx}");
+                    for seed in 1..=6usize {
+                        let dead: Vec<bool> = (0..SERVERS)
+                            .map(|s| ((seed * 2_654_435_761 + s * s * 40_503) >> 7) % 5 < 2)
+                            .collect();
+                        let fixed = t.repaired(&dead);
+                        for u in 0..t.users() as u32 {
+                            let moved = fixed.moved.binary_search(&u).is_ok();
+                            let lost = fixed.lost.binary_search(&u).is_ok();
+                            let home = fixed.topology.server_of(u);
+                            assert!(
+                                !dead[home] || lost,
+                                "{ctx}/{seed}: {u} homed on dead {home}"
+                            );
+                            assert_eq!(
+                                lost,
+                                t.replica_slots(u).all(|r| dead[r]),
+                                "{ctx}/{seed}: {u} lost <=> every slot dead"
+                            );
+                            assert_eq!(
+                                moved || lost,
+                                dead[t.server_of(u)],
+                                "{ctx}/{seed}: {u} touched <=> its primary died"
+                            );
+                            assert!(!(moved && lost), "{ctx}/{seed}: {u} both moved and lost");
+                            if moved {
+                                let mut in_domains: Vec<u32> = fixed
+                                    .topology
+                                    .replica_slots(u)
+                                    .map(|r| fixed.topology.domain_of(r))
+                                    .collect();
+                                in_domains.sort_unstable();
+                                in_domains.dedup();
+                                assert_eq!(
+                                    in_domains.len(),
+                                    replication,
+                                    "{ctx}/{seed}: {u}'s slots share a domain"
+                                );
+                            }
+                        }
+                        let again = fixed.topology.repaired(&dead);
+                        assert!(again.moved.is_empty(), "{ctx}/{seed}: second repair moved");
+                        assert_eq!(again.lost, fixed.lost, "{ctx}/{seed}");
+                        assert_eq!(again.topology, fixed.topology, "{ctx}/{seed}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -16,9 +16,7 @@
 pub mod edge_costs;
 pub mod rates;
 pub mod trace;
-pub mod zipf;
 
 pub use edge_costs::EdgeCosts;
 pub use rates::Rates;
 pub use trace::{Op, OpTrace, RequestKind, RequestTrace, TimedRequest};
-pub use zipf::{zipf_rates, ZipfConfig};

@@ -91,7 +91,5 @@ pub mod prelude {
         partitioner_by_name, partitioners, PartitionRequest, PartitionStrategy, Partitioner,
         Topology,
     };
-    pub use piggyback_workload::{
-        zipf_rates, Op, OpTrace, Rates, RequestKind, RequestTrace, ZipfConfig,
-    };
+    pub use piggyback_workload::{Op, OpTrace, Rates, RequestKind, RequestTrace};
 }
