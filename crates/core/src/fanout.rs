@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn ambient_event_log_traces_batches() {
-        let log = piggyback_obs::EventLog::new(16);
+        let log = piggyback_obs::EventLog::new(16, piggyback_obs::Clock::monotonic());
         crossbeam::scope(|s| {
             let _guard = piggyback_obs::set_ambient_events(&log);
             let pool: FanoutPool<u32, u32> = FanoutPool::new(s, 2, |_| |x: u32| x + 1);

@@ -17,7 +17,9 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use crate::clock::Clock;
 
 /// What happened (one control-plane transition).
 #[derive(Clone, Debug, PartialEq)]
@@ -189,7 +191,7 @@ impl std::fmt::Display for EventKind {
 pub struct Event {
     /// Monotone sequence number (never reset by eviction).
     pub seq: u64,
-    /// Time since the log was created.
+    /// When, on the log's [`Clock`].
     pub at: Duration,
     /// The transition.
     pub kind: EventKind,
@@ -214,7 +216,7 @@ struct Ring {
 
 struct Shared {
     ring: Mutex<Ring>,
-    origin: Instant,
+    clock: Clock,
     capacity: usize,
 }
 
@@ -234,15 +236,16 @@ impl std::fmt::Debug for EventLog {
 }
 
 impl EventLog {
-    /// Ring holding at most `capacity` events (oldest evicted first).
-    pub fn new(capacity: usize) -> Self {
+    /// Ring holding at most `capacity` events (oldest evicted first),
+    /// each stamped from `clock`.
+    pub fn new(capacity: usize, clock: Clock) -> Self {
         EventLog {
             shared: Arc::new(Shared {
                 ring: Mutex::new(Ring {
                     events: VecDeque::with_capacity(capacity.max(1)),
                     next_seq: 0,
                 }),
-                origin: Instant::now(),
+                clock,
                 capacity: capacity.max(1),
             }),
         }
@@ -250,7 +253,7 @@ impl EventLog {
 
     /// Records one transition, evicting the oldest entry at capacity.
     pub fn record(&self, kind: EventKind) {
-        let at = self.shared.origin.elapsed();
+        let at = Duration::from_nanos(self.shared.clock.now_ns());
         let mut ring = self.shared.ring.lock().unwrap();
         let seq = ring.next_seq;
         ring.next_seq += 1;
@@ -323,12 +326,14 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_keeps_totals() {
-        let log = EventLog::new(3);
+        let clock = Clock::manual();
+        let log = EventLog::new(3, clock.clone());
         for i in 0..5u64 {
             log.record(EventKind::EpochSwap {
                 epoch: i,
                 overrides: 0,
             });
+            clock.advance(Duration::from_millis(1));
         }
         assert_eq!(log.len(), 3);
         assert_eq!(log.total_recorded(), 5);
@@ -336,12 +341,20 @@ mod tests {
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].seq, 2, "oldest surviving event is #2");
         assert_eq!(recent[2].seq, 4);
-        assert!(recent[0].at <= recent[2].at);
+        assert_eq!(
+            recent[0].at,
+            Duration::from_millis(2),
+            "stamped from the clock"
+        );
+        assert_eq!(
+            recent[2].to_string(),
+            "[    0.004s #4] epoch-swap epoch=4 overrides=0"
+        );
     }
 
     #[test]
     fn recent_returns_tail() {
-        let log = EventLog::new(8);
+        let log = EventLog::new(8, Clock::monotonic());
         for i in 0..4u64 {
             log.record(EventKind::EpochSwap {
                 epoch: i,
@@ -355,7 +368,7 @@ mod tests {
 
     #[test]
     fn display_is_greppable() {
-        let log = EventLog::new(4);
+        let log = EventLog::new(4, Clock::monotonic());
         log.record(EventKind::Rebalance {
             moved: 12,
             wall_ms: 3.5,
@@ -367,11 +380,11 @@ mod tests {
     #[test]
     fn ambient_scoping_restores_previous() {
         assert!(ambient_events().is_none());
-        let outer = EventLog::new(4);
+        let outer = EventLog::new(4, Clock::monotonic());
         {
             let _g1 = set_ambient_events(&outer);
             assert!(ambient_events().is_some());
-            let inner = EventLog::new(4);
+            let inner = EventLog::new(4, Clock::monotonic());
             {
                 let _g2 = set_ambient_events(&inner);
                 ambient_events().unwrap().record(EventKind::Rebalance {
@@ -388,7 +401,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_safe() {
-        let log = EventLog::new(64);
+        let log = EventLog::new(64, Clock::monotonic());
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let l = log.clone();

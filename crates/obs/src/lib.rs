@@ -17,17 +17,23 @@
 //!   failovers, fan-out dispatches) that would otherwise vanish between
 //!   a run's start and its final report.
 //!
+//! Both the ring and every control-plane component above this crate read
+//! time from one injected [`Clock`]: the monotonic clock in production, a
+//! hand-advanced one in tests.
+//!
 //! The sequential [`LatencyHistogram`] lives here too (moved from
 //! `piggyback-store`, which re-exports it for compatibility), so harness-
 //! side and server-side percentiles share one bucketing scheme and merge
 //! freely.
 
+pub mod clock;
 pub mod events;
 pub mod histogram;
 pub mod instruments;
 pub mod registry;
 pub mod telemetry;
 
+pub use clock::Clock;
 pub use events::{ambient_events, set_ambient_events, AmbientGuard, Event, EventKind, EventLog};
 pub use histogram::{ConcurrentHistogram, LatencyHistogram, MAX_SAMPLE_NS};
 pub use instruments::{Counter, Gauge};

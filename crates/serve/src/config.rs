@@ -143,7 +143,7 @@ pub struct ServeConfig {
     /// `Suspect` after 2 silent windows and `Down` — the failover trigger
     /// — after 4.
     pub heartbeat_interval: Duration,
-    /// Chaos-mode fault injection on the transport (`None` = faultless).
+    /// Fault injection on the transport (`None` = faultless).
     pub faults: Option<FaultPlan>,
 }
 

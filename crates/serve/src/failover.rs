@@ -3,19 +3,21 @@
 //! [`FailoverController::tick`].
 //!
 //! The churn thread — the single writer, which is what makes
-//! migrate-then-swap race-free — calls `tick` at the heartbeat cadence; a
-//! test calls it by hand. A tick polls every shard's heartbeat, routes
-//! around every shard just declared `Down` (one repair, one copy, one
-//! publish, however many died), and streams one budgeted anti-entropy batch
-//! to every rejoined shard:
+//! migrate-then-swap race-free — calls `tick` at the heartbeat cadence; the
+//! fault matrix (`runtime/fault_matrix.rs`) calls it by hand, on a clock it
+//! advances itself — every instant here is read from the injected
+//! [`Clock`]. A tick polls every shard's heartbeat, routes around every
+//! shard just declared `Down` (one repair, one copy, one publish, however
+//! many died), and streams one budgeted anti-entropy batch to every
+//! rejoined shard:
 //!
 //! ```text
 //!            DOWN_MISSES silent windows            heartbeat answered
 //!  Serving ────────────────────────────▶ FailedOver ─────────────────▶ CatchingUp(backlog)
-//!   ▲  ▲     fail_over: repair current,      ▲    begin_rejoin: repair     │    │
-//!   │  │     copy exposed slots, publish     │    `desired`, publish       │    │
-//!   │  │                                     └──── Down again (backlog dropped) │
-//!   │  └──── unreachable mid-catch-up (abandoned; detection owns the shard) ────┘
+//!   ▲        fail_over: repair current,      ▲    begin_rejoin: repair     │    │
+//!   │        copy exposed slots, publish     │    `desired`, publish       │    │
+//!   │                                        └──── Down again (backlog dropped) │
+//!   │          (unreachable short of `Down`: the backlog waits for the link)    │
 //!   └─────── backlog drained and silence within the staleness budget (readmit) ─┘
 //! ```
 //!
@@ -27,12 +29,12 @@
 //! views move between shards ([`ShardIo::copy_views`], rebalances too).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use piggyback_graph::NodeId;
-use piggyback_obs::EventKind;
+use piggyback_obs::{Clock, EventKind};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::{HealthTracker, ShardHealth};
 use piggyback_store::server::QueryScratch;
@@ -174,15 +176,16 @@ struct Backlog {
     pending: Vec<(NodeId, Vec<usize>)>,
     /// Backlog size at rejoin (for the readmit event).
     behind: usize,
-    /// When the rejoin was detected (phase-timing anchor).
-    since: Instant,
+    /// Clock reading when the rejoin was detected (phase-timing anchor).
+    since_ns: u64,
 }
 
 /// One shard's record.
 #[derive(Default)]
 struct ShardCtl {
-    /// The one heartbeat in flight and when its grace window opened.
-    probe: Option<(Receiver<Bytes>, Instant)>,
+    /// The one heartbeat in flight and the clock reading at which its
+    /// grace window opened.
+    probe: Option<(Receiver<Bytes>, u64)>,
     phase: Phase,
 }
 
@@ -194,6 +197,7 @@ pub(crate) struct FailoverController {
     faults: Option<Arc<FaultInjector>>,
     metrics: Option<Arc<ServeMetrics>>,
     heartbeat: Duration,
+    clock: Clock,
     /// The failure-free topology the cluster converges back to as shards
     /// rejoin. Rebalances update it; failovers never do.
     desired: Arc<Topology>,
@@ -210,6 +214,7 @@ impl FailoverController {
         faults: Option<Arc<FaultInjector>>,
         metrics: Option<Arc<ServeMetrics>>,
         heartbeat: Duration,
+        clock: Clock,
     ) -> Self {
         FailoverController {
             desired: Arc::clone(handle.load().topology()),
@@ -219,6 +224,7 @@ impl FailoverController {
             faults,
             metrics,
             heartbeat,
+            clock,
         }
     }
 
@@ -278,11 +284,11 @@ impl FailoverController {
         (0..self.shards.len()).map(|s| self.is_dead(s)).collect()
     }
 
-    /// How long ago the first evidence of `s`'s death appeared: its first
-    /// missed heartbeat, or the kill instant.
+    /// How long ago the first evidence of `s`'s death appeared: the kill
+    /// instant or its first missed heartbeat, whichever is older.
     fn evidence_age(&self, s: usize) -> Option<Duration> {
-        let killed = || self.faults.as_ref().and_then(|f| f.killed_since(s));
-        self.health.first_miss_elapsed(s).or_else(killed)
+        let killed = self.faults.as_ref().and_then(|f| f.killed_since(s));
+        self.health.first_miss_elapsed(s).max(killed)
     }
 
     /// Polls `s`'s heartbeat. Probing is **asynchronous**: one probe in
@@ -299,20 +305,24 @@ impl FailoverController {
         if !self.reachable(s) {
             return self.note_miss(s);
         }
-        if let Some((rx, since)) = probe {
-            match rx.recv_deadline(Instant::now()) {
+        if let Some((rx, since_ns)) = probe {
+            match rx.recv_timeout(Duration::ZERO) {
                 Ok(_) if self.failed_over(s) => return self.begin_rejoin(s, report),
                 Ok(_) => self.health.record_ok(s),
                 Err(RecvTimeoutError::Timeout) => {
                     let grace = (self.heartbeat * 2).max(Duration::from_millis(100));
-                    let missed = since.elapsed() >= grace;
+                    let missed = self.clock.since(since_ns) >= grace;
                     if missed {
                         self.note_miss(s);
                     }
                     // Keep the same probe — a late reply still proves
                     // liveness — and re-arm the window after a miss.
-                    let since = if missed { Instant::now() } else { since };
-                    self.shards[s].probe = Some((rx, since));
+                    let since_ns = if missed {
+                        self.clock.now_ns()
+                    } else {
+                        since_ns
+                    };
+                    self.shards[s].probe = Some((rx, since_ns));
                     return;
                 }
                 // Worker gone (teardown in progress).
@@ -320,7 +330,7 @@ impl FailoverController {
             }
         }
         let rx = io.request(|done| ShardRequest::Heartbeat { shard: s, done });
-        self.shards[s].probe = Some((rx, Instant::now()));
+        self.shards[s].probe = Some((rx, self.clock.now_ns()));
     }
 
     /// Records a heartbeat miss, logging the state transition if any —
@@ -348,7 +358,7 @@ impl FailoverController {
     /// topology, one copy, one publish. With replication 1 there is
     /// nowhere to go and the shards are only marked.
     fn fail_over(&mut self, down: &[usize], io: &mut ShardIo, report: &mut ChurnReport) {
-        let started = Instant::now();
+        let started_ns = self.clock.now_ns();
         for &s in down {
             // (A shard that died again mid-catch-up drops its backlog.)
             self.shards[s].phase = Phase::FailedOver;
@@ -371,21 +381,21 @@ impl FailoverController {
         report.views_lost += repair.lost.iter().filter(this_round).count() as u64;
         // Copy *before* publish: re-pointing a primary exposes replica
         // slots that never received the view's writes.
-        let copy_started = Instant::now();
+        let copy_started_ns = self.clock.now_ns();
         let jobs: Vec<(NodeId, usize)> = moved.iter().map(|&u| (u, new.server_of(u))).collect();
         let copied = io.copy_views(&jobs, false, |i, to| {
             let u = jobs[i].0;
             let exposed = |&r: &usize| !dead[r] && !old.replica_slots(u).any(|o| o == r);
             to.extend(new.replica_slots(u).filter(exposed));
         });
-        let copy_ms = copy_started.elapsed().as_secs_f64() * 1e3;
+        let copy_ms = self.clock.since(copy_started_ns).as_secs_f64() * 1e3;
         self.handle.swap(snap.with_topology(Arc::new(new)));
         report.failovers += down.len() as u64;
         report.users_failed_over += moved.len() as u64;
         for &s in down {
             // Failover phase: verdict to publish. Unavailability opened
             // earlier, at the first evidence of death.
-            let wall = started.elapsed();
+            let wall = self.clock.since(started_ns);
             report.failover_ms += wall.as_secs_f64() * 1e3;
             report.failover_unavailable_ms +=
                 self.evidence_age(s).unwrap_or(wall).as_secs_f64() * 1e3;
@@ -410,7 +420,7 @@ impl FailoverController {
     /// off the **read** path ([`ShardHealth::CatchingUp`] is not readable)
     /// until anti-entropy has streamed its backlog to parity.
     fn begin_rejoin(&mut self, s: usize, report: &mut ChurnReport) {
-        let since = Instant::now();
+        let since_ns = self.clock.now_ns();
         // Alive from here on: the repair below must not route around it.
         self.shards[s].phase = Phase::Serving;
         self.health.mark_catching_up(s);
@@ -437,7 +447,7 @@ impl FailoverController {
         self.shards[s].phase = Phase::CatchingUp(Backlog {
             pending,
             behind,
-            since,
+            since_ns,
         });
         self.event(EventKind::Rejoin {
             shard: s,
@@ -450,23 +460,20 @@ impl FailoverController {
     /// **and** its heartbeat silence fits the Theorem-1 staleness budget.
     fn catch_up(&mut self, io: &mut ShardIo, report: &mut ChurnReport) {
         for s in 0..self.shards.len() {
-            // Taken out while its batch streams: from here the shard is
-            // `Serving` unless the backlog is put back.
-            let mut backlog = match std::mem::take(&mut self.shards[s].phase) {
-                Phase::CatchingUp(backlog) => backlog,
-                other => {
-                    self.shards[s].phase = other;
-                    continue;
-                }
-            };
-            // Unreachable or `Down` again mid-catch-up: abandon the
-            // rejoin; normal detection owns the shard from here.
-            if !self.reachable(s) || self.health.state(s) == ShardHealth::Down {
+            // Unreachable mid-catch-up: the backlog waits. Either the link
+            // heals and streaming resumes here, or detection declares the
+            // shard `Down`, `fail_over` drops the backlog and the next
+            // rejoin rebuilds it — never `Serving` with views still owed.
+            if !self.reachable(s) {
                 continue;
             }
+            let Phase::CatchingUp(backlog) = &mut self.shards[s].phase else {
+                continue;
+            };
             let n = backlog.pending.len().min(CATCHUP_BATCH);
             let batch = backlog.pending.split_off(backlog.pending.len() - n);
             let remaining = backlog.pending.len();
+            let (behind, since_ns) = (backlog.behind, backlog.since_ns);
             if n > 0 {
                 let snap = self.handle.load();
                 let mut jobs = Vec::with_capacity(n);
@@ -497,217 +504,20 @@ impl FailoverController {
             // that fits the staleness budget (zero = no extra gate).
             let budget = self.health.laxity();
             if remaining > 0 || (!budget.is_zero() && self.health.silence(s) > budget) {
-                self.shards[s].phase = Phase::CatchingUp(backlog);
                 continue;
             }
-            let wall_ms = backlog.since.elapsed().as_secs_f64() * 1e3;
+            self.shards[s].phase = Phase::Serving;
+            let wall_ms = self.clock.since(since_ns).as_secs_f64() * 1e3;
             report.catchup_ms += wall_ms;
             if self.health.readmit(s) {
                 report.readmits += 1;
                 report.readmit_ms += wall_ms;
                 self.event(EventKind::Readmit {
                     shard: s,
-                    views: backlog.behind,
+                    views: behind,
                     wall_ms,
                 });
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    //! The failure lifecycle, ticked by hand: no thread, no sleep. Over
-    //! `Transport::Direct` a probe is answered by the time the next tick
-    //! polls it, and an unreachable shard misses once per tick.
-
-    use super::*;
-    use crate::epoch::{CompiledSets, ServingSchedule};
-    use parking_lot::Mutex;
-    use piggyback_store::fault::{FaultPlan, PartitionDir};
-    use piggyback_store::server::StoreServer;
-    use piggyback_store::worker::ShardClient;
-    use piggyback_store::EventTuple;
-
-    const SHARDS: usize = 8;
-    const USERS: NodeId = 200;
-
-    /// Eight caller-runs shards at replication 2 under a zero fault plan
-    /// and zero laxity, one event written to every view.
-    struct Rig {
-        ctl: FailoverController,
-        io: ShardIo,
-        report: ChurnReport,
-        shards: Arc<Vec<Mutex<StoreServer>>>,
-        faults: Arc<FaultInjector>,
-        health: Arc<HealthTracker>,
-        handle: Arc<EpochHandle>,
-        boot: Arc<Topology>,
-    }
-
-    impl Rig {
-        fn new(domains: Option<Vec<u32>>) -> Rig {
-            let mut boot = Topology::hash(USERS as usize, SHARDS, 7).with_replication(2);
-            if let Some(d) = domains {
-                boot = boot.with_domains(d);
-            }
-            let boot = Arc::new(boot);
-            let shards: Arc<Vec<_>> = Arc::new(
-                (0..SHARDS)
-                    .map(|_| Mutex::new(StoreServer::new(0)))
-                    .collect(),
-            );
-            let transport = Transport::Direct(Arc::clone(&shards));
-            let pool = Arc::new(BufferPool::new());
-            let faults = Arc::new(FaultInjector::new(FaultPlan::default(), SHARDS));
-            let health = Arc::new(HealthTracker::new(
-                SHARDS,
-                SUSPECT_MISSES,
-                DOWN_MISSES,
-                Duration::ZERO,
-            ));
-            let handle = Arc::new(EpochHandle::new(ServingSchedule::from_sets(
-                CompiledSets::default(),
-                Arc::clone(&boot),
-                0,
-            )));
-            let everyone: Vec<NodeId> = (0..USERS).collect();
-            ShardClient::new(transport.clone(), Arc::clone(&pool))
-                .with_resilience(Some(Arc::clone(&health)), Some(Arc::clone(&faults)))
-                .update(&boot, &everyone, EventTuple::new(0, 1, 1).to_wire());
-            Rig {
-                ctl: FailoverController::new(
-                    Arc::clone(&handle),
-                    Arc::clone(&health),
-                    Some(Arc::clone(&faults)),
-                    None,
-                    Duration::from_millis(5),
-                ),
-                io: ShardIo::new(transport, pool),
-                report: ChurnReport::default(),
-                shards,
-                faults,
-                health,
-                handle,
-                boot,
-            }
-        }
-
-        fn ticks(&mut self, n: u32) {
-            for _ in 0..n {
-                self.ctl.tick(&mut self.io, &mut self.report);
-            }
-        }
-
-        fn published(&self) -> Arc<Topology> {
-            Arc::clone(self.handle.load().topology())
-        }
-
-        fn holds(&self, shard: usize, view: NodeId) -> bool {
-            self.shards[shard].lock().view(view).is_some()
-        }
-
-        /// The process-restart lever: empty the shard, then lift the kill.
-        fn restart(&self, shard: usize) {
-            self.shards[shard].lock().reset_views();
-            assert!(self.faults.revive(shard));
-        }
-    }
-
-    #[test]
-    fn kill_fails_over_once_and_a_restart_rejoins_to_the_boot_topology() {
-        let mut rig = Rig::new(None);
-        let homed_on_3 = rig.boot.shard_sizes()[3] as u64;
-        rig.faults.kill(3);
-        rig.ticks(DOWN_MISSES - 1);
-        assert_eq!(rig.health.state(3), ShardHealth::Suspect);
-        assert_eq!(rig.report.failovers, 0, "Suspect is not a verdict");
-
-        rig.ticks(1);
-        assert_eq!(rig.health.state(3), ShardHealth::Down);
-        assert_eq!(rig.report.failovers, 1);
-        assert_eq!(rig.report.views_lost, 0);
-        assert_eq!(rig.report.users_failed_over, homed_on_3);
-        let repaired = rig.published();
-        assert_eq!(repaired.shard_sizes()[3], 0, "nobody is homed on 3");
-        for u in rig.boot.moved_users(&repaired) {
-            for slot in repaired.replica_slots(u) {
-                assert!(
-                    rig.holds(slot, u),
-                    "view {u} missing at exposed slot {slot}"
-                );
-            }
-        }
-
-        rig.ticks(5);
-        assert_eq!(rig.report.failovers, 1, "a dead shard fails over once");
-
-        rig.restart(3);
-        rig.ticks(1);
-        assert_eq!(rig.report.rejoins, 0, "the probe is only just out");
-        rig.ticks(1);
-        assert_eq!((rig.report.rejoins, rig.report.readmits), (1, 1));
-        assert_eq!(rig.health.state(3), ShardHealth::Up);
-        assert_eq!(rig.published(), rig.boot, "converged back to desired");
-        for u in 0..USERS {
-            for slot in rig.boot.replica_slots(u) {
-                assert!(rig.holds(slot, u), "view {u} missing at slot {slot}");
-            }
-        }
-        assert_eq!(rig.report.views_lost, 0);
-    }
-
-    #[test]
-    fn a_whole_domain_kill_is_one_repair_and_loses_views_only_domain_blind() {
-        for spread in [true, false] {
-            let mut rig = Rig::new(spread.then(|| Topology::block_domains(SHARDS, 4)));
-            let epoch = rig.handle.epoch();
-            rig.faults.kill(2);
-            rig.faults.kill(3);
-            rig.ticks(DOWN_MISSES);
-            assert_eq!(rig.report.failovers, 2);
-            assert_eq!(rig.handle.epoch(), epoch + 1, "one publish for both");
-            if spread {
-                assert_eq!(rig.report.views_lost, 0, "a copy survives off-domain");
-            } else {
-                assert!(rig.report.views_lost > 0, "slots {{2, 3}} died together");
-            }
-            // Later ticks neither re-fail the pair nor recount the loss.
-            let lost = rig.report.views_lost;
-            rig.faults.kill(6);
-            rig.ticks(DOWN_MISSES);
-            assert_eq!((rig.report.failovers, rig.report.views_lost), (3, lost));
-        }
-    }
-
-    #[test]
-    fn a_backlog_entry_without_a_live_donor_is_counted_lost() {
-        let mut rig = Rig::new(None);
-        rig.faults.kill(3);
-        rig.ticks(DOWN_MISSES);
-        assert_eq!((rig.report.failovers, rig.report.views_lost), (1, 0));
-        // 3 comes back empty, and its ring neighbour dies before the
-        // backlog streams: views with slots {3, 4} have no live copy.
-        rig.restart(3);
-        rig.faults.kill(4);
-        rig.ticks(2);
-        assert_eq!(rig.report.rejoins, 1);
-        assert!(rig.report.views_lost > 0, "readmitted without those views");
-    }
-
-    #[test]
-    fn amnesty_does_not_pardon_a_partitioned_shard() {
-        let mut rig = Rig::new(None);
-        rig.faults.kill(6);
-        rig.ticks(2);
-        rig.faults.partition(1, PartitionDir::Inbound);
-        rig.ticks(2);
-        assert_eq!(rig.health.state(6), ShardHealth::Down);
-        assert_eq!(rig.report.failovers, 1, "tick 4: 6 fails over, amnesty");
-        rig.ticks(1);
-        assert_ne!(rig.health.state(1), ShardHealth::Down, "three misses");
-        rig.ticks(1);
-        assert_eq!(rig.health.state(1), ShardHealth::Down, "tick 6, not 8");
-        assert_eq!(rig.report.failovers, 2);
     }
 }

@@ -18,7 +18,6 @@ use piggyback_core::schedule::Schedule;
 use piggyback_core::scheduler::Scheduler;
 use piggyback_graph::CsrGraph;
 use piggyback_obs::LatencyHistogram;
-use piggyback_store::fault::PartitionDir;
 use piggyback_workload::{Op, OpTrace, Rates};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,47 +38,6 @@ pub enum Arrival {
     },
 }
 
-/// Chaos injection riding on a harness run: fault shards mid-storm and
-/// let the failure detector + failover controller earn their keep while
-/// the load keeps arriving.
-#[derive(Clone, Debug)]
-pub struct ChaosSpec {
-    /// Distinct shards to fault (each pick is seeded-deterministic).
-    /// Ignored when [`kill_set`](ChaosSpec::kill_set) is given.
-    pub kill_shards: usize,
-    /// When to inject, as a fraction of the configured run duration
-    /// (`0.5` = mid-storm).
-    pub kill_at_frac: f64,
-    /// Fault exactly these shards instead of random picks — the
-    /// correlated whole-domain failure (e.g. every shard of one rack).
-    pub kill_set: Option<Vec<usize>>,
-    /// `None` = crash-kill the picked shards (connection refused).
-    /// `Some(dir)` = partition them one-directionally instead: the
-    /// process stays alive but the link eats requests (inbound) or
-    /// replies (outbound) — the asymmetric fault a crash test never
-    /// exercises.
-    pub partition: Option<PartitionDir>,
-    /// Recover the fault at this fraction of the run: killed shards are
-    /// restarted as fresh **empty** processes
-    /// ([`ServeRuntime::restart_shard`]), partitions heal. Either way the
-    /// failover controller sees heartbeats recover and re-enters the
-    /// shard through anti-entropy catch-up. `None` = the fault is
-    /// permanent for the run.
-    pub recover_at_frac: Option<f64>,
-}
-
-impl Default for ChaosSpec {
-    fn default() -> Self {
-        ChaosSpec {
-            kill_shards: 1,
-            kill_at_frac: 0.5,
-            kill_set: None,
-            partition: None,
-            recover_at_frac: None,
-        }
-    }
-}
-
 /// Load-generation configuration.
 #[derive(Clone, Debug)]
 pub struct HarnessConfig {
@@ -97,9 +55,6 @@ pub struct HarnessConfig {
     /// to stderr every interval. `None` (the default) disables the dumper
     /// thread entirely.
     pub stats_interval: Option<Duration>,
-    /// Kill shards mid-run (`None` = no chaos). Requires a runtime booted
-    /// with replication ≥ 2 and heartbeats on for the load to survive.
-    pub chaos: Option<ChaosSpec>,
 }
 
 impl Default for HarnessConfig {
@@ -111,7 +66,6 @@ impl Default for HarnessConfig {
             arrival: Arrival::Closed,
             seed: 42,
             stats_interval: None,
-            chaos: None,
         }
     }
 }
@@ -203,74 +157,6 @@ pub fn run_harness(
                     }
                     prev = snap;
                     next += interval;
-                }
-            });
-        }
-        if let Some(chaos) = load.chaos.clone() {
-            // Chaos injector: sleep to the configured fraction of the run,
-            // then fault the picked shards. Faults go through the
-            // runtime's injector, so clients see connection refusal (or a
-            // half-dead link) and the heartbeat prober sees silence —
-            // exactly a crashed store process or a broken switch port.
-            let rt = &runtime;
-            let kill_at = start + load.duration.mul_f64(chaos.kill_at_frac.clamp(0.0, 1.0));
-            let recover_at = chaos
-                .recover_at_frac
-                .map(|f| start + load.duration.mul_f64(f.clamp(0.0, 1.0)));
-            let seed = load.seed;
-            s.spawn(move || {
-                let now = Instant::now();
-                if now < kill_at {
-                    std::thread::sleep(kill_at - now);
-                }
-                let shards = rt.shards();
-                let picked: Vec<usize> = match &chaos.kill_set {
-                    // The correlated failure: exactly these shards (a
-                    // whole failure domain), no survivors-guard — losing
-                    // every shard of a domain is the point.
-                    Some(set) => set.iter().copied().filter(|&x| x < shards).collect(),
-                    None => {
-                        let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_5EED);
-                        let mut picked = Vec::new();
-                        while picked.len() < chaos.kill_shards.min(shards.saturating_sub(1)) {
-                            let shard = rng.random_range(0..shards);
-                            if !picked.contains(&shard) {
-                                picked.push(shard);
-                            }
-                        }
-                        picked
-                    }
-                };
-                for &shard in &picked {
-                    match chaos.partition {
-                        Some(dir) => {
-                            if let Some(f) = rt.faults() {
-                                f.partition(shard, dir);
-                            }
-                        }
-                        None => {
-                            rt.kill_shard(shard);
-                        }
-                    }
-                }
-                let Some(recover_at) = recover_at else {
-                    return;
-                };
-                let now = Instant::now();
-                if now < recover_at {
-                    std::thread::sleep(recover_at - now);
-                }
-                for &shard in &picked {
-                    match chaos.partition {
-                        Some(_) => {
-                            if let Some(f) = rt.faults() {
-                                f.heal_partition(shard);
-                            }
-                        }
-                        None => {
-                            rt.restart_shard(shard);
-                        }
-                    }
                 }
             });
         }
@@ -410,7 +296,6 @@ mod tests {
                 arrival: Arrival::Closed,
                 seed: 7,
                 stats_interval: None,
-                chaos: None,
             },
         );
         assert!(report.ops > 0, "no operations completed");
@@ -445,7 +330,6 @@ mod tests {
                 arrival: Arrival::Open { ops_per_sec: 400.0 },
                 seed: 11,
                 stats_interval: None,
-                chaos: None,
             },
         );
         // An uncontended in-process runtime easily sustains 400 op/s, so

@@ -41,9 +41,11 @@
 //!   it owns the shard lifecycle — probing, routing around dead primaries
 //!   through the same epoch-swap machinery after a non-destructive
 //!   catch-up copy, rejoin and budgeted anti-entropy — one state record
-//!   per shard, tickable by hand in its tests. The [`harness`] can kill
-//!   shards mid-run ([`ChaosSpec`]) through the store's fault injector
-//!   ([`piggyback_store::fault`]).
+//!   per shard. Every instant it, the detector and the injector read
+//!   comes from one [`piggyback_obs::Clock`], so the whole lifecycle is
+//!   ticked by hand on a manual clock in the crate's fault matrix
+//!   (`src/runtime/fault_matrix.rs`): one table of seeded scenario rows
+//!   driving the store's fault injector ([`piggyback_store::fault`]).
 
 pub mod config;
 pub mod epoch;
@@ -55,7 +57,7 @@ pub mod runtime;
 
 pub use config::{ReoptMode, RpcMode, ServeConfig};
 pub use epoch::{EpochHandle, EpochReader, ServingSchedule};
-pub use harness::{run_harness, Arrival, ChaosSpec, HarnessConfig, HarnessReport};
+pub use harness::{run_harness, Arrival, HarnessConfig, HarnessReport};
 pub use metrics::ServeMetrics;
 pub use ops::{ChurnReport, ServeReport};
 pub use runtime::{ServeClient, ServeRuntime};

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use piggyback_obs::{ConcurrentHistogram, Counter, EventLog, Gauge, Registry, Snapshot};
+use piggyback_obs::{Clock, ConcurrentHistogram, Counter, EventLog, Gauge, Registry, Snapshot};
 use std::sync::Arc;
 
 /// How many control-plane events the runtime retains. Epoch swaps dominate
@@ -67,17 +67,11 @@ pub struct ServeMetrics {
     pub(crate) reopt_hubs_evicted: Counter,
 }
 
-impl Default for ServeMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServeMetrics {
-    /// Fresh registry + event ring with every serving instrument
-    /// pre-registered (the instrument catalog in the README's
-    /// "Observability" section is generated from these names).
-    pub fn new() -> Self {
+    /// Fresh registry + event ring (stamped from `clock`) with every
+    /// serving instrument pre-registered (the instrument catalog in the
+    /// README's "Observability" section is generated from these names).
+    pub fn new(clock: Clock) -> Self {
         let registry = Registry::new();
         ServeMetrics {
             share_latency: registry.histogram("serve.latency.share"),
@@ -98,7 +92,7 @@ impl ServeMetrics {
             reopt_budget_spent_ms: registry.counter("reopt.budget_spent_ms"),
             reopt_hubs_admitted: registry.counter("reopt.hubs_admitted"),
             reopt_hubs_evicted: registry.counter("reopt.hubs_evicted"),
-            events: EventLog::new(EVENT_CAPACITY),
+            events: EventLog::new(EVENT_CAPACITY, clock),
             registry,
         }
     }
@@ -177,7 +171,7 @@ mod tests {
 
     #[test]
     fn recorder_feeds_the_shared_registry() {
-        let m = ServeMetrics::new();
+        let m = ServeMetrics::new(Clock::monotonic());
         let a = m.recorder();
         let b = m.recorder();
         a.share(Duration::from_micros(10), 3);
@@ -197,7 +191,7 @@ mod tests {
 
     #[test]
     fn catalog_is_registered_up_front() {
-        let m = ServeMetrics::new();
+        let m = ServeMetrics::new(Clock::monotonic());
         let snap = m.snapshot();
         for name in [
             "serve.latency.share",

@@ -45,7 +45,7 @@ pub(crate) struct ReoptResult {
 }
 
 /// What the churn manager did over the runtime's lifetime.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChurnReport {
     /// Follows applied (excluding duplicates of existing edges).
     pub follows_applied: u64,

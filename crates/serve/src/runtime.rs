@@ -35,6 +35,12 @@
 //!   failure-free topology rejoins converge back to, and every decision
 //!   about probing, failover, rejoin and anti-entropy; the manager lends
 //!   it the shard I/O handle and the report it counts into.
+//!
+//! The control plane reads time from one [`Clock`], built here
+//! (monotonic) and handed to the detector, the injector, the controller,
+//! the manager and the event ring. The fault matrix assembles the same
+//! runtime on a manual clock, spawns no churn thread, and calls the
+//! manager's handlers itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,7 +53,7 @@ use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
 use piggyback_core::schedule::Schedule;
 use piggyback_core::scheduler::{Instance, Scheduler};
 use piggyback_graph::{CsrGraph, NodeId};
-use piggyback_obs::{set_ambient_events, EventKind, Snapshot};
+use piggyback_obs::{set_ambient_events, Clock, EventKind, Snapshot};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::HealthTracker;
 use piggyback_store::server::{ShardStats, StoreServer};
@@ -84,7 +90,7 @@ pub struct ServeRuntime {
     /// Shared failure detector (present when replication or heartbeats
     /// are configured).
     health: Option<Arc<HealthTracker>>,
-    /// Chaos fault injector (present when a fault plan is configured).
+    /// Fault injector (present when a fault plan is configured).
     faults: Option<Arc<FaultInjector>>,
     client_counter: AtomicU64,
     worker_handles: Vec<JoinHandle<()>>,
@@ -108,6 +114,24 @@ impl ServeRuntime {
         reopt: Box<dyn Scheduler>,
         config: ServeConfig,
     ) -> Self {
+        let (mut runtime, manager) =
+            Self::assemble(graph, rates, schedule, reopt, config, Clock::monotonic());
+        runtime.churn_handle = Some(std::thread::spawn(move || {
+            manager.run(config.heartbeat_interval)
+        }));
+        runtime
+    }
+
+    /// Everything [`ServeRuntime::start`] builds, on `clock`, with the
+    /// churn manager handed back instead of moved onto its thread.
+    fn assemble(
+        graph: CsrGraph,
+        rates: Rates,
+        schedule: Schedule,
+        reopt: Box<dyn Scheduler>,
+        config: ServeConfig,
+        clock: Clock,
+    ) -> (Self, ChurnManager) {
         assert!(config.shards >= 1 && config.workers >= 1, "need threads");
         assert_eq!(graph.edge_count(), schedule.edge_count());
         assert!(
@@ -166,10 +190,12 @@ impl ServeRuntime {
         } else {
             Transport::Workers(Arc::clone(&senders))
         };
-        let metrics = config.metrics.then(|| Arc::new(ServeMetrics::new()));
+        let metrics = config
+            .metrics
+            .then(|| Arc::new(ServeMetrics::new(clock.clone())));
         let faults = config
             .faults
-            .map(|plan| Arc::new(FaultInjector::new(plan, config.shards)));
+            .map(|plan| Arc::new(FaultInjector::new(plan, config.shards, clock.clone())));
         // The detector exists whenever replicas or heartbeats are in play;
         // the staleness budget is how far a Suspect replica may legally
         // lag and still serve reads.
@@ -179,6 +205,7 @@ impl ServeRuntime {
                 SUSPECT_MISSES,
                 DOWN_MISSES,
                 config.staleness_budget,
+                clock.clone(),
             ))
         });
         // A push edge to a k-replicated consumer fans out to k replica
@@ -200,6 +227,7 @@ impl ServeRuntime {
                     faults.clone(),
                     metrics.clone(),
                     config.heartbeat_interval,
+                    clock.clone(),
                 )
             });
         let manager = ChurnManager {
@@ -211,7 +239,7 @@ impl ServeRuntime {
             reopt_mode: config.reopt_mode,
             reopt_budget_frac: config.reopt_budget_frac.clamp(0.01, 1.0),
             reopt_dirty: false,
-            reopt_next_at: Instant::now(),
+            reopt_next_at_ns: 0,
             partition: config.partition,
             rebalance_threshold: config.rebalance_threshold,
             placement_seed: config.placement_seed,
@@ -221,14 +249,14 @@ impl ServeRuntime {
             metrics: metrics.clone(),
             reopt_in_flight: false,
             reopt_unsupported: false,
-            reopt_started: Instant::now(),
+            reopt_started_ns: 0,
             replay_log: Vec::new(),
             report: ChurnReport::default(),
             cross_churned: 0.0,
             failover,
+            clock,
         };
-        let churn_handle = std::thread::spawn(move || manager.run(config.heartbeat_interval));
-        ServeRuntime {
+        let runtime = ServeRuntime {
             handle,
             senders,
             transport,
@@ -243,8 +271,9 @@ impl ServeRuntime {
             faults,
             client_counter: AtomicU64::new(0),
             worker_handles,
-            churn_handle: Some(churn_handle),
-        }
+            churn_handle: None,
+        };
+        (runtime, manager)
     }
 
     /// A new front-end client with its own event-id namespace.
@@ -279,7 +308,7 @@ impl ServeRuntime {
     /// counter identity.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let mut io = ShardIo::new(self.transport.clone(), Arc::clone(&self.pool));
-        // An unreachable shard (chaos-killed or partitioned) cannot answer
+        // An unreachable shard (killed or partitioned) cannot answer
         // the scrape any more than another request; it reports as zeros
         // rather than hanging the snapshot.
         let pending: Vec<Option<_>> = (0..self.shards_n)
@@ -300,22 +329,17 @@ impl ServeRuntime {
             .collect()
     }
 
-    /// Number of data-store shards.
-    pub fn shards(&self) -> usize {
-        self.shards_n
-    }
-
     /// The shared failure detector, when the runtime carries one.
     pub fn health(&self) -> Option<&Arc<HealthTracker>> {
         self.health.as_ref()
     }
 
-    /// The fault injector, when a chaos plan is configured.
+    /// The fault injector, when a fault plan is configured.
     pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
         self.faults.as_ref()
     }
 
-    /// Chaos control: kills `shard` (it refuses every request from now
+    /// Fault control: kills `shard` (it refuses every request from now
     /// on). Returns `false` when no fault plan is configured — a runtime
     /// without an injector has no kill switches. Detection and failover
     /// proceed through the normal heartbeat path.
@@ -326,7 +350,7 @@ impl ServeRuntime {
         }
     }
 
-    /// Chaos control: restarts a killed `shard` as a fresh, **empty**
+    /// Fault control: restarts a killed `shard` as a fresh, **empty**
     /// process — its views died with the process (`ResetViews` over the
     /// wire), then the kill is lifted so it answers connections again.
     /// The failover controller notices the recovered heartbeat, re-admits
@@ -594,10 +618,10 @@ struct ChurnManager {
     /// was fired — continuous mode has nothing to gain from re-optimizing
     /// an instance identical to the one the optimizer just saw.
     reopt_dirty: bool,
-    /// Continuous mode's budget gate: the earliest instant the next
-    /// re-optimization may fire (pushed out after each run so the
-    /// optimizer occupies at most `reopt_budget_frac` of wall time).
-    reopt_next_at: Instant,
+    /// Continuous mode's budget gate: the earliest clock reading at which
+    /// the next re-optimization may fire (pushed out after each run so
+    /// the optimizer occupies at most `reopt_budget_frac` of wall time).
+    reopt_next_at_ns: u64,
     /// Partitioner the live rebalance re-runs.
     partition: PartitionStrategy,
     /// Rebalance once churn's cross-server cost exceeds this fraction of
@@ -615,9 +639,9 @@ struct ChurnManager {
     /// Set once the optimizer declines the instance (`supports() == false`)
     /// so the freeze-and-check is not repeated on every later churn op.
     reopt_unsupported: bool,
-    /// When the in-flight re-optimization was fired (for the
-    /// [`EventKind::ReoptEnd`] wall time).
-    reopt_started: Instant,
+    /// Clock reading when the in-flight re-optimization was fired (for
+    /// the [`EventKind::ReoptEnd`] wall time).
+    reopt_started_ns: u64,
     /// Mutations applied while a re-optimization is in flight; replayed
     /// onto the fresh schedule before it is swapped in.
     replay_log: Vec<(bool, NodeId, NodeId)>,
@@ -629,6 +653,8 @@ struct ChurnManager {
     cross_churned: f64,
     /// The shard lifecycle (`None` = heartbeats off or no detector).
     failover: Option<FailoverController>,
+    /// The only time source this thread reads.
+    clock: Clock,
 }
 
 /// Churn overrides above this count are compacted into a fresh compiled
@@ -650,9 +676,9 @@ impl ChurnManager {
         // Failure-detection mode: the churn thread wakes every heartbeat
         // interval even while churn is idle. Under a busy churn stream the
         // deadline check after each message keeps the cadence honest.
-        let mut next_tick = Instant::now() + tick;
+        let mut next_tick_ns = self.clock.after(tick);
         loop {
-            let wait = next_tick.saturating_duration_since(Instant::now());
+            let wait = Duration::from_nanos(next_tick_ns.saturating_sub(self.clock.now_ns()));
             match self.rx.recv_timeout(wait) {
                 Ok(msg) => {
                     if self.handle_msg(msg) {
@@ -662,12 +688,17 @@ impl ChurnManager {
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
-            if Instant::now() >= next_tick {
-                if let Some(failover) = &mut self.failover {
-                    failover.tick(&mut self.io, &mut self.report);
-                }
-                next_tick = Instant::now() + tick;
+            if self.clock.now_ns() >= next_tick_ns {
+                self.tick();
+                next_tick_ns = self.clock.after(tick);
             }
+        }
+    }
+
+    /// One heartbeat round of the shard lifecycle.
+    fn tick(&mut self) {
+        if let Some(failover) = &mut self.failover {
+            failover.tick(&mut self.io, &mut self.report);
         }
     }
 
@@ -825,7 +856,7 @@ impl ChurnManager {
     /// `BENCH_placement.json` wall times). Size `rebalance_threshold` so
     /// this stays rare.
     fn rebalance(&mut self) {
-        let started = Instant::now();
+        let started_ns = self.clock.now_ns();
         let snap = self.handle.load();
         let old = Arc::clone(snap.topology());
         // Re-partition the *current* graph under the schedule actually
@@ -867,7 +898,7 @@ impl ChurnManager {
         if let Some(m) = &self.metrics {
             m.events().record(EventKind::Rebalance {
                 moved: moved.len(),
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                wall_ms: self.clock.since(started_ns).as_secs_f64() * 1e3,
             });
         }
     }
@@ -951,7 +982,7 @@ impl ChurnManager {
                 }
             }
             ReoptMode::Continuous => {
-                if !self.reopt_dirty || Instant::now() < self.reopt_next_at {
+                if !self.reopt_dirty || self.clock.now_ns() < self.reopt_next_at_ns {
                     return;
                 }
             }
@@ -970,7 +1001,7 @@ impl ChurnManager {
         // The frozen snapshot captures everything applied so far; churn
         // arriving while the optimizer runs re-dirties the flag.
         self.reopt_dirty = false;
-        self.reopt_started = Instant::now();
+        self.reopt_started_ns = self.clock.now_ns();
         let events = self.metrics.as_ref().map(|m| {
             m.events().record(EventKind::ReoptStart {
                 cost_before: self.inc.cost(),
@@ -1012,12 +1043,12 @@ impl ChurnManager {
         self.inc = fresh;
         self.reopt_in_flight = false;
         self.report.reopts += 1;
-        let elapsed = self.reopt_started.elapsed();
+        let elapsed = self.clock.since(self.reopt_started_ns);
         // Amortized budget: a run of W may occupy at most `frac` of wall
         // time, so the next fires no sooner than W * (1 - frac) / frac
         // from now (frac = 1 re-fires immediately).
         let cooloff = elapsed.mul_f64((1.0 - self.reopt_budget_frac) / self.reopt_budget_frac);
-        self.reopt_next_at = Instant::now() + cooloff;
+        self.reopt_next_at_ns = self.clock.after(cooloff);
         if let Some(m) = &self.metrics {
             m.reopt_stream_passes.add(stats.iterations as u64);
             m.reopt_budget_spent_ms.add(elapsed.as_millis() as u64);
@@ -1049,6 +1080,9 @@ impl ChurnManager {
         report
     }
 }
+
+#[cfg(test)]
+mod fault_matrix;
 
 #[cfg(test)]
 mod tests {

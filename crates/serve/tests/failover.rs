@@ -2,6 +2,12 @@
 //! failure detector to notice, the failover controller to re-point the
 //! dead primary at its surviving replica, and the run to finish with the
 //! paper's bounded-staleness invariant intact.
+//!
+//! The lifecycle itself is checked row by row on a virtual clock in the
+//! crate's fault matrix (`src/runtime/fault_matrix.rs`). This is the
+//! real-thread smoke that stays: with `stats_wire.rs`'s replicated case,
+//! the only check that the churn thread's `recv_timeout` loop really
+//! ticks the controller at the heartbeat cadence on the monotonic clock.
 
 use std::time::{Duration, Instant};
 
@@ -63,7 +69,6 @@ fn killed_shard_fails_over_and_queries_keep_answering() {
             Instant::now() < deadline,
             "no failover within 10s of killing shard 3"
         );
-        std::thread::sleep(Duration::from_millis(2));
     }
 
     // Post-failover: the data plane must still answer everything —

@@ -102,7 +102,6 @@ fn harness_sustains_concurrent_churn() {
             arrival: Arrival::Closed,
             seed: 21,
             stats_interval: Some(Duration::from_millis(100)),
-            chaos: None,
         },
     );
     assert!(report.ops > 0);
@@ -155,7 +154,6 @@ fn piggybacking_reduces_online_messages() {
         arrival: Arrival::Closed,
         seed: 33,
         stats_interval: None,
-        chaos: None,
     };
     let run = |name: &str| run_harness(&g, &r, mk(name), by_name("hybrid").unwrap(), cfg, &load);
     let push_all = run("push-all");

@@ -1,5 +1,5 @@
-//! Deterministic fault injection on the shard transport — the chaos
-//! harness's hand on the wire.
+//! Deterministic fault injection on the shard transport — the fault
+//! matrix's hand on the wire.
 //!
 //! A [`FaultInjector`] sits at the batch send seam (see
 //! [`ShardClient`](crate::worker::ShardClient)) and perturbs delivery the
@@ -9,15 +9,15 @@
 //!   (the connection-refused model): no message is delivered, no reply
 //!   arrives, and the refusal is visible to the health tracker
 //!   immediately. A kill lasts until an explicit
-//!   [`FaultInjector::revive`] — the chaos harness's "restart the
-//!   process" lever, which feeds the rejoin/anti-entropy lifecycle.
+//!   [`FaultInjector::revive`] — the "restart the process" lever, which
+//!   feeds the rejoin/anti-entropy lifecycle.
 //! * **Partition** — a sticky *one-directional* link failure on one
 //!   shard: `Inbound` silently drops every request toward the shard
 //!   (state never mutates, no reply arrives); `Outbound` delivers the
 //!   request (state mutates) but loses the reply. Either direction
 //!   starves the heartbeat prober, so the detector walks the shard
 //!   `Suspect → Down` without any process dying — the asymmetric gray
-//!   failure the chaos matrix sweeps.
+//!   failure the fault matrix sweeps.
 //! * **Drop** — an update batch is lost on the wire after the transport
 //!   acked it (fire-and-forget write semantics): the sender proceeds, the
 //!   payload never reaches the shard. Queries are never dropped — a
@@ -28,16 +28,17 @@
 //! * **Delay** — the batch is held for a fixed interval before delivery.
 //!
 //! Decisions are a pure function of `(seed, decision counter)` via a
-//! splitmix64 draw, so a chaos run with a fixed seed perturbs the same
-//! *n*-th message every time regardless of thread interleaving.
+//! splitmix64 draw, so a run with a fixed seed perturbs the same *n*-th
+//! message every time regardless of thread interleaving.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use piggyback_obs::Clock;
 
 /// Probabilities (in per-mille) and parameters of the injected faults.
 /// Kills are not part of the plan — they are explicit
-/// [`FaultInjector::kill`] calls (the chaos harness kills shards at a
-/// scheduled instant).
+/// [`FaultInjector::kill`] calls.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultPlan {
     /// Determinism seed for the per-message draws.
@@ -61,7 +62,7 @@ pub enum FaultDecision {
     DropUpdate,
     /// Deliver twice back-to-back.
     Duplicate,
-    /// Sleep [`FaultPlan::delay`], then deliver.
+    /// Hold the sender for [`FaultPlan::delay`], then deliver.
     Delay,
 }
 
@@ -81,14 +82,14 @@ pub enum PartitionDir {
 pub struct FaultInjector {
     plan: FaultPlan,
     killed: Vec<AtomicBool>,
-    /// Nanoseconds since `origin` at kill time (0 = alive) — the honest
-    /// start of the unavailability window.
+    /// Clock reading at kill time (0 = alive) — the honest start of the
+    /// unavailability window.
     killed_at_ns: Vec<AtomicU64>,
     /// Per-shard one-directional partition: 0 = none, 1 = inbound
     /// requests lost, 2 = outbound replies lost. Sticky until
     /// [`FaultInjector::heal_partition`].
     partitioned: Vec<AtomicU8>,
-    origin: Instant,
+    clock: Clock,
     counter: AtomicU64,
     dropped: AtomicU64,
     duplicated: AtomicU64,
@@ -105,14 +106,15 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl FaultInjector {
-    /// Injector over `shards` shards executing `plan`.
-    pub fn new(plan: FaultPlan, shards: usize) -> Self {
+    /// Injector over `shards` shards executing `plan`; kills are stamped
+    /// from, and delays pass on, `clock`.
+    pub fn new(plan: FaultPlan, shards: usize, clock: Clock) -> Self {
         FaultInjector {
             plan,
             killed: (0..shards).map(|_| AtomicBool::new(false)).collect(),
             killed_at_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             partitioned: (0..shards).map(|_| AtomicU8::new(0)).collect(),
-            origin: Instant::now(),
+            clock,
             counter: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -122,18 +124,12 @@ impl FaultInjector {
         }
     }
 
-    /// The configured plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Kills `shard` (until [`FaultInjector::revive`]). Returns whether
     /// this call was the one that killed it.
     pub fn kill(&self, shard: usize) -> bool {
         let first = !self.killed[shard].swap(true, Ordering::Relaxed);
         if first {
-            let ns = self.origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            self.killed_at_ns[shard].store(ns.max(1), Ordering::Relaxed);
+            self.killed_at_ns[shard].store(self.clock.now_ns().max(1), Ordering::Relaxed);
         }
         first
     }
@@ -193,11 +189,7 @@ impl FaultInjector {
     /// How long `shard` has been dead, if it is.
     pub fn killed_since(&self, shard: usize) -> Option<Duration> {
         let at = self.killed_at_ns[shard].load(Ordering::Relaxed);
-        (at != 0).then(|| {
-            self.origin
-                .elapsed()
-                .saturating_sub(Duration::from_nanos(at))
-        })
+        (at != 0).then(|| self.clock.since(at))
     }
 
     /// Shards currently dead.
@@ -234,6 +226,12 @@ impl FaultInjector {
         FaultDecision::Deliver
     }
 
+    /// Holds the calling sender for [`FaultPlan::delay`] — what a
+    /// [`FaultDecision::Delay`] costs.
+    pub fn delay(&self) {
+        self.clock.sleep(self.plan.delay);
+    }
+
     /// Records one refused (killed-shard) send.
     pub fn note_refused(&self) {
         self.refused.fetch_add(1, Ordering::Relaxed);
@@ -256,19 +254,36 @@ mod tests {
 
     #[test]
     fn kill_is_sticky_and_timed() {
-        let f = FaultInjector::new(FaultPlan::default(), 4);
+        let clock = Clock::manual();
+        let f = FaultInjector::new(FaultPlan::default(), 4, clock.clone());
+        clock.advance(Duration::from_millis(3));
         assert!(!f.is_killed(2));
         assert!(f.kill(2), "first kill reports the transition");
+        clock.advance(Duration::from_millis(20));
         assert!(!f.kill(2), "second kill is a no-op");
         assert!(f.is_killed(2));
         assert_eq!(f.killed_count(), 1);
-        assert!(f.killed_since(2).is_some());
+        assert_eq!(f.killed_since(2), Some(Duration::from_millis(20)));
         assert!(f.killed_since(0).is_none());
     }
 
     #[test]
+    fn a_delay_passes_on_the_injected_clock() {
+        let plan = FaultPlan {
+            delay_per_mille: 1000,
+            delay: Duration::from_millis(1),
+            ..FaultPlan::default()
+        };
+        let clock = Clock::manual();
+        let f = FaultInjector::new(plan, 1, clock.clone());
+        assert_eq!(f.decide(false), FaultDecision::Delay);
+        f.delay();
+        assert_eq!(clock.now_ns(), 1_000_000, "no wall time spent");
+    }
+
+    #[test]
     fn revive_clears_the_kill() {
-        let f = FaultInjector::new(FaultPlan::default(), 4);
+        let f = FaultInjector::new(FaultPlan::default(), 4, Clock::monotonic());
         assert!(!f.revive(1), "reviving a live shard is a no-op");
         f.kill(1);
         assert!(f.revive(1));
@@ -280,7 +295,7 @@ mod tests {
 
     #[test]
     fn partitions_are_sticky_directional_and_healable() {
-        let f = FaultInjector::new(FaultPlan::default(), 3);
+        let f = FaultInjector::new(FaultPlan::default(), 3, Clock::monotonic());
         assert_eq!(f.partition_of(0), None);
         f.partition(0, PartitionDir::Inbound);
         f.partition(2, PartitionDir::Outbound);
@@ -298,7 +313,7 @@ mod tests {
 
     #[test]
     fn zero_plan_always_delivers() {
-        let f = FaultInjector::new(FaultPlan::default(), 1);
+        let f = FaultInjector::new(FaultPlan::default(), 1, Clock::monotonic());
         for _ in 0..100 {
             assert_eq!(f.decide(true), FaultDecision::Deliver);
         }
@@ -315,7 +330,7 @@ mod tests {
             delay: Duration::ZERO,
         };
         let run = || {
-            let f = FaultInjector::new(plan, 1);
+            let f = FaultInjector::new(plan, 1, Clock::monotonic());
             (0..2000).map(|_| f.decide(true)).collect::<Vec<_>>()
         };
         let a = run();
@@ -336,7 +351,7 @@ mod tests {
             drop_update_per_mille: 1000,
             ..FaultPlan::default()
         };
-        let f = FaultInjector::new(plan, 1);
+        let f = FaultInjector::new(plan, 1, Clock::monotonic());
         for _ in 0..100 {
             assert_ne!(f.decide(false), FaultDecision::DropUpdate);
         }

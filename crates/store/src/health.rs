@@ -27,7 +27,9 @@
 //! the state — a slow catch-up cannot be prematurely marked healthy.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use piggyback_obs::Clock;
 
 /// Liveness verdict for one shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,18 +65,18 @@ pub struct MissOutcome {
 struct ShardSlot {
     state: AtomicU8,
     misses: AtomicU32,
-    /// Nanoseconds since `origin` of the last successful heartbeat
-    /// (0 = "fresh at boot": an empty shard lags nothing).
+    /// Clock reading at the last successful heartbeat (0 = "fresh at
+    /// boot": an empty shard lags nothing).
     last_ok_ns: AtomicU64,
-    /// Nanoseconds since `origin` of the first miss of the current bad
-    /// streak (0 = none) — the start of the unavailability window.
+    /// Clock reading at the first miss of the current bad streak
+    /// (0 = none) — the start of the unavailability window.
     first_miss_ns: AtomicU64,
 }
 
 /// Lock-free per-shard health registry shared between the prober (writes)
 /// and every read-routing client (reads).
 pub struct HealthTracker {
-    origin: Instant,
+    clock: Clock,
     laxity: Duration,
     suspect_after: u32,
     down_after: u32,
@@ -88,11 +90,18 @@ pub struct HealthTracker {
 impl HealthTracker {
     /// Tracker over `shards` shards. `suspect_after`/`down_after` are
     /// consecutive-miss thresholds; `laxity` is the staleness budget a
-    /// `Suspect` replica may lag and still serve reads.
-    pub fn new(shards: usize, suspect_after: u32, down_after: u32, laxity: Duration) -> Self {
+    /// `Suspect` replica may lag and still serve reads; every instant is
+    /// read from `clock`.
+    pub fn new(
+        shards: usize,
+        suspect_after: u32,
+        down_after: u32,
+        laxity: Duration,
+        clock: Clock,
+    ) -> Self {
         assert!(suspect_after >= 1 && down_after >= suspect_after);
         HealthTracker {
-            origin: Instant::now(),
+            clock,
             laxity,
             suspect_after,
             down_after,
@@ -118,17 +127,13 @@ impl HealthTracker {
         self.laxity
     }
 
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
-
     /// Records a successful heartbeat: shard snaps back to `Up` — unless
     /// it is `CatchingUp`, where the success refreshes liveness (last-ok,
     /// miss streak) but never promotes; only [`HealthTracker::readmit`]
     /// does, once anti-entropy has it within the staleness budget.
     pub fn record_ok(&self, shard: usize) {
         let s = &self.shards[shard];
-        s.last_ok_ns.store(self.now_ns(), Ordering::Relaxed);
+        s.last_ok_ns.store(self.clock.now_ns(), Ordering::Relaxed);
         s.misses.store(0, Ordering::Relaxed);
         s.first_miss_ns.store(0, Ordering::Relaxed);
         if s.state.load(Ordering::Relaxed) != CATCHING_UP {
@@ -145,7 +150,7 @@ impl HealthTracker {
         let misses = s.misses.fetch_add(1, Ordering::Relaxed) + 1;
         if misses == 1 {
             s.first_miss_ns
-                .store(self.now_ns().max(1), Ordering::Relaxed);
+                .store(self.clock.now_ns().max(1), Ordering::Relaxed);
         }
         let prev = s.state.load(Ordering::Relaxed);
         let next = if misses >= self.down_after {
@@ -170,7 +175,7 @@ impl HealthTracker {
     /// [`HealthTracker::readmit`].
     pub fn mark_catching_up(&self, shard: usize) {
         let s = &self.shards[shard];
-        s.last_ok_ns.store(self.now_ns(), Ordering::Relaxed);
+        s.last_ok_ns.store(self.clock.now_ns(), Ordering::Relaxed);
         s.misses.store(0, Ordering::Relaxed);
         s.first_miss_ns.store(0, Ordering::Relaxed);
         s.state.store(CATCHING_UP, Ordering::Relaxed);
@@ -179,17 +184,13 @@ impl HealthTracker {
     /// Promotes a `CatchingUp` shard back to `Up` once anti-entropy has
     /// restored it within the staleness budget. Returns whether the shard
     /// was actually catching up (a no-op otherwise keeps the state
-    /// machine honest under races with a re-death).
+    /// machine honest under races with a re-death). Its silence is left
+    /// as measured: a readmit is a verdict, not a heartbeat.
     pub fn readmit(&self, shard: usize) -> bool {
-        let s = &self.shards[shard];
-        let swapped = s
+        self.shards[shard]
             .state
             .compare_exchange(CATCHING_UP, UP, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok();
-        if swapped {
-            s.last_ok_ns.store(self.now_ns(), Ordering::Relaxed);
-        }
-        swapped
+            .is_ok()
     }
 
     /// Declares a shard dead without waiting for misses to accrue (used
@@ -199,7 +200,7 @@ impl HealthTracker {
         s.misses.fetch_max(self.down_after, Ordering::Relaxed);
         if s.first_miss_ns.load(Ordering::Relaxed) == 0 {
             s.first_miss_ns
-                .store(self.now_ns().max(1), Ordering::Relaxed);
+                .store(self.clock.now_ns().max(1), Ordering::Relaxed);
         }
         s.state.store(DOWN, Ordering::Relaxed);
     }
@@ -211,8 +212,8 @@ impl HealthTracker {
 
     /// Time since `shard` last answered a heartbeat (since boot if never).
     pub fn silence(&self, shard: usize) -> Duration {
-        let last = self.shards[shard].last_ok_ns.load(Ordering::Relaxed);
-        Duration::from_nanos(self.now_ns().saturating_sub(last))
+        self.clock
+            .since(self.shards[shard].last_ok_ns.load(Ordering::Relaxed))
     }
 
     /// Whether `shard` is a legal read target right now: `Up` always,
@@ -259,7 +260,7 @@ impl HealthTracker {
     /// — the unavailability window failover closes.
     pub fn first_miss_elapsed(&self, shard: usize) -> Option<Duration> {
         let at = self.shards[shard].first_miss_ns.load(Ordering::Relaxed);
-        (at != 0).then(|| Duration::from_nanos(self.now_ns().saturating_sub(at)))
+        (at != 0).then(|| self.clock.since(at))
     }
 }
 
@@ -276,9 +277,16 @@ fn decode(raw: u8) -> ShardHealth {
 mod tests {
     use super::*;
 
+    /// A tracker on a hand-advanced clock.
+    fn tracker(shards: usize, suspect: u32, down: u32, laxity: Duration) -> (HealthTracker, Clock) {
+        let clock = Clock::manual();
+        let h = HealthTracker::new(shards, suspect, down, laxity, clock.clone());
+        (h, clock)
+    }
+
     #[test]
     fn misses_walk_up_suspect_down_and_ok_resets() {
-        let h = HealthTracker::new(2, 2, 4, Duration::from_millis(50));
+        let (h, _) = tracker(2, 2, 4, Duration::from_millis(50));
         assert_eq!(h.state(0), ShardHealth::Up);
 
         let m1 = h.record_miss(0);
@@ -305,18 +313,24 @@ mod tests {
     }
 
     #[test]
-    fn suspect_is_readable_within_laxity_down_never() {
-        let h = HealthTracker::new(1, 1, 3, Duration::from_secs(3600));
+    fn suspect_is_readable_up_to_the_laxity_exactly_down_never() {
+        let laxity = Duration::from_millis(50);
+        let (h, clock) = tracker(2, 1, 3, laxity);
+        h.record_ok(0);
         h.record_miss(0);
         assert_eq!(h.state(0), ShardHealth::Suspect);
-        assert!(
-            h.is_readable(0),
-            "silence is microseconds, laxity an hour: legal read target"
-        );
+        assert!(h.is_readable(0), "no silence yet: a legal read target");
+        clock.advance(laxity);
+        assert_eq!(h.silence(0), laxity);
+        assert!(h.is_readable(0), "silence == laxity is still inside it");
+        clock.advance(Duration::from_nanos(1));
+        assert!(!h.is_readable(0), "one nanosecond past the laxity is not");
+        assert!(h.is_readable(1), "an Up shard is readable however silent");
 
-        let tight = HealthTracker::new(1, 1, 3, Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(2));
+        let (tight, clock) = tracker(1, 1, 3, Duration::ZERO);
         tight.record_miss(0);
+        assert!(tight.is_readable(0), "zero silence fits zero laxity");
+        clock.advance(Duration::from_nanos(1));
         assert!(!tight.is_readable(0), "zero laxity excludes any silence");
 
         h.mark_down(0);
@@ -325,16 +339,40 @@ mod tests {
     }
 
     #[test]
-    fn readable_lag_high_water_tracks_note_read() {
-        let h = HealthTracker::new(1, 2, 4, Duration::from_secs(1));
+    fn readable_lag_high_water_tracks_note_read_exactly() {
+        let (h, clock) = tracker(1, 2, 4, Duration::from_secs(1));
         assert_eq!(h.max_readable_lag(), Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(2));
+        clock.advance(Duration::from_millis(2));
         h.note_read(0);
-        assert!(h.max_readable_lag() >= Duration::from_millis(2));
-        let before = h.max_readable_lag();
+        assert_eq!(h.max_readable_lag(), Duration::from_millis(2));
         h.record_ok(0);
+        clock.advance(Duration::from_millis(1));
         h.note_read(0);
-        assert!(h.max_readable_lag() >= before, "high-water never regresses");
+        assert_eq!(
+            h.max_readable_lag(),
+            Duration::from_millis(2),
+            "high-water never regresses"
+        );
+        clock.advance(Duration::from_millis(2));
+        h.note_read(0);
+        assert_eq!(h.max_readable_lag(), Duration::from_millis(3));
+        assert_eq!(h.max_live_silence(), Duration::from_millis(3));
+    }
+
+    #[test]
+    fn bad_streak_is_timed_from_its_first_miss() {
+        let (h, clock) = tracker(1, 2, 4, Duration::ZERO);
+        clock.advance(Duration::from_millis(7));
+        h.record_miss(0);
+        clock.advance(Duration::from_millis(5));
+        h.record_miss(0);
+        assert_eq!(h.first_miss_elapsed(0), Some(Duration::from_millis(5)));
+        h.mark_down(0);
+        assert_eq!(
+            h.first_miss_elapsed(0),
+            Some(Duration::from_millis(5)),
+            "a refused send does not restart the streak"
+        );
     }
 
     #[test]
@@ -343,7 +381,7 @@ mod tests {
         // answers heartbeats, but record_ok (which the prober's amnesty
         // reset also calls) must NOT mark it healthy — only an explicit
         // readmit after anti-entropy may.
-        let h = HealthTracker::new(2, 2, 4, Duration::from_millis(50));
+        let (h, clock) = tracker(2, 2, 4, Duration::from_millis(50));
         for _ in 0..4 {
             h.record_miss(0);
         }
@@ -378,7 +416,9 @@ mod tests {
 
         // The happy path: catch up, then readmit promotes to Up.
         h.mark_catching_up(0);
+        clock.advance(Duration::from_millis(3));
         assert!(h.readmit(0));
+        assert_eq!(h.silence(0), Duration::from_millis(3), "no heartbeat");
         assert_eq!(h.state(0), ShardHealth::Up);
         assert!(h.is_readable(0));
         assert_eq!(h.not_up(), 0);
@@ -386,7 +426,7 @@ mod tests {
 
     #[test]
     fn mark_down_is_immediate() {
-        let h = HealthTracker::new(3, 2, 4, Duration::from_millis(10));
+        let (h, _) = tracker(3, 2, 4, Duration::from_millis(10));
         h.mark_down(1);
         assert_eq!(h.state(1), ShardHealth::Down);
         assert_eq!(h.not_up(), 1);

@@ -133,7 +133,7 @@ impl Topology {
 
     /// Contiguous-block domain map: `servers` servers split into
     /// `ndomains` equal racks (server `s` → domain `s * ndomains /
-    /// servers`). The standard layout for the chaos benches.
+    /// servers`). The standard layout for the fault matrix.
     pub fn block_domains(servers: usize, ndomains: usize) -> Vec<u32> {
         assert!(ndomains >= 1 && ndomains <= servers);
         (0..servers)

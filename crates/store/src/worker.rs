@@ -642,7 +642,7 @@ impl ShardClient {
                 return;
             }
             if decision == FaultDecision::Delay {
-                std::thread::sleep(faults.expect("delay without injector").plan().delay);
+                faults.expect("delay without injector").delay();
             }
             if decision == FaultDecision::Duplicate {
                 // Redelivery: the same batch lands twice back-to-back.

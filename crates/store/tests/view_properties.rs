@@ -244,6 +244,7 @@ fn faulty_replicated_delivery_converges_after_anti_entropy() {
                         ..FaultPlan::default()
                     },
                     1,
+                    piggyback_obs::Clock::monotonic(),
                 );
                 let mut rng = StdRng::seed_from_u64(((seed << 8) | replica) ^ 0xFA11);
                 let shuffle = |rng: &mut StdRng, xs: &mut Vec<EventTuple>| {

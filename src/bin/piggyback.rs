@@ -563,7 +563,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             .get("stats-interval")
             .map(|v| parse_duration(v))
             .transpose()?,
-        chaos: None,
     };
     println!(
         "# online serve: {} nodes, {} edges, schedule {} (cost {:.1}), {} servers, {} clients, churn {:.1}%",
