@@ -1,47 +1,46 @@
-//! The failover controller: the shard lifecycle — probing, failover,
-//! rejoin, anti-entropy — as one state record per shard, advanced only by
-//! [`FailoverController::tick`].
+//! Topology transitions, the one publish, the failover controller and the
+//! rebalancer.
 //!
-//! The churn thread — the single writer, which is what makes
-//! migrate-then-swap race-free — calls `tick` at the heartbeat cadence; the
-//! fault matrix (`runtime/fault_matrix.rs`) calls it by hand, on a clock it
-//! advances itself — every instant here is read from the injected
-//! [`Clock`]. A tick polls every shard's heartbeat, routes around every
-//! shard just declared `Down` (one repair, one copy, one publish, however
-//! many died), and streams one budgeted anti-entropy batch to every
-//! rejoined shard:
+//! A failover, a rejoin and a rebalance each repair a map around the dead
+//! set — the current one, `desired`, the partitioner's — move views onto it
+//! by one rule ([`move_views`]), then publish it through
+//! [`Publisher::publish`], the one way any epoch goes out. A rejoined shard
+//! streams its backlog [`CATCHUP_BATCH`] per tick after the publish; a
+//! rebalance then drops each moved view from the slots that left its
+//! replica set. The shard lifecycle, one record per shard, is advanced by
+//! [`FailoverController::tick`] and by the views a transition queues;
+//! every instant is read from the injected [`Clock`]:
 //!
 //! ```text
 //!            DOWN_MISSES silent windows            heartbeat answered
 //!  Serving ────────────────────────────▶ FailedOver ─────────────────▶ CatchingUp(backlog)
 //!   ▲        fail_over: repair current,      ▲    begin_rejoin: repair     │    │
-//!   │        copy exposed slots, publish     │    `desired`, publish       │    │
+//!   │        move owed views, publish        │    `desired`, publish       │    │
 //!   │                                        └──── Down again (backlog dropped) │
 //!   │          (unreachable short of `Down`: the backlog waits for the link)    │
 //!   └─────── backlog drained and silence within the staleness budget (readmit) ─┘
-//! ```
 //!
-//! Every decision has one site: whether a shard can be talked to
-//! ([`reachable`] — [`Transport::request_async`] is not fault-aware, so a
-//! control-plane caller that skipped the gate would talk straight through a
-//! kill or a partition), whether a repair must route around it
-//! (`is_dead`), how a topology is repaired ([`Topology::repaired`]) and how
-//! views move between shards ([`ShardIo::copy_views`], rebalances too).
+//!  any transition: Serving ──▶ CatchingUp for a shard owed a view it cannot
+//!  be sent; rebalance, in any phase: `desired` := the partitioner's map
+//! ```
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
+use piggyback_graph::fx::FxHashSet;
 use piggyback_graph::NodeId;
 use piggyback_obs::{Clock, EventKind};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::{HealthTracker, ShardHealth};
 use piggyback_store::server::QueryScratch;
-use piggyback_store::topology::Topology;
+use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
 use piggyback_store::worker::{BatchOp, BufferPool, ShardBatch, ShardRequest, Transport};
 
-use crate::epoch::EpochHandle;
+use crate::config::ServeConfig;
+use crate::epoch::{EpochHandle, ServingSchedule};
 use crate::metrics::ServeMetrics;
 use crate::ops::ChurnReport;
 
@@ -59,6 +58,133 @@ pub(crate) fn reachable(faults: Option<&FaultInjector>, shard: usize) -> bool {
     !faults.is_some_and(|f| f.is_killed(shard) || f.partition_of(shard).is_some())
 }
 
+/// The one way an epoch goes out (single writer: the churn thread).
+#[derive(Clone)]
+pub(crate) struct Publisher {
+    pub(crate) handle: Arc<EpochHandle>,
+    pub(crate) metrics: Option<Arc<ServeMetrics>>,
+}
+
+impl Publisher {
+    pub(crate) fn load(&self) -> Arc<ServingSchedule> {
+        self.handle.load()
+    }
+
+    /// Records `kind` in the event ring, when metrics are on.
+    pub(crate) fn event(&self, kind: EventKind) {
+        if let Some(m) = &self.metrics {
+            m.events().record(kind);
+        }
+    }
+
+    /// Swaps `next` in and stamps its [`EventKind::EpochSwap`].
+    pub(crate) fn publish(&self, next: ServingSchedule) {
+        let (epoch, overrides) = (next.epoch(), next.override_count());
+        self.handle.swap(next);
+        self.event(EventKind::EpochSwap { epoch, overrides });
+    }
+}
+
+/// A view a topology change must fill, and the slots that owe it.
+type Owed = (NodeId, Vec<usize>);
+
+/// What one shard can do in a view move.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Standing {
+    /// Failed over, `Down` or killed: repairs route around it; owed nothing.
+    Dead,
+    /// Restarted empty by a rejoin: owed every slot it has in the new map.
+    Empty,
+    /// Catching up, or unreachable: keeps its old slots (its backlog or
+    /// store covers them), queues new ones; serves no read, donates nothing.
+    Behind,
+    /// Reachable and caught up — a read target: holds every view it is a
+    /// slot of (each publish keeps that so), donates, is filled first.
+    Holds,
+}
+
+/// Every shard's [`Standing`], sampled when a move is planned.
+struct Fleet(Vec<Standing>);
+
+impl Fleet {
+    /// No lifecycle to consult (heartbeats off): every shard holds.
+    fn all_holding(shards: usize) -> Fleet {
+        Fleet(vec![Standing::Holds; shards])
+    }
+
+    /// The set every repair routes around.
+    fn dead(&self) -> Vec<bool> {
+        self.0.iter().map(|&s| s == Standing::Dead).collect()
+    }
+
+    fn holds(&self, shard: usize) -> bool {
+        self.0[shard] == Standing::Holds
+    }
+
+    /// The one rule views move by: a view is owed by each slot of `to` on a
+    /// shard not dead that does not keep it — a holder or a shard behind
+    /// keeps its slots of `from`. Listed when owed, or when no donor is left.
+    fn transition(&self, from: &Topology, to: &Topology) -> Vec<Owed> {
+        use Standing::*;
+        (0..to.users() as NodeId)
+            .filter_map(|u| {
+                let keeps = |r| {
+                    matches!(self.0[r], Behind | Holds) && from.replica_slots(u).any(|o| o == r)
+                };
+                let owed: Vec<usize> = to
+                    .replica_slots(u)
+                    .filter(|&r| self.0[r] != Dead && !keeps(r))
+                    .collect();
+                let listed = !owed.is_empty() || self.donor(from, to, u, &owed).is_none();
+                listed.then_some((u, owed))
+            })
+            .collect()
+    }
+
+    /// The one donor rule: the first holding slot of `view` under `to`,
+    /// then under `from`, that is not itself owed the view. (`to` first: a
+    /// rebalance may since have dropped the view from its old homes.)
+    fn donor(&self, from: &Topology, to: &Topology, view: NodeId, owed: &[usize]) -> Option<usize> {
+        to.replica_slots(view)
+            .chain(from.replica_slots(view))
+            .find(|&r| self.holds(r) && !owed.contains(&r))
+    }
+}
+
+/// Moves views from `from` to `to` ahead of the caller's publish of `to`:
+/// owed slots on holding shards are copied now, every other is queued on
+/// its shard's backlog, which keeps that shard off the read path until it
+/// drains — no publish puts a view on a readable slot that lacks it.
+/// Returns the installs made.
+fn move_views(
+    fleet: &Fleet,
+    (from, to): (&Arc<Topology>, &Topology),
+    io: &mut ShardIo,
+    report: &mut ChurnReport,
+    controller: Option<&mut FailoverController>,
+) -> usize {
+    let mut queued = Vec::new();
+    let now: Vec<Owed> = fleet
+        .transition(from, to)
+        .into_iter()
+        .map(|(view, slots)| {
+            let (now, later): (Vec<usize>, _) = slots.into_iter().partition(|&r| fleet.holds(r));
+            queued.extend(later.into_iter().map(|r| (r, view)));
+            (view, now)
+        })
+        .collect();
+    let copied = io.copy_views(fleet, (from, to), &now, report);
+    // Without a controller every shard holds, and nothing is queued.
+    if let Some(controller) = controller {
+        for (shard, view) in queued {
+            let backlog = controller.backlog(shard, from);
+            backlog.pending.push(view);
+            backlog.behind += 1;
+        }
+    }
+    copied
+}
+
 /// The control plane's handle on the shards: one-shot requests and view
 /// copies, over whichever transport the runtime serves with.
 pub(crate) struct ShardIo {
@@ -66,12 +192,8 @@ pub(crate) struct ShardIo {
     pool: Arc<BufferPool>,
     /// Scratch for requests the caller-runs transport executes inline.
     scratch: QueryScratch,
-}
-
-/// A donor read in flight (the two requests answer in different types).
-enum DonorRead {
-    Taken(Receiver<Bytes>),
-    Queried(Receiver<BytesMut>),
+    /// Views a copy found no donor for; each counts in `views_lost` once.
+    pub(crate) lost: FxHashSet<NodeId>,
 }
 
 impl ShardIo {
@@ -80,6 +202,7 @@ impl ShardIo {
             transport,
             pool,
             scratch: QueryScratch::new(),
+            lost: FxHashSet::default(),
         }
     }
 
@@ -93,55 +216,43 @@ impl ShardIo {
             .request_async(&self.pool, &mut self.scratch, make)
     }
 
-    /// Copies views shard to shard, pipelined: every donor read of `jobs`
-    /// (`(view, donor)` pairs) is in flight before the first reply is
-    /// awaited, installs stream out as payloads arrive, and every install
-    /// is acked on return. `targets(i, out)` names the shards job `i`
-    /// installs to; a view the donor never materialized is skipped. With
-    /// `take` the donor gives the view up (`ExtractView`: a rebalance);
-    /// without, it answers a whole-view query batch and keeps serving, so
-    /// concurrent queries never see a gap. Returns the installs made.
-    pub(crate) fn copy_views(
+    /// Fills `owed` from one [`Fleet::donor`] per view (a whole-view query;
+    /// it keeps serving), pipelined, installs acked on return. Skips a view
+    /// never materialized, counts one with no donor lost. Returns installs.
+    fn copy_views(
         &mut self,
-        jobs: &[(NodeId, usize)],
-        take: bool,
-        mut targets: impl FnMut(usize, &mut Vec<usize>),
+        fleet: &Fleet,
+        (from, to): (&Topology, &Topology),
+        owed: &[Owed],
+        report: &mut ChurnReport,
     ) -> usize {
-        let reads: Vec<DonorRead> = jobs
-            .iter()
-            .map(|&(view, shard)| {
-                if take {
-                    DonorRead::Taken(self.request(|done| ShardRequest::ExtractView {
-                        shard,
-                        view,
-                        done,
-                    }))
-                } else {
-                    DonorRead::Queried(self.request(|reply| {
-                        ShardRequest::Batch(ShardBatch {
-                            shard,
-                            views: vec![view],
-                            op: BatchOp::Query { k: usize::MAX },
-                            reply,
-                        })
-                    }))
-                }
-            })
-            .collect();
-        let mut installs = Vec::new();
-        let mut to = Vec::new();
-        for (i, read) in reads.into_iter().enumerate() {
-            let payload = match read {
-                DonorRead::Taken(rx) => rx.recv().expect("worker dropped extract reply"),
-                DonorRead::Queried(rx) => rx.recv().expect("worker dropped read reply").freeze(),
+        let mut reads = Vec::with_capacity(owed.len());
+        for (view, slots) in owed {
+            let Some(shard) = fleet.donor(from, to, *view, slots) else {
+                report.views_lost += u64::from(self.lost.insert(*view));
+                continue;
             };
+            if slots.is_empty() {
+                continue;
+            }
+            let rx = self.request(|reply| {
+                ShardRequest::Batch(ShardBatch {
+                    shard,
+                    views: vec![*view],
+                    op: BatchOp::Query { k: usize::MAX },
+                    reply,
+                })
+            });
+            reads.push((*view, slots, rx));
+        }
+        let mut installs = Vec::new();
+        for (view, slots, rx) in reads {
+            let payload = rx.recv().expect("worker dropped read reply").freeze();
             if payload.is_empty() {
                 continue;
             }
-            to.clear();
-            targets(i, &mut to);
-            for &shard in &to {
-                let (view, payload) = (jobs[i].0, payload.clone());
+            for &shard in slots {
+                let payload = payload.clone();
                 installs.push(self.request(|done| ShardRequest::InstallView {
                     shard,
                     view,
@@ -169,77 +280,102 @@ enum Phase {
     CatchingUp(Backlog),
 }
 
-/// Anti-entropy state of one rejoined shard.
+/// Anti-entropy state of one shard off the read path: rejoined, or owed
+/// views while unreachable.
 struct Backlog {
-    /// Views still owed, each with the replica slots to install to
-    /// (drained from the tail, [`CATCHUP_BATCH`] per tick).
-    pending: Vec<(NodeId, Vec<usize>)>,
-    /// Backlog size at rejoin (for the readmit event).
+    /// Views still owed (drained from the tail, [`CATCHUP_BATCH`] a tick).
+    pending: Vec<NodeId>,
+    /// The map it was opened against; donors are sought there too.
+    from: Arc<Topology>,
+    /// Views ever queued (for the rejoin and readmit events).
     behind: usize,
-    /// Clock reading when the rejoin was detected (phase-timing anchor).
+    /// Clock reading when the backlog opened (phase-timing anchor).
     since_ns: u64,
 }
 
 /// One shard's record.
 #[derive(Default)]
 struct ShardCtl {
-    /// The one heartbeat in flight and the clock reading at which its
-    /// grace window opened.
+    /// The heartbeat in flight and the clock reading its grace window opened.
     probe: Option<(Receiver<Bytes>, u64)>,
     phase: Phase,
 }
 
 /// See the module docs.
 pub(crate) struct FailoverController {
-    handle: Arc<EpochHandle>,
+    publisher: Publisher,
     /// Shared failure detector; this controller is its prober.
     health: Arc<HealthTracker>,
     faults: Option<Arc<FaultInjector>>,
-    metrics: Option<Arc<ServeMetrics>>,
     heartbeat: Duration,
     clock: Clock,
     /// The failure-free topology the cluster converges back to as shards
-    /// rejoin. Rebalances update it; failovers never do.
+    /// rejoin. Rebalances set it; failovers never do.
     desired: Arc<Topology>,
     shards: Vec<ShardCtl>,
 }
 
 impl FailoverController {
     /// A controller over `health`'s shards, all `Serving`, converging on
-    /// the currently published topology; [`FailoverController::tick`]
-    /// expects to be called every `heartbeat`.
+    /// the published topology; `tick` expects a call every heartbeat.
     pub(crate) fn new(
-        handle: Arc<EpochHandle>,
+        publisher: Publisher,
         health: Arc<HealthTracker>,
         faults: Option<Arc<FaultInjector>>,
-        metrics: Option<Arc<ServeMetrics>>,
-        heartbeat: Duration,
-        clock: Clock,
+        config: &ServeConfig,
+        clock: &Clock,
     ) -> Self {
         FailoverController {
-            desired: Arc::clone(handle.load().topology()),
+            desired: Arc::clone(publisher.load().topology()),
             shards: (0..health.shards()).map(|_| ShardCtl::default()).collect(),
-            handle,
+            publisher,
             health,
             faults,
-            metrics,
-            heartbeat,
-            clock,
+            heartbeat: config.heartbeat_interval,
+            clock: clock.clone(),
         }
     }
 
-    /// A rebalance published `topology`: the new failure-free baseline.
-    pub(crate) fn set_desired(&mut self, topology: Arc<Topology>) {
+    /// Upon a rebalance: the partitioner's map is the failure-free baseline.
+    fn set_desired(&mut self, topology: Arc<Topology>) {
         self.desired = topology;
     }
 
+    /// What each shard can do in a view move right now.
+    fn fleet(&self) -> Fleet {
+        let standing = |s: usize| match self.shards[s].phase {
+            _ if self.is_dead(s) => Standing::Dead,
+            Phase::Serving if self.reachable(s) => Standing::Holds,
+            _ => Standing::Behind,
+        };
+        Fleet((0..self.shards.len()).map(standing).collect())
+    }
+
+    /// `s`'s backlog; opened against `from` if `s` was serving, which
+    /// turns it `CatchingUp` — off the read path until the backlog drains.
+    fn backlog(&mut self, s: usize, from: &Arc<Topology>) -> &mut Backlog {
+        if matches!(self.shards[s].phase, Phase::Serving) {
+            self.health.mark_catching_up(s);
+            self.shards[s].phase = Phase::CatchingUp(Backlog {
+                pending: Vec::new(),
+                from: Arc::clone(from),
+                behind: 0,
+                since_ns: self.clock.now_ns(),
+            });
+        }
+        match &mut self.shards[s].phase {
+            Phase::CatchingUp(backlog) => backlog,
+            _ => unreachable!("views are queued only on a shard not dead"),
+        }
+    }
+
     /// One heartbeat round: poll every probe, fail over what the detector
-    /// declared `Down`, stream one anti-entropy batch per rejoined shard.
+    /// declared `Down`, stream one anti-entropy batch per catching-up shard.
     pub(crate) fn tick(&mut self, io: &mut ShardIo, report: &mut ChurnReport) {
         for s in 0..self.shards.len() {
             self.poll(s, io, report);
         }
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.publisher.metrics {
             m.health_suspect.set(self.health.not_up() as f64);
             m.replica_lag
                 .set(self.health.max_live_silence().as_secs_f64() * 1e3);
@@ -249,11 +385,9 @@ impl FailoverController {
             .collect();
         if !down.is_empty() {
             self.fail_over(&down, io, report);
-            // Amnesty: heartbeat probes queued behind the copy, so every
-            // live shard now looks silent; restart detection from a clean
-            // slate, or one real death cascades through the fleet. Not for
-            // an unreachable shard (its misses accrue without wire traffic)
-            // nor a catching-up one (only the readmit may promote it).
+            // Amnesty: probes queued behind the move; restart detection, or
+            // one death cascades. Not for an unreachable shard (its misses
+            // need no wire) nor a catching-up one (only readmit promotes).
             for s in 0..self.shards.len() {
                 if matches!(self.shards[s].phase, Phase::Serving) && self.reachable(s) {
                     self.health.record_ok(s);
@@ -272,16 +406,11 @@ impl FailoverController {
         matches!(self.shards[s].phase, Phase::FailedOver)
     }
 
-    /// Whether a repair must route around `s`: failed over, declared
-    /// `Down`, or killed outright (the verdict is a matter of ticks). A
-    /// catching-up shard is alive — writes must flow to it.
+    /// Whether a repair must route around `s`: failed over, `Down`, or
+    /// killed (the verdict is ticks away) — not catching up: writes flow.
     fn is_dead(&self, s: usize) -> bool {
         let killed = self.faults.as_ref().is_some_and(|f| f.is_killed(s));
         self.failed_over(s) || self.health.state(s) == ShardHealth::Down || killed
-    }
-
-    fn dead_set(&self) -> Vec<bool> {
-        (0..self.shards.len()).map(|s| self.is_dead(s)).collect()
     }
 
     /// How long ago the first evidence of `s`'s death appeared: the kill
@@ -291,37 +420,26 @@ impl FailoverController {
         self.health.first_miss_elapsed(s).max(killed)
     }
 
-    /// Polls `s`'s heartbeat. Probing is **asynchronous**: one probe in
-    /// flight per shard, polled with a zero-wait receive, so a slow data
-    /// plane never stretches the tick. Heartbeats share the data-plane
-    /// queues and may wait behind a deep backlog, so a shard in service
-    /// misses only when a generous grace window passes unanswered, and the
-    /// window re-arms after each miss. An unreachable shard is not probed
-    /// over the wire and misses once per tick: a real death is confirmed
-    /// in [`DOWN_MISSES`] ticks whatever the window. A failed-over shard is
-    /// probed for *rejoin*: silence means nothing.
+    /// Polls `s`'s one probe with a zero-wait receive. Probes queue behind
+    /// data, so a shard in service misses only when a generous grace window
+    /// passes unanswered; an unreachable one misses once per tick, dying in
+    /// [`DOWN_MISSES`] ticks. A failed-over shard is probed for *rejoin*.
     fn poll(&mut self, s: usize, io: &mut ShardIo, report: &mut ChurnReport) {
         let probe = self.shards[s].probe.take();
         if !self.reachable(s) {
             return self.note_miss(s);
         }
-        if let Some((rx, since_ns)) = probe {
+        if let Some((rx, mut since_ns)) = probe {
             match rx.recv_timeout(Duration::ZERO) {
-                Ok(_) if self.failed_over(s) => return self.begin_rejoin(s, report),
+                Ok(_) if self.failed_over(s) => return self.begin_rejoin(s, io, report),
                 Ok(_) => self.health.record_ok(s),
                 Err(RecvTimeoutError::Timeout) => {
                     let grace = (self.heartbeat * 2).max(Duration::from_millis(100));
-                    let missed = self.clock.since(since_ns) >= grace;
-                    if missed {
+                    if self.clock.since(since_ns) >= grace {
                         self.note_miss(s);
+                        since_ns = self.clock.now_ns();
                     }
-                    // Keep the same probe — a late reply still proves
-                    // liveness — and re-arm the window after a miss.
-                    let since_ns = if missed {
-                        self.clock.now_ns()
-                    } else {
-                        since_ns
-                    };
+                    // Keep the probe: a late reply still proves liveness.
                     self.shards[s].probe = Some((rx, since_ns));
                     return;
                 }
@@ -341,22 +459,15 @@ impl FailoverController {
         }
         let miss = self.health.record_miss(s);
         if miss.transitioned {
-            self.event(EventKind::HeartbeatMiss {
+            self.publisher.event(EventKind::HeartbeatMiss {
                 shard: s,
                 misses: miss.misses,
             });
         }
     }
 
-    fn event(&self, kind: EventKind) {
-        if let Some(m) = &self.metrics {
-            m.events().record(kind);
-        }
-    }
-
-    /// Routes around the shards in `down`: one repair of the current
-    /// topology, one copy, one publish. With replication 1 there is
-    /// nowhere to go and the shards are only marked.
+    /// Routes around the shards in `down`: one repair of the current map,
+    /// one move, one publish (with replication 1, only marks them).
     fn fail_over(&mut self, down: &[usize], io: &mut ShardIo, report: &mut ChurnReport) {
         let started_ns = self.clock.now_ns();
         for &s in down {
@@ -366,32 +477,29 @@ impl FailoverController {
             let detected = self.evidence_age(s).unwrap_or_default();
             report.detection_ms += detected.as_secs_f64() * 1e3;
         }
-        let snap = self.handle.load();
+        let snap = self.publisher.load();
         let old = Arc::clone(snap.topology());
         if old.replication() < 2 {
             return;
         }
-        let dead = self.dead_set();
-        let repair = old.repaired(&dead);
-        let (new, moved) = (repair.topology, repair.moved);
-        // Every replica gone too: data loss, and the count is the
-        // measurement. Users an earlier repair gave up on are still homed
-        // on their dead shard; count this round's only.
-        let this_round = |u: &&NodeId| down.contains(&old.server_of(**u));
-        report.views_lost += repair.lost.iter().filter(this_round).count() as u64;
-        // Copy *before* publish: re-pointing a primary exposes replica
-        // slots that never received the view's writes.
+        let fleet = self.fleet();
+        let repair = old.repaired(&fleet.dead());
+        // Move *before* publish: a re-pointed primary exposes new slots.
         let copy_started_ns = self.clock.now_ns();
-        let jobs: Vec<(NodeId, usize)> = moved.iter().map(|&u| (u, new.server_of(u))).collect();
-        let copied = io.copy_views(&jobs, false, |i, to| {
-            let u = jobs[i].0;
-            let exposed = |&r: &usize| !dead[r] && !old.replica_slots(u).any(|o| o == r);
-            to.extend(new.replica_slots(u).filter(exposed));
-        });
+        let maps = (&old, &repair.topology);
+        let copied = move_views(&fleet, maps, io, report, Some(self));
         let copy_ms = self.clock.since(copy_started_ns).as_secs_f64() * 1e3;
-        self.handle.swap(snap.with_topology(Arc::new(new)));
+        self.publisher
+            .publish(snap.with_topology(Arc::new(repair.topology)));
         report.failovers += down.len() as u64;
-        report.users_failed_over += moved.len() as u64;
+        report.users_failed_over += repair.moved.len() as u64;
+        let homed_on = |s| {
+            repair
+                .moved
+                .iter()
+                .filter(|&&u| old.server_of(u) == s)
+                .count()
+        };
         for &s in down {
             // Failover phase: verdict to publish. Unavailability opened
             // earlier, at the first evidence of death.
@@ -399,71 +507,53 @@ impl FailoverController {
             report.failover_ms += wall.as_secs_f64() * 1e3;
             report.failover_unavailable_ms +=
                 self.evidence_age(s).unwrap_or(wall).as_secs_f64() * 1e3;
-            if let Some(m) = &self.metrics {
+            if let Some(m) = &self.publisher.metrics {
                 m.failover_count.inc();
             }
-            self.event(EventKind::Failover {
+            self.publisher.event(EventKind::Failover {
                 shard: s,
-                moved: moved.iter().filter(|&&u| old.server_of(u) == s).count(),
+                moved: homed_on(s),
                 wall_ms: wall.as_secs_f64() * 1e3,
             });
         }
-        self.event(EventKind::CatchUp {
+        self.publisher.event(EventKind::CatchUp {
             views: copied,
             wall_ms: copy_ms,
         });
     }
 
-    /// A failed-over shard answered a heartbeat: the restarted (empty)
-    /// process is back. It rejoins the **write** path at once — the
-    /// repaired `desired` topology restores its replica slots — but stays
-    /// off the **read** path ([`ShardHealth::CatchingUp`] is not readable)
-    /// until anti-entropy has streamed its backlog to parity.
-    fn begin_rejoin(&mut self, s: usize, report: &mut ChurnReport) {
-        let since_ns = self.clock.now_ns();
-        // Alive from here on: the repair below must not route around it.
-        self.shards[s].phase = Phase::Serving;
-        self.health.mark_catching_up(s);
+    /// A failed-over shard answered a heartbeat: the restarted, empty
+    /// process rejoins the **write** path at once (the repaired `desired`
+    /// map restores its slots), the **read** path once its backlog drains.
+    fn begin_rejoin(&mut self, s: usize, io: &mut ShardIo, report: &mut ChurnReport) {
         report.rejoins += 1;
-        // Rebuild from the failure-free map: shards still dead keep their
-        // repair, the rejoined shard gets its desired views back.
-        let snap = self.handle.load();
-        let old = snap.topology();
-        let new = self.desired.repaired(&self.dead_set()).topology;
-        // The backlog: every view with a replica slot on the rejoined
-        // shard (its copy died with the process, or missed writes behind a
-        // partition), plus any slot the repaired ring newly exposes. The
-        // donor is resolved when the entry's batch streams.
-        let mut pending = Vec::new();
-        for u in 0..new.users() as NodeId {
-            let owed = |&r: &usize| r == s || !old.replica_slots(u).any(|o| o == r);
-            let targets: Vec<usize> = new.replica_slots(u).filter(owed).collect();
-            if !targets.is_empty() {
-                pending.push((u, targets));
-            }
-        }
-        let behind = pending.len();
-        self.handle.swap(snap.with_topology(Arc::new(new)));
-        self.shards[s].phase = Phase::CatchingUp(Backlog {
-            pending,
-            behind,
-            since_ns,
-        });
-        self.event(EventKind::Rejoin {
+        let snap = self.publisher.load();
+        let from = Arc::clone(snap.topology());
+        // Alive — not routed around — but empty, so off the read path.
+        self.shards[s].phase = Phase::Serving;
+        self.backlog(s, &from);
+        self.health.record_ok(s);
+        let mut fleet = self.fleet();
+        fleet.0[s] = Standing::Empty;
+        let to = self.desired.repaired(&fleet.dead()).topology;
+        move_views(&fleet, (&from, &to), io, report, Some(self));
+        self.publisher.publish(snap.with_topology(Arc::new(to)));
+        let views_behind = self.backlog(s, &from).behind;
+        self.publisher.event(EventKind::Rejoin {
             shard: s,
-            views_behind: behind,
+            views_behind,
         });
     }
 
-    /// Streams one [`CATCHUP_BATCH`] of every catching-up shard's backlog
-    /// and readmits a shard to the read path once its backlog has drained
-    /// **and** its heartbeat silence fits the Theorem-1 staleness budget.
+    /// Streams one [`CATCHUP_BATCH`] of each catching-up shard's backlog;
+    /// readmits a shard to reads once drained **and** its heartbeat silence
+    /// fits the Theorem-1 staleness budget.
     fn catch_up(&mut self, io: &mut ShardIo, report: &mut ChurnReport) {
+        let fleet = self.fleet();
+        let published = Arc::clone(self.publisher.load().topology());
         for s in 0..self.shards.len() {
-            // Unreachable mid-catch-up: the backlog waits. Either the link
-            // heals and streaming resumes here, or detection declares the
-            // shard `Down`, `fail_over` drops the backlog and the next
-            // rejoin rebuilds it — never `Serving` with views still owed.
+            // Unreachable: the backlog waits for the heal, or for
+            // `fail_over` to drop it — never `Serving` with views owed.
             if !self.reachable(s) {
                 continue;
             }
@@ -471,37 +561,21 @@ impl FailoverController {
                 continue;
             };
             let n = backlog.pending.len().min(CATCHUP_BATCH);
-            let batch = backlog.pending.split_off(backlog.pending.len() - n);
+            let at = backlog.pending.len() - n;
+            let batch: Vec<Owed> = backlog.pending.drain(at..).map(|v| (v, vec![s])).collect();
             let remaining = backlog.pending.len();
-            let (behind, since_ns) = (backlog.behind, backlog.since_ns);
+            let (from, behind, since_ns) =
+                (Arc::clone(&backlog.from), backlog.behind, backlog.since_ns);
             if n > 0 {
-                let snap = self.handle.load();
-                let mut jobs = Vec::with_capacity(n);
-                let mut owed = Vec::with_capacity(n);
-                for (u, targets) in &batch {
-                    // A donor holds a slot that is not itself owed the
-                    // view, can be talked to, and is not routed around.
-                    let donates =
-                        |r: &usize| !targets.contains(r) && self.reachable(*r) && !self.is_dead(*r);
-                    match snap.topology().replica_slots(*u).find(donates) {
-                        Some(donor) => {
-                            jobs.push((*u, donor));
-                            owed.push(targets);
-                        }
-                        // No live copy: readmitted without this view.
-                        None => report.views_lost += 1,
-                    }
-                }
-                io.copy_views(&jobs, false, |i, to| to.extend_from_slice(owed[i]));
-                self.event(EventKind::CatchUpBatch {
+                io.copy_views(&fleet, (&from, &published), &batch, report);
+                self.publisher.event(EventKind::CatchUpBatch {
                     shard: s,
                     views: n,
                     remaining,
                 });
             }
-            // Drained, with writes live since the rejoin epoch, the
-            // shard's worst view lag is its heartbeat silence: readmit once
-            // that fits the staleness budget (zero = no extra gate).
+            // Drained, its worst view lag is its heartbeat silence (writes
+            // reach it whenever it is reachable); zero budget = no gate.
             let budget = self.health.laxity();
             if remaining > 0 || (!budget.is_zero() && self.health.silence(s) > budget) {
                 continue;
@@ -512,12 +586,130 @@ impl FailoverController {
             if self.health.readmit(s) {
                 report.readmits += 1;
                 report.readmit_ms += wall_ms;
-                self.event(EventKind::Readmit {
+                self.publisher.event(EventKind::Readmit {
                     shard: s,
                     views: behind,
                     wall_ms,
                 });
             }
         }
+    }
+}
+
+/// Live rebalancing: the cross-server rate churn adds accumulates, and
+/// crossing the threshold re-partitions the live graph.
+pub(crate) struct Rebalancer {
+    partition: PartitionStrategy,
+    /// Fraction of the optimized base cost that fires it (infinite: never).
+    threshold: f64,
+    seed: u64,
+    /// Cross-server rate churn added since the last rebalance or install.
+    pub(crate) cross_churned: f64,
+    publisher: Publisher,
+    clock: Clock,
+}
+
+impl Rebalancer {
+    pub(crate) fn new(config: &ServeConfig, publisher: Publisher, clock: Clock) -> Self {
+        Rebalancer {
+            partition: config.partition,
+            threshold: config.rebalance_threshold,
+            seed: config.placement_seed,
+            cross_churned: 0.0,
+            publisher,
+            clock,
+        }
+    }
+
+    /// Forgets the accumulated rate: after a rebalance, and once an install
+    /// re-piggybacks the churn edges it priced.
+    pub(crate) fn rearm(&mut self) {
+        self.cross_churned = 0.0;
+    }
+
+    /// Upon applied churn: each edge it switched to direct serving adds its
+    /// hybrid cost when its endpoints sit on different servers; past the
+    /// threshold, the graph is re-partitioned under its schedule, the map
+    /// repaired around the dead set, and views moved → published → dropped
+    /// (hash placement could never move a view, so it skips all this).
+    ///
+    /// The old copies outlive the publish, so a query in flight under the
+    /// old map still finds them; an update routed through the old snapshot
+    /// after the copy can land only at slots the drop clears — §4.3's
+    /// caches. Synchronous on the single writer: race-free, at the price of
+    /// stalling churn (not serving) for the repartition and the copy.
+    pub(crate) fn upon_churn(
+        &mut self,
+        effect: &ChurnEffect,
+        inc: &IncrementalScheduler,
+        io: &mut ShardIo,
+        mut failover: Option<&mut FailoverController>,
+        report: &mut ChurnReport,
+    ) {
+        if !self.threshold.is_finite() || self.partition == PartitionStrategy::Hash {
+            return;
+        }
+        let snap = self.publisher.load();
+        let (old, rates) = (Arc::clone(snap.topology()), inc.rates());
+        for &(x, y) in &effect.reserved_direct {
+            if old.server_of(x) != old.server_of(y) {
+                self.cross_churned += rates.rp(x).min(rates.rc(y));
+            }
+        }
+        if let Some(m) = &self.publisher.metrics {
+            m.cross_cost.set(self.cross_churned);
+        }
+        let base = inc.base_cost();
+        if base <= 0.0 || self.cross_churned <= self.threshold * base {
+            return;
+        }
+        self.rearm();
+        let started_ns = self.clock.now_ns();
+        let (graph, schedule) = inc.freeze_with_schedule();
+        let desired = self
+            .partition
+            .partitioner()
+            .partition(&PartitionRequest {
+                graph: &graph,
+                rates: inc.rates(),
+                schedule: Some(&schedule),
+                servers: old.servers(),
+                seed: self.seed,
+                domains: (!old.domains().is_empty()).then(|| old.domains()),
+            })
+            .with_replication(old.replication());
+        let fleet = failover.as_deref().map_or_else(
+            || Fleet::all_holding(old.servers()),
+            FailoverController::fleet,
+        );
+        let new = Arc::new(desired.repaired(&fleet.dead()).topology);
+        if let Some(f) = failover.as_deref_mut() {
+            f.set_desired(Arc::new(desired));
+        }
+        let moved = old.moved_users(&new);
+        if moved.is_empty() {
+            return; // the partitioner reproduced the serving map
+        }
+        move_views(&fleet, (&old, &new), io, report, failover);
+        self.publisher.publish(snap.with_topology(Arc::clone(&new)));
+        // Drop each moved view from the holding slots that left its replica
+        // set — once a holding slot of the new set has it, so an old copy
+        // stays a donor until then. A stray copy no map points at is inert.
+        let drops: Vec<Receiver<Bytes>> = moved
+            .iter()
+            .filter(|&&u| new.replica_slots(u).any(|r| fleet.holds(r)))
+            .flat_map(|&u| old.replica_slots(u).map(move |r| (u, r)))
+            .filter(|&(u, r)| fleet.holds(r) && !new.replica_slots(u).any(|n| n == r))
+            .map(|(view, shard)| io.request(|done| ShardRequest::ExtractView { shard, view, done }))
+            .collect();
+        for rx in drops {
+            rx.recv().expect("worker dropped extract reply");
+        }
+        report.users_migrated += moved.len() as u64;
+        report.rebalances += 1;
+        self.publisher.event(EventKind::Rebalance {
+            moved: moved.len(),
+            wall_ms: self.clock.since(started_ns).as_secs_f64() * 1e3,
+        });
     }
 }

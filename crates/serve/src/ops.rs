@@ -1,50 +1,305 @@
-//! Front-end operation messages and end-of-run reports.
-//!
-//! The runtime accepts the full [`piggyback_workload::Op`] alphabet:
-//! `Share`/`Query` flow straight to the shard workers through the serving
-//! snapshot, while `Follow`/`Unfollow` are routed over a bounded channel to
-//! the churn manager, which owns the incremental scheduler.
+//! Churn-thread messages, its two schedule records — `ChurnApplier` (apply,
+//! live staleness check, publish, compaction) and `ReoptInstaller`
+//! (trigger, replay log, install) — and end-of-run reports.
+
+use std::sync::Arc;
 
 use crossbeam::channel::Sender;
-use piggyback_core::schedule::Schedule;
-use piggyback_core::scheduler::ScheduleStats;
+use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
+use piggyback_core::scheduler::{Instance, ScheduleOutcome, Scheduler};
 use piggyback_graph::{CsrGraph, NodeId};
+use piggyback_obs::{set_ambient_events, Clock, EventKind};
+use piggyback_workload::Rates;
 
-/// Messages consumed by the churn manager thread.
+use crate::config::{ReoptMode, ServeConfig};
+use crate::epoch::{CompiledSets, ServingSchedule};
+use crate::failover::Publisher;
+use crate::metrics::ServeMetrics;
+
+/// Messages consumed by the churn thread.
 pub(crate) enum ChurnMsg {
-    /// Edge `u → v` appears (`v` starts following `u`).
-    Follow {
-        u: NodeId,
-        v: NodeId,
-        /// Acked with whether the edge was newly applied.
-        done: Sender<bool>,
-    },
-    /// Edge `u → v` disappears.
-    Unfollow {
+    /// Edge `u → v` appears (`add`: `v` starts following `u`) or
+    /// disappears; acked with whether the edge changed.
+    Churn {
+        add: bool,
         u: NodeId,
         v: NodeId,
         done: Sender<bool>,
     },
-    /// A background full re-optimization finished. Boxed: the payload is a
-    /// whole graph + schedule, far larger than the churn variants that
-    /// dominate the channel.
+    /// A [`ReoptJob`] finished. Boxed: the payload is a whole graph +
+    /// schedule, far larger than the churn variants that dominate the
+    /// channel.
     ReoptDone(Box<ReoptResult>),
-    /// Finish outstanding work, validate, and report.
+    /// Let an in-flight re-optimization land, validate, and report;
+    /// churn arriving meanwhile is rejected.
     Shutdown { done: Sender<ChurnReport> },
 }
 
-/// Payload of a finished background re-optimization.
-pub(crate) struct ReoptResult {
-    /// The frozen graph snapshot the optimizer ran on.
-    pub graph: CsrGraph,
-    /// The fresh schedule for that snapshot.
-    pub schedule: Schedule,
-    /// The optimizer's run statistics, folded into the `reopt.*`
-    /// instruments when the result is installed.
-    pub stats: ScheduleStats,
+/// A finished re-optimization: the frozen graph it ran on, and the
+/// optimizer's schedule and run statistics for it.
+pub(crate) type ReoptResult = (CsrGraph, ScheduleOutcome);
+
+/// A fired re-optimization: the optimizer on its frozen instance, run on a
+/// thread of its own in production and inline by the fault matrix; its
+/// result comes back as [`ChurnMsg::ReoptDone`].
+pub(crate) type ReoptJob = Box<dyn FnOnce() -> ReoptResult + Send>;
+
+/// Churn overrides above this count are compacted into a fresh compiled
+/// base (one O(n + m) recompile) instead of growing — it bounds both the
+/// per-publish override-map clone and the snapshot's memory overhead on
+/// long runs where re-optimization never fires.
+pub(crate) const OVERRIDE_COMPACT_LIMIT: usize = 1024;
+
+/// Applies churn to the incremental scheduler (§3.3: new edges served
+/// directly, orphaned piggybacked edges re-served) and publishes it.
+pub(crate) struct ChurnApplier {
+    inc: IncrementalScheduler,
+    publisher: Publisher,
 }
 
-/// What the churn manager did over the runtime's lifetime.
+impl ChurnApplier {
+    pub(crate) fn new(inc: IncrementalScheduler, publisher: Publisher) -> Self {
+        ChurnApplier { inc, publisher }
+    }
+
+    pub(crate) fn inc(&self) -> &IncrementalScheduler {
+        &self.inc
+    }
+
+    /// Upon churn: applies and publishes it. `None` when the edge did not
+    /// change, or a user is outside the rate model and cannot be priced.
+    pub(crate) fn apply(
+        &mut self,
+        add: bool,
+        u: NodeId,
+        v: NodeId,
+        report: &mut ChurnReport,
+    ) -> Option<ChurnEffect> {
+        let n = self.inc.rates().len() as u64;
+        let effect = (u64::from(u) < n && u64::from(v) < n).then(|| {
+            if add {
+                self.inc.add_edge_detailed(u, v)
+            } else {
+                self.inc.remove_edge_detailed(u, v)
+            }
+        });
+        let Some(effect) = effect.filter(|e| e.applied) else {
+            report.churn_rejected += 1;
+            return None;
+        };
+        if add {
+            report.follows_applied += 1;
+        } else {
+            report.unfollows_applied += 1;
+        }
+        // Live bounded-staleness check: every edge this mutation reserved
+        // for direct serving must be in the serving sets *now* — the
+        // post-run sweep's invariant, caught the moment it would break.
+        for &(x, y) in &effect.reserved_direct {
+            if !self.inc.serves_edge_directly(x, y) {
+                report.live_staleness_violations += 1;
+                if let Some(m) = &self.publisher.metrics {
+                    m.staleness_violations.inc();
+                }
+                report.staleness_violation.get_or_insert_with(|| {
+                    format!(
+                        "live: edge {x} -> {y} reserved direct but absent from serving sets \
+                         after {} mutation ({u} -> {v})",
+                        if add { "follow" } else { "unfollow" },
+                    )
+                });
+            }
+        }
+        if let Some(m) = &self.publisher.metrics {
+            m.cost_delta.set(self.inc.overlay_cost_delta());
+        }
+        self.publish(&effect);
+        Some(effect)
+    }
+
+    /// Publishes an epoch overriding exactly the users the mutation touched,
+    /// or a compacted base past [`OVERRIDE_COMPACT_LIMIT`].
+    fn publish(&self, effect: &ChurnEffect) {
+        let snap = self.publisher.load();
+        if snap.override_count() >= OVERRIDE_COMPACT_LIMIT {
+            return self.publish_base();
+        }
+        let push = effect
+            .push_changed
+            .iter()
+            .map(|&x| (x, self.inc.push_targets(x)));
+        let pull = effect
+            .pull_changed
+            .iter()
+            .map(|&x| (x, self.inc.pull_sources(x)));
+        self.publisher.publish(snap.with_updates(push, pull));
+    }
+
+    /// Upon an install: serve from `fresh` from now on.
+    pub(crate) fn rebase(&mut self, fresh: IncrementalScheduler) {
+        self.inc = fresh;
+        self.publish_base();
+    }
+
+    /// Publishes the current serving sets as a fresh base; O(n + m).
+    fn publish_base(&self) {
+        let n = self.inc.rates().len() as NodeId;
+        let sets = CompiledSets {
+            push: (0..n).map(|x| self.inc.push_targets(x)).collect(),
+            pull: (0..n).map(|x| self.inc.pull_sources(x)).collect(),
+        };
+        let snap = self.publisher.load();
+        self.publisher.publish(ServingSchedule::from_sets(
+            sets,
+            Arc::clone(snap.topology()),
+            snap.epoch() + 1,
+        ));
+    }
+
+    /// End-of-run costs, and the post-run sweep behind the live check.
+    pub(crate) fn finish(&self, report: &mut ChurnReport) {
+        report.base_cost = self.inc.base_cost();
+        report.final_cost = self.inc.cost();
+        if report.staleness_violation.is_none() {
+            report.staleness_violation = self.inc.validate().err().map(|e| e.to_string());
+        }
+    }
+}
+
+/// Background full re-optimization. While a job is out churn keeps
+/// flowing; it is logged and replayed onto the fresh schedule at install.
+pub(crate) struct ReoptInstaller {
+    /// `None` once the optimizer declined the instance: it would decline
+    /// every grown version of it too, so the freeze is never paid again.
+    scheduler: Option<Arc<dyn Scheduler>>,
+    mode: ReoptMode,
+    /// Threshold mode's trigger, a fraction of the base cost.
+    threshold: f64,
+    /// Continuous mode's amortized wall-time budget fraction.
+    budget_frac: f64,
+    /// Continuous mode's budget gate: the next job fires no sooner.
+    next_at_ns: u64,
+    /// Clock reading when the job out was fired (`None`: none is out).
+    fired_at_ns: Option<u64>,
+    /// Mutations applied since the job out was fired.
+    replay_log: Vec<(bool, NodeId, NodeId)>,
+    clock: Clock,
+    metrics: Option<Arc<ServeMetrics>>,
+}
+
+impl ReoptInstaller {
+    pub(crate) fn new(
+        scheduler: Arc<dyn Scheduler>,
+        config: &ServeConfig,
+        clock: Clock,
+        metrics: Option<Arc<ServeMetrics>>,
+    ) -> Self {
+        ReoptInstaller {
+            scheduler: Some(scheduler),
+            mode: config.reopt_mode,
+            threshold: config.reopt_threshold,
+            budget_frac: config.reopt_budget_frac.clamp(0.01, 1.0),
+            next_at_ns: 0,
+            fired_at_ns: None,
+            replay_log: Vec::new(),
+            clock,
+            metrics,
+        }
+    }
+
+    pub(crate) fn in_flight(&self) -> bool {
+        self.fired_at_ns.is_some()
+    }
+
+    /// Upon applied churn: logs it while a job is out, else fires one once
+    /// degradation crosses the threshold (threshold mode) or the amortized
+    /// budget allows (continuous mode: the graph just changed).
+    pub(crate) fn upon_churn(
+        &mut self,
+        add: bool,
+        u: NodeId,
+        v: NodeId,
+        inc: &IncrementalScheduler,
+    ) -> Option<ReoptJob> {
+        if self.in_flight() {
+            self.replay_log.push((add, u, v));
+            return None;
+        }
+        let due = match self.mode {
+            ReoptMode::Threshold => {
+                let base = inc.base_cost();
+                base > 0.0 && inc.overlay_cost_delta() > self.threshold * base
+            }
+            ReoptMode::Continuous => self.clock.now_ns() >= self.next_at_ns,
+        };
+        let scheduler = Arc::clone(self.scheduler.as_ref().filter(|_| due)?);
+        let graph = inc.freeze_graph();
+        let rates = inc.rates().clone();
+        if !scheduler.supports(&Instance::new(&graph, &rates)) {
+            self.scheduler = None;
+            return None;
+        }
+        self.fired_at_ns = Some(self.clock.now_ns());
+        let events = self.metrics.as_ref().map(|m| {
+            m.events().record(EventKind::ReoptStart {
+                cost_before: inc.cost(),
+                trigger_delta: inc.overlay_cost_delta(),
+            });
+            m.events().clone()
+        });
+        Some(Box::new(move || {
+            // The event ring is the running thread's ambient log, so the
+            // optimizer's fan-out pool records its dispatches into it.
+            let _guard = events.as_ref().map(set_ambient_events);
+            let out = scheduler.schedule(&Instance::new(&graph, &rates));
+            (graph, out)
+        }))
+    }
+
+    /// Upon `ReoptDone`: the fresh scheduler — the job's schedule with the
+    /// churn logged since the fire replayed onto it.
+    pub(crate) fn install(
+        &mut self,
+        result: ReoptResult,
+        rates: &Rates,
+        report: &mut ChurnReport,
+    ) -> IncrementalScheduler {
+        let (graph, ScheduleOutcome { schedule, stats }) = result;
+        let mut fresh = IncrementalScheduler::new(graph, rates.clone(), schedule);
+        for (add, u, v) in self.replay_log.drain(..) {
+            if add {
+                fresh.add_edge(u, v);
+            } else {
+                fresh.remove_edge(u, v);
+            }
+        }
+        let fired_at_ns = self
+            .fired_at_ns
+            .take()
+            .expect("a result answers a fired job");
+        report.reopts += 1;
+        let elapsed = self.clock.since(fired_at_ns);
+        // Amortized budget: a run of W may occupy at most `frac` of wall
+        // time, so the next fires no sooner than W * (1 - frac) / frac
+        // from now (frac = 1 re-fires immediately).
+        let cooloff = elapsed.mul_f64((1.0 - self.budget_frac) / self.budget_frac);
+        self.next_at_ns = self.clock.after(cooloff);
+        if let Some(m) = &self.metrics {
+            m.reopt_stream_passes.add(stats.iterations as u64);
+            m.reopt_budget_spent_ms.add(elapsed.as_millis() as u64);
+            m.reopt_hubs_admitted.add(stats.hubs_applied as u64);
+            m.reopt_hubs_evicted.add(stats.hubs_evicted as u64);
+            m.events().record(EventKind::ReoptEnd {
+                cost_after: fresh.cost(),
+                wall_ms: elapsed.as_secs_f64() * 1e3,
+                installed: true,
+            });
+        }
+        fresh
+    }
+}
+
+/// What the churn thread did over the runtime's lifetime.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChurnReport {
     /// Follows applied (excluding duplicates of existing edges).
@@ -59,49 +314,41 @@ pub struct ChurnReport {
     pub rebalances: u64,
     /// User views re-homed to a different shard across all rebalances.
     pub users_migrated: u64,
-    /// Cross-server message rate added by churn since the last rebalance
-    /// (the rebalance trigger's accumulator, reported for observability).
+    /// The rebalance trigger's accumulator: cross-server message rate
+    /// added by churn since the last rebalance or re-optimization.
     pub cross_cost_churned: f64,
     /// Optimized base cost of the *latest* snapshot.
     pub base_cost: f64,
     /// Running incremental cost at shutdown.
     pub final_cost: f64,
-    /// Bounded-staleness violations caught *live* by the churn manager:
-    /// after every applied mutation, each edge the mutation switched to
-    /// direct serving must already be in the serving sets. Also exported
-    /// as the `churn.staleness_violations` counter while running.
+    /// Bounded-staleness violations caught *live*: an edge an applied
+    /// mutation switched to direct serving missing from the serving sets
+    /// (also the `churn.staleness_violations` counter).
     pub live_staleness_violations: u64,
-    /// Failovers executed: dead primaries re-pointed at surviving
-    /// replicas through an epoch swap.
+    /// Failovers executed: dead primaries re-pointed at surviving replicas.
     pub failovers: u64,
     /// Users whose primary moved across all failovers.
     pub users_failed_over: u64,
-    /// Total unavailability the failovers closed: per dead shard, the
-    /// wall time from its first missed heartbeat (or kill) to the new
-    /// topology epoch being published.
+    /// Unavailability the failovers closed: per dead shard, its first
+    /// missed heartbeat (or kill) to the repaired topology's publish.
     pub failover_unavailable_ms: f64,
-    /// Views for which **no** surviving replica slot existed at failover
-    /// time — data loss. Zero under domain-spread placement when at most
-    /// one failure domain dies; the domain-blind control run measures
-    /// how many views a correlated kill actually destroys without it.
+    /// Views a topology change found no live, caught-up copy of — data
+    /// loss, each view counted once. Zero under domain-spread placement
+    /// when at most one failure domain dies.
     pub views_lost: u64,
-    /// Dead shards that rejoined (answered heartbeats again) and entered
-    /// anti-entropy catch-up.
+    /// Dead shards that answered heartbeats again and began catching up.
     pub rejoins: u64,
-    /// Rejoined shards promoted back to read targets after catch-up.
+    /// Shards promoted back to read targets after a catch-up.
     pub readmits: u64,
-    /// Detection phase across failovers: first missed heartbeat (or
-    /// kill) to the `Down` verdict that triggered failover.
+    /// Detection phase: first missed heartbeat (or kill) to `Down`.
     pub detection_ms: f64,
-    /// Failover phase: `Down` verdict to the repaired topology epoch
-    /// being published.
+    /// Failover phase: `Down` to the repaired topology's publish.
     pub failover_ms: f64,
-    /// Catch-up phase across rejoins: rejoin detection to the last
-    /// anti-entropy batch landing.
+    /// Catch-up phase: backlog opened (at a rejoin, or on an unreachable
+    /// shard owed views) to its last anti-entropy batch landing.
     pub catchup_ms: f64,
-    /// Readmit phase across rejoins: rejoin detection to the shard being
-    /// promoted back to a read target (catch-up plus the final
-    /// staleness-budget check).
+    /// Readmit phase: the backlog opening to the shard serving reads again
+    /// (catch-up plus the staleness-budget gate).
     pub readmit_ms: f64,
     /// First bounded-staleness violation found — live (per-mutation check)
     /// or by the post-run validation, whichever fired first. `None` is the
@@ -122,9 +369,8 @@ impl ChurnReport {
 /// [`ServeRuntime::shutdown`]: crate::runtime::ServeRuntime::shutdown
 #[derive(Clone, Debug)]
 pub struct ServeReport {
-    /// Churn-manager accounting — churn, re-optimization, rebalance and
-    /// the failure lifecycle (failovers, rejoins, phase timings) — and the
-    /// post-run staleness validation.
+    /// The churn thread's accounting — churn, re-optimization, rebalance,
+    /// the failure lifecycle — and the post-run staleness validation.
     pub churn: ChurnReport,
     /// Epoch of the final published schedule snapshot (number of swaps).
     pub final_epoch: u64,

@@ -1,46 +1,35 @@
 //! The online serving runtime: shard workers, serving clients, and the
-//! churn manager.
-//!
-//! Thread layout:
+//! churn thread.
 //!
 //! * **Shard workers** (`config.workers` threads) own the
 //!   [`StoreServer`] shards behind channels, speaking the wire-format
 //!   [`worker`](piggyback_store::worker) protocol. Under
-//!   [`RpcMode::Direct`] no workers are spawned at all: clients (and the
-//!   churn manager's migrations) execute the same coalesced batches inline
-//!   against the shard mutexes — identical protocol and message
-//!   accounting, no scheduler round trip.
+//!   [`RpcMode::Direct`] none are spawned: clients and the control plane
+//!   run the same coalesced batches inline against the shard mutexes.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
 //!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
-//!   per operation) and forward `Follow`/`Unfollow` to the churn manager.
-//! * **The churn manager** (one thread) owns the
-//!   [`IncrementalScheduler`]: it applies graph mutations (§3.3 —
-//!   new edges served directly with the hybrid rule, orphaned piggybacked
-//!   edges re-served), publishes a new epoch per mutation, and fires a
-//!   **background full re-optimization** when the accumulated cost
-//!   degradation crosses the configured threshold. While the optimizer
-//!   runs on its own thread, churn keeps flowing; the mutations are
-//!   replayed onto the fresh schedule before it is swapped in atomically.
-//!   It also owns the cluster [`Topology`]: churn that lands cross-server
-//!   traffic accumulates toward [`ServeConfig::rebalance_threshold`], and
-//!   crossing it triggers a **live rebalance** — the configured
-//!   [`Partitioner`](piggyback_store::topology::Partitioner) recomputes
-//!   the partition map, moved views are migrated shard-to-shard over the
-//!   wire protocol, and the new topology is published through the same
-//!   epoch swap the schedule uses, so no request ever mixes two maps.
-//!   With heartbeats on, the same thread *calls* the failover controller
-//!   (the private `failover` module) once per heartbeat interval, between
-//!   churn messages. The controller owns the shard lifecycle — one record
-//!   per shard (probe in flight, `Serving`/`FailedOver`/`CatchingUp`), the
-//!   failure-free topology rejoins converge back to, and every decision
-//!   about probing, failover, rejoin and anti-entropy; the manager lends
-//!   it the shard I/O handle and the report it counts into.
+//!   per operation) and forward `Follow`/`Unfollow` to the churn thread.
+//! * **The churn thread** is one dispatcher — one receive loop, one
+//!   `match` — lending its shard I/O handle and report to four records,
+//!   each written only by its own handlers:
+//!   - `ChurnApplier` ([`ops`](crate::ops)): applies each mutation (§3.3)
+//!     to the [`IncrementalScheduler`], checks bounded staleness live,
+//!     publishes an epoch and compacts overrides;
+//!   - `ReoptInstaller` (`ops`): past [`ServeConfig::reopt_threshold`] (or
+//!     continuously, under a budget) it *returns* a `ReoptJob`, which the
+//!     dispatcher runs on a thread of its own; the result comes back as a
+//!     message, and the install replays the churn logged meanwhile;
+//!   - `Rebalancer` (the private `failover` module): past
+//!     [`ServeConfig::rebalance_threshold`] it re-partitions and moves
+//!     views by the rule failover uses;
+//!   - `FailoverController` (same module): the shard lifecycle, ticked
+//!     once per heartbeat between messages. With heartbeats off the
+//!     dispatcher blocks in `recv()`, with no periodic wake-up.
 //!
-//! The control plane reads time from one [`Clock`], built here
-//! (monotonic) and handed to the detector, the injector, the controller,
-//! the manager and the event ring. The fault matrix assembles the same
-//! runtime on a manual clock, spawns no churn thread, and calls the
-//! manager's handlers itself.
+//!   Every epoch goes out through one publish, so no request ever mixes
+//!   two schedules or two maps. The control plane reads time from one
+//!   [`Clock`]; the fault matrix assembles the same runtime on a manual
+//!   clock, spawns no thread, and runs each `ReoptJob` inline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,24 +38,26 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
+use piggyback_core::incremental::IncrementalScheduler;
 use piggyback_core::schedule::Schedule;
-use piggyback_core::scheduler::{Instance, Scheduler};
+use piggyback_core::scheduler::Scheduler;
 use piggyback_graph::{CsrGraph, NodeId};
-use piggyback_obs::{set_ambient_events, Clock, EventKind, Snapshot};
+use piggyback_obs::{Clock, Snapshot};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::HealthTracker;
 use piggyback_store::server::{ShardStats, StoreServer};
-use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
+use piggyback_store::topology::{PartitionRequest, Topology};
 use piggyback_store::worker::{worker_loop, BufferPool, ShardClient, ShardRequest, Transport};
 use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
-use crate::config::{ReoptMode, RpcMode, ServeConfig};
-use crate::epoch::{CompiledSets, EpochHandle, EpochReader, ServingSchedule};
-use crate::failover::{reachable, FailoverController, ShardIo, DOWN_MISSES, SUSPECT_MISSES};
+use crate::config::{RpcMode, ServeConfig};
+use crate::epoch::{EpochHandle, EpochReader, ServingSchedule};
+use crate::failover::{
+    reachable, FailoverController, Publisher, Rebalancer, ShardIo, DOWN_MISSES, SUSPECT_MISSES,
+};
 use crate::metrics::{OpRecorder, ServeMetrics};
-use crate::ops::{ChurnMsg, ChurnReport, ReoptResult, ServeReport};
+use crate::ops::{ChurnApplier, ChurnMsg, ChurnReport, ReoptInstaller, ReoptJob, ServeReport};
 
 /// Bound on the shard-worker and churn channels (back-pressure depth).
 const QUEUE_DEPTH: usize = 1024;
@@ -84,8 +75,6 @@ pub struct ServeRuntime {
     churn_tx: Sender<ChurnMsg>,
     clock: Arc<AtomicU64>,
     top_k: usize,
-    shards_n: usize,
-    replication: usize,
     metrics: Option<Arc<ServeMetrics>>,
     /// Shared failure detector (present when replication or heartbeats
     /// are configured).
@@ -99,7 +88,7 @@ pub struct ServeRuntime {
 
 impl ServeRuntime {
     /// Boots the runtime for an optimized `(graph, rates, schedule)`
-    /// triple. `reopt` is the optimizer the churn manager re-runs in the
+    /// triple. `reopt` is the optimizer the churn thread re-runs in the
     /// background when schedule quality degrades past
     /// [`ServeConfig::reopt_threshold`].
     ///
@@ -114,16 +103,19 @@ impl ServeRuntime {
         reopt: Box<dyn Scheduler>,
         config: ServeConfig,
     ) -> Self {
-        let (mut runtime, manager) =
-            Self::assemble(graph, rates, schedule, reopt, config, Clock::monotonic());
+        let clock = Clock::monotonic();
+        let (mut runtime, manager, rx) =
+            Self::assemble(graph, rates, schedule, reopt, config, clock.clone());
+        let tx = runtime.churn_tx.clone();
         runtime.churn_handle = Some(std::thread::spawn(move || {
-            manager.run(config.heartbeat_interval)
+            manager.run(rx, tx, config.heartbeat_interval, clock)
         }));
         runtime
     }
 
     /// Everything [`ServeRuntime::start`] builds, on `clock`, with the
-    /// churn manager handed back instead of moved onto its thread.
+    /// dispatcher and its channel handed back instead of moved onto the
+    /// churn thread.
     fn assemble(
         graph: CsrGraph,
         rates: Rates,
@@ -131,7 +123,7 @@ impl ServeRuntime {
         reopt: Box<dyn Scheduler>,
         config: ServeConfig,
         clock: Clock,
-    ) -> (Self, ChurnManager) {
+    ) -> (Self, ChurnManager, Receiver<ChurnMsg>) {
         assert!(config.shards >= 1 && config.workers >= 1, "need threads");
         assert_eq!(graph.edge_count(), schedule.edge_count());
         assert!(
@@ -140,9 +132,8 @@ impl ServeRuntime {
             rates.len(),
             graph.node_count()
         );
-        // Failure domains (racks/zones): a non-trivial map makes every
-        // partitioner spread replica slots so no two copies of a view
-        // share a domain — the placement that survives correlated kills.
+        // Failure domains (racks/zones): every partitioner then spreads a
+        // view's replica slots across domains, surviving correlated kills.
         let domains =
             (config.domains > 0).then(|| Topology::block_domains(config.shards, config.domains));
         let topology = Arc::new(
@@ -196,9 +187,8 @@ impl ServeRuntime {
         let faults = config
             .faults
             .map(|plan| Arc::new(FaultInjector::new(plan, config.shards, clock.clone())));
-        // The detector exists whenever replicas or heartbeats are in play;
-        // the staleness budget is how far a Suspect replica may legally
-        // lag and still serve reads.
+        // The detector, whenever replicas or heartbeats are in play; the
+        // staleness budget bounds how far a readable Suspect replica lags.
         let health = (replication > 1 || !config.heartbeat_interval.is_zero()).then(|| {
             Arc::new(HealthTracker::new(
                 config.shards,
@@ -208,53 +198,29 @@ impl ServeRuntime {
                 clock.clone(),
             ))
         });
-        // A push edge to a k-replicated consumer fans out to k replica
-        // slots, so the churn manager prices every push/pull decision —
-        // incremental hybrid choices and background re-optimizations
-        // alike — with k-amplified producer rates (the §2.1 cost model
-        // with replication folded in). k = 1 returns the rates untouched,
-        // which is what keeps the replication-1 plane bit-identical.
-        let sched_rates = rates.push_amplified(replication);
-        // The failover controller runs whenever there are heartbeats to
-        // poll and a detector to feed.
+        let publisher = Publisher {
+            handle: Arc::clone(&handle),
+            metrics: metrics.clone(),
+        };
+        // The failover controller: heartbeats to poll, a detector to feed.
         let failover = health
             .clone()
             .filter(|_| !config.heartbeat_interval.is_zero())
-            .map(|health| {
-                FailoverController::new(
-                    Arc::clone(&handle),
-                    health,
-                    faults.clone(),
-                    metrics.clone(),
-                    config.heartbeat_interval,
-                    clock.clone(),
-                )
+            .map(|h| {
+                FailoverController::new(publisher.clone(), h, faults.clone(), &config, &clock)
             });
+        // A push to a k-replicated consumer fans out to k slots, so every
+        // push/pull decision of the churn thread is priced with k-amplified
+        // producer rates (§2.1 with replication); k = 1 is the identity.
+        let inc = IncrementalScheduler::new(graph, rates.push_amplified(replication), schedule);
         let manager = ChurnManager {
-            inc: IncrementalScheduler::new(graph, sched_rates.clone(), schedule),
-            rates: sched_rates,
-            handle: Arc::clone(&handle),
-            scheduler: Arc::from(reopt),
-            threshold: config.reopt_threshold,
-            reopt_mode: config.reopt_mode,
-            reopt_budget_frac: config.reopt_budget_frac.clamp(0.01, 1.0),
-            reopt_dirty: false,
-            reopt_next_at_ns: 0,
-            partition: config.partition,
-            rebalance_threshold: config.rebalance_threshold,
-            placement_seed: config.placement_seed,
-            io: ShardIo::new(transport.clone(), Arc::clone(&pool)),
-            rx: churn_rx,
-            self_tx: churn_tx.clone(),
-            metrics: metrics.clone(),
-            reopt_in_flight: false,
-            reopt_unsupported: false,
-            reopt_started_ns: 0,
-            replay_log: Vec::new(),
-            report: ChurnReport::default(),
-            cross_churned: 0.0,
+            applier: ChurnApplier::new(inc, publisher.clone()),
+            reopt: ReoptInstaller::new(Arc::from(reopt), &config, clock.clone(), metrics.clone()),
+            rebalancer: Rebalancer::new(&config, publisher, clock),
             failover,
-            clock,
+            io: ShardIo::new(transport.clone(), Arc::clone(&pool)),
+            report: ChurnReport::default(),
+            closing: None,
         };
         let runtime = ServeRuntime {
             handle,
@@ -264,8 +230,6 @@ impl ServeRuntime {
             churn_tx,
             clock: Arc::new(AtomicU64::new(1)),
             top_k: config.top_k,
-            shards_n: config.shards,
-            replication,
             metrics,
             health,
             faults,
@@ -273,7 +237,7 @@ impl ServeRuntime {
             worker_handles,
             churn_handle: None,
         };
-        (runtime, manager)
+        (runtime, manager, churn_rx)
     }
 
     /// A new front-end client with its own event-id namespace.
@@ -299,34 +263,24 @@ impl ServeRuntime {
     }
 
     /// Scrapes every shard's operation counters **over the wire**: one
-    /// [`ShardRequest::Stats`] per shard through the same transport data
-    /// ops use, pipelined (all requests in flight before the first reply
-    /// is awaited). Works identically under the worker pool and the
-    /// caller-runs transport: the scrape goes through the single
-    /// `handle_request` and every counted batch through the single
-    /// `serve_batch`, which is what guarantees the differential test's
-    /// counter identity.
+    /// pipelined [`ShardRequest::Stats`] per shard through the transport
+    /// data ops use (so both planes count alike). Unreachable: zeros.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let mut io = ShardIo::new(self.transport.clone(), Arc::clone(&self.pool));
-        // An unreachable shard (killed or partitioned) cannot answer
-        // the scrape any more than another request; it reports as zeros
-        // rather than hanging the snapshot.
-        let pending: Vec<Option<_>> = (0..self.shards_n)
+        let pending: Vec<Option<_>> = (0..self.handle.load().topology().servers())
             .map(|shard| {
                 reachable(self.faults.as_deref(), shard)
                     .then(|| io.request(|done| ShardRequest::Stats { shard, done }))
             })
             .collect();
-        pending
+        let decode = |rx: Receiver<_>| {
+            let mut reply = rx.recv().expect("worker dropped stats reply");
+            ShardStats::decode(&mut reply).expect("malformed stats reply")
+        };
+        let stats = pending
             .into_iter()
-            .map(|rx| match rx {
-                Some(rx) => {
-                    let mut reply = rx.recv().expect("worker dropped stats reply");
-                    ShardStats::decode(&mut reply).expect("malformed stats reply")
-                }
-                None => ShardStats::default(),
-            })
-            .collect()
+            .map(|rx| rx.map(decode).unwrap_or_default());
+        stats.collect()
     }
 
     /// The shared failure detector, when the runtime carries one.
@@ -340,32 +294,20 @@ impl ServeRuntime {
     }
 
     /// Fault control: kills `shard` (it refuses every request from now
-    /// on). Returns `false` when no fault plan is configured — a runtime
-    /// without an injector has no kill switches. Detection and failover
-    /// proceed through the normal heartbeat path.
+    /// on); detection and failover take the heartbeat path. `false` when
+    /// no fault plan is configured.
     pub fn kill_shard(&self, shard: usize) -> bool {
-        match &self.faults {
-            Some(f) => f.kill(shard),
-            None => false,
-        }
+        self.faults.as_ref().is_some_and(|f| f.kill(shard))
     }
 
     /// Fault control: restarts a killed `shard` as a fresh, **empty**
-    /// process — its views died with the process (`ResetViews` over the
-    /// wire), then the kill is lifted so it answers connections again.
-    /// The failover controller notices the recovered heartbeat, re-admits
-    /// the shard to the write path, and streams its views back through
-    /// budgeted anti-entropy before reads resume
-    /// ([`ShardHealth::CatchingUp`](piggyback_store::health::ShardHealth)).
-    /// Returns `false` when no fault plan is configured or the shard was
-    /// not killed.
+    /// process (`ResetViews` over the wire, then the kill is lifted); the
+    /// failover controller rejoins it. `false` when no fault plan is
+    /// configured or the shard was not killed.
     pub fn restart_shard(&self, shard: usize) -> bool {
-        let Some(f) = &self.faults else {
+        let Some(f) = self.faults.as_ref().filter(|f| f.is_killed(shard)) else {
             return false;
         };
-        if !f.is_killed(shard) {
-            return false;
-        }
         // Reset *before* revive: the replacement process must be visibly
         // empty from its first answered request.
         ShardIo::new(self.transport.clone(), Arc::clone(&self.pool))
@@ -376,10 +318,8 @@ impl ServeRuntime {
     }
 
     /// One point-in-time capture of everything observable: the registry's
-    /// instruments (when metrics are on), the per-shard wire scrape folded
-    /// into `store.*` counters, and queue/pool occupancy gauges. Safe to
-    /// call while serving; periodic dumps diff successive snapshots with
-    /// [`Snapshot::delta_since`].
+    /// instruments, the wire scrape as `store.*` counters, and queue/pool
+    /// gauges. Safe while serving; diff two with [`Snapshot::delta_since`].
     pub fn stats_snapshot(&self) -> Snapshot {
         let mut snap = match &self.metrics {
             Some(m) => m.snapshot(),
@@ -416,32 +356,26 @@ impl ServeRuntime {
         self.handle.load()
     }
 
-    /// Stops the churn manager (waiting for any in-flight re-optimization
-    /// to land), validates bounded staleness on the final dynamic graph,
-    /// and tears the worker pool down.
-    ///
-    /// Clients should be dropped first; a client that outlives shutdown
-    /// keeps its shard channels alive (its operations still complete) but
-    /// churn operations are rejected.
+    /// Stops the churn thread (once any in-flight re-optimization has
+    /// landed), validates bounded staleness on the final dynamic graph, and
+    /// tears the worker pool down. Drop the clients first: one that outlives
+    /// shutdown keeps its shard channels alive, but its churn is rejected.
     pub fn shutdown(mut self) -> ServeReport {
         let (tx, rx) = bounded(1);
         self.churn_tx
             .send(ChurnMsg::Shutdown { done: tx })
-            .expect("churn manager gone before shutdown");
-        let churn = rx.recv().expect("churn manager dropped its report");
+            .expect("churn thread gone before shutdown");
+        let churn = rx.recv().expect("churn thread dropped its report");
         // Final capture while the workers can still answer the wire scrape.
         let metrics = self.metrics.is_some().then(|| self.stats_snapshot());
         if let Some(h) = self.churn_handle.take() {
-            h.join().expect("churn manager panicked");
+            h.join().expect("churn thread panicked");
         }
         drop(self.churn_tx);
-        // Workers exit once every request sender is gone. The runtime's own
-        // transport holds one clone of the sender Arc (the churn manager's
-        // died with its thread above) — release it, or the unwrap below
-        // could never succeed and a panicked worker would go unjoined.
+        // Workers exit once every request sender is gone: release the
+        // runtime's transport clone; if a client still holds one, leave the
+        // workers serving (they die with it).
         self.transport = Transport::Workers(Arc::new(Vec::new()));
-        // If a client still holds the sender Arc, leave the workers
-        // serving; they die with it.
         if let Ok(senders) = Arc::try_unwrap(self.senders) {
             drop(senders);
             for h in self.worker_handles.drain(..) {
@@ -452,7 +386,7 @@ impl ServeRuntime {
             churn,
             final_epoch: self.handle.epoch(),
             metrics,
-            replication: self.replication,
+            replication: self.handle.load().topology().replication(),
             max_replica_lag_ms: self
                 .health
                 .as_ref()
@@ -465,12 +399,10 @@ impl ServeRuntime {
 ///
 /// Every operation revalidates its cached schedule snapshot exactly once
 /// ([`EpochReader::current`]) and uses it end-to-end, so a concurrent
-/// epoch swap can never split one request across two schedules; an idle
-/// client keeps the snapshot it last used alive until its next operation.
-/// The client owns every per-operation buffer (targets, merge output, the
-/// [`ShardClient`]'s grouping/reply scratch), so a warmed-up client sends
-/// shares from recycled buffers and assembles streams with one allocation,
-/// the returned snapshot.
+/// epoch swap can never split one request across two schedules. The client
+/// owns every per-operation buffer (targets, merge output, the
+/// [`ShardClient`]'s scratch), so a warmed-up client allocates only the
+/// streams it returns.
 pub struct ServeClient {
     epoch: EpochReader,
     shard: ShardClient,
@@ -543,7 +475,7 @@ impl ServeClient {
         (Arc::from(&self.merged[..]), messages)
     }
 
-    /// `v` starts following `u`. Blocks until the churn manager has
+    /// `v` starts following `u`. Blocks until the churn thread has
     /// applied the edge and published the new epoch; `false` if the edge
     /// already existed (or the runtime is shutting down).
     pub fn follow(&self, u: NodeId, v: NodeId) -> bool {
@@ -574,12 +506,11 @@ impl ServeClient {
 
     fn churn_inner(&self, add: bool, u: NodeId, v: NodeId) -> bool {
         let (done, ack) = bounded(1);
-        let msg = if add {
-            ChurnMsg::Follow { u, v, done }
-        } else {
-            ChurnMsg::Unfollow { u, v, done }
-        };
-        if self.churn_tx.send(msg).is_err() {
+        if self
+            .churn_tx
+            .send(ChurnMsg::Churn { add, u, v, done })
+            .is_err()
+        {
             return false;
         }
         ack.recv().unwrap_or(false)
@@ -602,95 +533,54 @@ impl ServeClient {
     }
 }
 
-/// The single-writer churn manager (one thread; owns the incremental
-/// scheduler, publishes every epoch).
+/// The churn thread's dispatcher (see the module docs).
 struct ChurnManager {
-    inc: IncrementalScheduler,
-    rates: Rates,
-    handle: Arc<EpochHandle>,
-    scheduler: Arc<dyn Scheduler>,
-    threshold: f64,
-    /// Threshold-triggered or continuous re-optimization.
-    reopt_mode: ReoptMode,
-    /// Continuous mode's amortized wall-time budget fraction.
-    reopt_budget_frac: f64,
-    /// Whether churn has mutated the graph since the last re-optimization
-    /// was fired — continuous mode has nothing to gain from re-optimizing
-    /// an instance identical to the one the optimizer just saw.
-    reopt_dirty: bool,
-    /// Continuous mode's budget gate: the earliest clock reading at which
-    /// the next re-optimization may fire (pushed out after each run so
-    /// the optimizer occupies at most `reopt_budget_frac` of wall time).
-    reopt_next_at_ns: u64,
-    /// Partitioner the live rebalance re-runs.
-    partition: PartitionStrategy,
-    /// Rebalance once churn's cross-server cost exceeds this fraction of
-    /// the optimized base cost (infinite = disabled).
-    rebalance_threshold: f64,
-    placement_seed: u64,
-    /// The shards, for view migration (lent to the failover controller
-    /// each tick).
-    io: ShardIo,
-    rx: Receiver<ChurnMsg>,
-    self_tx: Sender<ChurnMsg>,
-    /// Shared instrument bundle (`None` when metrics are off).
-    metrics: Option<Arc<ServeMetrics>>,
-    reopt_in_flight: bool,
-    /// Set once the optimizer declines the instance (`supports() == false`)
-    /// so the freeze-and-check is not repeated on every later churn op.
-    reopt_unsupported: bool,
-    /// Clock reading when the in-flight re-optimization was fired (for
-    /// the [`EventKind::ReoptEnd`] wall time).
-    reopt_started_ns: u64,
-    /// Mutations applied while a re-optimization is in flight; replayed
-    /// onto the fresh schedule before it is swapped in.
-    replay_log: Vec<(bool, NodeId, NodeId)>,
-    /// The end-of-run report, counted in place as things happen
-    /// (`staleness_violation` holds the first *live* violation until
-    /// [`ChurnManager::final_report`] backs it with the post-run sweep).
-    report: ChurnReport,
-    /// Cross-server message rate added by churn since the last rebalance.
-    cross_churned: f64,
+    applier: ChurnApplier,
+    reopt: ReoptInstaller,
+    rebalancer: Rebalancer,
     /// The shard lifecycle (`None` = heartbeats off or no detector).
     failover: Option<FailoverController>,
-    /// The only time source this thread reads.
-    clock: Clock,
+    io: ShardIo,
+    /// The end-of-run report, counted in place as things happen.
+    report: ChurnReport,
+    /// Where the final report goes once shutdown has let the job out land.
+    closing: Option<Sender<ChurnReport>>,
 }
 
-/// Churn overrides above this count are compacted into a fresh compiled
-/// base (one O(n + m) recompile) instead of growing — it bounds both the
-/// per-publish override-map clone and the snapshot's memory overhead on
-/// long runs where re-optimization never fires.
-const OVERRIDE_COMPACT_LIMIT: usize = 1024;
-
 impl ChurnManager {
-    fn run(mut self, tick: Duration) {
-        if self.failover.is_none() {
-            while let Ok(msg) = self.rx.recv() {
-                if self.handle_msg(msg) {
-                    return;
-                }
-            }
-            return;
-        }
-        // Failure-detection mode: the churn thread wakes every heartbeat
-        // interval even while churn is idle. Under a busy churn stream the
-        // deadline check after each message keeps the cadence honest.
-        let mut next_tick_ns = self.clock.after(tick);
+    /// The production loop: a heartbeat round whenever its deadline has
+    /// passed, fired re-optimization jobs on threads of their own.
+    fn run(mut self, rx: Receiver<ChurnMsg>, tx: Sender<ChurnMsg>, tick: Duration, clock: Clock) {
+        let mut next_tick_ns = clock.after(tick);
         loop {
-            let wait = Duration::from_nanos(next_tick_ns.saturating_sub(self.clock.now_ns()));
-            match self.rx.recv_timeout(wait) {
+            let msg = match self.failover {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(_) => rx.recv_timeout(Duration::from_nanos(
+                    next_tick_ns.saturating_sub(clock.now_ns()),
+                )),
+            };
+            match msg {
                 Ok(msg) => {
-                    if self.handle_msg(msg) {
+                    if let Some(job) = self.handle(msg) {
+                        let tx = tx.clone();
+                        // Shutdown waits for this send, so the thread is
+                        // never abandoned mid-job.
+                        std::thread::spawn(move || {
+                            let _ = tx.send(ChurnMsg::ReoptDone(Box::new(job())));
+                        });
+                    }
+                    if self.drained() {
                         return;
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
-            if self.clock.now_ns() >= next_tick_ns {
+            // Under a busy churn stream the deadline check after each
+            // message keeps the heartbeat cadence honest.
+            if self.failover.is_some() && clock.now_ns() >= next_tick_ns {
                 self.tick();
-                next_tick_ns = self.clock.after(tick);
+                next_tick_ns = clock.after(tick);
             }
         }
     }
@@ -702,382 +592,54 @@ impl ChurnManager {
         }
     }
 
-    /// Dispatches one message; `true` means shutdown completed.
-    fn handle_msg(&mut self, msg: ChurnMsg) -> bool {
-        match msg {
-            ChurnMsg::Follow { u, v, done } => {
-                let _ = done.send(self.apply(true, u, v));
-                false
-            }
-            ChurnMsg::Unfollow { u, v, done } => {
-                let _ = done.send(self.apply(false, u, v));
-                false
-            }
+    /// Hands one message to its records' handlers, acking churn once all
+    /// are done; returns the re-optimization job it fired, for the caller.
+    fn handle(&mut self, msg: ChurnMsg) -> Option<ReoptJob> {
+        let (add, u, v, done) = match msg {
+            ChurnMsg::Churn { add, u, v, done } => (add, u, v, done),
             ChurnMsg::ReoptDone(result) => {
-                self.install_reopt(*result);
-                false
+                let rates = self.applier.inc().rates();
+                let fresh = self.reopt.install(*result, rates, &mut self.report);
+                self.rebalancer.rearm();
+                self.applier.rebase(fresh);
+                return None;
             }
             ChurnMsg::Shutdown { done } => {
-                // Let an in-flight re-optimization land so its thread
-                // is not abandoned mid-swap; further churn is rejected.
-                while self.reopt_in_flight {
-                    match self.rx.recv() {
-                        Ok(ChurnMsg::ReoptDone(result)) => {
-                            self.install_reopt(*result);
-                        }
-                        Ok(ChurnMsg::Follow { done, .. }) | Ok(ChurnMsg::Unfollow { done, .. }) => {
-                            let _ = done.send(false);
-                        }
-                        Ok(ChurnMsg::Shutdown { .. }) | Err(_) => break,
-                    }
-                }
-                let _ = done.send(self.final_report());
-                true
+                self.closing = Some(done);
+                return None;
             }
-        }
+        };
+        // Shutting down: further churn is rejected.
+        let effect = match self.closing {
+            None => self.applier.apply(add, u, v, &mut self.report),
+            Some(_) => None,
+        };
+        let applied = effect.is_some();
+        let job = effect.and_then(|effect| {
+            let inc = self.applier.inc();
+            let failover = self.failover.as_mut();
+            self.rebalancer
+                .upon_churn(&effect, inc, &mut self.io, failover, &mut self.report);
+            self.reopt.upon_churn(add, u, v, inc)
+        });
+        let _ = done.send(applied);
+        job
     }
 
-    /// Applies one mutation, publishes the next epoch, and checks the
-    /// re-optimization trigger. Returns whether the edge actually changed.
-    fn apply(&mut self, add: bool, u: NodeId, v: NodeId) -> bool {
-        let n = self.rates.len() as u64;
-        if u as u64 >= n || v as u64 >= n {
-            // Users outside the rate model cannot be priced; reject.
-            self.report.churn_rejected += 1;
+    /// Once shutdown was asked for and no job is out: sends the final
+    /// report. `true` means the dispatcher is done.
+    fn drained(&mut self) -> bool {
+        if self.reopt.in_flight() {
             return false;
         }
-        let effect = if add {
-            self.inc.add_edge_detailed(u, v)
-        } else {
-            self.inc.remove_edge_detailed(u, v)
-        };
-        if !effect.applied {
-            self.report.churn_rejected += 1;
+        let Some(done) = self.closing.take() else {
             return false;
-        }
-        if add {
-            self.report.follows_applied += 1;
-        } else {
-            self.report.unfollows_applied += 1;
-        }
-        if self.reopt_in_flight {
-            self.replay_log.push((add, u, v));
-        }
-        self.reopt_dirty = true;
-        // Live bounded-staleness check: every edge this mutation reserved
-        // for direct serving must be in the serving sets *now* — the same
-        // invariant the post-run validation sweeps, caught at the moment it
-        // would break. `serves_edge_directly` is an allocation-free probe.
-        for &(x, y) in &effect.reserved_direct {
-            if !self.inc.serves_edge_directly(x, y) {
-                self.report.live_staleness_violations += 1;
-                if let Some(m) = &self.metrics {
-                    m.staleness_violations.inc();
-                }
-                if self.report.staleness_violation.is_none() {
-                    self.report.staleness_violation = Some(format!(
-                        "live: edge {x} -> {y} reserved direct but absent from serving sets \
-                         after {} mutation ({u} -> {v})",
-                        if add { "follow" } else { "unfollow" },
-                    ));
-                }
-            }
-        }
-        // Every edge this mutation switched to direct serving — the added
-        // follow itself, or the piggybacked edges an unfollow orphaned —
-        // adds its hybrid cost to the wire when its endpoints live on
-        // different servers. That is the degradation a rebalance can win
-        // back; skip the accounting entirely when rebalancing can never
-        // fire (disabled, or the stateless hash strategy).
-        if self.rebalance_threshold.is_finite()
-            && self.partition != PartitionStrategy::Hash
-            && !effect.reserved_direct.is_empty()
-        {
-            let snap = self.handle.load();
-            let t = snap.topology();
-            for &(x, y) in &effect.reserved_direct {
-                if t.server_of(x) != t.server_of(y) {
-                    self.cross_churned += self.rates.rp(x).min(self.rates.rc(y));
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.cost_delta.set(self.inc.overlay_cost_delta());
-            m.cross_cost.set(self.cross_churned);
-        }
-        self.publish(&effect);
-        self.maybe_rebalance();
-        self.maybe_reopt();
-        true
-    }
-
-    /// Fires a live rebalance when churn has pushed enough message rate
-    /// across servers: re-partition with the configured strategy, migrate
-    /// the moved views shard-to-shard, publish the new topology.
-    fn maybe_rebalance(&mut self) {
-        // Hash placement is a pure function of (users, servers, seed):
-        // re-partitioning reproduces the current map, so a rebalance could
-        // never move anything — don't bother (apply() skips the
-        // accumulator for the same reason).
-        if !self.rebalance_threshold.is_finite() || self.partition == PartitionStrategy::Hash {
-            return;
-        }
-        let base = self.inc.base_cost();
-        if base <= 0.0 || self.cross_churned <= self.rebalance_threshold * base {
-            return;
-        }
-        self.rebalance();
-    }
-
-    /// Recomputes the topology and re-homes every moved view.
-    ///
-    /// The migration speaks the shard wire protocol (extract at the old
-    /// home, merge-install at the new one), pipelined — every extract is
-    /// in flight before the first reply is awaited, and installs stream
-    /// out as payloads arrive — and completes *before* the new topology
-    /// is published, so a query after the swap finds the view already at
-    /// its new home. In-flight requests keep routing through the snapshot
-    /// they loaded — the epoch swap guarantees no request mixes the two
-    /// maps.
-    ///
-    /// Consistency is the store's memcached model (§4.3: views are
-    /// caches; re-placement implies cache misses): an update that races
-    /// the migration — routed via an old snapshot after its view was
-    /// extracted or after the swap — can land at the old home and stay
-    /// invisible to later queries, exactly as a resized memcached pool
-    /// drops moved keys. Bounded staleness of the *schedule* is
-    /// unaffected (validated post-run); quiescent-traffic migration is
-    /// lossless (`tests/rebalance.rs`).
-    ///
-    /// Deliberately synchronous on the churn thread (unlike the
-    /// backgrounded re-optimization): the single writer is what makes
-    /// migrate-then-swap race-free, at the price of stalling churn — not
-    /// serving — for the repartition + migration (seconds at 100k users;
-    /// `BENCH_placement.json` wall times). Size `rebalance_threshold` so
-    /// this stays rare.
-    fn rebalance(&mut self) {
-        let started_ns = self.clock.now_ns();
-        let snap = self.handle.load();
-        let old = Arc::clone(snap.topology());
-        // Re-partition the *current* graph under the schedule actually
-        // serving it (base assignments + direct overlay edges), so the new
-        // map reflects the traffic churn created — not the boot snapshot.
-        let (frozen, serving) = self.inc.freeze_with_schedule();
-        let new = self
-            .partition
-            .partitioner()
-            .partition(&PartitionRequest {
-                graph: &frozen,
-                rates: &self.rates,
-                schedule: Some(&serving),
-                servers: old.servers(),
-                seed: self.placement_seed,
-                domains: (!old.domains().is_empty()).then(|| old.domains()),
-            })
-            .with_replication(old.replication());
-        let moved = old.moved_users(&new);
-        if moved.is_empty() {
-            // The partitioner reproduced the current map (always true for
-            // deterministic hash with a fixed seed): nothing to migrate,
-            // and publishing an identical topology would be a wasted epoch
-            // swap. Reset the trigger and keep the epoch.
-            self.cross_churned = 0.0;
-            return;
-        }
-        let jobs: Vec<(NodeId, usize)> = moved.iter().map(|&u| (u, old.server_of(u))).collect();
-        self.io
-            .copy_views(&jobs, true, |i, to| to.push(new.server_of(jobs[i].0)));
-        self.report.users_migrated += moved.len() as u64;
-        self.report.rebalances += 1;
-        self.cross_churned = 0.0;
-        let new = Arc::new(new);
-        if let Some(failover) = &mut self.failover {
-            failover.set_desired(Arc::clone(&new));
-        }
-        self.handle.swap(snap.with_topology(new));
-        if let Some(m) = &self.metrics {
-            m.events().record(EventKind::Rebalance {
-                moved: moved.len(),
-                wall_ms: self.clock.since(started_ns).as_secs_f64() * 1e3,
-            });
-        }
-    }
-
-    /// Publishes a new epoch overriding exactly the users the mutation
-    /// touched. Single writer: load-modify-swap is race-free. Once the
-    /// override map would exceed [`OVERRIDE_COMPACT_LIMIT`], the sets are
-    /// compacted into a fresh base instead, keeping per-publish cost
-    /// bounded on runs where re-optimization never fires.
-    fn publish(&self, effect: &ChurnEffect) {
-        let snap = self.handle.load();
-        if snap.override_count() >= OVERRIDE_COMPACT_LIMIT {
-            self.publish_full_base();
-            return;
-        }
-        let push_updates: Vec<(NodeId, Vec<NodeId>)> = effect
-            .push_changed
-            .iter()
-            .map(|&x| (x, self.inc.push_targets(x)))
-            .collect();
-        let pull_updates: Vec<(NodeId, Vec<NodeId>)> = effect
-            .pull_changed
-            .iter()
-            .map(|&x| (x, self.inc.pull_sources(x)))
-            .collect();
-        self.handle
-            .swap(snap.with_updates(push_updates, pull_updates));
-        if let Some(m) = &self.metrics {
-            let now = self.handle.load();
-            m.events().record(EventKind::EpochSwap {
-                epoch: now.epoch(),
-                overrides: now.override_count(),
-            });
-        }
-    }
-
-    /// Publishes a freshly compiled base (no overrides) reflecting the
-    /// incremental scheduler's current serving sets; O(n + m). The
-    /// topology is carried over unchanged.
-    fn publish_full_base(&self) {
-        let n = self.rates.len();
-        let mut sets = CompiledSets {
-            push: Vec::with_capacity(n),
-            pull: Vec::with_capacity(n),
         };
-        for x in 0..n as NodeId {
-            sets.push.push(self.inc.push_targets(x));
-            sets.pull.push(self.inc.pull_sources(x));
-        }
-        let snap = self.handle.load();
-        let epoch = snap.epoch() + 1;
-        self.handle.swap(ServingSchedule::from_sets(
-            sets,
-            Arc::clone(snap.topology()),
-            epoch,
-        ));
-        if let Some(m) = &self.metrics {
-            m.events().record(EventKind::EpochSwap {
-                epoch,
-                overrides: 0,
-            });
-        }
-    }
-
-    /// Fires a background re-optimization when none is already running and
-    /// the mode's trigger is met: threshold mode waits for degradation to
-    /// cross the configured fraction of the base cost; continuous mode
-    /// fires whenever the graph is dirty and the amortized budget allows.
-    fn maybe_reopt(&mut self) {
-        if self.reopt_in_flight || self.reopt_unsupported {
-            return;
-        }
-        match self.reopt_mode {
-            ReoptMode::Threshold => {
-                if !self.threshold.is_finite() {
-                    return;
-                }
-                let base = self.inc.base_cost();
-                if base <= 0.0 || self.inc.overlay_cost_delta() <= self.threshold * base {
-                    return;
-                }
-            }
-            ReoptMode::Continuous => {
-                if !self.reopt_dirty || self.clock.now_ns() < self.reopt_next_at_ns {
-                    return;
-                }
-            }
-        }
-        let frozen = self.inc.freeze_graph();
-        let rates = self.rates.clone();
-        if !self.scheduler.supports(&Instance::new(&frozen, &rates)) {
-            // An optimizer that declines this instance will decline every
-            // grown version of it too; never pay the freeze again.
-            self.reopt_unsupported = true;
-            return;
-        }
-        let scheduler = Arc::clone(&self.scheduler);
-        let tx = self.self_tx.clone();
-        self.reopt_in_flight = true;
-        // The frozen snapshot captures everything applied so far; churn
-        // arriving while the optimizer runs re-dirties the flag.
-        self.reopt_dirty = false;
-        self.reopt_started_ns = self.clock.now_ns();
-        let events = self.metrics.as_ref().map(|m| {
-            m.events().record(EventKind::ReoptStart {
-                cost_before: self.inc.cost(),
-                trigger_delta: self.inc.overlay_cost_delta(),
-            });
-            m.events().clone()
-        });
-        std::thread::spawn(move || {
-            // Install the event ring as this thread's ambient log so the
-            // optimizer's fan-out pool records its batch dispatches into
-            // the runtime's trace.
-            let _guard = events.as_ref().map(set_ambient_events);
-            let out = scheduler.schedule(&Instance::new(&frozen, &rates));
-            // The manager may have shut down meanwhile; that drop is fine.
-            let _ = tx.send(ChurnMsg::ReoptDone(Box::new(ReoptResult {
-                graph: frozen,
-                schedule: out.schedule,
-                stats: out.stats,
-            })));
-        });
-    }
-
-    /// Swaps a finished re-optimization in: replay the churn that arrived
-    /// while it ran, recompile the serving sets, publish a fresh base.
-    fn install_reopt(&mut self, result: ReoptResult) {
-        let ReoptResult {
-            graph,
-            schedule,
-            stats,
-        } = result;
-        let mut fresh = IncrementalScheduler::new(graph, self.rates.clone(), schedule);
-        for (add, u, v) in self.replay_log.drain(..) {
-            if add {
-                fresh.add_edge(u, v);
-            } else {
-                fresh.remove_edge(u, v);
-            }
-        }
-        self.inc = fresh;
-        self.reopt_in_flight = false;
-        self.report.reopts += 1;
-        let elapsed = self.clock.since(self.reopt_started_ns);
-        // Amortized budget: a run of W may occupy at most `frac` of wall
-        // time, so the next fires no sooner than W * (1 - frac) / frac
-        // from now (frac = 1 re-fires immediately).
-        let cooloff = elapsed.mul_f64((1.0 - self.reopt_budget_frac) / self.reopt_budget_frac);
-        self.reopt_next_at_ns = self.clock.after(cooloff);
-        if let Some(m) = &self.metrics {
-            m.reopt_stream_passes.add(stats.iterations as u64);
-            m.reopt_budget_spent_ms.add(elapsed.as_millis() as u64);
-            m.reopt_hubs_admitted.add(stats.hubs_applied as u64);
-            m.reopt_hubs_evicted.add(stats.hubs_evicted as u64);
-            m.events().record(EventKind::ReoptEnd {
-                cost_after: self.inc.cost(),
-                wall_ms: elapsed.as_secs_f64() * 1e3,
-                installed: true,
-            });
-        }
-        // The fresh schedule re-piggybacks the direct-served churn edges,
-        // so the cross-server degradation the accumulator priced is gone;
-        // a rebalance justified by it would migrate for nothing.
-        self.cross_churned = 0.0;
-        self.publish_full_base();
-    }
-
-    fn final_report(&self) -> ChurnReport {
         let mut report = self.report.clone();
-        report.cross_cost_churned = self.cross_churned;
-        report.base_cost = self.inc.base_cost();
-        report.final_cost = self.inc.cost();
-        // The live per-mutation check fires first; the post-run sweep over
-        // the whole dynamic graph backs it up.
-        if report.staleness_violation.is_none() {
-            report.staleness_violation = self.inc.validate().err().map(|e| e.to_string());
-        }
-        report
+        report.cross_cost_churned = self.rebalancer.cross_churned;
+        self.applier.finish(&mut report);
+        let _ = done.send(report);
+        true
     }
 }
 
@@ -1087,9 +649,12 @@ mod fault_matrix;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::OVERRIDE_COMPACT_LIMIT;
     use piggyback_core::parallelnosy::ParallelNosy;
     use piggyback_core::scheduler::Hybrid;
+    use piggyback_core::scheduler::Instance;
     use piggyback_graph::GraphBuilder;
+    use piggyback_obs::EventKind;
 
     fn fig2_world() -> (CsrGraph, Rates, Schedule) {
         let mut b = GraphBuilder::new();

@@ -1,21 +1,24 @@
 //! The fault matrix: the one table where a failure scenario is described,
 //! and the one driver that runs it.
 //!
-//! A [`Row`] is (placement, fault plan, step script, expected counts). The
-//! driver assembles the real runtime ([`ServeRuntime::assemble`]) over
-//! caller-runs shards on a manual [`Clock`], spawns nothing, and plays the
-//! script on one thread: client operations go through a real
-//! [`ServeClient`], churn through [`ChurnManager::handle_msg`], heartbeat
-//! rounds through [`ChurnManager::tick`], and time passes only when the
-//! script (or a delayed batch) advances it. The row's seed picks the
-//! victim shard, the operation stream, how many operations land between
-//! two heartbeats and the injector's per-message draws, so `(row, seed)`
-//! replays to the digit — report and event ring.
+//! A [`Row`] is (cluster, churn jobs, fault plan, step script, expected
+//! counts). The matrix assembles the real runtime
+//! ([`ServeRuntime::assemble`]) over caller-runs shards on a manual
+//! [`Clock`], spawns nothing, and plays the script on one thread: client
+//! operations go through a real [`ServeClient`], churn through
+//! [`ChurnManager::handle`], heartbeat rounds through
+//! [`ChurnManager::tick`], a fired [`ReoptJob`] runs inline when the script
+//! lands it, and time passes only when the script (or a delayed batch)
+//! advances it. The row's seed picks the victim shard, the operation
+//! stream, how many operations land between two heartbeats and the
+//! injector's per-message draws, so `(row, seed)` replays to the digit —
+//! report and event ring.
 //!
-//! After **every** operation, tick and fault the driver re-checks what
-//! must hold whatever the interleaving (see [`Rig::request`],
-//! [`Rig::tick`], [`Rig::check_published`]); a row's own expectations sit
-//! in its script as [`Step::Check`]s and in its [`Expect`].
+//! After **every** operation, tick, fault and install the matrix re-checks
+//! what must hold whatever the interleaving (see [`Rig::request`],
+//! [`Rig::tick`], [`Rig::land`], [`Rig::check_published`]); a row's own
+//! expectations sit in its script as [`Step::Check`]s and in its
+//! [`Expect`].
 //!
 //! ```text
 //! cargo test -p piggyback-serve fault_matrix -- --nocapture   # the table
@@ -25,11 +28,12 @@
 //! The second form replays one `(row, seed)` — the pair a failure names —
 //! and prints its report and event ring.
 
-use piggyback_core::scheduler::Hybrid;
+use piggyback_core::scheduler::{Hybrid, Instance};
 use piggyback_graph::gen::{copying, CopyingConfig};
-use piggyback_obs::EventLog;
+use piggyback_obs::{EventKind, EventLog};
 use piggyback_store::fault::{FaultPlan, PartitionDir};
 use piggyback_store::health::ShardHealth;
+use piggyback_store::topology::PartitionStrategy;
 use piggyback_workload::OpTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +47,8 @@ const LAXITY: Duration = Duration::from_millis(50);
 const SEEDS: u64 = 64;
 /// Most client operations between two heartbeats of a [`Step::Storm`].
 const STORM_OPS: u32 = 6;
+/// Most operations a [`Step::Fire`] or [`Step::Rebalance`] may take.
+const TRIGGER_OPS: u32 = 400;
 
 /// Users, shards and failure domains of a row's cluster (replication 2).
 #[derive(Clone, Copy)]
@@ -63,12 +69,45 @@ const BLIND: Cluster = Cluster {
     domains: 0,
     ..SPREAD
 };
+/// Two racks of two: a view's slots cover half the fleet, so one
+/// rebalance gives each shard new slots (at every seed the matrix runs).
+const SMALL: Cluster = Cluster {
+    users: 120,
+    shards: 4,
+    domains: 2,
+};
 /// Two shards, so each holds every one of 520 views: a rejoin owes more
 /// than one anti-entropy batch and catch-up spans heartbeats.
 const DEEP: Cluster = Cluster {
     users: 520,
     shards: 2,
     domains: 0,
+};
+
+/// Placement and the two churn-triggered jobs of a row.
+#[derive(Clone, Copy)]
+struct Churn {
+    placement: PartitionStrategy,
+    rebalance_threshold: f64,
+    reopt_threshold: f64,
+}
+
+/// Churn is applied and published, nothing more.
+const APPLY: Churn = Churn {
+    placement: PartitionStrategy::Hash,
+    rebalance_threshold: f64::INFINITY,
+    reopt_threshold: f64::INFINITY,
+};
+/// Any degradation fires a re-optimization.
+const REOPT: Churn = Churn {
+    reopt_threshold: 1e-9,
+    ..APPLY
+};
+/// Schedule-aware placement; any cross-server churn fires a rebalance.
+const REBALANCE: Churn = Churn {
+    placement: PartitionStrategy::ScheduleAware,
+    rebalance_threshold: 1e-9,
+    ..APPLY
 };
 
 const FAULTLESS: FaultPlan = FaultPlan {
@@ -108,6 +147,13 @@ enum Step {
     Ticks(u32),
     /// Heartbeat rounds with `0..=STORM_OPS` seeded operations before each.
     Storm(u32),
+    /// Seeded operations until a re-optimization job is out (none if one
+    /// already is); it stays out, logging churn, until [`Step::Land`].
+    Fire,
+    /// Runs the job out to completion and delivers its result.
+    Land,
+    /// Seeded follows until a rebalance publishes.
+    Rebalance,
     Kill(Who),
     /// The dead process comes back empty.
     Restart(Who),
@@ -132,6 +178,7 @@ struct Row {
     /// The choke point the row is there to stress.
     stresses: &'static str,
     cluster: Cluster,
+    churn: Churn,
     laxity: Duration,
     plan: FaultPlan,
     script: &'static [Step],
@@ -146,6 +193,7 @@ const ROWS: &[Row] = &[
         name: "kill",
         stresses: "detection, then one repair / copy / publish, under load",
         cluster: SPREAD,
+        churn: APPLY,
         laxity: LAXITY,
         plan: DUPLICATES,
         script: &[Storm(3), Kill(Victim), Storm(DOWN_MISSES + 3), Ops(40)],
@@ -155,6 +203,7 @@ const ROWS: &[Row] = &[
         name: "kill-domain-spread",
         stresses: "a whole rack dies at once: spread replicas lose nothing",
         cluster: SPREAD,
+        churn: APPLY,
         laxity: LAXITY,
         plan: DUPLICATES,
         script: &[
@@ -174,6 +223,7 @@ const ROWS: &[Row] = &[
         name: "kill-domain-blind",
         stresses: "the control: ring-neighbour replicas die together",
         cluster: BLIND,
+        churn: APPLY,
         laxity: LAXITY,
         plan: DUPLICATES,
         script: &[
@@ -192,6 +242,7 @@ const ROWS: &[Row] = &[
         name: "kill-rejoin",
         stresses: "empty restart: rejoin, anti-entropy, readmit, back to boot",
         cluster: SPREAD,
+        churn: APPLY,
         laxity: LAXITY,
         plan: DUPLICATES,
         script: &[
@@ -211,6 +262,7 @@ const ROWS: &[Row] = &[
         name: "sustained-delay",
         stresses: "slow is not dead: 15% of batches held 1 ms, nobody fails over",
         cluster: SPREAD,
+        churn: APPLY,
         laxity: LAXITY,
         plan: FaultPlan {
             delay_per_mille: 150,
@@ -228,6 +280,7 @@ const ROWS: &[Row] = &[
         name: "sustained-drop",
         stresses: "3% of replica writes vanish: no staleness escape, no failover",
         cluster: SPREAD,
+        churn: APPLY,
         laxity: LAXITY,
         plan: FaultPlan {
             drop_update_per_mille: 30,
@@ -240,6 +293,7 @@ const ROWS: &[Row] = &[
         name: "partial-partition",
         stresses: "a live shard nobody can reach: failed over, healed, readmitted",
         cluster: SPREAD,
+        churn: APPLY,
         laxity: LAXITY,
         plan: FAULTLESS,
         script: &[
@@ -256,6 +310,7 @@ const ROWS: &[Row] = &[
         name: "suspect-read-at-laxity",
         stresses: "a Suspect replica is read at silence = Δ, refused at Δ + 1 ns",
         cluster: BLIND,
+        churn: APPLY,
         laxity: Duration::from_millis(12),
         plan: FAULTLESS,
         script: &[
@@ -273,6 +328,7 @@ const ROWS: &[Row] = &[
         name: "readmit-waits-for-laxity",
         stresses: "a drained rejoin stays off reads until its silence fits Δ",
         cluster: DEEP,
+        churn: APPLY,
         laxity: Duration::from_millis(12),
         plan: FAULTLESS,
         script: &[
@@ -299,6 +355,7 @@ const ROWS: &[Row] = &[
         name: "partition-heals-mid-catch-up",
         stresses: "an interrupted catch-up resumes: no shard left Serving with views owed",
         cluster: DEEP,
+        churn: APPLY,
         laxity: LAXITY,
         plan: DUPLICATES,
         script: &[
@@ -318,8 +375,9 @@ const ROWS: &[Row] = &[
     },
     Row {
         name: "rejoin-without-donor",
-        stresses: "the only other copy dies before the backlog streams: counted lost",
+        stresses: "the old copy dies before the backlog streams: the failover's copy donates",
         cluster: BLIND,
+        churn: APPLY,
         laxity: LAXITY,
         plan: FAULTLESS,
         script: &[
@@ -329,15 +387,16 @@ const ROWS: &[Row] = &[
             Restart(Victim),
             Kill(Next),
             Ticks(2),
-            Check(readmitted_without_the_views_it_shared_with_its_partner),
+            Check(readmitted_holding_every_boot_view),
             Ticks(DOWN_MISSES),
         ],
-        expect: Expect(2, Lost::Views, 1, 1),
+        expect: Expect(2, Lost::Nothing, 1, 1),
     },
     Row {
         name: "no-amnesty-for-the-partitioned",
         stresses: "a failover's clean slate must not pardon a shard nobody can reach",
         cluster: BLIND,
+        churn: APPLY,
         laxity: LAXITY,
         plan: FAULTLESS,
         // The victim falls on tick 4 and every reachable shard is pardoned;
@@ -351,6 +410,130 @@ const ROWS: &[Row] = &[
             Ticks(DOWN_MISSES),
         ],
         expect: Expect(2, Lost::Nothing, 0, 0),
+    },
+    Row {
+        name: "reopt-across-failover",
+        stresses: "a re-optimization fired before a kill installs after the failover, on its map",
+        cluster: SPREAD,
+        churn: REOPT,
+        laxity: LAXITY,
+        plan: DUPLICATES,
+        script: &[
+            Storm(3),
+            Fire,
+            Kill(Victim),
+            Storm(DOWN_MISSES + 2),
+            Land,
+            Check(the_install_kept_the_failover_map),
+            Ops(40),
+        ],
+        expect: Expect(1, Lost::Nothing, 0, 0),
+    },
+    Row {
+        name: "churn-replayed-across-install",
+        stresses: "churn applied while the optimizer runs is replayed onto its schedule",
+        cluster: SPREAD,
+        churn: REOPT,
+        laxity: LAXITY,
+        plan: FAULTLESS,
+        script: &[Fire, Ops(150), Check(churn_awaits_replay), Land, Storm(3)],
+        expect: Expect(0, Lost::Nothing, 0, 0),
+    },
+    Row {
+        name: "rebalance-during-catch-up",
+        stresses: "a rebalance owes a catching-up shard only new slots; its backlog still drains",
+        cluster: DEEP,
+        churn: REBALANCE,
+        laxity: LAXITY,
+        plan: FAULTLESS,
+        script: &[
+            Kill(Victim),
+            Ticks(DOWN_MISSES),
+            Restart(Victim),
+            Ticks(2),
+            Check(the_backlog_is_still_owed),
+            Rebalance,
+            Check(the_backlog_is_still_owed),
+            Check(only_its_backlog_reached_the_victim),
+            Ticks(1),
+            Check(every_view_in_place_and_every_survivor_up),
+        ],
+        expect: Expect(1, Lost::Nothing, 1, 1),
+    },
+    Row {
+        name: "rebalance-while-suspect",
+        stresses: "a killed shard, still only Suspect, neither donates to nor receives a rebalance",
+        cluster: SPREAD,
+        churn: REBALANCE,
+        laxity: LAXITY,
+        plan: FAULTLESS,
+        script: &[
+            Kill(Victim),
+            Ticks(SUSPECT_MISSES),
+            Rebalance,
+            Check(the_victim_is_only_suspect),
+            Check(nothing_is_homed_on_the_victim),
+            Ticks(DOWN_MISSES - SUSPECT_MISSES),
+            Check(nothing_is_homed_on_the_victim),
+        ],
+        expect: Expect(1, Lost::Nothing, 0, 0),
+    },
+    Row {
+        name: "rebalance-after-failover",
+        stresses: "a rebalance repairs the partitioner's map around a failed-over shard",
+        cluster: SPREAD,
+        churn: REBALANCE,
+        laxity: LAXITY,
+        plan: FAULTLESS,
+        script: &[
+            Kill(Victim),
+            Ticks(DOWN_MISSES),
+            Check(nothing_is_homed_on_the_victim),
+            Rebalance,
+            Check(nothing_is_homed_on_the_victim),
+            Ticks(DOWN_MISSES),
+            Check(nothing_is_homed_on_the_victim),
+        ],
+        expect: Expect(1, Lost::Nothing, 0, 0),
+    },
+    Row {
+        name: "exposed-slot-partitioned",
+        stresses: "a failover exposes a slot on a shard nobody can reach: queued, not skipped",
+        cluster: BLIND,
+        churn: APPLY,
+        laxity: LAXITY,
+        plan: FAULTLESS,
+        // `Next`'s views re-home to next + 1, exposing their slot on next + 2
+        // (`Far`), which went silent a heartbeat after the kill: `Suspect`
+        // when the failover publishes, healed before it is `Down`.
+        script: &[
+            Kill(Next),
+            Ticks(1),
+            Partition(Far, PartitionDir::Inbound),
+            Ticks(DOWN_MISSES - 1),
+            Check(the_partitioned_shard_is_catching_up),
+            Heal(Far),
+            Ticks(1),
+            Check(every_view_in_place_and_every_survivor_up),
+        ],
+        expect: Expect(1, Lost::Nothing, 0, 1),
+    },
+    Row {
+        name: "rebalance-while-partitioned",
+        stresses: "a rebalance gives views to a shard nobody can reach: queued, not skipped",
+        cluster: SMALL,
+        churn: REBALANCE,
+        laxity: LAXITY,
+        plan: FAULTLESS,
+        script: &[
+            Partition(Next, PartitionDir::Inbound),
+            Rebalance,
+            Check(the_partitioned_shard_is_catching_up),
+            Heal(Next),
+            Ticks(1),
+            Check(every_view_in_place_and_every_survivor_up),
+        ],
+        expect: Expect(0, Lost::Nothing, 0, 1),
     },
 ];
 
@@ -399,16 +582,12 @@ fn the_probe_is_only_just_out(rig: &mut Rig) {
 
 fn converged_back_to_boot_with_every_view_in_place(rig: &mut Rig) {
     assert_eq!(rig.published.1, rig.boot, "converged back to desired");
-    for u in 0..rig.boot.users() as NodeId {
-        for slot in rig.boot.replica_slots(u) {
-            assert!(rig.holds(slot, u), "view {u} missing at slot {slot}");
-        }
-    }
-    everyone_is_up(rig);
+    every_view_in_place_and_every_survivor_up(rig);
 }
 
+/// Every shard not killed is `Up`.
 fn everyone_is_up(rig: &mut Rig) {
-    for s in 0..rig.shards.len() {
+    for s in (0..rig.shards.len()).filter(|&s| !rig.faults.is_killed(s)) {
         assert_eq!(rig.health.state(s), ShardHealth::Up, "shard {s}");
     }
 }
@@ -447,6 +626,22 @@ fn the_backlog_is_still_owed(rig: &mut Rig) {
     assert!(!rig.ring().contains("remaining=0"), "more than one owed");
 }
 
+fn only_its_backlog_reached_the_victim(rig: &mut Rig) {
+    // Every view the victim keeps is on its backlog already: a transition
+    // during the catch-up copies it nothing inline.
+    let streamed: usize = rig
+        .events
+        .recent(usize::MAX)
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CatchUpBatch { shard, views, .. } if shard == rig.victim => Some(views),
+            _ => None,
+        })
+        .sum();
+    let installed = rig.shards[rig.victim].lock().stats().views_installed;
+    assert_eq!(installed, streamed as u64, "installs beyond the backlog");
+}
+
 fn drained_but_held_back_by_its_silence(rig: &mut Rig) {
     assert!(rig.ring().contains("remaining=0"), "the backlog drained");
     assert_eq!(rig.health.state(rig.victim), ShardHealth::CatchingUp);
@@ -462,18 +657,62 @@ fn readmitted_five_heartbeats_after_the_rejoin(rig: &mut Rig) {
     converged_back_to_boot_with_every_view_in_place(rig);
 }
 
-fn readmitted_without_the_views_it_shared_with_its_partner(rig: &mut Rig) {
-    // Ring slots {victim, next}: the one live copy sat on `next`, which
-    // died before the backlog streamed. (A fresher copy sits on the slot
-    // the failover exposed, next + 1, but the rejoin publish took that slot
-    // out of the view's replica set and donors are looked up there only.)
+fn readmitted_holding_every_boot_view(rig: &mut Rig) {
+    // Ring slots {victim, next}: the old copy of every view homed on the
+    // victim sat on `next`, which died before the backlog streamed. The
+    // failover had copied each to the slot it exposed, next + 1, which the
+    // rejoin publish took out of the view's replica set: the donor is found
+    // under the map the backlog was built against.
     let report = &rig.manager.report;
     assert_eq!((report.rejoins, report.readmits), (1, 1));
-    assert_eq!(
-        report.views_lost,
-        rig.boot.shard_sizes()[rig.victim] as u64,
-        "exactly the views homed on the victim"
-    );
+    for u in 0..rig.boot.users() as NodeId {
+        if rig.boot.replica_slots(u).any(|r| r == rig.victim) {
+            assert!(rig.holds(rig.victim, u), "view {u} missing at the victim");
+        }
+    }
+}
+
+fn the_install_kept_the_failover_map(rig: &mut Rig) {
+    let report = &rig.manager.report;
+    assert_eq!((report.failovers, report.reopts), (1, 1));
+    nothing_is_homed_on_the_victim(rig);
+}
+
+fn churn_awaits_replay(rig: &mut Rig) {
+    assert!(rig.job.is_some(), "the job is still out");
+    assert!(!rig.replayed.is_empty(), "no churn landed while it ran");
+}
+
+fn nothing_is_homed_on_the_victim(rig: &mut Rig) {
+    assert_eq!(rig.published.1.shard_sizes()[rig.victim], 0);
+}
+
+fn the_victim_is_only_suspect(rig: &mut Rig) {
+    assert_eq!(rig.health.state(rig.victim), ShardHealth::Suspect);
+    assert!(rig.manager.report.rebalances > 0);
+    assert_eq!(rig.manager.report.failovers, 0, "Suspect is not a verdict");
+}
+
+fn the_partitioned_shard_is_catching_up(rig: &mut Rig) {
+    let partitioned = (0..rig.shards.len()).filter(|&s| rig.faults.partition_of(s).is_some());
+    for s in partitioned {
+        assert_eq!(rig.health.state(s), ShardHealth::CatchingUp, "shard {s}");
+    }
+}
+
+/// Every slot of every view holds it and every shard is `Up` — the killed
+/// ones aside.
+fn every_view_in_place_and_every_survivor_up(rig: &mut Rig) {
+    let topology = Arc::clone(&rig.published.1);
+    for u in 0..topology.users() as NodeId {
+        for slot in topology
+            .replica_slots(u)
+            .filter(|&s| !rig.faults.is_killed(s))
+        {
+            assert!(rig.holds(slot, u), "view {u} missing at slot {slot}");
+        }
+    }
+    everyone_is_up(rig);
 }
 
 /// A fault the driver injected and the verdict it expects for it.
@@ -488,6 +727,9 @@ struct Fault {
     /// stands, only the prober can have found the death.
     refused: u64,
     failed_over: bool,
+    /// A killed shard's store counters at the kill: nothing may reach it
+    /// while it stays dead, a control-plane copy or drop included.
+    store: Option<ShardStats>,
 }
 
 /// The assembled runtime, the hand that drives it, and the driver's own
@@ -513,7 +755,9 @@ struct Rig {
     /// The plan drops no update: a write reaches every reachable slot.
     lossless: bool,
     faulted: Vec<Option<Fault>>,
-    rejoined_at_ns: Vec<u64>,
+    /// Clock reading at which each shard turned `CatchingUp` (its rejoin,
+    /// or the publish that queued views on it), until its readmit.
+    behind_since_ns: Vec<Option<u64>>,
     /// The last `(epoch, topology)` seen published.
     published: (u64, Arc<Topology>),
     /// The epoch published when the previous step began, and this one.
@@ -526,6 +770,9 @@ struct Rig {
     readmit_ms: f64,
     /// Readmit events seen.
     readmits: u64,
+    /// The re-optimization job out, and the churn applied since it fired.
+    job: Option<ReoptJob>,
+    replayed: Vec<(bool, NodeId, NodeId)>,
 }
 
 /// One `(row, seed)` as the world saw it: the final report and the
@@ -579,7 +826,7 @@ impl Rig {
             shards,
             domains,
         } = row.cluster;
-        let (rt, manager) = ServeRuntime::assemble(
+        let (rt, manager, _) = ServeRuntime::assemble(
             graph.clone(),
             rates.clone(),
             schedule.clone(),
@@ -592,7 +839,9 @@ impl Rig {
                 domains,
                 heartbeat_interval: HEARTBEAT,
                 staleness_budget: row.laxity,
-                reopt_threshold: f64::INFINITY,
+                partition: row.churn.placement,
+                rebalance_threshold: row.churn.rebalance_threshold,
+                reopt_threshold: row.churn.reopt_threshold,
                 faults: Some(FaultPlan { seed, ..row.plan }),
                 ..Default::default()
             },
@@ -618,13 +867,15 @@ impl Rig {
             laxity: row.laxity,
             lossless: row.plan.drop_update_per_mille == 0,
             faulted: (0..shards).map(|_| None).collect(),
-            rejoined_at_ns: vec![0; shards],
+            behind_since_ns: vec![None; shards],
             published: (0, Arc::clone(&boot)),
             epoch_at_step: [0; 2],
             ticks: 0,
             detection_ms: 0.0,
             readmit_ms: 0.0,
             readmits: 0,
+            job: None,
+            replayed: Vec::new(),
             boot,
             rt,
             manager,
@@ -681,6 +932,33 @@ impl Rig {
                     self.tick();
                 }
             }
+            Fire => {
+                for _ in 0..TRIGGER_OPS {
+                    if self.job.is_some() {
+                        return;
+                    }
+                    self.op();
+                }
+                panic!("no re-optimization fired in {TRIGGER_OPS} operations");
+            }
+            Land => self.land(),
+            Rebalance => {
+                let before = self.manager.report.rebalances;
+                let users = self.boot.users() as NodeId;
+                for _ in 0..TRIGGER_OPS {
+                    if self.manager.report.rebalances > before {
+                        return;
+                    }
+                    let (u, v) = (
+                        self.rng.random_range(0..users),
+                        self.rng.random_range(0..users),
+                    );
+                    if u != v {
+                        self.churn(true, u, v);
+                    }
+                }
+                panic!("no rebalance in {TRIGGER_OPS} follows");
+            }
             Kill(who) => self.fault(who, |rig, s| {
                 assert!(rig.rt.kill_shard(s), "shard {s} was already dead");
                 Some(false)
@@ -711,6 +989,7 @@ impl Rig {
                 ticks: 0,
                 refused: self.faults.counts().3,
                 failed_over: false,
+                store: (!partition).then(|| self.shards[s].lock().stats()),
             });
             self.faulted[s] = stands;
         }
@@ -728,17 +1007,61 @@ impl Rig {
         }
     }
 
-    /// A follow or unfollow, handed to the manager the way its thread
-    /// would take it off the channel.
+    /// A follow or unfollow, handed to the dispatcher the way its thread
+    /// would take it off the channel. A job it fires stays out until
+    /// [`Step::Land`]; churn applied meanwhile is what the install must
+    /// replay.
     fn churn(&mut self, add: bool, u: NodeId, v: NodeId) {
         let (done, ack) = bounded(1);
-        let msg = if add {
-            ChurnMsg::Follow { u, v, done }
-        } else {
-            ChurnMsg::Unfollow { u, v, done }
-        };
-        assert!(!self.manager.handle_msg(msg));
-        ack.recv().expect("churn is acknowledged");
+        let fired = self.manager.handle(ChurnMsg::Churn { add, u, v, done });
+        let applied = ack.recv().expect("churn is acknowledged");
+        match fired {
+            Some(job) => {
+                assert!(self.job.replace(job).is_none(), "one job out at a time");
+            }
+            None if applied && self.job.is_some() => self.replayed.push((add, u, v)),
+            None => {}
+        }
+        self.check_published();
+    }
+
+    /// Runs the job out inline, delivers its result, and holds the install
+    /// to what it must be: the published sets are exactly an
+    /// [`IncrementalScheduler`] replaying the churn logged since the fire
+    /// onto the job's schedule.
+    fn land(&mut self) {
+        let (graph, out) = self.job.take().expect("a job is out")();
+        let mut expected = IncrementalScheduler::new(
+            graph.clone(),
+            self.manager.applier.inc().rates().clone(),
+            out.schedule.clone(),
+        );
+        for (add, u, v) in self.replayed.drain(..) {
+            if add {
+                expected.add_edge(u, v);
+            } else {
+                expected.remove_edge(u, v);
+            }
+        }
+        let installs = self.manager.report.reopts;
+        assert!(self
+            .manager
+            .handle(ChurnMsg::ReoptDone(Box::new((graph, out))))
+            .is_none());
+        assert_eq!(self.manager.report.reopts, installs + 1);
+        let snap = self.rt.snapshot();
+        for x in 0..self.boot.users() as NodeId {
+            assert_eq!(
+                snap.push_targets(x),
+                expected.push_targets(x),
+                "push set of {x}"
+            );
+            assert_eq!(
+                snap.pull_sources(x),
+                expected.pull_sources(x),
+                "pull set of {x}"
+            );
+        }
         self.check_published();
     }
 
@@ -846,9 +1169,10 @@ impl Rig {
                     self.detection_ms += ms(now - f.evidence_ns.expect("set above"));
                     assert_eq!(wall_ms, 0.0, "a failover takes no virtual time");
                 }
-                EventKind::Rejoin { shard, .. } => self.rejoined_at_ns[shard] = now,
+                EventKind::Rejoin { shard, .. } => self.behind_since_ns[shard] = Some(now),
                 EventKind::Readmit { shard, wall_ms, .. } => {
-                    let took = ms(now - self.rejoined_at_ns[shard]);
+                    let since = self.behind_since_ns[shard].take();
+                    let took = ms(now - since.expect("readmitted, never behind"));
                     assert_eq!(wall_ms, took, "{e}");
                     self.readmit_ms += took;
                     self.readmits += 1;
@@ -884,8 +1208,27 @@ impl Rig {
         self.check_published();
     }
 
-    /// An epoch names one topology, and epochs only grow.
+    /// An epoch names one topology, and epochs only grow; nothing has
+    /// reached a killed shard's store; and a newly published topology has
+    /// every view at every slot a read may go to — on a shard not killed,
+    /// `Up` or `Suspect`, reachable or not — unless the view was counted
+    /// lost.
     fn check_published(&mut self) {
+        let now = self.clock.now_ns();
+        for s in 0..self.shards.len() {
+            if self.health.state(s) == ShardHealth::CatchingUp {
+                self.behind_since_ns[s].get_or_insert(now);
+            }
+        }
+        for (s, f) in self.faulted.iter().enumerate() {
+            if let Some(store) = f.as_ref().and_then(|f| f.store) {
+                assert_eq!(
+                    self.shards[s].lock().stats(),
+                    store,
+                    "killed shard {s} was reached"
+                );
+            }
+        }
         let snap = self.rt.snapshot();
         let (epoch, topology) = &self.published;
         assert!(snap.epoch() >= *epoch, "epoch went backwards");
@@ -895,14 +1238,36 @@ impl Rig {
                 "epoch {epoch} published two topologies"
             );
         }
+        if !Arc::ptr_eq(snap.topology(), topology) {
+            let caught_up = |s: usize| {
+                let state = self.health.state(s);
+                !self.faults.is_killed(s) && matches!(state, ShardHealth::Up | ShardHealth::Suspect)
+            };
+            let lost = &self.manager.io.lost;
+            for u in (0..snap.topology().users() as NodeId).filter(|u| !lost.contains(u)) {
+                for s in snap.topology().replica_slots(u).filter(|&s| caught_up(s)) {
+                    assert!(
+                        self.holds(s, u),
+                        "view {u} missing at slot {s} under epoch {}",
+                        snap.epoch()
+                    );
+                }
+            }
+        }
         self.published = (snap.epoch(), Arc::clone(snap.topology()));
     }
 
-    /// Shuts the manager down the way [`ServeRuntime::shutdown`] would
-    /// and holds the final report against the row's expectations.
+    /// Shuts the dispatcher down the way [`ServeRuntime::shutdown`] would —
+    /// a job still out lands first — and holds the final report against
+    /// the row's expectations.
     fn finish(mut self, expect: &Expect) -> Outcome {
         let (done, rx) = bounded(1);
-        assert!(self.manager.handle_msg(ChurnMsg::Shutdown { done }));
+        assert!(self.manager.handle(ChurnMsg::Shutdown { done }).is_none());
+        if self.job.is_some() {
+            assert!(!self.manager.drained(), "shutdown waits for the job out");
+            self.land();
+        }
+        assert!(self.manager.drained());
         let report = rx.recv().expect("the final report");
         assert!(
             report.zero_violations(),
@@ -945,7 +1310,7 @@ fn run(row: &Row, world: &World, seed: u64) -> Outcome {
 type Column = fn(&ChurnReport) -> f64;
 
 /// The table's columns, after `row` and `seeds`.
-const COLUMNS: [(&str, Column); 8] = [
+const COLUMNS: [(&str, Column); 11] = [
     ("failovers", |r| r.failovers as f64),
     ("views_lost", |r| r.views_lost as f64),
     ("rejoins", |r| r.rejoins as f64),
@@ -954,6 +1319,9 @@ const COLUMNS: [(&str, Column); 8] = [
     ("failover_ms", |r| r.failover_ms),
     ("catchup_ms", |r| r.catchup_ms),
     ("readmit_ms", |r| r.readmit_ms),
+    ("reopts", |r| r.reopts as f64),
+    ("rebalances", |r| r.rebalances as f64),
+    ("users_migrated", |r| r.users_migrated as f64),
 ];
 
 #[test]
@@ -969,7 +1337,10 @@ fn fault_matrix() {
     }
     let started = std::time::Instant::now();
     print!("{:<31}{:>6}", "row", "seeds");
-    COLUMNS.iter().for_each(|(name, _)| print!("{name:>12}"));
+    let width = |name: &str| name.len().max(11) + 1;
+    COLUMNS
+        .iter()
+        .for_each(|(name, _)| print!("{name:>w$}", w = width(name)));
     println!("   (milliseconds are virtual)");
     for row in ROWS {
         let world = world(row.cluster.users);
@@ -981,7 +1352,7 @@ fn fault_matrix() {
             row.name
         );
         print!("{:<31}{SEEDS:>6}", row.name);
-        for (_, column) in COLUMNS {
+        for (name, column) in COLUMNS {
             let values = outcomes.iter().map(|(report, _)| column(report));
             let (lo, hi) = values.fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
             let cell = if lo < hi {
@@ -989,7 +1360,7 @@ fn fault_matrix() {
             } else {
                 lo.to_string()
             };
-            print!("{cell:>12}");
+            print!("{cell:>w$}", w = width(name));
         }
         println!();
     }

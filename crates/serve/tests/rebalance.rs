@@ -1,7 +1,7 @@
 //! Live topology rebalancing: when churn pushes enough message rate
-//! across servers, the churn manager re-partitions, migrates the moved
-//! views shard-to-shard, and publishes the new topology through the same
-//! epoch swap the schedule uses.
+//! across servers, the churn thread re-partitions, copies every moved view
+//! to every replica slot it is new on, publishes the new topology through
+//! the same epoch swap the schedule uses, then drops the departed copies.
 //!
 //! The staleness contract under rebalance: *zero violations* — under
 //! quiescent traffic every event visible before a rebalance is still
@@ -12,7 +12,7 @@
 //! Updates that *race* a migration follow the store's memcached model —
 //! a concurrently-written event may land at a view's old home and miss
 //! later queries, like any re-placement cache miss (see
-//! `ChurnManager::rebalance`); schedule-level staleness is still
+//! `Rebalancer::upon_churn`); schedule-level staleness is still
 //! validated clean under concurrent traffic below.
 
 use std::collections::HashSet;
@@ -102,6 +102,65 @@ fn rebalance_preserves_every_pre_rebalance_event() {
         "staleness violated: {:?}",
         report.churn.staleness_violation
     );
+}
+
+/// At replication 2 a rebalance fills *every* replica slot of a moved
+/// view, not only its new primary: with each slot in turn the only
+/// readable one, every moved user still reads its own pre-rebalance event.
+#[test]
+fn rebalance_at_replication_two_fills_every_new_slot() {
+    let (g, r) = world(200);
+    let rt = boot(
+        &g,
+        &r,
+        ServeConfig {
+            shards: 8,
+            workers: 2,
+            partition: PartitionStrategy::ScheduleAware,
+            replication: 2,
+            rebalance_threshold: 1e-9,
+            reopt_threshold: f64::INFINITY,
+            view_capacity: 0,
+            ..Default::default()
+        },
+    );
+    let mut c = rt.client();
+    for u in 0..200u32 {
+        c.share(u);
+    }
+    let before = rt.snapshot().topology().clone();
+    for v in 0..200u32 {
+        c.follow((v + 7) % 200, v);
+    }
+    let after = rt.snapshot().topology().clone();
+    let moved = before.moved_users(&after);
+    assert!(
+        !moved.is_empty(),
+        "rebalance must re-home at least one user"
+    );
+    // No heartbeats run, so the detector only changes when told to.
+    let health = rt.health().expect("replicated");
+    let mut missing = Vec::new();
+    for &u in &moved {
+        let slots: Vec<usize> = after.replica_slots(u).collect();
+        for &slot in &slots {
+            let others = || slots.iter().copied().filter(move |&o| o != slot);
+            others().for_each(|o| health.mark_down(o));
+            if !c.query(u).0.iter().any(|e| e.user == u) {
+                missing.push((u, slot));
+            }
+            others().for_each(|o| health.record_ok(o));
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "{} of {} new slots lack their view: {missing:?}",
+        missing.len(),
+        2 * moved.len()
+    );
+    drop(c);
+    let report = rt.shutdown();
+    assert!(report.churn.zero_violations());
 }
 
 /// Piggybacked delivery works across a rebalance: an event pushed to a hub

@@ -22,9 +22,9 @@
 //! snap straight back to `Up`: the controller moves it `Down →
 //! CatchingUp` ([`HealthTracker::mark_catching_up`]) while anti-entropy
 //! streams its views back, and only [`HealthTracker::readmit`] promotes
-//! it to `Up` once its maximum view lag fits the staleness budget. While
-//! `CatchingUp`, heartbeat successes refresh liveness but never promote
-//! the state — a slow catch-up cannot be prematurely marked healthy.
+//! it to `Up` once its maximum view lag fits the staleness budget (as for
+//! a shard owed views while unreachable). While `CatchingUp`, heartbeat
+//! successes refresh liveness but never promote the state.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
@@ -40,8 +40,8 @@ pub enum ShardHealth {
     Suspect,
     /// Missed enough consecutive heartbeats to be declared dead.
     Down,
-    /// Rejoined after being down; answering heartbeats but still catching
-    /// up via anti-entropy. Receives replicated writes, serves no reads.
+    /// Rejoined, or owed views it could not be sent: catching up via
+    /// anti-entropy. Receives replicated writes, serves no reads.
     CatchingUp,
 }
 
@@ -170,15 +170,13 @@ impl HealthTracker {
         }
     }
 
-    /// Moves a rejoined shard `Down → CatchingUp`: it answers heartbeats
-    /// again and receives replicated writes, but serves no reads until
-    /// [`HealthTracker::readmit`].
+    /// Moves a shard — rejoined, or owed views it could not be sent — to
+    /// `CatchingUp`: written to, never read until [`HealthTracker::readmit`].
+    /// Liveness is left as recorded: a miss streak still ends in `Down`.
     pub fn mark_catching_up(&self, shard: usize) {
-        let s = &self.shards[shard];
-        s.last_ok_ns.store(self.clock.now_ns(), Ordering::Relaxed);
-        s.misses.store(0, Ordering::Relaxed);
-        s.first_miss_ns.store(0, Ordering::Relaxed);
-        s.state.store(CATCHING_UP, Ordering::Relaxed);
+        self.shards[shard]
+            .state
+            .store(CATCHING_UP, Ordering::Relaxed);
     }
 
     /// Promotes a `CatchingUp` shard back to `Up` once anti-entropy has
