@@ -77,7 +77,9 @@ impl<'a> Instance<'a> {
 /// Statistics every scheduler reports, in the same shape.
 ///
 /// Fields that do not apply to an algorithm stay zero (e.g. the baselines
-/// make no oracle calls and run no iterations).
+/// make no oracle calls and run no iterations). What the schedule costs on
+/// a cluster is priced separately, by
+/// [`CostModel::batched`](crate::cost::CostModel::batched).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ScheduleStats {
     /// Cost `c(H, L)` of the produced schedule under the §2.1 model.
@@ -91,24 +93,6 @@ pub struct ScheduleStats {
     pub hubs_applied: usize,
     /// Wall-clock time of the `schedule` call.
     pub wall_time: Duration,
-    /// Message rate between co-located views under a cluster topology.
-    /// Zero until a topology-aware evaluator fills it (schedulers are
-    /// topology-free by design — §4.3; see
-    /// [`CostModel::annotate`](crate::cost::CostModel::annotate)).
-    pub intra_cost: f64,
-    /// Message rate crossing servers under a cluster topology (see
-    /// [`intra_cost`](ScheduleStats::intra_cost); `intra_cost +
-    /// cross_cost = cost` once filled, plus
-    /// [`replica_cost`](ScheduleStats::replica_cost) under replication).
-    pub cross_cost: f64,
-    /// Cross-server message rate added purely by replica fan-out: a push
-    /// edge to a `k`-replicated consumer delivers to every replica slot,
-    /// so each push message is amplified by `k − 1` extra copies. Zero at
-    /// replication 1 (and zero until a replica-aware
-    /// [`CostModel`](crate::cost::CostModel) fills it); `cross_cost`
-    /// includes it, so `cross_cost − replica_cost` is the base
-    /// (unreplicated) cross traffic.
-    pub replica_cost: f64,
     /// Milliseconds of work executed inside the algorithm's fan-out
     /// sections, summed over workers (zero for algorithms without one).
     /// See [`FanoutTelemetry`](crate::fanout::FanoutTelemetry).

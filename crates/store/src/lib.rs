@@ -14,8 +14,9 @@
 //! * [`mod@tuple`] — the 24-byte event tuple and its wire encoding.
 //! * [`view`] — a materialized per-user view with trimming and top-k reads.
 //! * [`topology`] — the unified cluster topology: the `user → shard` map
-//!   every layer routes through, plus the [`Partitioner`] catalog (hash
-//!   baseline, streaming LDG, schedule-aware greedy).
+//!   every layer routes through, plus the partitioner registry,
+//!   [`PartitionStrategy`] (hash baseline, streaming LDG, schedule-aware
+//!   multilevel).
 //! * [`server`] — a data-store shard: batched update/query with server-side
 //!   filtering (the "thin layer on top of memcached") and view migration.
 //!   Queries run a bounded k-way tournament merge over the views' ring

@@ -1,16 +1,14 @@
 //! The cluster topology: which data-store server owns each user's view.
 //!
-//! Every layer that needs shard ownership — the placement-aware cost model
-//! (`piggyback_core::cost::CostModel`, fed by [`Topology::assignment`]), the
-//! wire-format worker protocol ([`crate::worker`]) and the online serve
-//! runtime — routes through one [`Topology`]: a server count plus a flat
-//! `user → shard` array (CSR-style flat storage instead of per-user hash
-//! maps, after the in-memory graph-analytics playbook). The paper's
-//! prototype hashes users to random servers (§4.3); that policy is now just
-//! one [`Partitioner`] among several, and the partition map itself becomes
-//! an optimized dimension: the schedule-aware partitioner places the heavy
-//! hub → consumer traffic of an optimized push/pull schedule
-//! *intra-server*, where batching makes it free.
+//! Every layer that needs shard ownership — the multi-server cost model
+//! (`piggyback_core::cost::CostModel::batched`, fed by
+//! [`Topology::assignment`]), the wire-format worker protocol
+//! ([`crate::worker`]) and the online serve runtime — routes through one
+//! [`Topology`]: a server count plus a flat `user → shard` array
+//! (CSR-style flat storage instead of per-user hash maps, after the
+//! in-memory graph-analytics playbook). The paper's prototype hashes users
+//! to random servers (§4.3); that policy is now just one [`Partitioner`]
+//! among several, listed once in [`PartitionStrategy::ALL`].
 //!
 //! Partitioners:
 //!
@@ -20,11 +18,16 @@
 //!   joins the shard holding most of its neighbors, damped by a capacity
 //!   penalty. Graph-aware, schedule-blind.
 //! * [`ScheduleAwarePartitioner`] — multilevel partitioning over
-//!   *schedule traffic* weights: an edge counts what it actually costs
+//!   *schedule traffic* weights: an edge counts its per-edge message rate
 //!   under the optimized schedule (`rp(u)` if pushed, `rc(v)` if pulled,
 //!   zero if piggybacked); heavy-edge matchings contract hubs with their
 //!   heaviest counterparts, and refinement sweeps at every level pull
 //!   each user toward the shard it trades the most messages with.
+//!
+//! The schedule-aware weights are a per-edge proxy, not the billed cost:
+//! the store sends one message per distinct server a request touches, and
+//! only `CostModel::batched` prices that (`piggyback partition` prints it
+//! for every partitioner).
 
 use piggyback_core::schedule::Schedule;
 use piggyback_graph::fx::FxHasher;
@@ -448,9 +451,6 @@ impl PartitionRequest<'_> {
 /// graph, rates, schedule, servers, seed ⇒ identical topology) — replays
 /// and distributed consumers rely on it.
 pub trait Partitioner: Send + Sync {
-    /// Stable registry key (lower-kebab-case, e.g. `"schedule-aware"`).
-    fn name(&self) -> &str;
-
     /// Computes the topology.
     fn partition(&self, req: &PartitionRequest) -> Topology;
 }
@@ -460,10 +460,6 @@ pub trait Partitioner: Send + Sync {
 pub struct HashPartitioner;
 
 impl Partitioner for HashPartitioner {
-    fn name(&self) -> &str {
-        "hash"
-    }
-
     fn partition(&self, req: &PartitionRequest) -> Topology {
         req.apply_domains(Topology::hash(req.users(), req.servers, req.seed))
     }
@@ -491,10 +487,6 @@ impl Default for LdgPartitioner {
 }
 
 impl Partitioner for LdgPartitioner {
-    fn name(&self) -> &str {
-        "ldg"
-    }
-
     fn partition(&self, req: &PartitionRequest) -> Topology {
         assert!(req.servers >= 1, "need at least one server");
         assert!(self.slack >= 1.0, "slack must be >= 1.0");
@@ -545,10 +537,6 @@ impl Default for ScheduleAwarePartitioner {
 }
 
 impl Partitioner for ScheduleAwarePartitioner {
-    fn name(&self) -> &str {
-        "schedule-aware"
-    }
-
     fn partition(&self, req: &PartitionRequest) -> Topology {
         assert!(req.servers >= 1, "need at least one server");
         assert!(self.slack >= 1.0, "slack must be >= 1.0");
@@ -970,21 +958,8 @@ fn refine(
     }
 }
 
-/// Every registered partitioner, baseline first, in a stable order.
-pub fn partitioners() -> Vec<Box<dyn Partitioner>> {
-    vec![
-        Box::new(HashPartitioner),
-        Box::new(LdgPartitioner::default()),
-        Box::new(ScheduleAwarePartitioner::default()),
-    ]
-}
-
-/// Looks a partitioner up by its registry [`name`](Partitioner::name).
-pub fn partitioner_by_name(name: &str) -> Option<Box<dyn Partitioner>> {
-    partitioners().into_iter().find(|p| p.name() == name)
-}
-
-/// A `Copy`-able partitioner selector for configuration structs (the serve
+/// The partitioner registry: every strategy, its name and its
+/// partitioner. `Copy`, so configuration structs can hold one (the serve
 /// runtime's [`ServeConfig`] stays `Copy`).
 ///
 /// [`ServeConfig`]: ../../piggyback_serve/struct.ServeConfig.html
@@ -1000,6 +975,13 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
+    /// Every registered strategy, baseline first, in a stable order.
+    pub const ALL: [PartitionStrategy; 3] = [
+        PartitionStrategy::Hash,
+        PartitionStrategy::Ldg,
+        PartitionStrategy::ScheduleAware,
+    ];
+
     /// The strategy's partitioner.
     pub fn partitioner(self) -> Box<dyn Partitioner> {
         match self {
@@ -1020,12 +1002,7 @@ impl PartitionStrategy {
 
     /// Parses a registry name.
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "hash" => Some(PartitionStrategy::Hash),
-            "ldg" => Some(PartitionStrategy::Ldg),
-            "schedule-aware" => Some(PartitionStrategy::ScheduleAware),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -1195,8 +1172,8 @@ mod tests {
             seed: 4,
             domains: Some(&domains),
         };
-        for p in partitioners() {
-            let t = p.partition(&req).with_replication(2);
+        for p in PartitionStrategy::ALL {
+            let t = p.partitioner().partition(&req).with_replication(2);
             assert_eq!(t.domains(), &domains[..], "{} dropped domains", p.name());
             for u in 0..t.users() as NodeId {
                 let slots: Vec<usize> = t.replica_slots(u).collect();
@@ -1260,11 +1237,8 @@ mod tests {
         // LDG runs at DEFAULT_SLACK (1.05), schedule-aware at 1.1; both
         // must respect the looser of the two bounds.
         let capacity = ((300.0f64 * 1.1 / 7.0).ceil()) as usize;
-        for p in [
-            Box::new(LdgPartitioner::default()) as Box<dyn Partitioner>,
-            Box::new(ScheduleAwarePartitioner::default()),
-        ] {
-            let t = p.partition(&req);
+        for p in [PartitionStrategy::Ldg, PartitionStrategy::ScheduleAware] {
+            let t = p.partitioner().partition(&req);
             assert_eq!(t.users(), 300);
             let sizes = t.shard_sizes();
             assert!(
@@ -1329,8 +1303,8 @@ mod tests {
             domains: None,
         };
         assert_eq!(req.users(), 500);
-        for p in partitioners() {
-            let t = p.partition(&req);
+        for p in PartitionStrategy::ALL {
+            let t = p.partitioner().partition(&req);
             assert_eq!(t.users(), 500, "{} must cover rate-model users", p.name());
             for u in 0..500u32 {
                 assert!(t.server_of(u) < 4);
@@ -1340,22 +1314,12 @@ mod tests {
 
     #[test]
     fn registry_names_stable_and_strategy_roundtrips() {
-        let names: Vec<&str> = vec!["hash", "ldg", "schedule-aware"];
-        assert_eq!(
-            partitioners()
-                .iter()
-                .map(|p| p.name().to_string())
-                .collect::<Vec<_>>(),
-            names
-        );
-        for n in names {
-            let strat = PartitionStrategy::parse(n).unwrap();
-            assert_eq!(strat.name(), n);
-            assert_eq!(strat.partitioner().name(), n);
-            assert_eq!(partitioner_by_name(n).unwrap().name(), n);
+        let names = PartitionStrategy::ALL.map(PartitionStrategy::name);
+        assert_eq!(names, ["hash", "ldg", "schedule-aware"]);
+        for strat in PartitionStrategy::ALL {
+            assert_eq!(PartitionStrategy::parse(strat.name()), Some(strat));
         }
         assert!(PartitionStrategy::parse("round-robin").is_none());
-        assert!(partitioner_by_name("round-robin").is_none());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property tests for the topology subsystem: conservation of the
-//! server-aware cost accounting (per edge and per batched request),
-//! determinism of every partitioner, and failover's topology repair.
+//! batched (one message per touched server) bill, determinism of every partitioner, and failover's topology repair.
 //!
 //! Seeded-RNG style (no proptest in the offline build): each property is
 //! exercised across a grid of graphs, schedules, server counts and seeds.
@@ -11,7 +10,7 @@ use piggyback_core::parallelnosy::ParallelNosy;
 use piggyback_core::schedule::Schedule;
 use piggyback_graph::gen::{copying, erdos_renyi, CopyingConfig};
 use piggyback_graph::CsrGraph;
-use piggyback_store::topology::{partitioners, PartitionRequest, Topology};
+use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
 use piggyback_workload::Rates;
 
 fn instances() -> Vec<(&'static str, CsrGraph, Rates)> {
@@ -40,18 +39,19 @@ fn schedules(g: &CsrGraph, r: &Rates) -> Vec<(&'static str, Schedule)> {
     ]
 }
 
-/// Conservation: per-server ingress and egress each sum to the
-/// topology-free total message rate, which itself equals the flat §2.1
-/// schedule cost; intra + cross also reassemble it. Holds for every
-/// partitioner, schedule, and server count.
+/// Conservation of the batched bill, for every partitioner, schedule and
+/// server count: per-server query load reassembles the query rate; the
+/// bill runs between one message per request and the flat §2.1 cost plus
+/// one own-view message per request; one server bills exactly one message
+/// per request.
 #[test]
-fn ingress_and_egress_sums_equal_the_flat_total() {
+fn batched_bill_is_conserved_for_every_partitioner() {
     for (gname, g, r) in &instances() {
         for (sname, s) in &schedules(g, r) {
             let flat = schedule_cost(g, r, s);
             for servers in [1usize, 2, 7, 16, 64] {
-                for p in partitioners() {
-                    let t = p.partition(&PartitionRequest {
+                for p in PartitionStrategy::ALL {
+                    let t = p.partitioner().partition(&PartitionRequest {
                         graph: g,
                         rates: r,
                         schedule: Some(s),
@@ -59,38 +59,26 @@ fn ingress_and_egress_sums_equal_the_flat_total() {
                         seed: 11,
                         domains: None,
                     });
-                    let acct =
-                        CostModel::with_topology(t.assignment(), servers).accounting(g, r, s);
+                    let acct = CostModel::with_topology(t.assignment(), servers).batched(g, r, s);
                     let ctx = format!("{gname}/{sname}/{} @{servers} servers", p.name());
-                    let ingress: f64 = acct.ingress.iter().sum();
-                    let egress: f64 = acct.egress.iter().sum();
+                    let load: f64 = acct.query_load.iter().sum();
                     assert!(
-                        (ingress - flat).abs() < 1e-6,
-                        "{ctx}: Σingress {ingress} != flat {flat}"
+                        (load - acct.query).abs() < 1e-6,
+                        "{ctx}: Σload {load} != query {}",
+                        acct.query
                     );
+                    let (total, requests) = (acct.total(), acct.requests);
                     assert!(
-                        (egress - flat).abs() < 1e-6,
-                        "{ctx}: Σegress {egress} != flat {flat}"
+                        total >= requests - 1e-9 && total <= flat + requests + 1e-6,
+                        "{ctx}: {total} outside [{requests}, {flat} + {requests}]"
                     );
-                    assert!(
-                        (acct.total - flat).abs() < 1e-6,
-                        "{ctx}: total {} != flat {flat}",
-                        acct.total
-                    );
-                    assert!(
-                        (acct.intra + acct.cross - flat).abs() < 1e-6,
-                        "{ctx}: intra {} + cross {} != flat {flat}",
-                        acct.intra,
-                        acct.cross
-                    );
-                    assert!(
-                        acct.intra >= 0.0 && acct.cross >= 0.0,
-                        "{ctx}: negative tally"
-                    );
-                    // One server: nothing can cross.
                     if servers == 1 {
-                        assert_eq!(acct.cross, 0.0, "{ctx}: cross on one server");
+                        assert!(
+                            (total - requests).abs() < 1e-9,
+                            "{ctx}: one server bills {total} for {requests} requests"
+                        );
                     }
+                    assert!(acct.msgs_per_request() >= 1.0 - 1e-12, "{ctx}");
                 }
             }
         }
@@ -200,9 +188,9 @@ fn every_partitioner_is_stable_under_a_fixed_seed() {
                 seed,
                 domains: None,
             };
-            for p in partitioners() {
-                let a = p.partition(&req);
-                let b = p.partition(&req);
+            for p in PartitionStrategy::ALL {
+                let a = p.partitioner().partition(&req);
+                let b = p.partitioner().partition(&req);
                 assert_eq!(
                     a.assignment(),
                     b.assignment(),
@@ -235,10 +223,10 @@ fn schedule_argument_only_affects_schedule_aware_weights() {
         schedule: None,
         ..with
     };
-    for p in partitioners() {
-        let a = p.partition(&with);
-        let b = p.partition(&without);
-        if p.name() == "hash" || p.name() == "ldg" {
+    for p in PartitionStrategy::ALL {
+        let a = p.partitioner().partition(&with);
+        let b = p.partitioner().partition(&without);
+        if p != PartitionStrategy::ScheduleAware {
             assert_eq!(
                 a.assignment(),
                 b.assignment(),
@@ -276,9 +264,9 @@ fn repaired_routes_around_the_dead_set_or_reports_the_loss() {
     const SERVERS: usize = 12;
     for (gname, g, r) in &instances() {
         let s = hybrid_schedule(g, r);
-        for p in partitioners() {
+        for p in PartitionStrategy::ALL {
             for domains in [None, Some(Topology::block_domains(SERVERS, 4))] {
-                let placed = p.partition(&PartitionRequest {
+                let placed = p.partitioner().partition(&PartitionRequest {
                     graph: g,
                     rates: r,
                     schedule: Some(&s),

@@ -25,6 +25,7 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use social_piggybacking::core::schedule_io::{load_schedule, save_schedule};
 use social_piggybacking::core::validate::coverage_report;
@@ -174,6 +175,23 @@ fn optional_servers(flags: &HashMap<String, String>) -> Result<Option<usize>, St
         .contains_key("servers")
         .then(|| at_least(flags, "servers", 1, 1))
         .transpose()
+}
+
+/// Resolves `--partitioner` (`default` when absent) against the one
+/// partitioner registry, [`PartitionStrategy::ALL`].
+fn resolve_partitioner(
+    flags: &HashMap<String, String>,
+    default: PartitionStrategy,
+) -> Result<PartitionStrategy, String> {
+    flags.get("partitioner").map_or(Ok(default), |name| {
+        PartitionStrategy::parse(name).ok_or_else(|| format!("unknown partitioner {name:?}"))
+    })
+}
+
+/// The cluster `--servers` prices schedules on in `evaluate` and `compare`:
+/// hash placement under one fixed seed, so both bill a schedule alike.
+fn hash_cluster(g: &CsrGraph, servers: usize) -> Topology {
+    Topology::hash(g.node_count(), servers, 1)
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -356,28 +374,29 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
         g.node_count(),
         g.edge_count()
     );
-    let hybrid_cost = Hybrid.schedule(&inst).stats.cost;
-    // With --servers, re-price every schedule against a hash topology and
-    // append the intra/cross split (batching makes intra-server free).
-    let topology = servers.map(|servers| Topology::hash(g.node_count(), servers, seed));
-    match &topology {
-        Some(t) => println!(
-            "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12} {:>12}",
-            "algorithm",
-            "cost",
-            "vs_ff",
-            "oracle",
-            "iters",
-            "hubs",
-            "wall_ms",
-            "intra",
-            format!("cross@{}", t.servers())
-        ),
-        None => println!(
-            "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10}",
-            "algorithm", "cost", "vs_ff", "oracle", "iters", "hubs", "wall_ms"
-        ),
+    let hybrid = Hybrid.schedule(&inst);
+    let hybrid_cost = hybrid.stats.cost;
+    // With --servers, every schedule is also billed on `evaluate`'s cluster:
+    // batched messages per request, and hybrid's over it on the same map.
+    let cluster = servers.map(|servers| hash_cluster(&g, servers));
+    let msgs = |s: &Schedule| {
+        let t = cluster.as_ref()?;
+        let acct = CostModel::with_topology(t.assignment(), t.servers()).batched(&g, &rates, s);
+        Some(acct.msgs_per_request())
+    };
+    let hybrid_msgs = msgs(&hybrid.schedule);
+    print!(
+        "# {:<18} {:>12} {:>8} {:>12} {:>10} {:>10} {:>10}",
+        "algorithm", "cost", "vs_ff", "oracle", "iters", "hubs", "wall_ms"
+    );
+    if let Some(servers) = servers {
+        print!(
+            " {:>10} {:>9}",
+            format!("msgs@{servers}"),
+            format!("vs_ff@{servers}")
+        );
     }
+    println!();
     let schedulers: Vec<Box<dyn Scheduler>> = scheduler::registry()
         .into_iter()
         .map(|s| configure_scheduler(flags, s))
@@ -387,17 +406,9 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
             println!("  {:<18} (skipped: instance unsupported)", s.name());
             continue;
         }
-        let mut out = s.schedule(&inst);
+        let out = s.schedule(&inst);
         validate_bounded_staleness(&g, &out.schedule)
             .map_err(|e| format!("{}: infeasible schedule: {e}", s.name()))?;
-        if let Some(t) = &topology {
-            CostModel::with_topology(t.assignment(), t.servers()).annotate(
-                &g,
-                &rates,
-                &out.schedule,
-                &mut out.stats,
-            );
-        }
         let st = &out.stats;
         print!(
             "  {:<18} {:>12.1} {:>7.3}x {:>12} {:>10} {:>10} {:>10.1}",
@@ -413,8 +424,8 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
             st.hubs_applied,
             st.wall_time.as_secs_f64() * 1e3
         );
-        if topology.is_some() {
-            print!(" {:>12.1} {:>12.1}", st.intra_cost, st.cross_cost);
+        if let (Some(msgs), Some(ff)) = (msgs(&out.schedule), hybrid_msgs) {
+            print!(" {msgs:>10.4} {:>8.3}x", ff / msgs);
         }
         println!();
     }
@@ -441,8 +452,8 @@ fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
         report.push, report.pull, report.both, report.covered, report.unserved
     );
     if let Some(servers) = servers {
-        let placement = Topology::hash(g.node_count(), servers, 1);
-        let model = CostModel::with_topology(placement.assignment(), servers);
+        let cluster = hash_cluster(&g, servers);
+        let model = CostModel::with_topology(cluster.assignment(), servers);
         let batched = model.batched(&g, &rates, &schedule);
         println!(
             "@{servers} servers: normalized throughput {:.4} (hybrid {:.4}), load balance σ {:.2e}",
@@ -521,12 +532,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let outcome = scheduler.schedule(&inst);
     validate_bounded_staleness(&g, &outcome.schedule)
         .map_err(|e| format!("internal error — infeasible schedule: {e}"))?;
-    let partition_name = flags
-        .get("partitioner")
-        .map(String::as_str)
-        .unwrap_or("hash");
-    let partition = PartitionStrategy::parse(partition_name)
-        .ok_or_else(|| format!("unknown partitioner {partition_name:?}"))?;
+    let partition = resolve_partitioner(flags, PartitionStrategy::Hash)?;
     let rpc_name = flags.get("rpc").map(String::as_str).unwrap_or("batched");
     let rpc = piggyback_serve::RpcMode::parse(rpc_name)
         .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct)"))?;
@@ -637,53 +643,77 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Partitions a graph with any registered partitioner and prints
-/// per-shard statistics: users, edge cut, intra/cross message estimate.
+/// Partitions a graph with every registered partitioner and bills the
+/// schedule on each map (`CostModel::batched`): one summary row per
+/// partitioner, then the per-shard table of the one `--partitioner` picks.
 fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
     let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let servers = at_least(flags, "servers", 16, 1)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
+    let picked = resolve_partitioner(flags, PartitionStrategy::ScheduleAware)?;
     let rates = Rates::log_degree(&g, ratio);
-    // Without --schedule the hybrid baseline prices the traffic; with one,
-    // the schedule-aware partitioner exploits its hub structure.
-    let schedule = match flags.get("schedule") {
-        Some(path) => load_schedule(path, g.edge_count()).map_err(|e| e.to_string())?,
-        None => hybrid_schedule(&g, &rates),
-    };
-    let name = flags
-        .get("partitioner")
-        .map(String::as_str)
-        .unwrap_or("schedule-aware");
-    let partitioner =
-        partitioner_by_name(name).ok_or_else(|| format!("unknown partitioner {name:?}"))?;
-    let topology = partitioner.partition(&PartitionRequest {
+    // Without --schedule the hybrid baseline is the schedule priced; with
+    // one, the schedule-aware partitioner weighs its hub structure.
+    let hybrid = hybrid_schedule(&g, &rates);
+    let loaded = flags
+        .get("schedule")
+        .map(|path| load_schedule(path, g.edge_count()))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let schedule = loaded.as_ref().unwrap_or(&hybrid);
+    let req = PartitionRequest {
         graph: &g,
         rates: &rates,
-        schedule: Some(&schedule),
+        schedule: Some(schedule),
         servers,
         seed,
         domains: None,
-    });
-    let acct =
-        CostModel::with_topology(topology.assignment(), servers).accounting(&g, &rates, &schedule);
+    };
     println!(
-        "# partitioner {name}: {} users, {} servers, {} of {} edges cut",
-        topology.users(),
-        servers,
-        edges_cut(&g, &topology),
+        "# {} users, {} edges, {servers} servers: batched messages per request",
+        g.node_count(),
         g.edge_count()
     );
     println!(
-        "# message rate: total {:.1} = intra {:.1} + cross {:.1} ({:.1}% crosses servers)",
-        acct.total,
-        acct.intra,
-        acct.cross,
-        100.0 * acct.cross_fraction()
+        "# {:<15} {:>10} {:>10} {:>10} {:>10} {:>9} {:>9} {:>10}",
+        "partitioner",
+        "msgs/req",
+        "hybrid",
+        "load_σ",
+        "edges_cut",
+        "min_users",
+        "max_users",
+        "wall_ms"
     );
+    let mut shown = None;
+    for p in PartitionStrategy::ALL {
+        let started = Instant::now();
+        let topology = p.partitioner().partition(&req);
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let model = CostModel::with_topology(topology.assignment(), servers);
+        let acct = model.batched(&g, &rates, schedule);
+        let sizes = topology.shard_sizes();
+        println!(
+            "  {:<15} {:>10.4} {:>10.4} {:>10.2e} {:>10} {:>9} {:>9} {:>10.1}",
+            p.name(),
+            acct.msgs_per_request(),
+            model.batched(&g, &rates, &hybrid).msgs_per_request(),
+            acct.load_balance().1.sqrt(),
+            edges_cut(&g, &topology),
+            sizes.iter().min().unwrap_or(&0),
+            sizes.iter().max().unwrap_or(&0),
+            wall_ms
+        );
+        if p == picked {
+            shown = Some((topology, acct.query_load));
+        }
+    }
+    let (topology, query_load) = shown.expect("the registry lists every strategy");
+    println!("# partitioner {}, per shard:", picked.name());
     println!(
-        "# {:>5} {:>8} {:>12} {:>12} {:>14} {:>14}",
-        "shard", "users", "edges_in", "edges_cut", "ingress_rate", "egress_rate"
+        "# {:>5} {:>8} {:>12} {:>12} {:>14}",
+        "shard", "users", "edges_in", "edges_cut", "query_load"
     );
     let sizes = topology.shard_sizes();
     let mut edges_within = vec![0usize; servers];
@@ -699,8 +729,8 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     for s in 0..servers {
         println!(
-            "  {:>5} {:>8} {:>12} {:>12} {:>14.1} {:>14.1}",
-            s, sizes[s], edges_within[s], edges_crossing[s], acct.ingress[s], acct.egress[s]
+            "  {:>5} {:>8} {:>12} {:>12} {:>14.1}",
+            s, sizes[s], edges_within[s], edges_crossing[s], query_load[s]
         );
     }
     Ok(())

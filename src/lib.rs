@@ -88,8 +88,7 @@ pub mod prelude {
         run_harness, Arrival, HarnessConfig, HarnessReport, ServeClient, ServeConfig, ServeRuntime,
     };
     pub use piggyback_store::topology::{
-        partitioner_by_name, partitioners, PartitionRequest, PartitionStrategy, Partitioner,
-        Topology,
+        PartitionRequest, PartitionStrategy, Partitioner, Topology,
     };
     pub use piggyback_workload::{Op, OpTrace, Rates, RequestKind, RequestTrace};
 }
