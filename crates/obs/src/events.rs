@@ -28,8 +28,8 @@ pub enum EventKind {
     EpochSwap {
         /// The epoch now being served.
         epoch: u64,
-        /// Delta-override entries carried by the published schedule.
-        overrides: usize,
+        /// Users whose serving sets the publish rewrote.
+        users_changed: usize,
     },
     /// Background re-optimization kicked off.
     ReoptStart {
@@ -122,8 +122,11 @@ pub enum EventKind {
 impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EventKind::EpochSwap { epoch, overrides } => {
-                write!(f, "epoch-swap epoch={epoch} overrides={overrides}")
+            EventKind::EpochSwap {
+                epoch,
+                users_changed,
+            } => {
+                write!(f, "epoch-swap epoch={epoch} users_changed={users_changed}")
             }
             EventKind::ReoptStart {
                 cost_before,
@@ -331,7 +334,7 @@ mod tests {
         for i in 0..5u64 {
             log.record(EventKind::EpochSwap {
                 epoch: i,
-                overrides: 0,
+                users_changed: 1,
             });
             clock.advance(Duration::from_millis(1));
         }
@@ -348,7 +351,7 @@ mod tests {
         );
         assert_eq!(
             recent[2].to_string(),
-            "[    0.004s #4] epoch-swap epoch=4 overrides=0"
+            "[    0.004s #4] epoch-swap epoch=4 users_changed=1"
         );
     }
 
@@ -358,7 +361,7 @@ mod tests {
         for i in 0..4u64 {
             log.record(EventKind::EpochSwap {
                 epoch: i,
-                overrides: 0,
+                users_changed: 1,
             });
         }
         let last2 = log.recent(2);

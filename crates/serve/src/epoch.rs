@@ -15,14 +15,14 @@
 //! it last used alive until its next request, and the last reader to move
 //! on — not the publisher — may be the one that frees a retired snapshot.
 //!
-//! Churn publishes cheap *overrides* on top of the compiled base — only
-//! the users whose serving sets a follow/unfollow touched — while a full
-//! re-optimization replaces the base wholesale and clears the overrides.
-//! Overrides are layered to keep the per-publish copy small: a tiny
-//! `delta` map (the last few publishes) is deep-cloned per epoch, while
-//! the flattened older overrides ride behind an `Arc` and cost a refcount
-//! bump; once the delta outgrows `DELTA_LIMIT` it is folded into a new
-//! flattened layer, amortizing the large copy over many publishes.
+//! Each side (push, pull) is a copy-on-write array of chunks, each holding
+//! 256 consecutive users' sets as one flat offsets-then-ids array. A lookup
+//! is one chunk index and two offsets. A churn publish
+//! ([`ServingSchedule::with_updates`]) copies the touched side's chunk
+//! pointers, rebuilds only the chunks holding a changed user, and shares
+//! everything else — the untouched side whole — with its parent epoch, so
+//! it costs the users it changes, never the schedule's size. A whole base
+//! is compiled only at boot and on the re-optimization job's thread.
 //!
 //! The snapshot also carries the cluster [`Topology`]: a live rebalance
 //! publishes a new topology through the same swap, so a request can never
@@ -34,11 +34,11 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use piggyback_core::schedule::Schedule;
-use piggyback_graph::fx::FxHashMap;
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_store::topology::Topology;
 
-/// Fully compiled per-user serving sets (`h[u]` and `l[u]` of Algorithm 3).
+/// Per-user serving sets in plain form (`h[u]` and `l[u]` of Algorithm 3):
+/// the input of [`ServingSchedule::from_sets`].
 #[derive(Clone, Debug, Default)]
 pub struct CompiledSets {
     /// `push[u]`: views to update when `u` shares (excluding `u` itself).
@@ -47,42 +47,176 @@ pub struct CompiledSets {
     pub pull: Vec<Vec<NodeId>>,
 }
 
-/// Per-user churn override: a recompiled set for one user, shadowing the
-/// compiled base. `None` means "base is still current" for that side.
-#[derive(Clone, Debug, Default)]
-pub struct UserOverride {
-    push: Option<Vec<NodeId>>,
-    pull: Option<Vec<NodeId>>,
+/// Users per chunk: the unit a churn publish rebuilds.
+const CHUNK_USERS: usize = 256;
+
+/// Offsets at the head of every chunk: user `i`'s set is
+/// `chunk[chunk[i]..chunk[i + 1]]`.
+const HEAD: usize = CHUNK_USERS + 1;
+
+/// [`CHUNK_USERS`] consecutive users' sets: [`HEAD`] offsets (positions in
+/// the same array), then the sets, concatenated.
+type Chunk = Arc<[NodeId]>;
+
+/// One side (push or pull): user `u`'s set lives in chunk
+/// `u / CHUNK_USERS`; users past the last chunk have empty sets.
+type Side = Arc<[Chunk]>;
+
+/// The `i`-th user's set in `chunk`.
+#[inline]
+fn set_in(chunk: &[NodeId], i: usize) -> &[NodeId] {
+    &chunk[chunk[i] as usize..chunk[i + 1] as usize]
 }
 
-impl UserOverride {
-    /// Folds `other` over `self` side-by-side (newer wins where set).
-    fn absorb(&mut self, other: UserOverride) {
-        if other.push.is_some() {
-            self.push = other.push;
+/// User `u`'s set in `side`.
+#[inline]
+fn set_of(side: &[Chunk], u: NodeId) -> &[NodeId] {
+    let u = u as usize;
+    side.get(u / CHUNK_USERS)
+        .map_or(&[], |chunk| set_in(chunk, u % CHUNK_USERS))
+}
+
+/// A position in a chunk, as stored in its head.
+fn offset(len: usize) -> NodeId {
+    NodeId::try_from(len).expect("chunk exceeds u32 offsets")
+}
+
+/// A side covering `users`; `fill(u, buf)` appends user `u`'s set.
+fn side(users: usize, mut fill: impl FnMut(NodeId, &mut Vec<NodeId>)) -> Side {
+    let mut buf = Vec::new();
+    (0..users.div_ceil(CHUNK_USERS))
+        .map(|c| {
+            buf.clear();
+            buf.resize(HEAD, HEAD as NodeId);
+            for i in 0..CHUNK_USERS {
+                let u = c * CHUNK_USERS + i;
+                if u < users {
+                    fill(u as NodeId, &mut buf);
+                }
+                buf[i + 1] = offset(buf.len());
+            }
+            Arc::from(&buf[..])
+        })
+        .collect()
+}
+
+/// A chunk of empty sets: what a side reads past its end.
+const EMPTY: [NodeId; HEAD] = [HEAD as NodeId; HEAD];
+
+/// `old` with `updates` — `(index in the chunk, set)`, ascending, one per
+/// user — written in. The sets between two updates move as one copy, their
+/// offsets shifted by the size change so far.
+fn patch(old: &[NodeId], updates: &[(usize, &[NodeId])]) -> Chunk {
+    let added: usize = updates.iter().map(|(_, set)| set.len()).sum();
+    let mut buf = Vec::with_capacity(old.len() + added);
+    buf.extend_from_slice(&old[..HEAD]);
+    let keep = |buf: &mut Vec<NodeId>, from: usize, to: usize, shift: NodeId| {
+        buf.extend_from_slice(&old[old[from] as usize..old[to] as usize]);
+        for j in from + 1..=to {
+            buf[j] = old[j].wrapping_add(shift);
         }
-        if other.pull.is_some() {
-            self.pull = other.pull;
+    };
+    let (mut from, mut shift) = (0, 0);
+    for &(i, set) in updates {
+        keep(&mut buf, from, i, shift);
+        buf.extend_from_slice(set);
+        let end = offset(buf.len());
+        buf[i + 1] = end;
+        (from, shift) = (i + 1, end.wrapping_sub(old[i + 1]));
+    }
+    keep(&mut buf, from, CHUNK_USERS, shift);
+    Arc::from(buf)
+}
+
+/// `side` with `updates` applied, the last update of a user winning:
+/// every chunk without an updated user is shared, not copied.
+fn rewrite(side: &Side, mut updates: Vec<(NodeId, Vec<NodeId>)>) -> Side {
+    let Some(last) = updates.iter().map(|&(u, _)| u).max() else {
+        return Arc::clone(side);
+    };
+    // Stable, so a user's updates stay in arrival order.
+    updates.sort_by_key(|&(u, _)| u);
+    let mut pending = updates.iter().peekable();
+    let mut in_chunk: Vec<(usize, &[NodeId])> = Vec::new();
+    (0..side.len().max(last as usize / CHUNK_USERS + 1))
+        .map(|c| {
+            in_chunk.clear();
+            while let Some((u, set)) = pending.next_if(|(u, _)| *u as usize / CHUNK_USERS == c) {
+                let i = *u as usize % CHUNK_USERS;
+                match in_chunk.last_mut() {
+                    Some(update) if update.0 == i => update.1 = set,
+                    _ => in_chunk.push((i, set)),
+                }
+            }
+            match side.get(c) {
+                Some(old) if in_chunk.is_empty() => Arc::clone(old),
+                old => patch(old.map_or(&EMPTY[..], |o| &o[..]), &in_chunk),
+            }
+        })
+        .collect()
+}
+
+/// Both sides of one epoch's serving sets.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ChunkedSets {
+    /// Users the sets cover (lookups past it read empty sets).
+    users: usize,
+    push: Side,
+    pull: Side,
+}
+
+impl ChunkedSets {
+    /// The sets of an optimized `(graph, schedule)` pair; O(n + m), no
+    /// per-user allocation.
+    pub(crate) fn compile(g: &CsrGraph, s: &Schedule) -> Self {
+        assert_eq!(g.edge_count(), s.edge_count());
+        let n = g.node_count();
+        ChunkedSets {
+            users: n,
+            push: side(n, |u, out| {
+                out.extend(
+                    g.out_edges(u)
+                        .filter(|&(_, e)| s.is_push(e))
+                        .map(|(v, _)| v),
+                )
+            }),
+            pull: side(n, |v, out| {
+                out.extend(g.in_edges(v).filter(|&(_, e)| s.is_pull(e)).map(|(u, _)| u))
+            }),
         }
     }
-}
 
-/// Delta entries folded into the shared flattened layer once exceeded.
-/// Bounds the per-publish deep copy: a publish clones at most this many
-/// override entries, and the flattened layer is copied once per
-/// `DELTA_LIMIT` publishes instead of on every one.
-const DELTA_LIMIT: usize = 32;
+    /// These sets with the given users' sets replaced (a user listed twice
+    /// on one side keeps its last set), and how many distinct users changed.
+    pub(crate) fn with_updates(
+        &self,
+        push_updates: impl IntoIterator<Item = (NodeId, Vec<NodeId>)>,
+        pull_updates: impl IntoIterator<Item = (NodeId, Vec<NodeId>)>,
+    ) -> (Self, usize) {
+        let push: Vec<_> = push_updates.into_iter().collect();
+        let pull: Vec<_> = pull_updates.into_iter().collect();
+        let mut changed: Vec<NodeId> = push.iter().chain(&pull).map(|&(u, _)| u).collect();
+        changed.sort_unstable();
+        changed.dedup();
+        let users = changed
+            .last()
+            .map_or(self.users, |&u| self.users.max(u as usize + 1));
+        let sets = ChunkedSets {
+            users,
+            push: rewrite(&self.push, push),
+            pull: rewrite(&self.pull, pull),
+        };
+        (sets, changed.len())
+    }
+}
 
 /// One immutable epoch of the serving schedule.
 #[derive(Clone, Debug)]
 pub struct ServingSchedule {
     epoch: u64,
-    base: Arc<CompiledSets>,
-    /// Flattened older overrides; shared across epochs (Arc bump).
-    merged: Arc<FxHashMap<NodeId, UserOverride>>,
-    /// Overrides from the most recent publishes; deep-cloned per epoch,
-    /// kept under `DELTA_LIMIT` entries. Shadows `merged` per side.
-    delta: FxHashMap<NodeId, UserOverride>,
+    sets: ChunkedSets,
+    /// Users whose sets this epoch rewrote relative to the one before it.
+    users_changed: usize,
     topology: Arc<Topology>,
 }
 
@@ -90,40 +224,35 @@ impl ServingSchedule {
     /// Compiles per-user serving sets from an optimized `(graph, schedule)`
     /// pair; O(n + m).
     pub fn compile(g: &CsrGraph, s: &Schedule, topology: Arc<Topology>, epoch: u64) -> Self {
-        assert_eq!(g.edge_count(), s.edge_count());
         let n = g.node_count();
         assert!(
             topology.users() >= n,
             "topology covers {} users, graph has {n}",
             topology.users()
         );
-        let mut sets = CompiledSets {
-            push: Vec::with_capacity(n),
-            pull: Vec::with_capacity(n),
-        };
-        for u in 0..n as NodeId {
-            sets.push.push(s.push_set_of(g, u));
-            sets.pull.push(s.pull_set_of(g, u));
-        }
+        Self::with_base(ChunkedSets::compile(g, s), topology, epoch)
+    }
+
+    /// Builds an epoch directly from plain sets (tests and the benchmark).
+    pub fn from_sets(sets: CompiledSets, topology: Arc<Topology>, epoch: u64) -> Self {
+        let (push, pull) = ((0..).zip(sets.push), (0..).zip(sets.pull));
+        let (sets, _) = ChunkedSets::default().with_updates(push, pull);
+        Self::with_base(sets, topology, epoch)
+    }
+
+    fn with_base(sets: ChunkedSets, topology: Arc<Topology>, epoch: u64) -> Self {
         ServingSchedule {
             epoch,
-            base: Arc::new(sets),
-            merged: Arc::new(FxHashMap::default()),
-            delta: FxHashMap::default(),
+            users_changed: sets.users,
+            sets,
             topology,
         }
     }
 
-    /// Builds an epoch directly from compiled sets (re-optimization path
-    /// and tests).
-    pub fn from_sets(sets: CompiledSets, topology: Arc<Topology>, epoch: u64) -> Self {
-        ServingSchedule {
-            epoch,
-            base: Arc::new(sets),
-            merged: Arc::new(FxHashMap::default()),
-            delta: FxHashMap::default(),
-            topology,
-        }
+    /// The next epoch: `sets` (a re-optimization's, compiled off the churn
+    /// thread) under this epoch's topology.
+    pub(crate) fn with_sets(&self, sets: ChunkedSets) -> Self {
+        Self::with_base(sets, Arc::clone(&self.topology), self.epoch + 1)
     }
 
     /// The cluster topology this epoch serves under. Requests route every
@@ -132,15 +261,14 @@ impl ServingSchedule {
         &self.topology
     }
 
-    /// The next epoch: identical serving sets, new topology — published by
-    /// the churn manager after a live rebalance has migrated the moved
-    /// views.
+    /// The next epoch: identical serving sets (both sides shared), new
+    /// topology — published by the churn manager after a live rebalance
+    /// has migrated the moved views.
     pub fn with_topology(&self, topology: Arc<Topology>) -> Self {
         ServingSchedule {
             epoch: self.epoch + 1,
-            base: Arc::clone(&self.base),
-            merged: Arc::clone(&self.merged),
-            delta: self.delta.clone(),
+            sets: self.sets.clone(),
+            users_changed: 0,
             topology,
         }
     }
@@ -150,38 +278,35 @@ impl ServingSchedule {
         self.epoch
     }
 
-    /// Number of users the base compilation covers.
+    /// Number of users the serving sets cover.
     pub fn users(&self) -> usize {
-        self.base.push.len()
+        self.sets.users
     }
 
-    /// Number of active churn override entries (counting a user once per
-    /// layer it appears in — an upper bound used by the compaction
-    /// trigger).
+    /// Users whose sets this epoch rewrote relative to the one before it:
+    /// every covered user for a whole base, the changed ones for a churn
+    /// publish, none for a topology change.
+    pub fn users_changed(&self) -> usize {
+        self.users_changed
+    }
+
+    /// Always 0: churn publishes no longer layer overrides over a base.
+    /// Kept only because the benchmark's replica (`benchmark/src/trace.rs`)
+    /// still calls it; delete it together with that call.
     pub fn override_count(&self) -> usize {
-        self.merged.len() + self.delta.len()
+        0
     }
 
     /// The views to update when `u` shares an event (not counting `u`).
+    #[inline]
     pub fn push_targets(&self, u: NodeId) -> &[NodeId] {
-        if let Some(p) = self.delta.get(&u).and_then(|o| o.push.as_deref()) {
-            return p;
-        }
-        if let Some(p) = self.merged.get(&u).and_then(|o| o.push.as_deref()) {
-            return p;
-        }
-        self.base.push.get(u as usize).map_or(&[], Vec::as_slice)
+        set_of(&self.sets.push, u)
     }
 
     /// The views to query when `v` reads its stream (not counting `v`).
+    #[inline]
     pub fn pull_sources(&self, v: NodeId) -> &[NodeId] {
-        if let Some(p) = self.delta.get(&v).and_then(|o| o.pull.as_deref()) {
-            return p;
-        }
-        if let Some(p) = self.merged.get(&v).and_then(|o| o.pull.as_deref()) {
-            return p;
-        }
-        self.base.pull.get(v as usize).map_or(&[], Vec::as_slice)
+        set_of(&self.sets.pull, v)
     }
 
     /// Fills `out` with the update targets of one share from `u`: the push
@@ -202,36 +327,21 @@ impl ServingSchedule {
         out.push(v);
     }
 
-    /// The next epoch: same base, with the given users' sets replaced.
-    /// The churn manager (single writer) builds this and swaps it in.
-    /// Cost per publish: a deep clone of the (≤ `DELTA_LIMIT`-entry)
-    /// delta plus an Arc bump of the flattened layer; the flatten itself
-    /// runs once per `DELTA_LIMIT` publishes.
+    /// The next epoch: the given users' sets replaced (the last update of
+    /// a user listed twice on one side wins; users past the covered range
+    /// extend it). The churn manager (single writer) builds this and swaps
+    /// it in. Cost: one pointer copy per chunk of each side updated, plus
+    /// a rebuild of each chunk holding an updated user.
     pub fn with_updates(
         &self,
         push_updates: impl IntoIterator<Item = (NodeId, Vec<NodeId>)>,
         pull_updates: impl IntoIterator<Item = (NodeId, Vec<NodeId>)>,
     ) -> Self {
-        let mut merged = Arc::clone(&self.merged);
-        let mut delta = self.delta.clone();
-        for (u, set) in push_updates {
-            delta.entry(u).or_default().push = Some(set);
-        }
-        for (v, set) in pull_updates {
-            delta.entry(v).or_default().pull = Some(set);
-        }
-        if delta.len() > DELTA_LIMIT {
-            let mut flat = (*merged).clone();
-            for (u, o) in delta.drain() {
-                flat.entry(u).or_default().absorb(o);
-            }
-            merged = Arc::new(flat);
-        }
+        let (sets, users_changed) = self.sets.with_updates(push_updates, pull_updates);
         ServingSchedule {
             epoch: self.epoch + 1,
-            base: Arc::clone(&self.base),
-            merged,
-            delta,
+            sets,
+            users_changed,
             topology: Arc::clone(&self.topology),
         }
     }
@@ -331,11 +441,14 @@ mod tests {
     use piggyback_core::baseline::hybrid_schedule;
     use piggyback_graph::gen::{copying, CopyingConfig};
     use piggyback_workload::Rates;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn compile_matches_schedule_sets() {
+        // More than two chunks, the last one partial.
         let g = copying(CopyingConfig {
-            nodes: 80,
+            nodes: 600,
             follows_per_node: 4,
             copy_prob: 0.6,
             seed: 5,
@@ -347,6 +460,7 @@ mod tests {
         assert_eq!(compiled.topology().servers(), 4);
         assert_eq!(compiled.epoch(), 7);
         assert_eq!(compiled.users(), g.node_count());
+        assert_eq!(compiled.users_changed(), g.node_count());
         for u in 0..g.node_count() as NodeId {
             assert_eq!(compiled.push_targets(u), s.push_set_of(&g, u).as_slice());
             assert_eq!(compiled.pull_sources(u), s.pull_set_of(&g, u).as_slice());
@@ -379,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn overrides_shadow_base_and_bump_epoch() {
+    fn updates_replace_sets_and_bump_epoch() {
         let sets = CompiledSets {
             push: vec![vec![1], vec![2]],
             pull: vec![vec![], vec![0]],
@@ -387,38 +501,126 @@ mod tests {
         let s0 = ServingSchedule::from_sets(sets, Arc::new(Topology::single_server(2)), 0);
         let s1 = s0.with_updates([(0, vec![1, 3])], [(1, vec![0, 3])]);
         assert_eq!(s1.epoch(), 1);
+        assert_eq!(s1.users_changed(), 2);
         assert_eq!(s1.push_targets(0), &[1, 3]);
         assert_eq!(s1.pull_sources(1), &[0, 3]);
-        // Untouched users still read the shared base.
         assert_eq!(s1.push_targets(1), &[2]);
         // The old epoch is unchanged (immutability).
         assert_eq!(s0.push_targets(0), &[1]);
         assert_eq!(s0.epoch(), 0);
     }
 
+    /// A random user: mostly around the chunk boundaries and past the
+    /// compiled range, where the copy-on-write bookkeeping can go wrong.
+    fn pick(rng: &mut StdRng, compiled: usize) -> NodeId {
+        let edges = [0, 255, 256, 257, 511, 512, compiled - 1, compiled];
+        match rng.random_range(0..4) {
+            0 => edges[rng.random_range(0..edges.len())] as NodeId,
+            1 => rng.random_range(compiled..compiled + 2 * CHUNK_USERS) as NodeId,
+            _ => rng.random_range(0..compiled) as NodeId,
+        }
+    }
+
+    fn random_set(rng: &mut StdRng) -> Vec<NodeId> {
+        (0..rng.random_range(0..5))
+            .map(|_| rng.random_range(0..10_000))
+            .collect()
+    }
+
+    fn assert_matches(s: &ServingSchedule, model: &[Vec<Vec<NodeId>>; 2], upto: usize) {
+        for u in 0..upto {
+            let (push, pull) = (model[0].get(u), model[1].get(u));
+            let id = u as NodeId;
+            assert_eq!(
+                s.push_targets(id),
+                push.map_or(&[][..], Vec::as_slice),
+                "push of {u}"
+            );
+            assert_eq!(
+                s.pull_sources(id),
+                pull.map_or(&[][..], Vec::as_slice),
+                "pull of {u}"
+            );
+        }
+    }
+
     #[test]
-    fn overrides_survive_delta_flattening() {
-        // Push enough single-user publishes through one chain of epochs to
-        // trigger several delta → merged flattens; every override must
-        // stay visible and the newest one must win.
-        let n = 200usize;
+    fn random_updates_match_a_plain_model() {
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let compiled = 600;
+            let mut model: [Vec<Vec<NodeId>>; 2] =
+                std::array::from_fn(|_| (0..compiled).map(|_| random_set(&mut rng)).collect());
+            let sets = CompiledSets {
+                push: model[0].clone(),
+                pull: model[1].clone(),
+            };
+            let boot = ServingSchedule::from_sets(sets, Arc::new(Topology::single_server(0)), 0);
+            let (boot_model, mut s) = (model.clone(), boot.clone());
+            let upto = compiled + 3 * CHUNK_USERS;
+            for _ in 0..60 {
+                let mut batch: [Vec<(NodeId, Vec<NodeId>)>; 2] = Default::default();
+                for side in &mut batch {
+                    for _ in 0..rng.random_range(0..6) {
+                        side.push((pick(&mut rng, compiled), random_set(&mut rng)));
+                    }
+                    // A user repeated within one batch: the last set wins.
+                    if let Some(&(u, _)) = side.first().filter(|_| rng.random_bool(0.3)) {
+                        side.push((u, random_set(&mut rng)));
+                    }
+                }
+                let mut changed: Vec<NodeId> = batch.iter().flatten().map(|&(u, _)| u).collect();
+                changed.sort_unstable();
+                changed.dedup();
+                for (side, updates) in model.iter_mut().zip(&batch) {
+                    for (u, set) in updates {
+                        let u = *u as usize;
+                        if side.len() <= u {
+                            side.resize(u + 1, Vec::new());
+                        }
+                        side[u] = set.clone();
+                    }
+                }
+                let [push, pull] = batch;
+                let next = s.with_updates(push, pull);
+                assert_eq!(next.epoch(), s.epoch() + 1);
+                assert_eq!(next.users_changed(), changed.len());
+                let covered = model[0].len().max(model[1].len());
+                assert_eq!(next.users(), covered);
+                assert_matches(&next, &model, upto);
+                s = next;
+            }
+            // Every publish left its parents untouched.
+            assert_matches(&boot, &boot_model, upto);
+            // A topology change shares both sides whole.
+            let moved = s.with_topology(Arc::new(Topology::single_server(0)));
+            assert!(Arc::ptr_eq(&moved.sets.push, &s.sets.push));
+            assert!(Arc::ptr_eq(&moved.sets.pull, &s.sets.pull));
+            assert_eq!(moved.users_changed(), 0);
+            assert_matches(&moved, &model, upto);
+        }
+    }
+
+    #[test]
+    fn a_one_user_publish_shares_every_other_chunk() {
+        let n = 8 * CHUNK_USERS;
         let sets = CompiledSets {
-            push: vec![vec![]; n],
-            pull: vec![vec![]; n],
+            push: (0..n as NodeId).map(|u| vec![u]).collect(),
+            pull: (0..n as NodeId).map(|u| vec![u]).collect(),
         };
-        let mut s = ServingSchedule::from_sets(sets, Arc::new(Topology::single_server(n)), 0);
-        for u in 0..n as NodeId {
-            s = s.with_updates([(u, vec![u + 1])], [(u, vec![u + 2])]);
+        let s0 = ServingSchedule::from_sets(sets, Arc::new(Topology::single_server(n)), 0);
+        let s1 = s0.with_updates([(300, vec![1, 2, 3])], []);
+        assert_eq!(s1.users_changed(), 1);
+        assert!(
+            Arc::ptr_eq(&s1.sets.pull, &s0.sets.pull),
+            "pull side shared"
+        );
+        for (c, (new, old)) in s1.sets.push.iter().zip(s0.sets.push.iter()).enumerate() {
+            assert_eq!(Arc::ptr_eq(new, old), c != 300 / CHUNK_USERS, "chunk {c}");
         }
-        // Overwrite a user that has certainly been flattened by now.
-        s = s.with_updates([(0, vec![77])], []);
-        assert_eq!(s.epoch(), n as u64 + 1);
-        assert_eq!(s.push_targets(0), &[77], "newest layer must win");
-        assert_eq!(s.pull_sources(0), &[2], "older side must survive");
-        for u in 1..n as NodeId {
-            assert_eq!(s.push_targets(u), &[u + 1]);
-            assert_eq!(s.pull_sources(u), &[u + 2]);
-        }
+        assert_eq!(s1.push_targets(300), &[1, 2, 3]);
+        assert_eq!(s1.push_targets(299), &[299]);
+        assert_eq!(s1.push_targets(301), &[301]);
     }
 
     #[test]
@@ -473,7 +675,7 @@ mod tests {
         let new = Arc::new(Topology::hash(2, 4, 99));
         let s1 = s0.with_topology(Arc::clone(&new));
         assert_eq!(s1.epoch(), s0.epoch() + 1);
-        // Serving sets (base and overrides) survive the topology swap.
+        // Serving sets survive the topology swap.
         assert_eq!(s1.push_targets(0), s0.push_targets(0));
         assert_eq!(s1.pull_sources(1), s0.pull_sources(1));
         assert!(Arc::ptr_eq(s1.topology(), &new));

@@ -79,9 +79,12 @@ impl Publisher {
 
     /// Swaps `next` in and stamps its [`EventKind::EpochSwap`].
     pub(crate) fn publish(&self, next: ServingSchedule) {
-        let (epoch, overrides) = (next.epoch(), next.override_count());
+        let (epoch, users_changed) = (next.epoch(), next.users_changed());
         self.handle.swap(next);
-        self.event(EventKind::EpochSwap { epoch, overrides });
+        self.event(EventKind::EpochSwap {
+            epoch,
+            users_changed,
+        });
     }
 }
 

@@ -1,18 +1,18 @@
 //! Churn-thread messages, its two schedule records — `ChurnApplier` (apply,
-//! live staleness check, publish, compaction) and `ReoptInstaller`
-//! (trigger, replay log, install) — and end-of-run reports.
+//! live staleness check, publish) and `ReoptInstaller` (trigger, replay
+//! log, install) — and end-of-run reports.
 
 use std::sync::Arc;
 
 use crossbeam::channel::Sender;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
-use piggyback_core::scheduler::{Instance, ScheduleOutcome, Scheduler};
+use piggyback_core::scheduler::{Instance, ScheduleOutcome, ScheduleStats, Scheduler};
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_obs::{set_ambient_events, Clock, EventKind};
 use piggyback_workload::Rates;
 
 use crate::config::{ReoptMode, ServeConfig};
-use crate::epoch::{CompiledSets, ServingSchedule};
+use crate::epoch::ChunkedSets;
 use crate::failover::Publisher;
 use crate::metrics::ServeMetrics;
 
@@ -26,8 +26,8 @@ pub(crate) enum ChurnMsg {
         v: NodeId,
         done: Sender<bool>,
     },
-    /// A [`ReoptJob`] finished. Boxed: the payload is a whole graph +
-    /// schedule, far larger than the churn variants that dominate the
+    /// A [`ReoptJob`] finished. Boxed: the payload is a whole scheduler
+    /// and its sets, far larger than the churn variants that dominate the
     /// channel.
     ReoptDone(Box<ReoptResult>),
     /// Let an in-flight re-optimization land, validate, and report;
@@ -35,20 +35,32 @@ pub(crate) enum ChurnMsg {
     Shutdown { done: Sender<ChurnReport> },
 }
 
-/// A finished re-optimization: the frozen graph it ran on, and the
-/// optimizer's schedule and run statistics for it.
-pub(crate) type ReoptResult = (CsrGraph, ScheduleOutcome);
+/// A finished re-optimization, everything O(n + m) of it built on the
+/// job's thread: the fresh scheduler on the frozen graph, its serving sets,
+/// and the optimizer's run statistics.
+pub(crate) struct ReoptResult {
+    pub(crate) inc: IncrementalScheduler,
+    pub(crate) sets: ChunkedSets,
+    pub(crate) stats: ScheduleStats,
+}
 
-/// A fired re-optimization: the optimizer on its frozen instance, run on a
+/// A fired re-optimization: [`reoptimize`] on its frozen instance, run on a
 /// thread of its own in production and inline by the fault matrix; its
 /// result comes back as [`ChurnMsg::ReoptDone`].
 pub(crate) type ReoptJob = Box<dyn FnOnce() -> ReoptResult + Send>;
 
-/// Churn overrides above this count are compacted into a fresh compiled
-/// base (one O(n + m) recompile) instead of growing — it bounds both the
-/// per-publish override-map clone and the snapshot's memory overhead on
-/// long runs where re-optimization never fires.
-pub(crate) const OVERRIDE_COMPACT_LIMIT: usize = 1024;
+/// The job's body: the optimizer, then the fresh scheduler and its sets
+/// compiled straight from the optimized pair, so the install only replays
+/// the churn logged meanwhile.
+fn reoptimize(scheduler: &dyn Scheduler, graph: CsrGraph, rates: Rates) -> ReoptResult {
+    let ScheduleOutcome { schedule, stats } = scheduler.schedule(&Instance::new(&graph, &rates));
+    let sets = ChunkedSets::compile(&graph, &schedule);
+    ReoptResult {
+        inc: IncrementalScheduler::new(graph, rates, schedule),
+        sets,
+        stats,
+    }
+}
 
 /// Applies churn to the incremental scheduler (§3.3: new edges served
 /// directly, orphaned piggybacked edges re-served) and publishes it.
@@ -117,13 +129,9 @@ impl ChurnApplier {
         Some(effect)
     }
 
-    /// Publishes an epoch overriding exactly the users the mutation touched,
-    /// or a compacted base past [`OVERRIDE_COMPACT_LIMIT`].
+    /// Publishes an epoch rewriting exactly the users the mutation touched.
     fn publish(&self, effect: &ChurnEffect) {
         let snap = self.publisher.load();
-        if snap.override_count() >= OVERRIDE_COMPACT_LIMIT {
-            return self.publish_base();
-        }
         let push = effect
             .push_changed
             .iter()
@@ -135,25 +143,12 @@ impl ChurnApplier {
         self.publisher.publish(snap.with_updates(push, pull));
     }
 
-    /// Upon an install: serve from `fresh` from now on.
-    pub(crate) fn rebase(&mut self, fresh: IncrementalScheduler) {
+    /// Upon an install: serve from `fresh`, whose sets are `sets`, from now
+    /// on, under the current topology.
+    pub(crate) fn rebase(&mut self, fresh: IncrementalScheduler, sets: ChunkedSets) {
         self.inc = fresh;
-        self.publish_base();
-    }
-
-    /// Publishes the current serving sets as a fresh base; O(n + m).
-    fn publish_base(&self) {
-        let n = self.inc.rates().len() as NodeId;
-        let sets = CompiledSets {
-            push: (0..n).map(|x| self.inc.push_targets(x)).collect(),
-            pull: (0..n).map(|x| self.inc.pull_sources(x)).collect(),
-        };
-        let snap = self.publisher.load();
-        self.publisher.publish(ServingSchedule::from_sets(
-            sets,
-            Arc::clone(snap.topology()),
-            snap.epoch() + 1,
-        ));
+        self.publisher
+            .publish(self.publisher.load().with_sets(sets));
     }
 
     /// End-of-run costs, and the post-run sweep behind the live check.
@@ -233,6 +228,8 @@ impl ReoptInstaller {
             ReoptMode::Continuous => self.clock.now_ns() >= self.next_at_ns,
         };
         let scheduler = Arc::clone(self.scheduler.as_ref().filter(|_| due)?);
+        // Still on the churn thread: moving the freeze off it needs a CSR
+        // base the dynamic graph shares.
         let graph = inc.freeze_graph();
         let rates = inc.rates().clone();
         if !scheduler.supports(&Instance::new(&graph, &rates)) {
@@ -251,28 +248,41 @@ impl ReoptInstaller {
             // The event ring is the running thread's ambient log, so the
             // optimizer's fan-out pool records its dispatches into it.
             let _guard = events.as_ref().map(set_ambient_events);
-            let out = scheduler.schedule(&Instance::new(&graph, &rates));
-            (graph, out)
+            reoptimize(&*scheduler, graph, rates)
         }))
     }
 
-    /// Upon `ReoptDone`: the fresh scheduler — the job's schedule with the
-    /// churn logged since the fire replayed onto it.
+    /// Upon `ReoptDone`: the fresh scheduler — the job's, with the churn
+    /// logged since the fire replayed onto it — and its sets, the job's
+    /// with only the users that replay touched recompiled.
     pub(crate) fn install(
         &mut self,
         result: ReoptResult,
-        rates: &Rates,
         report: &mut ChurnReport,
-    ) -> IncrementalScheduler {
-        let (graph, ScheduleOutcome { schedule, stats }) = result;
-        let mut fresh = IncrementalScheduler::new(graph, rates.clone(), schedule);
+    ) -> (IncrementalScheduler, ChunkedSets) {
+        let ReoptResult {
+            inc: mut fresh,
+            sets,
+            stats,
+        } = result;
+        let (mut push, mut pull) = (Vec::new(), Vec::new());
         for (add, u, v) in self.replay_log.drain(..) {
-            if add {
-                fresh.add_edge(u, v);
+            let effect = if add {
+                fresh.add_edge_detailed(u, v)
             } else {
-                fresh.remove_edge(u, v);
-            }
+                fresh.remove_edge_detailed(u, v)
+            };
+            push.extend(effect.push_changed);
+            pull.extend(effect.pull_changed);
         }
+        for touched in [&mut push, &mut pull] {
+            touched.sort_unstable();
+            touched.dedup();
+        }
+        let (sets, _) = sets.with_updates(
+            push.into_iter().map(|x| (x, fresh.push_targets(x))),
+            pull.into_iter().map(|x| (x, fresh.pull_sources(x))),
+        );
         let fired_at_ns = self
             .fired_at_ns
             .take()
@@ -295,7 +305,7 @@ impl ReoptInstaller {
                 installed: true,
             });
         }
-        fresh
+        (fresh, sets)
     }
 }
 

@@ -13,11 +13,12 @@
 //!   `match` — lending its shard I/O handle and report to four records,
 //!   each written only by its own handlers:
 //!   - `ChurnApplier` ([`ops`](crate::ops)): applies each mutation (§3.3)
-//!     to the [`IncrementalScheduler`], checks bounded staleness live,
-//!     publishes an epoch and compacts overrides;
+//!     to the [`IncrementalScheduler`], checks bounded staleness live, and
+//!     publishes an epoch rewriting only the users the mutation touched;
 //!   - `ReoptInstaller` (`ops`): past [`ServeConfig::reopt_threshold`] (or
 //!     continuously, under a budget) it *returns* a `ReoptJob`, which the
-//!     dispatcher runs on a thread of its own; the result comes back as a
+//!     dispatcher runs on a thread of its own — the optimizer, the fresh
+//!     scheduler and its compiled sets; the result comes back as a
 //!     message, and the install replays the churn logged meanwhile;
 //!   - `Rebalancer` (the private `failover` module): past
 //!     [`ServeConfig::rebalance_threshold`] it re-partitions and moves
@@ -598,10 +599,9 @@ impl ChurnManager {
         let (add, u, v, done) = match msg {
             ChurnMsg::Churn { add, u, v, done } => (add, u, v, done),
             ChurnMsg::ReoptDone(result) => {
-                let rates = self.applier.inc().rates();
-                let fresh = self.reopt.install(*result, rates, &mut self.report);
+                let (fresh, sets) = self.reopt.install(*result, &mut self.report);
                 self.rebalancer.rearm();
-                self.applier.rebase(fresh);
+                self.applier.rebase(fresh, sets);
                 return None;
             }
             ChurnMsg::Shutdown { done } => {
@@ -649,7 +649,6 @@ mod fault_matrix;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::OVERRIDE_COMPACT_LIMIT;
     use piggyback_core::parallelnosy::ParallelNosy;
     use piggyback_core::scheduler::Hybrid;
     use piggyback_core::scheduler::Instance;
@@ -775,10 +774,10 @@ mod tests {
     }
 
     #[test]
-    fn sustained_churn_compacts_overrides() {
+    fn churn_storm_publishes_exactly_the_incremental_sets() {
         use piggyback_graph::gen::{copying, CopyingConfig};
         let g = copying(CopyingConfig {
-            nodes: 100,
+            nodes: 600,
             follows_per_node: 4,
             copy_prob: 0.6,
             seed: 1,
@@ -787,47 +786,45 @@ mod tests {
         let s = ParallelNosy::default()
             .schedule(&Instance::new(&g, &r))
             .schedule;
-        let rt = ServeRuntime::start(
-            g.clone(),
+        let (rt, mut manager, _rx) = ServeRuntime::assemble(
+            g,
             r,
             s,
             Box::new(Hybrid),
             ServeConfig {
                 shards: 2,
-                workers: 1,
-                // Re-optimization never fires: compaction alone must bound
-                // the override map.
+                rpc: RpcMode::Direct,
+                // Re-optimization never fires: every epoch is a churn publish.
                 reopt_threshold: f64::INFINITY,
                 ..Default::default()
             },
+            Clock::manual(),
         );
-        let mut c = rt.client();
-        // 50 × 40 distinct pairs; only pre-existing graph edges reject, so
-        // well over OVERRIDE_COMPACT_LIMIT mutations apply.
+        // Follows across chunk boundaries, then unfollows of the same pairs,
+        // which also removes the pre-existing edges among them (the follows
+        // of those rejected).
         let mut applied = 0u64;
-        for u in 0..50u32 {
-            for v in 50..90u32 {
-                if c.follow(u, v) {
-                    applied += 1;
+        for add in [true, false] {
+            for u in (0..600u32).step_by(11) {
+                for v in (250..600u32).step_by(13).filter(|&v| v != u) {
+                    let (done, ack) = bounded(1);
+                    assert!(manager
+                        .handle(ChurnMsg::Churn { add, u, v, done })
+                        .is_none());
+                    applied += u64::from(ack.recv().unwrap());
                 }
             }
         }
-        assert!(
-            applied > OVERRIDE_COMPACT_LIMIT as u64,
-            "storm too small: {applied}"
-        );
-        assert!(
-            rt.snapshot().override_count() <= OVERRIDE_COMPACT_LIMIT,
-            "override map must stay bounded: {}",
-            rt.snapshot().override_count()
-        );
-        // Serving still works after compactions.
-        c.share(0);
-        let _ = c.query(1);
-        drop(c);
-        let report = rt.shutdown();
-        assert!(report.churn.zero_violations());
-        assert_eq!(report.churn.reopts, 0);
+        assert!(applied > 1024, "storm too small: {applied}");
+        assert_eq!(rt.epoch(), applied, "one publish per applied mutation");
+        let (snap, inc) = (rt.snapshot(), manager.applier.inc());
+        for x in 0..600 {
+            assert_eq!(snap.push_targets(x), inc.push_targets(x), "push set of {x}");
+            assert_eq!(snap.pull_sources(x), inc.pull_sources(x), "pull set of {x}");
+        }
+        assert_eq!(manager.report.reopts, 0);
+        assert_eq!(manager.report.live_staleness_violations, 0);
+        assert!(inc.validate().is_ok());
     }
 
     #[test]

@@ -1030,11 +1030,11 @@ impl Rig {
     /// [`IncrementalScheduler`] replaying the churn logged since the fire
     /// onto the job's schedule.
     fn land(&mut self) {
-        let (graph, out) = self.job.take().expect("a job is out")();
+        let result = self.job.take().expect("a job is out")();
         let mut expected = IncrementalScheduler::new(
-            graph.clone(),
+            result.inc.graph().base().clone(),
             self.manager.applier.inc().rates().clone(),
-            out.schedule.clone(),
+            result.inc.base_schedule().clone(),
         );
         for (add, u, v) in self.replayed.drain(..) {
             if add {
@@ -1046,7 +1046,7 @@ impl Rig {
         let installs = self.manager.report.reopts;
         assert!(self
             .manager
-            .handle(ChurnMsg::ReoptDone(Box::new((graph, out))))
+            .handle(ChurnMsg::ReoptDone(Box::new(result)))
             .is_none());
         assert_eq!(self.manager.report.reopts, installs + 1);
         let snap = self.rt.snapshot();

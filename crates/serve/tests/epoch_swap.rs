@@ -128,11 +128,12 @@ fn concurrent_swaps_never_tear_or_reorder() {
     });
 }
 
-/// Churn-style updates (overrides on a shared base) must also be atomic:
-/// a snapshot taken mid-stream reflects a prefix of the update sequence,
-/// never a partially applied update.
+/// Churn publishes (a rewritten chunk per side, every other chunk shared
+/// with the parent epoch) must also be atomic: a snapshot taken mid-stream
+/// reflects a prefix of the update sequence, never a partially applied
+/// update.
 #[test]
-fn override_publishes_are_atomic() {
+fn churn_publishes_are_atomic() {
     // Base: every user pushes to [u]. Update k rewrites user (k % USERS)
     // to push [u, k] and pull [u, k] *in one publish*; observing one side
     // without the other is a torn update.
@@ -158,7 +159,7 @@ fn override_publishes_are_atomic() {
                         let pull = snap.pull_sources(u).to_vec();
                         assert_eq!(
                             push, pull,
-                            "torn override for user {u}: one publish must update both sides"
+                            "torn update for user {u}: one publish must update both sides"
                         );
                     }
                 }
