@@ -41,11 +41,10 @@
 //!   singleton threshold — and in parallel batches rather than one
 //!   serial-equivalent sweep;
 //! * lazy re-validation recomputes hubs in geometrically growing batches
-//!   (1, 2, 4, … up to [`ORACLE_BATCH`]); batches big enough to pay for
-//!   dispatch fan out over a **persistent** work-stealing worker pool
-//!   ([`crate::fanout::FanoutPool`]) spawned once per run — the
-//!   per-batch thread-spawn round-trips that serialized the old fan-out
-//!   are gone, and each worker keeps its own [`PeelScratch`] arena warm
+//!   (1, 2, 4, … up to [`ORACLE_BATCH`]), mapped through the optimizers'
+//!   one worker pool ([`crate::fanout::FanoutPool`]), spawned once per
+//!   run: batches big enough to pay for dispatch fan out, the rest run
+//!   inline, and each worker keeps its own [`PeelScratch`] arena warm
 //!   across every batch of the run. Batch results carry a *verified*
 //!   mark: within one selection the schedule is frozen, so a recomputed
 //!   entry at the top of the queue is accepted without another oracle
@@ -71,10 +70,10 @@
 //! produces the identical schedule, cost, and oracle-call count** (the
 //! `chitchat_parallel` integration test locks this in).
 //!
-//! [`ChitChat::run_reference`] preserves the pre-optimization execution —
-//! serial, eager recomputation after every selection, exact oracle seeding,
-//! allocating heap-peel oracle, per-probe singleton costs — as the
-//! differential-testing oracle of this module's tests.
+//! A test-only `ChitChat::run_reference` preserves the pre-optimization
+//! execution — serial, eager recomputation after every selection, exact
+//! oracle seeding, allocating heap-peel oracle, per-probe singleton costs —
+//! as the differential-testing oracle of this module's tests.
 //! Both drive the same argmin greedy, but exact ties between equally-priced
 //! candidates can resolve differently (the eager path's refreshed keys
 //! carry last-ulp float noise that the skip-path's older bounds do not), so
@@ -83,7 +82,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use parking_lot::RwLock;
 use piggyback_graph::fx::FxHashMap;
@@ -91,12 +89,11 @@ use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
 use crate::bitset::BitSet;
-use crate::cost::hybrid_edge_cost;
 use crate::densest::{
     densest_hub_graph, densest_hub_graph_key_scratch, densest_hub_graph_scratch, HubSelection,
     OrdF64, PeelScratch, UncoveredDegrees,
 };
-use crate::fanout::{chunk_len, FanoutPool, FanoutTelemetry};
+use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 
 /// Largest lazy re-validation batch (and the growth cap): bounds how far a
@@ -110,11 +107,6 @@ pub const ORACLE_BATCH: usize = 64;
 /// scan exits at its first counterexample, so only successful proofs pay
 /// the full scan — and each success saves a whole oracle call.
 const INERT_SCAN_CAP: u32 = 1024;
-
-/// Minimum batch size worth dispatching to the worker pool; smaller
-/// batches run inline on the coordinating thread. With persistent workers
-/// a dispatch costs two channel operations per chunk, so the bar is low.
-const PAR_THRESHOLD: usize = 4;
 
 /// Configuration for the CHITCHAT algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -133,19 +125,6 @@ impl Default for ChitChat {
         ChitChat {
             cross_cap: 100_000,
             threads: 0,
-        }
-    }
-}
-
-impl ChitChat {
-    /// Effective worker-thread count (resolves the `0` = auto default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
         }
     }
 }
@@ -281,11 +260,9 @@ impl Shared<'_> {
     }
 }
 
-/// A chunk of hubs to recompute, and the results keyed by hub. Chunks are
-/// indexed so reassembly is deterministic regardless of arrival order.
-type OracleJob = (usize, Vec<NodeId>);
-type OracleOut = (usize, Vec<(NodeId, Option<HubSelection>)>);
-type OraclePool = FanoutPool<OracleJob, OracleOut>;
+/// The pool both CHITCHAT executions peel hubs on: a batch of hubs in,
+/// each hub's selection (keyed by hub) out, in batch order.
+pub(crate) type HubPool<'w> = FanoutPool<'w, NodeId, (NodeId, Option<HubSelection>)>;
 
 /// Coordinator-private search state: the priority queue and its
 /// bookkeeping. Only the coordinating thread touches this.
@@ -309,34 +286,43 @@ struct Search {
     cache: FxHashMap<NodeId, HubSelection>,
     scratch: PeelScratch,
     oracle_calls: usize,
-    threads: usize,
     /// Use the allocating reference oracle instead of the scratch path
     /// (the two produce identical selections; see [`crate::densest`]).
     reference: bool,
-    telemetry: FanoutTelemetry,
+}
+
+/// Builds one pool worker: peels a batch of hubs against the frozen cover,
+/// through the reference oracle or a private scratch arena.
+fn hub_peeler<'a>(
+    sh: &'a Shared<'a>,
+    reference: bool,
+) -> impl FnMut(&[NodeId]) -> Vec<(NodeId, Option<HubSelection>)> + Send + 'a {
+    let mut scratch = PeelScratch::new();
+    move |hubs: &[NodeId]| {
+        let c = sh.cover.read();
+        hubs.iter()
+            .map(|&w| {
+                let sel = if reference {
+                    densest_hub_graph(sh.g, sh.rates, w, &c.sched, &c.z, sh.cross_cap)
+                } else {
+                    densest_hub_graph_scratch(
+                        sh.g,
+                        sh.rates,
+                        w,
+                        &c.sched,
+                        &c.z,
+                        &c.zdeg,
+                        sh.cross_cap,
+                        &mut scratch,
+                    )
+                };
+                (w, sel)
+            })
+            .collect()
+    }
 }
 
 impl Search {
-    /// One full oracle call for hub `w` against the current state, through
-    /// whichever implementation this run is configured for.
-    fn oracle(&mut self, sh: &Shared, w: NodeId) -> Option<HubSelection> {
-        let c = sh.cover.read();
-        if self.reference {
-            densest_hub_graph(sh.g, sh.rates, w, &c.sched, &c.z, sh.cross_cap)
-        } else {
-            densest_hub_graph_scratch(
-                sh.g,
-                sh.rates,
-                w,
-                &c.sched,
-                &c.z,
-                &c.zdeg,
-                sh.cross_cap,
-                &mut self.scratch,
-            )
-        }
-    }
-
     /// Key-only oracle call: just the cost-per-element, skipping output
     /// materialization on the scratch path. This is what all queue
     /// maintenance uses — the full selection is materialized once per
@@ -407,23 +393,18 @@ impl Search {
     ///
     /// The schedule is frozen for the duration of the call, so oracle
     /// recomputation is pure; batches of stale entries are recomputed
-    /// together (through the worker pool when large enough) and marked
-    /// *verified* for the round. A verified entry at the top of the heap
-    /// is exact — its key is at or below every other key, and every
-    /// unverified key is a lower bound — so it is the global minimum and
-    /// can be accepted without further calls.
+    /// together through the pool and marked *verified* for the round. A
+    /// verified entry at the top of the heap is exact — its key is at or
+    /// below every other key, and every unverified key is a lower bound —
+    /// so it is the global minimum and can be accepted without further
+    /// calls.
     ///
     /// The accepted hub is therefore the argmin of `(true cost-per-element,
     /// node id)` over all live candidates: every entry whose optimistic key
     /// is at or below the winning value gets verified before the accept, so
     /// the result does not depend on batch boundaries, thread count, or
     /// which oracle implementation produced the keys.
-    fn select_hub(
-        &mut self,
-        sh: &Shared,
-        pool: Option<&OraclePool>,
-        single_cpe: f64,
-    ) -> Option<HubSelection> {
+    fn select_hub(&mut self, pool: &HubPool, single_cpe: f64) -> Option<HubSelection> {
         self.round += 1;
         self.cache.clear();
         let mut batch: Vec<NodeId> = Vec::with_capacity(ORACLE_BATCH);
@@ -464,8 +445,7 @@ impl Search {
                 return None;
             }
             self.oracle_calls += batch.len();
-            let results = self.recompute_batch(sh, pool, &batch);
-            for (w, sel) in results {
+            for (w, sel) in pool.map(&batch) {
                 let Some(sel) = sel else {
                     self.current_key[w as usize] = f64::INFINITY;
                     continue;
@@ -478,40 +458,6 @@ impl Search {
                 self.cache.insert(w, sel);
             }
             batch_cap = (batch_cap * 2).min(ORACLE_BATCH);
-        }
-    }
-
-    /// Recomputes every hub in `batch` against the frozen state. Purely
-    /// functional, so the fan-out is free to split the batch arbitrarily;
-    /// results come back keyed by hub, reassembled in chunk order.
-    fn recompute_batch(
-        &mut self,
-        sh: &Shared,
-        pool: Option<&OraclePool>,
-        batch: &[NodeId],
-    ) -> Vec<(NodeId, Option<HubSelection>)> {
-        match pool {
-            Some(pool) if batch.len() >= PAR_THRESHOLD => {
-                let chunk = chunk_len(batch.len(), pool.workers());
-                let mut parts = pool.run_recorded(
-                    batch
-                        .chunks(chunk)
-                        .enumerate()
-                        .map(|(i, c)| (i, c.to_vec())),
-                    &mut self.telemetry,
-                );
-                parts.sort_unstable_by_key(|&(i, _)| i);
-                parts.into_iter().flat_map(|(_, r)| r).collect()
-            }
-            _ => {
-                let start = Instant::now();
-                let out = batch.iter().map(|&w| (w, self.oracle(sh, w))).collect();
-                if !self.reference {
-                    self.telemetry
-                        .record_inline(start.elapsed().as_nanos() as u64);
-                }
-                out
-            }
         }
     }
 
@@ -601,12 +547,11 @@ pub(crate) fn full_bitset(m: usize) -> BitSet {
     b
 }
 
-/// The greedy SETCOVER loop shared by both executions; `pool` is `Some`
-/// only for the optimized multi-threaded path.
+/// The greedy SETCOVER loop shared by both executions.
 fn drive(
     sh: &Shared,
     search: &mut Search,
-    pool: Option<&OraclePool>,
+    pool: &HubPool,
     single_cost: &impl Fn(EdgeId) -> f64,
 ) -> (usize, usize) {
     search.seed(sh);
@@ -636,7 +581,7 @@ fn drive(
             }
         };
 
-        match search.select_hub(sh, pool, single_cpe) {
+        match search.select_hub(pool, single_cpe) {
             Some(sel) => {
                 sh.apply_hub(&sel);
                 hub_selections += 1;
@@ -720,9 +665,7 @@ impl ChitChat {
             cache: FxHashMap::default(),
             scratch: PeelScratch::new(),
             oracle_calls: 0,
-            threads: self.effective_threads(),
             reference,
-            telemetry: FanoutTelemetry::default(),
         };
         (shared, search)
     }
@@ -747,11 +690,12 @@ impl ChitChat {
     /// Kept only as a differential-testing oracle — `run` drives the
     /// identical greedy, so the two must agree (up to float tie-breaking,
     /// see the module docs); this module's tests compare them on every
-    /// graph family. No production or benchmark code calls it.
-    pub fn run_reference(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
+    /// graph family.
+    #[cfg(test)]
+    fn run_reference(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
         self.run_impl(g, rates, true, |e| {
             let (u, v) = g.edge_endpoints(e);
-            hybrid_edge_cost(rates, u, v)
+            crate::cost::hybrid_edge_cost(rates, u, v)
         })
     }
 
@@ -763,51 +707,22 @@ impl ChitChat {
         single_cost: impl Fn(EdgeId) -> f64,
     ) -> ChitChatResult {
         let (shared, mut search) = self.fresh_state(g, rates, reference);
-        let nt = search.threads;
-        let (hub_selections, singleton_selections) = if !reference && nt > 1 && g.edge_count() > 0 {
-            // The whole greedy runs inside one scope: workers are spawned
-            // once, park on the job channel, and survive every
-            // re-validation batch of the run.
-            crossbeam::scope(|s| {
-                let sh = &shared;
-                let pool: OraclePool = FanoutPool::new(s, nt, |_| {
-                    let mut scratch = PeelScratch::new();
-                    move |(idx, hubs): OracleJob| {
-                        let c = sh.cover.read();
-                        let out = hubs
-                            .iter()
-                            .map(|&w| {
-                                (
-                                    w,
-                                    densest_hub_graph_scratch(
-                                        sh.g,
-                                        sh.rates,
-                                        w,
-                                        &c.sched,
-                                        &c.z,
-                                        &c.zdeg,
-                                        sh.cross_cap,
-                                        &mut scratch,
-                                    ),
-                                )
-                            })
-                            .collect();
-                        (idx, out)
-                    }
-                });
-                drive(sh, &mut search, Some(&pool), &single_cost)
-            })
-            .expect("crossbeam scope failed")
-        } else {
-            drive(&shared, &mut search, None, &single_cost)
-        };
+        // The reference execution stays serial: a one-worker pool runs
+        // every batch on this thread.
+        let threads = if reference { 1 } else { self.threads };
+        let sh = &shared;
+        let ((hub_selections, singleton_selections), telemetry) = FanoutPool::scope(
+            threads,
+            || hub_peeler(sh, reference),
+            |pool| drive(sh, &mut search, pool, &single_cost),
+        );
 
         ChitChatResult {
             schedule: shared.cover.into_inner().sched,
             hub_selections,
             singleton_selections,
             oracle_calls: search.oracle_calls,
-            telemetry: search.telemetry,
+            telemetry,
         }
     }
 }

@@ -45,8 +45,8 @@
 //!    of bounded capacity and re-evaluated in short refinement passes; a
 //!    pass that admits nothing ends the run (the state is a fixed point).
 //! 4. **Deterministic parallel evaluation.** Hubs are peeled in fixed-size
-//!    batches against a frozen `Cover` through the same persistent
-//!    [`FanoutPool`] as the batch path, reassembled in chunk order. A
+//!    batches against a frozen `Cover` through the same [`FanoutPool`] as
+//!    the batch path, which returns them in batch order. A
 //!    frozen result is only trusted if no admission since the freeze
 //!    touched the hub's closed neighborhood (admissions mark `{w} ∪ X ∪
 //!    Y`; every mutated edge has both endpoints marked, and a hub's oracle
@@ -65,17 +65,15 @@
 //! (`chitchat_stream_differential`) pins the cost within 5% of batch
 //! CHITCHAT on the benchmark families.
 
-use std::time::Instant;
-
 use parking_lot::RwLock;
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
-use crate::chitchat::{full_bitset, seed_lower_bound, Cover, Shared};
+use crate::chitchat::{full_bitset, seed_lower_bound, Cover, HubPool, Shared};
 use crate::densest::{
     densest_hub_graph_marginal_scratch, HubSelection, OrdF64, PeelScratch, UncoveredDegrees,
 };
-use crate::fanout::{chunk_len, FanoutPool, FanoutTelemetry};
+use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 
 /// Hubs evaluated per frozen fan-out batch. A **constant** — deliberately
@@ -83,10 +81,6 @@ use crate::schedule::Schedule;
 /// and with it the oracle-call count, is bit-identical for every thread
 /// budget.
 const STREAM_BATCH: usize = 256;
-
-/// Minimum batch size worth dispatching to the worker pool (same bar as
-/// the batch path: a dispatch is two channel operations per chunk).
-const PAR_THRESHOLD: usize = 4;
 
 /// Configuration for the streaming CHITCHAT execution.
 #[derive(Clone, Copy, Debug)]
@@ -138,17 +132,6 @@ pub struct ChitChatStreamResult {
 }
 
 impl ChitChatStream {
-    /// Effective worker-thread count (resolves the `0` = auto default).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-
     /// Runs streaming CHITCHAT on `g` under the workload `rates` and
     /// returns a feasible schedule costing no more than the hybrid
     /// baseline.
@@ -172,7 +155,6 @@ impl ChitChatStream {
                 zdeg: UncoveredDegrees::full(g),
             }),
         };
-        let nt = self.effective_threads();
         let mut sweep = Sweep {
             scratch: PeelScratch::new(),
             touched: EpochSet::new(g.node_count()),
@@ -180,42 +162,21 @@ impl ChitChatStream {
             hubs_admitted: 0,
             passes: 0,
             revisit_evictions: 0,
-            telemetry: FanoutTelemetry::default(),
         };
-        if nt > 1 && m > 0 {
-            crossbeam::scope(|s| {
-                let sh = &shared;
-                let pool: StreamPool = FanoutPool::new(s, nt, |_| {
-                    let mut scratch = PeelScratch::new();
-                    move |(idx, hubs): StreamJob| {
-                        let c = sh.cover.read();
-                        let out = hubs
-                            .iter()
-                            .map(|&w| {
-                                (
-                                    w,
-                                    densest_hub_graph_marginal_scratch(
-                                        sh.g,
-                                        sh.rates,
-                                        w,
-                                        &c.sched,
-                                        &c.z,
-                                        &c.zdeg,
-                                        sh.cross_cap,
-                                        &mut scratch,
-                                    ),
-                                )
-                            })
-                            .collect();
-                        (idx, out)
-                    }
-                });
-                self.drive(sh, Some(&pool), &costs, &mut sweep);
-            })
-            .expect("crossbeam scope failed");
-        } else {
-            self.drive(&shared, None, &costs, &mut sweep);
-        }
+        let sh = &shared;
+        let ((), telemetry) = FanoutPool::scope(
+            self.threads,
+            || {
+                let mut scratch = PeelScratch::new();
+                move |hubs: &[NodeId]| {
+                    let c = sh.cover.read();
+                    hubs.iter()
+                        .map(|&w| (w, marginal_peel(sh, &c, w, &mut scratch)))
+                        .collect()
+                }
+            },
+            |pool| self.drive(sh, pool, &costs, &mut sweep),
+        );
 
         // Leftover sweep: every still-uncovered edge takes its hybrid
         // assignment, in CSR order — the batch greedy's singleton tail
@@ -245,13 +206,13 @@ impl ChitChatStream {
             oracle_calls: sweep.oracle_calls,
             passes: sweep.passes,
             revisit_evictions: sweep.revisit_evictions,
-            telemetry: sweep.telemetry,
+            telemetry,
         }
     }
 
     /// The ordered sweep plus refinement passes. Coordinator-only except
     /// for the pooled frozen-state peels.
-    fn drive(&self, sh: &Shared, pool: Option<&StreamPool>, costs: &EdgeCosts, sweep: &mut Sweep) {
+    fn drive(&self, sh: &Shared, pool: &HubPool, costs: &EdgeCosts, sweep: &mut Sweep) {
         let g = sh.g;
         if g.edge_count() == 0 {
             return;
@@ -280,7 +241,7 @@ impl ChitChatStream {
         let mut order: Vec<(OrdF64, NodeId)> = Vec::new();
         for batch in survivors.chunks(STREAM_BATCH.max(1)) {
             sweep.oracle_calls += batch.len();
-            for (w, sel) in eval_batch(sh, pool, batch, sweep) {
+            for (w, sel) in pool.map(batch) {
                 if let Some(s) = sel {
                     let d = s.cost_per_element();
                     bound[w as usize] = d;
@@ -321,7 +282,7 @@ impl ChitChatStream {
     fn run_pass(
         &self,
         sh: &Shared,
-        pool: Option<&StreamPool>,
+        pool: &HubPool,
         costs: &EdgeCosts,
         sweep: &mut Sweep,
         list: &[NodeId],
@@ -329,7 +290,7 @@ impl ChitChatStream {
     ) {
         for batch in list.chunks(STREAM_BATCH) {
             sweep.oracle_calls += batch.len();
-            let results = eval_batch(sh, pool, batch, sweep);
+            let results = pool.map(batch);
             sweep.touched.clear();
             for (w, frozen) in results {
                 // The frozen peel is exact unless an admission since the
@@ -365,12 +326,6 @@ impl ChitChatStream {
     }
 }
 
-/// A chunk of hubs to peel against the frozen cover, and the selections
-/// keyed by hub; chunks are indexed so reassembly is deterministic.
-type StreamJob = (usize, Vec<NodeId>);
-type StreamOut = (usize, Vec<(NodeId, Option<HubSelection>)>);
-type StreamPool<'s> = FanoutPool<StreamJob, StreamOut>;
-
 /// Coordinator-private sweep state.
 struct Sweep {
     scratch: PeelScratch,
@@ -379,48 +334,20 @@ struct Sweep {
     hubs_admitted: usize,
     passes: usize,
     revisit_evictions: usize,
-    telemetry: FanoutTelemetry,
-}
-
-/// Peels every hub of `batch` against the frozen cover — through the pool
-/// when the batch is worth dispatching, inline otherwise. Purely
-/// functional over the frozen state; results reassemble in chunk order.
-fn eval_batch(
-    sh: &Shared,
-    pool: Option<&StreamPool>,
-    batch: &[NodeId],
-    sweep: &mut Sweep,
-) -> Vec<(NodeId, Option<HubSelection>)> {
-    match pool {
-        Some(pool) if batch.len() >= PAR_THRESHOLD => {
-            let chunk = chunk_len(batch.len(), pool.workers());
-            let mut parts = pool.run_recorded(
-                batch
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(i, c)| (i, c.to_vec())),
-                &mut sweep.telemetry,
-            );
-            parts.sort_unstable_by_key(|&(i, _)| i);
-            parts.into_iter().flat_map(|(_, r)| r).collect()
-        }
-        _ => {
-            let start = Instant::now();
-            let out = batch
-                .iter()
-                .map(|&w| (w, oracle(sh, w, &mut sweep.scratch)))
-                .collect();
-            sweep
-                .telemetry
-                .record_inline(start.elapsed().as_nanos() as u64);
-            out
-        }
-    }
 }
 
 /// One live oracle call for hub `w` (takes the cover read lock).
 fn oracle(sh: &Shared, w: NodeId, scratch: &mut PeelScratch) -> Option<HubSelection> {
-    let c = sh.cover.read();
+    marginal_peel(sh, &sh.cover.read(), w, scratch)
+}
+
+/// One marginal-price peel of hub `w` against cover state `c`.
+fn marginal_peel(
+    sh: &Shared,
+    c: &Cover,
+    w: NodeId,
+    scratch: &mut PeelScratch,
+) -> Option<HubSelection> {
     densest_hub_graph_marginal_scratch(
         sh.g,
         sh.rates,

@@ -23,8 +23,7 @@
 //! * [`densest_hub_graph`] + [`peel_weighted`]: the straightforward
 //!   reference — per-call `Vec<Vec<…>>` adjacency and a lazy
 //!   `BinaryHeap` peel. Kept as the differential-testing oracle (it is
-//!   what [`ChitChat::run_reference`](crate::chitchat::ChitChat::run_reference)
-//!   peels with).
+//!   what CHITCHAT's test-only reference execution peels with).
 //! * [`densest_hub_graph_scratch`] + the bucket peel inside
 //!   [`PeelScratch`]: the production path. All working memory lives in a
 //!   reusable arena; producer/consumer roles come straight off the CSR
@@ -496,10 +495,11 @@ impl PeelScratch {
     }
 }
 
-/// Bucket-queue peel with the [`peel_weighted`] signature, for tests and
-/// one-off callers. Allocates a throwaway arena; hot paths should hold a
-/// [`PeelScratch`] and call [`densest_hub_graph_scratch`] instead.
-pub fn peel_weighted_bucket(
+/// Bucket-queue peel with the [`peel_weighted`] signature, for this
+/// module's differential tests. Allocates a throwaway arena; hot paths
+/// hold a [`PeelScratch`] and call [`densest_hub_graph_scratch`] instead.
+#[cfg(test)]
+fn peel_weighted_bucket(
     n: usize,
     edges: &[(u32, u32)],
     weights: &[f64],

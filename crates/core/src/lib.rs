@@ -17,8 +17,10 @@
 //! * [`chitchat_stream`] — the one-pass streaming CHITCHAT: near-batch
 //!   quality at a fraction of the oracle work, cheap enough to re-run
 //!   continuously at serve time.
-//! * [`parallelnosy`] — the scalable PARALLELNOSY heuristic (§3.2), with
-//!   both threaded and MapReduce execution.
+//! * [`parallelnosy`] — the scalable PARALLELNOSY heuristic (§3.2); its
+//!   three phases are the paper's MapReduce jobs.
+//! * [`fanout`] — the worker pool every parallel optimizer above fans its
+//!   pure work out on: the one place optimizer work meets threads.
 //! * [`incremental`] — schedule maintenance under graph updates (§3.3).
 //! * [`active`] — active stores with propagation sets and the Theorem 3
 //!   passive-simulation equivalence (§2.2).

@@ -18,28 +18,24 @@
 //! edges are served with the hybrid policy, so the result is always
 //! feasible and never worse than FEEDINGFRENZY under the cost model.
 //!
-//! Two executions are provided with identical outputs: a crossbeam-threaded
-//! one ([`ParallelNosy::run`]) and one expressed as MapReduce jobs on
-//! [`piggyback_mapreduce::MapReduce`] ([`ParallelNosy::run_on_mapreduce`]),
-//! mirroring the paper's Hadoop implementation.
+//! The paper runs these phases as Hadoop MapReduce jobs. Here they are one
+//! in-memory execution whose three phases are those jobs: phase 1 is the
+//! per-edge map that emits candidates, phase 2 the per-edge reduce that
+//! arbitrates lock requests, and phase 3 the per-hub reduce that makes the
+//! scheduling decision.
 //!
-//! The threaded execution runs phase 1 on a persistent
-//! [`FanoutPool`]: workers are spawned once per
-//! run and survive every iteration (the pre-optimization code paid a full
-//! thread spawn/join round-trip per iteration). Edge-range chunks are
-//! reassembled in ascending chunk order, so the candidate list — and with
-//! it every lock decision and the whole `cost_history` — is identical for
-//! any thread count and any chunking.
-
-use std::time::Instant;
+//! Phase 1 runs on the optimizers' one [`FanoutPool`]: workers are spawned
+//! once per run and survive every iteration. The pool returns candidates
+//! in edge order whichever worker built which chunk, so the candidate list
+//! — and with it every lock decision and the whole `cost_history` — is
+//! identical for any thread count and any chunking. Phases 2 and 3 are
+//! cheap and stay on the coordinating thread.
 
 use parking_lot::RwLock;
 use piggyback_graph::{intersect_sorted, CsrGraph, EdgeId, NodeId, INVALID_EDGE};
-use piggyback_mapreduce::MapReduce;
 use piggyback_workload::{EdgeCosts, Rates};
 
-use crate::cost::hybrid_edge_cost;
-use crate::fanout::{chunk_len, FanoutPool, FanoutTelemetry};
+use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 
 /// Configuration for PARALLELNOSY.
@@ -51,7 +47,9 @@ pub struct ParallelNosy {
     /// Upper bound `b` on cross edges per hub-graph (§3.2; 100 000 in the
     /// paper's Twitter runs). Bounds memory on very dense hubs.
     pub cross_cap: usize,
-    /// Worker threads for the candidate-selection phase.
+    /// Worker threads for the candidate-selection phase. `0` means one per
+    /// available core. The schedule is identical for every value — threads
+    /// only change wall time.
     pub threads: usize,
     /// Lock every hub-graph edge (the literal reading of §3.2) instead of
     /// only the edges a candidate mutates. Kept as an ablation knob: it
@@ -65,9 +63,7 @@ impl Default for ParallelNosy {
         ParallelNosy {
             max_iterations: 30,
             cross_cap: 100_000,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: 0,
             conservative_locks: false,
         }
     }
@@ -247,7 +243,6 @@ impl LockTable {
 struct Decision {
     hub_edge: EdgeId,
     w: NodeId,
-    y: NodeId,
     /// Producer legs to apply: (edge x→w, edge x→y).
     legs: Vec<(EdgeId, EdgeId)>,
 }
@@ -255,7 +250,6 @@ struct Decision {
 /// Phase 3 for one candidate: keep only fully-locked producers, re-check
 /// profitability on the reduced hub-graph (Algorithm 2, lines 16–22).
 fn decide(
-    g: &CsrGraph,
     rates: &Rates,
     costs: &EdgeCosts,
     sched: &Schedule,
@@ -281,7 +275,6 @@ fn decide(
             cost += push_leg_cost(rates, costs, sched, x, xw_e);
         }
     }
-    let _ = g;
     if legs.is_empty() {
         return None;
     }
@@ -290,7 +283,6 @@ fn decide(
         Some(Decision {
             hub_edge: cand.hub_edge,
             w: cand.w,
-            y: cand.y,
             legs,
         })
     } else {
@@ -311,7 +303,6 @@ fn apply_decisions(sched: &mut Schedule, decisions: &[Decision]) -> usize {
             }
             sched.set_covered(xy_e, d.w);
         }
-        let _ = d.y;
         applied += 1;
     }
     applied
@@ -320,23 +311,11 @@ fn apply_decisions(sched: &mut Schedule, decisions: &[Decision]) -> usize {
 /// Cost of a (possibly partial) schedule where unscheduled edges pay the
 /// hybrid cost — the series plotted in Figure 4.
 pub fn partial_cost(g: &CsrGraph, rates: &Rates, sched: &Schedule) -> f64 {
-    let mut cost = 0.0;
-    for (e, u, v) in g.edges() {
-        if sched.is_push(e) {
-            cost += rates.rp(u);
-        }
-        if sched.is_pull(e) {
-            cost += rates.rc(v);
-        }
-        if !sched.is_push(e) && !sched.is_pull(e) && !sched.is_covered(e) {
-            cost += hybrid_edge_cost(rates, u, v);
-        }
-    }
-    cost
+    partial_cost_cached(g, rates, &EdgeCosts::hybrid(g, rates), sched)
 }
 
-/// [`partial_cost`] with the per-edge hybrid costs already cached — the
-/// variant the iteration loop uses.
+/// [`partial_cost`] with the per-edge hybrid costs already built — what
+/// the iteration loop calls once per iteration.
 fn partial_cost_cached(g: &CsrGraph, rates: &Rates, costs: &EdgeCosts, sched: &Schedule) -> f64 {
     let mut cost = 0.0;
     for (e, u, v) in g.edges() {
@@ -367,66 +346,30 @@ fn finalize(g: &CsrGraph, rates: &Rates, sched: &mut Schedule) {
 }
 
 impl ParallelNosy {
-    /// Runs PARALLELNOSY with pooled candidate selection (phase 1 fans out
-    /// over persistent workers; phases 2–3 are cheap and stay on the
-    /// coordinator). Deterministic for any [`ParallelNosy::threads`] value.
+    /// Runs PARALLELNOSY: phase 1 fans out over the pool's workers, phases
+    /// 2–3 and the apply run on the coordinator. Deterministic for any
+    /// [`ParallelNosy::threads`] value.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ParallelNosyResult {
         let costs = EdgeCosts::hybrid(g, rates);
-        let m = g.edge_count();
-        let nt = self.threads.clamp(1, m.max(1));
+        let costs = &costs;
         let cross_cap = self.cross_cap;
         let sched_lock = RwLock::new(Schedule::for_graph(g));
-        let mut telemetry = FanoutTelemetry::default();
-
-        let (iterations, cost_history, hubs_applied) = if nt > 1 && m > 0 {
-            crossbeam::scope(|s| {
-                let sl = &sched_lock;
-                let costs = &costs;
-                // One pool for the whole run: each worker re-reads the
-                // frozen schedule through the lock at the start of its
-                // chunk; the coordinator writes only between fan-outs.
-                let pool: FanoutPool<(usize, std::ops::Range<EdgeId>), (usize, Vec<Candidate>)> =
-                    FanoutPool::new(s, nt, |_| {
-                        move |(idx, range): (usize, std::ops::Range<EdgeId>)| {
-                            let sched = sl.read();
-                            let mut local = Vec::new();
-                            for e in range {
-                                if let Some(c) =
-                                    build_candidate(g, rates, costs, &sched, e, cross_cap)
-                                {
-                                    local.push(c);
-                                }
-                            }
-                            (idx, local)
-                        }
-                    });
-                self.run_impl(g, rates, costs, sl, || {
-                    let cl = chunk_len(m, nt);
-                    let jobs = (0..m)
-                        .step_by(cl)
-                        .enumerate()
-                        .map(|(i, lo)| (i, lo as EdgeId..(lo + cl).min(m) as EdgeId));
-                    let mut parts = pool.run_recorded(jobs, &mut telemetry);
-                    // Ascending chunk index = ascending edge ranges: the
-                    // candidate list comes out in edge order no matter
-                    // which worker produced which chunk.
-                    parts.sort_unstable_by_key(|&(i, _)| i);
-                    parts.into_iter().flat_map(|(_, v)| v).collect()
-                })
-            })
-            .expect("crossbeam scope failed")
-        } else {
-            self.run_impl(g, rates, &costs, &sched_lock, || {
-                let start = Instant::now();
-                let sched = sched_lock.read();
-                let out = (0..m as EdgeId)
-                    .filter_map(|e| build_candidate(g, rates, &costs, &sched, e, cross_cap))
-                    .collect();
-                drop(sched);
-                telemetry.record_inline(start.elapsed().as_nanos() as u64);
-                out
-            })
-        };
+        let sl = &sched_lock;
+        // Each chunk re-reads the frozen schedule through the lock; the
+        // coordinator writes only between fan-outs.
+        let ((iterations, cost_history, hubs_applied), telemetry) = FanoutPool::scope(
+            self.threads,
+            || {
+                move |edges: &[EdgeId]| {
+                    let sched = sl.read();
+                    edges
+                        .iter()
+                        .filter_map(|&e| build_candidate(g, rates, costs, &sched, e, cross_cap))
+                        .collect()
+                }
+            },
+            |pool| self.iterate(g, rates, costs, sl, pool),
+        );
 
         ParallelNosyResult {
             schedule: sched_lock.into_inner(),
@@ -437,117 +380,28 @@ impl ParallelNosy {
         }
     }
 
-    /// Runs PARALLELNOSY as MapReduce jobs on `engine`, mirroring the
-    /// paper's Hadoop pipeline: a map phase emits lock requests per
-    /// candidate, a reduce phase arbitrates locks per edge, and a second
-    /// reduce-only job groups granted locks per hub-graph for the decision.
-    /// Produces the identical schedule to [`ParallelNosy::run`].
-    pub fn run_on_mapreduce(
-        &self,
-        g: &CsrGraph,
-        rates: &Rates,
-        engine: &MapReduce,
-    ) -> ParallelNosyResult {
-        let m = g.edge_count();
-        let costs = EdgeCosts::hybrid(g, rates);
-        let costs = &costs;
-        let mut sched = Schedule::for_graph(g);
-        let mut history = vec![partial_cost_cached(g, rates, costs, &sched)];
-        let mut hubs_applied = 0usize;
-        let mut iterations = 0usize;
-
-        for _ in 0..self.max_iterations {
-            // ---- job 1: candidate selection (map) + lock arbitration (reduce)
-            let inputs: Vec<EdgeId> = (0..m as EdgeId).collect();
-            let grants: Vec<(EdgeId, (f64, EdgeId))> = engine.run(
-                inputs,
-                |&e| match build_candidate(g, rates, costs, &sched, e, self.cross_cap) {
-                    Some(c) => c
-                        .lock_edges(&sched, self.conservative_locks)
-                        .map(|le| (le, (c.gain, c.hub_edge)))
-                        .collect(),
-                    None => Vec::new(),
-                },
-                |edge, requests| {
-                    let winner = requests
-                        .into_iter()
-                        .reduce(|best, req| {
-                            if req.0 > best.0 || (req.0 == best.0 && req.1 < best.1) {
-                                req
-                            } else {
-                                best
-                            }
-                        })
-                        .expect("reducer invoked with no values");
-                    (edge, winner)
-                },
-            );
-
-            // ---- job 2: group granted locks per hub-graph (reduce-only) and
-            // make scheduling decisions.
-            let decisions: Vec<Option<Decision>> = engine.run(
-                grants,
-                |&(edge, (_gain, hub))| vec![(hub, edge)],
-                |hub, granted_edges| {
-                    let cand = build_candidate(g, rates, costs, &sched, hub, self.cross_cap)?;
-                    let granted = |e: EdgeId| granted_edges.contains(&e);
-                    decide(
-                        g,
-                        rates,
-                        costs,
-                        &sched,
-                        &cand,
-                        self.conservative_locks,
-                        granted,
-                    )
-                },
-            );
-            let decisions: Vec<Decision> = decisions.into_iter().flatten().collect();
-
-            let applied = apply_decisions(&mut sched, &decisions);
-            iterations += 1;
-            hubs_applied += applied;
-            history.push(partial_cost_cached(g, rates, costs, &sched));
-            if applied == 0 {
-                break;
-            }
-        }
-
-        finalize(g, rates, &mut sched);
-        ParallelNosyResult {
-            schedule: sched,
-            iterations,
-            cost_history: history,
-            hubs_applied,
-            telemetry: FanoutTelemetry::default(),
-        }
-    }
-
-    /// The iteration loop, shared by the pooled and serial executions.
-    /// `candidates` runs phase 1 against the schedule currently in
-    /// `sched_lock` (no guard is held while it runs — the pooled path's
-    /// workers take their own read locks); phases 2–3 and the apply run
-    /// under the coordinator's write lock. Returns
+    /// The iteration loop. Phase 1 maps every edge through `pool` against
+    /// the schedule currently in `sched_lock` (no guard is held while it
+    /// runs — each chunk takes its own read lock); phases 2–3 and the apply
+    /// run under the coordinator's write lock. Returns
     /// `(iterations, cost_history, hubs_applied)`.
-    fn run_impl<F>(
+    fn iterate(
         &self,
         g: &CsrGraph,
         rates: &Rates,
         costs: &EdgeCosts,
         sched_lock: &RwLock<Schedule>,
-        mut candidates: F,
-    ) -> (usize, Vec<f64>, usize)
-    where
-        F: FnMut() -> Vec<Candidate>,
-    {
+        pool: &FanoutPool<EdgeId, Candidate>,
+    ) -> (usize, Vec<f64>, usize) {
         let m = g.edge_count();
+        let edges: Vec<EdgeId> = (0..m as EdgeId).collect();
         let mut history = vec![partial_cost_cached(g, rates, costs, &sched_lock.read())];
         let mut hubs_applied = 0usize;
         let mut iterations = 0usize;
 
         for _ in 0..self.max_iterations {
-            // Phase 1: candidate selection (fanned out).
-            let cands = candidates();
+            // Phase 1: candidate selection, in edge order.
+            let cands = pool.map(&edges);
 
             let applied = {
                 let mut sched = sched_lock.write();
@@ -564,7 +418,7 @@ impl ParallelNosy {
                 let decisions: Vec<Decision> = cands
                     .iter()
                     .filter_map(|c| {
-                        decide(g, rates, costs, &sched, c, self.conservative_locks, |e| {
+                        decide(rates, costs, &sched, c, self.conservative_locks, |e| {
                             locks.granted_to(e, c.hub_edge)
                         })
                     })
@@ -668,26 +522,6 @@ mod tests {
         // The final iteration applied nothing (fixed point).
         let h = &res.cost_history;
         assert!((h[h.len() - 1] - h[h.len() - 2]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn threaded_and_mapreduce_agree() {
-        let g = clustered(350, 11);
-        let r = Rates::log_degree(&g, 5.0);
-        let pn = ParallelNosy {
-            threads: 4,
-            ..ParallelNosy::default()
-        };
-        let a = pn.run(&g, &r);
-        let b = pn.run_on_mapreduce(&g, &r, &MapReduce::new(3));
-        assert_eq!(a.cost_history, b.cost_history);
-        for e in 0..g.edge_count() as EdgeId {
-            assert_eq!(
-                a.schedule.assignment(e),
-                b.schedule.assignment(e),
-                "edge {e} differs between threaded and mapreduce runs"
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! One trait for every optimizer: the unified `Scheduler` abstraction.
 //!
 //! The crate grew one request-schedule optimizer per paper section —
-//! baselines (§1), CHITCHAT (§3.1), PARALLELNOSY (§3.2, threaded and
-//! MapReduce), streaming CHITCHAT, and the exact solver — each
+//! baselines (§1), CHITCHAT (§3.1), PARALLELNOSY (§3.2), streaming
+//! CHITCHAT, and the exact solver — each
 //! with its own entry point and result struct. Benches, examples and the
 //! CLI all had per-algorithm call sites, so adding an algorithm meant
 //! touching every consumer.
@@ -25,7 +25,6 @@
 use std::time::{Duration, Instant};
 
 use piggyback_graph::CsrGraph;
-use piggyback_mapreduce::MapReduce;
 use piggyback_workload::Rates;
 
 use crate::baseline::{hybrid_schedule, pull_all_schedule, push_all_schedule};
@@ -274,36 +273,6 @@ impl Scheduler for ParallelNosy {
     }
 }
 
-/// PARALLELNOSY executed as MapReduce jobs (the paper's Hadoop pipeline),
-/// producing the identical schedule to the threaded execution.
-#[derive(Clone, Debug, Default)]
-pub struct MapReduceNosy {
-    /// Algorithm configuration (shared with the threaded mode).
-    pub inner: ParallelNosy,
-    /// The MapReduce engine jobs run on.
-    pub engine: MapReduce,
-}
-
-impl Scheduler for MapReduceNosy {
-    fn name(&self) -> &str {
-        "parallelnosy-mr"
-    }
-
-    fn schedule(&self, inst: &Instance) -> ScheduleOutcome {
-        timed(inst, || {
-            let res = self
-                .inner
-                .run_on_mapreduce(inst.graph, inst.rates, &self.engine);
-            let stats = ScheduleStats {
-                iterations: res.iterations,
-                hubs_applied: res.hubs_applied,
-                ..Default::default()
-            };
-            (res.schedule, stats)
-        })
-    }
-}
-
 /// The exact (exponential) DISSEMINATION solver. Only [`supports`] tiny
 /// instances — see [`MAX_ASSIGNMENTS`](crate::optimal::MAX_ASSIGNMENTS).
 ///
@@ -342,23 +311,10 @@ pub fn registry() -> Vec<Box<dyn Scheduler>> {
 }
 
 /// [`registry`] with an explicit worker-thread budget applied to every
-/// parallel optimizer (`0` = each algorithm's own default, one worker per
-/// available core). Every parallel algorithm in the registry is
-/// deterministic across thread counts, so the knob only changes wall time.
+/// parallel optimizer (`0` = one worker per available core). Every
+/// parallel algorithm in the registry is deterministic across thread
+/// counts, so the knob only changes wall time.
 pub fn registry_with_threads(threads: usize) -> Vec<Box<dyn Scheduler>> {
-    let nosy = if threads == 0 {
-        ParallelNosy::default()
-    } else {
-        ParallelNosy {
-            threads,
-            ..Default::default()
-        }
-    };
-    let engine = if threads == 0 {
-        MapReduce::default()
-    } else {
-        MapReduce::new(threads)
-    };
     vec![
         Box::new(PushAll),
         Box::new(PullAll),
@@ -371,10 +327,9 @@ pub fn registry_with_threads(threads: usize) -> Vec<Box<dyn Scheduler>> {
             threads,
             ..Default::default()
         }),
-        Box::new(nosy),
-        Box::new(MapReduceNosy {
-            inner: nosy,
-            engine,
+        Box::new(ParallelNosy {
+            threads,
+            ..Default::default()
         }),
         Box::new(Exact),
     ]
@@ -430,7 +385,6 @@ mod tests {
                 "chitchat",
                 "chitchat-stream",
                 "parallelnosy",
-                "parallelnosy-mr",
                 "exact",
             ]
         );
@@ -493,27 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_mapreduce_agree_via_trait() {
-        let (g, r) = small_world();
-        let inst = Instance::new(&g, &r);
-        let a = ParallelNosy::default().schedule(&inst);
-        let b = MapReduceNosy::default().schedule(&inst);
-        assert_eq!(a.stats.cost, b.stats.cost);
-        assert_eq!(a.stats.iterations, b.stats.iterations);
-    }
-
-    #[test]
     fn thread_budget_preserves_every_schedule() {
         // The --threads knob must be pure wall-time: every parallel
         // optimizer returns the identical schedule under any budget.
         let (g, r) = small_world();
         let inst = Instance::new(&g, &r);
-        for name in [
-            "chitchat",
-            "chitchat-stream",
-            "parallelnosy",
-            "parallelnosy-mr",
-        ] {
+        for name in ["chitchat", "chitchat-stream", "parallelnosy"] {
             let base = by_name(name).unwrap().schedule(&inst);
             for threads in [1usize, 2, 5] {
                 let out = by_name_with_threads(name, threads).unwrap().schedule(&inst);

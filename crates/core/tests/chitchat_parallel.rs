@@ -55,7 +55,7 @@ fn identical_schedules_across_thread_counts_on_seeded_10k_graph() {
         ..Default::default()
     }
     .run(&g, &r);
-    for threads in [2usize, 8] {
+    for threads in [0usize, 2, 8] {
         assert_identical(&g, &r, &base, threads);
     }
 }
@@ -72,7 +72,7 @@ fn identical_schedules_across_thread_counts_on_clustered_graph() {
         ..Default::default()
     }
     .run(&g, &r);
-    for threads in [2usize, 3, 8] {
+    for threads in [0usize, 2, 3, 8] {
         assert_identical(&g, &r, &base, threads);
     }
 }

@@ -74,7 +74,7 @@ fn identical_streaming_schedules_for_any_thread_count() {
         ..Default::default()
     }
     .run(&g, &r);
-    for threads in [2usize, 3, 8] {
+    for threads in [0usize, 2, 3, 8] {
         let res = ChitChatStream {
             threads,
             ..Default::default()

@@ -50,7 +50,7 @@ fn identical_schedules_across_thread_counts_on_random_graph() {
     let g = gen::erdos_renyi(2_000, 10_000, 42);
     let r = Rates::log_degree(&g, 5.0);
     let base = run_with(&g, &r, 1);
-    for threads in [2usize, 8] {
+    for threads in [0usize, 2, 8] {
         assert_identical(&g, &r, &base, threads);
     }
 }
@@ -63,7 +63,7 @@ fn identical_schedules_across_thread_counts_on_clustered_graph() {
     let g = gen::flickr_like(1_500, 7);
     let r = Rates::log_degree(&g, 5.0);
     let base = run_with(&g, &r, 1);
-    for threads in [2usize, 3, 8] {
+    for threads in [0usize, 2, 3, 8] {
         assert_identical(&g, &r, &base, threads);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Moved here from `piggyback-core::fanout` (which re-exports it): the
 //! struct is pure arithmetic over two counters and belongs with the other
-//! instruments, so the optimizers, the MapReduce emulation, and the
-//! serving runtime all share one definition.
+//! instruments, next to the [`Counter`](crate::Counter) the optimizers'
+//! worker pool accumulates busy time into.
 
 /// Busy-time accounting across the parallel and inline fan-out sections of
 /// one scheduler run.

@@ -71,10 +71,9 @@ const USAGE: &str = "usage:
                      [--rw-ratio <r>] [--seed <s>] [--threads <t>] \\
                      [--rpc <batched|direct>] [--stats-interval <1s|500ms>]
 
-<name> under --algorithm is any registered scheduler (see `compare`
-output), e.g. hybrid, chitchat, chitchat-stream, parallelnosy,
-parallelnosy-mr, exact; under --partitioner it is hash, ldg, or
-schedule-aware. --staleness-ms is how long a replica may miss heartbeats
+<name> under --algorithm is a registered scheduler: push-all, pull-all,
+hybrid, chitchat, chitchat-stream, parallelnosy, exact; under
+--partitioner it is hash, ldg, or schedule-aware. --staleness-ms is how long a replica may miss heartbeats
 and still serve reads (0 = never).";
 
 type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
@@ -908,12 +907,13 @@ mod tests {
             "generate", "--model", "flickr", "--nodes", "200", "--seed", "1", "--out", &graph,
         ]))
         .unwrap();
-        for algo in ["hybrid", "chitchat", "parallelnosy-mr"] {
+        for registered in scheduler::registry() {
+            let algo = registered.name();
             let sched = dir
                 .join(format!("{algo}.sched"))
                 .to_string_lossy()
                 .into_owned();
-            run(&s(&[
+            let res = run(&s(&[
                 "schedule",
                 "--graph",
                 &graph,
@@ -921,21 +921,15 @@ mod tests {
                 algo,
                 "--out",
                 &sched,
-            ]))
-            .unwrap_or_else(|e| panic!("{algo}: {e}"));
+            ]));
+            if algo == "exact" {
+                // Exact must refuse an instance this large instead of hanging.
+                let err = res.unwrap_err();
+                assert!(err.contains("cannot handle"), "{err}");
+            } else {
+                res.unwrap_or_else(|e| panic!("{algo}: {e}"));
+            }
         }
-        // Exact must refuse an instance this large instead of hanging.
-        let err = run(&s(&[
-            "schedule",
-            "--graph",
-            &graph,
-            "--algorithm",
-            "exact",
-            "--out",
-            "/dev/null",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("cannot handle"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1226,6 +1220,21 @@ mod tests {
             err.contains("batched|direct") && !err.contains("|legacy"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn usage_names_exactly_the_registered_schedulers() {
+        let usage = USAGE.split_whitespace().collect::<Vec<_>>().join(" ");
+        let listed = usage
+            .split_once("is a registered scheduler: ")
+            .and_then(|(_, rest)| rest.split_once(';'))
+            .expect("USAGE lists the scheduler names")
+            .0;
+        let registered: Vec<String> = scheduler::registry()
+            .iter()
+            .map(|s| s.name().to_string())
+            .collect();
+        assert_eq!(listed.split(", ").collect::<Vec<_>>(), registered);
     }
 
     #[test]

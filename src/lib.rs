@@ -18,7 +18,6 @@
 //! * [`core`] — schedules, the cost model, the FEEDINGFRENZY baseline, the
 //!   CHITCHAT approximation algorithm, the PARALLELNOSY heuristic, and
 //!   incremental maintenance.
-//! * [`mapreduce`] — the in-memory MapReduce engine PARALLELNOSY runs on.
 //! * [`store`] — the memcached-style prototype store: views, shards, the
 //!   cluster topology and its partitioners, the shard-worker protocol.
 //! * [`serve`] — the online feed-serving runtime: live follow/unfollow
@@ -58,7 +57,6 @@
 
 pub use piggyback_core as core;
 pub use piggyback_graph as graph;
-pub use piggyback_mapreduce as mapreduce;
 pub use piggyback_serve as serve;
 pub use piggyback_store as store;
 pub use piggyback_workload as workload;
@@ -77,8 +75,7 @@ pub mod prelude {
     pub use piggyback_core::schedule::{EdgeAssignment, Schedule};
     pub use piggyback_core::schedule_io::{load_schedule, save_schedule};
     pub use piggyback_core::scheduler::{
-        self, Exact, Hybrid, Instance, MapReduceNosy, PullAll, PushAll, ScheduleOutcome,
-        ScheduleStats, Scheduler,
+        self, Exact, Hybrid, Instance, PullAll, PushAll, ScheduleOutcome, ScheduleStats, Scheduler,
     };
     pub use piggyback_core::staleness::{check_semantic_staleness, random_actions};
     pub use piggyback_core::validate::validate_bounded_staleness;

@@ -170,19 +170,6 @@ fn incremental_updates_preserve_feasibility_and_bound() {
 }
 
 #[test]
-fn mapreduce_and_threaded_runs_agree_via_facade() {
-    let (g, r) = world(500, 13);
-    let pn = ParallelNosy {
-        max_iterations: 5,
-        ..ParallelNosy::default()
-    };
-    let a = pn.run(&g, &r);
-    let engine = social_piggybacking::mapreduce::MapReduce::new(3);
-    let b = pn.run_on_mapreduce(&g, &r, &engine);
-    assert_eq!(a.cost_history, b.cost_history);
-}
-
-#[test]
 fn timed_trace_respects_bounded_staleness_semantically() {
     use social_piggybacking::core::staleness::{check_semantic_staleness, Action};
     let (g, r) = world(400, 31);
