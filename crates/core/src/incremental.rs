@@ -414,45 +414,6 @@ impl IncrementalScheduler {
     pub fn freeze_graph(&self) -> CsrGraph {
         self.graph.freeze()
     }
-
-    /// Freezes the current graph **with** the schedule currently serving
-    /// it: base-edge assignments (push/pull/covered) are copied across and
-    /// overlay edges keep their direct hybrid assignment, re-keyed to the
-    /// frozen graph's edge ids. The pair is exactly what schedule-aware
-    /// consumers (e.g. a topology rebalance) need to weigh *today's*
-    /// traffic, not the boot snapshot's.
-    pub fn freeze_with_schedule(&self) -> (CsrGraph, Schedule) {
-        let frozen = self.graph.freeze();
-        let mut s = Schedule::for_graph(&frozen);
-        for (e, u, v) in frozen.edges() {
-            match self.base_edge_id(u, v) {
-                Some(b) => {
-                    if self.schedule.is_covered(b) {
-                        s.set_covered(e, self.schedule.hub_of(b));
-                    } else {
-                        if self.schedule.is_push(b) {
-                            s.set_push(e);
-                        }
-                        if self.schedule.is_pull(b) {
-                            s.set_pull(e);
-                        }
-                    }
-                }
-                None => match self.overlay.get(&(u, v)) {
-                    Some(OverlayAssignment::Push) => {
-                        s.set_push(e);
-                    }
-                    Some(OverlayAssignment::Pull) => {
-                        s.set_pull(e);
-                    }
-                    // Every non-base edge of the dynamic graph was added
-                    // through add_edge, which records it in the overlay.
-                    None => unreachable!("overlay edge {u} -> {v} without assignment"),
-                },
-            }
-        }
-        (frozen, s)
-    }
 }
 
 #[cfg(test)]
@@ -730,57 +691,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "pull set of {u} drifted from reported effects");
         }
-    }
-
-    #[test]
-    fn freeze_with_schedule_matches_cost_and_serving_sets() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let g = copying(CopyingConfig {
-            nodes: 150,
-            follows_per_node: 5,
-            copy_prob: 0.7,
-            seed: 9,
-        });
-        let r = Rates::log_degree(&g, 5.0);
-        let s = optimized(&g, &r);
-        let mut inc = IncrementalScheduler::new(g, r.clone(), s);
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..400 {
-            let u = rng.random_range(0..150) as NodeId;
-            let v = rng.random_range(0..150) as NodeId;
-            if u == v {
-                continue;
-            }
-            if rng.random_bool(0.6) {
-                inc.add_edge(u, v);
-            } else {
-                inc.remove_edge(u, v);
-            }
-        }
-        let (frozen, sched) = inc.freeze_with_schedule();
-        assert_eq!(frozen.edge_count(), sched.edge_count());
-        // The frozen pair prices exactly like the incremental state...
-        assert!(
-            (schedule_cost(&frozen, &r, &sched) - inc.cost()).abs() < 1e-6,
-            "frozen schedule cost {} != incremental {}",
-            schedule_cost(&frozen, &r, &sched),
-            inc.cost()
-        );
-        // ...and serves exactly the same per-user sets.
-        for u in 0..150 as NodeId {
-            let (mut a, mut b) = (sched.push_set_of(&frozen, u), inc.push_targets(u));
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "push set of {u} diverged");
-            let (mut a, mut b) = (sched.pull_set_of(&frozen, u), inc.pull_sources(u));
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "pull set of {u} diverged");
-        }
-        // And it is feasible: the incremental invariant carries over.
-        inc.validate().unwrap();
-        crate::validate::validate_bounded_staleness(&frozen, &sched).unwrap();
     }
 
     #[test]

@@ -632,9 +632,9 @@ impl Rebalancer {
 
     /// Upon applied churn: each edge it switched to direct serving adds its
     /// hybrid cost when its endpoints sit on different servers; past the
-    /// threshold, the graph is re-partitioned under its schedule, the map
-    /// repaired around the dead set, and views moved → published → dropped
-    /// (hash placement could never move a view, so it skips all this).
+    /// threshold, the live graph is re-partitioned, the map repaired around
+    /// the dead set, and views moved → published → dropped (hash placement
+    /// could never move a view, so it skips all this).
     ///
     /// The old copies outlive the publish, so a query in flight under the
     /// old map still finds them; an update routed through the old snapshot
@@ -668,14 +668,14 @@ impl Rebalancer {
         }
         self.rearm();
         let started_ns = self.clock.now_ns();
-        let (graph, schedule) = inc.freeze_with_schedule();
+        let graph = inc.freeze_graph();
         let desired = self
             .partition
             .partitioner()
             .partition(&PartitionRequest {
                 graph: &graph,
                 rates: inc.rates(),
-                schedule: Some(&schedule),
+                schedule: None,
                 servers: old.servers(),
                 seed: self.seed,
                 domains: (!old.domains().is_empty()).then(|| old.domains()),

@@ -69,8 +69,7 @@ const BLIND: Cluster = Cluster {
     domains: 0,
     ..SPREAD
 };
-/// Two racks of two: a view's slots cover half the fleet, so one
-/// rebalance gives each shard new slots (at every seed the matrix runs).
+/// Two racks of two: a view's slots cover half the fleet.
 const SMALL: Cluster = Cluster {
     users: 120,
     shards: 4,
@@ -81,6 +80,16 @@ const SMALL: Cluster = Cluster {
 const DEEP: Cluster = Cluster {
     users: 520,
     shards: 2,
+    domains: 0,
+};
+
+/// Four shards, domain-blind, 1200 views: a rejoin owes more than one
+/// anti-entropy batch, and every shard lacks a slot of the views homed on
+/// two others, so a rebalance can owe it new slots (on [`DEEP`] each shard
+/// holds every view).
+const QUAD: Cluster = Cluster {
+    users: 1200,
+    shards: 4,
     domains: 0,
 };
 
@@ -103,9 +112,9 @@ const REOPT: Churn = Churn {
     reopt_threshold: 1e-9,
     ..APPLY
 };
-/// Schedule-aware placement; any cross-server churn fires a rebalance.
+/// LDG placement; any cross-server churn fires a rebalance.
 const REBALANCE: Churn = Churn {
-    placement: PartitionStrategy::ScheduleAware,
+    placement: PartitionStrategy::Ldg,
     rebalance_threshold: 1e-9,
     ..APPLY
 };
@@ -152,8 +161,9 @@ enum Step {
     Fire,
     /// Runs the job out to completion and delivers its result.
     Land,
-    /// Seeded follows until a rebalance publishes.
-    Rebalance,
+    /// Seeded follows aimed at giving `who` new replica slots, until a
+    /// rebalance publishes (see [`Rig::aimed_follows`]).
+    Rebalance(Who),
     Kill(Who),
     /// The dead process comes back empty.
     Restart(Who),
@@ -442,7 +452,7 @@ const ROWS: &[Row] = &[
     Row {
         name: "rebalance-during-catch-up",
         stresses: "a rebalance owes a catching-up shard only new slots; its backlog still drains",
-        cluster: DEEP,
+        cluster: QUAD,
         churn: REBALANCE,
         laxity: LAXITY,
         plan: FAULTLESS,
@@ -452,7 +462,7 @@ const ROWS: &[Row] = &[
             Restart(Victim),
             Ticks(2),
             Check(the_backlog_is_still_owed),
-            Rebalance,
+            Rebalance(Victim),
             Check(the_backlog_is_still_owed),
             Check(only_its_backlog_reached_the_victim),
             Ticks(1),
@@ -470,7 +480,7 @@ const ROWS: &[Row] = &[
         script: &[
             Kill(Victim),
             Ticks(SUSPECT_MISSES),
-            Rebalance,
+            Rebalance(Victim),
             Check(the_victim_is_only_suspect),
             Check(nothing_is_homed_on_the_victim),
             Ticks(DOWN_MISSES - SUSPECT_MISSES),
@@ -489,7 +499,7 @@ const ROWS: &[Row] = &[
             Kill(Victim),
             Ticks(DOWN_MISSES),
             Check(nothing_is_homed_on_the_victim),
-            Rebalance,
+            Rebalance(Victim),
             Check(nothing_is_homed_on_the_victim),
             Ticks(DOWN_MISSES),
             Check(nothing_is_homed_on_the_victim),
@@ -527,7 +537,7 @@ const ROWS: &[Row] = &[
         plan: FAULTLESS,
         script: &[
             Partition(Next, PartitionDir::Inbound),
-            Rebalance,
+            Rebalance(Next),
             Check(the_partitioned_shard_is_catching_up),
             Heal(Next),
             Ticks(1),
@@ -942,23 +952,7 @@ impl Rig {
                 panic!("no re-optimization fired in {TRIGGER_OPS} operations");
             }
             Land => self.land(),
-            Rebalance => {
-                let before = self.manager.report.rebalances;
-                let users = self.boot.users() as NodeId;
-                for _ in 0..TRIGGER_OPS {
-                    if self.manager.report.rebalances > before {
-                        return;
-                    }
-                    let (u, v) = (
-                        self.rng.random_range(0..users),
-                        self.rng.random_range(0..users),
-                    );
-                    if u != v {
-                        self.churn(true, u, v);
-                    }
-                }
-                panic!("no rebalance in {TRIGGER_OPS} follows");
-            }
+            Rebalance(who) => self.aimed_follows(who),
             Kill(who) => self.fault(who, |rig, s| {
                 assert!(rig.rt.kill_shard(s), "shard {s} was already dead");
                 Some(false)
@@ -977,6 +971,41 @@ impl Rig {
             }),
             Check(expectation) => expectation(self),
         }
+    }
+
+    /// Seeded follows until a rebalance publishes, each aimed so that the
+    /// publish gives `who`'s shard new replica slots. The followee is homed
+    /// (at boot) on the least-loaded primary whose replica set holds the
+    /// shard; the follower is a later user holding no slot there. LDG
+    /// streams users in id order and the follower is the first whose
+    /// neighbors changed, so a map that differs moves the follower onto
+    /// that primary, and the shard gains its slot.
+    fn aimed_follows(&mut self, who: Who) {
+        let target = self.pick(who)[0];
+        let boot = Arc::clone(&self.boot);
+        let users = boot.users() as NodeId;
+        let has_slot = |u: NodeId| boot.replica_slots(u).any(|r| r == target);
+        let sizes = boot.shard_sizes();
+        let primary = (0..users)
+            .filter(|&v| has_slot(v))
+            .map(|v| boot.server_of(v))
+            .min_by_key(|&p| (sizes[p], p))
+            .expect("some view has a slot on every shard");
+        let homed: Vec<NodeId> = (0..users)
+            .filter(|&v| boot.server_of(v) == primary)
+            .collect();
+        let before = self.manager.report.rebalances;
+        for _ in 0..TRIGGER_OPS {
+            if self.manager.report.rebalances > before {
+                return;
+            }
+            let v = homed[self.rng.random_range(0..homed.len())];
+            let u = self.rng.random_range(0..users);
+            if u > v && !has_slot(u) {
+                self.churn(true, u, v);
+            }
+        }
+        panic!("no rebalance in {TRIGGER_OPS} follows");
     }
 
     /// Injects or lifts a fault on `who`; `lever` says what now stands on

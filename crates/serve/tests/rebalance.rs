@@ -52,7 +52,7 @@ fn rebalance_preserves_every_pre_rebalance_event() {
         ServeConfig {
             shards: 8,
             workers: 2,
-            partition: PartitionStrategy::ScheduleAware,
+            partition: PartitionStrategy::Ldg,
             // Any cross-server churn cost triggers a rebalance.
             rebalance_threshold: 1e-9,
             // Isolate rebalancing from re-optimization.
@@ -69,7 +69,7 @@ fn rebalance_preserves_every_pre_rebalance_event() {
     let topo_before = rt.snapshot().topology().clone();
     // Churn the graph: with the near-zero threshold every cross-server
     // follow triggers a rebalance, and the accumulated new edges pull the
-    // schedule-aware partition away from the boot topology.
+    // LDG partition away from the boot topology.
     for v in 0..200u32 {
         let u = (v + 7) % 200;
         if u != v {
@@ -116,7 +116,7 @@ fn rebalance_at_replication_two_fills_every_new_slot() {
         ServeConfig {
             shards: 8,
             workers: 2,
-            partition: PartitionStrategy::ScheduleAware,
+            partition: PartitionStrategy::Ldg,
             replication: 2,
             rebalance_threshold: 1e-9,
             reopt_threshold: f64::INFINITY,
@@ -220,7 +220,7 @@ fn concurrent_traffic_across_repeated_rebalances_stays_clean() {
         ServeConfig {
             shards: 16,
             workers: 4,
-            partition: PartitionStrategy::ScheduleAware,
+            partition: PartitionStrategy::Ldg,
             rebalance_threshold: 0.002,
             reopt_threshold: f64::INFINITY,
             ..Default::default()

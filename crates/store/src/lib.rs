@@ -15,8 +15,7 @@
 //! * [`view`] — a materialized per-user view with trimming and top-k reads.
 //! * [`topology`] — the unified cluster topology: the `user → shard` map
 //!   every layer routes through, plus the partitioner registry,
-//!   [`PartitionStrategy`] (hash baseline, streaming LDG, schedule-aware
-//!   multilevel).
+//!   [`PartitionStrategy`] (hash baseline, streaming LDG).
 //! * [`server`] — a data-store shard: batched update/query with server-side
 //!   filtering (the "thin layer on top of memcached") and view migration.
 //!   Queries run a bounded k-way tournament merge over the views' ring
@@ -53,7 +52,7 @@ pub use merge::ReplyMerger;
 pub use server::QueryScratch;
 pub use topology::{
     GroupScratch, HashPartitioner, LdgPartitioner, PartitionRequest, PartitionStrategy,
-    Partitioner, ScheduleAwarePartitioner, Topology,
+    Partitioner, Topology,
 };
 pub use tuple::EventTuple;
 pub use view::View;

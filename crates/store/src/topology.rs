@@ -7,8 +7,8 @@
 //! [`Topology`]: a server count plus a flat `user → shard` array
 //! (CSR-style flat storage instead of per-user hash maps, after the
 //! in-memory graph-analytics playbook). The paper's prototype hashes users
-//! to random servers (§4.3); that policy is now just one [`Partitioner`]
-//! among several, listed once in [`PartitionStrategy::ALL`].
+//! to random servers (§4.3); that policy is now one of the two
+//! [`Partitioner`]s listed once in [`PartitionStrategy::ALL`].
 //!
 //! Partitioners:
 //!
@@ -17,21 +17,16 @@
 //! * [`LdgPartitioner`] — streaming Linear Deterministic Greedy: each user
 //!   joins the shard holding most of its neighbors, damped by a capacity
 //!   penalty. Graph-aware, schedule-blind.
-//! * [`ScheduleAwarePartitioner`] — multilevel partitioning over
-//!   *schedule traffic* weights: an edge counts its per-edge message rate
-//!   under the optimized schedule (`rp(u)` if pushed, `rc(v)` if pulled,
-//!   zero if piggybacked); heavy-edge matchings contract hubs with their
-//!   heaviest counterparts, and refinement sweeps at every level pull
-//!   each user toward the shard it trades the most messages with.
 //!
-//! The schedule-aware weights are a per-edge proxy, not the billed cost:
-//! the store sends one message per distinct server a request touches, and
-//! only `CostModel::batched` prices that (`piggyback partition` prints it
-//! for every partitioner).
+//! The store sends one message per distinct server a request touches, and
+//! `CostModel::batched` prices that bill (`piggyback partition` prints it
+//! for every partitioner). LDG bills fewer messages per request than hash
+//! (`crates/store/tests/topology_properties.rs` holds it to that). Neither
+//! partitioner reads the schedule yet.
 
 use piggyback_core::schedule::Schedule;
 use piggyback_graph::fx::FxHasher;
-use piggyback_graph::{CsrGraph, EdgeId, NodeId};
+use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::Rates;
 use std::hash::Hasher;
 
@@ -405,7 +400,7 @@ pub fn edges_cut(g: &CsrGraph, t: &Topology) -> usize {
 }
 
 /// One partitioning problem: the graph, its workload, and (optionally) the
-/// optimized schedule whose traffic the partitioner should exploit.
+/// optimized schedule the placement will serve.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionRequest<'a> {
     /// The social graph.
@@ -413,8 +408,9 @@ pub struct PartitionRequest<'a> {
     /// Per-user rates (must cover every graph node; may cover more users —
     /// the serve runtime admits churn up to the rate model's width).
     pub rates: &'a Rates,
-    /// The optimized push/pull schedule, if one exists. Schedule-aware
-    /// partitioners fall back to hybrid edge costs without it.
+    /// The optimized push/pull schedule, if one exists. No registered
+    /// partitioner reads it yet: it is the input a partitioner minimizing
+    /// the batched bill under the schedule would weigh.
     pub schedule: Option<&'a Schedule>,
     /// Number of servers to partition onto.
     pub servers: usize,
@@ -465,496 +461,87 @@ impl Partitioner for HashPartitioner {
     }
 }
 
-/// Default headroom over perfect balance for the greedy partitioners.
+/// LDG's headroom over perfect balance: no shard takes more than
+/// `⌈users · 1.05 / servers⌉` users.
 const DEFAULT_SLACK: f64 = 1.05;
 
-/// Streaming Linear Deterministic Greedy: user `u` joins the shard `s`
-/// maximizing `|N(u) ∩ s| · (1 − load(s)/capacity)` among shards with
-/// spare capacity, falling back to the least-loaded shard when no placed
-/// neighbor exists. Neighborhoods count both follow directions.
-#[derive(Clone, Copy, Debug)]
-pub struct LdgPartitioner {
-    /// Per-shard capacity headroom over `users / servers` (≥ 1.0).
-    pub slack: f64,
-}
-
-impl Default for LdgPartitioner {
-    fn default() -> Self {
-        LdgPartitioner {
-            slack: DEFAULT_SLACK,
-        }
-    }
-}
+/// Streaming Linear Deterministic Greedy: users stream in id order, and
+/// user `u` joins the shard `s` maximizing `|N(u) ∩ s| · (1 − load(s) /
+/// capacity)` among shards with spare capacity, falling back to the
+/// least-loaded shard when no placed neighbor exists. Neighborhoods count
+/// both follow directions, a parallel edge once per copy. Ignores the
+/// schedule.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LdgPartitioner;
 
 impl Partitioner for LdgPartitioner {
     fn partition(&self, req: &PartitionRequest) -> Topology {
         assert!(req.servers >= 1, "need at least one server");
-        assert!(self.slack >= 1.0, "slack must be >= 1.0");
-        let users = req.users();
-        if req.servers == 1 {
+        let (g, servers, users) = (req.graph, req.servers, req.users());
+        if servers == 1 {
             return req.apply_domains(Topology::single_server(users));
         }
-        // Unit edge weights, streaming id order, no refinement: classic
-        // one-pass LDG, sharing the damped greedy with the multilevel
-        // partitioner's placement stage.
-        let level = build_level(req.graph, users, |_| 1.0);
-        let capacity = (((users as f64) * self.slack / req.servers as f64).ceil() as usize).max(1);
-        let order: Vec<NodeId> = (0..users as NodeId).collect();
-        let assignment = initial_placement(&level, req.servers, capacity, &order);
-        req.apply_domains(Topology::from_assignment(assignment, req.servers))
-    }
-}
-
-/// Schedule-aware multilevel placement: edges are weighted by the message
-/// rate they carry under the optimized schedule — `rp(u)` for a push,
-/// `rc(v)` for a pull, both if double-served, **zero** if piggybacked (a
-/// covered edge sends nothing; its hub legs carry the traffic and are
-/// weighted as the push/pull edges they are). The weighted graph is then
-/// partitioned METIS-style: heavy-edge matchings contract hubs with their
-/// heaviest counterparts level by level, a capacity-damped greedy places
-/// the coarsest graph, and the placement is projected back with a
-/// cut-reducing refinement sweep at every level — so heavy hub → consumer
-/// traffic lands intra-server where batching makes it free.
-///
-/// Without a schedule in the request, edges fall back to the hybrid direct
-/// cost `min(rp(u), rc(v))` — the traffic of the FEEDINGFRENZY baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct ScheduleAwarePartitioner {
-    /// Per-shard capacity headroom over `users / servers` (≥ 1.0).
-    pub slack: f64,
-    /// Maximum refinement sweeps per level (each sweep stops early once no
-    /// user wants to move).
-    pub refine_passes: usize,
-}
-
-impl Default for ScheduleAwarePartitioner {
-    fn default() -> Self {
-        ScheduleAwarePartitioner {
-            slack: 1.1,
-            refine_passes: 12,
-        }
-    }
-}
-
-impl Partitioner for ScheduleAwarePartitioner {
-    fn partition(&self, req: &PartitionRequest) -> Topology {
-        assert!(req.servers >= 1, "need at least one server");
-        assert!(self.slack >= 1.0, "slack must be >= 1.0");
-        let g = req.graph;
-        let rates = req.rates;
-        let users = req.users();
-        if req.servers == 1 {
-            return req.apply_domains(Topology::single_server(users));
-        }
-        // Per-edge schedule traffic, flat over dense edge ids.
-        let weight: Vec<f64> = match req.schedule {
-            Some(s) => {
-                assert_eq!(
-                    g.edge_count(),
-                    s.edge_count(),
-                    "schedule sized for a different graph"
-                );
-                g.edges()
-                    .map(|(e, u, v)| {
-                        let mut w = 0.0;
-                        if s.is_push(e) {
-                            w += rates.rp(u);
+        let capacity = (((users as f64) * DEFAULT_SLACK / servers as f64).ceil() as usize).max(1);
+        const UNPLACED: u32 = u32::MAX;
+        let mut assignment = vec![UNPLACED; users];
+        let mut load = vec![0usize; servers];
+        // Placed neighbors per shard, and the shards holding any.
+        let mut score = vec![0u32; servers];
+        let mut touched: Vec<usize> = Vec::new();
+        for u in 0..users {
+            // Users the rate model admits beyond the graph have no
+            // neighbors. A self-loop finds `u` itself still unplaced.
+            if u < g.node_count() {
+                let id = u as NodeId;
+                for &v in g.out_neighbors(id).iter().chain(g.in_neighbors(id)) {
+                    let s = assignment[v as usize];
+                    if s != UNPLACED {
+                        if score[s as usize] == 0 {
+                            touched.push(s as usize);
                         }
-                        if s.is_pull(e) {
-                            w += rates.rc(v);
-                        }
-                        w
-                    })
-                    .collect()
-            }
-            None => g
-                .edges()
-                .map(|(_, u, v)| rates.rp(u).min(rates.rc(v)))
-                .collect(),
-        };
-        let level = build_level(g, users, |e| weight[e as usize]);
-        let capacity = (((users as f64) * self.slack / req.servers as f64).ceil() as usize).max(1);
-        let mut assignment = multilevel(level, req.servers, capacity, self.refine_passes);
-        // Coarse levels place *contracted* nodes, whose indivisible weight
-        // can force a shard past capacity when nothing else fits. At user
-        // granularity every overflow is fixable: drain over-full shards
-        // into the least-loaded ones. Makes the capacity bound
-        // unconditional.
-        enforce_capacity(&mut assignment, req.servers, capacity);
-        req.apply_domains(Topology::from_assignment(assignment, req.servers))
-    }
-}
-
-/// Moves users (unit weight each) out of shards above `capacity` into the
-/// least-loaded shards, highest user ids first — deterministic, and always
-/// possible since `capacity · servers ≥ users`.
-fn enforce_capacity(assignment: &mut [u32], servers: usize, capacity: usize) {
-    let mut load = vec![0usize; servers];
-    for &s in assignment.iter() {
-        load[s as usize] += 1;
-    }
-    if !load.iter().any(|&l| l > capacity) {
-        return;
-    }
-    for u in (0..assignment.len()).rev() {
-        let s = assignment[u] as usize;
-        if load[s] <= capacity {
-            continue;
-        }
-        let mut t = 0;
-        for c in 1..servers {
-            if load[c] < load[t] {
-                t = c;
-            }
-        }
-        assignment[u] = t as u32;
-        load[s] -= 1;
-        load[t] += 1;
-    }
-    debug_assert!(load.iter().all(|&l| l <= capacity));
-}
-
-/// Builds the level-0 [`LevelGraph`]: undirected weighted adjacency over
-/// `users` nodes (direction does not change which cut a message crosses),
-/// parallel edges merged, zero-weight edges dropped (they carry no
-/// traffic worth keeping local).
-fn build_level(g: &CsrGraph, users: usize, edge_weight: impl Fn(EdgeId) -> f64) -> LevelGraph {
-    let mut level = LevelGraph {
-        adj: vec![Vec::new(); users],
-        node_w: vec![1u32; users],
-    };
-    for (e, u, v) in g.edges() {
-        let w = edge_weight(e);
-        if w > 0.0 && u != v {
-            level.adj[u as usize].push((v, w));
-            level.adj[v as usize].push((u, w));
-        }
-    }
-    for list in &mut level.adj {
-        merge_parallel(list);
-    }
-    level
-}
-
-/// One level of the multilevel hierarchy: merged weighted adjacency plus
-/// how many original users each (possibly contracted) node stands for.
-struct LevelGraph {
-    adj: Vec<Vec<(NodeId, f64)>>,
-    node_w: Vec<u32>,
-}
-
-impl LevelGraph {
-    fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Total incident weight per node, the "heaviest first" ordering key.
-    fn masses(&self) -> Vec<f64> {
-        self.adj
-            .iter()
-            .map(|list| list.iter().map(|&(_, w)| w).sum())
-            .collect()
-    }
-
-    /// Node indices sorted by descending mass, ties toward lower ids.
-    fn heavy_order(&self) -> Vec<NodeId> {
-        let mass = self.masses();
-        let mut order: Vec<NodeId> = (0..self.len() as NodeId).collect();
-        order.sort_by(|&a, &b| {
-            mass[b as usize]
-                .partial_cmp(&mass[a as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        order
-    }
-}
-
-/// Sorts an adjacency list by neighbor and folds parallel entries into one
-/// summed weight.
-fn merge_parallel(list: &mut Vec<(NodeId, f64)>) {
-    if list.len() < 2 {
-        return;
-    }
-    list.sort_unstable_by_key(|&(v, _)| v);
-    let mut out = 0;
-    for i in 1..list.len() {
-        if list[i].0 == list[out].0 {
-            list[out].1 += list[i].1;
-        } else {
-            out += 1;
-            list[out] = list[i];
-        }
-    }
-    list.truncate(out + 1);
-}
-
-/// Recursive multilevel partitioning of a [`LevelGraph`]: heavy-edge
-/// matching contracts the graph until it is small, a capacity-damped
-/// greedy places the coarsest level, and each projection back is followed
-/// by refinement sweeps. Deterministic throughout (fixed orders, exact
-/// comparisons, lowest-index ties).
-fn multilevel(level: LevelGraph, servers: usize, capacity: usize, passes: usize) -> Vec<u32> {
-    let n = level.len();
-    // Small enough (or coarsening stalled): place directly.
-    let stop = (servers * 4).max(32);
-    if n <= stop {
-        return coarsest_placement(&level, servers, capacity, passes);
-    }
-    // Heavy-edge matching, heaviest nodes first: a hub grabs the neighbor
-    // it exchanges the most traffic with. Contracted nodes may not exceed
-    // a fraction of the shard capacity, or the coarsest placement could
-    // not balance.
-    const UNMATCHED: u32 = u32::MAX;
-    let max_node_w = (capacity / 2).max(1) as u32;
-    let mass = level.masses();
-    let mut mate = vec![UNMATCHED; n];
-    for &u in &level.heavy_order() {
-        if mate[u as usize] != UNMATCHED {
-            continue;
-        }
-        let mut best: Option<(f64, NodeId)> = None;
-        for &(v, w) in &level.adj[u as usize] {
-            if mate[v as usize] != UNMATCHED
-                || level.node_w[u as usize] + level.node_w[v as usize] > max_node_w
-            {
-                continue;
-            }
-            // Normalized heavy-edge score: prefer the neighbor for which
-            // this edge is a large share of its total traffic, so hubs
-            // absorb their dedicated counterparts instead of whichever
-            // heavyweight happens to be adjacent.
-            let score = w / mass[v as usize].max(f64::MIN_POSITIVE);
-            let better = match best {
-                None => true,
-                Some((bw, bv)) => score > bw || (score == bw && v < bv),
-            };
-            if better {
-                best = Some((score, v));
-            }
-        }
-        match best {
-            Some((_, v)) => {
-                mate[u as usize] = v;
-                mate[v as usize] = u;
-            }
-            None => mate[u as usize] = u, // singleton
-        }
-    }
-    // Coarse ids in first-appearance order over node ids.
-    let mut coarse_of = vec![UNMATCHED; n];
-    let mut coarse_n = 0u32;
-    for u in 0..n {
-        if coarse_of[u] != UNMATCHED {
-            continue;
-        }
-        coarse_of[u] = coarse_n;
-        let v = mate[u] as usize;
-        if v != u {
-            coarse_of[v] = coarse_n;
-        }
-        coarse_n += 1;
-    }
-    if (coarse_n as usize) as f64 > 0.95 * n as f64 {
-        // Matching found almost nothing to contract; recursing further
-        // would loop. Place this level directly.
-        return coarsest_placement(&level, servers, capacity, passes);
-    }
-    let mut coarse = LevelGraph {
-        adj: vec![Vec::new(); coarse_n as usize],
-        node_w: vec![0; coarse_n as usize],
-    };
-    for u in 0..n {
-        let cu = coarse_of[u];
-        coarse.node_w[cu as usize] += level.node_w[u];
-        for &(v, w) in &level.adj[u] {
-            let cv = coarse_of[v as usize];
-            if cu != cv {
-                coarse.adj[cu as usize].push((cv, w));
-            }
-        }
-    }
-    for list in &mut coarse.adj {
-        merge_parallel(list);
-    }
-    let coarse_assignment = multilevel(coarse, servers, capacity, passes);
-    // Project back and polish at this level's granularity.
-    let mut assignment: Vec<u32> = (0..n)
-        .map(|u| coarse_assignment[coarse_of[u] as usize])
-        .collect();
-    refine(&level, &mut assignment, servers, capacity, passes);
-    assignment
-}
-
-/// Weighted cut of an assignment over a level (each undirected adjacency
-/// entry appears twice, so the sum is halved).
-fn level_cut(level: &LevelGraph, assignment: &[u32]) -> f64 {
-    let mut cut = 0.0;
-    for u in 0..level.len() {
-        for &(v, w) in &level.adj[u] {
-            if assignment[u] != assignment[v as usize] {
-                cut += w;
-            }
-        }
-    }
-    cut / 2.0
-}
-
-/// Places the coarsest level: several deterministic greedy starts (the
-/// heavy-first order rotated by a few offsets), each polished by
-/// refinement; the assignment with the smallest weighted cut wins. The
-/// coarsest graph is tiny, so the restarts cost microseconds and buy the
-/// level every finer projection inherits from.
-fn coarsest_placement(
-    level: &LevelGraph,
-    servers: usize,
-    capacity: usize,
-    passes: usize,
-) -> Vec<u32> {
-    let order = level.heavy_order();
-    let mut best: Option<(f64, Vec<u32>)> = None;
-    let n = order.len().max(1);
-    for rot in [0usize, n / 4, n / 2, 3 * n / 4] {
-        let mut rotated = Vec::with_capacity(n);
-        rotated.extend_from_slice(&order[rot.min(n - 1)..]);
-        rotated.extend_from_slice(&order[..rot.min(n - 1)]);
-        let mut assignment = initial_placement(level, servers, capacity, &rotated);
-        refine(level, &mut assignment, servers, capacity, passes);
-        let cut = level_cut(level, &assignment);
-        let better = match &best {
-            None => true,
-            Some((b, _)) => cut < *b,
-        };
-        if better {
-            best = Some((cut, assignment));
-        }
-    }
-    best.expect("at least one restart").1
-}
-
-/// Capacity-damped greedy placement of a (coarsest) level in the given
-/// order: each node joins the shard with the highest damped affinity
-/// toward already-placed neighbors; nodes without usable affinity go to
-/// the least-loaded shard.
-fn initial_placement(
-    level: &LevelGraph,
-    servers: usize,
-    capacity: usize,
-    order: &[NodeId],
-) -> Vec<u32> {
-    const UNPLACED: u32 = u32::MAX;
-    let n = level.len();
-    let mut assignment = vec![UNPLACED; n];
-    let mut load = vec![0usize; servers];
-    let mut score = vec![0.0f64; servers];
-    let mut touched: Vec<usize> = Vec::new();
-    for &u in order {
-        let w_u = level.node_w[u as usize] as usize;
-        for &(v, w) in &level.adj[u as usize] {
-            let s = assignment[v as usize];
-            if s != UNPLACED {
-                if score[s as usize] == 0.0 {
-                    touched.push(s as usize);
-                }
-                score[s as usize] += w;
-            }
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for &s in &touched {
-            if load[s] + w_u > capacity {
-                continue;
-            }
-            let damped = score[s] * (1.0 - load[s] as f64 / capacity as f64);
-            let better = match best {
-                None => damped > 0.0,
-                Some((b, bs)) => damped > b || (damped == b && s < bs),
-            };
-            if better {
-                best = Some((damped, s));
-            }
-        }
-        let target = match best {
-            Some((_, s)) => s,
-            None => {
-                // Least-loaded shard, lowest index on ties; among shards
-                // with room if any (the slack usually guarantees one).
-                let mut t = 0;
-                let mut t_fits = load[0] + w_u <= capacity;
-                for c in 1..servers {
-                    let fits = load[c] + w_u <= capacity;
-                    if (fits && !t_fits) || (fits == t_fits && load[c] < load[t]) {
-                        t = c;
-                        t_fits = fits;
+                        score[s as usize] += 1;
                     }
                 }
-                t
             }
-        };
-        assignment[u as usize] = target as u32;
-        load[target] += w_u;
-        for &s in &touched {
-            score[s] = 0.0;
-        }
-        touched.clear();
-    }
-    assignment
-}
-
-/// Refinement sweeps: move each node to the shard it has the strongest
-/// affinity toward if that strictly reduces the weighted cut and respects
-/// capacity. Stops early when a sweep makes no move.
-fn refine(
-    level: &LevelGraph,
-    assignment: &mut [u32],
-    servers: usize,
-    capacity: usize,
-    passes: usize,
-) {
-    let order = level.heavy_order();
-    let mut load = vec![0usize; servers];
-    for u in 0..level.len() {
-        load[assignment[u] as usize] += level.node_w[u] as usize;
-    }
-    let mut score = vec![0.0f64; servers];
-    let mut touched: Vec<usize> = Vec::new();
-    for _ in 0..passes {
-        let mut moved = false;
-        for &u in &order {
-            if level.adj[u as usize].is_empty() {
-                continue;
-            }
-            for &(v, w) in &level.adj[u as usize] {
-                let s = assignment[v as usize] as usize;
-                if score[s] == 0.0 {
-                    touched.push(s);
-                }
-                score[s] += w;
-            }
-            let cur = assignment[u as usize] as usize;
-            let w_u = level.node_w[u as usize] as usize;
-            let mut best = (score[cur], cur);
+            let mut best: Option<(f64, usize)> = None;
             for &s in &touched {
-                if s == cur || load[s] + w_u > capacity {
+                if load[s] >= capacity {
                     continue;
                 }
-                if score[s] > best.0 || (score[s] == best.0 && best.1 != cur && s < best.1) {
-                    best = (score[s], s);
+                let damped = score[s] as f64 * (1.0 - load[s] as f64 / capacity as f64);
+                let better = match best {
+                    None => damped > 0.0,
+                    Some((b, bs)) => damped > b || (damped == b && s < bs),
+                };
+                if better {
+                    best = Some((damped, s));
                 }
             }
-            if best.1 != cur {
-                load[cur] -= w_u;
-                load[best.1] += w_u;
-                assignment[u as usize] = best.1 as u32;
-                moved = true;
-            }
+            let target = match best {
+                Some((_, s)) => s,
+                None => {
+                    // Least-loaded shard, lowest index on ties; among shards
+                    // with room if any (the slack usually guarantees one).
+                    let mut t = 0;
+                    let mut t_fits = load[0] < capacity;
+                    for c in 1..servers {
+                        let fits = load[c] < capacity;
+                        if (fits && !t_fits) || (fits == t_fits && load[c] < load[t]) {
+                            t = c;
+                            t_fits = fits;
+                        }
+                    }
+                    t
+                }
+            };
+            assignment[u] = target as u32;
+            load[target] += 1;
             for &s in &touched {
-                score[s] = 0.0;
+                score[s] = 0;
             }
             touched.clear();
         }
-        if !moved {
-            break;
-        }
+        req.apply_domains(Topology::from_assignment(assignment, servers))
     }
 }
 
@@ -970,24 +557,17 @@ pub enum PartitionStrategy {
     Hash,
     /// [`LdgPartitioner`].
     Ldg,
-    /// [`ScheduleAwarePartitioner`].
-    ScheduleAware,
 }
 
 impl PartitionStrategy {
     /// Every registered strategy, baseline first, in a stable order.
-    pub const ALL: [PartitionStrategy; 3] = [
-        PartitionStrategy::Hash,
-        PartitionStrategy::Ldg,
-        PartitionStrategy::ScheduleAware,
-    ];
+    pub const ALL: [PartitionStrategy; 2] = [PartitionStrategy::Hash, PartitionStrategy::Ldg];
 
     /// The strategy's partitioner.
     pub fn partitioner(self) -> Box<dyn Partitioner> {
         match self {
             PartitionStrategy::Hash => Box::new(HashPartitioner),
-            PartitionStrategy::Ldg => Box::new(LdgPartitioner::default()),
-            PartitionStrategy::ScheduleAware => Box::new(ScheduleAwarePartitioner::default()),
+            PartitionStrategy::Ldg => Box::new(LdgPartitioner),
         }
     }
 
@@ -996,7 +576,6 @@ impl PartitionStrategy {
         match self {
             PartitionStrategy::Hash => "hash",
             PartitionStrategy::Ldg => "ldg",
-            PartitionStrategy::ScheduleAware => "schedule-aware",
         }
     }
 
@@ -1224,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn greedy_partitioners_respect_capacity() {
+    fn ldg_respects_capacity() {
         let (g, r) = world();
         let req = PartitionRequest {
             graph: &g,
@@ -1234,59 +813,13 @@ mod tests {
             seed: 1,
             domains: None,
         };
-        // LDG runs at DEFAULT_SLACK (1.05), schedule-aware at 1.1; both
-        // must respect the looser of the two bounds.
-        let capacity = ((300.0f64 * 1.1 / 7.0).ceil()) as usize;
-        for p in [PartitionStrategy::Ldg, PartitionStrategy::ScheduleAware] {
-            let t = p.partitioner().partition(&req);
-            assert_eq!(t.users(), 300);
-            let sizes = t.shard_sizes();
-            assert!(
-                sizes.iter().all(|&s| s <= capacity),
-                "{}: shard over capacity {capacity}: {sizes:?}",
-                p.name()
-            );
-        }
-    }
-
-    #[test]
-    fn schedule_aware_cuts_fewer_weighted_edges_than_hash() {
-        let (g, r) = world();
-        // An optimized schedule, as in production: piggybacked edges carry
-        // nothing, so the partitioner concentrates on hub-leg traffic.
-        let s = piggyback_core::parallelnosy::ParallelNosy::default()
-            .run(&g, &r)
-            .schedule;
-        let req = PartitionRequest {
-            graph: &g,
-            rates: &r,
-            schedule: Some(&s),
-            servers: 8,
-            seed: 3,
-            domains: None,
-        };
-        let hash = HashPartitioner.partition(&req);
-        let aware = ScheduleAwarePartitioner::default().partition(&req);
-        // Weighted cut under the schedule: traffic on cross-server edges.
-        let cut = |t: &Topology| -> f64 {
-            g.edges()
-                .filter(|&(_, u, v)| t.server_of(u) != t.server_of(v))
-                .map(|(e, u, v)| {
-                    let mut w = 0.0;
-                    if s.is_push(e) {
-                        w += r.rp(u);
-                    }
-                    if s.is_pull(e) {
-                        w += r.rc(v);
-                    }
-                    w
-                })
-                .sum()
-        };
-        let (ch, ca) = (cut(&hash), cut(&aware));
+        let capacity = ((300.0 * DEFAULT_SLACK / 7.0).ceil()) as usize;
+        let t = LdgPartitioner.partition(&req);
+        assert_eq!(t.users(), 300);
+        let sizes = t.shard_sizes();
         assert!(
-            ca < ch * 0.75,
-            "schedule-aware cut {ca} not under 75% of hash cut {ch}"
+            sizes.iter().all(|&s| s <= capacity),
+            "shard over capacity {capacity}: {sizes:?}"
         );
     }
 
@@ -1315,7 +848,7 @@ mod tests {
     #[test]
     fn registry_names_stable_and_strategy_roundtrips() {
         let names = PartitionStrategy::ALL.map(PartitionStrategy::name);
-        assert_eq!(names, ["hash", "ldg", "schedule-aware"]);
+        assert_eq!(names, ["hash", "ldg"]);
         for strat in PartitionStrategy::ALL {
             assert_eq!(PartitionStrategy::parse(strat.name()), Some(strat));
         }

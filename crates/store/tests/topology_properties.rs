@@ -204,11 +204,10 @@ fn every_partitioner_is_stable_under_a_fixed_seed() {
     }
 }
 
-/// The schedule argument matters exactly as documented: dropping it flips
-/// the schedule-aware partitioner to hybrid weights (still deterministic),
-/// and the hash partitioner ignores it entirely.
+/// No registered partitioner reads the schedule: dropping it from the
+/// request leaves every placement unchanged.
 #[test]
-fn schedule_argument_only_affects_schedule_aware_weights() {
+fn every_partitioner_ignores_the_schedule() {
     let (_, g, r) = &instances()[0];
     let s = ParallelNosy::default().run(g, r).schedule;
     let with = PartitionRequest {
@@ -226,13 +225,42 @@ fn schedule_argument_only_affects_schedule_aware_weights() {
     for p in PartitionStrategy::ALL {
         let a = p.partitioner().partition(&with);
         let b = p.partitioner().partition(&without);
-        if p != PartitionStrategy::ScheduleAware {
-            assert_eq!(
-                a.assignment(),
-                b.assignment(),
-                "{} must ignore the schedule",
-                p.name()
-            );
+        assert_eq!(
+            a.assignment(),
+            b.assignment(),
+            "{} must ignore the schedule",
+            p.name()
+        );
+    }
+}
+
+/// The one graph-aware partitioner earns its place on the bill the store
+/// charges: on every instance, schedule and multi-server count, LDG's
+/// batched messages per request are below hash placement's.
+#[test]
+fn ldg_bills_fewer_messages_per_request_than_hash() {
+    for (gname, g, r) in &instances() {
+        for (sname, s) in &schedules(g, r) {
+            for servers in [2usize, 7, 16, 64] {
+                let bill = |p: PartitionStrategy| {
+                    let t = p.partitioner().partition(&PartitionRequest {
+                        graph: g,
+                        rates: r,
+                        schedule: Some(s),
+                        servers,
+                        seed: 11,
+                        domains: None,
+                    });
+                    CostModel::with_topology(t.assignment(), servers)
+                        .batched(g, r, s)
+                        .msgs_per_request()
+                };
+                let (ldg, hash) = (bill(PartitionStrategy::Ldg), bill(PartitionStrategy::Hash));
+                assert!(
+                    ldg < hash,
+                    "{gname}/{sname} @{servers} servers: LDG bills {ldg}, hash {hash}"
+                );
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! piggyback schedule  --graph g.edges --algorithm parallelnosy --out s.sched
 //! piggyback evaluate  --graph g.edges --schedule s.sched --servers 500
 //! piggyback partition --graph g.edges --schedule s.sched --servers 16 \
-//!                     --partitioner schedule-aware
+//!                     --partitioner hash
 //! piggyback compare   --preset flickr-like --nodes 2000
 //! piggyback serve     --model flickr --nodes 100000 --algorithm chitchat --duration 2s
 //! ```
@@ -73,8 +73,9 @@ const USAGE: &str = "usage:
 
 <name> under --algorithm is a registered scheduler: push-all, pull-all,
 hybrid, chitchat, chitchat-stream, parallelnosy, exact; under
---partitioner it is hash, ldg, or schedule-aware. --staleness-ms is how long a replica may miss heartbeats
-and still serve reads (0 = never).";
+--partitioner it is hash or ldg (--rebalance-threshold needs ldg).
+--staleness-ms is how long a replica may miss heartbeats and still serve
+reads (0 = never).";
 
 type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
 
@@ -498,6 +499,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if replication > spread {
         return Err(format!("--replication must be at most {spread}"));
     }
+    let partition = resolve_partitioner(flags, PartitionStrategy::Hash)?;
+    let rebalance_threshold = parsed(flags, "rebalance-threshold", f64::INFINITY)?;
+    if rebalance_threshold.is_finite() && partition == PartitionStrategy::Hash {
+        let why = "hash placement never moves a view";
+        return Err(format!(
+            "--rebalance-threshold needs --partitioner ldg: {why}"
+        ));
+    }
     let g = match flags.get("graph") {
         Some(path) => {
             let g = load_edge_list(path).map_err(|e| e.to_string())?;
@@ -531,7 +540,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let outcome = scheduler.schedule(&inst);
     validate_bounded_staleness(&g, &outcome.schedule)
         .map_err(|e| format!("internal error — infeasible schedule: {e}"))?;
-    let partition = resolve_partitioner(flags, PartitionStrategy::Hash)?;
     let rpc_name = flags.get("rpc").map(String::as_str).unwrap_or("batched");
     let rpc = piggyback_serve::RpcMode::parse(rpc_name)
         .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct)"))?;
@@ -542,7 +550,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         staleness_budget: std::time::Duration::from_millis(parsed(flags, "staleness-ms", 0)?),
         reopt_threshold: parsed(flags, "reopt-threshold", 0.2)?,
         partition,
-        rebalance_threshold: parsed(flags, "rebalance-threshold", f64::INFINITY)?,
+        rebalance_threshold,
         placement_seed: seed,
         replication,
         domains,
@@ -650,10 +658,9 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let servers = at_least(flags, "servers", 16, 1)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
-    let picked = resolve_partitioner(flags, PartitionStrategy::ScheduleAware)?;
+    let picked = resolve_partitioner(flags, PartitionStrategy::Ldg)?;
     let rates = Rates::log_degree(&g, ratio);
-    // Without --schedule the hybrid baseline is the schedule priced; with
-    // one, the schedule-aware partitioner weighs its hub structure.
+    // Without --schedule the hybrid baseline is the schedule priced.
     let hybrid = hybrid_schedule(&g, &rates);
     let loaded = flags
         .get("schedule")
@@ -1012,7 +1019,7 @@ mod tests {
             &sched,
         ]))
         .unwrap();
-        for p in ["hash", "ldg", "schedule-aware"] {
+        for p in PartitionStrategy::ALL.map(PartitionStrategy::name) {
             run(&s(&[
                 "partition",
                 "--graph",
@@ -1054,7 +1061,7 @@ mod tests {
             "--servers",
             "8",
             "--partitioner",
-            "schedule-aware",
+            "ldg",
             "--rebalance-threshold",
             "0.0001",
             "--churn-ratio",
@@ -1062,6 +1069,14 @@ mod tests {
         ]))
         .unwrap();
         assert!(run(&s(&["serve", "--partitioner", "bogus"])).is_err());
+        // Hash placement never rebalances: a threshold there is an error,
+        // with or without an explicit --partitioner hash.
+        for hash in [&[][..], &["--partitioner", "hash"]] {
+            let mut args = vec!["serve", "--rebalance-threshold", "0.05"];
+            args.extend_from_slice(hash);
+            let err = run(&s(&args)).unwrap_err();
+            assert!(err.contains("--partitioner ldg"), "{err}");
+        }
     }
 
     #[test]
