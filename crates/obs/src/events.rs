@@ -38,14 +38,13 @@ pub enum EventKind {
         /// Accumulated churn cost-delta that crossed the threshold.
         trigger_delta: f64,
     },
-    /// Background re-optimization finished.
+    /// Background re-optimization finished and its schedule was installed.
     ReoptEnd {
-        /// Cost of the schedule that resulted (installed or discarded).
+        /// Cost of the installed schedule, with the churn logged while the
+        /// optimizer ran replayed onto it.
         cost_after: f64,
-        /// Wall time the optimizer ran.
+        /// Clock time from the trigger to the install.
         wall_ms: f64,
-        /// Whether the result was installed (stale results are dropped).
-        installed: bool,
     },
     /// Topology rebalance migrated views between shards.
     Rebalance {
@@ -76,9 +75,12 @@ pub enum EventKind {
     Failover {
         /// The shard declared dead.
         shard: usize,
-        /// Users whose primary moved.
+        /// Users homed on it whose primary moved.
         moved: usize,
-        /// Wall time from detection-confirmed to epoch published.
+        /// Detection phase: first evidence of death (its first missed
+        /// heartbeat, or the kill) to the `Down` verdict.
+        detected_ms: f64,
+        /// Failover phase: the verdict to the repaired topology's publish.
         wall_ms: f64,
     },
     /// Anti-entropy finished copying views onto newly exposed replica
@@ -114,7 +116,8 @@ pub enum EventKind {
         shard: usize,
         /// Views restored over the whole catch-up.
         views: usize,
-        /// Wall time from rejoin detection to readmission.
+        /// Readmit phase: the backlog opening (at the rejoin, or when an
+        /// unreachable shard was first owed views) to the readmission.
         wall_ms: f64,
     },
 }
@@ -138,11 +141,7 @@ impl std::fmt::Display for EventKind {
             EventKind::ReoptEnd {
                 cost_after,
                 wall_ms,
-                installed,
-            } => write!(
-                f,
-                "reopt-end cost={cost_after:.0} wall={wall_ms:.1}ms installed={installed}"
-            ),
+            } => write!(f, "reopt-end cost={cost_after:.0} wall={wall_ms:.1}ms"),
             EventKind::Rebalance { moved, wall_ms } => {
                 write!(f, "rebalance moved={moved} wall={wall_ms:.1}ms")
             }
@@ -160,10 +159,12 @@ impl std::fmt::Display for EventKind {
             EventKind::Failover {
                 shard,
                 moved,
+                detected_ms,
                 wall_ms,
             } => write!(
                 f,
-                "failover shard={shard} moved={moved} wall={wall_ms:.1}ms"
+                "failover shard={shard} moved={moved} detected={detected_ms:.1}ms \
+                 wall={wall_ms:.1}ms"
             ),
             EventKind::CatchUp { views, wall_ms } => {
                 write!(f, "catch-up views={views} wall={wall_ms:.1}ms")

@@ -9,7 +9,9 @@
 //! rebalance then drops each moved view from the slots that left its
 //! replica set. The shard lifecycle, one record per shard, is advanced by
 //! [`FailoverController::tick`] and by the views a transition queues;
-//! every instant is read from the injected [`Clock`]:
+//! every instant is read from the injected [`Clock`], and every transition
+//! is recorded once, through [`Publisher::event`], which also folds it into
+//! the run's [`ChurnReport`]:
 //!
 //! ```text
 //!            DOWN_MISSES silent windows            heartbeat answered
@@ -29,6 +31,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
 use piggyback_graph::fx::FxHashSet;
 use piggyback_graph::NodeId;
@@ -58,11 +61,14 @@ pub(crate) fn reachable(faults: Option<&FaultInjector>, shard: usize) -> bool {
     !faults.is_some_and(|f| f.is_killed(shard) || f.partition_of(shard).is_some())
 }
 
-/// The one way an epoch goes out (single writer: the churn thread).
+/// The one way an epoch goes out and the one way a control-plane event is
+/// recorded (single writer: the churn thread).
 #[derive(Clone)]
 pub(crate) struct Publisher {
     pub(crate) handle: Arc<EpochHandle>,
     pub(crate) metrics: Option<Arc<ServeMetrics>>,
+    /// Every event recorded so far, folded ([`ChurnReport::fold`]).
+    pub(crate) folded: Arc<Mutex<ChurnReport>>,
 }
 
 impl Publisher {
@@ -70,11 +76,15 @@ impl Publisher {
         self.handle.load()
     }
 
-    /// Records `kind` in the event ring, when metrics are on.
+    /// Records `kind`: folds it into the report, metrics on or off, and
+    /// keeps it in the event ring when they are on.
     pub(crate) fn event(&self, kind: EventKind) {
-        if let Some(m) = &self.metrics {
-            m.events().record(kind);
+        self.folded.lock().fold(&kind);
+        let Some(m) = &self.metrics else { return };
+        if matches!(kind, EventKind::Failover { .. }) {
+            m.failover_count.inc();
         }
+        m.events().record(kind);
     }
 
     /// Swaps `next` in and stamps its [`EventKind::EpochSwap`].
@@ -163,7 +173,6 @@ fn move_views(
     fleet: &Fleet,
     (from, to): (&Arc<Topology>, &Topology),
     io: &mut ShardIo,
-    report: &mut ChurnReport,
     controller: Option<&mut FailoverController>,
 ) -> usize {
     let mut queued = Vec::new();
@@ -176,7 +185,7 @@ fn move_views(
             (view, now)
         })
         .collect();
-    let copied = io.copy_views(fleet, (from, to), &now, report);
+    let copied = io.copy_views(fleet, (from, to), &now);
     // Without a controller every shard holds, and nothing is queued.
     if let Some(controller) = controller {
         for (shard, view) in queued {
@@ -195,7 +204,7 @@ pub(crate) struct ShardIo {
     pool: Arc<BufferPool>,
     /// Scratch for requests the caller-runs transport executes inline.
     scratch: QueryScratch,
-    /// Views a copy found no donor for; each counts in `views_lost` once.
+    /// Views a copy found no donor for: the report's `views_lost`.
     pub(crate) lost: FxHashSet<NodeId>,
 }
 
@@ -227,12 +236,11 @@ impl ShardIo {
         fleet: &Fleet,
         (from, to): (&Topology, &Topology),
         owed: &[Owed],
-        report: &mut ChurnReport,
     ) -> usize {
         let mut reads = Vec::with_capacity(owed.len());
         for (view, slots) in owed {
             let Some(shard) = fleet.donor(from, to, *view, slots) else {
-                report.views_lost += u64::from(self.lost.insert(*view));
+                self.lost.insert(*view);
                 continue;
             };
             if slots.is_empty() {
@@ -374,9 +382,9 @@ impl FailoverController {
 
     /// One heartbeat round: poll every probe, fail over what the detector
     /// declared `Down`, stream one anti-entropy batch per catching-up shard.
-    pub(crate) fn tick(&mut self, io: &mut ShardIo, report: &mut ChurnReport) {
+    pub(crate) fn tick(&mut self, io: &mut ShardIo) {
         for s in 0..self.shards.len() {
-            self.poll(s, io, report);
+            self.poll(s, io);
         }
         if let Some(m) = &self.publisher.metrics {
             m.health_suspect.set(self.health.not_up() as f64);
@@ -387,7 +395,7 @@ impl FailoverController {
             .filter(|&s| !self.failed_over(s) && self.health.state(s) == ShardHealth::Down)
             .collect();
         if !down.is_empty() {
-            self.fail_over(&down, io, report);
+            self.fail_over(&down, io);
             // Amnesty: probes queued behind the move; restart detection, or
             // one death cascades. Not for an unreachable shard (its misses
             // need no wire) nor a catching-up one (only readmit promotes).
@@ -398,7 +406,7 @@ impl FailoverController {
                 }
             }
         }
-        self.catch_up(io, report);
+        self.catch_up(io);
     }
 
     fn reachable(&self, s: usize) -> bool {
@@ -427,14 +435,14 @@ impl FailoverController {
     /// data, so a shard in service misses only when a generous grace window
     /// passes unanswered; an unreachable one misses once per tick, dying in
     /// [`DOWN_MISSES`] ticks. A failed-over shard is probed for *rejoin*.
-    fn poll(&mut self, s: usize, io: &mut ShardIo, report: &mut ChurnReport) {
+    fn poll(&mut self, s: usize, io: &mut ShardIo) {
         let probe = self.shards[s].probe.take();
         if !self.reachable(s) {
             return self.note_miss(s);
         }
         if let Some((rx, mut since_ns)) = probe {
             match rx.recv_timeout(Duration::ZERO) {
-                Ok(_) if self.failed_over(s) => return self.begin_rejoin(s, io, report),
+                Ok(_) if self.failed_over(s) => return self.begin_rejoin(s, io),
                 Ok(_) => self.health.record_ok(s),
                 Err(RecvTimeoutError::Timeout) => {
                     let grace = (self.heartbeat * 2).max(Duration::from_millis(100));
@@ -471,14 +479,14 @@ impl FailoverController {
 
     /// Routes around the shards in `down`: one repair of the current map,
     /// one move, one publish (with replication 1, only marks them).
-    fn fail_over(&mut self, down: &[usize], io: &mut ShardIo, report: &mut ChurnReport) {
+    fn fail_over(&mut self, down: &[usize], io: &mut ShardIo) {
         let started_ns = self.clock.now_ns();
+        let mut detected = Vec::with_capacity(down.len());
         for &s in down {
             // (A shard that died again mid-catch-up drops its backlog.)
             self.shards[s].phase = Phase::FailedOver;
             // Detection phase: first evidence of death to this verdict.
-            let detected = self.evidence_age(s).unwrap_or_default();
-            report.detection_ms += detected.as_secs_f64() * 1e3;
+            detected.push(self.evidence_age(s).unwrap_or_default());
         }
         let snap = self.publisher.load();
         let old = Arc::clone(snap.topology());
@@ -490,12 +498,10 @@ impl FailoverController {
         // Move *before* publish: a re-pointed primary exposes new slots.
         let copy_started_ns = self.clock.now_ns();
         let maps = (&old, &repair.topology);
-        let copied = move_views(&fleet, maps, io, report, Some(self));
+        let copied = move_views(&fleet, maps, io, Some(self));
         let copy_ms = self.clock.since(copy_started_ns).as_secs_f64() * 1e3;
         self.publisher
             .publish(snap.with_topology(Arc::new(repair.topology)));
-        report.failovers += down.len() as u64;
-        report.users_failed_over += repair.moved.len() as u64;
         let homed_on = |s| {
             repair
                 .moved
@@ -503,20 +509,12 @@ impl FailoverController {
                 .filter(|&&u| old.server_of(u) == s)
                 .count()
         };
-        for &s in down {
-            // Failover phase: verdict to publish. Unavailability opened
-            // earlier, at the first evidence of death.
-            let wall = self.clock.since(started_ns);
-            report.failover_ms += wall.as_secs_f64() * 1e3;
-            report.failover_unavailable_ms +=
-                self.evidence_age(s).unwrap_or(wall).as_secs_f64() * 1e3;
-            if let Some(m) = &self.publisher.metrics {
-                m.failover_count.inc();
-            }
+        for (&s, detected) in down.iter().zip(detected) {
             self.publisher.event(EventKind::Failover {
                 shard: s,
                 moved: homed_on(s),
-                wall_ms: wall.as_secs_f64() * 1e3,
+                detected_ms: detected.as_secs_f64() * 1e3,
+                wall_ms: self.clock.since(started_ns).as_secs_f64() * 1e3,
             });
         }
         self.publisher.event(EventKind::CatchUp {
@@ -528,8 +526,7 @@ impl FailoverController {
     /// A failed-over shard answered a heartbeat: the restarted, empty
     /// process rejoins the **write** path at once (the repaired `desired`
     /// map restores its slots), the **read** path once its backlog drains.
-    fn begin_rejoin(&mut self, s: usize, io: &mut ShardIo, report: &mut ChurnReport) {
-        report.rejoins += 1;
+    fn begin_rejoin(&mut self, s: usize, io: &mut ShardIo) {
         let snap = self.publisher.load();
         let from = Arc::clone(snap.topology());
         // Alive — not routed around — but empty, so off the read path.
@@ -539,7 +536,7 @@ impl FailoverController {
         let mut fleet = self.fleet();
         fleet.0[s] = Standing::Empty;
         let to = self.desired.repaired(&fleet.dead()).topology;
-        move_views(&fleet, (&from, &to), io, report, Some(self));
+        move_views(&fleet, (&from, &to), io, Some(self));
         self.publisher.publish(snap.with_topology(Arc::new(to)));
         let views_behind = self.backlog(s, &from).behind;
         self.publisher.event(EventKind::Rejoin {
@@ -551,7 +548,7 @@ impl FailoverController {
     /// Streams one [`CATCHUP_BATCH`] of each catching-up shard's backlog;
     /// readmits a shard to reads once drained **and** its heartbeat silence
     /// fits the Theorem-1 staleness budget.
-    fn catch_up(&mut self, io: &mut ShardIo, report: &mut ChurnReport) {
+    fn catch_up(&mut self, io: &mut ShardIo) {
         let fleet = self.fleet();
         let published = Arc::clone(self.publisher.load().topology());
         for s in 0..self.shards.len() {
@@ -570,7 +567,7 @@ impl FailoverController {
             let (from, behind, since_ns) =
                 (Arc::clone(&backlog.from), backlog.behind, backlog.since_ns);
             if n > 0 {
-                io.copy_views(&fleet, (&from, &published), &batch, report);
+                io.copy_views(&fleet, (&from, &published), &batch);
                 self.publisher.event(EventKind::CatchUpBatch {
                     shard: s,
                     views: n,
@@ -584,15 +581,11 @@ impl FailoverController {
                 continue;
             }
             self.shards[s].phase = Phase::Serving;
-            let wall_ms = self.clock.since(since_ns).as_secs_f64() * 1e3;
-            report.catchup_ms += wall_ms;
             if self.health.readmit(s) {
-                report.readmits += 1;
-                report.readmit_ms += wall_ms;
                 self.publisher.event(EventKind::Readmit {
                     shard: s,
                     views: behind,
-                    wall_ms,
+                    wall_ms: self.clock.since(since_ns).as_secs_f64() * 1e3,
                 });
             }
         }
@@ -647,7 +640,6 @@ impl Rebalancer {
         inc: &IncrementalScheduler,
         io: &mut ShardIo,
         mut failover: Option<&mut FailoverController>,
-        report: &mut ChurnReport,
     ) {
         if !self.threshold.is_finite() || self.partition == PartitionStrategy::Hash {
             return;
@@ -693,7 +685,7 @@ impl Rebalancer {
         if moved.is_empty() {
             return; // the partitioner reproduced the serving map
         }
-        move_views(&fleet, (&old, &new), io, report, failover);
+        move_views(&fleet, (&old, &new), io, failover);
         self.publisher.publish(snap.with_topology(Arc::clone(&new)));
         // Drop each moved view from the holding slots that left its replica
         // set — once a holding slot of the new set has it, so an old copy
@@ -708,8 +700,6 @@ impl Rebalancer {
         for rx in drops {
             rx.recv().expect("worker dropped extract reply");
         }
-        report.users_migrated += moved.len() as u64;
-        report.rebalances += 1;
         self.publisher.event(EventKind::Rebalance {
             moved: moved.len(),
             wall_ms: self.clock.since(started_ns).as_secs_f64() * 1e3,

@@ -50,8 +50,8 @@ pub struct ServeMetrics {
     pub(crate) replica_lag: Gauge,
     /// Shards currently not `Up` in the failure detector.
     pub(crate) health_suspect: Gauge,
-    /// Failovers executed (dead primary re-pointed at a surviving
-    /// replica).
+    /// Failovers executed, bumped where each `Failover` event is recorded
+    /// (the live twin of the report's `failovers`).
     pub(crate) failover_count: Counter,
     /// Optimizer passes spent by background re-optimizations (streaming
     /// schedulers report their sweep count; batch schedulers their

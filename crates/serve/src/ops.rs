@@ -14,7 +14,6 @@ use piggyback_workload::Rates;
 use crate::config::{ReoptMode, ServeConfig};
 use crate::epoch::ChunkedSets;
 use crate::failover::Publisher;
-use crate::metrics::ServeMetrics;
 
 /// Messages consumed by the churn thread.
 pub(crate) enum ChurnMsg {
@@ -67,11 +66,25 @@ fn reoptimize(scheduler: &dyn Scheduler, graph: CsrGraph, rates: Rates) -> Reopt
 pub(crate) struct ChurnApplier {
     inc: IncrementalScheduler,
     publisher: Publisher,
+    pub(crate) follows_applied: u64,
+    pub(crate) unfollows_applied: u64,
+    pub(crate) churn_rejected: u64,
+    pub(crate) live_staleness_violations: u64,
+    /// The first violation the live check found.
+    pub(crate) live_violation: Option<String>,
 }
 
 impl ChurnApplier {
     pub(crate) fn new(inc: IncrementalScheduler, publisher: Publisher) -> Self {
-        ChurnApplier { inc, publisher }
+        ChurnApplier {
+            inc,
+            publisher,
+            follows_applied: 0,
+            unfollows_applied: 0,
+            churn_rejected: 0,
+            live_staleness_violations: 0,
+            live_violation: None,
+        }
     }
 
     pub(crate) fn inc(&self) -> &IncrementalScheduler {
@@ -80,13 +93,7 @@ impl ChurnApplier {
 
     /// Upon churn: applies and publishes it. `None` when the edge did not
     /// change, or a user is outside the rate model and cannot be priced.
-    pub(crate) fn apply(
-        &mut self,
-        add: bool,
-        u: NodeId,
-        v: NodeId,
-        report: &mut ChurnReport,
-    ) -> Option<ChurnEffect> {
+    pub(crate) fn apply(&mut self, add: bool, u: NodeId, v: NodeId) -> Option<ChurnEffect> {
         let n = self.inc.rates().len() as u64;
         let effect = (u64::from(u) < n && u64::from(v) < n).then(|| {
             if add {
@@ -96,24 +103,24 @@ impl ChurnApplier {
             }
         });
         let Some(effect) = effect.filter(|e| e.applied) else {
-            report.churn_rejected += 1;
+            self.churn_rejected += 1;
             return None;
         };
         if add {
-            report.follows_applied += 1;
+            self.follows_applied += 1;
         } else {
-            report.unfollows_applied += 1;
+            self.unfollows_applied += 1;
         }
         // Live bounded-staleness check: every edge this mutation reserved
         // for direct serving must be in the serving sets *now* — the
         // post-run sweep's invariant, caught the moment it would break.
         for &(x, y) in &effect.reserved_direct {
             if !self.inc.serves_edge_directly(x, y) {
-                report.live_staleness_violations += 1;
+                self.live_staleness_violations += 1;
                 if let Some(m) = &self.publisher.metrics {
                     m.staleness_violations.inc();
                 }
-                report.staleness_violation.get_or_insert_with(|| {
+                self.live_violation.get_or_insert_with(|| {
                     format!(
                         "live: edge {x} -> {y} reserved direct but absent from serving sets \
                          after {} mutation ({u} -> {v})",
@@ -151,13 +158,11 @@ impl ChurnApplier {
             .publish(self.publisher.load().with_sets(sets));
     }
 
-    /// End-of-run costs, and the post-run sweep behind the live check.
-    pub(crate) fn finish(&self, report: &mut ChurnReport) {
-        report.base_cost = self.inc.base_cost();
-        report.final_cost = self.inc.cost();
-        if report.staleness_violation.is_none() {
-            report.staleness_violation = self.inc.validate().err().map(|e| e.to_string());
-        }
+    /// The first bounded-staleness violation: the live check's, else the
+    /// post-run sweep's over the whole schedule.
+    pub(crate) fn validate(&self) -> Option<String> {
+        let swept = || self.inc.validate().err().map(|e| e.to_string());
+        self.live_violation.clone().or_else(swept)
     }
 }
 
@@ -179,7 +184,7 @@ pub(crate) struct ReoptInstaller {
     /// Mutations applied since the job out was fired.
     replay_log: Vec<(bool, NodeId, NodeId)>,
     clock: Clock,
-    metrics: Option<Arc<ServeMetrics>>,
+    publisher: Publisher,
 }
 
 impl ReoptInstaller {
@@ -187,7 +192,7 @@ impl ReoptInstaller {
         scheduler: Arc<dyn Scheduler>,
         config: &ServeConfig,
         clock: Clock,
-        metrics: Option<Arc<ServeMetrics>>,
+        publisher: Publisher,
     ) -> Self {
         ReoptInstaller {
             scheduler: Some(scheduler),
@@ -198,7 +203,7 @@ impl ReoptInstaller {
             fired_at_ns: None,
             replay_log: Vec::new(),
             clock,
-            metrics,
+            publisher,
         }
     }
 
@@ -237,13 +242,11 @@ impl ReoptInstaller {
             return None;
         }
         self.fired_at_ns = Some(self.clock.now_ns());
-        let events = self.metrics.as_ref().map(|m| {
-            m.events().record(EventKind::ReoptStart {
-                cost_before: inc.cost(),
-                trigger_delta: inc.overlay_cost_delta(),
-            });
-            m.events().clone()
+        self.publisher.event(EventKind::ReoptStart {
+            cost_before: inc.cost(),
+            trigger_delta: inc.overlay_cost_delta(),
         });
+        let events = self.publisher.metrics.as_ref().map(|m| m.events().clone());
         Some(Box::new(move || {
             // The event ring is the running thread's ambient log, so the
             // optimizer's fan-out pool records its dispatches into it.
@@ -255,11 +258,7 @@ impl ReoptInstaller {
     /// Upon `ReoptDone`: the fresh scheduler — the job's, with the churn
     /// logged since the fire replayed onto it — and its sets, the job's
     /// with only the users that replay touched recompiled.
-    pub(crate) fn install(
-        &mut self,
-        result: ReoptResult,
-        report: &mut ChurnReport,
-    ) -> (IncrementalScheduler, ChunkedSets) {
+    pub(crate) fn install(&mut self, result: ReoptResult) -> (IncrementalScheduler, ChunkedSets) {
         let ReoptResult {
             inc: mut fresh,
             sets,
@@ -287,29 +286,29 @@ impl ReoptInstaller {
             .fired_at_ns
             .take()
             .expect("a result answers a fired job");
-        report.reopts += 1;
         let elapsed = self.clock.since(fired_at_ns);
         // Amortized budget: a run of W may occupy at most `frac` of wall
         // time, so the next fires no sooner than W * (1 - frac) / frac
         // from now (frac = 1 re-fires immediately).
         let cooloff = elapsed.mul_f64((1.0 - self.budget_frac) / self.budget_frac);
         self.next_at_ns = self.clock.after(cooloff);
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.publisher.metrics {
             m.reopt_stream_passes.add(stats.iterations as u64);
             m.reopt_budget_spent_ms.add(elapsed.as_millis() as u64);
             m.reopt_hubs_admitted.add(stats.hubs_applied as u64);
             m.reopt_hubs_evicted.add(stats.hubs_evicted as u64);
-            m.events().record(EventKind::ReoptEnd {
-                cost_after: fresh.cost(),
-                wall_ms: elapsed.as_secs_f64() * 1e3,
-                installed: true,
-            });
         }
+        self.publisher.event(EventKind::ReoptEnd {
+            cost_after: fresh.cost(),
+            wall_ms: elapsed.as_secs_f64() * 1e3,
+        });
         (fresh, sets)
     }
 }
 
-/// What the churn thread did over the runtime's lifetime.
+/// What the churn thread did over the runtime's lifetime. The figures of
+/// the failure lifecycle, rebalances and re-optimizations are folded from
+/// the control-plane events as they are recorded, metrics on or off.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChurnReport {
     /// Follows applied (excluding duplicates of existing edges).
@@ -318,9 +317,9 @@ pub struct ChurnReport {
     pub unfollows_applied: u64,
     /// Churn operations that were no-ops (duplicate follow / missing edge).
     pub churn_rejected: u64,
-    /// Background full re-optimizations completed and swapped in.
+    /// Background full re-optimizations installed (`ReoptEnd` events).
     pub reopts: u64,
-    /// Live topology rebalances (re-partition + view migration) published.
+    /// Live topology rebalances published (`Rebalance` events).
     pub rebalances: u64,
     /// User views re-homed to a different shard across all rebalances.
     pub users_migrated: u64,
@@ -335,13 +334,11 @@ pub struct ChurnReport {
     /// mutation switched to direct serving missing from the serving sets
     /// (also the `churn.staleness_violations` counter).
     pub live_staleness_violations: u64,
-    /// Failovers executed: dead primaries re-pointed at surviving replicas.
+    /// Failovers executed (`Failover` events): dead primaries re-pointed at
+    /// surviving replicas.
     pub failovers: u64,
-    /// Users whose primary moved across all failovers.
+    /// Users homed on a shard when it failed over, and re-homed by it.
     pub users_failed_over: u64,
-    /// Unavailability the failovers closed: per dead shard, its first
-    /// missed heartbeat (or kill) to the repaired topology's publish.
-    pub failover_unavailable_ms: f64,
     /// Views a topology change found no live, caught-up copy of — data
     /// loss, each view counted once. Zero under domain-spread placement
     /// when at most one failure domain dies.
@@ -350,15 +347,14 @@ pub struct ChurnReport {
     pub rejoins: u64,
     /// Shards promoted back to read targets after a catch-up.
     pub readmits: u64,
-    /// Detection phase: first missed heartbeat (or kill) to `Down`.
+    /// Detection phase, summed over failovers: first missed heartbeat (or
+    /// kill) to `Down`. Plus `failover_ms`, the unavailability closed.
     pub detection_ms: f64,
     /// Failover phase: `Down` to the repaired topology's publish.
     pub failover_ms: f64,
-    /// Catch-up phase: backlog opened (at a rejoin, or on an unreachable
-    /// shard owed views) to its last anti-entropy batch landing.
-    pub catchup_ms: f64,
-    /// Readmit phase: the backlog opening to the shard serving reads again
-    /// (catch-up plus the staleness-budget gate).
+    /// Readmit phase: the backlog opening (at a rejoin, or on an
+    /// unreachable shard owed views) to the shard serving reads again —
+    /// anti-entropy plus the staleness-budget gate.
     pub readmit_ms: f64,
     /// First bounded-staleness violation found — live (per-mutation check)
     /// or by the post-run validation, whichever fired first. `None` is the
@@ -371,6 +367,34 @@ impl ChurnReport {
     /// Whether the post-run validation found the schedule fully feasible.
     pub fn zero_violations(&self) -> bool {
         self.staleness_violation.is_none()
+    }
+
+    /// Adds one recorded control-plane event to the figures it carries.
+    pub(crate) fn fold(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::Failover {
+                moved,
+                detected_ms,
+                wall_ms,
+                ..
+            } => {
+                self.failovers += 1;
+                self.users_failed_over += moved as u64;
+                self.detection_ms += detected_ms;
+                self.failover_ms += wall_ms;
+            }
+            EventKind::Rejoin { .. } => self.rejoins += 1,
+            EventKind::Readmit { wall_ms, .. } => {
+                self.readmits += 1;
+                self.readmit_ms += wall_ms;
+            }
+            EventKind::Rebalance { moved, .. } => {
+                self.rebalances += 1;
+                self.users_migrated += moved as u64;
+            }
+            EventKind::ReoptEnd { .. } => self.reopts += 1,
+            _ => {}
+        }
     }
 }
 

@@ -10,8 +10,8 @@
 //!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
 //!   per operation) and forward `Follow`/`Unfollow` to the churn thread.
 //! * **The churn thread** is one dispatcher — one receive loop, one
-//!   `match` — lending its shard I/O handle and report to four records,
-//!   each written only by its own handlers:
+//!   `match` — lending its shard I/O handle to four records, each written
+//!   only by its own handlers:
 //!   - `ChurnApplier` ([`ops`](crate::ops)): applies each mutation (§3.3)
 //!     to the [`IncrementalScheduler`], checks bounded staleness live, and
 //!     publishes an epoch rewriting only the users the mutation touched;
@@ -28,9 +28,10 @@
 //!     dispatcher blocks in `recv()`, with no periodic wake-up.
 //!
 //!   Every epoch goes out through one publish, so no request ever mixes
-//!   two schedules or two maps. The control plane reads time from one
-//!   [`Clock`]; the fault matrix assembles the same runtime on a manual
-//!   clock, spawns no thread, and runs each `ReoptJob` inline.
+//!   two schedules or two maps, and every control-plane event is recorded
+//!   once, where the [`ChurnReport`] folds it. The control plane reads
+//!   time from one [`Clock`]; the fault matrix assembles the same runtime
+//!   on a manual clock, spawns no thread, and runs each `ReoptJob` inline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -202,6 +203,7 @@ impl ServeRuntime {
         let publisher = Publisher {
             handle: Arc::clone(&handle),
             metrics: metrics.clone(),
+            folded: Arc::default(),
         };
         // The failover controller: heartbeats to poll, a detector to feed.
         let failover = health
@@ -216,11 +218,11 @@ impl ServeRuntime {
         let inc = IncrementalScheduler::new(graph, rates.push_amplified(replication), schedule);
         let manager = ChurnManager {
             applier: ChurnApplier::new(inc, publisher.clone()),
-            reopt: ReoptInstaller::new(Arc::from(reopt), &config, clock.clone(), metrics.clone()),
-            rebalancer: Rebalancer::new(&config, publisher, clock),
+            reopt: ReoptInstaller::new(Arc::from(reopt), &config, clock.clone(), publisher.clone()),
+            rebalancer: Rebalancer::new(&config, publisher.clone(), clock),
             failover,
             io: ShardIo::new(transport.clone(), Arc::clone(&pool)),
-            report: ChurnReport::default(),
+            publisher,
             closing: None,
         };
         let runtime = ServeRuntime {
@@ -542,8 +544,8 @@ struct ChurnManager {
     /// The shard lifecycle (`None` = heartbeats off or no detector).
     failover: Option<FailoverController>,
     io: ShardIo,
-    /// The end-of-run report, counted in place as things happen.
-    report: ChurnReport,
+    /// The records' publisher, holding the events folded so far.
+    publisher: Publisher,
     /// Where the final report goes once shutdown has let the job out land.
     closing: Option<Sender<ChurnReport>>,
 }
@@ -589,7 +591,7 @@ impl ChurnManager {
     /// One heartbeat round of the shard lifecycle.
     fn tick(&mut self) {
         if let Some(failover) = &mut self.failover {
-            failover.tick(&mut self.io, &mut self.report);
+            failover.tick(&mut self.io);
         }
     }
 
@@ -599,7 +601,7 @@ impl ChurnManager {
         let (add, u, v, done) = match msg {
             ChurnMsg::Churn { add, u, v, done } => (add, u, v, done),
             ChurnMsg::ReoptDone(result) => {
-                let (fresh, sets) = self.reopt.install(*result, &mut self.report);
+                let (fresh, sets) = self.reopt.install(*result);
                 self.rebalancer.rearm();
                 self.applier.rebase(fresh, sets);
                 return None;
@@ -611,7 +613,7 @@ impl ChurnManager {
         };
         // Shutting down: further churn is rejected.
         let effect = match self.closing {
-            None => self.applier.apply(add, u, v, &mut self.report),
+            None => self.applier.apply(add, u, v),
             Some(_) => None,
         };
         let applied = effect.is_some();
@@ -619,11 +621,29 @@ impl ChurnManager {
             let inc = self.applier.inc();
             let failover = self.failover.as_mut();
             self.rebalancer
-                .upon_churn(&effect, inc, &mut self.io, failover, &mut self.report);
+                .upon_churn(&effect, inc, &mut self.io, failover);
             self.reopt.upon_churn(add, u, v, inc)
         });
         let _ = done.send(applied);
         job
+    }
+
+    /// The report so far, each figure read from its one source (the
+    /// post-run staleness sweep is [`ChurnManager::drained`]'s).
+    fn report(&self) -> ChurnReport {
+        let a = &self.applier;
+        ChurnReport {
+            follows_applied: a.follows_applied,
+            unfollows_applied: a.unfollows_applied,
+            churn_rejected: a.churn_rejected,
+            cross_cost_churned: self.rebalancer.cross_churned,
+            base_cost: a.inc().base_cost(),
+            final_cost: a.inc().cost(),
+            live_staleness_violations: a.live_staleness_violations,
+            views_lost: self.io.lost.len() as u64,
+            staleness_violation: a.live_violation.clone(),
+            ..self.publisher.folded.lock().clone()
+        }
     }
 
     /// Once shutdown was asked for and no job is out: sends the final
@@ -635,9 +655,8 @@ impl ChurnManager {
         let Some(done) = self.closing.take() else {
             return false;
         };
-        let mut report = self.report.clone();
-        report.cross_cost_churned = self.rebalancer.cross_churned;
-        self.applier.finish(&mut report);
+        let mut report = self.report();
+        report.staleness_violation = self.applier.validate();
         let _ = done.send(report);
         true
     }
@@ -822,8 +841,8 @@ mod tests {
             assert_eq!(snap.push_targets(x), inc.push_targets(x), "push set of {x}");
             assert_eq!(snap.pull_sources(x), inc.pull_sources(x), "pull set of {x}");
         }
-        assert_eq!(manager.report.reopts, 0);
-        assert_eq!(manager.report.live_staleness_violations, 0);
+        let report = manager.report();
+        assert_eq!((report.reopts, report.live_staleness_violations), (0, 0));
         assert!(inc.validate().is_ok());
     }
 

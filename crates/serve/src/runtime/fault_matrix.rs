@@ -551,11 +551,15 @@ fn suspects_are_not_failed_over(rig: &mut Rig) {
     for s in rig.pick(Rack0) {
         assert_eq!(rig.health.state(s), ShardHealth::Suspect);
     }
-    assert_eq!(rig.manager.report.failovers, 0, "Suspect is not a verdict");
+    assert_eq!(
+        rig.manager.report().failovers,
+        0,
+        "Suspect is not a verdict"
+    );
 }
 
 fn the_rack_fell_in_one_publish_after_down_misses_heartbeats(rig: &mut Rig) {
-    let report = &rig.manager.report;
+    let report = rig.manager.report();
     assert_eq!(report.failovers, 2);
     assert_eq!(
         rig.published.0,
@@ -564,7 +568,7 @@ fn the_rack_fell_in_one_publish_after_down_misses_heartbeats(rig: &mut Rig) {
     );
     let each = (HEARTBEAT * DOWN_MISSES).as_secs_f64() * 1e3;
     assert_eq!(report.detection_ms, 2.0 * each);
-    assert_eq!(report.failover_unavailable_ms, 2.0 * each);
+    assert_eq!(report.detection_ms + report.failover_ms, 2.0 * each);
     // Every slot the repair exposed holds its view before the publish, and
     // only the views counted lost are still homed on the rack.
     let repaired = Arc::clone(&rig.published.1);
@@ -583,11 +587,11 @@ fn lost_exactly_the_views_whose_slots_were_the_rack(rig: &mut Rig) {
     // failover that found them gone; the later kill of 4 recounts nothing.
     let both_dead = rig.boot.shard_sizes()[0] as u64;
     assert!(both_dead > 0);
-    assert_eq!(rig.manager.report.views_lost, both_dead);
+    assert_eq!(rig.manager.report().views_lost, both_dead);
 }
 
 fn the_probe_is_only_just_out(rig: &mut Rig) {
-    assert_eq!(rig.manager.report.rejoins, 0, "a rejoin needs an answer");
+    assert_eq!(rig.manager.report().rejoins, 0, "a rejoin needs an answer");
 }
 
 fn converged_back_to_boot_with_every_view_in_place(rig: &mut Rig) {
@@ -630,7 +634,7 @@ fn a_suspect_is_read_up_to_the_laxity_and_not_past_it(rig: &mut Rig) {
 }
 
 fn the_backlog_is_still_owed(rig: &mut Rig) {
-    assert_eq!(rig.manager.report.rejoins, 1);
+    assert_eq!(rig.manager.report().rejoins, 1);
     assert_eq!(rig.health.state(rig.victim), ShardHealth::CatchingUp);
     assert!(rig.ring().contains("catch-up-batch"), "one batch streamed");
     assert!(!rig.ring().contains("remaining=0"), "more than one owed");
@@ -641,6 +645,8 @@ fn only_its_backlog_reached_the_victim(rig: &mut Rig) {
     // during the catch-up copies it nothing inline.
     let streamed: usize = rig
         .events
+        .as_ref()
+        .expect("metrics on")
         .recent(usize::MAX)
         .iter()
         .filter_map(|e| match e.kind {
@@ -656,14 +662,14 @@ fn drained_but_held_back_by_its_silence(rig: &mut Rig) {
     assert!(rig.ring().contains("remaining=0"), "the backlog drained");
     assert_eq!(rig.health.state(rig.victim), ShardHealth::CatchingUp);
     assert_eq!(rig.health.silence(rig.victim), HEARTBEAT * DOWN_MISSES);
-    assert_eq!(rig.manager.report.readmits, 0);
+    assert_eq!(rig.manager.report().readmits, 0);
 }
 
 fn readmitted_five_heartbeats_after_the_rejoin(rig: &mut Rig) {
-    let report = &rig.manager.report;
+    let report = rig.manager.report();
     assert_eq!(report.readmits, 1);
     let took = (HEARTBEAT * (DOWN_MISSES + 1)).as_secs_f64() * 1e3;
-    assert_eq!((report.catchup_ms, report.readmit_ms), (took, took));
+    assert_eq!(report.readmit_ms, took);
     converged_back_to_boot_with_every_view_in_place(rig);
 }
 
@@ -673,7 +679,7 @@ fn readmitted_holding_every_boot_view(rig: &mut Rig) {
     // failover had copied each to the slot it exposed, next + 1, which the
     // rejoin publish took out of the view's replica set: the donor is found
     // under the map the backlog was built against.
-    let report = &rig.manager.report;
+    let report = rig.manager.report();
     assert_eq!((report.rejoins, report.readmits), (1, 1));
     for u in 0..rig.boot.users() as NodeId {
         if rig.boot.replica_slots(u).any(|r| r == rig.victim) {
@@ -683,7 +689,7 @@ fn readmitted_holding_every_boot_view(rig: &mut Rig) {
 }
 
 fn the_install_kept_the_failover_map(rig: &mut Rig) {
-    let report = &rig.manager.report;
+    let report = rig.manager.report();
     assert_eq!((report.failovers, report.reopts), (1, 1));
     nothing_is_homed_on_the_victim(rig);
 }
@@ -699,8 +705,12 @@ fn nothing_is_homed_on_the_victim(rig: &mut Rig) {
 
 fn the_victim_is_only_suspect(rig: &mut Rig) {
     assert_eq!(rig.health.state(rig.victim), ShardHealth::Suspect);
-    assert!(rig.manager.report.rebalances > 0);
-    assert_eq!(rig.manager.report.failovers, 0, "Suspect is not a verdict");
+    assert!(rig.manager.report().rebalances > 0);
+    assert_eq!(
+        rig.manager.report().failovers,
+        0,
+        "Suspect is not a verdict"
+    );
 }
 
 fn the_partitioned_shard_is_catching_up(rig: &mut Rig) {
@@ -755,7 +765,8 @@ struct Rig {
     clock: Clock,
     health: Arc<HealthTracker>,
     faults: Arc<FaultInjector>,
-    events: EventLog,
+    /// The event ring (`None`: the row runs with metrics off).
+    events: Option<EventLog>,
     shards: Arc<Vec<Mutex<StoreServer>>>,
     boot: Arc<Topology>,
     trace: OpTrace,
@@ -774,9 +785,9 @@ struct Rig {
     epoch_at_step: [u64; 2],
     /// Heartbeat rounds played.
     ticks: u32,
-    /// What `detection_ms` / `failover_unavailable_ms` must read.
+    /// What `detection_ms` must read.
     detection_ms: f64,
-    /// What `catchup_ms` / `readmit_ms` must read.
+    /// What `readmit_ms` must read.
     readmit_ms: f64,
     /// Readmit events seen.
     readmits: u64,
@@ -828,8 +839,9 @@ impl Drop for Rig {
 impl Rig {
     /// Boots `row`'s cluster on a manual clock, writes one event to every
     /// view (so "a replica held the view" means something) and lets two
-    /// heartbeats pass (so every shard has answered one).
-    fn new(row: &Row, (graph, rates, schedule): &World, seed: u64) -> Rig {
+    /// heartbeats pass (so every shard has answered one). With `metrics`
+    /// off there is no event ring, and the checks that read it are skipped.
+    fn new(row: &Row, (graph, rates, schedule): &World, seed: u64, metrics: bool) -> Rig {
         let clock = Clock::manual();
         let Cluster {
             users,
@@ -853,6 +865,7 @@ impl Rig {
                 rebalance_threshold: row.churn.rebalance_threshold,
                 reopt_threshold: row.churn.reopt_threshold,
                 faults: Some(FaultPlan { seed, ..row.plan }),
+                metrics,
                 ..Default::default()
             },
             clock.clone(),
@@ -869,7 +882,7 @@ impl Rig {
             client: rt.client(),
             health: Arc::clone(rt.health().expect("replicated")),
             faults: Arc::clone(rt.faults().expect("a plan is configured")),
-            events: rt.metrics().expect("metrics on").events().clone(),
+            events: rt.metrics().map(|m| m.events().clone()),
             shards: Arc::clone(stores),
             trace: OpTrace::new(rates, 0.1, seed),
             victim: rng.random_range(0..shards),
@@ -918,14 +931,10 @@ impl Rig {
         reachable(Some(&self.faults), s)
     }
 
-    /// The event ring, rendered.
+    /// The event ring, rendered (empty with metrics off).
     fn ring(&self) -> String {
-        let lines: Vec<String> = self
-            .events
-            .recent(usize::MAX)
-            .iter()
-            .map(|e| e.to_string())
-            .collect();
+        let events = self.events.iter().flat_map(|ring| ring.recent(usize::MAX));
+        let lines: Vec<String> = events.map(|e| e.to_string()).collect();
         lines.join("\n")
     }
 
@@ -994,9 +1003,9 @@ impl Rig {
         let homed: Vec<NodeId> = (0..users)
             .filter(|&v| boot.server_of(v) == primary)
             .collect();
-        let before = self.manager.report.rebalances;
+        let before = self.manager.report().rebalances;
         for _ in 0..TRIGGER_OPS {
-            if self.manager.report.rebalances > before {
+            if self.manager.report().rebalances > before {
                 return;
             }
             let v = homed[self.rng.random_range(0..homed.len())];
@@ -1072,12 +1081,12 @@ impl Rig {
                 expected.remove_edge(u, v);
             }
         }
-        let installs = self.manager.report.reopts;
+        let installs = self.manager.report().reopts;
         assert!(self
             .manager
             .handle(ChurnMsg::ReoptDone(Box::new(result)))
             .is_none());
-        assert_eq!(self.manager.report.reopts, installs + 1);
+        assert_eq!(self.manager.report().reopts, installs + 1);
         let snap = self.rt.snapshot();
         for x in 0..self.boot.users() as NodeId {
             assert_eq!(
@@ -1166,7 +1175,8 @@ impl Rig {
     /// timed, like unavailability, from the first evidence to this very
     /// instant; a readmit only with the shard's silence inside Δ, timed
     /// from its rejoin; a view counted lost only if no reachable replica
-    /// slot held it; report, ring and clock agreeing to the bit.
+    /// slot held it; report, ring and clock agreeing to the bit (the ring
+    /// and clock checks need metrics on).
     fn tick(&mut self) {
         self.clock.advance(HEARTBEAT);
         self.ticks += 1;
@@ -1176,52 +1186,51 @@ impl Rig {
             f.evidence_ns.get_or_insert(now);
         }
         let n = self.shards.len();
-        let lost_before = self.manager.report.views_lost;
+        let lost_before = self.manager.report().views_lost;
         let could_reach: Vec<bool> = (0..n).map(|s| self.reachable(s)).collect();
-        let seen = self.events.total_recorded();
+        let seen = self.events.as_ref().map_or(0, EventLog::total_recorded);
 
         self.manager.tick();
 
-        let fresh = (self.events.total_recorded() - seen) as usize;
-        for e in &self.events.recent(fresh) {
-            assert_eq!(e.at, Duration::from_nanos(now), "stamped off-clock: {e}");
-            match e.kind {
-                EventKind::Failover { shard, wall_ms, .. } => {
-                    let f = self.faulted[shard].as_mut();
-                    let f = f.unwrap_or_else(|| panic!("nobody faulted shard {shard}: {e}"));
-                    assert!(!f.failed_over, "a dead shard fails over once: {e}");
-                    f.failed_over = true;
-                    assert!(f.ticks <= DOWN_MISSES, "{e} after {} rounds", f.ticks);
-                    if f.partition || self.faults.counts().3 == f.refused {
-                        assert_eq!(f.ticks, DOWN_MISSES, "the prober's verdict: {e}");
+        if let Some(events) = self.events.clone() {
+            let fresh = (events.total_recorded() - seen) as usize;
+            for e in &events.recent(fresh) {
+                assert_eq!(e.at, Duration::from_nanos(now), "stamped off-clock: {e}");
+                match e.kind {
+                    EventKind::Failover { shard, wall_ms, .. } => {
+                        let f = self.faulted[shard].as_mut();
+                        let f = f.unwrap_or_else(|| panic!("nobody faulted shard {shard}: {e}"));
+                        assert!(!f.failed_over, "a dead shard fails over once: {e}");
+                        f.failed_over = true;
+                        assert!(f.ticks <= DOWN_MISSES, "{e} after {} rounds", f.ticks);
+                        if f.partition || self.faults.counts().3 == f.refused {
+                            assert_eq!(f.ticks, DOWN_MISSES, "the prober's verdict: {e}");
+                        }
+                        self.detection_ms += ms(now - f.evidence_ns.expect("set above"));
+                        assert_eq!(wall_ms, 0.0, "a failover takes no virtual time");
                     }
-                    self.detection_ms += ms(now - f.evidence_ns.expect("set above"));
-                    assert_eq!(wall_ms, 0.0, "a failover takes no virtual time");
+                    EventKind::Rejoin { shard, .. } => self.behind_since_ns[shard] = Some(now),
+                    EventKind::Readmit { shard, wall_ms, .. } => {
+                        let since = self.behind_since_ns[shard].take();
+                        let took = ms(now - since.expect("readmitted, never behind"));
+                        assert_eq!(wall_ms, took, "{e}");
+                        self.readmit_ms += took;
+                        self.readmits += 1;
+                        assert_eq!(self.health.state(shard), ShardHealth::Up);
+                        let silence = self.health.silence(shard);
+                        assert!(silence <= self.laxity, "{e}, {silence:?} silent");
+                    }
+                    _ => {}
                 }
-                EventKind::Rejoin { shard, .. } => self.behind_since_ns[shard] = Some(now),
-                EventKind::Readmit { shard, wall_ms, .. } => {
-                    let since = self.behind_since_ns[shard].take();
-                    let took = ms(now - since.expect("readmitted, never behind"));
-                    assert_eq!(wall_ms, took, "{e}");
-                    self.readmit_ms += took;
-                    self.readmits += 1;
-                    assert_eq!(self.health.state(shard), ShardHealth::Up);
-                    let silence = self.health.silence(shard);
-                    assert!(silence <= self.laxity, "{e}, {silence:?} silent");
-                }
-                _ => {}
             }
+            let report = self.manager.report();
+            assert_eq!(report.detection_ms, self.detection_ms);
+            assert_eq!(report.failover_ms, 0.0);
+            assert_eq!(report.readmit_ms, self.readmit_ms);
+            assert_eq!(report.readmits, self.readmits);
         }
-        let report = &self.manager.report;
-        assert_eq!(report.detection_ms, self.detection_ms);
-        assert_eq!(report.failover_unavailable_ms, self.detection_ms);
-        assert_eq!(report.failover_ms, 0.0);
-        assert_eq!(report.readmit_ms, self.readmit_ms);
-        assert_eq!(report.catchup_ms, self.readmit_ms);
 
-        assert_eq!(report.readmits, self.readmits);
-
-        let lost = report.views_lost - lost_before;
+        let lost = self.manager.report().views_lost - lost_before;
         if lost > 0 {
             let topology = Arc::clone(self.rt.snapshot().topology());
             let held = |u: &NodeId| {
@@ -1310,24 +1319,12 @@ impl Rig {
             Lost::Views => assert!(report.views_lost > 0, "the control lost nothing"),
         }
         assert_eq!((report.rejoins, report.readmits), (*rejoins, *readmits));
-        // A single incident's ring entry is the report's figure, bit for bit.
-        for e in &self.events.recent(usize::MAX) {
-            match e.kind {
-                EventKind::Failover { wall_ms, .. } if report.failovers == 1 => {
-                    assert_eq!(wall_ms, report.failover_ms);
-                }
-                EventKind::Readmit { wall_ms, .. } if report.readmits == 1 => {
-                    assert_eq!(wall_ms, report.readmit_ms);
-                }
-                _ => {}
-            }
-        }
         (report, self.ring())
     }
 }
 
-fn run(row: &Row, world: &World, seed: u64) -> Outcome {
-    let mut rig = Rig::new(row, world, seed);
+fn run(row: &Row, world: &World, seed: u64, metrics: bool) -> Outcome {
+    let mut rig = Rig::new(row, world, seed, metrics);
     for (i, &step) in row.script.iter().enumerate() {
         rig.step = i;
         rig.play(step);
@@ -1339,14 +1336,13 @@ fn run(row: &Row, world: &World, seed: u64) -> Outcome {
 type Column = fn(&ChurnReport) -> f64;
 
 /// The table's columns, after `row` and `seeds`.
-const COLUMNS: [(&str, Column); 11] = [
+const COLUMNS: [(&str, Column); 10] = [
     ("failovers", |r| r.failovers as f64),
     ("views_lost", |r| r.views_lost as f64),
     ("rejoins", |r| r.rejoins as f64),
     ("readmits", |r| r.readmits as f64),
     ("detect_ms", |r| r.detection_ms),
     ("failover_ms", |r| r.failover_ms),
-    ("catchup_ms", |r| r.catchup_ms),
     ("readmit_ms", |r| r.readmit_ms),
     ("reopts", |r| r.reopts as f64),
     ("rebalances", |r| r.rebalances as f64),
@@ -1360,7 +1356,7 @@ fn fault_matrix() {
         let seed: u64 = seed.parse().expect("FAULT_MATRIX=row:seed");
         let row = ROWS.iter().find(|r| r.name == name);
         let row = row.unwrap_or_else(|| panic!("no row named {name:?}"));
-        let (report, ring) = run(row, &world(row.cluster.users), seed);
+        let (report, ring) = run(row, &world(row.cluster.users), seed, true);
         println!("{name} — {}\n{report:?}\n{ring}", row.stresses);
         return;
     }
@@ -1373,8 +1369,10 @@ fn fault_matrix() {
     println!("   (milliseconds are virtual)");
     for row in ROWS {
         let world = world(row.cluster.users);
-        let outcomes: Vec<Outcome> = (0..SEEDS).map(|seed| run(row, &world, seed)).collect();
-        let again = run(row, &world, 0);
+        let outcomes: Vec<Outcome> = (0..SEEDS)
+            .map(|seed| run(row, &world, seed, true))
+            .collect();
+        let again = run(row, &world, 0, true);
         assert_eq!(
             again, outcomes[0],
             "`{}` seed 0 replays to the digit",
@@ -1398,4 +1396,19 @@ fn fault_matrix() {
         ROWS.len(),
         started.elapsed()
     );
+}
+
+/// The report is folded from the events as they are recorded, not read
+/// back from the ring: a lifecycle row replays to the same report, field
+/// for field, with metrics off.
+#[test]
+fn metrics_off_folds_the_same_report() {
+    for name in ["kill-rejoin", "rebalance-after-failover"] {
+        let row = ROWS.iter().find(|r| r.name == name).expect("a row");
+        let world = world(row.cluster.users);
+        let (on, _) = run(row, &world, 0, true);
+        let (off, ring) = run(row, &world, 0, false);
+        assert!(ring.is_empty(), "metrics off keeps no ring");
+        assert_eq!(off, on, "`{name}` seed 0 with metrics off");
+    }
 }

@@ -285,7 +285,7 @@ fn rejoin_lifecycle_is_traced_in_the_event_log() {
         report.churn.readmits
     );
     assert!(
-        report.churn.catchup_ms > 0.0,
+        report.churn.readmit_ms > 0.0,
         "catch-up took real wall time"
     );
     assert!(

@@ -17,7 +17,8 @@
 //! `serve` is the *online* mode: it boots the `piggyback-serve` runtime
 //! and drives it with an interleaved share/query/follow/unfollow workload,
 //! reporting throughput, latency percentiles, churn/re-optimization
-//! accounting, and the post-run bounded-staleness validation.
+//! accounting, the failure lifecycle (with `--heartbeat-ms`), and the
+//! post-run bounded-staleness validation.
 //!
 //! Every optimizer is reached through the [`Scheduler`] registry — the CLI
 //! has no per-algorithm call sites, so a newly registered algorithm shows
@@ -32,6 +33,7 @@ use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::graph::io::{load_edge_list, save_edge_list};
 use social_piggybacking::graph::stats as gstats;
 use social_piggybacking::prelude::*;
+use social_piggybacking::serve::ChurnReport;
 use social_piggybacking::store::topology::edges_cut;
 
 fn main() -> ExitCode {
@@ -75,7 +77,8 @@ const USAGE: &str = "usage:
 hybrid, chitchat, chitchat-stream, parallelnosy, exact; under
 --partitioner it is hash or ldg (--rebalance-threshold needs ldg).
 --staleness-ms is how long a replica may miss heartbeats and still serve
-reads (0 = never).";
+reads (0 = never). With --heartbeat-ms, serve ends with a failover: line
+(failovers, views lost, rejoins/readmits, detect/failover/readmit ms).";
 
 type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
 
@@ -625,6 +628,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         churn.rebalances,
         churn.users_migrated
     );
+    if !serve_config.heartbeat_interval.is_zero() {
+        println!("{}", failover_line(churn));
+    }
     println!(
         "cost:        base {:.1} -> final {:.1} ({:+.2}%)",
         churn.base_cost,
@@ -648,6 +654,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(v) => return Err(format!("staleness violated after online churn: {v}")),
     }
     Ok(())
+}
+
+/// The failure lifecycle a run with heartbeats went through: failovers,
+/// views lost, rejoins and readmits, and the summed phase timings.
+fn failover_line(churn: &ChurnReport) -> String {
+    format!(
+        "failover:    {} failovers, {} views lost, {}/{} rejoins/readmits; \
+         detect {:.1}ms, failover {:.1}ms, readmit {:.1}ms",
+        churn.failovers,
+        churn.views_lost,
+        churn.rejoins,
+        churn.readmits,
+        churn.detection_ms,
+        churn.failover_ms,
+        churn.readmit_ms
+    )
 }
 
 /// Partitions a graph with every registered partitioner and bills the
@@ -1103,6 +1125,38 @@ mod tests {
             "20",
         ]))
         .unwrap();
+        // Heartbeats on: the run ends with one `failover:` line.
+        run(&s(&[
+            "serve",
+            "--model",
+            "flickr",
+            "--nodes",
+            "200",
+            "--duration",
+            "100ms",
+            "--servers",
+            "4",
+            "--replication",
+            "2",
+            "--heartbeat-ms",
+            "5",
+        ]))
+        .unwrap();
+        let churn = ChurnReport {
+            failovers: 1,
+            views_lost: 3,
+            rejoins: 1,
+            readmits: 1,
+            detection_ms: 20.0,
+            failover_ms: 0.3,
+            readmit_ms: 45.0,
+            ..Default::default()
+        };
+        assert_eq!(
+            failover_line(&churn),
+            "failover:    1 failovers, 3 views lost, 1/1 rejoins/readmits; \
+             detect 20.0ms, failover 0.3ms, readmit 45.0ms"
+        );
         // Open-loop arrival and threshold flags parse too.
         run(&s(&[
             "serve",
