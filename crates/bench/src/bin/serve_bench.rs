@@ -25,7 +25,7 @@
 //!
 //! Every schedule family is optimized once and the harness runs over the
 //! two production planes — `batched` (coalesced `ShardBatch` messages to
-//! the shard-worker pool, pooled reply channel and buffers, bounded k-way
+//! the shard-worker pool, pooled reply channel and buffers, top-k reply
 //! merges) and `direct` (the same coalesced protocol executed
 //! caller-side, no thread hop).
 //!

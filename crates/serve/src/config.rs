@@ -9,8 +9,9 @@ use std::time::Duration;
 pub enum RpcMode {
     /// The coalesced plane over the shard-worker pool: one
     /// [`ShardBatch`](piggyback_store::worker::ShardBatch) per touched
-    /// shard per operation, pooled reply channel and buffers, bounded
-    /// k-way reply merge, all batches of an op on one worker. The default.
+    /// shard per operation, pooled reply channel and buffers, replies
+    /// merged as they arrive, all batches of an op on one worker. The
+    /// default.
     #[default]
     Batched,
     /// The coalesced plane executed caller-side
@@ -18,7 +19,9 @@ pub enum RpcMode {
     /// same batches, wire format and message accounting, with shard work
     /// running inline on the issuing thread instead of hopping to a
     /// worker — the embedded-deployment mode, and the fastest one when
-    /// clients outnumber cores.
+    /// clients outnumber cores. Its query batches run in sequence, so
+    /// each carries the running k-th newest as a floor and a shard ships
+    /// only tuples that can still enter the feed.
     Direct,
 }
 

@@ -250,7 +250,10 @@ impl ShardIo {
                 ShardRequest::Batch(ShardBatch {
                     shard,
                     views: vec![*view],
-                    op: BatchOp::Query { k: usize::MAX },
+                    op: BatchOp::Query {
+                        k: usize::MAX,
+                        floor: None,
+                    },
                     reply,
                 })
             });

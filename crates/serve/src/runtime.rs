@@ -453,7 +453,8 @@ impl ServeClient {
     }
 
     /// Assembles `u`'s event stream (Algorithm 3 lines 8–16): one batched
-    /// query per touched server, k-way merged. Returns `(events, messages)`.
+    /// query per touched server, merged into a top-k. Returns `(events,
+    /// messages)`.
     pub fn query(&mut self, u: NodeId) -> (Arc<[EventTuple]>, u64) {
         if self.obs.is_none() {
             return self.query_inner(u);

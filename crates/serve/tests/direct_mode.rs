@@ -70,6 +70,63 @@ fn direct_matches_batched_end_to_end() {
     assert_eq!(batched_msgs, direct_msgs, "message accounting diverged");
 }
 
+/// The same differential at the default `top_k` and `view_capacity`, on
+/// a stream long enough to fill the views: here the caller-runs client's
+/// floor fires, so Direct ships fewer tuples than Batched for the very
+/// same feeds and message counts. Shares outweigh queries five to one,
+/// so the hybrid schedule pulls and a query reaches several shards.
+#[test]
+fn direct_matches_batched_with_the_floor_firing() {
+    let (g, _) = world(150);
+    let r = Rates::log_degree(&g, 0.2);
+    let config = ServeConfig::default();
+    let run = |rpc: RpcMode| {
+        let rt = boot(
+            &g,
+            &r,
+            ServeConfig {
+                rpc,
+                workers: 2,
+                ..config
+            },
+        );
+        let mut c = rt.client();
+        // Producers in scattered order (a multiplicative hash), so each
+        // feed interleaves events from several shards near its k-th.
+        for i in 0..1200u32 {
+            c.share(i.wrapping_mul(2_654_435_761) % 150);
+        }
+        let mut feeds = Vec::new();
+        let mut messages = 0u64;
+        for v in 0..150u32 {
+            let (events, msgs) = c.query(v);
+            feeds.push(events.to_vec());
+            messages += msgs;
+        }
+        drop(c);
+        let shipped: u64 = rt.shard_stats().iter().map(|s| s.events_returned).sum();
+        let report = rt.shutdown();
+        assert!(report.churn.zero_violations());
+        (feeds, messages, shipped)
+    };
+    let (batched_feeds, batched_msgs, batched_shipped) = run(RpcMode::Batched);
+    let (direct_feeds, direct_msgs, direct_shipped) = run(RpcMode::Direct);
+    assert!(
+        batched_feeds
+            .iter()
+            .filter(|f| f.len() == config.top_k)
+            .count()
+            > 100,
+        "most feeds must be full for the floor to matter"
+    );
+    assert_eq!(batched_feeds, direct_feeds, "feeds diverged");
+    assert_eq!(batched_msgs, direct_msgs, "message accounting diverged");
+    assert!(
+        direct_shipped < batched_shipped,
+        "the floor never fired: Direct shipped {direct_shipped}, Batched {batched_shipped}"
+    );
+}
+
 /// Concurrent direct-mode clients with churn: multiple threads execute
 /// shard work inline against the same shard mutexes while the churn
 /// manager publishes epochs.

@@ -4,7 +4,12 @@
 //! worker pool (`RpcMode::Batched`). Both planes route every request —
 //! including the stats scrape itself — through the store's single
 //! `handle_request`, so any divergence means one plane is doing different
-//! work, not just reporting differently.
+//! work, not just reporting differently. The one counter that may differ
+//! is `events_returned`: it counts the tuples shipped, and caller-runs
+//! query batches carry the running k-th newest as a floor, so that plane
+//! can ship fewer. On this 500-op stream over 200 users no query holds
+//! `k` tuples before its last batch, so the floor never fires and that
+//! counter agrees too.
 //!
 //! The same harness also pins down the replication layer's differential
 //! guarantees: heartbeat probes touch no store counters (a monitored run

@@ -21,8 +21,9 @@
 //!   Queries run a bounded k-way tournament merge over the views' ring
 //!   buffers through a reusable [`QueryScratch`] arena.
 //! * [`merge`] — the shared top-k reply merge: the flat sort-merge
-//!   reference and the allocation-free k-way [`ReplyMerger`] the clients
-//!   use on per-shard wire replies.
+//!   reference and the allocation-free incremental [`ReplyMerger`] the
+//!   clients fold per-shard wire replies into; its running k-th newest
+//!   is the floor a caller-runs query sends to its next shard.
 //! * [`worker`] — the wire-format shard-worker protocol the online serve
 //!   runtime speaks on both of its planes (worker pool and caller-runs),
 //!   including the extract/install requests of live rebalancing. Updates

@@ -6,16 +6,19 @@
 //! * [`sort_merge`] — the straightforward sort + dedup + truncate over a
 //!   flat buffer. This is the *reference* path: no request runs it; it is
 //!   what `StoreServer::query_reference` and the differential tests
-//!   compare the k-way merges against.
-//! * [`ReplyMerger`] — a bounded k-way tournament merge over per-shard
-//!   wire replies. Each reply is already sorted newest first (the
-//!   server-side filter emits merged order), so the client only needs a
-//!   small heap of one head per reply: O(k log r) tuple decodes instead
-//!   of decoding and sorting every tuple of every reply. The heap and its
-//!   buffers live in the merger and are reused across requests — zero
+//!   compare the merges against.
+//! * [`ReplyMerger`] — an incremental top-k over per-shard wire replies.
+//!   Each reply is already sorted newest first (the server-side filter
+//!   emits merged order), so [`absorb`](ReplyMerger::absorb) folds it into
+//!   the running top-k with one two-way merge that decodes at most `k`
+//!   tuples of it. Once `k` tuples are held, [`floor`](ReplyMerger::floor)
+//!   is the running k-th newest: a tuple not strictly newer can no longer
+//!   enter the result, so the caller-runs client sends it to the next
+//!   shard and the shard ships only what can still count. The buffers
+//!   live in the merger and are reused across requests — zero
 //!   steady-state allocation.
 
-use bytes::BytesMut;
+use bytes::{Buf, BytesMut};
 
 use crate::tuple::EventTuple;
 
@@ -26,12 +29,13 @@ pub fn sort_merge(tuples: &mut Vec<EventTuple>, k: usize) {
     tuples.truncate(k);
 }
 
-/// Reusable k-way merger over per-shard reply buffers.
+/// Reusable incremental top-k merger over per-shard reply buffers.
 #[derive(Debug, Default)]
 pub struct ReplyMerger {
-    /// Max-heap of `(head tuple, reply index)`; the tuple orders first, so
-    /// the pop order is globally newest first and deterministic.
-    heap: std::collections::BinaryHeap<(EventTuple, u32)>,
+    /// The running top-k: newest first, distinct, at most `k` long.
+    held: Vec<EventTuple>,
+    /// Output of the next two-way merge; swapped with `held` after it.
+    spare: Vec<EventTuple>,
 }
 
 impl ReplyMerger {
@@ -40,33 +44,68 @@ impl ReplyMerger {
         ReplyMerger::default()
     }
 
-    /// Merges the `k` newest distinct tuples across `replies` into `out`
-    /// (cleared first). Every reply buffer must be sorted newest first, as
-    /// produced by the store's server-side filter; buffers are consumed
-    /// (their read cursors advance).
-    pub fn merge_into(&mut self, replies: &mut [BytesMut], k: usize, out: &mut Vec<EventTuple>) {
+    /// Drops the running top-k: the next [`absorb`](Self::absorb) starts a
+    /// new merge.
+    pub fn clear(&mut self) {
+        self.held.clear();
+    }
+
+    /// Merges one newest-first wire reply into the running top-k, keeping
+    /// the `k` newest distinct tuples. Decoding stops as soon as `k` are
+    /// placed, so the tail of a long reply is never read; the buffer's
+    /// read cursor advances past what was decoded.
+    pub fn absorb(&mut self, reply: &mut impl Buf, k: usize) {
+        let mut next = EventTuple::decode(reply);
+        if next.is_none() {
+            return; // an empty reply changes nothing
+        }
+        let (held, out) = (&self.held, &mut self.spare);
         out.clear();
-        self.heap.clear();
-        if k == 0 {
-            return;
-        }
-        for (i, reply) in replies.iter_mut().enumerate() {
-            if let Some(t) = EventTuple::decode(reply) {
-                self.heap.push((t, i as u32));
-            }
-        }
-        while let Some((t, i)) = self.heap.pop() {
-            if out.last() != Some(&t) {
-                if out.len() == k {
-                    break;
+        let mut i = 0;
+        while out.len() < k {
+            let t = match next {
+                Some(r) if held.get(i).is_none_or(|&h| r > h) => {
+                    next = EventTuple::decode(reply);
+                    debug_assert!(next.is_none_or(|n| n <= r), "reply not newest first");
+                    r
                 }
+                _ if i < held.len() => {
+                    i += 1;
+                    held[i - 1]
+                }
+                _ => break,
+            };
+            if out.last() != Some(&t) {
                 out.push(t);
             }
-            if let Some(next) = EventTuple::decode(&mut replies[i as usize]) {
-                debug_assert!(next <= t, "reply {i} not sorted newest first");
-                self.heap.push((next, i));
-            }
         }
+        std::mem::swap(&mut self.held, &mut self.spare);
+    }
+
+    /// The running k-th newest tuple once `k` are held (`None` before, and
+    /// for `k = 0`). Every tuple of a later reply that is not strictly
+    /// newer than it would be cut or deduplicated away.
+    pub fn floor(&self, k: usize) -> Option<EventTuple> {
+        k.checked_sub(1).and_then(|i| self.held.get(i)).copied()
+    }
+
+    /// The running top-k, newest first.
+    pub fn merged(&self) -> &[EventTuple] {
+        &self.held
+    }
+
+    /// Merges the `k` newest distinct tuples across `replies` into `out`
+    /// (cleared first): absorbs each reply in turn, then emits. Every
+    /// reply buffer must be sorted newest first, as produced by the
+    /// store's server-side filter; buffers are consumed (their read
+    /// cursors advance).
+    pub fn merge_into(&mut self, replies: &mut [BytesMut], k: usize, out: &mut Vec<EventTuple>) {
+        self.clear();
+        for reply in replies.iter_mut() {
+            self.absorb(reply, k);
+        }
+        out.clear();
+        out.extend_from_slice(&self.held);
     }
 }
 
@@ -74,6 +113,8 @@ impl ReplyMerger {
 mod tests {
     use super::*;
     use bytes::BytesMut;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ev(user: u32, id: u64, ts: u64) -> EventTuple {
         EventTuple::new(user, id, ts)
@@ -95,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn kway_matches_sort_merge() {
+    fn merge_into_matches_sort_merge() {
         let a = [ev(1, 1, 50), ev(2, 2, 30), ev(3, 3, 10)];
         let b = [ev(4, 4, 40), ev(2, 2, 30), ev(5, 5, 20)];
         let c = [ev(6, 6, 45)];
@@ -109,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn kway_handles_empty_and_k_zero() {
+    fn merge_handles_empty_and_k_zero() {
         let mut merger = ReplyMerger::new();
         let mut out = vec![ev(9, 9, 9)];
         merger.merge_into(&mut [], 5, &mut out);
@@ -117,24 +158,90 @@ mod tests {
         let mut replies = vec![encode(&[ev(1, 1, 1)])];
         merger.merge_into(&mut replies, 0, &mut out);
         assert!(out.is_empty());
+        assert_eq!(merger.floor(0), None);
     }
 
     #[test]
-    fn kway_reuses_buffers_without_growth() {
+    fn merge_reuses_buffers_without_growth() {
         let a = [ev(1, 1, 50), ev(2, 2, 30)];
         let b = [ev(3, 3, 40)];
         let mut merger = ReplyMerger::new();
         let mut out = Vec::with_capacity(8);
         let mut replies = vec![encode(&a), encode(&b)];
         merger.merge_into(&mut replies, 8, &mut out);
-        let heap_cap = merger.heap.capacity();
+        let caps = (merger.held.capacity(), merger.spare.capacity());
         let out_cap = out.capacity();
         for _ in 0..100 {
             let mut replies = vec![encode(&a), encode(&b)];
             merger.merge_into(&mut replies, 8, &mut out);
         }
-        assert_eq!(merger.heap.capacity(), heap_cap);
+        assert_eq!((merger.held.capacity(), merger.spare.capacity()), caps);
         assert_eq!(out.capacity(), out_cap);
         assert_eq!(out.len(), 3);
+    }
+
+    /// A random newest-first reply: distinct tuples from small id and
+    /// time spaces, so replies share tuples and timestamps tie.
+    fn random_reply(rng: &mut StdRng) -> Vec<EventTuple> {
+        let n = rng.random_range(0..12usize);
+        let mut r: Vec<EventTuple> = (0..n)
+            .map(|_| {
+                let user = rng.random_range(0..4u32);
+                ev(user, u64::from(user), rng.random_range(0..30u64))
+            })
+            .collect();
+        sort_merge(&mut r, usize::MAX);
+        r
+    }
+
+    #[test]
+    fn absorbing_in_any_order_equals_sort_merge_of_the_union() {
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut replies: Vec<Vec<EventTuple>> = (0..rng.random_range(0..6))
+                .map(|_| random_reply(&mut rng))
+                .collect();
+            let k = rng.random_range(0..15usize);
+            let mut expect: Vec<EventTuple> = replies.iter().flatten().copied().collect();
+            sort_merge(&mut expect, k);
+            for _ in 0..3 {
+                // Fisher-Yates: absorption order must not matter.
+                for i in (1..replies.len()).rev() {
+                    replies.swap(i, rng.random_range(0..=i));
+                }
+                let mut merger = ReplyMerger::new();
+                let mut seen = Vec::new();
+                for reply in &replies {
+                    merger.absorb(&mut encode(reply), k);
+                    seen.extend_from_slice(reply);
+                    let mut running = seen.clone();
+                    sort_merge(&mut running, k);
+                    assert_eq!(merger.merged(), &running[..], "seed {seed}, k {k}");
+                    let kth = if k > 0 && running.len() == k {
+                        Some(running[k - 1])
+                    } else {
+                        None
+                    };
+                    assert_eq!(merger.floor(k), kth, "seed {seed}, k {k}");
+                }
+                assert_eq!(merger.merged(), &expect[..], "seed {seed}, k {k}");
+                let mut wire: Vec<BytesMut> = replies.iter().map(|r| encode(r)).collect();
+                let mut out = Vec::new();
+                merger.merge_into(&mut wire, k, &mut out);
+                assert_eq!(out, expect, "merge_into, seed {seed}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn tuples_at_or_below_the_floor_change_nothing() {
+        let mut merger = ReplyMerger::new();
+        merger.absorb(&mut encode(&[ev(1, 1, 50), ev(2, 2, 40), ev(3, 3, 30)]), 3);
+        let floor = merger.floor(3).expect("three tuples held");
+        assert_eq!(floor, ev(3, 3, 30));
+        let before = merger.merged().to_vec();
+        // The floor itself (a duplicate) and anything older cannot enter.
+        merger.absorb(&mut encode(&[floor, ev(4, 4, 20)]), 3);
+        assert_eq!(merger.merged(), &before[..]);
     }
 }

@@ -12,8 +12,9 @@ use crate::view::View;
 /// Per-shard operation counters, kept as plain integers under the shard's
 /// existing lock (both transports serve every batch through the same
 /// `serve_batch`, so the counts are identical whether the shard runs on
-/// a worker thread or caller-runs in `RpcMode::Direct`). Scraped over the
-/// wire via `ShardRequest::Stats`.
+/// a worker thread or caller-runs in `RpcMode::Direct`, except
+/// `events_returned`, which the caller-runs floor can lower). Scraped
+/// over the wire via `ShardRequest::Stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Update requests applied.
@@ -22,7 +23,10 @@ pub struct ShardStats {
     pub queries: u64,
     /// View insertions performed by updates (one event × its views).
     pub events_inserted: u64,
-    /// Event tuples returned by queries after the server-side filter.
+    /// Event tuples shipped by queries: what the server-side filter kept
+    /// above the query's floor. The caller-runs plane sends a floor once
+    /// it holds `k` tuples, so for the same queries this may be lower
+    /// there than on the worker plane, whose batches carry none.
     pub events_returned: u64,
     /// Coalesced `ShardBatch` messages received.
     pub batches: u64,
@@ -94,7 +98,7 @@ impl ShardStats {
     }
 }
 
-/// Reusable per-worker scratch for [`StoreServer::query_with`].
+/// Reusable per-worker scratch for [`StoreServer::query_newer`].
 ///
 /// Holds the tournament heap, the per-view cursors and the output buffer.
 /// All three retain their capacity across requests, so a warmed-up worker
@@ -174,18 +178,36 @@ impl StoreServer {
     }
 
     /// Answers a batched query: the `k` most recent events across the
-    /// listed views, newest first (the server-side filter).
+    /// listed views, newest first (the server-side filter). Same as
+    /// [`query_newer`](StoreServer::query_newer) with no floor.
+    pub fn query_with<'s>(
+        &mut self,
+        views: &[NodeId],
+        k: usize,
+        scratch: &'s mut QueryScratch,
+    ) -> &'s [EventTuple] {
+        self.query_newer(views, k, None, scratch)
+    }
+
+    /// The `k` most recent distinct events across the listed views that
+    /// are strictly newer than `floor` (every event with no floor), newest
+    /// first. The caller-runs client passes the running k-th newest of
+    /// the replies it already holds, so this shard ships only tuples that
+    /// can still enter the feed.
     ///
     /// A bounded k-way tournament merge over the views' ring buffers: each
     /// listed view contributes at most `min(k, len)` events through a
     /// cursor, and a small max-heap of one head per view pops the global
     /// newest until `k` distinct events are emitted — O((k + f) log f) for
-    /// `f` views instead of copying and fully sorting every candidate.
+    /// `f` views instead of copying and fully sorting every candidate. A
+    /// view whose newest event is not above the floor opens no cursor, and
+    /// a cursor stops at its first such event, so the merge ends early.
     /// All state lives in `scratch`; a warmed-up caller allocates nothing.
-    pub fn query_with<'s>(
+    pub fn query_newer<'s>(
         &mut self,
         views: &[NodeId],
         k: usize,
+        floor: Option<EventTuple>,
         scratch: &'s mut QueryScratch,
     ) -> &'s [EventTuple] {
         self.stats.queries += 1;
@@ -195,17 +217,20 @@ impl StoreServer {
         if k == 0 {
             return &scratch.out;
         }
+        let above = |t: EventTuple| floor.is_none_or(|f| t > f);
         for &v in views {
-            if let Some(view) = self.views.get(&v) {
-                if !view.is_empty() {
-                    let idx = scratch.cursors.len() as u32;
-                    scratch.cursors.push(Cursor {
-                        view: v,
-                        next: 1,
-                        limit: view.len().min(k) as u32,
-                    });
-                    scratch.heap.push((view.nth_newest(0), idx));
-                }
+            let Some(view) = self.views.get(&v).filter(|view| !view.is_empty()) else {
+                continue;
+            };
+            let head = view.nth_newest(0);
+            if above(head) {
+                let idx = scratch.cursors.len() as u32;
+                scratch.cursors.push(Cursor {
+                    view: v,
+                    next: 1,
+                    limit: view.len().min(k) as u32,
+                });
+                scratch.heap.push((head, idx));
             }
         }
         while let Some((t, i)) = scratch.heap.pop() {
@@ -217,9 +242,11 @@ impl StoreServer {
             }
             let cur = &mut scratch.cursors[i as usize];
             if cur.next < cur.limit {
-                let view = &self.views[&cur.view];
-                scratch.heap.push((view.nth_newest(cur.next as usize), i));
+                let next = self.views[&cur.view].nth_newest(cur.next as usize);
                 cur.next += 1;
+                if above(next) {
+                    scratch.heap.push((next, i));
+                }
             }
         }
         self.stats.events_returned += scratch.out.len() as u64;

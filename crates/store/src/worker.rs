@@ -12,15 +12,18 @@
 //!
 //! Every update and query is a batch issued by a [`ShardClient`]: one
 //! operation's shard fan-out is packed into one message per touched shard,
-//! each served by [`serve_batch`], and the client merges the per-shard
-//! replies with a bounded k-way merge. The two [`Transport`]s share
-//! `serve_batch`, the wire format and the accounting, and differ in who
-//! owns the buffers. Over worker threads a batch travels as a
-//! [`ShardBatch`]: view lists and reply payloads ride pooled buffers
-//! ([`BufferPool`]) and every message answers into the *same* per-client
-//! reply channel. Caller-runs, the client lends `serve_batch` the grouped
-//! slice and its own reply buffers. Either way, steady state mints no
-//! channel, `Vec`, or reply buffer per operation.
+//! each served by [`serve_batch`], and the client folds each per-shard
+//! reply into a running top-k ([`ReplyMerger`]) as it arrives. The two
+//! [`Transport`]s share `serve_batch`, the wire format and the
+//! accounting, and differ in who owns the buffers. Over worker threads a
+//! batch travels as a [`ShardBatch`]: view lists and reply payloads ride
+//! pooled buffers ([`BufferPool`]) and every message answers into the
+//! *same* per-client reply channel. Caller-runs, the client lends
+//! `serve_batch` the grouped slice and its one reply buffer; since its
+//! batches run one after another, each query batch carries the running
+//! k-th newest as a floor and the shard ships only newer tuples. Either
+//! way, steady state mints no channel, `Vec`, or reply buffer per
+//! operation.
 //!
 //! The control plane (migration, stats scrape, heartbeat, restart) sends
 //! one-shot requests with a rendezvous reply channel each. View migration
@@ -138,11 +141,17 @@ pub enum BatchOp {
         /// nothing.
         payload: [u8; TUPLE_BYTES],
     },
-    /// Read the `k` latest events across the listed views; the reply is
-    /// the merged, newest-first wire encoding.
+    /// Read the `k` latest events across the listed views that are
+    /// strictly newer than `floor`; the reply is the merged, newest-first
+    /// wire encoding.
     Query {
         /// Server-side filter width.
         k: usize,
+        /// The issuing client's running k-th newest tuple: nothing at or
+        /// below it can enter the feed, so the shard does not ship it.
+        /// Only the caller-runs client sets it (its batches run in
+        /// sequence); `None` on the worker plane and for whole-view reads.
+        floor: Option<EventTuple>,
     },
 }
 
@@ -258,13 +267,13 @@ pub fn serve_batch(
             record_batch(srv.stats_mut(), views.len());
             srv.update(views, event);
         }
-        BatchOp::Query { k } => {
+        BatchOp::Query { k, floor } => {
             // The merged slice borrows only the scratch, so the shard
             // lock is dropped before encoding the reply.
             let merged = {
                 let mut srv = shards[shard].lock();
                 record_batch(srv.stats_mut(), views.len());
-                srv.query_with(views, k, scratch)
+                srv.query_newer(views, k, floor, scratch)
             };
             EventTuple::encode_all(merged, out);
         }
@@ -400,8 +409,8 @@ impl Transport {
 /// server, deliver one batch per touched shard, and collect exactly that
 /// many replies before returning, so replies can never leak across
 /// operations: from the one channel all of the client's batches answer
-/// into ([`Transport::Workers`]), or already sitting in the client's own
-/// `replies` slots when the fan-out returns ([`Transport::Direct`]).
+/// into ([`Transport::Workers`]), or absorbed from the client's own reply
+/// buffer right after each batch runs ([`Transport::Direct`]).
 pub struct ShardClient {
     transport: Transport,
     /// Worker plane only. A `Direct` client still *takes* a pool — one
@@ -411,10 +420,10 @@ pub struct ShardClient {
     reply_tx: Sender<BytesMut>,
     reply_rx: Receiver<BytesMut>,
     group: GroupScratch,
-    /// Per-shard query replies: received from the channel and returned to
-    /// the pool per operation (workers), or client-owned slots reused
-    /// across operations (caller-runs).
-    replies: Vec<BytesMut>,
+    /// Caller-runs only: the one reply buffer every batch is served into,
+    /// absorbed and rewound per batch.
+    reply: BytesMut,
+    /// The running top-k of the query in flight.
     merger: ReplyMerger,
     /// Worker-side merge scratch, used when the transport is caller-runs.
     scratch: QueryScratch,
@@ -435,11 +444,12 @@ struct Outbox<'a> {
     pool: &'a BufferPool,
     reply_tx: &'a Sender<BytesMut>,
     scratch: &'a mut QueryScratch,
-    replies: &'a mut Vec<BytesMut>,
+    reply: &'a mut BytesMut,
+    merger: &'a mut ReplyMerger,
     /// The worker serving this operation (worker plane only).
     worker: usize,
-    /// Replies the caller must collect: messages on the reply channel
-    /// (workers) or filled slots of `replies` (caller-runs).
+    /// Replies the caller must collect from the reply channel (workers);
+    /// caller-runs replies are absorbed as they are served.
     pending: usize,
 }
 
@@ -447,8 +457,7 @@ impl Outbox<'_> {
     /// Delivers one batch to `shard`. With `keep_reply` unset the batch
     /// lands but its reply is lost on the way back (chaos): a worker
     /// answers into a throwaway channel whose receiver is already gone —
-    /// workers tolerate that — and a caller-runs reply sits in a slot the
-    /// next batch overwrites.
+    /// workers tolerate that — and a caller-runs reply is not absorbed.
     fn deliver(&mut self, shard: usize, views: &[NodeId], op: BatchOp, keep_reply: bool) {
         match self.transport {
             Transport::Workers(senders) => {
@@ -468,16 +477,24 @@ impl Outbox<'_> {
                     }))
                     .expect("worker channel closed");
             }
-            Transport::Direct(shards) => {
-                if self.pending == self.replies.len() {
-                    self.replies.push(BytesMut::new());
+            Transport::Direct(shards) => match op {
+                BatchOp::Update { .. } => {
+                    serve_batch(shards, self.scratch, shard, views, op, self.reply);
                 }
-                // `merge_into` consumed the slot's last reply by advancing
-                // its read cursor; `clear` rewinds it.
-                let slot = &mut self.replies[self.pending];
-                slot.clear();
-                serve_batch(shards, self.scratch, shard, views, op, slot);
-            }
+                BatchOp::Query { k, .. } => {
+                    // Batches run in sequence here, so each one carries the
+                    // running k-th newest of the replies already absorbed.
+                    let floor = self.merger.floor(k);
+                    // `absorb` advanced the last reply's read cursor;
+                    // `clear` rewinds it.
+                    self.reply.clear();
+                    let op = BatchOp::Query { k, floor };
+                    serve_batch(shards, self.scratch, shard, views, op, self.reply);
+                    if keep_reply {
+                        self.merger.absorb(self.reply, k);
+                    }
+                }
+            },
         }
         self.pending += usize::from(keep_reply);
     }
@@ -493,7 +510,7 @@ impl ShardClient {
             reply_tx,
             reply_rx,
             group: GroupScratch::default(),
-            replies: Vec::new(),
+            reply: BytesMut::new(),
             merger: ReplyMerger::new(),
             scratch: QueryScratch::new(),
             next_op: 0,
@@ -534,8 +551,8 @@ impl ShardClient {
     }
 
     /// Sends one batched query per server holding a view in `targets`,
-    /// k-way merges the replies into `out` (newest first, deduped,
-    /// truncated to `k`), and returns the number of store messages.
+    /// merges the replies into `out` (newest first, deduped, truncated to
+    /// `k`), and returns the number of store messages.
     pub fn query(
         &mut self,
         topology: &Topology,
@@ -543,20 +560,19 @@ impl ShardClient {
         k: usize,
         out: &mut Vec<EventTuple>,
     ) -> u64 {
-        let (sent, pending) = self.fan_out(topology, targets, BatchOp::Query { k });
-        let pooled = matches!(self.transport, Transport::Workers(_));
-        if pooled {
+        self.merger.clear();
+        let op = BatchOp::Query { k, floor: None };
+        let (sent, pending) = self.fan_out(topology, targets, op);
+        if let Transport::Workers(_) = self.transport {
+            // Every batch went out before the first reply: no floor here.
             for _ in 0..pending {
-                self.replies
-                    .push(self.reply_rx.recv().expect("worker dropped reply"));
-            }
-        }
-        self.merger.merge_into(&mut self.replies[..pending], k, out);
-        if pooled {
-            for buf in self.replies.drain(..) {
+                let mut buf = self.reply_rx.recv().expect("worker dropped reply");
+                self.merger.absorb(&mut buf, k);
                 self.pool.put_buf(buf);
             }
         }
+        out.clear();
+        out.extend_from_slice(self.merger.merged());
         sent
     }
 
@@ -591,7 +607,8 @@ impl ShardClient {
             pool: &self.pool,
             reply_tx: &self.reply_tx,
             scratch: &mut self.scratch,
-            replies: &mut self.replies,
+            reply: &mut self.reply,
+            merger: &mut self.merger,
             worker,
             pending: 0,
         };

@@ -35,6 +35,7 @@ use social_piggybacking::graph::stats as gstats;
 use social_piggybacking::prelude::*;
 use social_piggybacking::serve::ChurnReport;
 use social_piggybacking::store::topology::edges_cut;
+use social_piggybacking::store::tuple::TUPLE_BYTES;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,8 +78,10 @@ const USAGE: &str = "usage:
 hybrid, chitchat, chitchat-stream, parallelnosy, exact; under
 --partitioner it is hash or ldg (--rebalance-threshold needs ldg).
 --staleness-ms is how long a replica may miss heartbeats and still serve
-reads (0 = never). With --heartbeat-ms, serve ends with a failover: line
-(failovers, views lost, rejoins/readmits, detect/failover/readmit ms).";
+reads (0 = never). serve prints a replies: line (event tuples and bytes
+the shards shipped per query). With --heartbeat-ms, serve ends with a
+failover: line (failovers, views lost, rejoins/readmits,
+detect/failover/readmit ms).";
 
 type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
 
@@ -607,6 +610,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         report.messages,
         report.messages as f64 / report.ops.max(1) as f64
     );
+    if let Some(snap) = &report.serve.metrics {
+        println!(
+            "{}",
+            replies_line(
+                snap.counter("store.events_returned"),
+                snap.counter("serve.ops.queries")
+            )
+        );
+    }
     println!(
         "latency:     p50 {:.3}ms  p95 {:.3}ms  p99 {:.3}ms  max {:.3}ms",
         report.quantile_ms(0.5),
@@ -654,6 +666,17 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(v) => return Err(format!("staleness violated after online churn: {v}")),
     }
     Ok(())
+}
+
+/// What the shards shipped per query: event tuples and their wire bytes
+/// ([`TUPLE_BYTES`] each), from the store's `events_returned` counter over
+/// the queries served.
+fn replies_line(returned: u64, queries: u64) -> String {
+    let per_query = returned as f64 / queries.max(1) as f64;
+    format!(
+        "replies:     {per_query:.2} tuples, {:.0} B per query ({returned} tuples over {queries} queries)",
+        per_query * TUPLE_BYTES as f64
+    )
 }
 
 /// The failure lifecycle a run with heartbeats went through: failovers,
@@ -1156,6 +1179,14 @@ mod tests {
             failover_line(&churn),
             "failover:    1 failovers, 3 views lost, 1/1 rejoins/readmits; \
              detect 20.0ms, failover 0.3ms, readmit 45.0ms"
+        );
+        assert_eq!(
+            replies_line(940, 100),
+            "replies:     9.40 tuples, 226 B per query (940 tuples over 100 queries)"
+        );
+        assert_eq!(
+            replies_line(0, 0),
+            "replies:     0.00 tuples, 0 B per query (0 tuples over 0 queries)"
         );
         // Open-loop arrival and threshold flags parse too.
         run(&s(&[
