@@ -141,10 +141,11 @@ pub struct ServeConfig {
     /// domain-spread so a whole-domain kill can never destroy every copy
     /// of a view.
     pub domains: usize,
-    /// Heartbeat cadence of the failure detector (ZERO = detection off;
-    /// a dead shard is then only noticed at the send seam). A shard is
-    /// `Suspect` after 2 silent windows and `Down` — the failover trigger
-    /// — after 4.
+    /// Heartbeat cadence of the failure detector, ticked by the runtime's
+    /// one control-plane thread (ZERO = detection off and no control-plane
+    /// thread; a dead shard is then only noticed at the send seam). A shard
+    /// is `Suspect` after 2 silent windows and `Down` — the failover
+    /// trigger — after 4.
     pub heartbeat_interval: Duration,
     /// Fault injection on the transport (`None` = faultless).
     pub faults: Option<FaultPlan>,

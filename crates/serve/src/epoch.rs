@@ -409,10 +409,13 @@ impl EpochHandle {
 ///
 /// Visibility contract: a request that starts after a publish was
 /// *acknowledged* to anyone sees it. The publisher bumps the count before
-/// it acknowledges, and whatever carries the acknowledgement to the
-/// requesting thread (the churn ack channel, a message between clients)
-/// orders the bump before the request's load. A publish still in flight
-/// may or may not be seen — as with the lock.
+/// it acknowledges: a follow publishes on its caller's thread, under the
+/// control plane's lock, and returns after the bump — the lock's release
+/// orders the bump before the next holder's acquire. Whatever carries the
+/// acknowledgement on to the requesting thread (program order on the
+/// caller's own thread, a message between clients) orders the bump before
+/// the request's load. A publish still in flight may or may not be seen —
+/// as with the lock.
 #[derive(Debug)]
 pub struct EpochReader {
     handle: Arc<EpochHandle>,

@@ -62,7 +62,7 @@ pub(crate) fn reachable(faults: Option<&FaultInjector>, shard: usize) -> bool {
 }
 
 /// The one way an epoch goes out and the one way a control-plane event is
-/// recorded (single writer: the churn thread).
+/// recorded (single writer: whoever holds the control plane's lock).
 #[derive(Clone)]
 pub(crate) struct Publisher {
     pub(crate) handle: Arc<EpochHandle>,

@@ -17,7 +17,8 @@
 //!   can never show it a mix of two schedules.
 //! * [`runtime`] — the sharded serving core ([`piggyback_store`] shard
 //!   workers behind channels, one batched message per touched server) plus
-//!   the churn thread: `Follow`/`Unfollow` flow through
+//!   the control plane, run under one lock by the client that churns:
+//!   `Follow`/`Unfollow` flow through
 //!   [`IncrementalScheduler`](piggyback_core::incremental::IncrementalScheduler),
 //!   each mutation publishes a fresh epoch, and when the accumulated
 //!   overlay cost degradation crosses a configurable threshold a full
@@ -36,13 +37,13 @@
 //! * Fault tolerance — with [`ServeConfig::replication`] ≥ 2 writes fan
 //!   out to every replica slot, reads route to the healthiest replica, and
 //!   a heartbeat failure detector ([`piggyback_store::health`]) classifies
-//!   shards Up/Suspect/Down. The churn thread *calls* the failover
+//!   shards Up/Suspect/Down. A ticker thread *calls* the failover
 //!   controller (the private `failover` module) at the heartbeat cadence:
 //!   it owns the shard lifecycle — probing, routing around dead primaries
 //!   through the same epoch-swap machinery after a non-destructive
 //!   catch-up copy, rejoin and budgeted anti-entropy — one state record
 //!   per shard. Every instant the control plane reads comes from one
-//!   [`piggyback_obs::Clock`], so all of the churn thread's jobs run by
+//!   [`piggyback_obs::Clock`], so every control-plane entry point runs by
 //!   hand on a manual clock in the crate's fault matrix
 //!   (`src/runtime/fault_matrix.rs`): one table of seeded scenario rows
 //!   driving the store's fault injector ([`piggyback_store::fault`]).

@@ -1,10 +1,9 @@
-//! Churn-thread messages, its two schedule records — `ChurnApplier` (apply,
-//! live staleness check, publish) and `ReoptInstaller` (trigger, replay
-//! log, install) — and end-of-run reports.
+//! The control plane's two schedule records — `ChurnApplier` (apply, live
+//! staleness check, publish) and `ReoptInstaller` (trigger, replay log,
+//! install) — and end-of-run reports.
 
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
 use piggyback_core::scheduler::{Instance, ScheduleOutcome, ScheduleStats, Scheduler};
 use piggyback_graph::{CsrGraph, NodeId};
@@ -14,25 +13,6 @@ use piggyback_workload::Rates;
 use crate::config::{ReoptMode, ServeConfig};
 use crate::epoch::ChunkedSets;
 use crate::failover::Publisher;
-
-/// Messages consumed by the churn thread.
-pub(crate) enum ChurnMsg {
-    /// Edge `u → v` appears (`add`: `v` starts following `u`) or
-    /// disappears; acked with whether the edge changed.
-    Churn {
-        add: bool,
-        u: NodeId,
-        v: NodeId,
-        done: Sender<bool>,
-    },
-    /// A [`ReoptJob`] finished. Boxed: the payload is a whole scheduler
-    /// and its sets, far larger than the churn variants that dominate the
-    /// channel.
-    ReoptDone(Box<ReoptResult>),
-    /// Let an in-flight re-optimization land, validate, and report;
-    /// churn arriving meanwhile is rejected.
-    Shutdown { done: Sender<ChurnReport> },
-}
 
 /// A finished re-optimization, everything O(n + m) of it built on the
 /// job's thread: the fresh scheduler on the frozen graph, its serving sets,
@@ -45,7 +25,7 @@ pub(crate) struct ReoptResult {
 
 /// A fired re-optimization: [`reoptimize`] on its frozen instance, run on a
 /// thread of its own in production and inline by the fault matrix; its
-/// result comes back as [`ChurnMsg::ReoptDone`].
+/// result is installed through the control plane's `land`.
 pub(crate) type ReoptJob = Box<dyn FnOnce() -> ReoptResult + Send>;
 
 /// The job's body: the optimizer, then the fresh scheduler and its sets
@@ -233,8 +213,8 @@ impl ReoptInstaller {
             ReoptMode::Continuous => self.clock.now_ns() >= self.next_at_ns,
         };
         let scheduler = Arc::clone(self.scheduler.as_ref().filter(|_| due)?);
-        // Still on the churn thread: moving the freeze off it needs a CSR
-        // base the dynamic graph shares.
+        // Still under the control plane's lock: moving the freeze out of it
+        // needs a CSR base the dynamic graph shares.
         let graph = inc.freeze_graph();
         let rates = inc.rates().clone();
         if !scheduler.supports(&Instance::new(&graph, &rates)) {
@@ -255,7 +235,7 @@ impl ReoptInstaller {
         }))
     }
 
-    /// Upon `ReoptDone`: the fresh scheduler — the job's, with the churn
+    /// Upon a landed job: the fresh scheduler — the job's, with the churn
     /// logged since the fire replayed onto it — and its sets, the job's
     /// with only the users that replay touched recompiled.
     pub(crate) fn install(&mut self, result: ReoptResult) -> (IncrementalScheduler, ChunkedSets) {
@@ -306,7 +286,7 @@ impl ReoptInstaller {
     }
 }
 
-/// What the churn thread did over the runtime's lifetime. The figures of
+/// What the control plane did over the runtime's lifetime. The figures of
 /// the failure lifecycle, rebalances and re-optimizations are folded from
 /// the control-plane events as they are recorded, metrics on or off.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -315,7 +295,8 @@ pub struct ChurnReport {
     pub follows_applied: u64,
     /// Unfollows applied (excluding misses).
     pub unfollows_applied: u64,
-    /// Churn operations that were no-ops (duplicate follow / missing edge).
+    /// Churn operations that were no-ops (duplicate follow / missing edge)
+    /// or arrived once shutdown had begun.
     pub churn_rejected: u64,
     /// Background full re-optimizations installed (`ReoptEnd` events).
     pub reopts: u64,
@@ -403,7 +384,7 @@ impl ChurnReport {
 /// [`ServeRuntime::shutdown`]: crate::runtime::ServeRuntime::shutdown
 #[derive(Clone, Debug)]
 pub struct ServeReport {
-    /// The churn thread's accounting — churn, re-optimization, rebalance,
+    /// The control plane's accounting — churn, re-optimization, rebalance,
     /// the failure lifecycle — and the post-run staleness validation.
     pub churn: ChurnReport,
     /// Epoch of the final published schedule snapshot (number of swaps).

@@ -1,5 +1,5 @@
 //! The online serving runtime: shard workers, serving clients, and the
-//! churn thread.
+//! control plane they drive.
 //!
 //! * **Shard workers** (`config.workers` threads) own the
 //!   [`StoreServer`] shards behind channels, speaking the wire-format
@@ -8,35 +8,39 @@
 //!   run the same coalesced batches inline against the shard mutexes.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
 //!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
-//!   per operation) and forward `Follow`/`Unfollow` to the churn thread.
-//! * **The churn thread** is one dispatcher — one receive loop, one
-//!   `match` — lending its shard I/O handle to four records, each written
-//!   only by its own handlers:
+//!   per operation) and run `Follow`/`Unfollow` themselves, on their own
+//!   thread, through the control plane.
+//! * **The control plane** is one `ChurnManager` behind one lock, shared
+//!   by the runtime and every client. Its entry points (`churn`, `land`,
+//!   `tick`, `final_report`) lend its shard I/O handle to four records,
+//!   each written only by its own handlers:
 //!   - `ChurnApplier` ([`ops`](crate::ops)): applies each mutation (§3.3)
 //!     to the [`IncrementalScheduler`], checks bounded staleness live, and
 //!     publishes an epoch rewriting only the users the mutation touched;
 //!   - `ReoptInstaller` (`ops`): past [`ServeConfig::reopt_threshold`] (or
 //!     continuously, under a budget) it *returns* a `ReoptJob`, which the
-//!     dispatcher runs on a thread of its own — the optimizer, the fresh
-//!     scheduler and its compiled sets; the result comes back as a
-//!     message, and the install replays the churn logged meanwhile;
+//!     follow that fired it spawns on a thread of its own. The job runs
+//!     the optimizer, the fresh scheduler and its compiled sets unlocked,
+//!     then lands its result under the lock, and the install replays the
+//!     churn logged meanwhile;
 //!   - `Rebalancer` (the private `failover` module): past
 //!     [`ServeConfig::rebalance_threshold`] it re-partitions and moves
 //!     views by the rule failover uses;
 //!   - `FailoverController` (same module): the shard lifecycle, ticked
-//!     once per heartbeat between messages. With heartbeats off the
-//!     dispatcher blocks in `recv()`, with no periodic wake-up.
+//!     once per heartbeat by a ticker thread. With heartbeats off no
+//!     control-plane thread runs at all.
 //!
 //!   Every epoch goes out through one publish, so no request ever mixes
 //!   two schedules or two maps, and every control-plane event is recorded
 //!   once, where the [`ChurnReport`] folds it. The control plane reads
 //!   time from one [`Clock`]; the fault matrix assembles the same runtime
-//!   on a manual clock, spawns no thread, and runs each `ReoptJob` inline.
+//!   on a manual clock, spawns no thread, calls the same entry points a
+//!   client does, and runs each `ReoptJob` inline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -59,9 +63,9 @@ use crate::failover::{
     reachable, FailoverController, Publisher, Rebalancer, ShardIo, DOWN_MISSES, SUSPECT_MISSES,
 };
 use crate::metrics::{OpRecorder, ServeMetrics};
-use crate::ops::{ChurnApplier, ChurnMsg, ChurnReport, ReoptInstaller, ReoptJob, ServeReport};
+use crate::ops::{ChurnApplier, ChurnReport, ReoptInstaller, ReoptJob, ReoptResult, ServeReport};
 
-/// Bound on the shard-worker and churn channels (back-pressure depth).
+/// Bound on the shard-worker channels (back-pressure depth).
 const QUEUE_DEPTH: usize = 1024;
 
 /// The long-running serving system.
@@ -74,7 +78,8 @@ pub struct ServeRuntime {
     senders: Arc<Vec<Sender<ShardRequest>>>,
     transport: Transport,
     pool: Arc<BufferPool>,
-    churn_tx: Sender<ChurnMsg>,
+    /// The control plane, shared with every client.
+    control: Arc<Mutex<ChurnManager>>,
     clock: Arc<AtomicU64>,
     top_k: usize,
     metrics: Option<Arc<ServeMetrics>>,
@@ -85,12 +90,14 @@ pub struct ServeRuntime {
     faults: Option<Arc<FaultInjector>>,
     client_counter: AtomicU64,
     worker_handles: Vec<JoinHandle<()>>,
-    churn_handle: Option<JoinHandle<()>>,
+    /// The heartbeat ticker's stop channel and thread (`None`: no
+    /// failover controller to tick).
+    ticker: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl ServeRuntime {
     /// Boots the runtime for an optimized `(graph, rates, schedule)`
-    /// triple. `reopt` is the optimizer the churn thread re-runs in the
+    /// triple. `reopt` is the optimizer the control plane re-runs in the
     /// background when schedule quality degrades past
     /// [`ServeConfig::reopt_threshold`].
     ///
@@ -105,19 +112,23 @@ impl ServeRuntime {
         reopt: Box<dyn Scheduler>,
         config: ServeConfig,
     ) -> Self {
-        let clock = Clock::monotonic();
-        let (mut runtime, manager, rx) =
-            Self::assemble(graph, rates, schedule, reopt, config, clock.clone());
-        let tx = runtime.churn_tx.clone();
-        runtime.churn_handle = Some(std::thread::spawn(move || {
-            manager.run(rx, tx, config.heartbeat_interval, clock)
-        }));
+        let mut runtime = Self::assemble(graph, rates, schedule, reopt, config, Clock::monotonic());
+        if runtime.control.lock().failover.is_some() {
+            let (stop, stopped) = bounded::<()>(0);
+            let control = Arc::clone(&runtime.control);
+            let interval = config.heartbeat_interval;
+            let ticker = std::thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    control.lock().tick();
+                }
+            });
+            runtime.ticker = Some((stop, ticker));
+        }
         runtime
     }
 
-    /// Everything [`ServeRuntime::start`] builds, on `clock`, with the
-    /// dispatcher and its channel handed back instead of moved onto the
-    /// churn thread.
+    /// Everything [`ServeRuntime::start`] builds, on `clock`, without the
+    /// heartbeat ticker.
     fn assemble(
         graph: CsrGraph,
         rates: Rates,
@@ -125,7 +136,7 @@ impl ServeRuntime {
         reopt: Box<dyn Scheduler>,
         config: ServeConfig,
         clock: Clock,
-    ) -> (Self, ChurnManager, Receiver<ChurnMsg>) {
+    ) -> Self {
         assert!(config.shards >= 1 && config.workers >= 1, "need threads");
         assert_eq!(graph.edge_count(), schedule.edge_count());
         assert!(
@@ -176,7 +187,6 @@ impl ServeRuntime {
                 senders.push(tx);
             }
         }
-        let (churn_tx, churn_rx) = bounded::<ChurnMsg>(QUEUE_DEPTH);
         let senders = Arc::new(senders);
         let transport = if config.rpc == RpcMode::Direct {
             Transport::Direct(Arc::clone(&shards))
@@ -213,7 +223,7 @@ impl ServeRuntime {
                 FailoverController::new(publisher.clone(), h, faults.clone(), &config, &clock)
             });
         // A push to a k-replicated consumer fans out to k slots, so every
-        // push/pull decision of the churn thread is priced with k-amplified
+        // push/pull decision of the control plane is priced with k-amplified
         // producer rates (§2.1 with replication); k = 1 is the identity.
         let inc = IncrementalScheduler::new(graph, rates.push_amplified(replication), schedule);
         let manager = ChurnManager {
@@ -223,14 +233,15 @@ impl ServeRuntime {
             failover,
             io: ShardIo::new(transport.clone(), Arc::clone(&pool)),
             publisher,
-            closing: None,
+            closing: false,
+            job: None,
         };
-        let runtime = ServeRuntime {
+        ServeRuntime {
             handle,
             senders,
             transport,
             pool,
-            churn_tx,
+            control: Arc::new(Mutex::new(manager)),
             clock: Arc::new(AtomicU64::new(1)),
             top_k: config.top_k,
             metrics,
@@ -238,9 +249,8 @@ impl ServeRuntime {
             faults,
             client_counter: AtomicU64::new(0),
             worker_handles,
-            churn_handle: None,
-        };
-        (runtime, manager, churn_rx)
+            ticker: None,
+        }
     }
 
     /// A new front-end client with its own event-id namespace.
@@ -250,7 +260,7 @@ impl ServeRuntime {
             epoch: self.handle.reader(),
             shard: ShardClient::new(self.transport.clone(), Arc::clone(&self.pool))
                 .with_resilience(self.health.clone(), self.faults.clone()),
-            churn_tx: self.churn_tx.clone(),
+            control: Arc::clone(&self.control),
             clock: Arc::clone(&self.clock),
             top_k: self.top_k,
             obs: self.metrics.as_deref().map(ServeMetrics::recorder),
@@ -359,22 +369,30 @@ impl ServeRuntime {
         self.handle.load()
     }
 
-    /// Stops the churn thread (once any in-flight re-optimization has
-    /// landed), validates bounded staleness on the final dynamic graph, and
-    /// tears the worker pool down. Drop the clients first: one that outlives
+    /// Stops the control plane: closes it to churn, waits for an in-flight
+    /// re-optimization to land and stops the heartbeat ticker; then
+    /// validates bounded staleness on the final dynamic graph and tears
+    /// the worker pool down. Drop the clients first: one that outlives
     /// shutdown keeps its shard channels alive, but its churn is rejected.
     pub fn shutdown(mut self) -> ServeReport {
-        let (tx, rx) = bounded(1);
-        self.churn_tx
-            .send(ChurnMsg::Shutdown { done: tx })
-            .expect("churn thread gone before shutdown");
-        let churn = rx.recv().expect("churn thread dropped its report");
+        let job = self.control.lock().close();
+        if let Some(job) = job {
+            job.join().expect("re-optimization job panicked");
+        }
+        if let Some((stop, ticker)) = self.ticker.take() {
+            drop(stop);
+            ticker.join().expect("heartbeat ticker panicked");
+        }
+        let churn = {
+            let mut control = self.control.lock();
+            let report = control.final_report();
+            // A client that outlives shutdown keeps the control plane
+            // alive: release its transport clone too.
+            control.io = ShardIo::new(Transport::Workers(Arc::default()), Arc::clone(&self.pool));
+            report
+        };
         // Final capture while the workers can still answer the wire scrape.
         let metrics = self.metrics.is_some().then(|| self.stats_snapshot());
-        if let Some(h) = self.churn_handle.take() {
-            h.join().expect("churn thread panicked");
-        }
-        drop(self.churn_tx);
         // Workers exit once every request sender is gone: release the
         // runtime's transport clone; if a client still holds one, leave the
         // workers serving (they die with it).
@@ -409,7 +427,7 @@ impl ServeRuntime {
 pub struct ServeClient {
     epoch: EpochReader,
     shard: ShardClient,
-    churn_tx: Sender<ChurnMsg>,
+    control: Arc<Mutex<ChurnManager>>,
     clock: Arc<AtomicU64>,
     top_k: usize,
     /// Per-client instrument handles (`None` when metrics are off; the
@@ -479,9 +497,10 @@ impl ServeClient {
         (Arc::from(&self.merged[..]), messages)
     }
 
-    /// `v` starts following `u`. Blocks until the churn thread has
-    /// applied the edge and published the new epoch; `false` if the edge
-    /// already existed (or the runtime is shutting down).
+    /// `v` starts following `u`. Runs on the calling thread, under the
+    /// control plane's lock: returns once the edge is applied and the new
+    /// epoch published; `false` if the edge already existed (or the
+    /// runtime is shutting down).
     pub fn follow(&self, u: NodeId, v: NodeId) -> bool {
         self.churn(true, u, v)
     }
@@ -498,7 +517,7 @@ impl ServeClient {
         let t0 = Instant::now();
         let applied = self.churn_inner(add, u, v);
         if let Some(rec) = &self.obs {
-            // Latency covers the full round trip (queue + apply + publish);
+            // Latency covers the whole call (lock wait + apply + publish);
             // the follow/unfollow counters count *applied* mutations only,
             // matching the churn report.
             if applied {
@@ -509,15 +528,22 @@ impl ServeClient {
     }
 
     fn churn_inner(&self, add: bool, u: NodeId, v: NodeId) -> bool {
-        let (done, ack) = bounded(1);
-        if self
-            .churn_tx
-            .send(ChurnMsg::Churn { add, u, v, done })
-            .is_err()
-        {
-            return false;
+        let mut control = self.control.lock();
+        let (applied, job) = control.churn(add, u, v);
+        if let Some(job) = job {
+            // A job fires only once the last one has landed, so its thread
+            // is done but for returning.
+            if let Some(landed) = control.job.take() {
+                landed.join().expect("re-optimization job panicked");
+            }
+            // Spawned under the lock, so shutdown finds the handle to join.
+            let landing = Arc::clone(&self.control);
+            control.job = Some(std::thread::spawn(move || {
+                let result = job();
+                landing.lock().land(result);
+            }));
         }
-        ack.recv().unwrap_or(false)
+        applied
     }
 
     /// Executes one trace operation, returning the store messages it sent.
@@ -537,7 +563,8 @@ impl ServeClient {
     }
 }
 
-/// The churn thread's dispatcher (see the module docs).
+/// The control plane (see the module docs): one per runtime, behind the
+/// lock every client shares.
 struct ChurnManager {
     applier: ChurnApplier,
     reopt: ReoptInstaller,
@@ -547,46 +574,36 @@ struct ChurnManager {
     io: ShardIo,
     /// The records' publisher, holding the events folded so far.
     publisher: Publisher,
-    /// Where the final report goes once shutdown has let the job out land.
-    closing: Option<Sender<ChurnReport>>,
+    /// Set by shutdown: churn is rejected from then on.
+    closing: bool,
+    /// The thread of the last re-optimization job fired.
+    job: Option<JoinHandle<()>>,
 }
 
 impl ChurnManager {
-    /// The production loop: a heartbeat round whenever its deadline has
-    /// passed, fired re-optimization jobs on threads of their own.
-    fn run(mut self, rx: Receiver<ChurnMsg>, tx: Sender<ChurnMsg>, tick: Duration, clock: Clock) {
-        let mut next_tick_ns = clock.after(tick);
-        loop {
-            let msg = match self.failover {
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(_) => rx.recv_timeout(Duration::from_nanos(
-                    next_tick_ns.saturating_sub(clock.now_ns()),
-                )),
-            };
-            match msg {
-                Ok(msg) => {
-                    if let Some(job) = self.handle(msg) {
-                        let tx = tx.clone();
-                        // Shutdown waits for this send, so the thread is
-                        // never abandoned mid-job.
-                        std::thread::spawn(move || {
-                            let _ = tx.send(ChurnMsg::ReoptDone(Box::new(job())));
-                        });
-                    }
-                    if self.drained() {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-            // Under a busy churn stream the deadline check after each
-            // message keeps the heartbeat cadence honest.
-            if self.failover.is_some() && clock.now_ns() >= next_tick_ns {
-                self.tick();
-                next_tick_ns = clock.after(tick);
-            }
+    /// One follow (`add`) or unfollow of `u → v` through its records'
+    /// handlers: whether the edge changed, and the re-optimization job it
+    /// fired, for the caller to run.
+    fn churn(&mut self, add: bool, u: NodeId, v: NodeId) -> (bool, Option<ReoptJob>) {
+        if self.closing {
+            self.applier.churn_rejected += 1;
+            return (false, None);
         }
+        let Some(effect) = self.applier.apply(add, u, v) else {
+            return (false, None);
+        };
+        let inc = self.applier.inc();
+        let failover = self.failover.as_mut();
+        self.rebalancer
+            .upon_churn(&effect, inc, &mut self.io, failover);
+        (true, self.reopt.upon_churn(add, u, v, inc))
+    }
+
+    /// Installs a finished re-optimization job's result.
+    fn land(&mut self, result: ReoptResult) {
+        let (fresh, sets) = self.reopt.install(result);
+        self.rebalancer.rearm();
+        self.applier.rebase(fresh, sets);
     }
 
     /// One heartbeat round of the shard lifecycle.
@@ -596,41 +613,15 @@ impl ChurnManager {
         }
     }
 
-    /// Hands one message to its records' handlers, acking churn once all
-    /// are done; returns the re-optimization job it fired, for the caller.
-    fn handle(&mut self, msg: ChurnMsg) -> Option<ReoptJob> {
-        let (add, u, v, done) = match msg {
-            ChurnMsg::Churn { add, u, v, done } => (add, u, v, done),
-            ChurnMsg::ReoptDone(result) => {
-                let (fresh, sets) = self.reopt.install(*result);
-                self.rebalancer.rearm();
-                self.applier.rebase(fresh, sets);
-                return None;
-            }
-            ChurnMsg::Shutdown { done } => {
-                self.closing = Some(done);
-                return None;
-            }
-        };
-        // Shutting down: further churn is rejected.
-        let effect = match self.closing {
-            None => self.applier.apply(add, u, v),
-            Some(_) => None,
-        };
-        let applied = effect.is_some();
-        let job = effect.and_then(|effect| {
-            let inc = self.applier.inc();
-            let failover = self.failover.as_mut();
-            self.rebalancer
-                .upon_churn(&effect, inc, &mut self.io, failover);
-            self.reopt.upon_churn(add, u, v, inc)
-        });
-        let _ = done.send(applied);
-        job
+    /// Closes the control plane to churn; hands back the thread of the
+    /// last job fired, for shutdown to join.
+    fn close(&mut self) -> Option<JoinHandle<()>> {
+        self.closing = true;
+        self.job.take()
     }
 
     /// The report so far, each figure read from its one source (the
-    /// post-run staleness sweep is [`ChurnManager::drained`]'s).
+    /// post-run staleness sweep is [`ChurnManager::final_report`]'s).
     fn report(&self) -> ChurnReport {
         let a = &self.applier;
         ChurnReport {
@@ -647,19 +638,13 @@ impl ChurnManager {
         }
     }
 
-    /// Once shutdown was asked for and no job is out: sends the final
-    /// report. `true` means the dispatcher is done.
-    fn drained(&mut self) -> bool {
-        if self.reopt.in_flight() {
-            return false;
+    /// The final report, swept for staleness; once no job is out.
+    fn final_report(&self) -> ChurnReport {
+        assert!(!self.reopt.in_flight(), "a re-optimization job is out");
+        ChurnReport {
+            staleness_violation: self.applier.validate(),
+            ..self.report()
         }
-        let Some(done) = self.closing.take() else {
-            return false;
-        };
-        let mut report = self.report();
-        report.staleness_violation = self.applier.validate();
-        let _ = done.send(report);
-        true
     }
 }
 
@@ -793,6 +778,28 @@ mod tests {
         }
     }
 
+    /// Under the worker plane `shutdown` joins every shard worker once no
+    /// client outlives it, although the control plane's shard I/O holds a
+    /// clone of their channels.
+    #[test]
+    fn shutdown_joins_the_worker_pool() {
+        let rt = boot(ServeConfig {
+            shards: 2,
+            workers: 2,
+            ..Default::default()
+        });
+        let pool = Arc::clone(&rt.pool);
+        let c = rt.client();
+        assert!(c.follow(2, 0));
+        drop(c);
+        assert!(rt.shutdown().churn.zero_violations());
+        assert_eq!(
+            Arc::strong_count(&pool),
+            1,
+            "a shard worker outlived shutdown"
+        );
+    }
+
     #[test]
     fn churn_storm_publishes_exactly_the_incremental_sets() {
         use piggyback_graph::gen::{copying, CopyingConfig};
@@ -806,7 +813,7 @@ mod tests {
         let s = ParallelNosy::default()
             .schedule(&Instance::new(&g, &r))
             .schedule;
-        let (rt, mut manager, _rx) = ServeRuntime::assemble(
+        let rt = ServeRuntime::assemble(
             g,
             r,
             s,
@@ -827,22 +834,21 @@ mod tests {
         for add in [true, false] {
             for u in (0..600u32).step_by(11) {
                 for v in (250..600u32).step_by(13).filter(|&v| v != u) {
-                    let (done, ack) = bounded(1);
-                    assert!(manager
-                        .handle(ChurnMsg::Churn { add, u, v, done })
-                        .is_none());
-                    applied += u64::from(ack.recv().unwrap());
+                    let (changed, job) = rt.control.lock().churn(add, u, v);
+                    assert!(job.is_none());
+                    applied += u64::from(changed);
                 }
             }
         }
         assert!(applied > 1024, "storm too small: {applied}");
         assert_eq!(rt.epoch(), applied, "one publish per applied mutation");
-        let (snap, inc) = (rt.snapshot(), manager.applier.inc());
+        let control = rt.control.lock();
+        let (snap, inc) = (rt.snapshot(), control.applier.inc());
         for x in 0..600 {
             assert_eq!(snap.push_targets(x), inc.push_targets(x), "push set of {x}");
             assert_eq!(snap.pull_sources(x), inc.pull_sources(x), "pull set of {x}");
         }
-        let report = manager.report();
+        let report = control.report();
         assert_eq!((report.reopts, report.live_staleness_violations), (0, 0));
         assert!(inc.validate().is_ok());
     }

@@ -5,14 +5,15 @@
 //! counts). The matrix assembles the real runtime
 //! ([`ServeRuntime::assemble`]) over caller-runs shards on a manual
 //! [`Clock`], spawns nothing, and plays the script on one thread: client
-//! operations go through a real [`ServeClient`], churn through
-//! [`ChurnManager::handle`], heartbeat rounds through
-//! [`ChurnManager::tick`], a fired [`ReoptJob`] runs inline when the script
-//! lands it, and time passes only when the script (or a delayed batch)
-//! advances it. The row's seed picks the victim shard, the operation
-//! stream, how many operations land between two heartbeats and the
-//! injector's per-message draws, so `(row, seed)` replays to the digit —
-//! report and event ring.
+//! operations go through a real [`ServeClient`]; churn, heartbeat rounds
+//! and installs lock the runtime's control plane and call the entry points
+//! a client and the ticker call ([`ChurnManager::churn`],
+//! [`ChurnManager::tick`], [`ChurnManager::land`]); a fired [`ReoptJob`]
+//! runs inline when the script lands it, and time passes only when the
+//! script (or a delayed batch) advances it. The row's seed picks the
+//! victim shard, the operation stream, how many operations land between
+//! two heartbeats and the injector's per-message draws, so `(row, seed)`
+//! replays to the digit — report and event ring.
 //!
 //! After **every** operation, tick, fault and install the matrix re-checks
 //! what must hold whatever the interleaving (see [`Rig::request`],
@@ -27,6 +28,8 @@
 //!
 //! The second form replays one `(row, seed)` — the pair a failure names —
 //! and prints its report and event ring.
+
+use std::time::Duration;
 
 use piggyback_core::scheduler::{Hybrid, Instance};
 use piggyback_graph::gen::{copying, CopyingConfig};
@@ -551,15 +554,11 @@ fn suspects_are_not_failed_over(rig: &mut Rig) {
     for s in rig.pick(Rack0) {
         assert_eq!(rig.health.state(s), ShardHealth::Suspect);
     }
-    assert_eq!(
-        rig.manager.report().failovers,
-        0,
-        "Suspect is not a verdict"
-    );
+    assert_eq!(rig.report().failovers, 0, "Suspect is not a verdict");
 }
 
 fn the_rack_fell_in_one_publish_after_down_misses_heartbeats(rig: &mut Rig) {
-    let report = rig.manager.report();
+    let report = rig.report();
     assert_eq!(report.failovers, 2);
     assert_eq!(
         rig.published.0,
@@ -587,11 +586,11 @@ fn lost_exactly_the_views_whose_slots_were_the_rack(rig: &mut Rig) {
     // failover that found them gone; the later kill of 4 recounts nothing.
     let both_dead = rig.boot.shard_sizes()[0] as u64;
     assert!(both_dead > 0);
-    assert_eq!(rig.manager.report().views_lost, both_dead);
+    assert_eq!(rig.report().views_lost, both_dead);
 }
 
 fn the_probe_is_only_just_out(rig: &mut Rig) {
-    assert_eq!(rig.manager.report().rejoins, 0, "a rejoin needs an answer");
+    assert_eq!(rig.report().rejoins, 0, "a rejoin needs an answer");
 }
 
 fn converged_back_to_boot_with_every_view_in_place(rig: &mut Rig) {
@@ -634,7 +633,7 @@ fn a_suspect_is_read_up_to_the_laxity_and_not_past_it(rig: &mut Rig) {
 }
 
 fn the_backlog_is_still_owed(rig: &mut Rig) {
-    assert_eq!(rig.manager.report().rejoins, 1);
+    assert_eq!(rig.report().rejoins, 1);
     assert_eq!(rig.health.state(rig.victim), ShardHealth::CatchingUp);
     assert!(rig.ring().contains("catch-up-batch"), "one batch streamed");
     assert!(!rig.ring().contains("remaining=0"), "more than one owed");
@@ -662,11 +661,11 @@ fn drained_but_held_back_by_its_silence(rig: &mut Rig) {
     assert!(rig.ring().contains("remaining=0"), "the backlog drained");
     assert_eq!(rig.health.state(rig.victim), ShardHealth::CatchingUp);
     assert_eq!(rig.health.silence(rig.victim), HEARTBEAT * DOWN_MISSES);
-    assert_eq!(rig.manager.report().readmits, 0);
+    assert_eq!(rig.report().readmits, 0);
 }
 
 fn readmitted_five_heartbeats_after_the_rejoin(rig: &mut Rig) {
-    let report = rig.manager.report();
+    let report = rig.report();
     assert_eq!(report.readmits, 1);
     let took = (HEARTBEAT * (DOWN_MISSES + 1)).as_secs_f64() * 1e3;
     assert_eq!(report.readmit_ms, took);
@@ -679,7 +678,7 @@ fn readmitted_holding_every_boot_view(rig: &mut Rig) {
     // failover had copied each to the slot it exposed, next + 1, which the
     // rejoin publish took out of the view's replica set: the donor is found
     // under the map the backlog was built against.
-    let report = rig.manager.report();
+    let report = rig.report();
     assert_eq!((report.rejoins, report.readmits), (1, 1));
     for u in 0..rig.boot.users() as NodeId {
         if rig.boot.replica_slots(u).any(|r| r == rig.victim) {
@@ -689,7 +688,7 @@ fn readmitted_holding_every_boot_view(rig: &mut Rig) {
 }
 
 fn the_install_kept_the_failover_map(rig: &mut Rig) {
-    let report = rig.manager.report();
+    let report = rig.report();
     assert_eq!((report.failovers, report.reopts), (1, 1));
     nothing_is_homed_on_the_victim(rig);
 }
@@ -705,12 +704,8 @@ fn nothing_is_homed_on_the_victim(rig: &mut Rig) {
 
 fn the_victim_is_only_suspect(rig: &mut Rig) {
     assert_eq!(rig.health.state(rig.victim), ShardHealth::Suspect);
-    assert!(rig.manager.report().rebalances > 0);
-    assert_eq!(
-        rig.manager.report().failovers,
-        0,
-        "Suspect is not a verdict"
-    );
+    assert!(rig.report().rebalances > 0);
+    assert_eq!(rig.report().failovers, 0, "Suspect is not a verdict");
 }
 
 fn the_partitioned_shard_is_catching_up(rig: &mut Rig) {
@@ -760,7 +755,6 @@ struct Rig {
     /// Index into the row's script (for the failure banner).
     step: usize,
     rt: ServeRuntime,
-    manager: ChurnManager,
     client: ServeClient,
     clock: Clock,
     health: Arc<HealthTracker>,
@@ -848,7 +842,7 @@ impl Rig {
             shards,
             domains,
         } = row.cluster;
-        let (rt, manager, _) = ServeRuntime::assemble(
+        let rt = ServeRuntime::assemble(
             graph.clone(),
             rates.clone(),
             schedule.clone(),
@@ -901,7 +895,6 @@ impl Rig {
             replayed: Vec::new(),
             boot,
             rt,
-            manager,
             clock,
         };
         let everyone: Vec<NodeId> = (0..users as NodeId).collect();
@@ -929,6 +922,11 @@ impl Rig {
     /// Can `s` be talked to (the controller's own gate)?
     fn reachable(&self, s: usize) -> bool {
         reachable(Some(&self.faults), s)
+    }
+
+    /// The control plane's report so far.
+    fn report(&self) -> ChurnReport {
+        self.rt.control.lock().report()
     }
 
     /// The event ring, rendered (empty with metrics off).
@@ -1003,9 +1001,9 @@ impl Rig {
         let homed: Vec<NodeId> = (0..users)
             .filter(|&v| boot.server_of(v) == primary)
             .collect();
-        let before = self.manager.report().rebalances;
+        let before = self.report().rebalances;
         for _ in 0..TRIGGER_OPS {
-            if self.manager.report().rebalances > before {
+            if self.report().rebalances > before {
                 return;
             }
             let v = homed[self.rng.random_range(0..homed.len())];
@@ -1045,14 +1043,11 @@ impl Rig {
         }
     }
 
-    /// A follow or unfollow, handed to the dispatcher the way its thread
-    /// would take it off the channel. A job it fires stays out until
-    /// [`Step::Land`]; churn applied meanwhile is what the install must
-    /// replay.
+    /// A follow or unfollow through the control plane's entry point, as a
+    /// client runs it. A job it fires stays out until [`Step::Land`]; churn
+    /// applied meanwhile is what the install must replay.
     fn churn(&mut self, add: bool, u: NodeId, v: NodeId) {
-        let (done, ack) = bounded(1);
-        let fired = self.manager.handle(ChurnMsg::Churn { add, u, v, done });
-        let applied = ack.recv().expect("churn is acknowledged");
+        let (applied, fired) = self.rt.control.lock().churn(add, u, v);
         match fired {
             Some(job) => {
                 assert!(self.job.replace(job).is_none(), "one job out at a time");
@@ -1063,7 +1058,7 @@ impl Rig {
         self.check_published();
     }
 
-    /// Runs the job out inline, delivers its result, and holds the install
+    /// Runs the job out inline, lands its result, and holds the install
     /// to what it must be: the published sets are exactly an
     /// [`IncrementalScheduler`] replaying the churn logged since the fire
     /// onto the job's schedule.
@@ -1071,7 +1066,7 @@ impl Rig {
         let result = self.job.take().expect("a job is out")();
         let mut expected = IncrementalScheduler::new(
             result.inc.graph().base().clone(),
-            self.manager.applier.inc().rates().clone(),
+            self.rt.control.lock().applier.inc().rates().clone(),
             result.inc.base_schedule().clone(),
         );
         for (add, u, v) in self.replayed.drain(..) {
@@ -1081,12 +1076,9 @@ impl Rig {
                 expected.remove_edge(u, v);
             }
         }
-        let installs = self.manager.report().reopts;
-        assert!(self
-            .manager
-            .handle(ChurnMsg::ReoptDone(Box::new(result)))
-            .is_none());
-        assert_eq!(self.manager.report().reopts, installs + 1);
+        let installs = self.report().reopts;
+        self.rt.control.lock().land(result);
+        assert_eq!(self.report().reopts, installs + 1);
         let snap = self.rt.snapshot();
         for x in 0..self.boot.users() as NodeId {
             assert_eq!(
@@ -1129,7 +1121,7 @@ impl Rig {
                 snap.collect_pull_sources(u, &mut views);
                 false
             }
-            _ => unreachable!("churn goes through the manager"),
+            _ => unreachable!("churn goes through the control plane"),
         };
         let after = batches(self);
         let touched: Vec<bool> = after.iter().zip(&before).map(|(a, b)| a > b).collect();
@@ -1186,11 +1178,11 @@ impl Rig {
             f.evidence_ns.get_or_insert(now);
         }
         let n = self.shards.len();
-        let lost_before = self.manager.report().views_lost;
+        let lost_before = self.report().views_lost;
         let could_reach: Vec<bool> = (0..n).map(|s| self.reachable(s)).collect();
         let seen = self.events.as_ref().map_or(0, EventLog::total_recorded);
 
-        self.manager.tick();
+        self.rt.control.lock().tick();
 
         if let Some(events) = self.events.clone() {
             let fresh = (events.total_recorded() - seen) as usize;
@@ -1223,14 +1215,14 @@ impl Rig {
                     _ => {}
                 }
             }
-            let report = self.manager.report();
+            let report = self.report();
             assert_eq!(report.detection_ms, self.detection_ms);
             assert_eq!(report.failover_ms, 0.0);
             assert_eq!(report.readmit_ms, self.readmit_ms);
             assert_eq!(report.readmits, self.readmits);
         }
 
-        let lost = self.manager.report().views_lost - lost_before;
+        let lost = self.report().views_lost - lost_before;
         if lost > 0 {
             let topology = Arc::clone(self.rt.snapshot().topology());
             let held = |u: &NodeId| {
@@ -1281,7 +1273,7 @@ impl Rig {
                 let state = self.health.state(s);
                 !self.faults.is_killed(s) && matches!(state, ShardHealth::Up | ShardHealth::Suspect)
             };
-            let lost = &self.manager.io.lost;
+            let lost = self.rt.control.lock().io.lost.clone();
             for u in (0..snap.topology().users() as NodeId).filter(|u| !lost.contains(u)) {
                 for s in snap.topology().replica_slots(u).filter(|&s| caught_up(s)) {
                     assert!(
@@ -1295,18 +1287,18 @@ impl Rig {
         self.published = (snap.epoch(), Arc::clone(snap.topology()));
     }
 
-    /// Shuts the dispatcher down the way [`ServeRuntime::shutdown`] would —
-    /// a job still out lands first — and holds the final report against
-    /// the row's expectations.
+    /// Shuts the control plane down the way [`ServeRuntime::shutdown`]
+    /// does — a job still out lands first — and holds the final report
+    /// against the row's expectations.
     fn finish(mut self, expect: &Expect) -> Outcome {
-        let (done, rx) = bounded(1);
-        assert!(self.manager.handle(ChurnMsg::Shutdown { done }).is_none());
+        let spawned = self.rt.control.lock().close();
+        assert!(spawned.is_none(), "the matrix runs its jobs inline");
         if self.job.is_some() {
-            assert!(!self.manager.drained(), "shutdown waits for the job out");
+            let out = self.rt.control.lock().reopt.in_flight();
+            assert!(out, "shutdown waits for the job out");
             self.land();
         }
-        assert!(self.manager.drained());
-        let report = rx.recv().expect("the final report");
+        let report = self.rt.control.lock().final_report();
         assert!(
             report.zero_violations(),
             "bounded staleness violated: {:?}",

@@ -6,8 +6,8 @@
 //! The lifecycle itself is checked row by row on a virtual clock in the
 //! crate's fault matrix (`src/runtime/fault_matrix.rs`). This is the
 //! real-thread smoke that stays: with `stats_wire.rs`'s replicated case,
-//! the only check that the churn thread's `recv_timeout` loop really
-//! ticks the controller at the heartbeat cadence on the monotonic clock.
+//! the only check that the heartbeat ticker thread really ticks the
+//! controller at the heartbeat cadence on the monotonic clock.
 
 use std::time::{Duration, Instant};
 

@@ -3,10 +3,11 @@
 
 use std::time::Duration;
 
-use piggyback_core::scheduler::{by_name, Instance};
+use crossbeam::channel::{bounded, Receiver};
+use piggyback_core::scheduler::{by_name, Hybrid, Instance, ScheduleOutcome, Scheduler};
 use piggyback_graph::gen::{copying, CopyingConfig};
-use piggyback_graph::CsrGraph;
-use piggyback_serve::{run_harness, Arrival, HarnessConfig, ServeConfig, ServeRuntime};
+use piggyback_graph::{CsrGraph, NodeId};
+use piggyback_serve::{run_harness, Arrival, HarnessConfig, ReoptMode, ServeConfig, ServeRuntime};
 use piggyback_workload::Rates;
 
 fn world(nodes: usize, seed: u64) -> (CsrGraph, Rates) {
@@ -74,6 +75,87 @@ fn churn_triggers_background_reoptimization() {
     // that reflects the grown graph.
     assert!(report.churn.base_cost > 0.0);
     assert!(report.final_epoch as u64 > applied);
+}
+
+/// Hybrid, once the test opens its gate: a re-optimization job that stays
+/// out for exactly as long as the test wants.
+struct Gated(Receiver<()>);
+
+impl Scheduler for Gated {
+    fn name(&self) -> &str {
+        "gated-hybrid"
+    }
+
+    fn schedule(&self, inst: &Instance) -> ScheduleOutcome {
+        self.0.recv().expect("the test opens the gate");
+        Hybrid.schedule(inst)
+    }
+}
+
+/// The production shutdown path, step by step: follows applied while a
+/// job is out are replayed at its install, `shutdown` waits for that job
+/// and rejects churn from a client that outlives it, and the report counts
+/// all of it.
+#[test]
+fn shutdown_lands_the_job_out_and_rejects_late_churn() {
+    let (g, r) = world(300, 5);
+    let schedule = Hybrid.schedule(&Instance::new(&g, &r)).schedule;
+    let (release, gate) = bounded::<()>(0);
+    let rt = ServeRuntime::start(
+        g.clone(),
+        r,
+        schedule,
+        Box::new(Gated(gate)),
+        ServeConfig {
+            shards: 4,
+            workers: 2,
+            reopt_mode: ReoptMode::Continuous,
+            ..Default::default()
+        },
+    );
+    let n = g.node_count() as NodeId;
+    let mut fresh = (0..n)
+        .flat_map(|u| (0..n).map(move |v| (u, v)))
+        .filter(|&(u, v)| u != v && !g.has_edge(u, v));
+    let c = rt.client();
+    let mut late = rt.client();
+    // The first follow fires the job, which blocks in the gate; the next
+    // ones are logged for the install to replay.
+    let mut applied: Vec<(NodeId, NodeId)> = fresh.by_ref().take(6).collect();
+    for &(u, v) in &applied {
+        assert!(c.follow(u, v), "{u} -> {v} is a new edge");
+    }
+    drop(c);
+    let shut = std::thread::spawn(move || rt.shutdown());
+    // Until shutdown closes the control plane a new edge still applies
+    // (and joins the replay); the first one refused is the rejection.
+    for (u, v) in fresh.by_ref() {
+        if !late.follow(u, v) {
+            break;
+        }
+        applied.push((u, v));
+    }
+    assert!(!shut.is_finished(), "shutdown returned with the job out");
+    release.send(()).expect("the job waits at the gate");
+    let report = shut.join().expect("shutdown panicked").churn;
+    assert_eq!(report.reopts, 1);
+    assert_eq!(report.follows_applied, applied.len() as u64);
+    assert_eq!((report.unfollows_applied, report.churn_rejected), (0, 1));
+    assert!(
+        report.zero_violations(),
+        "staleness violated: {:?}",
+        report.staleness_violation
+    );
+    // The late client still reaches the workers, and the installed
+    // schedule serves every edge followed while the job was out.
+    for &(u, v) in &applied {
+        late.share(u);
+        let (events, _) = late.query(v);
+        assert!(
+            events.iter().any(|e| e.user == u),
+            "{u} -> {v} not served after the install"
+        );
+    }
 }
 
 /// The full harness on a mid-size graph: concurrent clients, churn, the

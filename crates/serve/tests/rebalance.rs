@@ -1,5 +1,5 @@
 //! Live topology rebalancing: when churn pushes enough message rate
-//! across servers, the churn thread re-partitions, copies every moved view
+//! across servers, the control plane re-partitions, copies every moved view
 //! to every replica slot it is new on, publishes the new topology through
 //! the same epoch swap the schedule uses, then drops the departed copies.
 //!

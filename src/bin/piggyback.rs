@@ -175,6 +175,26 @@ fn at_least(
     Ok(v)
 }
 
+/// [`parsed`] for a real that must be finite and positive (`--rw-ratio`,
+/// `--rate`), checked like [`at_least`]'s counts.
+fn positive(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    let v: f64 = parsed(flags, key, default)?;
+    if !(v.is_finite() && v > 0.0) {
+        return Err(format!("--{key} must be finite and above 0"));
+    }
+    Ok(v)
+}
+
+/// [`parsed`] for a trigger threshold: at least 0, `inf` turning the
+/// trigger off; NaN is rejected, not read as off.
+fn threshold(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    let v: f64 = parsed(flags, key, default)?;
+    if v.is_nan() || v < 0.0 {
+        return Err(format!("--{key} must be at least 0 (inf turns it off)"));
+    }
+    Ok(v)
+}
+
 /// `--servers` where it is optional: `None` when absent.
 fn optional_servers(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
     flags
@@ -320,8 +340,8 @@ fn resolve_scheduler(
 }
 
 fn cmd_schedule(flags: &HashMap<String, String>) -> Result<(), String> {
+    let ratio = positive(flags, "rw-ratio", 5.0)?;
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
-    let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let rates = Rates::log_degree(&g, ratio);
     let out = required(flags, "out")?;
     let scheduler = resolve_scheduler(flags, required(flags, "algorithm")?)?;
@@ -350,7 +370,7 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let nodes: usize = parsed(flags, "nodes", 2000)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
-    let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
+    let ratio = positive(flags, "rw-ratio", 5.0)?;
     let servers = optional_servers(flags)?;
     let g = match flags.get("graph") {
         Some(path) => {
@@ -440,8 +460,8 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     let servers = optional_servers(flags)?;
+    let ratio = positive(flags, "rw-ratio", 5.0)?;
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
-    let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let rates = Rates::log_degree(&g, ratio);
     let schedule =
         load_schedule(required(flags, "schedule")?, g.edge_count()).map_err(|e| e.to_string())?;
@@ -505,8 +525,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if replication > spread {
         return Err(format!("--replication must be at most {spread}"));
     }
+    let ratio = positive(flags, "rw-ratio", 5.0)?;
+    let rate = flags
+        .contains_key("rate")
+        .then(|| positive(flags, "rate", 1.0))
+        .transpose()?;
+    let reopt_threshold = threshold(flags, "reopt-threshold", 0.2)?;
     let partition = resolve_partitioner(flags, PartitionStrategy::Hash)?;
-    let rebalance_threshold = parsed(flags, "rebalance-threshold", f64::INFINITY)?;
+    let rebalance_threshold = threshold(flags, "rebalance-threshold", f64::INFINITY)?;
     if rebalance_threshold.is_finite() && partition == PartitionStrategy::Hash {
         let why = "hash placement never moves a view";
         return Err(format!(
@@ -530,7 +556,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     };
-    let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let rates = Rates::log_degree(&g, ratio);
     let algorithm = flags
         .get("algorithm")
@@ -554,7 +579,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         rpc,
         workers,
         staleness_budget: std::time::Duration::from_millis(parsed(flags, "staleness-ms", 0)?),
-        reopt_threshold: parsed(flags, "reopt-threshold", 0.2)?,
+        reopt_threshold,
         partition,
         rebalance_threshold,
         placement_seed: seed,
@@ -571,12 +596,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         clients,
         duration: parse_duration(flags.get("duration").map(String::as_str).unwrap_or("2s"))?,
         churn_ratio,
-        arrival: match flags.get("rate") {
-            Some(r) => Arrival::Open {
-                ops_per_sec: r.parse().map_err(|_| "invalid value for --rate")?,
-            },
-            None => Arrival::Closed,
-        },
+        arrival: rate.map_or(Arrival::Closed, |ops_per_sec| Arrival::Open { ops_per_sec }),
         seed,
         stats_interval: flags
             .get("stats-interval")
@@ -699,8 +719,8 @@ fn failover_line(churn: &ChurnReport) -> String {
 /// schedule on each map (`CostModel::batched`): one summary row per
 /// partitioner, then the per-shard table of the one `--partitioner` picks.
 fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
+    let ratio = positive(flags, "rw-ratio", 5.0)?;
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
-    let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let servers = at_least(flags, "servers", 16, 1)?;
     let seed: u64 = parsed(flags, "seed", 42)?;
     let picked = resolve_partitioner(flags, PartitionStrategy::Ldg)?;
@@ -789,8 +809,8 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     use social_piggybacking::core::analysis::{amplification, cost_breakdown, hub_report};
+    let ratio = positive(flags, "rw-ratio", 5.0)?;
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
-    let ratio: f64 = parsed(flags, "rw-ratio", 5.0)?;
     let top: usize = parsed(flags, "top", 10)?;
     let rates = Rates::log_degree(&g, ratio);
     let schedule =
@@ -1213,17 +1233,42 @@ mod tests {
 
     #[test]
     fn out_of_range_counts_are_usage_errors_not_panics() {
-        for (args, flag) in [
-            ("--servers 0", "--servers"),
-            ("--workers 0", "--workers"),
-            ("--clients 0", "--clients"),
-            ("--nodes 1", "--nodes"),
-            ("--replication 3 --servers 2", "--replication"),
-            ("--replication 3 --domains 2", "--replication"),
-            ("--domains 9 --servers 8", "--domains"),
+        let mut rows: Vec<(String, &str)> = [
+            ("serve --servers 0", "--servers"),
+            ("serve --workers 0", "--workers"),
+            ("serve --clients 0", "--clients"),
+            ("serve --nodes 1", "--nodes"),
+            ("serve --replication 3 --servers 2", "--replication"),
+            ("serve --replication 3 --domains 2", "--replication"),
+            ("serve --domains 9 --servers 8", "--domains"),
+        ]
+        .map(|(args, flag)| (args.to_string(), flag))
+        .into();
+        // Every subcommand that reads the read/write ratio; `Rates` would
+        // panic on any of these values.
+        for cmd in [
+            "schedule",
+            "evaluate",
+            "partition",
+            "analyze",
+            "compare",
+            "serve",
         ] {
+            for bad in ["0", "-1", "nan", "inf"] {
+                rows.push((format!("{cmd} --rw-ratio {bad}"), "--rw-ratio"));
+            }
+        }
+        for bad in ["0", "-1", "nan", "inf"] {
+            rows.push((format!("serve --rate {bad}"), "--rate"));
+        }
+        for flag in ["--reopt-threshold", "--rebalance-threshold"] {
+            for bad in ["nan", "-1"] {
+                rows.push((format!("serve {flag} {bad} --partitioner ldg"), flag));
+            }
+        }
+        for (args, flag) in &rows {
             let args: Vec<&str> = args.split(' ').collect();
-            let err = run(&s(&[&["serve"], &args[..]].concat())).unwrap_err();
+            let err = run(&s(&args)).unwrap_err();
             assert!(err.contains(flag), "{args:?}: {err}");
         }
     }
