@@ -6,11 +6,11 @@
 //! sometimes slightly ahead) in small systems and grows past a crossover
 //! around 200 servers, reaching ≈1.2 at 500 and ≈1.35 at 1000.
 //!
-//! Runs the serving runtime's worker plane (`RpcMode::Batched`): shard
-//! workers behind channels, closed-loop client threads replaying a
-//! rate-faithful trace through `run_harness`, every message carrying the
-//! 24-byte wire encoding. Wall-clock requests/second, pooled over trials
-//! (random placement makes single runs irregular — §4.3 notes the same).
+//! Runs the serving runtime: closed-loop client threads replaying a
+//! rate-faithful trace through `run_harness`, each running its batches
+//! inline on the shards, one message per touched server in the 24-byte
+//! wire encoding. Wall-clock requests/second, pooled over trials (random
+//! placement makes single runs irregular — §4.3 notes the same).
 //!
 //! ```text
 //! cargo run --release -p piggyback-bench --bin fig6 -- [nodes]
@@ -35,7 +35,7 @@ const TRIAL_LENGTH: Duration = Duration::from_millis(400);
 /// `(requests/s per client, messages/request)` of `sched` on `servers`
 /// hash-placed servers, pooled over [`TRIALS`] placements: a trial the
 /// host's scheduler starves completes few requests, and weighs that little.
-fn measure(d: &Dataset, sched: &Schedule, servers: usize, workers: usize) -> (f64, f64) {
+fn measure(d: &Dataset, sched: &Schedule, servers: usize) -> (f64, f64) {
     let (mut ops, mut messages, mut secs) = (0u64, 0u64, 0.0);
     for trial in 0..TRIALS {
         let report = run_harness(
@@ -45,7 +45,6 @@ fn measure(d: &Dataset, sched: &Schedule, servers: usize, workers: usize) -> (f6
             Box::new(Hybrid),
             ServeConfig {
                 shards: servers,
-                workers,
                 placement_seed: trial,
                 // A static schedule, as the paper's prototype replays.
                 reopt_threshold: f64::INFINITY,
@@ -85,10 +84,6 @@ fn main() {
     ];
     let [pn, ff] = schedulers.map(|s| s.schedule(&inst).schedule);
 
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4);
-
     print_header(&[
         "servers",
         "pn_req_per_sec",
@@ -98,8 +93,8 @@ fn main() {
         "ff_msgs_per_req",
     ]);
     for servers in [1usize, 4, 16, 64, 200, 500, 1000] {
-        let (pn_rps, pn_msgs) = measure(&d, &pn, servers, workers);
-        let (ff_rps, ff_msgs) = measure(&d, &ff, servers, workers);
+        let (pn_rps, pn_msgs) = measure(&d, &pn, servers);
+        let (ff_rps, ff_msgs) = measure(&d, &ff, servers);
         print_row(&[
             servers.to_string(),
             format!("{pn_rps:.0}"),

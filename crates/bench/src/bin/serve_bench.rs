@@ -23,11 +23,10 @@
 //! `--smoke` shrinks everything for CI (a few hundred ms per schedule);
 //! the default configuration runs a 100k-node graph at 1000 servers.
 //!
-//! Every schedule family is optimized once and the harness runs over the
-//! two production planes — `batched` (coalesced `ShardBatch` messages to
-//! the shard-worker pool, pooled reply channel and buffers, top-k reply
-//! merges) and `direct` (the same coalesced protocol executed
-//! caller-side, no thread hop).
+//! Every schedule family is optimized once and the harness runs it on the
+//! runtime's one plane, caller-runs: each client executes its coalesced
+//! batches inline. Each `results` row names that plane (`"rpc":
+//! "direct"`), which the CI overhead gate groups by.
 //!
 //! Throughput, latency and per-layer numbers are `benchmark/`'s job
 //! (pigbench, `BENCHMARK.json`); this binary stays for the one thing
@@ -40,7 +39,7 @@ use std::time::Duration;
 use piggyback_bench::REFERENCE_RW_RATIO;
 use piggyback_core::scheduler::{by_name, Instance};
 use piggyback_graph::gen;
-use piggyback_serve::{run_harness, Arrival, HarnessConfig, HarnessReport, RpcMode, ServeConfig};
+use piggyback_serve::{run_harness, Arrival, HarnessConfig, HarnessReport, ServeConfig};
 use piggyback_workload::Rates;
 
 /// The schedule families the acceptance ordering is stated over.
@@ -113,7 +112,7 @@ fn parse_args() -> Args {
     }
 }
 
-fn json_result(name: &str, rpc: RpcMode, cost: f64, r: &HarnessReport) -> String {
+fn json_result(name: &str, cost: f64, r: &HarnessReport) -> String {
     let churn = &r.serve.churn;
     // The embedded metrics snapshot (registry + wire scrape), or null when
     // the run had metrics off (the overhead-gate comparison arm).
@@ -124,14 +123,13 @@ fn json_result(name: &str, rpc: RpcMode, cost: f64, r: &HarnessReport) -> String
         .map_or_else(|| "null".to_string(), piggyback_obs::Snapshot::to_json);
     format!(
         concat!(
-            "    {{\"schedule\": \"{}\", \"rpc\": \"{}\", \"cost\": {:.1}, \"ops\": {}, ",
+            "    {{\"schedule\": \"{}\", \"rpc\": \"direct\", \"cost\": {:.1}, \"ops\": {}, ",
             "\"throughput_ops_per_sec\": {:.1}, \"messages_per_op\": {:.3}, ",
             "\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"max_ms\": {:.4}, ",
             "\"follows_applied\": {}, \"unfollows_applied\": {}, \"reopts\": {}, ",
             "\"epochs\": {}, \"staleness_ok\": {}, \"obs\": {}}}"
         ),
         name,
-        rpc.name(),
         cost,
         r.ops,
         r.throughput(),
@@ -170,52 +168,44 @@ fn main() {
         let opt = by_name(name).expect("registered scheduler");
         let outcome = opt.schedule(&inst);
         let cost = outcome.stats.cost;
-        for rpc in [RpcMode::Batched, RpcMode::Direct] {
-            let report = run_harness(
-                &g,
-                &rates,
-                outcome.schedule.clone(),
-                by_name("hybrid").expect("hybrid registered"),
-                ServeConfig {
-                    shards: args.servers,
-                    workers: 4,
-                    reopt_threshold: 0.25,
-                    rpc,
-                    metrics: args.metrics,
-                    ..Default::default()
-                },
-                &HarnessConfig {
-                    clients,
-                    duration: args.duration,
-                    churn_ratio,
-                    arrival: Arrival::Closed,
-                    seed: 7,
-                    stats_interval: None,
-                },
-            );
-            assert!(
-                report.serve.churn.zero_violations(),
-                "{name}/{}: staleness violated: {:?}",
-                rpc.name(),
-                report.serve.churn.staleness_violation
-            );
-            eprintln!(
-                "#   {:<9} {:<7} {:>9.0} op/s  {:.3} msg/op  p50 {:.3}ms  p99 {:.3}ms",
-                name,
-                rpc.name(),
-                report.throughput(),
-                report.messages as f64 / report.ops.max(1) as f64,
-                report.quantile_ms(0.5),
-                report.quantile_ms(0.99)
-            );
-            if rpc == RpcMode::Direct {
-                summary.push((name, report.throughput()));
-            }
-            if let Some(snap) = &report.serve.metrics {
-                stats_rows.push(format!("  \"{}_{}\": {}", name, rpc.name(), snap.to_json()));
-            }
-            rows.push(json_result(name, rpc, cost, &report));
+        let report = run_harness(
+            &g,
+            &rates,
+            outcome.schedule,
+            by_name("hybrid").expect("hybrid registered"),
+            ServeConfig {
+                shards: args.servers,
+                reopt_threshold: 0.25,
+                metrics: args.metrics,
+                ..Default::default()
+            },
+            &HarnessConfig {
+                clients,
+                duration: args.duration,
+                churn_ratio,
+                arrival: Arrival::Closed,
+                seed: 7,
+                stats_interval: None,
+            },
+        );
+        assert!(
+            report.serve.churn.zero_violations(),
+            "{name}: staleness violated: {:?}",
+            report.serve.churn.staleness_violation
+        );
+        eprintln!(
+            "#   {:<9} {:>9.0} op/s  {:.3} msg/op  p50 {:.3}ms  p99 {:.3}ms",
+            name,
+            report.throughput(),
+            report.messages as f64 / report.ops.max(1) as f64,
+            report.quantile_ms(0.5),
+            report.quantile_ms(0.99)
+        );
+        summary.push((name, report.throughput()));
+        if let Some(snap) = &report.serve.metrics {
+            stats_rows.push(format!("  \"{}\": {}", name, snap.to_json()));
         }
+        rows.push(json_result(name, cost, &report));
     }
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"smoke\": {},\n  \"nodes\": {},\n  \"edges\": {},\n  \

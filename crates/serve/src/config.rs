@@ -4,44 +4,20 @@ use piggyback_store::fault::FaultPlan;
 use piggyback_store::topology::PartitionStrategy;
 use std::time::Duration;
 
-/// Which shard-RPC plane the serving clients speak.
+/// The shard-RPC plane the serving clients speak: only caller-runs is
+/// left. Ignored by the runtime; kept only because the benchmark
+/// (`benchmark/src/world.rs`) still names it; delete it together with
+/// that use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RpcMode {
-    /// The coalesced plane over the shard-worker pool: one
-    /// [`ShardBatch`](piggyback_store::worker::ShardBatch) per touched
-    /// shard per operation, pooled reply channel and buffers, replies
-    /// merged as they arrive, all batches of an op on one worker. The
-    /// default.
-    #[default]
-    Batched,
     /// The coalesced plane executed caller-side
-    /// ([`Transport::Direct`](piggyback_store::worker::Transport)): the
-    /// same batches, wire format and message accounting, with shard work
-    /// running inline on the issuing thread instead of hopping to a
-    /// worker — the embedded-deployment mode, and the fastest one when
-    /// clients outnumber cores. Its query batches run in sequence, so
-    /// each carries the running k-th newest as a floor and a shard ships
-    /// only tuples that can still enter the feed.
+    /// ([`Transport::Direct`](piggyback_store::worker::Transport)): one
+    /// batch per touched shard per operation, run inline on the issuing
+    /// thread. Its query batches run in sequence, so each carries the
+    /// running k-th newest as a floor and a shard ships only tuples that
+    /// can still enter the feed.
+    #[default]
     Direct,
-}
-
-impl RpcMode {
-    /// Parses `"batched"` / `"direct"`.
-    pub fn parse(s: &str) -> Option<RpcMode> {
-        match s {
-            "batched" => Some(RpcMode::Batched),
-            "direct" => Some(RpcMode::Direct),
-            _ => None,
-        }
-    }
-
-    /// The canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RpcMode::Batched => "batched",
-            RpcMode::Direct => "direct",
-        }
-    }
 }
 
 /// When the churn manager re-runs the full optimizer in the background.
@@ -86,7 +62,9 @@ impl ReoptMode {
 pub struct ServeConfig {
     /// Number of (logical) data-store servers.
     pub shards: usize,
-    /// Shard worker OS threads (shard `s` is owned by worker `s % workers`).
+    /// Ignored: the runtime spawns no shard worker. Kept only because the
+    /// benchmark (`benchmark/src/world.rs`) still names it; delete it
+    /// together with that use.
     pub workers: usize,
     /// Events returned per event-stream query (the paper uses 10).
     pub top_k: usize,
@@ -121,8 +99,7 @@ pub struct ServeConfig {
     /// rate added by churn exceeds this fraction of the optimized base
     /// cost (`f64::INFINITY` disables rebalancing).
     pub rebalance_threshold: f64,
-    /// Which shard-RPC plane clients speak (production is
-    /// [`RpcMode::Batched`]; [`RpcMode::Direct`] is the embedded mode).
+    /// Ignored (see [`RpcMode`]): every client runs its batches inline.
     pub rpc: RpcMode,
     /// Whether the runtime carries live metrics + event tracing
     /// ([`ServeMetrics`](crate::metrics::ServeMetrics)). On by default —
@@ -142,10 +119,10 @@ pub struct ServeConfig {
     /// of a view.
     pub domains: usize,
     /// Heartbeat cadence of the failure detector, ticked by the runtime's
-    /// one control-plane thread (ZERO = detection off and no control-plane
-    /// thread; a dead shard is then only noticed at the send seam). A shard
-    /// is `Suspect` after 2 silent windows and `Down` — the failover
-    /// trigger — after 4.
+    /// ticker thread (ZERO = detection off and no ticker; a dead shard is
+    /// then only noticed at the send seam). Each tick credits the probe
+    /// the last one sent and sends the next; a shard is `Suspect` after 2
+    /// silent ticks and `Down` — the failover trigger — after 4.
     pub heartbeat_interval: Duration,
     /// Fault injection on the transport (`None` = faultless).
     pub faults: Option<FaultPlan>,
@@ -165,7 +142,7 @@ impl Default for ServeConfig {
             reopt_mode: ReoptMode::Threshold,
             reopt_budget_frac: 0.5,
             rebalance_threshold: f64::INFINITY,
-            rpc: RpcMode::Batched,
+            rpc: RpcMode::Direct,
             metrics: true,
             replication: 1,
             domains: 0,
@@ -182,7 +159,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ServeConfig::default();
-        assert!(c.shards >= 1 && c.workers >= 1 && c.top_k >= 1);
+        assert!(c.shards >= 1 && c.top_k >= 1);
         assert!(c.reopt_threshold > 0.0);
         // Re-optimization defaults to the paper's lazy trigger; continuous
         // mode is the opt-in for cheap re-optimizers.
@@ -193,8 +170,6 @@ mod tests {
         // no live rebalancing.
         assert_eq!(c.partition, PartitionStrategy::Hash);
         assert!(c.rebalance_threshold.is_infinite());
-        // Production serves over the coalesced plane, with metrics on.
-        assert_eq!(c.rpc, RpcMode::Batched);
         assert!(c.metrics);
         // Resilience is strictly opt-in: replication 1, no heartbeats, no
         // faults, trivial domains means the pre-replication data plane,
@@ -203,15 +178,6 @@ mod tests {
         assert_eq!(c.domains, 0, "trivial failure domains by default");
         assert_eq!(c.heartbeat_interval, Duration::ZERO);
         assert!(c.faults.is_none());
-    }
-
-    #[test]
-    fn rpc_mode_parses() {
-        assert_eq!(RpcMode::parse("batched"), Some(RpcMode::Batched));
-        assert_eq!(RpcMode::parse("direct"), Some(RpcMode::Direct));
-        assert_eq!(RpcMode::parse("legacy"), None, "removed plane");
-        assert_eq!(RpcMode::parse("bogus"), None);
-        assert_eq!(RpcMode::Direct.name(), "direct");
     }
 
     #[test]

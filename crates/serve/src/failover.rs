@@ -11,7 +11,9 @@
 //! [`FailoverController::tick`] and by the views a transition queues;
 //! every instant is read from the injected [`Clock`], and every transition
 //! is recorded once, through [`Publisher::event`], which also folds it into
-//! the run's [`ChurnReport`]:
+//! the run's [`ChurnReport`]. Every shard request the control plane makes
+//! — a probe, a view copy, a drop — is served inline on the thread that
+//! holds the control lock ([`ShardIo`]):
 //!
 //! ```text
 //!            DOWN_MISSES silent windows            heartbeat answered
@@ -29,8 +31,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
 use piggyback_graph::fx::FxHashSet;
@@ -38,9 +39,9 @@ use piggyback_graph::NodeId;
 use piggyback_obs::{Clock, EventKind};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::{HealthTracker, ShardHealth};
-use piggyback_store::server::QueryScratch;
+use piggyback_store::server::{QueryScratch, StoreServer};
 use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
-use piggyback_store::worker::{BatchOp, BufferPool, ShardBatch, ShardRequest, Transport};
+use piggyback_store::worker::{handle_request, BatchOp, BufferPool, ShardBatch, ShardRequest};
 
 use crate::config::ServeConfig;
 use crate::epoch::{EpochHandle, ServingSchedule};
@@ -198,46 +199,46 @@ fn move_views(
 }
 
 /// The control plane's handle on the shards: one-shot requests and view
-/// copies, over whichever transport the runtime serves with.
+/// copies, each served inline through the store's [`handle_request`].
 pub(crate) struct ShardIo {
-    transport: Transport,
-    pool: Arc<BufferPool>,
-    /// Scratch for requests the caller-runs transport executes inline.
+    shards: Arc<Vec<Mutex<StoreServer>>>,
+    /// Where a whole-view read draws its reply buffer.
+    pool: BufferPool,
     scratch: QueryScratch,
     /// Views a copy found no donor for: the report's `views_lost`.
     pub(crate) lost: FxHashSet<NodeId>,
 }
 
 impl ShardIo {
-    pub(crate) fn new(transport: Transport, pool: Arc<BufferPool>) -> Self {
+    pub(crate) fn new(shards: Arc<Vec<Mutex<StoreServer>>>) -> Self {
         ShardIo {
-            transport,
-            pool,
+            shards,
+            pool: BufferPool::new(),
             scratch: QueryScratch::new(),
             lost: FxHashSet::default(),
         }
     }
 
-    /// Sends one control-plane request without waiting; the receiver
-    /// yields the reply. Callers gate on [`reachable`] first.
-    pub(crate) fn request<R>(
-        &mut self,
-        make: impl FnOnce(Sender<R>) -> ShardRequest,
-    ) -> Receiver<R> {
-        self.transport
-            .request_async(&self.pool, &mut self.scratch, make)
+    /// Serves one control-plane request and returns its reply. Callers
+    /// gate on [`reachable`] first.
+    pub(crate) fn request<R>(&mut self, make: impl FnOnce(Sender<R>) -> ShardRequest) -> R {
+        let (done, reply) = bounded(1);
+        handle_request(&self.shards, &self.pool, &mut self.scratch, make(done));
+        reply
+            .recv()
+            .expect("an inline request replies before it returns")
     }
 
     /// Fills `owed` from one [`Fleet::donor`] per view (a whole-view query;
-    /// it keeps serving), pipelined, installs acked on return. Skips a view
-    /// never materialized, counts one with no donor lost. Returns installs.
+    /// it keeps serving). Skips a view never materialized, counts one with
+    /// no donor lost. Returns the installs made.
     fn copy_views(
         &mut self,
         fleet: &Fleet,
         (from, to): (&Topology, &Topology),
         owed: &[Owed],
     ) -> usize {
-        let mut reads = Vec::with_capacity(owed.len());
+        let mut installs = 0;
         for (view, slots) in owed {
             let Some(shard) = fleet.donor(from, to, *view, slots) else {
                 self.lost.insert(*view);
@@ -246,39 +247,34 @@ impl ShardIo {
             if slots.is_empty() {
                 continue;
             }
-            let rx = self.request(|reply| {
-                ShardRequest::Batch(ShardBatch {
-                    shard,
-                    views: vec![*view],
-                    op: BatchOp::Query {
-                        k: usize::MAX,
-                        floor: None,
-                    },
-                    reply,
+            let payload = self
+                .request(|reply| {
+                    ShardRequest::Batch(ShardBatch {
+                        shard,
+                        views: vec![*view],
+                        op: BatchOp::Query {
+                            k: usize::MAX,
+                            floor: None,
+                        },
+                        reply,
+                    })
                 })
-            });
-            reads.push((*view, slots, rx));
-        }
-        let mut installs = Vec::new();
-        for (view, slots, rx) in reads {
-            let payload = rx.recv().expect("worker dropped read reply").freeze();
+                .freeze();
             if payload.is_empty() {
                 continue;
             }
             for &shard in slots {
-                let payload = payload.clone();
-                installs.push(self.request(|done| ShardRequest::InstallView {
+                let (view, payload) = (*view, payload.clone());
+                self.request(|done| ShardRequest::InstallView {
                     shard,
                     view,
                     payload,
                     done,
-                }));
+                });
             }
+            installs += slots.len();
         }
-        for rx in &installs {
-            rx.recv().expect("worker dropped install reply");
-        }
-        installs.len()
+        installs
     }
 }
 
@@ -310,8 +306,9 @@ struct Backlog {
 /// One shard's record.
 #[derive(Default)]
 struct ShardCtl {
-    /// The heartbeat in flight and the clock reading its grace window opened.
-    probe: Option<(Receiver<Bytes>, u64)>,
+    /// Whether the probe the last tick sent was answered; this tick
+    /// credits it.
+    answered: bool,
     phase: Phase,
 }
 
@@ -321,7 +318,6 @@ pub(crate) struct FailoverController {
     /// Shared failure detector; this controller is its prober.
     health: Arc<HealthTracker>,
     faults: Option<Arc<FaultInjector>>,
-    heartbeat: Duration,
     clock: Clock,
     /// The failure-free topology the cluster converges back to as shards
     /// rejoin. Rebalances set it; failovers never do.
@@ -336,7 +332,6 @@ impl FailoverController {
         publisher: Publisher,
         health: Arc<HealthTracker>,
         faults: Option<Arc<FaultInjector>>,
-        config: &ServeConfig,
         clock: &Clock,
     ) -> Self {
         FailoverController {
@@ -345,7 +340,6 @@ impl FailoverController {
             publisher,
             health,
             faults,
-            heartbeat: config.heartbeat_interval,
             clock: clock.clone(),
         }
     }
@@ -399,13 +393,14 @@ impl FailoverController {
             .collect();
         if !down.is_empty() {
             self.fail_over(&down, io);
-            // Amnesty: probes queued behind the move; restart detection, or
-            // one death cascades. Not for an unreachable shard (its misses
-            // need no wire) nor a catching-up one (only readmit promotes).
+            // Amnesty: every reachable serving shard restarts detection
+            // from a fresh probe, so one death never cascades. Not for an
+            // unreachable shard (its misses need no wire) nor a catching-up
+            // one (only readmit promotes).
             for s in 0..self.shards.len() {
                 if matches!(self.shards[s].phase, Phase::Serving) && self.reachable(s) {
                     self.health.record_ok(s);
-                    self.shards[s].probe = None;
+                    self.shards[s].answered = false;
                 }
             }
         }
@@ -434,35 +429,23 @@ impl FailoverController {
         self.health.first_miss_elapsed(s).max(killed)
     }
 
-    /// Polls `s`'s one probe with a zero-wait receive. Probes queue behind
-    /// data, so a shard in service misses only when a generous grace window
-    /// passes unanswered; an unreachable one misses once per tick, dying in
-    /// [`DOWN_MISSES`] ticks. A failed-over shard is probed for *rejoin*.
+    /// Credits the probe the last tick sent `s`, then sends the next. A
+    /// probe is served inline, so a reachable shard always answers it; an
+    /// unreachable one misses once per tick, dying in [`DOWN_MISSES`]
+    /// ticks. A failed-over shard is probed for *rejoin*.
     fn poll(&mut self, s: usize, io: &mut ShardIo) {
-        let probe = self.shards[s].probe.take();
+        let answered = std::mem::take(&mut self.shards[s].answered);
         if !self.reachable(s) {
             return self.note_miss(s);
         }
-        if let Some((rx, mut since_ns)) = probe {
-            match rx.recv_timeout(Duration::ZERO) {
-                Ok(_) if self.failed_over(s) => return self.begin_rejoin(s, io),
-                Ok(_) => self.health.record_ok(s),
-                Err(RecvTimeoutError::Timeout) => {
-                    let grace = (self.heartbeat * 2).max(Duration::from_millis(100));
-                    if self.clock.since(since_ns) >= grace {
-                        self.note_miss(s);
-                        since_ns = self.clock.now_ns();
-                    }
-                    // Keep the probe: a late reply still proves liveness.
-                    self.shards[s].probe = Some((rx, since_ns));
-                    return;
-                }
-                // Worker gone (teardown in progress).
-                Err(RecvTimeoutError::Disconnected) => return self.note_miss(s),
-            }
+        if answered && self.failed_over(s) {
+            return self.begin_rejoin(s, io);
         }
-        let rx = io.request(|done| ShardRequest::Heartbeat { shard: s, done });
-        self.shards[s].probe = Some((rx, self.clock.now_ns()));
+        if answered {
+            self.health.record_ok(s);
+        }
+        io.request(|done| ShardRequest::Heartbeat { shard: s, done });
+        self.shards[s].answered = true;
     }
 
     /// Records a heartbeat miss, logging the state transition if any —
@@ -693,15 +676,13 @@ impl Rebalancer {
         // Drop each moved view from the holding slots that left its replica
         // set — once a holding slot of the new set has it, so an old copy
         // stays a donor until then. A stray copy no map points at is inert.
-        let drops: Vec<Receiver<Bytes>> = moved
+        let drops = moved
             .iter()
             .filter(|&&u| new.replica_slots(u).any(|r| fleet.holds(r)))
             .flat_map(|&u| old.replica_slots(u).map(move |r| (u, r)))
-            .filter(|&(u, r)| fleet.holds(r) && !new.replica_slots(u).any(|n| n == r))
-            .map(|(view, shard)| io.request(|done| ShardRequest::ExtractView { shard, view, done }))
-            .collect();
-        for rx in drops {
-            rx.recv().expect("worker dropped extract reply");
+            .filter(|&(u, r)| fleet.holds(r) && !new.replica_slots(u).any(|n| n == r));
+        for (view, shard) in drops {
+            io.request(|done| ShardRequest::ExtractView { shard, view, done });
         }
         self.publisher.event(EventKind::Rebalance {
             moved: moved.len(),

@@ -286,7 +286,6 @@ mod tests {
             Box::new(Hybrid),
             ServeConfig {
                 shards: 4,
-                workers: 2,
                 ..Default::default()
             },
             &HarnessConfig {
@@ -320,7 +319,6 @@ mod tests {
             Box::new(Hybrid),
             ServeConfig {
                 shards: 4,
-                workers: 2,
                 ..Default::default()
             },
             &HarnessConfig {

@@ -15,9 +15,10 @@
 //!   revalidates per request with one atomic load of a publish counter.
 //!   A request uses exactly one snapshot end-to-end, so concurrent swaps
 //!   can never show it a mix of two schedules.
-//! * [`runtime`] — the sharded serving core ([`piggyback_store`] shard
-//!   workers behind channels, one batched message per touched server) plus
-//!   the control plane, run under one lock by the client that churns:
+//! * [`runtime`] — the sharded serving core ([`piggyback_store`] shards
+//!   behind one mutex each; a client runs one batched message per touched
+//!   server inline, on its own thread) plus the control plane, run under
+//!   one lock by the client that churns:
 //!   `Follow`/`Unfollow` flow through
 //!   [`IncrementalScheduler`](piggyback_core::incremental::IncrementalScheduler),
 //!   each mutation publishes a fresh epoch, and when the accumulated

@@ -1,11 +1,11 @@
-//! The online serving runtime: shard workers, serving clients, and the
+//! The online serving runtime: the shards, serving clients, and the
 //! control plane they drive.
 //!
-//! * **Shard workers** (`config.workers` threads) own the
-//!   [`StoreServer`] shards behind channels, speaking the wire-format
-//!   [`worker`](piggyback_store::worker) protocol. Under
-//!   [`RpcMode::Direct`] none are spawned: clients and the control plane
-//!   run the same coalesced batches inline against the shard mutexes.
+//! * **The shards** are [`StoreServer`]s behind one mutex each. No thread
+//!   owns them: a client runs each operation's coalesced batches inline
+//!   on its own thread ([`Transport::Direct`], one batch per touched
+//!   shard, in the wire format), and the control plane serves its one-off
+//!   requests the same way.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
 //!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
 //!   per operation) and run `Follow`/`Unfollow` themselves, on their own
@@ -27,8 +27,8 @@
 //!     [`ServeConfig::rebalance_threshold`] it re-partitions and moves
 //!     views by the rule failover uses;
 //!   - `FailoverController` (same module): the shard lifecycle, ticked
-//!     once per heartbeat by a ticker thread. With heartbeats off no
-//!     control-plane thread runs at all.
+//!     once per heartbeat by a ticker thread. With heartbeats off, and no
+//!     job out, the runtime runs no thread of its own.
 //!
 //!   Every epoch goes out through one publish, so no request ever mixes
 //!   two schedules or two maps, and every control-plane event is recorded
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use piggyback_core::incremental::IncrementalScheduler;
 use piggyback_core::schedule::Schedule;
@@ -53,11 +53,11 @@ use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::HealthTracker;
 use piggyback_store::server::{ShardStats, StoreServer};
 use piggyback_store::topology::{PartitionRequest, Topology};
-use piggyback_store::worker::{worker_loop, BufferPool, ShardClient, ShardRequest, Transport};
+use piggyback_store::worker::{BufferPool, ShardClient, ShardRequest, Transport};
 use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
-use crate::config::{RpcMode, ServeConfig};
+use crate::config::ServeConfig;
 use crate::epoch::{EpochHandle, EpochReader, ServingSchedule};
 use crate::failover::{
     reachable, FailoverController, Publisher, Rebalancer, ShardIo, DOWN_MISSES, SUSPECT_MISSES,
@@ -65,18 +65,16 @@ use crate::failover::{
 use crate::metrics::{OpRecorder, ServeMetrics};
 use crate::ops::{ChurnApplier, ChurnReport, ReoptInstaller, ReoptJob, ReoptResult, ServeReport};
 
-/// Bound on the shard-worker channels (back-pressure depth).
-const QUEUE_DEPTH: usize = 1024;
-
 /// The long-running serving system.
 ///
 /// Construct with [`ServeRuntime::start`], obtain any number of
-/// [`ServeClient`]s, and finish with [`ServeRuntime::shutdown`] (after the
-/// clients are dropped) to collect the end-of-run report.
+/// [`ServeClient`]s, and finish with [`ServeRuntime::shutdown`] to collect
+/// the end-of-run report.
 pub struct ServeRuntime {
     handle: Arc<EpochHandle>,
-    senders: Arc<Vec<Sender<ShardRequest>>>,
-    transport: Transport,
+    shards: Arc<Vec<Mutex<StoreServer>>>,
+    /// Handed to every [`ShardClient`], which takes one and, running its
+    /// batches inline, never draws from it.
     pool: Arc<BufferPool>,
     /// The control plane, shared with every client.
     control: Arc<Mutex<ChurnManager>>,
@@ -89,7 +87,6 @@ pub struct ServeRuntime {
     /// Fault injector (present when a fault plan is configured).
     faults: Option<Arc<FaultInjector>>,
     client_counter: AtomicU64,
-    worker_handles: Vec<JoinHandle<()>>,
     /// The heartbeat ticker's stop channel and thread (`None`: no
     /// failover controller to tick).
     ticker: Option<(Sender<()>, JoinHandle<()>)>,
@@ -103,8 +100,8 @@ impl ServeRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if the schedule does not match the graph or the rates do not
-    /// cover every node.
+    /// Panics if the schedule does not match the graph, the rates do not
+    /// cover every node, or [`ServeConfig::reopt_budget_frac`] is NaN.
     pub fn start(
         graph: CsrGraph,
         rates: Rates,
@@ -137,7 +134,13 @@ impl ServeRuntime {
         config: ServeConfig,
         clock: Clock,
     ) -> Self {
-        assert!(config.shards >= 1 && config.workers >= 1, "need threads");
+        assert!(config.shards >= 1, "need a shard");
+        // `ReoptInstaller` clamps the fraction, which passes NaN through
+        // to a `Duration::mul_f64` that panics inside the first install.
+        assert!(
+            !config.reopt_budget_frac.is_nan(),
+            "reopt_budget_frac is NaN"
+        );
         assert_eq!(graph.edge_count(), schedule.edge_count());
         assert!(
             rates.len() >= graph.node_count(),
@@ -175,24 +178,6 @@ impl ServeRuntime {
                 .map(|_| Mutex::new(StoreServer::new(config.view_capacity)))
                 .collect(),
         );
-        let pool = Arc::new(BufferPool::new());
-        let mut senders = Vec::new();
-        let mut worker_handles = Vec::new();
-        if config.rpc != RpcMode::Direct {
-            for _ in 0..config.workers {
-                let (tx, rx) = bounded::<ShardRequest>(QUEUE_DEPTH);
-                let shards = Arc::clone(&shards);
-                let pool = Arc::clone(&pool);
-                worker_handles.push(std::thread::spawn(move || worker_loop(&shards, &pool, &rx)));
-                senders.push(tx);
-            }
-        }
-        let senders = Arc::new(senders);
-        let transport = if config.rpc == RpcMode::Direct {
-            Transport::Direct(Arc::clone(&shards))
-        } else {
-            Transport::Workers(Arc::clone(&senders))
-        };
         let metrics = config
             .metrics
             .then(|| Arc::new(ServeMetrics::new(clock.clone())));
@@ -219,9 +204,7 @@ impl ServeRuntime {
         let failover = health
             .clone()
             .filter(|_| !config.heartbeat_interval.is_zero())
-            .map(|h| {
-                FailoverController::new(publisher.clone(), h, faults.clone(), &config, &clock)
-            });
+            .map(|h| FailoverController::new(publisher.clone(), h, faults.clone(), &clock));
         // A push to a k-replicated consumer fans out to k slots, so every
         // push/pull decision of the control plane is priced with k-amplified
         // producer rates (§2.1 with replication); k = 1 is the identity.
@@ -231,16 +214,15 @@ impl ServeRuntime {
             reopt: ReoptInstaller::new(Arc::from(reopt), &config, clock.clone(), publisher.clone()),
             rebalancer: Rebalancer::new(&config, publisher.clone(), clock),
             failover,
-            io: ShardIo::new(transport.clone(), Arc::clone(&pool)),
+            io: ShardIo::new(Arc::clone(&shards)),
             publisher,
             closing: false,
             job: None,
         };
         ServeRuntime {
             handle,
-            senders,
-            transport,
-            pool,
+            shards,
+            pool: Arc::new(BufferPool::new()),
             control: Arc::new(Mutex::new(manager)),
             clock: Arc::new(AtomicU64::new(1)),
             top_k: config.top_k,
@@ -248,7 +230,6 @@ impl ServeRuntime {
             health,
             faults,
             client_counter: AtomicU64::new(0),
-            worker_handles,
             ticker: None,
         }
     }
@@ -258,8 +239,11 @@ impl ServeRuntime {
         let id = self.client_counter.fetch_add(1, Ordering::Relaxed);
         ServeClient {
             epoch: self.handle.reader(),
-            shard: ShardClient::new(self.transport.clone(), Arc::clone(&self.pool))
-                .with_resilience(self.health.clone(), self.faults.clone()),
+            shard: ShardClient::new(
+                Transport::Direct(Arc::clone(&self.shards)),
+                Arc::clone(&self.pool),
+            )
+            .with_resilience(self.health.clone(), self.faults.clone()),
             control: Arc::clone(&self.control),
             clock: Arc::clone(&self.clock),
             top_k: self.top_k,
@@ -276,24 +260,19 @@ impl ServeRuntime {
     }
 
     /// Scrapes every shard's operation counters **over the wire**: one
-    /// pipelined [`ShardRequest::Stats`] per shard through the transport
-    /// data ops use (so both planes count alike). Unreachable: zeros.
+    /// [`ShardRequest::Stats`] per shard, answered in the wire format data
+    /// ops use. Unreachable: zeros.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut io = ShardIo::new(self.transport.clone(), Arc::clone(&self.pool));
-        let pending: Vec<Option<_>> = (0..self.handle.load().topology().servers())
+        let mut io = ShardIo::new(Arc::clone(&self.shards));
+        (0..self.handle.load().topology().servers())
             .map(|shard| {
-                reachable(self.faults.as_deref(), shard)
-                    .then(|| io.request(|done| ShardRequest::Stats { shard, done }))
+                if !reachable(self.faults.as_deref(), shard) {
+                    return ShardStats::default();
+                }
+                let mut reply = io.request(|done| ShardRequest::Stats { shard, done });
+                ShardStats::decode(&mut reply).expect("malformed stats reply")
             })
-            .collect();
-        let decode = |rx: Receiver<_>| {
-            let mut reply = rx.recv().expect("worker dropped stats reply");
-            ShardStats::decode(&mut reply).expect("malformed stats reply")
-        };
-        let stats = pending
-            .into_iter()
-            .map(|rx| rx.map(decode).unwrap_or_default());
-        stats.collect()
+            .collect()
     }
 
     /// The shared failure detector, when the runtime carries one.
@@ -323,16 +302,14 @@ impl ServeRuntime {
         };
         // Reset *before* revive: the replacement process must be visibly
         // empty from its first answered request.
-        ShardIo::new(self.transport.clone(), Arc::clone(&self.pool))
-            .request(|done| ShardRequest::ResetViews { shard, done })
-            .recv()
-            .expect("worker dropped reset reply");
+        ShardIo::new(Arc::clone(&self.shards))
+            .request(|done| ShardRequest::ResetViews { shard, done });
         f.revive(shard)
     }
 
     /// One point-in-time capture of everything observable: the registry's
-    /// instruments, the wire scrape as `store.*` counters, and queue/pool
-    /// gauges. Safe while serving; diff two with [`Snapshot::delta_since`].
+    /// instruments and the wire scrape as `store.*` counters. Safe while
+    /// serving; diff two with [`Snapshot::delta_since`].
     pub fn stats_snapshot(&self) -> Snapshot {
         let mut snap = match &self.metrics {
             Some(m) => m.snapshot(),
@@ -351,11 +328,6 @@ impl ServeRuntime {
         snap.set_counter("store.views_extracted", total.views_extracted);
         snap.set_counter("store.views_installed", total.views_installed);
         snap.set_gauge("store.avg_batch_ops", total.avg_batch_ops());
-        let depth: usize = self.senders.iter().map(Sender::len).sum();
-        snap.set_gauge("store.queue_depth", depth as f64);
-        let (bufs, vecs) = self.pool.pooled_counts();
-        snap.set_gauge("store.pool_bufs", bufs as f64);
-        snap.set_gauge("store.pool_vecs", vecs as f64);
         snap
     }
 
@@ -371,9 +343,9 @@ impl ServeRuntime {
 
     /// Stops the control plane: closes it to churn, waits for an in-flight
     /// re-optimization to land and stops the heartbeat ticker; then
-    /// validates bounded staleness on the final dynamic graph and tears
-    /// the worker pool down. Drop the clients first: one that outlives
-    /// shutdown keeps its shard channels alive, but its churn is rejected.
+    /// validates bounded staleness on the final dynamic graph. A client
+    /// that outlives shutdown still shares and queries, but its churn is
+    /// rejected.
     pub fn shutdown(mut self) -> ServeReport {
         let job = self.control.lock().close();
         if let Some(job) = job {
@@ -383,26 +355,8 @@ impl ServeRuntime {
             drop(stop);
             ticker.join().expect("heartbeat ticker panicked");
         }
-        let churn = {
-            let mut control = self.control.lock();
-            let report = control.final_report();
-            // A client that outlives shutdown keeps the control plane
-            // alive: release its transport clone too.
-            control.io = ShardIo::new(Transport::Workers(Arc::default()), Arc::clone(&self.pool));
-            report
-        };
-        // Final capture while the workers can still answer the wire scrape.
+        let churn = self.control.lock().final_report();
         let metrics = self.metrics.is_some().then(|| self.stats_snapshot());
-        // Workers exit once every request sender is gone: release the
-        // runtime's transport clone; if a client still holds one, leave the
-        // workers serving (they die with it).
-        self.transport = Transport::Workers(Arc::new(Vec::new()));
-        if let Ok(senders) = Arc::try_unwrap(self.senders) {
-            drop(senders);
-            for h in self.worker_handles.drain(..) {
-                h.join().expect("shard worker panicked");
-            }
-        }
         ServeReport {
             churn,
             final_epoch: self.handle.epoch(),
@@ -682,7 +636,6 @@ mod tests {
     fn piggybacked_event_flows_online() {
         let rt = boot(ServeConfig {
             shards: 4,
-            workers: 2,
             ..Default::default()
         });
         let mut c = rt.client();
@@ -704,7 +657,6 @@ mod tests {
     fn follow_takes_effect_for_future_shares() {
         let rt = boot(ServeConfig {
             shards: 2,
-            workers: 1,
             ..Default::default()
         });
         let mut c = rt.client();
@@ -741,63 +693,49 @@ mod tests {
     /// `b` has a snapshot cached from before.
     #[test]
     fn acknowledged_follow_is_visible_to_other_clients() {
-        for rpc in [RpcMode::Batched, RpcMode::Direct] {
-            let rt = boot(ServeConfig {
-                shards: 2,
-                workers: 1,
-                rpc,
-                ..Default::default()
-            });
-            let a = rt.client();
-            let mut b = rt.client();
-            let (warm_tx, warm_rx) = bounded::<()>(0);
-            let (told_tx, told_rx) = bounded::<()>(0);
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    // No edge 2 → 0 yet; serving now caches epoch 0 in `b`.
-                    b.share(2);
-                    assert!(!b.query(0).0.iter().any(|e| e.user == 2));
-                    warm_tx.send(()).unwrap();
-                    told_rx.recv().unwrap();
-                    // Whether the new edge is pushed (the share must reach
-                    // Art's view) or pulled (the query must read Billie's),
-                    // `b` only gets this right under the new epoch.
-                    b.share(2);
-                    let (events, _) = b.query(0);
-                    assert!(
-                        events.iter().any(|e| e.user == 2),
-                        "{rpc:?}: acknowledged follow not visible to b: {events:?}"
-                    );
-                });
-                warm_rx.recv().unwrap();
-                assert!(a.follow(2, 0), "new edge must apply");
-                told_tx.send(()).unwrap();
-            });
-            drop(a);
-            assert!(rt.shutdown().churn.zero_violations());
-        }
-    }
-
-    /// Under the worker plane `shutdown` joins every shard worker once no
-    /// client outlives it, although the control plane's shard I/O holds a
-    /// clone of their channels.
-    #[test]
-    fn shutdown_joins_the_worker_pool() {
         let rt = boot(ServeConfig {
             shards: 2,
-            workers: 2,
             ..Default::default()
         });
-        let pool = Arc::clone(&rt.pool);
-        let c = rt.client();
-        assert!(c.follow(2, 0));
-        drop(c);
+        let a = rt.client();
+        let mut b = rt.client();
+        let (warm_tx, warm_rx) = bounded::<()>(0);
+        let (told_tx, told_rx) = bounded::<()>(0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                // No edge 2 → 0 yet; serving now caches epoch 0 in `b`.
+                b.share(2);
+                assert!(!b.query(0).0.iter().any(|e| e.user == 2));
+                warm_tx.send(()).unwrap();
+                told_rx.recv().unwrap();
+                // Whether the new edge is pushed (the share must reach
+                // Art's view) or pulled (the query must read Billie's),
+                // `b` only gets this right under the new epoch.
+                b.share(2);
+                let (events, _) = b.query(0);
+                assert!(
+                    events.iter().any(|e| e.user == 2),
+                    "acknowledged follow not visible to b: {events:?}"
+                );
+            });
+            warm_rx.recv().unwrap();
+            assert!(a.follow(2, 0), "new edge must apply");
+            told_tx.send(()).unwrap();
+        });
+        drop(a);
         assert!(rt.shutdown().churn.zero_violations());
-        assert_eq!(
-            Arc::strong_count(&pool),
-            1,
-            "a shard worker outlived shutdown"
-        );
+    }
+
+    /// `ReoptInstaller` clamps the budget fraction, and a clamp passes NaN
+    /// through to the first install's `Duration::mul_f64`, which panics on
+    /// the job thread; boot refuses the value instead.
+    #[test]
+    #[should_panic(expected = "reopt_budget_frac")]
+    fn nan_reopt_budget_is_rejected_at_start() {
+        boot(ServeConfig {
+            reopt_budget_frac: f64::NAN,
+            ..Default::default()
+        });
     }
 
     #[test]
@@ -820,7 +758,6 @@ mod tests {
             Box::new(Hybrid),
             ServeConfig {
                 shards: 2,
-                rpc: RpcMode::Direct,
                 // Re-optimization never fires: every epoch is a churn publish.
                 reopt_threshold: f64::INFINITY,
                 ..Default::default()
@@ -873,7 +810,6 @@ mod tests {
     fn metrics_capture_spans_serve_and_store() {
         let rt = boot(ServeConfig {
             shards: 2,
-            workers: 1,
             ..Default::default()
         });
         let mut c = rt.client();
@@ -906,10 +842,27 @@ mod tests {
     }
 
     #[test]
+    fn wire_scrape_equals_the_shards_own_counters() {
+        let rt = boot(ServeConfig {
+            shards: 4,
+            ..Default::default()
+        });
+        let mut c = rt.client();
+        for u in 0..3 {
+            c.share(u);
+            let _ = c.query(u);
+        }
+        let own: Vec<ShardStats> = rt.shards.iter().map(|s| s.lock().stats()).collect();
+        assert!(own.iter().any(|s| s.updates > 0 && s.events_returned > 0));
+        assert_eq!(rt.shard_stats(), own);
+        drop(c);
+        assert!(rt.shutdown().churn.zero_violations());
+    }
+
+    #[test]
     fn metrics_off_serves_and_reports_none() {
         let rt = boot(ServeConfig {
             shards: 2,
-            workers: 1,
             metrics: false,
             ..Default::default()
         });

@@ -849,8 +849,6 @@ impl Rig {
             Box::new(Hybrid),
             ServeConfig {
                 shards,
-                workers: 1,
-                rpc: RpcMode::Direct,
                 replication: 2,
                 domains,
                 heartbeat_interval: HEARTBEAT,
@@ -864,9 +862,6 @@ impl Rig {
             },
             clock.clone(),
         );
-        let Transport::Direct(stores) = &rt.transport else {
-            unreachable!("the matrix runs caller-runs shards");
-        };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA17);
         let boot = Arc::clone(rt.snapshot().topology());
         let mut rig = Rig {
@@ -877,7 +872,7 @@ impl Rig {
             health: Arc::clone(rt.health().expect("replicated")),
             faults: Arc::clone(rt.faults().expect("a plan is configured")),
             events: rt.metrics().map(|m| m.events().clone()),
-            shards: Arc::clone(stores),
+            shards: Arc::clone(&rt.shards),
             trace: OpTrace::new(rates, 0.1, seed),
             victim: rng.random_range(0..shards),
             rng,

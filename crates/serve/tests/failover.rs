@@ -37,7 +37,6 @@ fn killed_shard_fails_over_and_queries_keep_answering() {
         by_name("hybrid").unwrap(),
         ServeConfig {
             shards: 8,
-            workers: 2,
             replication: 2,
             heartbeat_interval: Duration::from_millis(2),
             staleness_budget: Duration::from_millis(50),

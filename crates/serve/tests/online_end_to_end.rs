@@ -36,7 +36,6 @@ fn churn_triggers_background_reoptimization() {
         by_name("hybrid").unwrap(),
         ServeConfig {
             shards: 4,
-            workers: 2,
             reopt_threshold: 0.01,
             ..Default::default()
         },
@@ -108,7 +107,6 @@ fn shutdown_lands_the_job_out_and_rejects_late_churn() {
         Box::new(Gated(gate)),
         ServeConfig {
             shards: 4,
-            workers: 2,
             reopt_mode: ReoptMode::Continuous,
             ..Default::default()
         },
@@ -146,7 +144,7 @@ fn shutdown_lands_the_job_out_and_rejects_late_churn() {
         "staleness violated: {:?}",
         report.staleness_violation
     );
-    // The late client still reaches the workers, and the installed
+    // The late client still reaches the shards, and the installed
     // schedule serves every edge followed while the job was out.
     for &(u, v) in &applied {
         late.share(u);
@@ -173,7 +171,6 @@ fn harness_sustains_concurrent_churn() {
         by_name("hybrid").unwrap(),
         ServeConfig {
             shards: 8,
-            workers: 2,
             reopt_threshold: 0.05,
             ..Default::default()
         },
@@ -226,7 +223,6 @@ fn piggybacking_reduces_online_messages() {
     };
     let cfg = ServeConfig {
         shards: 256,
-        workers: 2,
         ..Default::default()
     };
     let load = HarnessConfig {

@@ -51,7 +51,6 @@ fn rebalance_preserves_every_pre_rebalance_event() {
         &r,
         ServeConfig {
             shards: 8,
-            workers: 2,
             partition: PartitionStrategy::Ldg,
             // Any cross-server churn cost triggers a rebalance.
             rebalance_threshold: 1e-9,
@@ -115,7 +114,6 @@ fn rebalance_at_replication_two_fills_every_new_slot() {
         &r,
         ServeConfig {
             shards: 8,
-            workers: 2,
             partition: PartitionStrategy::Ldg,
             replication: 2,
             rebalance_threshold: 1e-9,
@@ -174,7 +172,6 @@ fn piggybacked_delivery_survives_migration() {
         &r,
         ServeConfig {
             shards: 4,
-            workers: 2,
             partition: PartitionStrategy::Ldg,
             rebalance_threshold: 1e-9,
             reopt_threshold: f64::INFINITY,
@@ -205,6 +202,8 @@ fn piggybacked_delivery_survives_migration() {
     }
     drop(c);
     let report = rt.shutdown();
+    assert!(report.churn.rebalances >= 1, "no rebalance fired");
+    assert!(report.churn.users_migrated > 0, "no view migrated");
     assert!(report.churn.zero_violations());
 }
 
@@ -219,7 +218,6 @@ fn concurrent_traffic_across_repeated_rebalances_stays_clean() {
         &r,
         ServeConfig {
             shards: 16,
-            workers: 4,
             partition: PartitionStrategy::Ldg,
             rebalance_threshold: 0.002,
             reopt_threshold: f64::INFINITY,

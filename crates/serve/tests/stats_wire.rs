@@ -1,27 +1,20 @@
-//! Differential test for the `Stats` wire request: an identical operation
-//! stream must produce **identical per-shard counters** whether the shard
-//! plane runs caller-side (`RpcMode::Direct`) or through the batched
-//! worker pool (`RpcMode::Batched`). Both planes route every request —
-//! including the stats scrape itself — through the store's single
-//! `handle_request`, so any divergence means one plane is doing different
-//! work, not just reporting differently. The one counter that may differ
-//! is `events_returned`: it counts the tuples shipped, and caller-runs
-//! query batches carry the running k-th newest as a floor, so that plane
-//! can ship fewer. On this 500-op stream over 200 users no query holds
-//! `k` tuples before its last batch, so the floor never fires and that
-//! counter agrees too.
+//! The `Stats` wire request end to end: what the runtime scrapes over the
+//! wire, per shard and folded into its snapshot's `store.*` counters, is
+//! what the shards counted, and the serve-side counters agree with it.
+//! (That the scrape equals each shard's own counters is
+//! `runtime::tests::wire_scrape_equals_the_shards_own_counters`.)
 //!
-//! The same harness also pins down the replication layer's differential
-//! guarantees: heartbeat probes touch no store counters (a monitored run
-//! is byte-identical to an unmonitored one), and at replication 2 the two
-//! planes still agree with each other.
+//! The same harness pins the replication layer's guarantees: heartbeat
+//! probes touch no store counters (a monitored run is byte-identical to
+//! an unmonitored one), and replication 2 inserts every event into both
+//! replica slots.
 
 use std::time::{Duration, Instant};
 
 use piggyback_core::scheduler::{by_name, Instance};
 use piggyback_graph::gen::{copying, CopyingConfig};
 use piggyback_graph::CsrGraph;
-use piggyback_serve::{ReoptMode, RpcMode, ServeConfig, ServeRuntime};
+use piggyback_serve::{ReoptMode, ServeConfig, ServeRuntime};
 use piggyback_store::server::ShardStats;
 use piggyback_store::FaultPlan;
 use piggyback_workload::{OpTrace, Rates};
@@ -38,7 +31,6 @@ fn world() -> (CsrGraph, Rates) {
 }
 
 fn drive_with(
-    rpc: RpcMode,
     replication: usize,
     heartbeat: Duration,
 ) -> (Vec<ShardStats>, piggyback_obs::Snapshot) {
@@ -54,8 +46,6 @@ fn drive_with(
         by_name("hybrid").unwrap(),
         ServeConfig {
             shards: 4,
-            workers: 2,
-            rpc,
             replication,
             heartbeat_interval: heartbeat,
             ..Default::default()
@@ -74,12 +64,12 @@ fn drive_with(
     (per_shard, report.metrics.expect("metrics on by default"))
 }
 
-fn drive(rpc: RpcMode) -> (Vec<ShardStats>, piggyback_obs::Snapshot) {
-    drive_with(rpc, 1, Duration::ZERO)
+fn drive() -> (Vec<ShardStats>, piggyback_obs::Snapshot) {
+    drive_with(1, Duration::ZERO)
 }
 
-/// The store counters both planes must agree on, plus the serve-side op
-/// counters recorded independently on each plane.
+/// The folded store counters, plus the serve-side op counters recorded
+/// independently of them.
 const DIFFERENTIAL_KEYS: [&str; 9] = [
     "store.updates",
     "store.queries",
@@ -93,24 +83,33 @@ const DIFFERENTIAL_KEYS: [&str; 9] = [
 ];
 
 #[test]
-fn stats_are_identical_across_direct_and_batched_planes() {
-    let (direct, direct_snap) = drive(RpcMode::Direct);
-    let (batched, batched_snap) = drive(RpcMode::Batched);
-    assert_eq!(direct.len(), 4);
-    assert_eq!(
-        direct, batched,
-        "per-shard Stats must match between the caller-runs and worker planes"
-    );
-    let touched: u64 = direct.iter().map(|s| s.updates + s.queries).sum();
-    assert!(touched > 0, "the op stream never reached the store");
-    // The end-of-run snapshots agree on every folded store counter.
-    for key in DIFFERENTIAL_KEYS {
-        assert_eq!(
-            direct_snap.counter(key),
-            batched_snap.counter(key),
-            "{key} differs between planes"
-        );
+fn the_wire_scrape_folds_into_the_snapshot() {
+    let (per_shard, snap) = drive();
+    assert_eq!(per_shard.len(), 4);
+    let mut total = ShardStats::default();
+    for s in &per_shard {
+        total.merge(s);
     }
+    assert!(
+        total.updates + total.queries > 0,
+        "the op stream never reached the store"
+    );
+    for (key, value) in [
+        ("store.updates", total.updates),
+        ("store.queries", total.queries),
+        ("store.events_inserted", total.events_inserted),
+        ("store.events_returned", total.events_returned),
+        ("store.batches", total.batches),
+        ("store.batch_ops", total.batch_ops),
+        // Faultless: every message the clients billed is one batch served.
+        ("serve.store_messages", total.batches),
+    ] {
+        assert_eq!(snap.counter(key), value, "{key}");
+    }
+    assert_eq!(
+        snap.counter("serve.ops.shares") + snap.counter("serve.ops.queries"),
+        500
+    );
     // The resilience and re-optimizer instruments ship in the default
     // catalog and stay zero/empty on an unreplicated, unmonitored,
     // churn-free run.
@@ -124,13 +123,13 @@ fn stats_are_identical_across_direct_and_batched_planes() {
         "reopt.hubs_evicted",
     ] {
         assert!(
-            direct_snap.get(key).is_some(),
+            snap.get(key).is_some(),
             "instrument {key} missing from the catalog"
         );
     }
-    assert_eq!(direct_snap.counter("failover.count"), 0);
+    assert_eq!(snap.counter("failover.count"), 0);
     assert_eq!(
-        direct_snap.counter("reopt.stream_passes"),
+        snap.counter("reopt.stream_passes"),
         0,
         "no churn, so no re-optimization may have run"
     );
@@ -154,7 +153,6 @@ fn continuous_reopt_feeds_the_reopt_instruments() {
         by_name("chitchat-stream").unwrap(),
         ServeConfig {
             shards: 4,
-            workers: 2,
             reopt_mode: ReoptMode::Continuous,
             reopt_budget_frac: 1.0,
             ..Default::default()
@@ -193,8 +191,8 @@ fn heartbeats_leave_store_counters_untouched() {
     // detector on adds Heartbeat wire requests, but those touch no shard
     // state and no counters — the data plane is byte-identical to the
     // pre-replication plane.
-    let (plain, plain_snap) = drive_with(RpcMode::Batched, 1, Duration::ZERO);
-    let (probed, probed_snap) = drive_with(RpcMode::Batched, 1, Duration::from_millis(2));
+    let (plain, plain_snap) = drive();
+    let (probed, probed_snap) = drive_with(1, Duration::from_millis(2));
     assert_eq!(
         plain, probed,
         "heartbeat probes must not perturb per-shard stats"
@@ -231,7 +229,6 @@ fn rejoin_lifecycle_is_traced_in_the_event_log() {
         by_name("hybrid").unwrap(),
         ServeConfig {
             shards: 4,
-            workers: 2,
             replication: 2,
             heartbeat_interval: Duration::from_millis(2),
             staleness_budget: Duration::from_millis(50),
@@ -301,32 +298,20 @@ fn rejoin_lifecycle_is_traced_in_the_event_log() {
 }
 
 #[test]
-fn stats_are_identical_across_planes_at_replication_two() {
-    // With replicated writes the absolute counters change (each update
-    // fans out to every replica slot), but the two production planes must
-    // still agree with each other operation for operation.
-    let (direct, direct_snap) = drive_with(RpcMode::Direct, 2, Duration::ZERO);
-    let (batched, batched_snap) = drive_with(RpcMode::Batched, 2, Duration::ZERO);
+fn replication_two_inserts_every_event_into_both_slots() {
+    // Every view appears on exactly two replica slots, so each update
+    // inserts its event twice. (`store.updates` counts per-server groups,
+    // which coalesce differently, so the exact ×2 law lives on the
+    // per-view counter.)
+    let (_, replicated) = drive_with(2, Duration::ZERO);
+    let (_, single) = drive();
     assert_eq!(
-        direct, batched,
-        "per-shard Stats must match between planes at replication 2"
-    );
-    for key in DIFFERENTIAL_KEYS {
-        assert_eq!(
-            direct_snap.counter(key),
-            batched_snap.counter(key),
-            "{key} differs between planes at replication 2"
-        );
-    }
-    // Replication doubles the per-view write traffic vs a single-copy run
-    // of the same trace: every view appears on exactly two replica slots,
-    // so each update inserts its event twice. (`store.updates` counts
-    // per-server groups, which coalesce differently, so the exact ×2 law
-    // lives on the per-view counter.)
-    let (_, single_snap) = drive(RpcMode::Batched);
-    assert_eq!(
-        direct_snap.counter("store.events_inserted"),
-        2 * single_snap.counter("store.events_inserted"),
+        replicated.counter("store.events_inserted"),
+        2 * single.counter("store.events_inserted"),
         "every view insert must land on both replica slots"
+    );
+    assert_eq!(
+        replicated.counter("serve.ops.shares"),
+        single.counter("serve.ops.shares")
     );
 }

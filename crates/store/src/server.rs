@@ -12,7 +12,7 @@ use crate::view::View;
 /// Per-shard operation counters, kept as plain integers under the shard's
 /// existing lock (both transports serve every batch through the same
 /// `serve_batch`, so the counts are identical whether the shard runs on
-/// a worker thread or caller-runs in `RpcMode::Direct`, except
+/// a worker thread or caller-runs (`Transport::Direct`), except
 /// `events_returned`, which the caller-runs floor can lower). Scraped
 /// over the wire via `ShardRequest::Stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -1,14 +1,18 @@
-//! Reusable shard-worker plumbing: the wire-format request/reply protocol
-//! between application-server clients and data-store shards.
+//! The wire-format request/reply protocol between application-server
+//! clients and data-store shards, and the two transports that carry it.
 //!
-//! The online `piggyback-serve` runtime is this module's client on both of
-//! its planes (long-running owned worker threads, or caller-runs). A worker
-//! owns the channel receiver; shard `s` is handled by worker `s % workers`,
-//! so thousands of logical servers multiplex onto a bounded thread pool.
+//! The online `piggyback-serve` runtime speaks it caller-runs only
+//! ([`Transport::Direct`]): a client runs its batches inline, and the
+//! control plane serves each one-off request through [`handle_request`].
+//! The worker plane ([`Transport::Workers`], [`worker_loop`],
+//! [`BufferPool`]) serves no runtime; the benchmark times one hop through
+//! it. There a worker owns a channel receiver, and shard `s` may be
+//! served by any worker, so thousands of logical servers multiplex onto a
+//! bounded thread pool.
 //!
-//! Requests and replies cross the channel in the 24-byte wire format, so
-//! every message pays realistic (de)serialization work — as a memcached
-//! round trip would (§4.3).
+//! Requests and replies are (de)serialized in the 24-byte wire format on
+//! either transport, so every message pays realistic work — as a
+//! memcached round trip would (§4.3).
 //!
 //! Every update and query is a batch issued by a [`ShardClient`]: one
 //! operation's shard fan-out is packed into one message per touched shard,
@@ -26,7 +30,7 @@
 //! operation.
 //!
 //! The control plane (migration, stats scrape, heartbeat, restart) sends
-//! one-shot requests with a rendezvous reply channel each. View migration
+//! one-shot [`ShardRequest`]s with a reply channel each. View migration
 //! (live rebalancing onto a new [`Topology`]) speaks the same wire format
 //! over [`ShardRequest::ExtractView`] / [`ShardRequest::InstallView`]: a
 //! view is extracted as its wire encoding and installed by replaying the
@@ -208,8 +212,7 @@ pub enum ShardRequest {
         done: Sender<Bytes>,
     },
     /// Liveness probe: the shard takes and releases its lock (proving the
-    /// worker drains its queue and the mutex is not wedged) and replies
-    /// with an empty ack. Deliberately touches **no** stats counters —
+    /// mutex is not wedged) and replies with an empty ack. Deliberately touches **no** stats counters —
     /// health probing must never perturb the operation accounting the
     /// differential tests compare.
     Heartbeat {
@@ -229,20 +232,6 @@ pub enum ShardRequest {
         /// Acknowledgement channel (empty reply).
         done: Sender<Bytes>,
     },
-}
-
-impl ShardRequest {
-    /// The shard this request targets.
-    pub fn shard(&self) -> usize {
-        match self {
-            ShardRequest::Batch(b) => b.shard,
-            ShardRequest::ExtractView { shard, .. }
-            | ShardRequest::InstallView { shard, .. }
-            | ShardRequest::Stats { shard, .. }
-            | ShardRequest::Heartbeat { shard, .. }
-            | ShardRequest::ResetViews { shard, .. } => *shard,
-        }
-    }
 }
 
 /// Serves one batch against its shard — what both transports execute:
@@ -363,43 +352,18 @@ pub fn worker_loop(shards: &[Mutex<StoreServer>], pool: &BufferPool, rx: &Receiv
 /// How shard requests reach the shard array.
 #[derive(Clone)]
 pub enum Transport {
-    /// Channels to the shard-worker pool: batches execute on worker
-    /// threads, the distributed-store simulation Figure 6 measures (and
-    /// the only choice when store work must overlap the caller's).
+    /// Channels to a shard-worker pool: batches execute on worker threads
+    /// ([`worker_loop`]). No runtime serves over it; the benchmark times
+    /// one hop through it.
     Workers(Arc<Vec<Sender<ShardRequest>>>),
     /// Caller-runs: the issuing thread executes each batch inline through
     /// the same [`serve_batch`] the workers call — the same wire
     /// (de)serialization, the same one-message-per-touched-server
     /// accounting — on buffers the caller owns: no [`ShardBatch`], no
     /// pool, no channel, no thread hop. The right trade when clients
-    /// outnumber cores (an embedded single-process deployment). Only the
-    /// control plane's one-off requests still go through
-    /// [`handle_request`] ([`Transport::request_async`]).
+    /// outnumber cores (an embedded single-process deployment). The
+    /// control plane's one-off requests go through [`handle_request`].
     Direct(Arc<Vec<Mutex<StoreServer>>>),
-}
-
-impl Transport {
-    /// Executes `make`'s request asynchronously: through the worker pool
-    /// (`shard % workers` routing) or inline on the calling thread. The
-    /// returned receiver yields the reply; under [`Transport::Direct`]
-    /// it is already resolved. `R` is the request's reply type: `Bytes`
-    /// for the control-plane variants, `BytesMut` for a one-off
-    /// [`ShardRequest::Batch`] (the failover controller's view reads).
-    pub fn request_async<R>(
-        &self,
-        pool: &BufferPool,
-        scratch: &mut QueryScratch,
-        make: impl FnOnce(Sender<R>) -> ShardRequest,
-    ) -> Receiver<R> {
-        match self {
-            Transport::Workers(senders) => send_to_shard_async(senders, make),
-            Transport::Direct(shards) => {
-                let (done_tx, done_rx) = bounded(1);
-                handle_request(shards, pool, scratch, make(done_tx));
-                done_rx
-            }
-        }
-    }
 }
 
 /// A per-client handle onto the batched request plane.
@@ -717,34 +681,20 @@ fn read_slot(
     fallback.unwrap_or_else(|| topology.server_of(u))
 }
 
-/// Sends one request to `shard` through the worker channels
-/// (`shard % senders.len()` routing) without waiting; the returned
-/// receiver yields the reply. Lets a migration pipeline many requests
-/// instead of paying one round trip per view.
-pub fn send_to_shard_async<R>(
-    senders: &[Sender<ShardRequest>],
-    make: impl FnOnce(Sender<R>) -> ShardRequest,
-) -> Receiver<R> {
-    let (done_tx, done_rx) = bounded(1);
-    let req = make(done_tx);
-    let worker = req.shard() % senders.len();
-    senders[worker].send(req).expect("worker channel closed");
-    done_rx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
 
-    /// [`send_to_shard_async`], blocking for the reply.
+    /// Sends one request to the worker behind `worker` and blocks for the
+    /// reply.
     fn send_to_shard(
-        senders: &[Sender<ShardRequest>],
+        worker: &Sender<ShardRequest>,
         make: impl FnOnce(Sender<Bytes>) -> ShardRequest,
     ) -> Bytes {
-        send_to_shard_async(senders, make)
-            .recv()
-            .expect("worker dropped reply")
+        let (done, reply) = bounded(1);
+        worker.send(make(done)).expect("worker channel closed");
+        reply.recv().expect("worker dropped reply")
     }
 
     fn boot_two_shards() -> (Vec<Mutex<StoreServer>>, Arc<BufferPool>) {
@@ -806,7 +756,6 @@ mod tests {
         std::thread::scope(|s| {
             let (shards, pool) = (&shards, &pool);
             s.spawn(move || worker_loop(shards, pool, &rx));
-            let senders = vec![tx.clone()];
             // Seed view 5 on shard 0 with two events; one event already
             // lives at the destination (it must survive the merge).
             let a = EventTuple::new(5, 1, 10);
@@ -815,7 +764,7 @@ mod tests {
             shards[0].lock().update(&[5], a);
             shards[0].lock().update(&[5], b);
             shards[1].lock().update(&[5], c);
-            let payload = send_to_shard(&senders, |done| ShardRequest::ExtractView {
+            let payload = send_to_shard(&tx, |done| ShardRequest::ExtractView {
                 shard: 0,
                 view: 5,
                 done,
@@ -825,7 +774,7 @@ mod tests {
                 shards[0].lock().view(5).is_none(),
                 "donor must drop the view"
             );
-            send_to_shard(&senders, |done| ShardRequest::InstallView {
+            send_to_shard(&tx, |done| ShardRequest::InstallView {
                 shard: 1,
                 view: 5,
                 payload,
@@ -838,7 +787,7 @@ mod tests {
                 "migrated + resident events, newest first"
             );
             // Extracting a never-materialized view replies empty.
-            let empty = send_to_shard(&senders, |done| ShardRequest::ExtractView {
+            let empty = send_to_shard(&tx, |done| ShardRequest::ExtractView {
                 shard: 0,
                 view: 42,
                 done,
@@ -855,17 +804,16 @@ mod tests {
         std::thread::scope(|s| {
             let (shards, pool) = (&shards, &pool);
             s.spawn(move || worker_loop(shards, pool, &rx));
-            let senders = vec![tx.clone()];
             shards[0].lock().update(&[1, 2], EventTuple::new(7, 1, 10));
             shards[0].lock().query(&[1], 5);
-            let mut reply = send_to_shard(&senders, |done| ShardRequest::Stats { shard: 0, done });
+            let mut reply = send_to_shard(&tx, |done| ShardRequest::Stats { shard: 0, done });
             let stats = ShardStats::decode(&mut reply).expect("stats reply decodes");
             assert_eq!(stats.updates, 1);
             assert_eq!(stats.queries, 1);
             assert_eq!(stats.events_inserted, 2);
             assert_eq!(stats.events_returned, 1);
             // The untouched shard scrapes clean through the same path.
-            let mut reply = send_to_shard(&senders, |done| ShardRequest::Stats { shard: 1, done });
+            let mut reply = send_to_shard(&tx, |done| ShardRequest::Stats { shard: 1, done });
             assert_eq!(ShardStats::decode(&mut reply), Some(ShardStats::default()));
             drop(tx);
         });

@@ -16,7 +16,6 @@
 //! ```
 
 use social_piggybacking::prelude::*;
-use social_piggybacking::serve::RpcMode;
 
 const ARTISTS: u32 = 10;
 const CURATOR: u32 = ARTISTS; // node 10
@@ -47,8 +46,8 @@ fn main() {
     );
     assert!(covered > 0, "the curator hub should be exploited");
 
-    // A 4-server store running that schedule, served caller-side (the
-    // embedded deployment: no worker threads).
+    // A 4-server store running that schedule, each request's batches run
+    // inline on the calling thread (the embedded deployment).
     let boot = |schedule: &Schedule, shards: usize| {
         ServeRuntime::start(
             graph.clone(),
@@ -57,7 +56,6 @@ fn main() {
             Box::new(Hybrid),
             ServeConfig {
                 shards,
-                rpc: RpcMode::Direct,
                 ..Default::default()
             },
         )

@@ -66,13 +66,12 @@ const USAGE: &str = "usage:
                      [--threads <t>] [--servers <n>]
   piggyback serve    [--graph <file> | --model <m> --nodes <n>] [--algorithm <name>] \\
                      [--duration <2s|500ms>] [--clients <n>] [--servers <n>] \\
-                     [--workers <n>] [--churn-ratio <f>] [--rate <ops/s>] \\
-                     [--reopt-threshold <f>] \\
+                     [--churn-ratio <f>] [--rate <ops/s>] [--reopt-threshold <f>] \\
                      [--partitioner <name>] [--rebalance-threshold <f>] \\
                      [--replication <k>] [--domains <d>] [--heartbeat-ms <n>] \\
                      [--staleness-ms <n>] \\
                      [--rw-ratio <r>] [--seed <s>] [--threads <t>] \\
-                     [--rpc <batched|direct>] [--stats-interval <1s|500ms>]
+                     [--stats-interval <1s|500ms>]
 
 <name> under --algorithm is a registered scheduler: push-all, pull-all,
 hybrid, chitchat, chitchat-stream, parallelnosy, exact; under
@@ -115,9 +114,9 @@ const COMMANDS: &[(&str, &str, Handler)] = &[
     ),
     (
         "serve",
-        "graph model nodes algorithm duration clients servers workers churn-ratio rate \
+        "graph model nodes algorithm duration clients servers churn-ratio rate \
          reopt-threshold partitioner rebalance-threshold replication domains heartbeat-ms \
-         staleness-ms rw-ratio seed threads rpc stats-interval",
+         staleness-ms rw-ratio seed threads stats-interval",
         cmd_serve,
     ),
 ];
@@ -512,7 +511,6 @@ fn parse_duration(v: &str) -> Result<std::time::Duration, String> {
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let seed: u64 = parsed(flags, "seed", 42)?;
     let servers = at_least(flags, "servers", 64, 1)?;
-    let workers = at_least(flags, "workers", 4, 1)?;
     let clients = at_least(flags, "clients", 4, 1)?;
     let replication: usize = parsed(flags, "replication", 1)?;
     let domains: usize = parsed(flags, "domains", 0)?;
@@ -571,13 +569,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let outcome = scheduler.schedule(&inst);
     validate_bounded_staleness(&g, &outcome.schedule)
         .map_err(|e| format!("internal error — infeasible schedule: {e}"))?;
-    let rpc_name = flags.get("rpc").map(String::as_str).unwrap_or("batched");
-    let rpc = piggyback_serve::RpcMode::parse(rpc_name)
-        .ok_or_else(|| format!("unknown rpc mode {rpc_name:?} (batched|direct)"))?;
     let serve_config = ServeConfig {
         shards: servers,
-        rpc,
-        workers,
         staleness_budget: std::time::Duration::from_millis(parsed(flags, "staleness-ms", 0)?),
         reopt_threshold,
         partition,
@@ -1160,8 +1153,6 @@ mod tests {
             "2",
             "--servers",
             "8",
-            "--workers",
-            "2",
             "--churn-ratio",
             "0.05",
             "--staleness-ms",
@@ -1235,7 +1226,6 @@ mod tests {
     fn out_of_range_counts_are_usage_errors_not_panics() {
         let mut rows: Vec<(String, &str)> = [
             ("serve --servers 0", "--servers"),
-            ("serve --workers 0", "--workers"),
             ("serve --clients 0", "--clients"),
             ("serve --nodes 1", "--nodes"),
             ("serve --replication 3 --servers 2", "--replication"),
@@ -1359,12 +1349,14 @@ mod tests {
         assert!(err.contains("unknown flag --shards for 'compare'"), "{err}");
         // A flag another subcommand owns is still unknown here.
         assert!(run(&s(&["stats", "--graph", "g.edges", "--servers", "4"])).is_err());
-        // The removed RPC plane names the surviving choices.
-        let err = run(&s(&["serve", "--nodes", "50", "--rpc", "legacy"])).unwrap_err();
-        assert!(
-            err.contains("batched|direct") && !err.contains("|legacy"),
-            "{err}"
-        );
+        // Flags removed with the shard-worker plane.
+        for flag in ["--rpc", "--workers"] {
+            let err = run(&s(&["serve", "--nodes", "50", flag, "2"])).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown flag {flag} for 'serve'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

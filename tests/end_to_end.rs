@@ -3,7 +3,6 @@
 
 use social_piggybacking::core::validate::coverage_report;
 use social_piggybacking::prelude::*;
-use social_piggybacking::serve::RpcMode;
 
 fn world(nodes: usize, seed: u64) -> (CsrGraph, Rates) {
     let g = gen::flickr_like(nodes, seed);
@@ -11,18 +10,15 @@ fn world(nodes: usize, seed: u64) -> (CsrGraph, Rates) {
     (g, r)
 }
 
-/// The serving runtime for a static `schedule`, served caller-side on
-/// hash-placed shards (placement seed 0 unless `config` says otherwise).
+/// The serving runtime for a static `schedule` on hash-placed shards
+/// (placement seed 0 unless `config` says otherwise).
 fn serve(g: &CsrGraph, r: &Rates, schedule: &Schedule, config: ServeConfig) -> ServeRuntime {
     ServeRuntime::start(
         g.clone(),
         r.clone(),
         schedule.clone(),
         Box::new(Hybrid),
-        ServeConfig {
-            rpc: RpcMode::Direct,
-            ..config
-        },
+        config,
     )
 }
 
