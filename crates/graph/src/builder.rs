@@ -1,270 +1,159 @@
-//! Deduplicating edge-list builders for [`CsrGraph`].
+//! The one way to build a [`CsrGraph`]: a two-pass counting-sort kernel.
 //!
-//! Two construction paths:
+//! Every graph — [`GraphBuilder::build`], the edge-list loaders, the
+//! generators and [`crate::DynamicGraph::freeze`] — comes out of
+//! [`CsrGraph::from_replayed`], which asks its source for the same edge
+//! sequence twice. Pass one ([`Pass::Count`]) counts out-degrees; pass two
+//! ([`Pass::Fill`]) writes each target straight into its final CSR slot;
+//! then every source's slots are sorted, deduplicated and stripped of
+//! self-loops. Peak transient memory is one `u32` per node plus one
+//! `NodeId` per raw edge, with no global sort and no edge-list buffer, which
+//! is what lets the 10M-node benchmarks build graphs without a spike.
 //!
-//! * [`GraphBuilder`] — buffers a `Vec<(u, v)>` edge list and sorts it.
-//!   Simple, but the buffer costs 8 bytes per raw edge plus the sort.
-//! * [`StreamingBuilder`] — a two-pass counting-sort path for sources that
-//!   can be replayed (files on disk, deterministic generators): pass one
-//!   counts out-degrees, pass two writes each target straight into its
-//!   final CSR slot. Peak transient memory is one `u32` per node plus one
-//!   `NodeId` per raw edge — less than half of the buffered path, with no
-//!   global sort. This is what lets the 10M-node benchmarks build graphs
-//!   without an edge-list spike. Sources that can buffer a block of edges
-//!   at a time (generators, file readers) feed the parallel block passes
-//!   ([`StreamingBuilder::count_block`] / [`StreamingFill::fill_block`]),
-//!   which shard the source-id space across threads and build the same
-//!   graph bit-for-bit at any thread count.
+//! The census counts each edge as it is emitted. Placement takes the edges
+//! in bounded blocks, each sharded by source-id range across one thread per
+//! core, and the graph is bit-identical for any thread count and any block
+//! split.
+
+use std::convert::Infallible;
 
 use crate::csr::{CsrGraph, NodeId};
 
-/// Blocks below this many edges are counted/filled inline: spawning scoped
-/// threads costs more than the scan itself.
+/// Blocks below this many edges are placed inline: spawning scoped threads
+/// costs more than the scan itself.
 const PAR_BLOCK_MIN: usize = 1 << 14;
 
-/// Edges buffered per block when a replayable source is pumped through the
-/// parallel block passes — large enough to amortize the per-block thread
-/// spawns, small enough (8 MB) to preserve the two-pass memory profile.
-pub const STREAM_BLOCK: usize = 1 << 20;
+/// Edges an [`EdgeSink`] buffers for the parallel placement — large enough
+/// to amortize the per-block thread spawns, small enough (8 MB) to preserve
+/// the two-pass memory profile. One thread buffers only [`PAR_BLOCK_MIN`]
+/// edges: it has no spawns to amortize.
+const STREAM_BLOCK: usize = 1 << 20;
 
-/// Worker threads the parallel block passes use by default: one per
-/// available core. The built graph is bit-identical for every value.
-pub fn auto_build_threads() -> usize {
+/// Worker threads of the placement pass: one per available core.
+fn build_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// Accumulates directed edges and produces an immutable [`CsrGraph`].
-///
-/// The builder tolerates duplicate edges and self-loops in its input:
-/// duplicates are merged and self-loops dropped at [`GraphBuilder::build`]
-/// time. Self-loops are meaningless in the dissemination model because a
-/// user's own view always receives their events implicitly (§2.1: "users
-/// always access their own view").
-///
-/// Node count is `max node id + 1`; ids need not be contiguous in the input,
-/// unreferenced ids simply become isolated nodes.
-#[derive(Default, Clone, Debug)]
-pub struct GraphBuilder {
-    edges: Vec<(NodeId, NodeId)>,
-    max_node: Option<NodeId>,
+/// Which pass of [`CsrGraph::from_replayed`] a source is feeding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pass {
+    /// Pass one: the out-degree census.
+    Count,
+    /// Pass two: slot placement. The source must emit the same edges as in
+    /// pass one; a per-source edge count that differs panics instead of
+    /// corrupting the graph.
+    Fill,
 }
 
-impl GraphBuilder {
-    /// New empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder with capacity for `m` edges.
-    pub fn with_capacity(m: usize) -> Self {
-        GraphBuilder {
-            edges: Vec::with_capacity(m),
-            max_node: None,
-        }
-    }
-
-    /// Adds directed edge `u → v` (v subscribes to u).
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        self.edges.push((u, v));
-        let hi = u.max(v);
-        self.max_node = Some(self.max_node.map_or(hi, |m| m.max(hi)));
-    }
-
-    /// Adds both `u → v` and `v → u` (a symmetric friendship).
-    pub fn add_reciprocal(&mut self, u: NodeId, v: NodeId) {
-        self.add_edge(u, v);
-        self.add_edge(v, u);
-    }
-
-    /// Ensures the graph has at least `n` nodes even if some are isolated.
-    pub fn reserve_nodes(&mut self, n: usize) {
-        if n > 0 {
-            let hi = (n - 1) as NodeId;
-            self.max_node = Some(self.max_node.map_or(hi, |m| m.max(hi)));
-        }
-    }
-
-    /// Number of edges added so far (before dedup).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Sorts, deduplicates, strips self-loops, and freezes into a CSR graph.
-    pub fn build(mut self) -> CsrGraph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        self.edges.retain(|&(u, v)| u != v);
-        let n = self.max_node.map_or(0, |m| m as usize + 1);
-        CsrGraph::from_sorted_edges(n, &self.edges)
-    }
-}
-
-/// Pass one of the streaming two-pass construction: counts raw out-degrees.
-///
-/// Call [`StreamingBuilder::count_edge`] for every edge of the source, then
-/// [`StreamingBuilder::into_fill`] and replay the *same* edge sequence into
-/// [`StreamingFill::fill_edge`]. Duplicate edges and self-loops are
-/// tolerated (merged / dropped at [`StreamingFill::finish`] time), matching
-/// [`GraphBuilder`] semantics exactly.
-#[derive(Default, Clone, Debug)]
-pub struct StreamingBuilder {
-    /// Raw out-degree per source (duplicates and self-loops included).
-    counts: Vec<u32>,
-    max_node: Option<NodeId>,
+/// Where a replayed source emits its edges (see [`CsrGraph::from_replayed`]).
+#[derive(Debug)]
+pub struct EdgeSink {
+    pass: Pass,
+    threads: usize,
+    /// Emitted edges not yet placed (pass two), at most `block_len`.
+    block: Vec<(NodeId, NodeId)>,
+    block_len: usize,
+    /// Pass one: raw out-degree per source (duplicates and self-loops
+    /// included). Pass two: next free slot per source. Its length is the
+    /// node count.
+    cursor: Vec<u32>,
+    /// Prefix sums of the raw out-degrees, length `n + 1` (pass two).
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+    /// Raw edges counted in pass one.
     edges: usize,
 }
 
-impl StreamingBuilder {
-    /// New empty counter.
-    pub fn new() -> Self {
-        Self::default()
+impl EdgeSink {
+    /// Emits edge `u → v` (v subscribes to u). Duplicates and self-loops
+    /// are tolerated: they are merged and dropped when the graph freezes.
+    #[inline]
+    pub fn emit(&mut self, u: NodeId, v: NodeId) {
+        if self.pass == Pass::Count {
+            return self.count(u, v);
+        }
+        self.block.push((u, v));
+        if self.block.len() == self.block_len {
+            self.flush();
+        }
     }
 
-    /// Ensures the graph has at least `n` nodes even if some are isolated.
-    pub fn reserve_nodes(&mut self, n: usize) {
-        if n > 0 {
-            let hi = (n - 1) as NodeId;
-            self.max_node = Some(self.max_node.map_or(hi, |m| m.max(hi)));
-            if self.counts.len() < n {
-                self.counts.resize(n, 0);
+    /// Hands a borrowed block of edges to the current pass without copying
+    /// it, after the edges emitted before it.
+    fn emit_slice(&mut self, edges: &[(NodeId, NodeId)]) {
+        match self.pass {
+            Pass::Count => edges.iter().for_each(|&(u, v)| self.count(u, v)),
+            Pass::Fill => {
+                self.flush();
+                self.fill(edges);
             }
         }
     }
 
-    /// Records edge `u → v` in the degree census (pass one).
+    fn flush(&mut self) {
+        let block = std::mem::take(&mut self.block);
+        self.fill(&block);
+        self.block = block;
+        self.block.clear();
+    }
+
+    /// Counts one edge into the degree census, growing it to the larger id
+    /// — after checking that id, so no id-sized allocation can run away.
     #[inline]
-    pub fn count_edge(&mut self, u: NodeId, v: NodeId) {
+    fn count(&mut self, u: NodeId, v: NodeId) {
         let hi = u.max(v);
-        self.max_node = Some(self.max_node.map_or(hi, |m| m.max(hi)));
-        if u as usize >= self.counts.len() {
-            self.counts.resize(u as usize + 1, 0);
+        if hi as usize >= self.cursor.len() {
+            assert!(
+                hi < NodeId::MAX,
+                "node id {hi} is above the largest legal id {}",
+                NodeId::MAX - 1
+            );
+            self.cursor.resize(hi as usize + 1, 0);
         }
-        self.counts[u as usize] += 1;
+        self.cursor[u as usize] += 1;
         self.edges += 1;
+    }
+
+    /// Turns the census into prefix sums and slot cursors, ready for pass
+    /// two, whose block buffer is sized to the edges counted.
+    fn start_fill(&mut self) {
         assert!(
             self.edges < u32::MAX as usize,
             "edge count overflows u32 edge ids"
         );
+        self.pass = Pass::Fill;
+        self.offsets = Vec::with_capacity(self.cursor.len() + 1);
+        self.offsets.push(0);
+        let mut sum = 0u32;
+        for c in &mut self.cursor {
+            let start = sum;
+            sum += *c;
+            *c = start;
+            self.offsets.push(sum);
+        }
+        self.targets = vec![0 as NodeId; self.edges];
+        self.block = Vec::with_capacity(self.block_len.min(self.edges));
     }
 
-    /// Number of edges counted so far (before dedup).
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Parallel degree census over a buffered block of edges (pass one).
-    ///
-    /// Identical in effect — bit-for-bit — to calling
-    /// [`StreamingBuilder::count_edge`] for every pair in order: counts are
-    /// commutative sums. Sources are sharded by id range; every worker
-    /// scans the whole block but increments only its own contiguous shard
-    /// of the census, so the threads share nothing mutable and the result
-    /// is independent of scheduling. Callers stream their source in blocks
-    /// (a few MB) to keep the memory profile of the two-pass path.
-    pub fn count_block(&mut self, edges: &[(NodeId, NodeId)], threads: usize) {
-        if edges.is_empty() {
-            return;
-        }
-        let mut hi = 0 as NodeId;
-        for &(u, v) in edges {
-            hi = hi.max(u).max(v);
-        }
-        self.max_node = Some(self.max_node.map_or(hi, |m| m.max(hi)));
-        self.edges += edges.len();
-        assert!(
-            self.edges < u32::MAX as usize,
-            "edge count overflows u32 edge ids"
-        );
-        if self.counts.len() <= hi as usize {
-            self.counts.resize(hi as usize + 1, 0);
-        }
-        let n = self.counts.len();
-        let nt = threads.max(1).min(n);
-        if nt <= 1 || edges.len() < PAR_BLOCK_MIN {
-            for &(u, _) in edges {
-                self.counts[u as usize] += 1;
-            }
-            return;
-        }
-        std::thread::scope(|s| {
-            let mut rest: &mut [u32] = &mut self.counts;
-            let mut start = 0usize;
-            for t in 0..nt {
-                let end = n * (t + 1) / nt;
-                let (shard, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                let (lo, hi) = (start as NodeId, end as NodeId);
-                s.spawn(move || {
-                    for &(u, _) in edges {
-                        if u >= lo && u < hi {
-                            shard[(u - lo) as usize] += 1;
-                        }
-                    }
-                });
-                start = end;
-            }
-        });
-    }
-
-    /// Freezes the census into prefix sums, ready for pass two.
-    pub fn into_fill(mut self) -> StreamingFill {
-        let n = self.max_node.map_or(0, |m| m as usize + 1);
-        self.counts.resize(n, 0);
-        let mut offsets = vec![0u32; n + 1];
-        for (u, &c) in self.counts.iter().enumerate() {
-            offsets[u + 1] = offsets[u] + c;
-        }
-        let cursor: Vec<u32> = offsets[..n].to_vec();
-        StreamingFill {
-            targets: vec![0 as NodeId; self.edges],
-            offsets,
-            cursor,
-        }
-    }
-}
-
-/// Pass two of the streaming construction: writes targets into place.
-#[derive(Clone, Debug)]
-pub struct StreamingFill {
-    /// Prefix sums of the raw (pre-dedup) out-degrees, length `n + 1`.
-    offsets: Vec<u32>,
-    /// Next free slot per source.
-    cursor: Vec<u32>,
-    targets: Vec<NodeId>,
-}
-
-impl StreamingFill {
-    /// Places edge `u → v`; the replayed sequence must match pass one
-    /// edge-for-edge per source (panics on any mismatch, e.g. a file that
-    /// changed between the two passes).
-    #[inline]
-    pub fn fill_edge(&mut self, u: NodeId, v: NodeId) {
-        let u = u as usize;
-        assert!(
-            u < self.cursor.len() && self.cursor[u] < self.offsets[u + 1],
-            "fill pass does not match count pass at edge {u} -> {v}",
-        );
-        self.targets[self.cursor[u] as usize] = v;
-        self.cursor[u] += 1;
-    }
-
-    /// Parallel placement of a buffered block of edges (pass two).
-    ///
-    /// The replayed blocks must cover the same edge sequence as pass one
-    /// (panics on any mismatch, like [`StreamingFill::fill_edge`]). Workers
-    /// own disjoint source-id ranges — a source's CSR slots are contiguous,
-    /// so each range maps to a private cursor and target region — and each
-    /// scans the whole block placing only its own sources, in block order.
-    /// Every slot therefore receives exactly the value the sequential
-    /// replay would write: bit-identical for any thread count.
-    pub fn fill_block(&mut self, edges: &[(NodeId, NodeId)], threads: usize) {
-        let n = self.offsets.len() - 1;
-        let nt = threads.max(1).min(n.max(1));
+    /// Places one block. Workers own disjoint source-id ranges — a source's
+    /// slots are contiguous, so each range maps to a private cursor and
+    /// target region — and each scans the whole block placing only its own
+    /// sources, in block order. Every slot therefore receives exactly the
+    /// value a sequential replay would write, at any thread count.
+    fn fill(&mut self, edges: &[(NodeId, NodeId)]) {
+        let n = self.cursor.len();
+        let nt = self.threads.max(1).min(n.max(1));
         if nt <= 1 || edges.len() < PAR_BLOCK_MIN {
             for &(u, v) in edges {
-                self.fill_edge(u, v);
+                let ui = u as usize;
+                assert!(
+                    ui < n && self.cursor[ui] < self.offsets[ui + 1],
+                    "fill pass does not match count pass at edge {u} -> {v}",
+                );
+                self.targets[self.cursor[ui] as usize] = v;
+                self.cursor[ui] += 1;
             }
             return;
         }
@@ -314,10 +203,12 @@ impl StreamingFill {
         });
     }
 
-    /// Sorts each group, merges duplicates, drops self-loops and freezes
-    /// into a CSR graph.
-    pub fn finish(mut self) -> CsrGraph {
-        let n = self.offsets.len() - 1;
+    /// Sorts each source's slots, merges duplicates, drops self-loops and
+    /// freezes into a CSR graph.
+    fn finish(mut self) -> CsrGraph {
+        self.flush();
+        self.block = Vec::new();
+        let n = self.cursor.len();
         for u in 0..n {
             assert_eq!(
                 self.cursor[u],
@@ -352,6 +243,133 @@ impl StreamingFill {
     }
 }
 
+/// The kernel behind [`CsrGraph::from_replayed`], at an explicit thread
+/// count.
+pub(crate) fn replay<E>(
+    nodes: usize,
+    threads: usize,
+    mut source: impl FnMut(Pass, &mut EdgeSink) -> Result<(), E>,
+) -> Result<CsrGraph, E> {
+    assert!(
+        nodes <= NodeId::MAX as usize,
+        "{nodes} nodes exceed the largest legal id {}",
+        NodeId::MAX - 1
+    );
+    let mut sink = EdgeSink {
+        pass: Pass::Count,
+        threads,
+        block: Vec::new(),
+        block_len: if threads > 1 {
+            STREAM_BLOCK
+        } else {
+            PAR_BLOCK_MIN
+        },
+        cursor: vec![0; nodes],
+        offsets: Vec::new(),
+        targets: Vec::new(),
+        edges: 0,
+    };
+    source(Pass::Count, &mut sink)?;
+    sink.start_fill();
+    source(Pass::Fill, &mut sink)?;
+    Ok(sink.finish())
+}
+
+impl CsrGraph {
+    /// Builds a graph from a source that can replay its edge list: a file
+    /// opened twice, a seeded generator, an in-memory graph.
+    ///
+    /// `source` is called exactly twice, once per [`Pass`], and must emit
+    /// the same edges into the [`EdgeSink`] both times; a source whose
+    /// per-source edge counts change between the passes panics. An error
+    /// the source returns stops the build and is returned as is.
+    ///
+    /// The graph has `max(nodes, max id + 1)` nodes; unreferenced ids are
+    /// isolated. Duplicate edges are merged and self-loops dropped. The
+    /// largest legal id is `u32::MAX - 1` (panics above it).
+    ///
+    /// ```
+    /// use piggyback_graph::CsrGraph;
+    ///
+    /// let Ok(g) = CsrGraph::from_replayed(4, |_pass, sink| {
+    ///     for (u, v) in [(0, 1), (1, 2), (0, 1), (2, 2)] {
+    ///         sink.emit(u, v);
+    ///     }
+    ///     Ok::<(), std::convert::Infallible>(())
+    /// });
+    /// assert_eq!((g.node_count(), g.edge_count()), (4, 2));
+    /// ```
+    pub fn from_replayed<E>(
+        nodes: usize,
+        source: impl FnMut(Pass, &mut EdgeSink) -> Result<(), E>,
+    ) -> Result<CsrGraph, E> {
+        replay(nodes, build_threads(), source)
+    }
+}
+
+/// Accumulates directed edges and produces an immutable [`CsrGraph`]: for
+/// sources that cannot be replayed, or are simplest written as a loop.
+///
+/// The builder tolerates duplicate edges and self-loops in its input:
+/// duplicates are merged and self-loops dropped at [`GraphBuilder::build`]
+/// time. Self-loops are meaningless in the dissemination model because a
+/// user's own view always receives their events implicitly (§2.1: "users
+/// always access their own view").
+///
+/// Node count is `max node id + 1`; ids need not be contiguous in the input,
+/// unreferenced ids simply become isolated nodes.
+#[derive(Default, Clone, Debug)]
+pub struct GraphBuilder {
+    edges: Vec<(NodeId, NodeId)>,
+    nodes: usize,
+}
+
+impl GraphBuilder {
+    /// New empty builder.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Builder with capacity for `m` edges.
+    pub fn with_capacity(m: usize) -> Self {
+        GraphBuilder {
+            edges: Vec::with_capacity(m),
+            nodes: 0,
+        }
+    }
+
+    /// Adds directed edge `u → v` (v subscribes to u).
+    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
+        self.edges.push((u, v));
+    }
+
+    /// Adds both `u → v` and `v → u` (a symmetric friendship).
+    pub fn add_reciprocal(&mut self, u: NodeId, v: NodeId) {
+        self.add_edge(u, v);
+        self.add_edge(v, u);
+    }
+
+    /// Ensures the graph has at least `n` nodes even if some are isolated.
+    pub fn reserve_nodes(&mut self, n: usize) {
+        self.nodes = self.nodes.max(n);
+    }
+
+    /// Number of edges added so far (before dedup).
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Replays the buffered edges through [`CsrGraph::from_replayed`]'s
+    /// kernel, which merges duplicates and strips self-loops.
+    pub fn build(self) -> CsrGraph {
+        let Ok(g) = replay(self.nodes, build_threads(), |_, sink| {
+            sink.emit_slice(&self.edges);
+            Ok::<(), Infallible>(())
+        });
+        g
+    }
+}
+
 /// Builds a graph directly from an iterator of edges.
 impl FromIterator<(NodeId, NodeId)> for CsrGraph {
     fn from_iter<I: IntoIterator<Item = (NodeId, NodeId)>>(iter: I) -> Self {
@@ -366,6 +384,7 @@ impl FromIterator<(NodeId, NodeId)> for CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::EdgeId;
 
     #[test]
     fn dedups_and_drops_self_loops() {
@@ -405,55 +424,51 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
     }
 
-    fn stream(edges: &[(NodeId, NodeId)], reserve: usize) -> CsrGraph {
-        let mut sb = StreamingBuilder::new();
-        sb.reserve_nodes(reserve);
-        for &(u, v) in edges {
-            sb.count_edge(u, v);
-        }
-        let mut fill = sb.into_fill();
-        for &(u, v) in edges {
-            fill.fill_edge(u, v);
-        }
-        fill.finish()
+    /// The sort-based reference every build must reproduce: collect, sort,
+    /// dedup and drop self-loops, then derive the node count, the forward
+    /// edges with their ids and each node's in-edges (ascending by source).
+    struct Oracle {
+        nodes: usize,
+        edges: Vec<(EdgeId, NodeId, NodeId)>,
+        in_edges: Vec<Vec<(NodeId, EdgeId)>>,
     }
 
-    #[test]
-    fn streaming_matches_buffered_builder() {
-        // Unsorted input with duplicates and a self-loop.
-        let edges = [(3, 1), (0, 1), (0, 1), (2, 2), (1, 0), (0, 3), (0, 2)];
-        let mut b = GraphBuilder::new();
-        for &(u, v) in &edges {
-            b.add_edge(u, v);
+    impl Oracle {
+        fn new(edges: &[(NodeId, NodeId)], reserve: usize) -> Oracle {
+            let mut sorted = edges.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted.retain(|&(u, v)| u != v);
+            let nodes = edges
+                .iter()
+                .map(|&(u, v)| u.max(v) as usize + 1)
+                .max()
+                .unwrap_or(0)
+                .max(reserve);
+            let edges: Vec<_> = (0..).zip(sorted).map(|(e, (u, v))| (e, u, v)).collect();
+            let mut in_edges = vec![Vec::new(); nodes];
+            for &(e, u, v) in &edges {
+                in_edges[v as usize].push((u, e));
+            }
+            Oracle {
+                nodes,
+                edges,
+                in_edges,
+            }
         }
-        let want = b.build();
-        let got = stream(&edges, 0);
-        assert_eq!(got.node_count(), want.node_count());
-        assert_eq!(
-            got.edges().collect::<Vec<_>>(),
-            want.edges().collect::<Vec<_>>()
-        );
-        for v in want.nodes() {
-            assert_eq!(got.in_neighbors(v), want.in_neighbors(v));
+
+        fn check(&self, g: &CsrGraph, what: &str) {
+            assert_eq!(g.node_count(), self.nodes, "{what}: node count");
+            assert!(g.edges().eq(self.edges.iter().copied()), "{what}: edges");
+            for v in g.nodes() {
+                let want = self.in_edges[v as usize].iter().copied();
+                assert!(g.in_edges(v).eq(want), "{what}: in-edges of {v}");
+            }
         }
-    }
-
-    #[test]
-    fn streaming_reserve_nodes_creates_isolated() {
-        let g = stream(&[(0, 1)], 10);
-        assert_eq!(g.node_count(), 10);
-        assert_eq!(g.out_degree(7), 0);
-    }
-
-    #[test]
-    fn streaming_empty() {
-        let g = stream(&[], 0);
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
     }
 
     /// Deterministic pseudo-random edge list with duplicates, self-loops,
-    /// hub skew, and out-of-order sources — everything the builders must
+    /// hub skew, and out-of-order sources — everything the kernel must
     /// normalize.
     fn messy_edges(m: usize, n: NodeId, seed: u64) -> Vec<(NodeId, NodeId)> {
         let mut x = seed | 1;
@@ -473,32 +488,95 @@ mod tests {
             .collect()
     }
 
+    /// Builds `edges` through the kernel at `threads`, emitted one at a
+    /// time (`split == None`) or handed over in slices of `split` edges.
+    fn replayed(
+        edges: &[(NodeId, NodeId)],
+        reserve: usize,
+        threads: usize,
+        split: Option<usize>,
+    ) -> CsrGraph {
+        let Ok(g) = replay(reserve, threads, |_, sink| {
+            match split {
+                Some(s) => edges.chunks(s).for_each(|b| sink.emit_slice(b)),
+                None => edges.iter().for_each(|&(u, v)| sink.emit(u, v)),
+            }
+            Ok::<(), Infallible>(())
+        });
+        g
+    }
+
     #[test]
-    fn parallel_blocks_bit_identical_to_sequential() {
+    fn builder_matches_sort_oracle() {
+        // Unsorted input with duplicates and a self-loop.
+        let small = [(3, 1), (0, 1), (0, 1), (2, 2), (1, 0), (0, 3), (0, 2)];
+        let messy = messy_edges(30_000, 700, 5);
+        for (edges, reserve) in [
+            (&small[..], 0),
+            (&small[..], 10),
+            (&[][..], 0),
+            (&[][..], 6),
+            (&messy[..], 0),
+        ] {
+            let mut b = GraphBuilder::with_capacity(edges.len());
+            b.reserve_nodes(reserve);
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            let what = format!("{} edges, {reserve} reserved", edges.len());
+            Oracle::new(edges, reserve).check(&b.build(), &what);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_sort_oracle_at_any_thread_count_and_block_split() {
         for (m, n, seed) in [(100usize, 9, 3u64), (60_000, 500, 1), (50_000, 40_000, 2)] {
             let edges = messy_edges(m, n, seed);
-            let want = stream(&edges, 0);
+            // Reserved isolated nodes past every id, on odd thread counts.
+            let reserve = n as usize + 5;
+            let (plain, reserved) = (Oracle::new(&edges, 0), Oracle::new(&edges, reserve));
             for nt in [1usize, 2, 3, 8] {
-                let mut sb = StreamingBuilder::new();
-                for block in edges.chunks(m / 3 + 1) {
-                    sb.count_block(block, nt);
-                }
-                let mut fill = sb.into_fill();
-                for block in edges.chunks(m / 3 + 1) {
-                    fill.fill_block(block, nt);
-                }
-                let got = fill.finish();
-                assert_eq!(got.node_count(), want.node_count(), "{nt} threads");
-                assert_eq!(
-                    got.edges().collect::<Vec<_>>(),
-                    want.edges().collect::<Vec<_>>(),
-                    "{nt} threads diverged from per-edge replay"
-                );
-                for v in want.nodes() {
-                    assert_eq!(got.in_neighbors(v), want.in_neighbors(v), "{nt} threads");
+                let (r, want) = if nt % 2 == 1 {
+                    (reserve, &reserved)
+                } else {
+                    (0, &plain)
+                };
+                // Per-edge emits, then slices on both sides of the
+                // parallel threshold.
+                for split in [
+                    None,
+                    Some(m / 3 + 1),
+                    Some(PAR_BLOCK_MIN - 1),
+                    Some(PAR_BLOCK_MIN),
+                ] {
+                    let what = format!("m={m} threads={nt} split={split:?} reserve={r}");
+                    want.check(&replayed(&edges, r, nt, split), &what);
                 }
             }
         }
+        Oracle::new(&[], 0).check(&replayed(&[], 0, 8, None), "empty");
+        Oracle::new(&[], 3).check(&replayed(&[], 3, 8, Some(1)), "isolated only");
+    }
+
+    #[test]
+    fn source_error_stops_the_build() {
+        let mut passes = Vec::new();
+        let got = CsrGraph::from_replayed(0, |pass, sink| {
+            passes.push(pass);
+            sink.emit(0, 1);
+            Err("bad line")
+        });
+        assert_eq!(got.err(), Some("bad line"));
+        assert_eq!(passes, [Pass::Count], "no fill pass after an error");
+    }
+
+    #[test]
+    #[should_panic(expected = "largest legal id")]
+    fn node_id_u32_max_panics_before_allocating() {
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1);
+        b.add_edge(NodeId::MAX, 0);
+        b.build();
     }
 
     // No `expected` string: the worker's "does not match count pass"
@@ -508,20 +586,36 @@ mod tests {
     #[should_panic]
     fn parallel_fill_mismatch_panics() {
         let edges = messy_edges(40_000, 64, 9);
-        let mut sb = StreamingBuilder::new();
-        sb.count_block(&edges, 4);
-        let mut fill = sb.into_fill();
-        fill.fill_block(&edges, 4);
-        fill.fill_block(&edges[..PAR_BLOCK_MIN], 4); // replayed past the census
+        let _ = replay(0, 4, |pass, sink| {
+            sink.emit_slice(&edges);
+            if pass == Pass::Fill {
+                sink.emit_slice(&edges[..PAR_BLOCK_MIN]); // replayed past the census
+            }
+            Ok::<(), Infallible>(())
+        });
     }
 
     #[test]
     #[should_panic(expected = "does not match count pass")]
     fn streaming_pass_mismatch_panics() {
-        let mut sb = StreamingBuilder::new();
-        sb.count_edge(0, 1);
-        let mut fill = sb.into_fill();
-        fill.fill_edge(0, 1);
-        fill.fill_edge(0, 2); // one more edge than counted
+        let _ = CsrGraph::from_replayed(0, |pass, sink| {
+            sink.emit(0, 1);
+            if pass == Pass::Fill {
+                sink.emit(0, 2); // one more edge than counted
+            }
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "missing edges of node 0")]
+    fn fill_pass_missing_edges_panics() {
+        let _ = CsrGraph::from_replayed(0, |pass, sink| {
+            if pass == Pass::Count {
+                sink.emit(0, 1); // counted, never placed
+            }
+            sink.emit(1, 0);
+            Ok::<(), Infallible>(())
+        });
     }
 }

@@ -22,8 +22,9 @@ pub type EdgeId = u32;
 /// Sentinel returned by lookups for non-existent edges.
 pub const INVALID_EDGE: EdgeId = u32::MAX;
 
-/// Immutable CSR digraph. Construct via [`crate::GraphBuilder`] or the
-/// two-pass [`crate::StreamingBuilder`].
+/// Immutable CSR digraph. Construct via [`CsrGraph::from_replayed`] (the
+/// two-pass kernel) or [`crate::GraphBuilder`], which replays its buffer
+/// through it.
 ///
 /// An edge `u → v` means *v subscribes to u* (u produces, v consumes).
 ///
@@ -45,34 +46,12 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a graph from pre-sorted, deduplicated edges.
-    ///
-    /// `edges` must be sorted by `(src, dst)` and contain no duplicates and
-    /// no self-loops; `n` must exceed every node id. [`crate::GraphBuilder`]
-    /// guarantees all of this.
-    pub(crate) fn from_sorted_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        assert!(
-            edges.len() < u32::MAX as usize,
-            "edge count {} overflows u32 edge ids",
-            edges.len()
-        );
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(u, _) in edges {
-            out_offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let out_targets: Vec<NodeId> = edges.iter().map(|&(_, v)| v).collect();
-        Self::from_out_adjacency(out_offsets, out_targets)
-    }
-
     /// Builds the reverse adjacency for an already-frozen forward CSR.
     ///
     /// `out_offsets` must be a prefix-sum array of length `n + 1` with
     /// `out_offsets[n] == out_targets.len()`, and every group must be
-    /// sorted, duplicate-free and self-loop-free ([`crate::GraphBuilder`]
-    /// and [`crate::StreamingBuilder`] both guarantee this).
+    /// sorted, duplicate-free and self-loop-free (the two-pass kernel of
+    /// [`CsrGraph::from_replayed`], its only caller, guarantees this).
     pub(crate) fn from_out_adjacency(out_offsets: Vec<u32>, out_targets: Vec<NodeId>) -> Self {
         let n = out_offsets.len() - 1;
         let m = out_targets.len();

@@ -7,9 +7,11 @@
 //! removal on top of a frozen CSR base, plus [`DynamicGraph::freeze`] to
 //! materialize a new CSR snapshot when a full re-optimization is due.
 
+use std::convert::Infallible;
+
+use crate::builder::replay;
 use crate::csr::{CsrGraph, NodeId};
 use crate::fx::{FxHashMap, FxHashSet};
-use crate::GraphBuilder;
 
 /// A digraph that starts from a CSR snapshot and accumulates edge
 /// insertions and deletions.
@@ -183,14 +185,20 @@ impl DynamicGraph {
         self.removed.iter().copied()
     }
 
-    /// Materializes the current state into a fresh [`CsrGraph`] snapshot.
+    /// Materializes the current state into a fresh [`CsrGraph`] snapshot,
+    /// replaying [`DynamicGraph::edges`] once per pass of
+    /// [`CsrGraph::from_replayed`]'s kernel: no edge buffer, no global sort.
     pub fn freeze(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_capacity(self.edge_count());
-        b.reserve_nodes(self.node_count);
-        for (u, v) in self.edges() {
-            b.add_edge(u, v);
-        }
-        b.build()
+        // One thread: a serving thread freezes under the control lock, where
+        // block workers were slower at serving scale and raised the serving
+        // process's peak RSS.
+        let Ok(g) = replay(self.node_count, 1, |_, sink| {
+            for (u, v) in self.edges() {
+                sink.emit(u, v);
+            }
+            Ok::<(), Infallible>(())
+        });
+        g
     }
 }
 

@@ -1,12 +1,12 @@
 //! Copying model: power-law degrees *and* high clustering.
 
+use std::convert::Infallible;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::builder::{auto_build_threads, STREAM_BLOCK};
 use crate::csr::NodeId;
 use crate::CsrGraph;
-use crate::StreamingBuilder;
 
 /// Parameters for the [`copying`] generator.
 #[derive(Clone, Copy, Debug)]
@@ -66,38 +66,17 @@ pub fn copying(cfg: CopyingConfig) -> CsrGraph {
         }
         producers[v] = chosen;
     }
-    // The producer lists *are* the graph (in-adjacency), so the CSR can be
-    // streamed out of them in two counting passes — no full `Vec<(u, v)>`
-    // edge buffer, no sort. The lists are pumped through the parallel
-    // block passes one bounded block at a time; the result is the same
-    // graph for any thread count.
-    let nt = auto_build_threads();
-    let mut sb = StreamingBuilder::new();
-    sb.reserve_nodes(n);
-    let mut block = Vec::with_capacity(STREAM_BLOCK.min(n * k));
-    for (v, ps) in producers.iter().enumerate() {
-        for &u in ps {
-            block.push((u, v as NodeId));
-            if block.len() == STREAM_BLOCK {
-                sb.count_block(&block, nt);
-                block.clear();
+    // The producer lists *are* the graph (in-adjacency), so both passes
+    // replay them: no `Vec<(u, v)>` edge buffer, no sort.
+    let Ok(g) = CsrGraph::from_replayed(n, |_, sink| {
+        for (v, ps) in producers.iter().enumerate() {
+            for &u in ps {
+                sink.emit(u, v as NodeId);
             }
         }
-    }
-    sb.count_block(&block, nt);
-    block.clear();
-    let mut fill = sb.into_fill();
-    for (v, ps) in producers.iter().enumerate() {
-        for &u in ps {
-            block.push((u, v as NodeId));
-            if block.len() == STREAM_BLOCK {
-                fill.fill_block(&block, nt);
-                block.clear();
-            }
-        }
-    }
-    fill.fill_block(&block, nt);
-    fill.finish()
+        Ok::<(), Infallible>(())
+    });
+    g
 }
 
 #[cfg(test)]

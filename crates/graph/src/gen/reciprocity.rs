@@ -1,11 +1,11 @@
 //! Reciprocity post-pass: turn a fraction of edges into mutual follows.
 
+use std::convert::Infallible;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::builder::{auto_build_threads, STREAM_BLOCK};
 use crate::CsrGraph;
-use crate::StreamingBuilder;
 
 /// Returns a copy of `g` where, for every edge `u → v` whose reverse is
 /// absent, the reverse edge `v → u` is added with probability `p`.
@@ -16,41 +16,18 @@ use crate::StreamingBuilder;
 /// which the densest-subgraph oracle handles via role splitting.
 pub fn add_reciprocity(g: &CsrGraph, p: f64, seed: u64) -> CsrGraph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    // Two streaming passes replaying the same seeded coin flips: count the
-    // kept/reversed edges, then fill them straight into CSR slots — in
-    // bounded blocks through the parallel passes, never buffering a
-    // 2m-entry edge list at benchmark scale.
-    let nt = auto_build_threads();
-    let mut sb = StreamingBuilder::new();
-    sb.reserve_nodes(g.node_count());
-    let mut block = Vec::with_capacity(STREAM_BLOCK.min(2 * g.edge_count()).max(1));
-    let mut rng = StdRng::seed_from_u64(seed);
-    for (_, u, v) in g.edges() {
-        block.push((u, v));
-        if !g.has_edge(v, u) && rng.random_bool(p) {
-            block.push((v, u));
+    // Both passes replay the same seeded coin flips.
+    let Ok(r) = CsrGraph::from_replayed(g.node_count(), |_, sink| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (_, u, v) in g.edges() {
+            sink.emit(u, v);
+            if !g.has_edge(v, u) && rng.random_bool(p) {
+                sink.emit(v, u);
+            }
         }
-        if block.len() >= STREAM_BLOCK {
-            sb.count_block(&block, nt);
-            block.clear();
-        }
-    }
-    sb.count_block(&block, nt);
-    block.clear();
-    let mut fill = sb.into_fill();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for (_, u, v) in g.edges() {
-        block.push((u, v));
-        if !g.has_edge(v, u) && rng.random_bool(p) {
-            block.push((v, u));
-        }
-        if block.len() >= STREAM_BLOCK {
-            fill.fill_block(&block, nt);
-            block.clear();
-        }
-    }
-    fill.fill_block(&block, nt);
-    fill.finish()
+        Ok::<(), Infallible>(())
+    });
+    r
 }
 
 #[cfg(test)]

@@ -10,9 +10,8 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::builder::{auto_build_threads, STREAM_BLOCK};
 use crate::csr::{CsrGraph, NodeId};
-use crate::{GraphBuilder, StreamingBuilder};
+use crate::{GraphBuilder, Pass};
 
 /// Errors produced when parsing an edge list.
 #[derive(Debug)]
@@ -54,34 +53,41 @@ impl From<io::Error> for EdgeListError {
     }
 }
 
-/// Parses one edge-list line: `Ok(None)` for comments/blanks, `Ok(Some)`
-/// for a `src dst` pair, `Err` (with the 1-based line number) otherwise.
-fn parse_edge_line(idx: usize, line: &str) -> Result<Option<(NodeId, NodeId)>, EdgeListError> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    let mut it = trimmed.split_whitespace();
-    let parse = |tok: Option<&str>| -> Option<NodeId> { tok?.parse().ok() };
-    match (parse(it.next()), parse(it.next())) {
-        (Some(u), Some(v)) => Ok(Some((u, v))),
-        _ => Err(EdgeListError::Parse {
-            line: idx + 1,
-            content: trimmed.to_string(),
-        }),
-    }
-}
-
-/// Reads a graph from an edge-list reader in one pass, buffering every
-/// edge: for a source that cannot be replayed. A file loads through
-/// [`load_edge_list`].
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, EdgeListError> {
-    let mut b = GraphBuilder::new();
+/// Parses every edge of an edge-list reader into `emit`, in file order.
+/// A line that is neither a comment, a blank nor a `src dst` pair of ids
+/// up to `u32::MAX - 1` is an error carrying its 1-based line number.
+fn for_each_edge<R: BufRead>(
+    reader: R,
+    mut emit: impl FnMut(NodeId, NodeId),
+) -> Result<(), EdgeListError> {
+    // `u32::MAX` itself would make the node count 2^32.
+    let parse = |tok: Option<&str>| tok?.parse().ok().filter(|&id: &NodeId| id < NodeId::MAX);
     for (idx, line) in reader.lines().enumerate() {
-        if let Some((u, v)) = parse_edge_line(idx, &line?)? {
-            b.add_edge(u, v);
+        let line = line?;
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        let mut it = trimmed.split_whitespace();
+        match (parse(it.next()), parse(it.next())) {
+            (Some(u), Some(v)) => emit(u, v),
+            _ => {
+                return Err(EdgeListError::Parse {
+                    line: idx + 1,
+                    content: trimmed.to_string(),
+                })
+            }
         }
     }
+    Ok(())
+}
+
+/// Reads a graph from an edge-list reader in one pass through
+/// [`GraphBuilder`], which buffers every edge: for a source that cannot be
+/// replayed. A file loads through [`load_edge_list`].
+pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, EdgeListError> {
+    let mut b = GraphBuilder::new();
+    for_each_edge(reader, |u, v| b.add_edge(u, v))?;
     Ok(b.build())
 }
 
@@ -95,9 +101,8 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<CsrGraph, EdgeListError
     )
 }
 
-/// Reads a graph in two streaming passes over the same edge-list source:
-/// the first pass counts out-degrees, the second writes each target into
-/// its final CSR slot ([`StreamingBuilder`]). Equivalent to
+/// Reads a graph through [`CsrGraph::from_replayed`]: `pass1` feeds the
+/// degree census, `pass2` the slot placement. Equivalent to
 /// [`read_edge_list`] for any input — same graph, same errors — but never
 /// materializes a `Vec<(u, v)>` edge list, which roughly halves peak
 /// memory on SNAP-scale files.
@@ -106,38 +111,13 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<CsrGraph, EdgeListError
 /// opens of the same file); a source that changed between the passes
 /// panics instead of corrupting the graph.
 pub fn read_edge_list_two_pass<R1: BufRead, R2: BufRead>(
-    pass1: R1,
-    pass2: R2,
+    mut pass1: R1,
+    mut pass2: R2,
 ) -> Result<CsrGraph, EdgeListError> {
-    // Lines are parsed sequentially (errors keep their line numbers) into
-    // bounded blocks; the degree census and slot placement of each block
-    // run through the parallel passes. Same graph for any thread count.
-    let nt = auto_build_threads();
-    let mut block = Vec::new();
-    let mut sb = StreamingBuilder::new();
-    for (idx, line) in pass1.lines().enumerate() {
-        if let Some((u, v)) = parse_edge_line(idx, &line?)? {
-            block.push((u, v));
-            if block.len() == STREAM_BLOCK {
-                sb.count_block(&block, nt);
-                block.clear();
-            }
-        }
-    }
-    sb.count_block(&block, nt);
-    block.clear();
-    let mut fill = sb.into_fill();
-    for (idx, line) in pass2.lines().enumerate() {
-        if let Some((u, v)) = parse_edge_line(idx, &line?)? {
-            block.push((u, v));
-            if block.len() == STREAM_BLOCK {
-                fill.fill_block(&block, nt);
-                block.clear();
-            }
-        }
-    }
-    fill.fill_block(&block, nt);
-    Ok(fill.finish())
+    CsrGraph::from_replayed(0, |pass, sink| match pass {
+        Pass::Count => for_each_edge(&mut pass1, |u, v| sink.emit(u, v)),
+        Pass::Fill => for_each_edge(&mut pass2, |u, v| sink.emit(u, v)),
+    })
 }
 
 /// Writes a graph as an edge list.
@@ -183,6 +163,24 @@ mod tests {
         match read_edge_list(text.as_bytes()) {
             Err(EdgeListError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn node_id_u32_max_is_a_parse_error() {
+        // `u32::MAX` would size the graph at 2^32 nodes and collide with
+        // the `u32::MAX` sentinels; both loaders reject it by line.
+        let text = "0 1\n4294967295 0\n";
+        for got in [
+            read_edge_list(text.as_bytes()),
+            read_edge_list_two_pass(text.as_bytes(), text.as_bytes()),
+        ] {
+            match got {
+                Err(EdgeListError::Parse { line, content }) => {
+                    assert_eq!((line, content.as_str()), (2, "4294967295 0"));
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
         }
     }
 

@@ -7,8 +7,11 @@
 //!   adjacency and stable, dense *edge ids*. Edge ids are the index of the
 //!   edge in the forward adjacency array, which lets downstream crates store
 //!   per-edge state in flat arrays and bitsets instead of hash maps.
-//! * [`GraphBuilder`] — deduplicating builder that produces a [`CsrGraph`]
-//!   from an unordered edge list.
+//! * [`CsrGraph::from_replayed`] — the one way to build a graph: a two-pass
+//!   counting-sort kernel over a source that can replay its edges (a file
+//!   opened twice, a seeded generator, a graph being frozen). It merges
+//!   duplicates and drops self-loops; [`GraphBuilder`] buffers an unordered
+//!   edge list and replays it through the same kernel.
 //! * [`DynamicGraph`] — a mutation overlay on top of a [`CsrGraph`] used by
 //!   the incremental-update machinery of the scheduling algorithms (§3.3 of
 //!   the paper).
@@ -52,7 +55,7 @@ pub mod io;
 pub mod sample;
 pub mod stats;
 
-pub use builder::{GraphBuilder, StreamingBuilder, StreamingFill};
+pub use builder::{EdgeSink, GraphBuilder, Pass};
 pub use csr::{intersect_sorted, CsrGraph, EdgeId, NodeId, INVALID_EDGE};
 pub use dynamic::DynamicGraph;
 

@@ -151,6 +151,7 @@ fn dynamic_graph_matches_reference() {
         }
         // Freeze and compare the full edge set.
         let frozen = dynamic.freeze();
+        assert_eq!(frozen.node_count(), dynamic.node_count(), "seed {seed}");
         let frozen_set: FxHashSet<(u32, u32)> = frozen.edges().map(|(_, u, v)| (u, v)).collect();
         assert_eq!(frozen_set, reference, "seed {seed}");
     }

@@ -38,25 +38,6 @@ pub enum ReoptMode {
     Continuous,
 }
 
-impl ReoptMode {
-    /// Parses `"threshold"` / `"continuous"`.
-    pub fn parse(s: &str) -> Option<ReoptMode> {
-        match s {
-            "threshold" => Some(ReoptMode::Threshold),
-            "continuous" => Some(ReoptMode::Continuous),
-            _ => None,
-        }
-    }
-
-    /// The canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReoptMode::Threshold => "threshold",
-            ReoptMode::Continuous => "continuous",
-        }
-    }
-}
-
 /// Configuration of the online serving runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -178,13 +159,5 @@ mod tests {
         assert_eq!(c.domains, 0, "trivial failure domains by default");
         assert_eq!(c.heartbeat_interval, Duration::ZERO);
         assert!(c.faults.is_none());
-    }
-
-    #[test]
-    fn reopt_mode_parses() {
-        assert_eq!(ReoptMode::parse("threshold"), Some(ReoptMode::Threshold));
-        assert_eq!(ReoptMode::parse("continuous"), Some(ReoptMode::Continuous));
-        assert_eq!(ReoptMode::parse("eager"), None);
-        assert_eq!(ReoptMode::Continuous.name(), "continuous");
     }
 }
