@@ -6,35 +6,18 @@
 //! sequence twice. Pass one ([`Pass::Count`]) counts out-degrees; pass two
 //! ([`Pass::Fill`]) writes each target straight into its final CSR slot;
 //! then every source's slots are sorted, deduplicated and stripped of
-//! self-loops. Peak transient memory is one `u32` per node plus one
-//! `NodeId` per raw edge, with no global sort and no edge-list buffer, which
-//! is what lets the 10M-node benchmarks build graphs without a spike.
+//! self-loops. The kernel's transient memory is one `u32` per node plus one
+//! `NodeId` per raw edge, with no global sort. A replayed source (a file
+//! opened twice, a generator, a frozen graph) keeps no edge list either;
+//! [`GraphBuilder`] is the exception, since it buffers its input to replay
+//! it.
 //!
-//! The census counts each edge as it is emitted. Placement takes the edges
-//! in bounded blocks, each sharded by source-id range across one thread per
-//! core, and the graph is bit-identical for any thread count and any block
-//! split.
+//! Placement runs on the calling thread, one edge at a time as it is
+//! emitted.
 
 use std::convert::Infallible;
 
 use crate::csr::{CsrGraph, NodeId};
-
-/// Blocks below this many edges are placed inline: spawning scoped threads
-/// costs more than the scan itself.
-const PAR_BLOCK_MIN: usize = 1 << 14;
-
-/// Edges an [`EdgeSink`] buffers for the parallel placement — large enough
-/// to amortize the per-block thread spawns, small enough (8 MB) to preserve
-/// the two-pass memory profile. One thread buffers only [`PAR_BLOCK_MIN`]
-/// edges: it has no spawns to amortize.
-const STREAM_BLOCK: usize = 1 << 20;
-
-/// Worker threads of the placement pass: one per available core.
-fn build_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 /// Which pass of [`CsrGraph::from_replayed`] a source is feeding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,10 +34,6 @@ pub enum Pass {
 #[derive(Debug)]
 pub struct EdgeSink {
     pass: Pass,
-    threads: usize,
-    /// Emitted edges not yet placed (pass two), at most `block_len`.
-    block: Vec<(NodeId, NodeId)>,
-    block_len: usize,
     /// Pass one: raw out-degree per source (duplicates and self-loops
     /// included). Pass two: next free slot per source. Its length is the
     /// node count.
@@ -71,32 +50,10 @@ impl EdgeSink {
     /// are tolerated: they are merged and dropped when the graph freezes.
     #[inline]
     pub fn emit(&mut self, u: NodeId, v: NodeId) {
-        if self.pass == Pass::Count {
-            return self.count(u, v);
-        }
-        self.block.push((u, v));
-        if self.block.len() == self.block_len {
-            self.flush();
-        }
-    }
-
-    /// Hands a borrowed block of edges to the current pass without copying
-    /// it, after the edges emitted before it.
-    fn emit_slice(&mut self, edges: &[(NodeId, NodeId)]) {
         match self.pass {
-            Pass::Count => edges.iter().for_each(|&(u, v)| self.count(u, v)),
-            Pass::Fill => {
-                self.flush();
-                self.fill(edges);
-            }
+            Pass::Count => self.count(u, v),
+            Pass::Fill => self.place(u, v),
         }
-    }
-
-    fn flush(&mut self) {
-        let block = std::mem::take(&mut self.block);
-        self.fill(&block);
-        self.block = block;
-        self.block.clear();
     }
 
     /// Counts one edge into the degree census, growing it to the larger id
@@ -116,8 +73,21 @@ impl EdgeSink {
         self.edges += 1;
     }
 
+    /// Writes `v` into the next free slot of `u`, which the census must
+    /// have counted.
+    #[inline]
+    fn place(&mut self, u: NodeId, v: NodeId) {
+        let ui = u as usize;
+        assert!(
+            ui < self.cursor.len() && self.cursor[ui] < self.offsets[ui + 1],
+            "fill pass does not match count pass at edge {u} -> {v}",
+        );
+        self.targets[self.cursor[ui] as usize] = v;
+        self.cursor[ui] += 1;
+    }
+
     /// Turns the census into prefix sums and slot cursors, ready for pass
-    /// two, whose block buffer is sized to the edges counted.
+    /// two.
     fn start_fill(&mut self) {
         assert!(
             self.edges < u32::MAX as usize,
@@ -134,80 +104,11 @@ impl EdgeSink {
             self.offsets.push(sum);
         }
         self.targets = vec![0 as NodeId; self.edges];
-        self.block = Vec::with_capacity(self.block_len.min(self.edges));
-    }
-
-    /// Places one block. Workers own disjoint source-id ranges — a source's
-    /// slots are contiguous, so each range maps to a private cursor and
-    /// target region — and each scans the whole block placing only its own
-    /// sources, in block order. Every slot therefore receives exactly the
-    /// value a sequential replay would write, at any thread count.
-    fn fill(&mut self, edges: &[(NodeId, NodeId)]) {
-        let n = self.cursor.len();
-        let nt = self.threads.max(1).min(n.max(1));
-        if nt <= 1 || edges.len() < PAR_BLOCK_MIN {
-            for &(u, v) in edges {
-                let ui = u as usize;
-                assert!(
-                    ui < n && self.cursor[ui] < self.offsets[ui + 1],
-                    "fill pass does not match count pass at edge {u} -> {v}",
-                );
-                self.targets[self.cursor[ui] as usize] = v;
-                self.cursor[ui] += 1;
-            }
-            return;
-        }
-        // Boundaries balanced by slot mass, not node count, so a few hubs
-        // cannot pile all the writes onto one worker.
-        let total = *self.offsets.last().unwrap();
-        let mut bounds = Vec::with_capacity(nt + 1);
-        bounds.push(0usize);
-        for t in 1..nt {
-            let want = (total as usize * t / nt) as u32;
-            let b = self
-                .offsets
-                .partition_point(|&o| o < want)
-                .min(n)
-                .max(*bounds.last().unwrap());
-            bounds.push(b);
-        }
-        bounds.push(n);
-        std::thread::scope(|s| {
-            let offsets = &self.offsets;
-            let mut cur_rest: &mut [u32] = &mut self.cursor;
-            let mut tgt_rest: &mut [NodeId] = &mut self.targets;
-            for t in 0..nt {
-                let (lo, hi) = (bounds[t], bounds[t + 1]);
-                let (cur, ct) = cur_rest.split_at_mut(hi - lo);
-                cur_rest = ct;
-                let slots = (offsets[hi] - offsets[lo]) as usize;
-                let (tgt, tt) = tgt_rest.split_at_mut(slots);
-                tgt_rest = tt;
-                let base = offsets[lo];
-                let last = t == nt - 1;
-                s.spawn(move || {
-                    for &(u, v) in edges {
-                        let ui = u as usize;
-                        if ui < lo || (!last && ui >= hi) {
-                            continue;
-                        }
-                        assert!(
-                            ui < hi && cur[ui - lo] < offsets[ui + 1],
-                            "fill pass does not match count pass at edge {u} -> {v}",
-                        );
-                        tgt[(cur[ui - lo] - base) as usize] = v;
-                        cur[ui - lo] += 1;
-                    }
-                });
-            }
-        });
     }
 
     /// Sorts each source's slots, merges duplicates, drops self-loops and
     /// freezes into a CSR graph.
     fn finish(mut self) -> CsrGraph {
-        self.flush();
-        self.block = Vec::new();
         let n = self.cursor.len();
         for u in 0..n {
             assert_eq!(
@@ -243,38 +144,6 @@ impl EdgeSink {
     }
 }
 
-/// The kernel behind [`CsrGraph::from_replayed`], at an explicit thread
-/// count.
-pub(crate) fn replay<E>(
-    nodes: usize,
-    threads: usize,
-    mut source: impl FnMut(Pass, &mut EdgeSink) -> Result<(), E>,
-) -> Result<CsrGraph, E> {
-    assert!(
-        nodes <= NodeId::MAX as usize,
-        "{nodes} nodes exceed the largest legal id {}",
-        NodeId::MAX - 1
-    );
-    let mut sink = EdgeSink {
-        pass: Pass::Count,
-        threads,
-        block: Vec::new(),
-        block_len: if threads > 1 {
-            STREAM_BLOCK
-        } else {
-            PAR_BLOCK_MIN
-        },
-        cursor: vec![0; nodes],
-        offsets: Vec::new(),
-        targets: Vec::new(),
-        edges: 0,
-    };
-    source(Pass::Count, &mut sink)?;
-    sink.start_fill();
-    source(Pass::Fill, &mut sink)?;
-    Ok(sink.finish())
-}
-
 impl CsrGraph {
     /// Builds a graph from a source that can replay its edge list: a file
     /// opened twice, a seeded generator, an in-memory graph.
@@ -301,9 +170,24 @@ impl CsrGraph {
     /// ```
     pub fn from_replayed<E>(
         nodes: usize,
-        source: impl FnMut(Pass, &mut EdgeSink) -> Result<(), E>,
+        mut source: impl FnMut(Pass, &mut EdgeSink) -> Result<(), E>,
     ) -> Result<CsrGraph, E> {
-        replay(nodes, build_threads(), source)
+        assert!(
+            nodes <= NodeId::MAX as usize,
+            "{nodes} nodes exceed the largest legal id {}",
+            NodeId::MAX - 1
+        );
+        let mut sink = EdgeSink {
+            pass: Pass::Count,
+            cursor: vec![0; nodes],
+            offsets: Vec::new(),
+            targets: Vec::new(),
+            edges: 0,
+        };
+        source(Pass::Count, &mut sink)?;
+        sink.start_fill();
+        source(Pass::Fill, &mut sink)?;
+        Ok(sink.finish())
     }
 }
 
@@ -359,11 +243,13 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Replays the buffered edges through [`CsrGraph::from_replayed`]'s
-    /// kernel, which merges duplicates and strips self-loops.
+    /// Replays the buffered edges through [`CsrGraph::from_replayed`],
+    /// which merges duplicates and strips self-loops.
     pub fn build(self) -> CsrGraph {
-        let Ok(g) = replay(self.nodes, build_threads(), |_, sink| {
-            sink.emit_slice(&self.edges);
+        let Ok(g) = CsrGraph::from_replayed(self.nodes, |_, sink| {
+            for &(u, v) in &self.edges {
+                sink.emit(u, v);
+            }
             Ok::<(), Infallible>(())
         });
         g
@@ -480,27 +366,19 @@ mod tests {
         };
         (0..m)
             .map(|_| {
-                // A third of the edges share one hot source to skew the
-                // slot balance the fill partitioner must handle.
+                // A third of the edges share one hot source: a long,
+                // unsorted slot run with many duplicates.
                 let u = if next(3) == 0 { 7 % n } else { next(n) };
                 (u, next(n))
             })
             .collect()
     }
 
-    /// Builds `edges` through the kernel at `threads`, emitted one at a
-    /// time (`split == None`) or handed over in slices of `split` edges.
-    fn replayed(
-        edges: &[(NodeId, NodeId)],
-        reserve: usize,
-        threads: usize,
-        split: Option<usize>,
-    ) -> CsrGraph {
-        let Ok(g) = replay(reserve, threads, |_, sink| {
-            match split {
-                Some(s) => edges.chunks(s).for_each(|b| sink.emit_slice(b)),
-                None => edges.iter().for_each(|&(u, v)| sink.emit(u, v)),
-            }
+    /// Builds `edges` through [`CsrGraph::from_replayed`], one emit per
+    /// edge in each pass.
+    fn replayed(edges: &[(NodeId, NodeId)], reserve: usize) -> CsrGraph {
+        let Ok(g) = CsrGraph::from_replayed(reserve, |_, sink| {
+            edges.iter().for_each(|&(u, v)| sink.emit(u, v));
             Ok::<(), Infallible>(())
         });
         g
@@ -529,33 +407,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_sort_oracle_at_any_thread_count_and_block_split() {
+    fn from_replayed_matches_sort_oracle() {
         for (m, n, seed) in [(100usize, 9, 3u64), (60_000, 500, 1), (50_000, 40_000, 2)] {
             let edges = messy_edges(m, n, seed);
-            // Reserved isolated nodes past every id, on odd thread counts.
-            let reserve = n as usize + 5;
-            let (plain, reserved) = (Oracle::new(&edges, 0), Oracle::new(&edges, reserve));
-            for nt in [1usize, 2, 3, 8] {
-                let (r, want) = if nt % 2 == 1 {
-                    (reserve, &reserved)
-                } else {
-                    (0, &plain)
-                };
-                // Per-edge emits, then slices on both sides of the
-                // parallel threshold.
-                for split in [
-                    None,
-                    Some(m / 3 + 1),
-                    Some(PAR_BLOCK_MIN - 1),
-                    Some(PAR_BLOCK_MIN),
-                ] {
-                    let what = format!("m={m} threads={nt} split={split:?} reserve={r}");
-                    want.check(&replayed(&edges, r, nt, split), &what);
-                }
+            // Reserved isolated nodes past every id.
+            for reserve in [0, n as usize + 5] {
+                let what = format!("m={m} reserve={reserve}");
+                Oracle::new(&edges, reserve).check(&replayed(&edges, reserve), &what);
             }
         }
-        Oracle::new(&[], 0).check(&replayed(&[], 0, 8, None), "empty");
-        Oracle::new(&[], 3).check(&replayed(&[], 3, 8, Some(1)), "isolated only");
+        Oracle::new(&[], 0).check(&replayed(&[], 0), "empty");
+        Oracle::new(&[], 3).check(&replayed(&[], 3), "isolated only");
     }
 
     #[test]
@@ -579,17 +441,13 @@ mod tests {
         b.build();
     }
 
-    // No `expected` string: the worker's "does not match count pass"
-    // assert surfaces through the joining scope as a generic scoped-thread
-    // panic.
     #[test]
-    #[should_panic]
-    fn parallel_fill_mismatch_panics() {
-        let edges = messy_edges(40_000, 64, 9);
-        let _ = replay(0, 4, |pass, sink| {
-            sink.emit_slice(&edges);
+    #[should_panic(expected = "does not match count pass at edge 5 -> 0")]
+    fn fill_pass_unknown_source_panics() {
+        let _ = CsrGraph::from_replayed(0, |pass, sink| {
+            sink.emit(0, 1);
             if pass == Pass::Fill {
-                sink.emit_slice(&edges[..PAR_BLOCK_MIN]); // replayed past the census
+                sink.emit(5, 0); // a source past the census
             }
             Ok::<(), Infallible>(())
         });

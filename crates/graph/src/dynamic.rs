@@ -9,7 +9,6 @@
 
 use std::convert::Infallible;
 
-use crate::builder::replay;
 use crate::csr::{CsrGraph, NodeId};
 use crate::fx::{FxHashMap, FxHashSet};
 
@@ -187,12 +186,9 @@ impl DynamicGraph {
 
     /// Materializes the current state into a fresh [`CsrGraph`] snapshot,
     /// replaying [`DynamicGraph::edges`] once per pass of
-    /// [`CsrGraph::from_replayed`]'s kernel: no edge buffer, no global sort.
+    /// [`CsrGraph::from_replayed`]: no edge buffer, no global sort.
     pub fn freeze(&self) -> CsrGraph {
-        // One thread: a serving thread freezes under the control lock, where
-        // block workers were slower at serving scale and raised the serving
-        // process's peak RSS.
-        let Ok(g) = replay(self.node_count, 1, |_, sink| {
+        let Ok(g) = CsrGraph::from_replayed(self.node_count, |_, sink| {
             for (u, v) in self.edges() {
                 sink.emit(u, v);
             }
