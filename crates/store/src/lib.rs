@@ -18,8 +18,9 @@
 //!   [`PartitionStrategy`] (hash baseline, streaming LDG).
 //! * [`server`] — a data-store shard: batched update/query with server-side
 //!   filtering (the "thin layer on top of memcached") and view migration.
-//!   Queries run a bounded k-way tournament merge over the views' ring
-//!   buffers through a reusable [`QueryScratch`] arena.
+//!   Queries look each view up once and run a bounded k-way tournament
+//!   merge over its newest events, copied into a reusable [`QueryScratch`]
+//!   arena.
 //! * [`merge`] — the shared top-k reply merge: the flat sort-merge
 //!   reference and the allocation-free incremental [`ReplyMerger`] the
 //!   clients fold per-shard wire replies into; its running k-th newest

@@ -1,8 +1,11 @@
 //! A data-store shard: user views plus the thin server-side layer that
 //! aggregates and filters query batches (§4.3).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use bytes::{Buf, BufMut, BytesMut};
-use piggyback_graph::fx::FxHashMap;
+use piggyback_graph::fx::FxHasher;
 use piggyback_graph::NodeId;
 
 use crate::merge::sort_merge;
@@ -100,28 +103,30 @@ impl ShardStats {
 
 /// Reusable per-worker scratch for [`StoreServer::query_newer`].
 ///
-/// Holds the tournament heap, the per-view cursors and the output buffer.
-/// All three retain their capacity across requests, so a warmed-up worker
-/// serves queries with **zero heap allocation** (asserted by
-/// `tests/query_alloc.rs`).
+/// Holds the tournament heap, the per-view cursors, the candidates they
+/// index and the output buffer. All four retain their capacity across
+/// requests, so a warmed-up worker serves queries with **zero heap
+/// allocation** (asserted by `tests/query_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Max-heap of `(head tuple, cursor index)` — the tuple orders first,
     /// so pops are globally newest first and ties break deterministically.
     heap: std::collections::BinaryHeap<(EventTuple, u32)>,
     cursors: Vec<Cursor>,
+    /// Each listed view's newest events above the floor, newest first, one
+    /// run per cursor: the merge reads these instead of looking the view
+    /// up again.
+    candidates: Vec<EventTuple>,
     out: Vec<EventTuple>,
 }
 
-/// One view's merge cursor: position is a logical newest-first index, so
-/// advancing never touches the ring's internals.
+/// One view's merge cursor over its run of `QueryScratch::candidates`.
 #[derive(Clone, Copy, Debug)]
 struct Cursor {
-    view: NodeId,
-    /// Next newest-first index to emit.
+    /// Next candidate index to emit.
     next: u32,
-    /// One past the last index this view contributes (`min(len, k)`).
-    limit: u32,
+    /// One past the run's last candidate.
+    end: u32,
 }
 
 impl QueryScratch {
@@ -130,16 +135,45 @@ impl QueryScratch {
         QueryScratch::default()
     }
 
-    /// `(heap, cursors, out)` capacities — lets tests assert steady-state
-    /// reuse.
-    pub fn capacities(&self) -> (usize, usize, usize) {
+    /// `(heap, cursors, candidates, out)` capacities — lets tests assert
+    /// steady-state reuse.
+    pub fn capacities(&self) -> (usize, usize, usize, usize) {
         (
             self.heap.capacity(),
             self.cursors.capacity(),
+            self.candidates.capacity(),
             self.out.capacity(),
         )
     }
 }
+
+/// The view map's hasher: Fx's multiply, with the product rotated so its
+/// well-mixed high bits land in the low bits a hash table takes its bucket
+/// index from. Plain [`FxHasher`] would not do here: hash placement puts a
+/// user on the shard its Fx hash picks, and with a power-of-two server
+/// count that depends only on the user id's low bits, so every view on one
+/// shard would share the low bits of its key and fall into one probe chain.
+#[derive(Default)]
+struct ViewHasher(FxHasher);
+
+impl Hasher for ViewHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.finish().rotate_left(26)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0.write_u32(n);
+    }
+}
+
+type ViewBuildHasher = BuildHasherDefault<ViewHasher>;
 
 /// One data-store server holding a subset of user views.
 ///
@@ -149,7 +183,7 @@ impl QueryScratch {
 /// views (one reply message regardless of how many views were touched).
 #[derive(Clone, Debug)]
 pub struct StoreServer {
-    views: FxHashMap<NodeId, View>,
+    views: HashMap<NodeId, View, ViewBuildHasher>,
     view_capacity: usize,
     stats: ShardStats,
 }
@@ -159,7 +193,7 @@ impl StoreServer {
     /// (0 = unbounded).
     pub fn new(view_capacity: usize) -> Self {
         StoreServer {
-            views: FxHashMap::default(),
+            views: HashMap::default(),
             view_capacity,
             stats: ShardStats::default(),
         }
@@ -195,14 +229,15 @@ impl StoreServer {
     /// the replies it already holds, so this shard ships only tuples that
     /// can still enter the feed.
     ///
-    /// A bounded k-way tournament merge over the views' ring buffers: each
-    /// listed view contributes at most `min(k, len)` events through a
-    /// cursor, and a small max-heap of one head per view pops the global
-    /// newest until `k` distinct events are emitted — O((k + f) log f) for
-    /// `f` views instead of copying and fully sorting every candidate. A
-    /// view whose newest event is not above the floor opens no cursor, and
-    /// a cursor stops at its first such event, so the merge ends early.
-    /// All state lives in `scratch`; a warmed-up caller allocates nothing.
+    /// A bounded k-way tournament merge: each listed view is looked up
+    /// once and copies its newest events above the floor, at most `k`,
+    /// into a run of `scratch`'s candidates; a small max-heap of one head
+    /// per run then pops the global newest until `k` distinct events are
+    /// emitted. For `f` views that is O(f·k) copying plus O((k + f) log f)
+    /// merging instead of copying and fully sorting every candidate. A view
+    /// whose newest event is not above the floor opens no run, and a lone
+    /// run is the answer as it stands (a view holds distinct events). All
+    /// state lives in `scratch`; a warmed-up caller allocates nothing.
     pub fn query_newer<'s>(
         &mut self,
         views: &[NodeId],
@@ -214,24 +249,30 @@ impl StoreServer {
         scratch.out.clear();
         scratch.heap.clear();
         scratch.cursors.clear();
-        if k == 0 {
-            return &scratch.out;
-        }
-        let above = |t: EventTuple| floor.is_none_or(|f| t > f);
-        for &v in views {
-            let Some(view) = self.views.get(&v).filter(|view| !view.is_empty()) else {
+        scratch.candidates.clear();
+        let above = |t: &EventTuple| floor.is_none_or(|f| *t > f);
+        for v in views {
+            let Some(view) = self.views.get(v) else {
                 continue;
             };
-            let head = view.nth_newest(0);
-            if above(head) {
-                let idx = scratch.cursors.len() as u32;
-                scratch.cursors.push(Cursor {
-                    view: v,
-                    next: 1,
-                    limit: view.len().min(k) as u32,
-                });
-                scratch.heap.push((head, idx));
+            let start = scratch.candidates.len() as u32;
+            scratch
+                .candidates
+                .extend(view.iter_newest().take(k).take_while(above));
+            let end = scratch.candidates.len() as u32;
+            if end > start {
+                scratch.cursors.push(Cursor { next: start, end });
             }
+        }
+        if scratch.cursors.len() <= 1 {
+            self.stats.events_returned += scratch.candidates.len() as u64;
+            return &scratch.candidates;
+        }
+        for (i, cur) in scratch.cursors.iter_mut().enumerate() {
+            scratch
+                .heap
+                .push((scratch.candidates[cur.next as usize], i as u32));
+            cur.next += 1;
         }
         while let Some((t, i)) = scratch.heap.pop() {
             if scratch.out.last() != Some(&t) {
@@ -241,12 +282,11 @@ impl StoreServer {
                 scratch.out.push(t);
             }
             let cur = &mut scratch.cursors[i as usize];
-            if cur.next < cur.limit {
-                let next = self.views[&cur.view].nth_newest(cur.next as usize);
+            if cur.next < cur.end {
+                scratch
+                    .heap
+                    .push((scratch.candidates[cur.next as usize], i));
                 cur.next += 1;
-                if above(next) {
-                    scratch.heap.push((next, i));
-                }
             }
         }
         self.stats.events_returned += scratch.out.len() as u64;
@@ -452,6 +492,34 @@ mod tests {
             assert_eq!(r.len(), 10);
         }
         assert_eq!(scratch.capacities(), caps, "scratch must not reallocate");
+    }
+
+    #[test]
+    fn view_map_hash_spreads_one_hash_placed_shard() {
+        use crate::topology::Topology;
+        use std::hash::BuildHasher;
+
+        let topology = Topology::hash(50_000, 256, 42);
+        let shard = topology.server_of(0);
+        let users: Vec<NodeId> = (0..50_000)
+            .filter(|&u| topology.server_of(u) == shard)
+            .collect();
+        let low_bits = |build: &dyn Fn(NodeId) -> u64| {
+            let mut seen: Vec<u64> = users.iter().map(|&u| build(u) & 0xff).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        // Plain Fx, which placed these users, gives them all one bucket.
+        let fx = BuildHasherDefault::<FxHasher>::default();
+        assert_eq!(low_bits(&|u| fx.hash_one(u)), 1);
+        let views = ViewBuildHasher::default();
+        let distinct = low_bits(&|u| views.hash_one(u));
+        assert!(
+            distinct >= 128,
+            "{} users on shard {shard} span only {distinct} low-byte buckets",
+            users.len()
+        );
     }
 
     #[test]

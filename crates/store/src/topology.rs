@@ -62,6 +62,13 @@ pub struct GroupScratch {
 }
 
 /// The paper's hash placement: `FxHash(seed, user) mod servers`.
+///
+/// Fx ends in a multiply by an odd constant, which maps the low `b` bits of
+/// its input one-to-one onto the low `b` bits of the product. So with a
+/// power-of-two server count `2^b` the shard depends only on the user id's
+/// low `b` bits, and every user on one shard shares them. This is why a
+/// shard's view map hashes its keys with its own hasher
+/// (`server::ViewHasher`) rather than plain Fx.
 #[inline]
 pub(crate) fn hash_server_of(user: NodeId, servers: usize, seed: u64) -> usize {
     let mut h = FxHasher::default();

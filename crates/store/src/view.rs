@@ -7,13 +7,15 @@
 //!
 //! Storage is a power-of-two **ring buffer** of 20-byte slots ordered
 //! oldest → newest from the head. The dominant insert — a fresh event
-//! carrying the newest timestamp — is a single write at the tail, and
-//! trimming a full view is a head-pointer bump; neither ever shifts memory.
-//! Out-of-order arrivals (piggybacked redeliveries, migration merges)
-//! binary-search their slot and shift the shorter side of the ring,
-//! bounded by the view capacity. An empty view is 48 bytes.
+//! carrying the newest timestamp — is one comparison with the tail and a
+//! single write after it, and trimming a full view is a head-pointer bump;
+//! neither searches nor shifts memory. Out-of-order arrivals (piggybacked
+//! redeliveries, migration merges) binary-search their slot and shift the
+//! shorter side of the ring, bounded by the view capacity. An empty view
+//! is 48 bytes.
 //!
-//! Duplicate suppression is **positional and exact**. Every insert
+//! Duplicate suppression is **positional and exact**. A tuple newer than
+//! the tail cannot be a redelivery of anything held; any other insert
 //! binary-searches its position anyway, and in a sorted ring a
 //! bit-identical tuple can only sit *at* that position, so one comparison
 //! there drops a redelivery for as long as the original is retained —
@@ -152,12 +154,18 @@ impl View {
     }
 
     /// Inserts an event reference, keeping recency order and trimming to
-    /// capacity. Redelivery of a tuple the view still holds is a no-op,
-    /// however long ago the original arrived (see the module docs).
+    /// capacity. An event newer than the newest held is written at the
+    /// tail after one comparison; any other binary-searches its slot.
+    /// Redelivery of a tuple the view still holds is a no-op, however long
+    /// ago the original arrived (see the module docs).
     pub fn insert(&mut self, t: EventTuple) {
         // Logical position among ascending events: everything before `pos`
         // is older than `t`, so a bit-identical tuple can only sit at `pos`.
-        let pos = self.partition_point(&t);
+        let pos = if self.len > 0 && self.at(self.len - 1) >= t {
+            self.partition_point(&t)
+        } else {
+            self.len
+        };
         if pos < self.len && self.at(pos) == t {
             return; // idempotent redelivery
         }

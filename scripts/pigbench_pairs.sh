@@ -9,7 +9,8 @@
 # pair i with seed $SEED0 + i (default 40 + i) on both sides, alternating
 # which side goes first, each run from its own checkout, and prints per
 # end-to-end metric of BENCHMARK.json: both medians, the parent's
-# inter-quartile range, wins/pairs (ties count for neither) and `failed`.
+# inter-quartile range, wins/pairs (ties count for neither), `failed` and
+# each side's median `attempted` (the operations a run completed).
 # Every result line is kept in $PAIRS_DIR/<workload>.jsonl. Run nothing
 # else meanwhile: two vCPUs do not resolve 25% under a compile.
 set -euo pipefail
@@ -73,6 +74,11 @@ print(f"{workload}: {pairs} pairs; failed parent "
       f"{sum(r['failed'] for r in sides['parent'])}, change "
       f"{sum(r['failed'] for r in sides['change'])}; correct "
       f"{all(r['correct'] for r in sides['parent'] + sides['change'])}")
+# Work done in the fixed window: peak RSS grows with it (more view rings
+# fill), so read an RSS move against this line.
+print(f"  median attempted: parent "
+      f"{statistics.median(r['attempted'] for r in sides['parent']):.0f}, change "
+      f"{statistics.median(r['attempted'] for r in sides['change']):.0f}")
 print(f"  {'metric':<14}{'parent':>12}{'change':>12}{'delta':>9}{'parent IQR':>12}{'wins':>8}")
 for m in json.load(open(manifest))["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
