@@ -22,11 +22,10 @@
 //! * **Paying for a push `x → w` (or pull `w → y`)** zeroes `g(x)` (`g(y)`)
 //!   *in the hub-graph of `w` only*, which can *raise* `w`'s density. Those
 //!   hubs — exactly one per selection — get their queue entry refreshed:
-//!   recomputed strictly in the reference execution, skipped or
-//!   lower-bounded in the optimized one (see below).
+//!   recomputed strictly, skipped, or lower-bounded (see below).
 //!
 //! The result is the same greedy trajectory as eager recomputation at a
-//! fraction of the oracle calls (the `ablations` bench quantifies it).
+//! fraction of the oracle calls.
 //!
 //! # The scalable execution
 //!
@@ -58,10 +57,10 @@
 //!   oracle call is paid lazily only if the hub ever surfaces. Together
 //!   these tame the popular-hub tail: without them, every popular node is
 //!   fully re-peeled once per incident singleton;
-//! * all oracle calls go through the allocation-free
-//!   [`densest_hub_graph_scratch`] bucket peel, and singleton costs come
-//!   from a precomputed [`EdgeCosts`] array instead of per-probe rate
-//!   lookups.
+//! * all oracle calls go through the allocation-free [`densest`] bucket
+//!   peel — queue maintenance asks it for the key only ([`Want::Key`]) —
+//!   and singleton costs come from a precomputed [`EdgeCosts`] array
+//!   instead of per-probe rate lookups.
 //!
 //! Each selection accepts the argmin of `(exact cost-per-element, node id)`
 //! over the live candidates: every queue entry whose optimistic key is at
@@ -70,15 +69,15 @@
 //! produces the identical schedule, cost, and oracle-call count** (the
 //! `chitchat_parallel` integration test locks this in).
 //!
-//! A test-only `ChitChat::run_reference` preserves the pre-optimization
-//! execution — serial, eager recomputation after every selection, exact
-//! oracle seeding, allocating heap-peel oracle, per-probe singleton costs —
-//! as the differential-testing oracle of this module's tests.
-//! Both drive the same argmin greedy, but exact ties between equally-priced
-//! candidates can resolve differently (the eager path's refreshed keys
-//! carry last-ulp float noise that the skip-path's older bounds do not), so
-//! their costs agree to tie-breaking noise (~1e-5 relative at scale)
-//! rather than bit-for-bit.
+//! This module's tests compare [`ChitChat::run`] with a test-only model of
+//! Algorithm 1 as the paper states it (`textbook::chitchat_eager`): serial,
+//! one exact oracle call per node up front, eager recomputation of every
+//! hub whose hub-graph changed after every selection, an allocating
+//! heap-peel oracle and per-probe singleton costs. Both take the same
+//! argmin, but exact ties between equally-priced candidates can resolve
+//! differently (a refreshed key carries last-ulp float noise that an older
+//! bound does not), so their costs agree to tie-breaking noise rather than
+//! bit for bit — and the model makes at least as many oracle calls.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -89,10 +88,7 @@ use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
 use crate::bitset::BitSet;
-use crate::densest::{
-    densest_hub_graph, densest_hub_graph_key_scratch, densest_hub_graph_scratch, HubSelection,
-    OrdF64, PeelScratch, UncoveredDegrees,
-};
+use crate::densest::{densest, HubSelection, LegCost, OrdF64, PeelScratch, UncoveredDegrees, Want};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 
@@ -286,65 +282,51 @@ struct Search {
     cache: FxHashMap<NodeId, HubSelection>,
     scratch: PeelScratch,
     oracle_calls: usize,
-    /// Use the allocating reference oracle instead of the scratch path
-    /// (the two produce identical selections; see [`crate::densest`]).
-    reference: bool,
 }
 
-/// Builds one pool worker: peels a batch of hubs against the frozen cover,
-/// through the reference oracle or a private scratch arena.
+/// One absolute-price oracle call for hub `w` against cover state `c`.
+fn oracle(
+    sh: &Shared,
+    c: &Cover,
+    w: NodeId,
+    want: Want,
+    scratch: &mut PeelScratch,
+) -> Option<HubSelection> {
+    densest(
+        sh.g,
+        sh.rates,
+        w,
+        &c.sched,
+        &c.z,
+        &c.zdeg,
+        sh.cross_cap,
+        LegCost::Absolute,
+        want,
+        scratch,
+    )
+}
+
+/// Builds one pool worker: peels a batch of hubs against the frozen cover
+/// through a private scratch arena.
 fn hub_peeler<'a>(
     sh: &'a Shared<'a>,
-    reference: bool,
 ) -> impl FnMut(&[NodeId]) -> Vec<(NodeId, Option<HubSelection>)> + Send + 'a {
     let mut scratch = PeelScratch::new();
     move |hubs: &[NodeId]| {
         let c = sh.cover.read();
         hubs.iter()
-            .map(|&w| {
-                let sel = if reference {
-                    densest_hub_graph(sh.g, sh.rates, w, &c.sched, &c.z, sh.cross_cap)
-                } else {
-                    densest_hub_graph_scratch(
-                        sh.g,
-                        sh.rates,
-                        w,
-                        &c.sched,
-                        &c.z,
-                        &c.zdeg,
-                        sh.cross_cap,
-                        &mut scratch,
-                    )
-                };
-                (w, sel)
-            })
+            .map(|&w| (w, oracle(sh, &c, w, Want::Selection, &mut scratch)))
             .collect()
     }
 }
 
 impl Search {
-    /// Key-only oracle call: just the cost-per-element, skipping output
-    /// materialization on the scratch path. This is what all queue
-    /// maintenance uses — the full selection is materialized once per
-    /// accepted hub. (The reference path materializes and discards, which
-    /// is exactly what the pre-optimization implementation did.)
+    /// Key-only oracle call: just the cost-per-element, with no output
+    /// materialization. This is what all queue maintenance uses — the
+    /// full selection is materialized once per accepted hub.
     fn oracle_key(&mut self, sh: &Shared, w: NodeId) -> Option<f64> {
-        let c = sh.cover.read();
-        if self.reference {
-            densest_hub_graph(sh.g, sh.rates, w, &c.sched, &c.z, sh.cross_cap)
-                .map(|sel| sel.cost_per_element())
-        } else {
-            densest_hub_graph_key_scratch(
-                sh.g,
-                sh.rates,
-                w,
-                &c.sched,
-                &c.z,
-                &c.zdeg,
-                sh.cross_cap,
-                &mut self.scratch,
-            )
-        }
+        oracle(sh, &sh.cover.read(), w, Want::Key, &mut self.scratch)
+            .map(|sel| sel.cost_per_element())
     }
 
     /// Deferred strict recompute: lowers hub `w`'s queued key to the
@@ -403,7 +385,7 @@ impl Search {
     /// node id)` over all live candidates: every entry whose optimistic key
     /// is at or below the winning value gets verified before the accept, so
     /// the result does not depend on batch boundaries, thread count, or
-    /// which oracle implementation produced the keys.
+    /// which call produced the keys.
     fn select_hub(&mut self, pool: &HubPool, single_cpe: f64) -> Option<HubSelection> {
         self.round += 1;
         self.cache.clear();
@@ -461,9 +443,8 @@ impl Search {
         }
     }
 
-    /// Seeds the priority queue. The reference execution performs the
-    /// pre-optimization pass — one exact oracle call per node. The
-    /// optimized path seeds *sound lower bounds* computed in closed form:
+    /// Seeds the priority queue with *sound lower bounds* computed in
+    /// closed form instead of one exact oracle call per node:
     /// at seed time no leg is paid and `Z` is full, so for any candidate
     /// subgraph with `s ≤ |X|` producers and `t ≤ |Y|` consumers,
     /// `weight ≥ s·min rp + t·min rc` and
@@ -473,18 +454,7 @@ impl Search {
     /// (and in parallel) only if its bound ever surfaces below the
     /// singleton threshold — the up-front `n`-peel sweep disappears.
     fn seed(&mut self, sh: &Shared) {
-        let n = sh.g.node_count();
-        if self.reference {
-            self.oracle_calls += n;
-            for w in 0..n as NodeId {
-                if let Some(key) = self.oracle_key(sh, w) {
-                    self.current_key[w as usize] = key;
-                    self.heap.push(Reverse((OrdF64(key), w, 0)));
-                }
-            }
-            return;
-        }
-        for w in 0..n as NodeId {
+        for w in 0..sh.g.node_count() as NodeId {
             if let Some(key) = seed_lower_bound(sh.g, sh.rates, w, sh.cross_cap) {
                 self.current_key[w as usize] = key;
                 self.heap.push(Reverse((OrdF64(key), w, 0)));
@@ -547,19 +517,16 @@ pub(crate) fn full_bitset(m: usize) -> BitSet {
     b
 }
 
-/// The greedy SETCOVER loop shared by both executions.
-fn drive(
-    sh: &Shared,
-    search: &mut Search,
-    pool: &HubPool,
-    single_cost: &impl Fn(EdgeId) -> f64,
-) -> (usize, usize) {
+/// The greedy SETCOVER loop. Singleton costs come precomputed per edge:
+/// the loop pays one array load per probe instead of an endpoint recovery
+/// plus two rate lookups.
+fn drive(sh: &Shared, search: &mut Search, pool: &HubPool, costs: &EdgeCosts) -> (usize, usize) {
     search.seed(sh);
 
     // Singleton candidates, cheapest hybrid cost first.
     let m = sh.g.edge_count();
     let mut singles: Vec<EdgeId> = (0..m as EdgeId).collect();
-    singles.sort_unstable_by_key(|&e| OrdF64(single_cost(e)));
+    singles.sort_unstable_by_key(|&e| OrdF64(costs.hybrid_cost(e)));
     let mut single_ptr = 0usize;
 
     let mut hub_selections = 0usize;
@@ -575,7 +542,7 @@ fn drive(
                 single_ptr += 1;
             }
             if single_ptr < singles.len() {
-                single_cost(singles[single_ptr])
+                costs.hybrid_cost(singles[single_ptr])
             } else {
                 f64::INFINITY
             }
@@ -593,12 +560,10 @@ fn drive(
                 let e = singles[single_ptr];
                 let (u, v) = sh.g.edge_endpoints(e);
                 let push = sh.rates.rp(u) <= sh.rates.rc(v);
-                // The reference keeps the pre-optimization call pattern
-                // (recompute unconditionally); the fast path first tries
-                // to prove the zeroing invisible. When the proof fires,
-                // later greedy steps see a still-valid lower bound instead
-                // of a refreshed exact key — the selections stay
-                // argmin-optimal, and only exact ties between
+                // First try to prove the zeroing invisible. When the
+                // proof fires, later greedy steps see a still-valid lower
+                // bound instead of a refreshed exact key — the selections
+                // stay argmin-optimal, and only exact ties between
                 // equally-priced candidates can resolve differently (see
                 // `matches_reference_implementation`).
                 let inert = {
@@ -606,10 +571,10 @@ fn drive(
                     c.uncover(sh.g, e, u, v);
                     if push {
                         c.sched.set_push(e);
-                        !search.reference && c.push_zeroing_is_inert(sh.g, u, v)
+                        c.push_zeroing_is_inert(sh.g, u, v)
                     } else {
                         c.sched.set_pull(e);
-                        !search.reference && c.pull_zeroing_is_inert(sh.g, u, v)
+                        c.pull_zeroing_is_inert(sh.g, u, v)
                     }
                 };
                 singleton_selections += 1;
@@ -620,9 +585,7 @@ fn drive(
                 } else {
                     (u, sh.rates.rc(v))
                 };
-                if search.reference {
-                    search.strict_recompute(sh, hub);
-                } else if !inert {
+                if !inert {
                     search.lower_bound_after_zeroing(sh, hub, delta);
                 }
             }
@@ -633,12 +596,7 @@ fn drive(
 }
 
 impl ChitChat {
-    fn fresh_state<'a>(
-        &self,
-        g: &'a CsrGraph,
-        rates: &'a Rates,
-        reference: bool,
-    ) -> (Shared<'a>, Search) {
+    fn fresh_state<'a>(&self, g: &'a CsrGraph, rates: &'a Rates) -> (Shared<'a>, Search) {
         assert!(
             rates.len() >= g.node_count(),
             "rates do not cover the graph"
@@ -665,7 +623,6 @@ impl ChitChat {
             cache: FxHashMap::default(),
             scratch: PeelScratch::new(),
             oracle_calls: 0,
-            reference,
         };
         (shared, search)
     }
@@ -676,45 +633,13 @@ impl ChitChat {
     /// Deterministic for any [`ChitChat::threads`] value: the fan-out only
     /// divides pure oracle work, never the greedy's decision order.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
-        // Singleton costs precomputed per edge: the set-cover loop pays one
-        // array load per probe instead of an endpoint recovery plus two
-        // rate lookups.
         let costs = EdgeCosts::hybrid(g, rates);
-        self.run_impl(g, rates, false, |e| costs.hybrid_cost(e))
-    }
-
-    /// The pre-optimization execution: serial exact seeding and
-    /// re-validation, allocating `BinaryHeap` oracle, per-probe singleton
-    /// costs.
-    ///
-    /// Kept only as a differential-testing oracle — `run` drives the
-    /// identical greedy, so the two must agree (up to float tie-breaking,
-    /// see the module docs); this module's tests compare them on every
-    /// graph family.
-    #[cfg(test)]
-    fn run_reference(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
-        self.run_impl(g, rates, true, |e| {
-            let (u, v) = g.edge_endpoints(e);
-            crate::cost::hybrid_edge_cost(rates, u, v)
-        })
-    }
-
-    fn run_impl(
-        &self,
-        g: &CsrGraph,
-        rates: &Rates,
-        reference: bool,
-        single_cost: impl Fn(EdgeId) -> f64,
-    ) -> ChitChatResult {
-        let (shared, mut search) = self.fresh_state(g, rates, reference);
-        // The reference execution stays serial: a one-worker pool runs
-        // every batch on this thread.
-        let threads = if reference { 1 } else { self.threads };
+        let (shared, mut search) = self.fresh_state(g, rates);
         let sh = &shared;
         let ((hub_selections, singleton_selections), telemetry) = FanoutPool::scope(
-            threads,
-            || hub_peeler(sh, reference),
-            |pool| drive(sh, &mut search, pool, &single_cost),
+            self.threads,
+            || hub_peeler(sh),
+            |pool| drive(sh, &mut search, pool, &costs),
         );
 
         ChitChatResult {
@@ -732,6 +657,7 @@ mod tests {
     use super::*;
     use crate::baseline::hybrid_schedule;
     use crate::cost::{predicted_improvement, schedule_cost};
+    use crate::textbook;
     use crate::validate::validate_bounded_staleness;
     use piggyback_graph::gen::{copying, erdos_renyi, CopyingConfig};
     use piggyback_graph::GraphBuilder;
@@ -887,7 +813,7 @@ mod tests {
             },
         ] {
             let cc = ChitChat::default();
-            let (shared, mut search) = cc.fresh_state(&g, &r, false);
+            let (shared, mut search) = cc.fresh_state(&g, &r);
             for w in g.nodes() {
                 let bound = seed_lower_bound(&g, &r, w, cc.cross_cap);
                 let exact = search.oracle_key(&shared, w);
@@ -904,8 +830,9 @@ mod tests {
 
     #[test]
     fn matches_reference_implementation() {
-        // The optimized path must reproduce the pre-optimization greedy:
-        // same cost, same selection counts, on every graph family.
+        // The lazy, bound-seeded, fanned-out greedy must land where
+        // Algorithm 1 with eager recomputation does, on every graph
+        // family, and never pay more oracle calls for it.
         let worlds: Vec<(CsrGraph, Rates)> = vec![
             fig2(),
             {
@@ -925,25 +852,28 @@ mod tests {
             },
         ];
         for (i, (g, r)) in worlds.iter().enumerate() {
-            let fast = ChitChat::default().run(g, r);
-            let reference = ChitChat::default().run_reference(g, r);
+            let cc = ChitChat::default();
+            let fast = cc.run(g, r);
+            let model = textbook::chitchat_eager(g, r, cc.cross_cap);
+            validate_bounded_staleness(g, &model.schedule).unwrap();
             let cf = schedule_cost(g, r, &fast.schedule);
-            let cr = schedule_cost(g, r, &reference.schedule);
-            // Both drive the same argmin greedy; the fast path's skipped
-            // (provably inert) recomputations can leave exact ties between
+            let cm = schedule_cost(g, r, &model.schedule);
+            // Both take the same argmin; the fast path's skipped (provably
+            // inert) recomputations can leave exact ties between
             // equally-priced candidates to resolve by node id instead of
             // by refresh order, so costs agree to tie-breaking noise, not
             // bit-for-bit.
             assert!(
-                (cf - cr).abs() <= 1e-2 * cr.max(1.0),
-                "world {i}: fast cost {cf} vs reference cost {cr}"
+                (cf - cm).abs() <= 1e-2 * cm.max(1.0),
+                "world {i}: fast cost {cf} vs model cost {cm}"
             );
-            // Bound seeding and the inert-skip only ever *save* calls.
+            // Bound seeding, lazy re-validation and the inert-skip only
+            // ever *save* calls.
             assert!(
-                fast.oracle_calls <= reference.oracle_calls,
+                fast.oracle_calls <= model.oracle_calls,
                 "world {i}: fast made more oracle calls ({} > {})",
                 fast.oracle_calls,
-                reference.oracle_calls
+                model.oracle_calls
             );
         }
     }

@@ -70,9 +70,7 @@ use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
 use crate::chitchat::{full_bitset, seed_lower_bound, Cover, HubPool, Shared};
-use crate::densest::{
-    densest_hub_graph_marginal_scratch, HubSelection, OrdF64, PeelScratch, UncoveredDegrees,
-};
+use crate::densest::{densest, HubSelection, LegCost, OrdF64, PeelScratch, UncoveredDegrees, Want};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 
@@ -348,7 +346,7 @@ fn marginal_peel(
     w: NodeId,
     scratch: &mut PeelScratch,
 ) -> Option<HubSelection> {
-    densest_hub_graph_marginal_scratch(
+    densest(
         sh.g,
         sh.rates,
         w,
@@ -356,6 +354,8 @@ fn marginal_peel(
         &c.z,
         &c.zdeg,
         sh.cross_cap,
+        LegCost::Marginal,
+        Want::Selection,
         scratch,
     )
 }

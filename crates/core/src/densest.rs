@@ -8,46 +8,46 @@
 //! The paper adapts the greedy peeling of Asahiro et al. / Charikar: start
 //! from the full hub-graph and repeatedly delete the vertex minimizing the
 //! *weighted degree* `deg(u) / g(u)`, returning the densest intermediate
-//! subgraph. Lemma 1 proves this is a factor-2 approximation; the property
-//! tests in this module check that bound against brute force.
+//! subgraph. Lemma 1 proves this is a factor-2 approximation;
+//! [`peel_weighted`] is the peel the oracle runs, and the property tests
+//! check that bound against brute force.
 //!
 //! Node weights follow Algorithm 1's bookkeeping: a producer `x` whose push
 //! `x → w` was already paid by an earlier step has `g(x) = 0` (similarly for
 //! consumers with paid pulls), so peeling treats it as infinitely attractive.
 //!
-//! # Two implementations
+//! # One oracle
 //!
-//! The oracle is CHITCHAT's hot path — it runs once per node up front and
-//! then once or twice per greedy selection — so it exists in two forms:
+//! The oracle is CHITCHAT's hot path — it runs once or twice per greedy
+//! selection and once per streaming admission — so it has one entry,
+//! [`densest`], built for that:
 //!
-//! * [`densest_hub_graph`] + [`peel_weighted`]: the straightforward
-//!   reference — per-call `Vec<Vec<…>>` adjacency and a lazy
-//!   `BinaryHeap` peel. Kept as the differential-testing oracle (it is
-//!   what CHITCHAT's test-only reference execution peels with).
-//! * [`densest_hub_graph_scratch`] + the bucket peel inside
-//!   [`PeelScratch`]: the production path. All working memory lives in a
-//!   reusable arena; producer/consumer roles come straight off the CSR
-//!   neighbor slices with zero-contribution roles skipped via maintained
-//!   uncovered-degree counts ([`UncoveredDegrees`]); cross edges are
-//!   enumerated by walking only the *uncovered* out-edges through the `Z`
-//!   bitset (64 edge ids per word) and locating them in the consumer list
-//!   adaptively (binary probe for sparse producers, linear merge for
-//!   dense ones); and the peel runs on per-bucket lazy min-heaps over
-//!   log-quantized weighted degrees in O((E + V) log bucket + buckets).
-//!   Once the arena is warm, staging and peeling allocate nothing — only
-//!   the returned [`HubSelection`] is materialized, and
-//!   [`densest_hub_graph_key_scratch`] skips even that when the caller
-//!   only needs the priority.
+//! * all working memory lives in a reusable [`PeelScratch`] arena;
+//! * producer/consumer roles come straight off the CSR neighbor slices,
+//!   with zero-contribution roles skipped via maintained uncovered-degree
+//!   counts ([`UncoveredDegrees`]);
+//! * cross edges are enumerated by walking only the *uncovered* out-edges
+//!   through the `Z` bitset (64 edge ids per word) and locating them in
+//!   the consumer list adaptively (binary probe for sparse producers,
+//!   linear merge for dense ones);
+//! * the peel runs on per-bucket lazy min-heaps over log-quantized
+//!   weighted degrees in O((E + V) log bucket + buckets).
+//!
+//! Once the arena is warm, staging and peeling allocate nothing. [`Want`]
+//! says whether the caller needs the whole [`HubSelection`] or only its
+//! priority; [`Want::Key`] leaves the role and cross lists empty, and an
+//! empty `Vec` does not allocate. [`LegCost`] picks the pricing.
 //!
 //! The bucket queue quantizes scores only to *narrow where the minimum
 //! lives*: within a bucket, entries order on the exact
-//! `(weighted degree, vertex)` key, so the peel order — and therefore
-//! every selection CHITCHAT makes — is bit-for-bit identical to the
-//! reference implementation (`peel_orders_agree_with_reference` below
-//! checks this on random graphs, including the `g(u) = 0` "already paid ⇒
-//! infinitely attractive" pinned-hub edge case).
+//! `(weighted degree, vertex)` key, so the peel order is bit-for-bit the
+//! one a single lazy binary heap over that key produces. The test-only
+//! `textbook` module keeps that heap peel and an allocating oracle built
+//! on it as models; this module's tests compare the two paths under both
+//! pricings, including the `g(u) = 0` "already paid ⇒ infinitely
+//! attractive" pinned-hub edge case.
 
-use piggyback_graph::{CsrGraph, EdgeId, NodeId, INVALID_EDGE};
+use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::Rates;
 
 use crate::bitset::BitSet;
@@ -63,14 +63,15 @@ pub struct PeelResult {
     pub density: f64,
 }
 
-/// Greedy weighted peeling (Charikar's algorithm with weighted degrees) —
-/// the reference implementation over a lazy `BinaryHeap`.
+/// Greedy weighted peeling (Charikar's algorithm with weighted degrees):
+/// the bucket-queue peel the oracle runs, over a throwaway arena.
 ///
 /// `edges` are undirected countable edges between vertex indices; `weights`
 /// are the node costs `g(u) ≥ 0`; `pinned` vertices are never deleted (used
 /// for the hub `w`, which has weight 0 and anchors the structure).
 ///
 /// Returns the densest subgraph encountered across all peeling steps.
+/// Hot paths hold a [`PeelScratch`] and call [`densest`] instead.
 pub fn peel_weighted(
     n: usize,
     edges: &[(u32, u32)],
@@ -80,87 +81,14 @@ pub fn peel_weighted(
     assert_eq!(weights.len(), n);
     assert_eq!(pinned.len(), n);
     debug_assert!(weights.iter().all(|w| w.is_finite() && *w >= 0.0));
-
-    // Adjacency over countable edges only.
-    let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n]; // (other, edge idx)
-    for (idx, &(a, b)) in edges.iter().enumerate() {
-        adj[a as usize].push((b, idx as u32));
-        adj[b as usize].push((a, idx as u32));
-    }
-
-    let mut deg: Vec<usize> = adj.iter().map(Vec::len).collect();
-    let mut alive = vec![true; n];
-    let mut edge_alive = vec![true; edges.len()];
-    let mut alive_edges = edges.len();
-    let mut alive_weight: f64 = weights.iter().sum();
-
-    // Lazy min-heap on weighted degree deg(u)/g(u); stale entries skipped
-    // via the stamp array. Zero-weight vertices score infinity (peeled
-    // last), matching "already paid ⇒ keep".
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut stamp = vec![0u32; n];
-    let mut heap: BinaryHeap<Reverse<(OrdF64, u32, u32)>> = BinaryHeap::new();
-    for v in 0..n {
-        if !pinned[v] {
-            heap.push(Reverse((
-                OrdF64(peel_score(deg[v], weights[v])),
-                v as u32,
-                0,
-            )));
-        }
-    }
-
-    let mut best_density = density_of(alive_edges, alive_weight);
-    let mut removal_order: Vec<u32> = Vec::new();
-    let mut best_prefix = 0usize; // number of removals in the best snapshot
-
-    while let Some(Reverse((_, v, st))) = heap.pop() {
-        let v = v as usize;
-        if !alive[v] || st != stamp[v] {
-            continue;
-        }
-        // Delete v and its incident countable edges.
-        alive[v] = false;
-        alive_weight -= weights[v];
-        for &(other, eidx) in &adj[v] {
-            let ei = eidx as usize;
-            if !edge_alive[ei] {
-                continue;
-            }
-            // An alive edge's other endpoint must itself be alive: removing
-            // a vertex strikes all its alive edges immediately.
-            edge_alive[ei] = false;
-            alive_edges -= 1;
-            let o = other as usize;
-            debug_assert!(alive[o], "alive edge with dead endpoint");
-            deg[o] -= 1;
-            if !pinned[o] {
-                stamp[o] += 1;
-                heap.push(Reverse((
-                    OrdF64(peel_score(deg[o], weights[o])),
-                    other,
-                    stamp[o],
-                )));
-            }
-        }
-        removal_order.push(v as u32);
-        let d = density_of(alive_edges, alive_weight);
-        if d > best_density {
-            best_density = d;
-            best_prefix = removal_order.len();
-        }
-    }
-
-    // Reconstruct the best snapshot: everything except the first
-    // `best_prefix` removals.
-    let mut result_alive = vec![true; n];
-    for &v in &removal_order[..best_prefix] {
-        result_alive[v as usize] = false;
-    }
+    let mut s = PeelScratch::new();
+    s.edges.extend_from_slice(edges);
+    s.weights.extend_from_slice(weights);
+    s.pinned.extend_from_slice(pinned);
+    let density = s.peel(n);
     PeelResult {
-        alive: result_alive,
-        density: best_density,
+        alive: s.peel_alive,
+        density,
     }
 }
 
@@ -224,7 +152,7 @@ type PeelBucket = std::collections::BinaryHeap<PeelEntry>;
 
 /// Reusable working memory for the allocation-free oracle.
 ///
-/// One arena serves any number of [`densest_hub_graph_scratch`] calls;
+/// One arena serves any number of [`densest`] calls;
 /// buffers are cleared (capacity retained) between calls, so a warm arena
 /// makes the oracle allocation-free. Each worker thread owns its own arena.
 #[derive(Clone, Debug, Default)]
@@ -277,15 +205,18 @@ impl PeelScratch {
     }
 
     /// Bucket-queue peel over the hub-graph currently staged in
-    /// `self.edges` / `self.weights` / `self.pinned`. Fills
-    /// `self.peel_alive` with the densest snapshot and returns its density.
+    /// `self.edges` / `self.weights` / `self.pinned` (and, in marginal
+    /// mode, `self.edge_values`). Fills `self.peel_alive` with the best
+    /// snapshot — the densest one, or with edge values the one of largest
+    /// savings — and returns the best density seen (meaningful only
+    /// without edge values).
     ///
-    /// Identical peel order to [`peel_weighted`]: the quantized buckets
-    /// only narrow where the minimum lives; each bucket is a small lazy
-    /// min-heap on the exact `(score, vertex)` key, so every tie — equal
-    /// finite scores from repeated rates, the `g(u) = 0 ⇒ +∞` "already
-    /// paid" class — resolves exactly as the reference heap does, in
-    /// O(log bucket) instead of one global O(log V) with large constants.
+    /// The quantized buckets only narrow where the minimum lives; each
+    /// bucket is a small lazy min-heap on the exact `(score, vertex)` key,
+    /// so every tie — equal finite scores from repeated rates, the
+    /// `g(u) = 0 ⇒ +∞` "already paid" class — resolves exactly as one
+    /// global lazy heap on that key does, in O(log bucket) instead of one
+    /// global O(log V) with large constants.
     fn peel(&mut self, n: usize) -> f64 {
         let m = self.edges.len();
 
@@ -495,32 +426,6 @@ impl PeelScratch {
     }
 }
 
-/// Bucket-queue peel with the [`peel_weighted`] signature, for this
-/// module's differential tests. Allocates a throwaway arena; hot paths
-/// hold a [`PeelScratch`] and call [`densest_hub_graph_scratch`] instead.
-#[cfg(test)]
-fn peel_weighted_bucket(
-    n: usize,
-    edges: &[(u32, u32)],
-    weights: &[f64],
-    pinned: &[bool],
-) -> PeelResult {
-    assert_eq!(weights.len(), n);
-    assert_eq!(pinned.len(), n);
-    let mut s = PeelScratch::new();
-    s.edges.clear();
-    s.edges.extend_from_slice(edges);
-    s.weights.clear();
-    s.weights.extend_from_slice(weights);
-    s.pinned.clear();
-    s.pinned.extend_from_slice(pinned);
-    let density = s.peel(n);
-    PeelResult {
-        alive: s.peel_alive.clone(),
-        density,
-    }
-}
-
 /// A hub-graph selection produced by the oracle: the densest `G(X, w, Y)`
 /// centered on `w` with respect to the uncovered set `Z`.
 #[derive(Clone, Debug)]
@@ -554,154 +459,6 @@ impl HubSelection {
             self.weight / self.covered as f64
         }
     }
-}
-
-/// Computes the densest hub-graph centered on `w` under the current
-/// schedule and uncovered-set `z`, following Algorithm 1's oracle:
-///
-/// * `X` = in-neighbors of `w` whose leg `x → w` is not covered through a
-///   hub, with weight `rp(x)` (0 if the push is already in `H`);
-/// * `Y` = out-neighbors of `w` whose leg `w → y` is not covered, with
-///   weight `rc(y)` (0 if the pull is already in `L`);
-/// * countable edges = `Z`-members among legs and cross edges `x → y`;
-///   at most `cross_cap` cross edges are materialized (§3.2's bound `b`).
-///
-/// Returns `None` when no candidate covers at least one uncovered edge.
-///
-/// This is the allocating reference implementation (see the module docs);
-/// [`densest_hub_graph_scratch`] produces identical selections without the
-/// per-call allocations.
-pub fn densest_hub_graph(
-    g: &CsrGraph,
-    rates: &Rates,
-    w: NodeId,
-    sched: &Schedule,
-    z: &BitSet,
-    cross_cap: usize,
-) -> Option<HubSelection> {
-    let xs_all = g.in_neighbors(w);
-    let ys_all = g.out_neighbors(w);
-    if xs_all.is_empty() && ys_all.is_empty() {
-        return None;
-    }
-
-    // Candidate producer/consumer roles. Covered legs are excluded: pushing
-    // over an edge already covered through another hub would undo that
-    // optimization (same condition as PARALLELNOSY's candidate selection).
-    // Roles with no uncovered incident edge at all are excluded too — they
-    // would enter the peel with degree 0 and be pruned from the selection
-    // anyway, and staging the same vertex set as the scratch oracle keeps
-    // the two implementations' floating-point accumulation identical. The
-    // scratch path answers this from O(1) maintained counts; here it is a
-    // neighbor scan, part of the preserved per-call cost profile.
-    let mut xs: Vec<NodeId> = Vec::with_capacity(xs_all.len());
-    let mut x_leg: Vec<EdgeId> = Vec::with_capacity(xs_all.len());
-    for &x in xs_all {
-        let e = g.edge_id(x, w);
-        debug_assert_ne!(e, INVALID_EDGE);
-        if !sched.is_covered(e) && g.out_edge_ids(x).any(|oe| z.contains(oe)) {
-            xs.push(x);
-            x_leg.push(e);
-        }
-    }
-    let mut ys: Vec<NodeId> = Vec::with_capacity(ys_all.len());
-    let mut y_leg: Vec<EdgeId> = Vec::with_capacity(ys_all.len());
-    for &y in ys_all {
-        let e = g.edge_id(w, y);
-        debug_assert_ne!(e, INVALID_EDGE);
-        if !sched.is_covered(e) && g.in_edges(y).any(|(_, ie)| z.contains(ie)) {
-            ys.push(y);
-            y_leg.push(e);
-        }
-    }
-    // A one-sided hub-graph (only pushes into w, or only pulls out of it)
-    // is a degenerate but valid candidate, equivalent to a bundle of direct
-    // edges; only bail out when nothing at all remains.
-    if xs.is_empty() && ys.is_empty() {
-        return None;
-    }
-
-    let nx = xs.len();
-    let ny = ys.len();
-    let n = nx + ny + 1; // + the pinned hub vertex
-    let hub_vertex = (nx + ny) as u32;
-
-    let mut weights = Vec::with_capacity(n);
-    for (i, &x) in xs.iter().enumerate() {
-        weights.push(if sched.is_push(x_leg[i]) {
-            0.0
-        } else {
-            rates.rp(x)
-        });
-    }
-    for (j, &y) in ys.iter().enumerate() {
-        weights.push(if sched.is_pull(y_leg[j]) {
-            0.0
-        } else {
-            rates.rc(y)
-        });
-    }
-    weights.push(0.0); // hub
-
-    let mut pinned = vec![false; n];
-    pinned[hub_vertex as usize] = true;
-
-    // Countable edges: legs in Z attach to the pinned hub vertex; cross
-    // edges in Z attach X-side to Y-side.
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut edge_ids: Vec<EdgeId> = Vec::new();
-    for (i, &leg) in x_leg.iter().enumerate() {
-        if z.contains(leg) {
-            edges.push((i as u32, hub_vertex));
-            edge_ids.push(leg);
-        }
-    }
-    for (j, &leg) in y_leg.iter().enumerate() {
-        if z.contains(leg) {
-            edges.push(((nx + j) as u32, hub_vertex));
-            edge_ids.push(leg);
-        }
-    }
-    // Y lists are small relative to the graph; a sorted probe keeps this
-    // allocation-free.
-    let mut cross_budget = cross_cap;
-    for (i, &x) in xs.iter().enumerate() {
-        if cross_budget == 0 {
-            break;
-        }
-        for (t, e) in g.out_edges(x) {
-            if t == w || !z.contains(e) {
-                continue;
-            }
-            if let Ok(j) = ys.binary_search(&t) {
-                edges.push((i as u32, (nx + j) as u32));
-                edge_ids.push(e);
-                cross_budget -= 1;
-                if cross_budget == 0 {
-                    break;
-                }
-            }
-        }
-    }
-    if edges.is_empty() {
-        return None;
-    }
-
-    let peel = peel_weighted(n, &edges, &weights, &pinned);
-    let mut incident = Vec::new();
-    materialize_selection(
-        w,
-        &xs,
-        &x_leg,
-        &ys,
-        &y_leg,
-        &weights,
-        &edges,
-        &edge_ids,
-        hub_vertex,
-        &peel.alive,
-        &mut incident,
-    )
 }
 
 /// Per-node counts of uncovered (`Z`-member) out- and in-edges, maintained
@@ -749,10 +506,61 @@ impl UncoveredDegrees {
     }
 }
 
-/// Allocation-free oracle: identical selections to [`densest_hub_graph`],
-/// with all working memory drawn from `scratch`, hub-graph edges read
-/// straight from the CSR neighbor slices, and zero-contribution roles
-/// skipped via `zdeg` (which must be consistent with `z`).
+/// What a [`densest`] call hands back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Want {
+    /// Only the priority: `covered`, `weight` and `density` as the full
+    /// selection reports them, with empty `xs`, `ys` and `cross`. This is
+    /// what CHITCHAT's queue maintenance runs; a warm arena allocates
+    /// nothing for it.
+    Key,
+    /// The whole selection, role and cross lists included.
+    Selection,
+}
+
+/// The densest hub-graph centered on `w` under the current schedule and
+/// uncovered set `z`, following Algorithm 1's oracle:
+///
+/// * `X` = in-neighbors of `w` whose leg `x → w` is not covered through a
+///   hub, with weight `rp(x)` (0 if the push is already in `H`);
+/// * `Y` = out-neighbors of `w` whose leg `w → y` is not covered, with
+///   weight `rc(y)` (0 if the pull is already in `L`);
+/// * countable edges = `Z`-members among legs and cross edges `x → y`;
+///   at most `cross_cap` cross edges are materialized (§3.2's bound `b`).
+///
+/// Covered legs are excluded: pushing over an edge already covered
+/// through another hub would undo that optimization (the same condition
+/// as PARALLELNOSY's candidate selection). Roles with no uncovered
+/// incident edge at all are skipped via `zdeg` (which must be consistent
+/// with `z`): they would enter the peel with degree 0 and be pruned from
+/// the selection anyway. A one-sided hub-graph (only pushes into `w`, or
+/// only pulls out of it) is a degenerate but valid candidate, equivalent
+/// to a bundle of direct edges.
+///
+/// `leg_cost` prices the legs (see [`LegCost`]); under
+/// [`LegCost::Marginal`] the returned weight and density are marginal too.
+/// Returns `None` when no candidate covers at least one uncovered edge.
+/// All working memory comes from `scratch`.
+#[allow(clippy::too_many_arguments)]
+pub fn densest(
+    g: &CsrGraph,
+    rates: &Rates,
+    w: NodeId,
+    sched: &Schedule,
+    z: &BitSet,
+    zdeg: &UncoveredDegrees,
+    cross_cap: usize,
+    leg_cost: LegCost,
+    want: Want,
+    scratch: &mut PeelScratch,
+) -> Option<HubSelection> {
+    let hub_vertex = stage_and_peel(g, rates, w, sched, z, zdeg, cross_cap, leg_cost, scratch)?;
+    materialize_selection(w, scratch, hub_vertex, want)
+}
+
+/// [`densest`] under [`LegCost::Absolute`] with the whole selection, in
+/// the 8-argument form the benchmark's traced `core.densest.peel_us`
+/// probe calls. It goes when that probe moves to [`densest`].
 #[allow(clippy::too_many_arguments)]
 pub fn densest_hub_graph_scratch(
     g: &CsrGraph,
@@ -764,7 +572,7 @@ pub fn densest_hub_graph_scratch(
     cross_cap: usize,
     scratch: &mut PeelScratch,
 ) -> Option<HubSelection> {
-    let (nx, _ny, hub_vertex) = stage_and_peel(
+    densest(
         g,
         rates,
         w,
@@ -773,100 +581,9 @@ pub fn densest_hub_graph_scratch(
         zdeg,
         cross_cap,
         LegCost::Absolute,
+        Want::Selection,
         scratch,
-    )?;
-    let _ = nx;
-    let PeelScratch {
-        xs,
-        ys,
-        weights,
-        edges,
-        edge_ids,
-        peel_alive,
-        incident,
-        ..
-    } = scratch;
-    materialize_selection(
-        w,
-        xs,
-        &[],
-        ys,
-        &[],
-        weights,
-        edges,
-        edge_ids,
-        hub_vertex,
-        peel_alive,
-        incident,
     )
-}
-
-/// Key-only oracle: the [`HubSelection::cost_per_element`] the full
-/// [`densest_hub_graph_scratch`] call would report, with **no output
-/// materialization** — no allocation at all on a warm arena. `None` exactly
-/// when the full call returns `None`.
-///
-/// This is what CHITCHAT's queue maintenance runs: strict recomputations
-/// and lazy re-validations only need the priority; the full selection is
-/// materialized once, for the hub that wins a greedy step.
-#[allow(clippy::too_many_arguments)]
-pub fn densest_hub_graph_key_scratch(
-    g: &CsrGraph,
-    rates: &Rates,
-    w: NodeId,
-    sched: &Schedule,
-    z: &BitSet,
-    zdeg: &UncoveredDegrees,
-    cross_cap: usize,
-    scratch: &mut PeelScratch,
-) -> Option<f64> {
-    let (nx, ny, _hub) = stage_and_peel(
-        g,
-        rates,
-        w,
-        sched,
-        z,
-        zdeg,
-        cross_cap,
-        LegCost::Absolute,
-        scratch,
-    )?;
-    let PeelScratch {
-        weights,
-        edges,
-        peel_alive,
-        incident,
-        ..
-    } = scratch;
-    let n = nx + ny + 1;
-    reset(incident, n, false);
-    let mut covered = 0usize;
-    for &(a, b) in edges.iter() {
-        if peel_alive[a as usize] && peel_alive[b as usize] {
-            covered += 1;
-            incident[a as usize] = true;
-            incident[b as usize] = true;
-        }
-    }
-    if covered == 0 {
-        return None;
-    }
-    // Mirror `materialize_selection`'s accumulation order exactly (xs then
-    // ys into one sum) so the key is bit-identical to the full call's
-    // `cost_per_element`.
-    let mut weight = 0.0f64;
-    for (i, alive) in peel_alive.iter().enumerate().take(nx) {
-        if *alive && incident[i] {
-            weight += weights[i];
-        }
-    }
-    for j in 0..ny {
-        let k = nx + j;
-        if peel_alive[k] && incident[k] {
-            weight += weights[k];
-        }
-    }
-    Some(weight / covered as f64)
 }
 
 /// How a hub-graph leg is priced during staging.
@@ -897,63 +614,9 @@ pub enum LegCost {
     Marginal,
 }
 
-/// Marginal-price oracle ([`LegCost::Marginal`]): the densest hub-graph
-/// where legs still in `Z` cost only their orientation surcharge. The
-/// returned [`HubSelection::weight`] and density are marginal too; the
-/// selection is admissible (strictly cheaper than serving its elements
-/// directly) iff `weight` undercuts the summed hybrid cost of its cross
-/// edges.
-#[allow(clippy::too_many_arguments)]
-pub fn densest_hub_graph_marginal_scratch(
-    g: &CsrGraph,
-    rates: &Rates,
-    w: NodeId,
-    sched: &Schedule,
-    z: &BitSet,
-    zdeg: &UncoveredDegrees,
-    cross_cap: usize,
-    scratch: &mut PeelScratch,
-) -> Option<HubSelection> {
-    let (nx, _ny, hub_vertex) = stage_and_peel(
-        g,
-        rates,
-        w,
-        sched,
-        z,
-        zdeg,
-        cross_cap,
-        LegCost::Marginal,
-        scratch,
-    )?;
-    let _ = nx;
-    let PeelScratch {
-        xs,
-        ys,
-        weights,
-        edges,
-        edge_ids,
-        peel_alive,
-        incident,
-        ..
-    } = scratch;
-    materialize_selection(
-        w,
-        xs,
-        &[],
-        ys,
-        &[],
-        weights,
-        edges,
-        edge_ids,
-        hub_vertex,
-        peel_alive,
-        incident,
-    )
-}
-
-/// Shared front half of the scratch oracle: stages hub `w`'s graph into
-/// `scratch` and runs the bucket peel. Returns `(nx, ny, hub_vertex)`, or
-/// `None` when no countable edge exists.
+/// Front half of [`densest`]: stages hub `w`'s graph into `scratch` and
+/// runs the bucket peel. Returns the pinned hub vertex's index, or `None`
+/// when no countable edge exists.
 #[allow(clippy::too_many_arguments)]
 fn stage_and_peel(
     g: &CsrGraph,
@@ -965,7 +628,7 @@ fn stage_and_peel(
     cross_cap: usize,
     leg_cost: LegCost,
     scratch: &mut PeelScratch,
-) -> Option<(usize, usize, u32)> {
+) -> Option<u32> {
     let xs_all = g.in_neighbors(w);
     let ys_all = g.out_neighbors(w);
     if xs_all.is_empty() && ys_all.is_empty() {
@@ -1134,41 +797,42 @@ fn stage_and_peel(
         return None;
     }
     scratch.peel(n);
-    Some((nx, ny, hub_vertex))
+    Some(hub_vertex)
 }
 
-/// Shared tail of both oracle implementations: turns surviving peel
-/// vertices into a [`HubSelection`], pruning roles with no alive countable
-/// edge (a vertex with zero alive incident edges only adds weight; peeling
-/// usually removes these, but weight-0 vertices can linger harmlessly).
-///
-/// Accepts either paired `(node, leg)` role lists (`legs` empty) or plain
-/// node lists with parallel leg arrays, so the reference path can reuse it.
-#[allow(clippy::too_many_arguments)]
-fn materialize_selection<R: RoleList>(
+/// Back half of [`densest`]: turns surviving peel vertices into a
+/// [`HubSelection`], pruning roles with no alive countable edge (a vertex
+/// with zero alive incident edges only adds weight; peeling usually
+/// removes these, but weight-0 vertices can linger harmlessly). One
+/// accumulation serves both [`Want`]s, so the key is bit-identical to the
+/// full selection's [`HubSelection::cost_per_element`].
+fn materialize_selection(
     w: NodeId,
-    xs: &[R],
-    x_legs: &[EdgeId],
-    ys: &[R],
-    y_legs: &[EdgeId],
-    weights: &[f64],
-    edges: &[(u32, u32)],
-    edge_ids: &[EdgeId],
+    scratch: &mut PeelScratch,
     hub_vertex: u32,
-    alive: &[bool],
-    incident: &mut Vec<bool>,
+    want: Want,
 ) -> Option<HubSelection> {
+    let PeelScratch {
+        xs,
+        ys,
+        weights,
+        edges,
+        edge_ids,
+        peel_alive: alive,
+        incident,
+        ..
+    } = scratch;
+    let full = want == Want::Selection;
     let nx = xs.len();
-    let n = nx + ys.len() + 1;
+    reset(incident, nx + ys.len() + 1, false);
     let mut covered = 0usize;
     let mut cross: Vec<EdgeId> = Vec::new();
-    reset(incident, n, false);
     for (idx, &(a, b)) in edges.iter().enumerate() {
         if alive[a as usize] && alive[b as usize] {
             covered += 1;
             incident[a as usize] = true;
             incident[b as usize] = true;
-            if a != hub_vertex && b != hub_vertex {
+            if full && a != hub_vertex && b != hub_vertex {
                 cross.push(edge_ids[idx]);
             }
         }
@@ -1178,16 +842,20 @@ fn materialize_selection<R: RoleList>(
     }
     let mut weight = 0.0f64;
     let mut xs_out: Vec<(NodeId, EdgeId)> = Vec::new();
-    for (i, r) in xs.iter().enumerate() {
+    for (i, &role) in xs.iter().enumerate() {
         if alive[i] && incident[i] {
-            xs_out.push(r.role(x_legs, i));
+            if full {
+                xs_out.push(role);
+            }
             weight += weights[i];
         }
     }
     let mut ys_out: Vec<(NodeId, EdgeId)> = Vec::new();
-    for (j, r) in ys.iter().enumerate() {
+    for (j, &role) in ys.iter().enumerate() {
         if alive[nx + j] && incident[nx + j] {
-            ys_out.push(r.role(y_legs, j));
+            if full {
+                ys_out.push(role);
+            }
             weight += weights[nx + j];
         }
     }
@@ -1207,29 +875,10 @@ fn materialize_selection<R: RoleList>(
     })
 }
 
-/// Role-list entry: either a bare node (legs in a parallel array) or an
-/// already-paired `(node, leg)`.
-trait RoleList: Copy {
-    fn role(self, legs: &[EdgeId], idx: usize) -> (NodeId, EdgeId);
-}
-
-impl RoleList for NodeId {
-    #[inline]
-    fn role(self, legs: &[EdgeId], idx: usize) -> (NodeId, EdgeId) {
-        (self, legs[idx])
-    }
-}
-
-impl RoleList for (NodeId, EdgeId) {
-    #[inline]
-    fn role(self, _legs: &[EdgeId], _idx: usize) -> (NodeId, EdgeId) {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textbook;
     use piggyback_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1254,6 +903,36 @@ mod tests {
         best
     }
 
+    type Peel = fn(usize, &[(u32, u32)], &[f64], &[bool]) -> PeelResult;
+
+    /// The production peel and the textbook heap peel (density mode).
+    fn both_peels() -> [Peel; 2] {
+        [peel_weighted, |n, edges, weights, pinned| {
+            textbook::peel_heap(n, edges, weights, pinned, &[])
+        }]
+    }
+
+    /// The production bucket peel with per-edge values staged, as the
+    /// marginal oracle runs it.
+    fn peel_bucket_valued(
+        n: usize,
+        edges: &[(u32, u32)],
+        weights: &[f64],
+        pinned: &[bool],
+        values: &[f64],
+    ) -> PeelResult {
+        let mut s = PeelScratch::new();
+        s.edges.extend_from_slice(edges);
+        s.weights.extend_from_slice(weights);
+        s.pinned.extend_from_slice(pinned);
+        s.edge_values.extend_from_slice(values);
+        let density = s.peel(n);
+        PeelResult {
+            alive: s.peel_alive,
+            density,
+        }
+    }
+
     #[test]
     fn peel_finds_exact_on_clique_plus_pendant() {
         // Triangle {0,1,2} (unit weights) plus an *expensive* pendant vertex
@@ -1262,7 +941,7 @@ mod tests {
         let edges = vec![(0, 1), (1, 2), (0, 2), (2, 3)];
         let weights = vec![1.0, 1.0, 1.0, 2.0];
         let pinned = vec![false; 4];
-        for peel in [peel_weighted, peel_weighted_bucket] {
+        for peel in both_peels() {
             let r = peel(4, &edges, &weights, &pinned);
             assert!((r.density - 1.0).abs() < 1e-12);
             assert_eq!(r.alive, vec![true, true, true, false]);
@@ -1274,7 +953,7 @@ mod tests {
         // Same structure, but triangle vertices are expensive.
         let edges = vec![(0, 1), (1, 2), (0, 2)];
         let weights = vec![10.0, 10.0, 10.0];
-        for peel in [peel_weighted, peel_weighted_bucket] {
+        for peel in both_peels() {
             let r = peel(3, &edges, &weights, &[false; 3]);
             assert!((r.density - 0.1).abs() < 1e-12);
         }
@@ -1285,7 +964,7 @@ mod tests {
         let edges = vec![(0, 1)];
         let weights = vec![0.0, 100.0];
         let pinned = vec![true, false];
-        for peel in [peel_weighted, peel_weighted_bucket] {
+        for peel in both_peels() {
             let r = peel(2, &edges, &weights, &pinned);
             assert!(r.alive[0], "pinned vertex was peeled");
         }
@@ -1295,7 +974,7 @@ mod tests {
     fn zero_weight_gives_infinite_density() {
         let edges = vec![(0, 1)];
         let weights = vec![0.0, 0.0];
-        for peel in [peel_weighted, peel_weighted_bucket] {
+        for peel in both_peels() {
             let r = peel(2, &edges, &weights, &[false; 2]);
             assert!(r.density.is_infinite());
         }
@@ -1317,8 +996,8 @@ mod tests {
             let weights: Vec<f64> = (0..n).map(|_| rng.random_range(0.1..4.0)).collect();
             let opt = brute_force(n, &edges, &weights);
             let got = peel_weighted(n, &edges, &weights, &vec![false; n]).density;
-            let got_bucket = peel_weighted_bucket(n, &edges, &weights, &vec![false; n]).density;
-            assert_eq!(got, got_bucket, "trial {trial}: implementations differ");
+            let got_heap = textbook::peel_heap(n, &edges, &weights, &vec![false; n], &[]).density;
+            assert_eq!(got, got_heap, "trial {trial}: implementations differ");
             if opt.is_infinite() {
                 continue;
             }
@@ -1329,9 +1008,11 @@ mod tests {
         }
     }
 
-    /// The bucket queue must reproduce the reference heap peel bit-for-bit,
+    /// The bucket queue must reproduce the textbook heap peel bit-for-bit,
     /// including the pinned-hub edge case where `g(u) = 0` vertices
-    /// ("already paid" legs) score +∞ and are peeled last.
+    /// ("already paid" legs) score +∞ and are peeled last, under both
+    /// snapshot rules: max density (absolute pricing) and max savings
+    /// (marginal pricing, where each edge carries a value).
     #[test]
     fn peel_orders_agree_with_reference() {
         let mut rng = StdRng::seed_from_u64(1234);
@@ -1362,12 +1043,27 @@ mod tests {
                 pinned[rng.random_range(0..n)] = true;
             }
             let a = peel_weighted(n, &edges, &weights, &pinned);
-            let b = peel_weighted_bucket(n, &edges, &weights, &pinned);
+            let b = textbook::peel_heap(n, &edges, &weights, &pinned, &[]);
             assert_eq!(
                 a.alive, b.alive,
                 "trial {trial}: snapshots differ (weights {weights:?})"
             );
             assert_eq!(a.density, b.density, "trial {trial}: densities differ");
+            // Marginal pricing: the same peel order, judged by savings.
+            let values: Vec<f64> = edges
+                .iter()
+                .map(|_| match rng.random_range(0u32..3) {
+                    0 => rng.random_range(1e-3..1.0),
+                    1 => 1.0,
+                    _ => rng.random_range(1.0..1e3),
+                })
+                .collect();
+            let a = peel_bucket_valued(n, &edges, &weights, &pinned, &values);
+            let b = textbook::peel_heap(n, &edges, &weights, &pinned, &values);
+            assert_eq!(
+                a.alive, b.alive,
+                "trial {trial}: savings snapshots differ (weights {weights:?}, values {values:?})"
+            );
         }
     }
 
@@ -1377,7 +1073,7 @@ mod tests {
         // positive-weight vertices before touching vertex 1.
         let edges = vec![(0, 1), (1, 2), (2, 3)];
         let weights = vec![5.0, 0.0, 5.0, 5.0];
-        let r = peel_weighted_bucket(4, &edges, &weights, &[false; 4]);
+        let r = peel_weighted(4, &edges, &weights, &[false; 4]);
         // The densest snapshot keeps the zero-weight vertex (free edges).
         assert!(r.alive[1], "zero-weight vertex peeled too early");
         assert!(r.density.is_finite());
@@ -1417,7 +1113,8 @@ mod tests {
         d
     }
 
-    /// Runs both oracle implementations and asserts they agree.
+    /// Runs the production oracle and the textbook one under `leg_cost`
+    /// and asserts they agree bit for bit.
     fn oracle_both(
         g: &CsrGraph,
         r: &Rates,
@@ -1425,11 +1122,23 @@ mod tests {
         sched: &Schedule,
         z: &BitSet,
         cross_cap: usize,
+        leg_cost: LegCost,
     ) -> Option<HubSelection> {
-        let a = densest_hub_graph(g, r, w, sched, z, cross_cap);
+        let a = textbook::densest_hub_graph(g, r, w, sched, z, cross_cap, leg_cost);
         let mut scratch = PeelScratch::new();
         let zdeg = zdeg_from(g, z);
-        let b = densest_hub_graph_scratch(g, r, w, sched, z, &zdeg, cross_cap, &mut scratch);
+        let b = densest(
+            g,
+            r,
+            w,
+            sched,
+            z,
+            &zdeg,
+            cross_cap,
+            leg_cost,
+            Want::Selection,
+            &mut scratch,
+        );
         match (&a, &b) {
             (None, None) => {}
             (Some(a), Some(b)) => {
@@ -1445,12 +1154,50 @@ mod tests {
         b
     }
 
+    /// [`oracle_both`] under Algorithm 1's absolute pricing.
+    fn oracle_abs(
+        g: &CsrGraph,
+        r: &Rates,
+        w: NodeId,
+        sched: &Schedule,
+        z: &BitSet,
+        cross_cap: usize,
+    ) -> Option<HubSelection> {
+        oracle_both(g, r, w, sched, z, cross_cap, LegCost::Absolute)
+    }
+
+    /// Random mid-run state: some edges pushed, some pulled, some covered
+    /// (each with probability `1 / spread`), all of those out of `Z`.
+    fn mid_run(g: &CsrGraph, seed: u64, spread: u32) -> (Schedule, BitSet) {
+        let mut sched = Schedule::for_graph(g);
+        let mut z = full_z(g);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (e, _, _) in g.edges() {
+            match rng.random_range(0u32..spread) {
+                0 => {
+                    sched.set_push(e);
+                    z.remove(e);
+                }
+                1 => {
+                    sched.set_pull(e);
+                    z.remove(e);
+                }
+                2 => {
+                    sched.set_covered(e, 0);
+                    z.remove(e);
+                }
+                _ => {}
+            }
+        }
+        (sched, z)
+    }
+
     #[test]
     fn hub_oracle_finds_the_fig2_hub() {
         let (g, r) = fig2();
         let sched = Schedule::for_graph(&g);
         let z = full_z(&g);
-        let sel = oracle_both(&g, &r, 1, &sched, &z, usize::MAX).expect("hub expected");
+        let sel = oracle_abs(&g, &r, 1, &sched, &z, usize::MAX).expect("hub expected");
         assert_eq!(sel.hub, 1);
         assert_eq!(sel.xs, vec![(0, g.edge_id(0, 1))]);
         assert_eq!(sel.ys, vec![(2, g.edge_id(1, 2))]);
@@ -1469,11 +1216,11 @@ mod tests {
         let z = full_z(&g);
         // Node 0 has no producers: its candidate is pull-only (covers its
         // out-legs directly), with no cross edges.
-        let sel = oracle_both(&g, &r, 0, &sched, &z, usize::MAX).unwrap();
+        let sel = oracle_abs(&g, &r, 0, &sched, &z, usize::MAX).unwrap();
         assert!(sel.xs.is_empty());
         assert!(!sel.ys.is_empty());
         // Node 2 has no consumers: push-only bundle.
-        let sel = oracle_both(&g, &r, 2, &sched, &z, usize::MAX).unwrap();
+        let sel = oracle_abs(&g, &r, 2, &sched, &z, usize::MAX).unwrap();
         assert!(sel.ys.is_empty());
         assert!(!sel.xs.is_empty());
         // An isolated node yields nothing.
@@ -1484,7 +1231,7 @@ mod tests {
         let r2 = Rates::uniform(3, 1.0, 1.0);
         let z2 = full_z(&g2);
         let s2 = Schedule::for_graph(&g2);
-        assert!(oracle_both(&g2, &r2, 2, &s2, &z2, usize::MAX).is_none());
+        assert!(oracle_abs(&g2, &r2, 2, &s2, &z2, usize::MAX).is_none());
     }
 
     #[test]
@@ -1496,7 +1243,7 @@ mod tests {
         let e01 = g.edge_id(0, 1);
         sched.set_push(e01);
         z.remove(e01);
-        let sel = oracle_both(&g, &r, 1, &sched, &z, usize::MAX).unwrap();
+        let sel = oracle_abs(&g, &r, 1, &sched, &z, usize::MAX).unwrap();
         // Remaining cost is only the pull rc(2) = 1.8 for 2 covered edges.
         assert_eq!(sel.covered, 2);
         assert!((sel.weight - 1.8).abs() < 1e-12);
@@ -1511,7 +1258,7 @@ mod tests {
         let e01 = g.edge_id(0, 1);
         sched.set_covered(e01, 99);
         z.remove(e01);
-        let sel = oracle_both(&g, &r, 1, &sched, &z, usize::MAX);
+        let sel = oracle_abs(&g, &r, 1, &sched, &z, usize::MAX);
         // Without x=0, hub 1 can still pull for consumer 2 (leg 1→2 in Z),
         // covering just that edge.
         let sel = sel.expect("pull-only hub still useful");
@@ -1536,8 +1283,8 @@ mod tests {
         let r = Rates::uniform(12, 1.0, 5.0);
         let sched = Schedule::for_graph(&g);
         let z = full_z(&g);
-        let unlimited = oracle_both(&g, &r, w, &sched, &z, usize::MAX).unwrap();
-        let capped = oracle_both(&g, &r, w, &sched, &z, 3).unwrap();
+        let unlimited = oracle_abs(&g, &r, w, &sched, &z, usize::MAX).unwrap();
+        let capped = oracle_abs(&g, &r, w, &sched, &z, 3).unwrap();
         assert!(unlimited.covered > capped.covered);
     }
 
@@ -1548,7 +1295,7 @@ mod tests {
         let (g, r) = fig2();
         let sched = Schedule::for_graph(&g);
         let z = full_z(&g);
-        let sel = oracle_both(&g, &r, 1, &sched, &z, usize::MAX).unwrap();
+        let sel = oracle_abs(&g, &r, 1, &sched, &z, usize::MAX).unwrap();
         for &(x, _) in &sel.xs {
             assert!(g.has_edge(x, 1));
         }
@@ -1561,34 +1308,35 @@ mod tests {
         for seed in 0..3u64 {
             let g = erdos_renyi(50, 260, seed);
             let r = Rates::log_degree(&g, 5.0);
-            let mut sched = Schedule::for_graph(&g);
-            let mut z = full_z(&g);
-            let mut rng = StdRng::seed_from_u64(seed + 100);
-            for (e, _, _) in g.edges() {
-                match rng.random_range(0u32..8) {
-                    0 => {
-                        sched.set_push(e);
-                        z.remove(e);
-                    }
-                    1 => {
-                        sched.set_pull(e);
-                        z.remove(e);
-                    }
-                    2 => {
-                        sched.set_covered(e, 0);
-                        z.remove(e);
-                    }
-                    _ => {}
-                }
-            }
+            let (sched, z) = mid_run(&g, seed + 100, 8);
             let zdeg = zdeg_from(&g, &z);
-            for w in 0..g.node_count() as NodeId {
-                let full =
-                    densest_hub_graph_scratch(&g, &r, w, &sched, &z, &zdeg, 50, &mut scratch)
-                        .map(|sel| sel.cost_per_element());
-                let key =
-                    densest_hub_graph_key_scratch(&g, &r, w, &sched, &z, &zdeg, 50, &mut scratch);
-                assert_eq!(full, key, "hub {w}: key-only cpe diverged");
+            for leg_cost in [LegCost::Absolute, LegCost::Marginal] {
+                for w in 0..g.node_count() as NodeId {
+                    let mut call = |want| {
+                        densest(
+                            &g,
+                            &r,
+                            w,
+                            &sched,
+                            &z,
+                            &zdeg,
+                            50,
+                            leg_cost,
+                            want,
+                            &mut scratch,
+                        )
+                    };
+                    let full = call(Want::Selection);
+                    let key = call(Want::Key);
+                    let summary = |s: &Option<HubSelection>| {
+                        s.as_ref()
+                            .map(|s| (s.cost_per_element(), s.covered, s.weight, s.density))
+                    };
+                    assert_eq!(summary(&full), summary(&key), "{leg_cost:?} hub {w}");
+                    if let Some(key) = key {
+                        assert!(key.xs.is_empty() && key.ys.is_empty() && key.cross.is_empty());
+                    }
+                }
             }
         }
     }
@@ -1601,29 +1349,12 @@ mod tests {
         for seed in 0..3u64 {
             let g = erdos_renyi(40, 220, seed);
             let r = Rates::log_degree(&g, 5.0);
-            let mut sched = Schedule::for_graph(&g);
-            let mut z = full_z(&g);
-            let mut rng = StdRng::seed_from_u64(seed);
-            for (e, _, _) in g.edges() {
-                match rng.random_range(0u32..10) {
-                    0 => {
-                        sched.set_push(e);
-                        z.remove(e);
-                    }
-                    1 => {
-                        sched.set_pull(e);
-                        z.remove(e);
-                    }
-                    2 => {
-                        sched.set_covered(e, 0);
-                        z.remove(e);
-                    }
-                    _ => {}
+            let (sched, z) = mid_run(&g, seed, 10);
+            for leg_cost in [LegCost::Absolute, LegCost::Marginal] {
+                for w in 0..g.node_count() as NodeId {
+                    oracle_both(&g, &r, w, &sched, &z, usize::MAX, leg_cost);
+                    oracle_both(&g, &r, w, &sched, &z, 7, leg_cost);
                 }
-            }
-            for w in 0..g.node_count() as NodeId {
-                oracle_both(&g, &r, w, &sched, &z, usize::MAX);
-                oracle_both(&g, &r, w, &sched, &z, 7);
             }
         }
     }

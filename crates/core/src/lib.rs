@@ -47,6 +47,8 @@ pub mod schedule;
 pub mod schedule_io;
 pub mod scheduler;
 pub mod staleness;
+#[cfg(test)]
+mod textbook;
 pub mod validate;
 
 pub use baseline::{hybrid_schedule, pull_all_schedule, push_all_schedule};

@@ -14,9 +14,10 @@
 //! <edge id> C <hub>      # covered through <hub>
 //! ```
 //!
-//! Unassigned edges are omitted. The loader verifies the header edge count
-//! against the target graph, so a schedule cannot be applied to the wrong
-//! snapshot silently.
+//! Unassigned edges are omitted, and an edge has at most one row. The
+//! loader verifies the header edge count against the target graph, so a
+//! schedule cannot be applied to the wrong snapshot silently, and rejects
+//! a second row for an edge with that row's line number.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -129,7 +130,9 @@ pub fn read_schedule<R: BufRead>(
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(parse_err)?;
-        if (e as usize) >= expected_edges {
+        // An edge takes one row: a second one, even an identical one,
+        // would stack a push on a covered edge or the reverse.
+        if (e as usize) >= expected_edges || s.assignment(e) != EdgeAssignment::Unassigned {
             return Err(parse_err());
         }
         match parts.next() {
@@ -231,6 +234,22 @@ mod tests {
     fn out_of_range_edge_rejected() {
         let text = "# piggyback-schedule v1 edges=3\n7 P\n";
         assert!(read_schedule(text.as_bytes(), 3).is_err());
+    }
+
+    #[test]
+    fn second_row_for_an_edge_rejected_with_line_number() {
+        for (rows, line) in [
+            ("0 C 1\n0 P\n", 3),
+            ("0 L\n0 C 1\n", 3),
+            ("1 P\n0 P\n0 P\n", 4),
+            ("2 B\n2 L\n", 3),
+        ] {
+            let text = format!("# piggyback-schedule v1 edges=3\n{rows}");
+            match read_schedule(text.as_bytes(), 3) {
+                Err(ScheduleIoError::Parse { line: got, .. }) => assert_eq!(got, line, "{rows:?}"),
+                other => panic!("{rows:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

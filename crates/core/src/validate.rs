@@ -68,6 +68,11 @@ pub fn validate_bounded_staleness(g: &CsrGraph, s: &Schedule) -> Result<(), Stal
         if w == NO_HUB {
             return Err(StalenessViolation::MissingHub { edge: e });
         }
+        // A hub past the graph (a hand-edited or foreign schedule file)
+        // has no legs.
+        if w as usize >= g.node_count() {
+            return Err(StalenessViolation::BrokenHub { edge: e, hub: w });
+        }
         let uw = g.edge_id(u, w);
         let wv = g.edge_id(w, v);
         let ok = uw != INVALID_EDGE && wv != INVALID_EDGE && s.is_push(uw) && s.is_pull(wv);
@@ -185,6 +190,23 @@ mod tests {
         s.set_covered(g.edge_id(0, 2), 3); // 3 is no common contact
         let err = validate_bounded_staleness(&g, &s).unwrap_err();
         assert!(matches!(err, StalenessViolation::BrokenHub { hub: 3, .. }));
+    }
+
+    #[test]
+    fn hub_past_the_graph_detected() {
+        let g = triangle();
+        let mut s = Schedule::for_graph(&g);
+        s.set_push(g.edge_id(0, 1));
+        s.set_push(g.edge_id(0, 2));
+        s.set_covered(g.edge_id(1, 2), 1000);
+        let err = validate_bounded_staleness(&g, &s).unwrap_err();
+        assert_eq!(
+            err,
+            StalenessViolation::BrokenHub {
+                edge: g.edge_id(1, 2),
+                hub: 1000
+            }
+        );
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!   Queries look each view up once and run a bounded k-way tournament
 //!   merge over its newest events, copied into a reusable [`QueryScratch`]
 //!   arena.
-//! * [`merge`] — the shared top-k reply merge: the flat sort-merge
-//!   reference and the allocation-free incremental [`ReplyMerger`] the
-//!   clients fold per-shard wire replies into; its running k-th newest
-//!   is the floor a caller-runs query sends to its next shard.
+//! * [`merge`] — the top-k reply merge: the allocation-free incremental
+//!   [`ReplyMerger`] the clients fold per-shard wire replies into; its
+//!   running k-th newest is the floor a caller-runs query sends to its
+//!   next shard.
 //! * [`worker`] — the wire-format shard protocol, including the
 //!   extract/install requests of live rebalancing. Updates and queries are
 //!   coalesced batches served by [`worker::serve_batch`]. The online serve
@@ -43,6 +43,8 @@ pub mod fault;
 pub mod health;
 pub mod merge;
 pub mod server;
+#[cfg(test)]
+mod textbook;
 pub mod topology;
 pub mod tuple;
 pub mod view;

@@ -1,33 +1,22 @@
-//! Shared top-k merge logic for query replies.
+//! The top-k reply merge: newest first, exact duplicates removed,
+//! truncated to `k`.
 //!
-//! Two implementations of the same contract — newest first, exact
-//! duplicates removed, truncated to `k`:
+//! [`ReplyMerger`] is an incremental top-k over per-shard wire replies.
+//! Each reply is already sorted newest first (the server-side filter emits
+//! merged order), so [`absorb`](ReplyMerger::absorb) folds it into the
+//! running top-k with one two-way merge that decodes at most `k` tuples of
+//! it. Once `k` tuples are held, [`floor`](ReplyMerger::floor) is the
+//! running k-th newest: a tuple not strictly newer can no longer enter the
+//! result, so the caller-runs client sends it to the next shard and the
+//! shard ships only what can still count. The buffers live in the merger
+//! and are reused across requests — zero steady-state allocation.
 //!
-//! * [`sort_merge`] — the straightforward sort + dedup + truncate over a
-//!   flat buffer. This is the *reference* path: no request runs it; it is
-//!   what `StoreServer::query_reference` and the differential tests
-//!   compare the merges against.
-//! * [`ReplyMerger`] — an incremental top-k over per-shard wire replies.
-//!   Each reply is already sorted newest first (the server-side filter
-//!   emits merged order), so [`absorb`](ReplyMerger::absorb) folds it into
-//!   the running top-k with one two-way merge that decodes at most `k`
-//!   tuples of it. Once `k` tuples are held, [`floor`](ReplyMerger::floor)
-//!   is the running k-th newest: a tuple not strictly newer can no longer
-//!   enter the result, so the caller-runs client sends it to the next
-//!   shard and the shard ships only what can still count. The buffers
-//!   live in the merger and are reused across requests — zero
-//!   steady-state allocation.
+//! The tests compare it with the materialize–sort–truncate model: sort
+//! the union of the replies newest first, drop duplicates, keep `k`.
 
 use bytes::{Buf, BytesMut};
 
 use crate::tuple::EventTuple;
-
-/// Sorts `tuples` newest first, removes exact duplicates, keeps `k`.
-pub fn sort_merge(tuples: &mut Vec<EventTuple>, k: usize) {
-    tuples.sort_unstable_by(|a, b| b.cmp(a));
-    tuples.dedup();
-    tuples.truncate(k);
-}
 
 /// Reusable incremental top-k merger over per-shard reply buffers.
 #[derive(Debug, Default)]
@@ -112,6 +101,7 @@ impl ReplyMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textbook::newest_k;
     use bytes::BytesMut;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -130,9 +120,8 @@ mod tests {
 
     #[test]
     fn sort_merge_orders_dedups_truncates() {
-        let mut v = vec![ev(1, 1, 10), ev(2, 2, 30), ev(1, 1, 10), ev(3, 3, 20)];
-        sort_merge(&mut v, 2);
-        assert_eq!(v, vec![ev(2, 2, 30), ev(3, 3, 20)]);
+        let v = vec![ev(1, 1, 10), ev(2, 2, 30), ev(1, 1, 10), ev(3, 3, 20)];
+        assert_eq!(newest_k(v, 2), vec![ev(2, 2, 30), ev(3, 3, 20)]);
     }
 
     #[test]
@@ -140,8 +129,7 @@ mod tests {
         let a = [ev(1, 1, 50), ev(2, 2, 30), ev(3, 3, 10)];
         let b = [ev(4, 4, 40), ev(2, 2, 30), ev(5, 5, 20)];
         let c = [ev(6, 6, 45)];
-        let mut flat: Vec<EventTuple> = a.iter().chain(&b).chain(&c).copied().collect();
-        sort_merge(&mut flat, 4);
+        let flat = newest_k(a.iter().chain(&b).chain(&c).copied().collect(), 4);
         let mut replies = vec![encode(&a), encode(&b), encode(&c)];
         let mut merger = ReplyMerger::new();
         let mut out = Vec::new();
@@ -184,14 +172,13 @@ mod tests {
     /// time spaces, so replies share tuples and timestamps tie.
     fn random_reply(rng: &mut StdRng) -> Vec<EventTuple> {
         let n = rng.random_range(0..12usize);
-        let mut r: Vec<EventTuple> = (0..n)
+        let r: Vec<EventTuple> = (0..n)
             .map(|_| {
                 let user = rng.random_range(0..4u32);
                 ev(user, u64::from(user), rng.random_range(0..30u64))
             })
             .collect();
-        sort_merge(&mut r, usize::MAX);
-        r
+        newest_k(r, usize::MAX)
     }
 
     #[test]
@@ -202,8 +189,7 @@ mod tests {
                 .map(|_| random_reply(&mut rng))
                 .collect();
             let k = rng.random_range(0..15usize);
-            let mut expect: Vec<EventTuple> = replies.iter().flatten().copied().collect();
-            sort_merge(&mut expect, k);
+            let expect = newest_k(replies.iter().flatten().copied().collect(), k);
             for _ in 0..3 {
                 // Fisher-Yates: absorption order must not matter.
                 for i in (1..replies.len()).rev() {
@@ -214,8 +200,7 @@ mod tests {
                 for reply in &replies {
                     merger.absorb(&mut encode(reply), k);
                     seen.extend_from_slice(reply);
-                    let mut running = seen.clone();
-                    sort_merge(&mut running, k);
+                    let running = newest_k(seen.clone(), k);
                     assert_eq!(merger.merged(), &running[..], "seed {seed}, k {k}");
                     let kth = if k > 0 && running.len() == k {
                         Some(running[k - 1])

@@ -8,7 +8,6 @@ use bytes::{Buf, BufMut, BytesMut};
 use piggyback_graph::fx::FxHasher;
 use piggyback_graph::NodeId;
 
-use crate::merge::sort_merge;
 use crate::tuple::EventTuple;
 use crate::view::View;
 
@@ -181,6 +180,13 @@ type ViewBuildHasher = BuildHasherDefault<ViewHasher>;
 /// this server it must be inserted into; a query carries the set of views to
 /// read and returns at most `k` events filtered *server-side* across those
 /// views (one reply message regardless of how many views were touched).
+///
+/// Queries have one path, [`query_newer`](StoreServer::query_newer);
+/// [`query_with`](StoreServer::query_with) and
+/// [`query`](StoreServer::query) are its no-floor forms. The tests compare
+/// it with the materialize–sort–truncate model built on
+/// [`view`](StoreServer::view) and [`View::iter_newest`]: gather every
+/// listed view's events, sort newest first, drop duplicates, keep `k`.
 #[derive(Clone, Debug)]
 pub struct StoreServer {
     views: HashMap<NodeId, View, ViewBuildHasher>,
@@ -300,27 +306,6 @@ impl StoreServer {
         self.query_with(views, k, &mut scratch).to_vec()
     }
 
-    /// The pre-ring-buffer query path: copy every candidate, full-sort,
-    /// dedup, truncate. Kept only as the differential-testing oracle for
-    /// [`query_with`](StoreServer::query_with) (`tests/query_differential.rs`
-    /// and the worker round-trip test); no production or benchmark code
-    /// calls it.
-    pub fn query_reference(&mut self, views: &[NodeId], k: usize) -> Vec<EventTuple> {
-        self.stats.queries += 1;
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut out: Vec<EventTuple> = Vec::new();
-        for &v in views {
-            if let Some(view) = self.views.get(&v) {
-                out.extend(view.iter_newest().take(k));
-            }
-        }
-        sort_merge(&mut out, k);
-        self.stats.events_returned += out.len() as u64;
-        out
-    }
-
     /// Number of views materialized on this server.
     pub fn view_count(&self) -> usize {
         self.views.len()
@@ -379,6 +364,7 @@ impl StoreServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textbook;
 
     fn ev(user: u32, id: u64, ts: u64) -> EventTuple {
         EventTuple::new(user, id, ts)
@@ -461,20 +447,15 @@ mod tests {
 
     #[test]
     fn query_matches_reference_on_a_mixed_workload() {
-        let mut a = StoreServer::new(4);
-        let mut b = StoreServer::new(4);
+        let mut s = StoreServer::new(4);
         for i in 0..40u64 {
             let e = ev((i % 5) as u32, i, (i * 7) % 50);
             let views: Vec<NodeId> = (0..(i % 4 + 1) as u32).collect();
-            a.update(&views, e);
-            b.update(&views, e);
+            s.update(&views, e);
         }
         for k in [0, 1, 3, 10, 100] {
-            assert_eq!(
-                a.query(&[0, 1, 2, 3], k),
-                b.query_reference(&[0, 1, 2, 3], k),
-                "k = {k}"
-            );
+            let model = textbook::query(&s, &[0, 1, 2, 3], k);
+            assert_eq!(s.query(&[0, 1, 2, 3], k), model, "k = {k}");
         }
     }
 

@@ -730,18 +730,17 @@ mod tests {
                 assert!(out.windows(2).all(|w| w[0] > w[1]), "newest first");
                 assert_eq!(out[0], event);
             }
-            // Same answer as the reference path: `query_reference` on
-            // every touched shard, flat sort-merge of the per-shard answers.
+            // Same answer as the model: every touched shard's answer,
+            // merged by sorting their union.
             let mut flat = Vec::new();
             topology.group_by_server_with(
                 &targets,
                 &mut GroupScratch::default(),
                 |shard, views| {
-                    flat.extend(shards[shard].lock().query_reference(views, 10));
+                    flat.extend(crate::textbook::query(&shards[shard].lock(), views, 10));
                 },
             );
-            crate::merge::sort_merge(&mut flat, 10);
-            assert_eq!(out, flat);
+            assert_eq!(out, crate::textbook::newest_k(flat, 10));
             drop(tx);
         });
         let (bufs, vecs) = pool.pooled_counts();

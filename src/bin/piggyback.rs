@@ -457,14 +457,20 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads a schedule file for `g` and rejects it unless it is feasible
+/// (Theorem 1), so no subcommand prices or places an infeasible one.
+fn load_checked_schedule(g: &CsrGraph, path: &str) -> Result<Schedule, String> {
+    let schedule = load_schedule(path, g.edge_count()).map_err(|e| e.to_string())?;
+    validate_bounded_staleness(g, &schedule).map_err(|e| format!("infeasible schedule: {e}"))?;
+    Ok(schedule)
+}
+
 fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     let servers = optional_servers(flags)?;
     let ratio = positive(flags, "rw-ratio", 5.0)?;
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
     let rates = Rates::log_degree(&g, ratio);
-    let schedule =
-        load_schedule(required(flags, "schedule")?, g.edge_count()).map_err(|e| e.to_string())?;
-    validate_bounded_staleness(&g, &schedule).map_err(|e| format!("infeasible schedule: {e}"))?;
+    let schedule = load_checked_schedule(&g, required(flags, "schedule")?)?;
     let ff = hybrid_schedule(&g, &rates);
     let report = coverage_report(&g, &schedule);
     println!("cost:        {:.1}", schedule_cost(&g, &rates, &schedule));
@@ -722,9 +728,8 @@ fn cmd_partition(flags: &HashMap<String, String>) -> Result<(), String> {
     let hybrid = hybrid_schedule(&g, &rates);
     let loaded = flags
         .get("schedule")
-        .map(|path| load_schedule(path, g.edge_count()))
-        .transpose()
-        .map_err(|e| e.to_string())?;
+        .map(|path| load_checked_schedule(&g, path))
+        .transpose()?;
     let schedule = loaded.as_ref().unwrap_or(&hybrid);
     let req = PartitionRequest {
         graph: &g,
@@ -806,8 +811,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     let g = load_edge_list(required(flags, "graph")?).map_err(|e| e.to_string())?;
     let top: usize = parsed(flags, "top", 10)?;
     let rates = Rates::log_degree(&g, ratio);
-    let schedule =
-        load_schedule(required(flags, "schedule")?, g.edge_count()).map_err(|e| e.to_string())?;
+    let schedule = load_checked_schedule(&g, required(flags, "schedule")?)?;
     let b = cost_breakdown(&g, &rates, &schedule);
     println!(
         "cost breakdown: push {:.1} + pull {:.1} = {:.1}; piggybacking saves {:.1}",
@@ -906,6 +910,32 @@ mod tests {
         std::fs::write(&graph, "").unwrap();
         let err = run(&s(&["serve", "--graph", &graph])).unwrap_err();
         assert!(err.contains("at least two users"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_subcommand_rejects_an_infeasible_schedule_file() {
+        let dir = std::env::temp_dir().join("piggyback-cli-test-infeasible");
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = dir.join("g.edges").to_string_lossy().into_owned();
+        let sched = dir.join("s.sched").to_string_lossy().into_owned();
+        // Edges 0→1 (id 0), 0→2 (id 1), 1→2 (id 2); the last claims a hub
+        // past the graph.
+        std::fs::write(&graph, "0 1\n0 2\n1 2\n").unwrap();
+        std::fs::write(
+            &sched,
+            "# piggyback-schedule v1 edges=3\n0 P\n1 P\n2 C 1000\n",
+        )
+        .unwrap();
+        let base = ["--graph", &graph, "--schedule", &sched];
+        for cmd in ["evaluate", "analyze", "partition"] {
+            let args: Vec<&str> = std::iter::once(cmd).chain(base).collect();
+            let err = run(&s(&args)).unwrap_err();
+            assert!(
+                err.contains("infeasible schedule") && err.contains("hub 1000"),
+                "{cmd}: {err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
