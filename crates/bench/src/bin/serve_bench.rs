@@ -17,7 +17,7 @@
 //! `--metrics off` boots the runtimes without the observability layer —
 //! CI runs the smoke twice and gates the metrics-on throughput at ≥ 95%
 //! of metrics-off. `--stats-out` writes every run's final metrics
-//! snapshot (instruments + per-shard wire scrape) as one JSON document;
+//! snapshot (instruments + per-shard counters) as one JSON document;
 //! with metrics on, each `results` row also embeds it under `"obs"`.
 //!
 //! `--smoke` shrinks everything for CI (a few hundred ms per schedule);
@@ -114,7 +114,7 @@ fn parse_args() -> Args {
 
 fn json_result(name: &str, cost: f64, r: &HarnessReport) -> String {
     let churn = &r.serve.churn;
-    // The embedded metrics snapshot (registry + wire scrape), or null when
+    // The embedded metrics snapshot (registry + shard counters), or null when
     // the run had metrics off (the overhead-gate comparison arm).
     let obs = r
         .serve

@@ -11,9 +11,10 @@
 //! [`FailoverController::tick`] and by the views a transition queues;
 //! every instant is read from the injected [`Clock`], and every transition
 //! is recorded once, through [`Publisher::event`], which also folds it into
-//! the run's [`ChurnReport`]. Every shard request the control plane makes
-//! — a probe, a view copy, a drop — is served inline on the thread that
-//! holds the control lock ([`ShardIo`]):
+//! the run's [`ChurnReport`]. Every shard call the control plane makes —
+//! a probe, a view copy, a drop — is a direct [`StoreServer`] call under
+//! the shard lock, on the thread that holds the control lock
+//! ([`ShardIo`]); none is billed as a client message:
 //!
 //! ```text
 //!            DOWN_MISSES silent windows            heartbeat answered
@@ -31,7 +32,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
 use piggyback_graph::fx::FxHashSet;
@@ -39,9 +39,9 @@ use piggyback_graph::NodeId;
 use piggyback_obs::{Clock, EventKind};
 use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::{HealthTracker, ShardHealth};
-use piggyback_store::server::{QueryScratch, StoreServer};
+use piggyback_store::server::StoreServer;
 use piggyback_store::topology::{PartitionRequest, PartitionStrategy, Topology};
-use piggyback_store::worker::{handle_request, BatchOp, BufferPool, ShardBatch, ShardRequest};
+use piggyback_store::EventTuple;
 
 use crate::config::ServeConfig;
 use crate::epoch::{EpochHandle, ServingSchedule};
@@ -198,13 +198,12 @@ fn move_views(
     copied
 }
 
-/// The control plane's handle on the shards: one-shot requests and view
-/// copies, each served inline through the store's [`handle_request`].
+/// The control plane's handle on the shards: it calls each shard
+/// directly. Callers gate on [`reachable`] first.
 pub(crate) struct ShardIo {
     shards: Arc<Vec<Mutex<StoreServer>>>,
-    /// Where a whole-view read draws its reply buffer.
-    pool: BufferPool,
-    scratch: QueryScratch,
+    /// A donor's view, read once and merged into each owed slot.
+    events: Vec<EventTuple>,
     /// Views a copy found no donor for: the report's `views_lost`.
     pub(crate) lost: FxHashSet<NodeId>,
 }
@@ -213,25 +212,25 @@ impl ShardIo {
     pub(crate) fn new(shards: Arc<Vec<Mutex<StoreServer>>>) -> Self {
         ShardIo {
             shards,
-            pool: BufferPool::new(),
-            scratch: QueryScratch::new(),
+            events: Vec::new(),
             lost: FxHashSet::default(),
         }
     }
 
-    /// Serves one control-plane request and returns its reply. Callers
-    /// gate on [`reachable`] first.
-    pub(crate) fn request<R>(&mut self, make: impl FnOnce(Sender<R>) -> ShardRequest) -> R {
-        let (done, reply) = bounded(1);
-        handle_request(&self.shards, &self.pool, &mut self.scratch, make(done));
-        reply
-            .recv()
-            .expect("an inline request replies before it returns")
+    /// A liveness probe: takes and releases the shard lock (the mutex is
+    /// not wedged). Touches no counter.
+    fn probe(&self, shard: usize) {
+        drop(self.shards[shard].lock());
     }
 
-    /// Fills `owed` from one [`Fleet::donor`] per view (a whole-view query;
-    /// it keeps serving). Skips a view never materialized, counts one with
-    /// no donor lost. Returns the installs made.
+    /// Drops `view` from `shard` (counted as `views_extracted`).
+    fn drop_view(&self, shard: usize, view: NodeId) {
+        self.shards[shard].lock().remove_view(view);
+    }
+
+    /// Fills `owed` from one [`Fleet::donor`] per view (the donor keeps
+    /// serving it). Skips a view never materialized, counts one with no
+    /// donor lost. Returns the installs made.
     fn copy_views(
         &mut self,
         fleet: &Fleet,
@@ -240,37 +239,22 @@ impl ShardIo {
     ) -> usize {
         let mut installs = 0;
         for (view, slots) in owed {
-            let Some(shard) = fleet.donor(from, to, *view, slots) else {
+            let Some(donor) = fleet.donor(from, to, *view, slots) else {
                 self.lost.insert(*view);
                 continue;
             };
             if slots.is_empty() {
                 continue;
             }
-            let payload = self
-                .request(|reply| {
-                    ShardRequest::Batch(ShardBatch {
-                        shard,
-                        views: vec![*view],
-                        op: BatchOp::Query {
-                            k: usize::MAX,
-                            floor: None,
-                        },
-                        reply,
-                    })
-                })
-                .freeze();
-            if payload.is_empty() {
+            self.events.clear();
+            if let Some(v) = self.shards[donor].lock().view(*view) {
+                self.events.extend(v.iter_newest());
+            }
+            if self.events.is_empty() {
                 continue;
             }
             for &shard in slots {
-                let (view, payload) = (*view, payload.clone());
-                self.request(|done| ShardRequest::InstallView {
-                    shard,
-                    view,
-                    payload,
-                    done,
-                });
+                self.shards[shard].lock().merge_view(*view, &self.events);
             }
             installs += slots.len();
         }
@@ -395,7 +379,7 @@ impl FailoverController {
             self.fail_over(&down, io);
             // Amnesty: every reachable serving shard restarts detection
             // from a fresh probe, so one death never cascades. Not for an
-            // unreachable shard (its misses need no wire) nor a catching-up
+            // unreachable shard (its misses need no probe) nor a catching-up
             // one (only readmit promotes).
             for s in 0..self.shards.len() {
                 if matches!(self.shards[s].phase, Phase::Serving) && self.reachable(s) {
@@ -444,7 +428,7 @@ impl FailoverController {
         if answered {
             self.health.record_ok(s);
         }
-        io.request(|done| ShardRequest::Heartbeat { shard: s, done });
+        io.probe(s);
         self.shards[s].answered = true;
     }
 
@@ -682,11 +666,75 @@ impl Rebalancer {
             .flat_map(|&u| old.replica_slots(u).map(move |r| (u, r)))
             .filter(|&(u, r)| fleet.holds(r) && !new.replica_slots(u).any(|n| n == r));
         for (view, shard) in drops {
-            io.request(|done| ShardRequest::ExtractView { shard, view, done });
+            io.drop_view(shard, view);
         }
         self.publisher.event(EventKind::Rebalance {
             moved: moved.len(),
             wall_ms: self.clock.since(started_ns).as_secs_f64() * 1e3,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use piggyback_store::server::ShardStats;
+
+    #[test]
+    fn shard_io_moves_views_by_direct_calls_and_bills_no_client_operation() {
+        let shards = Arc::new(vec![
+            Mutex::new(StoreServer::new(0)),
+            Mutex::new(StoreServer::new(0)),
+        ]);
+        let topology = Topology::hash(64, 2, 0);
+        let mut on_zero = (0..64).filter(|&u| topology.server_of(u) == 0);
+        let (view, ghost) = (on_zero.next().unwrap(), on_zero.next().unwrap());
+        let (a, b, c) = (
+            EventTuple::new(5, 1, 10),
+            EventTuple::new(5, 2, 20),
+            EventTuple::new(9, 3, 30),
+        );
+        shards[0].lock().update(&[view], a);
+        shards[0].lock().update(&[view], b);
+        // An event already at the destination survives the merge.
+        shards[1].lock().update(&[view], c);
+        let before: Vec<ShardStats> = shards.iter().map(|s| s.lock().stats()).collect();
+        let mut io = ShardIo::new(Arc::clone(&shards));
+        let (fleet, maps) = (Fleet::all_holding(2), (&topology, &topology));
+        assert_eq!(io.copy_views(&fleet, maps, &[(view, vec![1])]), 1);
+        // A view never materialized is skipped, not installed.
+        assert_eq!(io.copy_views(&fleet, maps, &[(ghost, vec![1])]), 0);
+        assert!(shards[1].lock().view(ghost).is_none());
+        let copied: Vec<EventTuple> = shards[1].lock().view(view).unwrap().iter_newest().collect();
+        assert_eq!(copied, vec![c, b, a], "migrated + resident, newest first");
+        assert_eq!(
+            shards[0].lock().view(view).unwrap().len(),
+            2,
+            "the donor keeps it"
+        );
+        io.probe(0);
+        io.probe(1);
+        io.drop_view(0, view);
+        io.drop_view(0, ghost); // a miss is not counted
+        assert!(shards[0].lock().view(view).is_none());
+        // Only the migration counters moved.
+        let after: Vec<ShardStats> = shards.iter().map(|s| s.lock().stats()).collect();
+        assert_eq!(
+            after,
+            vec![
+                ShardStats {
+                    views_extracted: 1,
+                    ..before[0]
+                },
+                ShardStats {
+                    views_installed: 1,
+                    ..before[1]
+                },
+            ]
+        );
+        // No holding donor left: the view is lost, once.
+        let fleet = Fleet(vec![Standing::Dead, Standing::Holds]);
+        assert_eq!(io.copy_views(&fleet, maps, &[(view, vec![1])]), 0);
+        assert_eq!(io.lost.iter().copied().collect::<Vec<_>>(), vec![view]);
     }
 }

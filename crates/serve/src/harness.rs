@@ -51,7 +51,7 @@ pub struct HarnessConfig {
     pub arrival: Arrival,
     /// Trace seed (client `i` uses `seed + i`).
     pub seed: u64,
-    /// Dump a live stats delta (instruments + wire scrape + recent events)
+    /// Dump a live stats delta (instruments + shard counters + recent events)
     /// to stderr every interval. `None` (the default) disables the dumper
     /// thread entirely.
     pub stats_interval: Option<Duration>,

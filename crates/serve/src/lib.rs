@@ -32,8 +32,8 @@
 //! * [`metrics`] — the runtime's live instrument bundle
 //!   ([`piggyback_obs`]): per-operation latency histograms and counters,
 //!   churn gauges, and the control-plane event ring. On by default
-//!   ([`ServeConfig::metrics`]); scraped over the wire via
-//!   [`ServeRuntime::stats_snapshot`] or dumped periodically by the
+//!   ([`ServeConfig::metrics`]); captured with the shards' own counters
+//!   by [`ServeRuntime::stats_snapshot`] or dumped periodically by the
 //!   harness (`stats_interval`).
 //! * Fault tolerance — with [`ServeConfig::replication`] ≥ 2 writes fan
 //!   out to every replica slot, reads route to the healthiest replica, and

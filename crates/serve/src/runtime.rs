@@ -4,8 +4,8 @@
 //! * **The shards** are [`StoreServer`]s behind one mutex each. No thread
 //!   owns them: a client runs each operation's coalesced batches inline
 //!   on its own thread ([`Transport::Direct`], one batch per touched
-//!   shard, in the wire format), and the control plane serves its one-off
-//!   requests the same way.
+//!   shard, in the wire format), and the control plane calls a shard's
+//!   methods directly, under its lock.
 //! * **Clients** ([`ServeClient`]) execute `Share`/`Query` against the
 //!   current [`ServingSchedule`] snapshot (one [`EpochReader::current`]
 //!   per operation) and run `Follow`/`Unfollow` themselves, on their own
@@ -53,7 +53,7 @@ use piggyback_store::fault::FaultInjector;
 use piggyback_store::health::HealthTracker;
 use piggyback_store::server::{ShardStats, StoreServer};
 use piggyback_store::topology::{PartitionRequest, Topology};
-use piggyback_store::worker::{BufferPool, ShardClient, ShardRequest, Transport};
+use piggyback_store::worker::{BufferPool, ShardClient, Transport};
 use piggyback_store::EventTuple;
 use piggyback_workload::{Op, Rates};
 
@@ -259,18 +259,15 @@ impl ServeRuntime {
         self.metrics.as_ref()
     }
 
-    /// Scrapes every shard's operation counters **over the wire**: one
-    /// [`ShardRequest::Stats`] per shard, answered in the wire format data
-    /// ops use. Unreachable: zeros.
+    /// Every shard's operation counters ([`StoreServer::stats`], read
+    /// under the shard lock). Unreachable: zeros.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut io = ShardIo::new(Arc::clone(&self.shards));
         (0..self.handle.load().topology().servers())
             .map(|shard| {
                 if !reachable(self.faults.as_deref(), shard) {
                     return ShardStats::default();
                 }
-                let mut reply = io.request(|done| ShardRequest::Stats { shard, done });
-                ShardStats::decode(&mut reply).expect("malformed stats reply")
+                self.shards[shard].lock().stats()
             })
             .collect()
     }
@@ -293,8 +290,8 @@ impl ServeRuntime {
     }
 
     /// Fault control: restarts a killed `shard` as a fresh, **empty**
-    /// process (`ResetViews` over the wire, then the kill is lifted); the
-    /// failover controller rejoins it. `false` when no fault plan is
+    /// process ([`StoreServer::reset_views`], then the kill is lifted);
+    /// the failover controller rejoins it. `false` when no fault plan is
     /// configured or the shard was not killed.
     pub fn restart_shard(&self, shard: usize) -> bool {
         let Some(f) = self.faults.as_ref().filter(|f| f.is_killed(shard)) else {
@@ -302,13 +299,12 @@ impl ServeRuntime {
         };
         // Reset *before* revive: the replacement process must be visibly
         // empty from its first answered request.
-        ShardIo::new(Arc::clone(&self.shards))
-            .request(|done| ShardRequest::ResetViews { shard, done });
+        self.shards[shard].lock().reset_views();
         f.revive(shard)
     }
 
     /// One point-in-time capture of everything observable: the registry's
-    /// instruments and the wire scrape as `store.*` counters. Safe while
+    /// instruments and the shards' counters as `store.*` counters. Safe while
     /// serving; diff two with [`Snapshot::delta_since`].
     pub fn stats_snapshot(&self) -> Snapshot {
         let mut snap = match &self.metrics {
@@ -842,9 +838,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_scrape_equals_the_shards_own_counters() {
+    fn shard_stats_equal_the_shards_own_counters() {
         let rt = boot(ServeConfig {
             shards: 4,
+            faults: Some(piggyback_store::FaultPlan::default()),
             ..Default::default()
         });
         let mut c = rt.client();
@@ -855,6 +852,12 @@ mod tests {
         let own: Vec<ShardStats> = rt.shards.iter().map(|s| s.lock().stats()).collect();
         assert!(own.iter().any(|s| s.updates > 0 && s.events_returned > 0));
         assert_eq!(rt.shard_stats(), own);
+        // An unreachable shard is not read: it reports zeros.
+        let busy = own.iter().position(|s| s.updates > 0).unwrap();
+        assert!(rt.kill_shard(busy));
+        let mut expected = own;
+        expected[busy] = ShardStats::default();
+        assert_eq!(rt.shard_stats(), expected);
         drop(c);
         assert!(rt.shutdown().churn.zero_violations());
     }
@@ -871,8 +874,8 @@ mod tests {
         c.share(0);
         let (events, _) = c.query(2);
         assert!(events.iter().any(|e| e.user == 0));
-        // Even with metrics off the wire scrape works (the shard counters
-        // are part of the store, not the registry).
+        // Even with metrics off the shard counters are read (they are
+        // part of the store, not the registry).
         let snap = rt.stats_snapshot();
         assert!(snap.counter("store.updates") >= 1);
         assert!(snap.get("serve.ops.shares").is_none(), "no registry");

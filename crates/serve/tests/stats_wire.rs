@@ -1,8 +1,10 @@
-//! The `Stats` wire request end to end: what the runtime scrapes over the
-//! wire, per shard and folded into its snapshot's `store.*` counters, is
-//! what the shards counted, and the serve-side counters agree with it.
-//! (That the scrape equals each shard's own counters is
-//! `runtime::tests::wire_scrape_equals_the_shards_own_counters`.)
+//! The shard counters end to end: what the runtime reads per shard and
+//! folds into its snapshot's `store.*` counters is what the shards
+//! counted, and the serve-side counters agree with it. (That
+//! `shard_stats` equals each shard's own counters is
+//! `runtime::tests::shard_stats_equal_the_shards_own_counters`.) The
+//! client counters count client operations only: a rebalance's view
+//! copies and drops are control-plane calls, not queries or batches.
 //!
 //! The same harness pins the replication layer's guarantees: heartbeat
 //! probes touch no store counters (a monitored run is byte-identical to
@@ -16,6 +18,7 @@ use piggyback_graph::gen::{copying, CopyingConfig};
 use piggyback_graph::CsrGraph;
 use piggyback_serve::{ReoptMode, ServeConfig, ServeRuntime};
 use piggyback_store::server::ShardStats;
+use piggyback_store::topology::PartitionStrategy;
 use piggyback_store::FaultPlan;
 use piggyback_workload::{OpTrace, Rates};
 
@@ -83,7 +86,7 @@ const DIFFERENTIAL_KEYS: [&str; 9] = [
 ];
 
 #[test]
-fn the_wire_scrape_folds_into_the_snapshot() {
+fn the_shard_counters_fold_into_the_snapshot() {
     let (per_shard, snap) = drive();
     assert_eq!(per_shard.len(), 4);
     let mut total = ShardStats::default();
@@ -188,8 +191,8 @@ fn continuous_reopt_feeds_the_reopt_instruments() {
 #[test]
 fn heartbeats_leave_store_counters_untouched() {
     // The replication-1 differential guarantee: turning the failure
-    // detector on adds Heartbeat wire requests, but those touch no shard
-    // state and no counters — the data plane is byte-identical to the
+    // detector on adds heartbeat probes, but those touch no shard state
+    // and no counters — the data plane is byte-identical to the
     // pre-replication plane.
     let (plain, plain_snap) = drive();
     let (probed, probed_snap) = drive_with(1, Duration::from_millis(2));
@@ -313,5 +316,63 @@ fn replication_two_inserts_every_event_into_both_slots() {
     assert_eq!(
         replicated.counter("serve.ops.shares"),
         single.counter("serve.ops.shares")
+    );
+}
+
+#[test]
+fn view_moves_are_not_counted_as_client_operations() {
+    // `rebalance.rs`'s world: every cross-server follow re-partitions and
+    // moves views. A view copy or drop is a control-plane call, so the
+    // store's client counters must still equal what the clients billed.
+    let g = copying(CopyingConfig {
+        nodes: 200,
+        follows_per_node: 5,
+        copy_prob: 0.7,
+        seed: 6,
+    });
+    let r = Rates::log_degree(&g, 5.0);
+    let schedule = by_name("hybrid")
+        .unwrap()
+        .schedule(&Instance::new(&g, &r))
+        .schedule;
+    let rt = ServeRuntime::start(
+        g,
+        r,
+        schedule,
+        by_name("hybrid").unwrap(),
+        ServeConfig {
+            shards: 8,
+            partition: PartitionStrategy::Ldg,
+            rebalance_threshold: 1e-9,
+            reopt_threshold: f64::INFINITY,
+            view_capacity: 0,
+            ..Default::default()
+        },
+    );
+    let mut c = rt.client();
+    for u in 0..200u32 {
+        c.share(u);
+    }
+    for v in 0..200u32 {
+        c.follow((v + 7) % 200, v);
+    }
+    for u in 0..200u32 {
+        c.query(u);
+    }
+    drop(c);
+    let report = rt.shutdown();
+    assert!(report.churn.rebalances >= 1, "no rebalance fired");
+    let snap = report.metrics.expect("metrics on by default");
+    assert!(snap.counter("store.views_installed") > 0, "no view moved");
+    assert_eq!(snap.counter("serve.ops.queries"), 200);
+    assert_eq!(
+        snap.counter("store.queries"),
+        snap.counter("serve.ops.queries"),
+        "a view copy was counted as a client query"
+    );
+    assert_eq!(
+        snap.counter("store.batches"),
+        snap.counter("serve.store_messages"),
+        "a control-plane call was counted as a client message"
     );
 }

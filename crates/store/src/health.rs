@@ -1,9 +1,9 @@
 //! Per-shard failure detection: `Up → Suspect → Down` driven by
 //! heartbeat outcomes, with a staleness-legal lag window for reads.
 //!
-//! The failover controller (in `piggyback-serve`) pings every shard over
-//! the normal [`Transport`](crate::worker::Transport) seam on a fixed
-//! cadence and feeds the outcome here. Consecutive misses walk the state
+//! The failover controller (in `piggyback-serve`) probes every reachable
+//! shard on a fixed cadence (it takes and releases the shard's lock) and
+//! feeds the outcome here; an unreachable shard counts a miss. Consecutive misses walk the state
 //! machine forward (a phi-accrual detector collapsed to integer
 //! thresholds, which is all a fixed-cadence prober can resolve); one
 //! success snaps the shard back to `Up`.
@@ -16,7 +16,8 @@
 //! lag as *silence*: time since the shard last answered a heartbeat. An
 //! `Up` shard is always readable; a `Suspect` shard stays readable while
 //! its silence is within the laxity; a `Down` shard never is, until
-//! failover's catch-up path restores it via `InstallView`.
+//! failover's catch-up path restores it ([`StoreServer::merge_view`](crate::server::StoreServer::merge_view)
+//! of every view it is owed).
 //!
 //! **Rejoin.** A restarted shard that answers heartbeats again does not
 //! snap straight back to `Up`: the controller moves it `Down →

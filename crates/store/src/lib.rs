@@ -25,14 +25,16 @@
 //!   [`ReplyMerger`] the clients fold per-shard wire replies into; its
 //!   running k-th newest is the floor a caller-runs query sends to its
 //!   next shard.
-//! * [`worker`] — the wire-format shard protocol, including the
-//!   extract/install requests of live rebalancing. Updates and queries are
-//!   coalesced batches served by [`worker::serve_batch`]. The online serve
-//!   runtime runs them caller-runs only: borrowed slices and client-owned
-//!   buffers ([`ShardClient`] over [`worker::Transport::Direct`]). The
-//!   worker plane — [`worker::ShardBatch`] messages with pooled view lists
-//!   and reply buffers ([`BufferPool`]) and one reply channel per client —
-//!   serves no runtime; the benchmark times one hop through it.
+//! * [`worker`] — the wire-format shard protocol of client operations.
+//!   Updates and queries are coalesced batches served by
+//!   [`worker::serve_batch`]. The online serve runtime runs them
+//!   caller-runs only: borrowed slices and client-owned buffers
+//!   ([`ShardClient`] over [`worker::Transport::Direct`]). The worker
+//!   plane — [`worker::ShardBatch`] messages with pooled view lists and
+//!   reply buffers ([`BufferPool`]) and one reply channel per client —
+//!   serves no runtime; the benchmark times one hop through it. The
+//!   control plane (probes, view moves, stats, restarts) crosses no wire:
+//!   it calls [`server::StoreServer`]'s methods under the shard lock.
 //! * [`health`] — per-shard failure detection (`Up/Suspect/Down` from
 //!   heartbeat outcomes) with the Theorem-1 staleness budget reused as
 //!   the legal replica-lag window for read routing.

@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use bytes::{Buf, BufMut, BytesMut};
 use piggyback_graph::fx::FxHasher;
 use piggyback_graph::NodeId;
 
@@ -15,8 +14,11 @@ use crate::view::View;
 /// existing lock (both transports serve every batch through the same
 /// `serve_batch`, so the counts are identical whether the shard runs on
 /// a worker thread or caller-runs (`Transport::Direct`), except
-/// `events_returned`, which the caller-runs floor can lower). Scraped
-/// over the wire via `ShardRequest::Stats`.
+/// `events_returned`, which the caller-runs floor can lower). The query
+/// and batch counters count client operations only: the control plane
+/// reads and moves views through [`StoreServer::view`],
+/// [`StoreServer::merge_view`] and [`StoreServer::remove_view`], which
+/// bump only the migration counters. Read with [`StoreServer::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Update requests applied.
@@ -40,44 +42,7 @@ pub struct ShardStats {
     pub views_installed: u64,
 }
 
-/// Wire size of an encoded [`ShardStats`] (8 × u64, little-endian).
-pub const SHARD_STATS_BYTES: usize = 64;
-
 impl ShardStats {
-    /// Encodes as fixed-width little-endian u64s.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.reserve(SHARD_STATS_BYTES);
-        for v in [
-            self.updates,
-            self.queries,
-            self.events_inserted,
-            self.events_returned,
-            self.batches,
-            self.batch_ops,
-            self.views_extracted,
-            self.views_installed,
-        ] {
-            buf.put_u64_le(v);
-        }
-    }
-
-    /// Decodes; `None` when fewer than [`SHARD_STATS_BYTES`] remain.
-    pub fn decode(buf: &mut impl Buf) -> Option<Self> {
-        if buf.remaining() < SHARD_STATS_BYTES {
-            return None;
-        }
-        Some(ShardStats {
-            updates: buf.get_u64_le(),
-            queries: buf.get_u64_le(),
-            events_inserted: buf.get_u64_le(),
-            events_returned: buf.get_u64_le(),
-            batches: buf.get_u64_le(),
-            batch_ops: buf.get_u64_le(),
-            views_extracted: buf.get_u64_le(),
-            views_installed: buf.get_u64_le(),
-        })
-    }
-
     /// Element-wise sum (folding per-shard scrapes into a cluster total).
     pub fn merge(&mut self, other: &ShardStats) {
         self.updates += other.updates;
@@ -324,8 +289,8 @@ impl StoreServer {
         self.stats
     }
 
-    /// Mutable counter access for the request-handling layer (batch and
-    /// migration accounting happens where those requests are decoded).
+    /// Mutable counter access for the batch layer (batch accounting
+    /// happens where a batch is decoded, in `worker::serve_batch`).
     pub(crate) fn stats_mut(&mut self) -> &mut ShardStats {
         &mut self.stats
     }
@@ -562,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_wire_roundtrip_and_merge() {
+    fn shard_stats_merge_and_average() {
         let mut st = ShardStats {
             updates: 1,
             queries: 2,
@@ -571,17 +536,8 @@ mod tests {
             batches: 5,
             batch_ops: 6,
             views_extracted: 7,
-            views_installed: u64::MAX,
+            views_installed: 8,
         };
-        let mut buf = BytesMut::new();
-        st.encode(&mut buf);
-        assert_eq!(buf.len(), SHARD_STATS_BYTES);
-        let wire = buf.freeze();
-        assert_eq!(ShardStats::decode(&mut wire.clone()), Some(st));
-
-        let mut short = wire.slice(0..10);
-        assert_eq!(ShardStats::decode(&mut short), None);
-
         let other = ShardStats {
             updates: 10,
             ..Default::default()

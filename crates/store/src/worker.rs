@@ -2,13 +2,11 @@
 //! clients and data-store shards, and the two transports that carry it.
 //!
 //! The online `piggyback-serve` runtime speaks it caller-runs only
-//! ([`Transport::Direct`]): a client runs its batches inline, and the
-//! control plane serves each one-off request through [`handle_request`].
-//! The worker plane ([`Transport::Workers`], [`worker_loop`],
-//! [`BufferPool`]) serves no runtime; the benchmark times one hop through
-//! it. There a worker owns a channel receiver, and shard `s` may be
-//! served by any worker, so thousands of logical servers multiplex onto a
-//! bounded thread pool.
+//! ([`Transport::Direct`]): a client runs its batches inline. The worker
+//! plane ([`Transport::Workers`], [`worker_loop`], [`BufferPool`]) serves
+//! no runtime; the benchmark times one hop through it. There a worker
+//! owns a channel receiver, and shard `s` may be served by any worker, so
+//! thousands of logical servers multiplex onto a bounded thread pool.
 //!
 //! Requests and replies are (de)serialized in the 24-byte wire format on
 //! either transport, so every message pays realistic work — as a
@@ -29,17 +27,15 @@
 //! way, steady state mints no channel, `Vec`, or reply buffer per
 //! operation.
 //!
-//! The control plane (migration, stats scrape, heartbeat, restart) sends
-//! one-shot [`ShardRequest`]s with a reply channel each. View migration
-//! (live rebalancing onto a new [`Topology`]) speaks the same wire format
-//! over [`ShardRequest::ExtractView`] / [`ShardRequest::InstallView`]: a
-//! view is extracted as its wire encoding and installed by replaying the
-//! tuples.
+//! Only client operations cross this protocol. The control plane
+//! (probe, view copy and drop, stats scrape, restart) runs in the same
+//! process and calls [`StoreServer`] methods under the shard lock, so the
+//! batch counters count client messages only.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use piggyback_graph::NodeId;
@@ -47,7 +43,7 @@ use piggyback_graph::NodeId;
 use crate::fault::{FaultDecision, FaultInjector, PartitionDir};
 use crate::health::HealthTracker;
 use crate::merge::ReplyMerger;
-use crate::server::{QueryScratch, ShardStats, StoreServer, SHARD_STATS_BYTES};
+use crate::server::{QueryScratch, ShardStats, StoreServer};
 use crate::topology::{GroupScratch, Topology};
 use crate::tuple::{EventTuple, TUPLE_BYTES};
 
@@ -174,65 +170,10 @@ pub struct ShardBatch {
     pub reply: Sender<BytesMut>,
 }
 
-/// One message to a data-store shard.
-pub enum ShardRequest {
-    /// An update or query (see [`ShardClient`]).
-    Batch(ShardBatch),
-    /// Remove `view` from the shard and reply with its wire-encoded
-    /// contents (empty if the view was never materialized) — the donor
-    /// half of a live migration.
-    ExtractView {
-        /// Shard giving the view up.
-        shard: usize,
-        /// The user whose view moves.
-        view: NodeId,
-        /// Reply channel (wire-encoded tuples).
-        done: Sender<Bytes>,
-    },
-    /// Merge wire-encoded events into `view` on the shard — the recipient
-    /// half of a live migration. Merging (rather than replacing) keeps
-    /// events that already landed at the new home.
-    InstallView {
-        /// Shard adopting the view.
-        shard: usize,
-        /// The user whose view moves.
-        view: NodeId,
-        /// Wire-encoded tuples from [`ShardRequest::ExtractView`].
-        payload: Bytes,
-        /// Acknowledgement channel (empty reply).
-        done: Sender<Bytes>,
-    },
-    /// Scrape the shard's operation counters. The reply is a wire-encoded
-    /// [`ShardStats`]; metrics travel the same protocol as data ops, so
-    /// both transports (worker pool and caller-runs) answer identically.
-    Stats {
-        /// Shard to scrape.
-        shard: usize,
-        /// Reply channel (wire-encoded [`ShardStats`]).
-        done: Sender<Bytes>,
-    },
-    /// Liveness probe: the shard takes and releases its lock (proving the
-    /// mutex is not wedged) and replies with an empty ack. Deliberately touches **no** stats counters —
-    /// health probing must never perturb the operation accounting the
-    /// differential tests compare.
-    Heartbeat {
-        /// Shard to probe.
-        shard: usize,
-        /// Acknowledgement channel (empty reply).
-        done: Sender<Bytes>,
-    },
-    /// Drops every view on the shard — the "process restarted with empty
-    /// state" half of a rejoin. The restart lever (`restart_shard`) sends
-    /// this before reviving the shard at the fault injector, so the
-    /// rejoining shard starts from nothing and anti-entropy has to do
-    /// real work. Replies with an empty ack.
-    ResetViews {
-        /// Shard being restarted.
-        shard: usize,
-        /// Acknowledgement channel (empty reply).
-        done: Sender<Bytes>,
-    },
-}
+/// The worker plane's message type. The benchmark binds this name
+/// (`bounded::<ShardRequest>`); ROADMAP item 1's worker-plane follow-up
+/// deletes it.
+pub type ShardRequest = ShardBatch;
 
 /// Serves one batch against its shard — what both transports execute:
 /// decode the wire payload, take the shard lock, account the batch, insert
@@ -269,83 +210,31 @@ pub fn serve_batch(
     }
 }
 
-/// Serves one request against the shard array.
-pub fn handle_request(
-    shards: &[Mutex<StoreServer>],
-    pool: &BufferPool,
-    scratch: &mut QueryScratch,
-    req: ShardRequest,
-) {
-    match req {
-        ShardRequest::Batch(ShardBatch {
-            shard,
-            views,
-            op,
-            reply,
-        }) => {
-            let mut out = match op {
-                BatchOp::Update { .. } => BytesMut::new(), // empty ack, no allocation
-                BatchOp::Query { .. } => pool.get_buf(),
-            };
-            serve_batch(shards, scratch, shard, &views, op, &mut out);
-            pool.put_vec(views);
-            let _ = reply.send(out);
-        }
-        ShardRequest::ExtractView { shard, view, done } => {
-            let taken = shards[shard].lock().remove_view(view);
-            let reply = match taken {
-                Some(v) => encode_tuples(&v.to_vec_newest()),
-                None => Bytes::new(),
-            };
-            let _ = done.send(reply);
-        }
-        ShardRequest::InstallView {
-            shard,
-            view,
-            mut payload,
-            done,
-        } => {
-            let mut events = Vec::with_capacity(payload.len() / TUPLE_BYTES);
-            EventTuple::decode_all(&mut payload, &mut events);
-            shards[shard].lock().merge_view(view, &events);
-            let _ = done.send(Bytes::new());
-        }
-        ShardRequest::Stats { shard, done } => {
-            let stats = shards[shard].lock().stats();
-            let mut buf = BytesMut::with_capacity(SHARD_STATS_BYTES);
-            stats.encode(&mut buf);
-            let _ = done.send(buf.freeze());
-        }
-        ShardRequest::Heartbeat { shard, done } => {
-            drop(shards[shard].lock());
-            let _ = done.send(Bytes::new());
-        }
-        ShardRequest::ResetViews { shard, done } => {
-            shards[shard].lock().reset_views();
-            let _ = done.send(Bytes::new());
-        }
-    }
-}
-
 /// Batch accounting, under the shard lock the caller already holds.
 fn record_batch(stats: &mut ShardStats, views: usize) {
     stats.batches += 1;
     stats.batch_ops += views as u64;
 }
 
-fn encode_tuples(tuples: &[EventTuple]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(tuples.len() * TUPLE_BYTES);
-    EventTuple::encode_all(tuples, &mut buf);
-    buf.freeze()
-}
-
-/// Runs a shard worker until every request sender is dropped. The worker
+/// Runs a shard worker until every batch sender is dropped. The worker
 /// owns one [`QueryScratch`], so its steady-state query handling is
 /// allocation-free.
-pub fn worker_loop(shards: &[Mutex<StoreServer>], pool: &BufferPool, rx: &Receiver<ShardRequest>) {
+pub fn worker_loop(shards: &[Mutex<StoreServer>], pool: &BufferPool, rx: &Receiver<ShardBatch>) {
     let mut scratch = QueryScratch::new();
-    while let Ok(req) = rx.recv() {
-        handle_request(shards, pool, &mut scratch, req);
+    while let Ok(ShardBatch {
+        shard,
+        views,
+        op,
+        reply,
+    }) = rx.recv()
+    {
+        let mut out = match op {
+            BatchOp::Update { .. } => BytesMut::new(), // empty ack, no allocation
+            BatchOp::Query { .. } => pool.get_buf(),
+        };
+        serve_batch(shards, &mut scratch, shard, &views, op, &mut out);
+        pool.put_vec(views);
+        let _ = reply.send(out);
     }
 }
 
@@ -355,14 +244,13 @@ pub enum Transport {
     /// Channels to a shard-worker pool: batches execute on worker threads
     /// ([`worker_loop`]). No runtime serves over it; the benchmark times
     /// one hop through it.
-    Workers(Arc<Vec<Sender<ShardRequest>>>),
+    Workers(Arc<Vec<Sender<ShardBatch>>>),
     /// Caller-runs: the issuing thread executes each batch inline through
     /// the same [`serve_batch`] the workers call — the same wire
     /// (de)serialization, the same one-message-per-touched-server
     /// accounting — on buffers the caller owns: no [`ShardBatch`], no
     /// pool, no channel, no thread hop. The right trade when clients
-    /// outnumber cores (an embedded single-process deployment). The
-    /// control plane's one-off requests go through [`handle_request`].
+    /// outnumber cores (an embedded single-process deployment).
     Direct(Arc<Vec<Mutex<StoreServer>>>),
 }
 
@@ -433,12 +321,12 @@ impl Outbox<'_> {
                     bounded(1).0
                 };
                 senders[self.worker]
-                    .send(ShardRequest::Batch(ShardBatch {
+                    .send(ShardBatch {
                         shard,
                         views: list,
                         op,
                         reply,
-                    }))
+                    })
                     .expect("worker channel closed");
             }
             Transport::Direct(shards) => match op {
@@ -484,8 +372,8 @@ impl ShardClient {
     }
 
     /// Attaches the runtime's shared failure detector and fault injector.
-    /// With neither attached (and replication 1) every send takes the
-    /// original fan-out path byte for byte.
+    /// With neither attached (and replication 1) every batch goes to its
+    /// views' home server, delivered once.
     pub fn with_resilience(
         mut self,
         health: Option<Arc<HealthTracker>>,
@@ -545,20 +433,21 @@ impl ShardClient {
     /// collect)`; the two differ only when chaos loses a message the
     /// transport had accepted.
     ///
-    /// With replication 1 and no resilience attached this is the original
-    /// fan-out, untouched. Otherwise writes cover every replica slot,
-    /// reads route per view to the healthiest readable replica, and the
-    /// fault injector gets a say on each outgoing batch. Kill semantics
-    /// are connection-refused: the batch is never sent and no reply is
+    /// Writes cover every replica slot, reads route per view to the
+    /// healthiest readable replica, and the fault injector gets a say on
+    /// each outgoing batch. With replication 1 and no resilience attached
+    /// that is one batch per home server: every read picks the primary
+    /// and every batch is delivered once. Kill semantics are
+    /// connection-refused: the batch is never sent and no reply is
     /// awaited, so a dead shard costs a health miss, not a hang.
     fn fan_out(&mut self, topology: &Topology, targets: &[NodeId], op: BatchOp) -> (u64, usize) {
         let write = matches!(op, BatchOp::Update { .. });
-        // Unlike the control plane's `shard % workers` routing, one
-        // operation's whole fan-out goes to a single worker (round-robin
-        // across ops): the mutex owns shard state, not the thread, so any
-        // worker may serve any shard, and one queue means one worker
-        // wake-up per operation instead of one per touched worker. Ops are
-        // the unit of parallelism, so worker utilization stays balanced.
+        // One operation's whole fan-out goes to a single worker
+        // (round-robin across ops): the mutex owns shard state, not the
+        // thread, so any worker may serve any shard, and one queue means
+        // one worker wake-up per operation instead of one per touched
+        // worker. Ops are the unit of parallelism, so worker utilization
+        // stays balanced.
         let worker = match &self.transport {
             Transport::Workers(senders) => {
                 self.next_op = self.next_op.wrapping_add(1);
@@ -579,13 +468,6 @@ impl ShardClient {
         let health = self.health.as_deref();
         let faults = self.faults.as_deref();
         let mut sent = 0u64;
-        if topology.replication() == 1 && health.is_none() && faults.is_none() {
-            topology.group_by_server_with(targets, &mut self.group, |shard, views| {
-                outbox.deliver(shard, views, op, true);
-                sent += 1;
-            });
-            return (sent, outbox.pending);
-        }
         let mut emit = |shard: usize, views: &[NodeId]| {
             if let Some(f) = faults {
                 if f.is_killed(shard) {
@@ -686,17 +568,6 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
 
-    /// Sends one request to the worker behind `worker` and blocks for the
-    /// reply.
-    fn send_to_shard(
-        worker: &Sender<ShardRequest>,
-        make: impl FnOnce(Sender<Bytes>) -> ShardRequest,
-    ) -> Bytes {
-        let (done, reply) = bounded(1);
-        worker.send(make(done)).expect("worker channel closed");
-        reply.recv().expect("worker dropped reply")
-    }
-
     fn boot_two_shards() -> (Vec<Mutex<StoreServer>>, Arc<BufferPool>) {
         (
             vec![
@@ -711,7 +582,7 @@ mod tests {
     fn batched_client_round_trips_and_recycles_buffers() {
         let (shards, pool) = boot_two_shards();
         let topology = Topology::hash(64, 2, 0);
-        let (tx, rx) = unbounded::<ShardRequest>();
+        let (tx, rx) = unbounded::<ShardBatch>();
         std::thread::scope(|s| {
             let (shards, pool_ref) = (&shards, Arc::clone(&pool));
             s.spawn(move || worker_loop(shards, &pool_ref, &rx));
@@ -746,76 +617,6 @@ mod tests {
         let (bufs, vecs) = pool.pooled_counts();
         assert!(bufs > 0, "reply buffers must recirculate through the pool");
         assert!(vecs > 0, "view lists must recirculate through the pool");
-    }
-
-    #[test]
-    fn extract_then_install_moves_a_view_between_shards() {
-        let (shards, pool) = boot_two_shards();
-        let (tx, rx) = unbounded::<ShardRequest>();
-        std::thread::scope(|s| {
-            let (shards, pool) = (&shards, &pool);
-            s.spawn(move || worker_loop(shards, pool, &rx));
-            // Seed view 5 on shard 0 with two events; one event already
-            // lives at the destination (it must survive the merge).
-            let a = EventTuple::new(5, 1, 10);
-            let b = EventTuple::new(5, 2, 20);
-            let c = EventTuple::new(9, 3, 30);
-            shards[0].lock().update(&[5], a);
-            shards[0].lock().update(&[5], b);
-            shards[1].lock().update(&[5], c);
-            let payload = send_to_shard(&tx, |done| ShardRequest::ExtractView {
-                shard: 0,
-                view: 5,
-                done,
-            });
-            assert_eq!(payload.len(), 2 * TUPLE_BYTES);
-            assert!(
-                shards[0].lock().view(5).is_none(),
-                "donor must drop the view"
-            );
-            send_to_shard(&tx, |done| ShardRequest::InstallView {
-                shard: 1,
-                view: 5,
-                payload,
-                done,
-            });
-            let merged = shards[1].lock().query(&[5], 10);
-            assert_eq!(
-                merged,
-                vec![c, b, a],
-                "migrated + resident events, newest first"
-            );
-            // Extracting a never-materialized view replies empty.
-            let empty = send_to_shard(&tx, |done| ShardRequest::ExtractView {
-                shard: 0,
-                view: 42,
-                done,
-            });
-            assert!(empty.is_empty());
-            drop(tx);
-        });
-    }
-
-    #[test]
-    fn stats_request_scrapes_counters_over_the_wire() {
-        let (shards, pool) = boot_two_shards();
-        let (tx, rx) = unbounded::<ShardRequest>();
-        std::thread::scope(|s| {
-            let (shards, pool) = (&shards, &pool);
-            s.spawn(move || worker_loop(shards, pool, &rx));
-            shards[0].lock().update(&[1, 2], EventTuple::new(7, 1, 10));
-            shards[0].lock().query(&[1], 5);
-            let mut reply = send_to_shard(&tx, |done| ShardRequest::Stats { shard: 0, done });
-            let stats = ShardStats::decode(&mut reply).expect("stats reply decodes");
-            assert_eq!(stats.updates, 1);
-            assert_eq!(stats.queries, 1);
-            assert_eq!(stats.events_inserted, 2);
-            assert_eq!(stats.events_returned, 1);
-            // The untouched shard scrapes clean through the same path.
-            let mut reply = send_to_shard(&tx, |done| ShardRequest::Stats { shard: 1, done });
-            assert_eq!(ShardStats::decode(&mut reply), Some(ShardStats::default()));
-            drop(tx);
-        });
     }
 
     #[test]
