@@ -72,7 +72,7 @@ fn main() {
         let mut inc =
             IncrementalScheduler::new(base.clone(), d.rates.clone(), base_schedule.clone());
         for &(u, v) in &held_out[..k] {
-            inc.add_edge(u, v);
+            inc.add_edge_detailed(u, v);
         }
         let grown = inc.freeze_graph();
         let grown_inst = Instance::new(&grown, &d.rates);

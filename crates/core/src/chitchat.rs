@@ -91,6 +91,7 @@ use crate::bitset::BitSet;
 use crate::densest::{densest, HubSelection, LegCost, OrdF64, PeelScratch, UncoveredDegrees, Want};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
+use crate::CROSS_CAP;
 
 /// Largest lazy re-validation batch (and the growth cap): bounds how far a
 /// selection can over-recompute past the sequential pop sequence while
@@ -104,25 +105,14 @@ pub const ORACLE_BATCH: usize = 64;
 /// the full scan — and each success saves a whole oracle call.
 const INERT_SCAN_CAP: u32 = 1024;
 
-/// Configuration for the CHITCHAT algorithm.
-#[derive(Clone, Copy, Debug)]
+/// Configuration for the CHITCHAT algorithm. Hub-graphs materialize at
+/// most [`CROSS_CAP`] cross edges.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ChitChat {
-    /// Upper bound on materialized cross edges per hub-graph (§3.2's `b`;
-    /// the paper uses 100 000 on the Twitter graph).
-    pub cross_cap: usize,
     /// Worker threads for the oracle fan-out (lazy re-validation batches).
     /// `0` means one per available core. The schedule is identical for
     /// every value — threads only change wall time.
     pub threads: usize,
-}
-
-impl Default for ChitChat {
-    fn default() -> Self {
-        ChitChat {
-            cross_cap: 100_000,
-            threads: 0,
-        }
-    }
 }
 
 /// Output of a CHITCHAT run.
@@ -230,7 +220,6 @@ impl Cover {
 pub(crate) struct Shared<'a> {
     pub(crate) g: &'a CsrGraph,
     pub(crate) rates: &'a Rates,
-    pub(crate) cross_cap: usize,
     pub(crate) cover: RwLock<Cover>,
 }
 
@@ -299,7 +288,7 @@ fn oracle(
         &c.sched,
         &c.z,
         &c.zdeg,
-        sh.cross_cap,
+        CROSS_CAP,
         LegCost::Absolute,
         want,
         scratch,
@@ -455,7 +444,7 @@ impl Search {
     /// singleton threshold — the up-front `n`-peel sweep disappears.
     fn seed(&mut self, sh: &Shared) {
         for w in 0..sh.g.node_count() as NodeId {
-            if let Some(key) = seed_lower_bound(sh.g, sh.rates, w, sh.cross_cap) {
+            if let Some(key) = seed_lower_bound(sh.g, sh.rates, w, CROSS_CAP) {
                 self.current_key[w as usize] = key;
                 self.heap.push(Reverse((OrdF64(key), w, 0)));
             }
@@ -606,7 +595,6 @@ impl ChitChat {
         let shared = Shared {
             g,
             rates,
-            cross_cap: self.cross_cap,
             cover: RwLock::new(Cover {
                 sched: Schedule::for_graph(g),
                 z: full_bitset(m),
@@ -815,7 +803,7 @@ mod tests {
             let cc = ChitChat::default();
             let (shared, mut search) = cc.fresh_state(&g, &r);
             for w in g.nodes() {
-                let bound = seed_lower_bound(&g, &r, w, cc.cross_cap);
+                let bound = seed_lower_bound(&g, &r, w, CROSS_CAP);
                 let exact = search.oracle_key(&shared, w);
                 match (bound, exact) {
                     (Some(b), Some(k)) => {
@@ -854,7 +842,7 @@ mod tests {
         for (i, (g, r)) in worlds.iter().enumerate() {
             let cc = ChitChat::default();
             let fast = cc.run(g, r);
-            let model = textbook::chitchat_eager(g, r, cc.cross_cap);
+            let model = textbook::chitchat_eager(g, r, CROSS_CAP);
             validate_bounded_staleness(g, &model.schedule).unwrap();
             let cf = schedule_cost(g, r, &fast.schedule);
             let cm = schedule_cost(g, r, &model.schedule);

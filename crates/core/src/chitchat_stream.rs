@@ -73,6 +73,7 @@ use crate::chitchat::{full_bitset, seed_lower_bound, Cover, HubPool, Shared};
 use crate::densest::{densest, HubSelection, LegCost, OrdF64, PeelScratch, UncoveredDegrees, Want};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
+use crate::CROSS_CAP;
 
 /// Hubs evaluated per frozen fan-out batch. A **constant** — deliberately
 /// not a function of the thread count — so the dirty-recompute sequence,
@@ -80,34 +81,24 @@ use crate::schedule::Schedule;
 /// budget.
 const STREAM_BATCH: usize = 256;
 
-/// Configuration for the streaming CHITCHAT execution.
-#[derive(Clone, Copy, Debug)]
+/// Refinement passes over the revisit buffer after the main sweep. Each
+/// pass re-peels only buffered near-misses; a pass that admits nothing
+/// terminates the run early.
+const REFINE_PASSES: usize = 2;
+
+/// Capacity of the revisit buffer. Rejected candidates beyond it are
+/// evicted worst-ratio-first (counted in
+/// [`ChitChatStreamResult::revisit_evictions`]).
+const REVISIT_CAP: usize = 1 << 16;
+
+/// Configuration for the streaming CHITCHAT execution. Hub-graphs
+/// materialize at most [`CROSS_CAP`] cross edges.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ChitChatStream {
-    /// Upper bound on materialized cross edges per hub-graph (§3.2's `b`).
-    pub cross_cap: usize,
     /// Worker threads for the oracle fan-out. `0` means one per available
     /// core. The schedule is identical for every value — threads only
     /// change wall time.
     pub threads: usize,
-    /// Refinement passes over the revisit buffer after the main sweep.
-    /// Each pass re-peels only buffered near-misses; a pass that admits
-    /// nothing terminates the run early.
-    pub refine_passes: usize,
-    /// Capacity of the revisit buffer. Rejected candidates beyond it are
-    /// evicted worst-ratio-first (counted in
-    /// [`ChitChatStreamResult::revisit_evictions`]).
-    pub revisit_cap: usize,
-}
-
-impl Default for ChitChatStream {
-    fn default() -> Self {
-        ChitChatStream {
-            cross_cap: 100_000,
-            threads: 0,
-            refine_passes: 2,
-            revisit_cap: 1 << 16,
-        }
-    }
 }
 
 /// Output of a streaming CHITCHAT run.
@@ -145,7 +136,6 @@ impl ChitChatStream {
         let shared = Shared {
             g,
             rates,
-            cross_cap: self.cross_cap,
             cover: RwLock::new(Cover {
                 sched: Schedule::for_graph(g),
                 z: full_bitset(m),
@@ -222,7 +212,7 @@ impl ChitChatStream {
         let n = g.node_count();
         let mut survivors: Vec<NodeId> = Vec::new();
         for w in 0..n as NodeId {
-            if let Some(b) = seed_lower_bound(g, sh.rates, w, sh.cross_cap) {
+            if let Some(b) = seed_lower_bound(g, sh.rates, w, CROSS_CAP) {
                 if b < max_displaceable_cost(g, sh.rates, w) {
                     survivors.push(w);
                 }
@@ -250,7 +240,7 @@ impl ChitChatStream {
         order.sort_unstable();
         let mut list: Vec<NodeId> = order.into_iter().map(|(_, w)| w).collect();
 
-        for _pass in 0..=self.refine_passes {
+        for _pass in 0..=REFINE_PASSES {
             if list.is_empty() {
                 break;
             }
@@ -265,10 +255,10 @@ impl ChitChatStream {
             }
             // Bound the revisit buffer: keep the nearest misses (lowest
             // weight-to-threshold ratio), then restore streaming order.
-            if rejected.len() > self.revisit_cap {
+            if rejected.len() > REVISIT_CAP {
                 rejected.sort_unstable();
-                sweep.revisit_evictions += rejected.len() - self.revisit_cap;
-                rejected.truncate(self.revisit_cap);
+                sweep.revisit_evictions += rejected.len() - REVISIT_CAP;
+                rejected.truncate(REVISIT_CAP);
             }
             list = rejected.into_iter().map(|(_, w)| w).collect();
             list.sort_unstable_by_key(|&w| (OrdF64(bound[w as usize]), w));
@@ -353,7 +343,7 @@ fn marginal_peel(
         &c.sched,
         &c.z,
         &c.zdeg,
-        sh.cross_cap,
+        CROSS_CAP,
         LegCost::Marginal,
         Want::Selection,
         scratch,
@@ -527,18 +517,10 @@ mod tests {
             seed: 5,
         });
         let r = Rates::log_degree(&g, 5.0);
-        let base = ChitChatStream {
-            threads: 1,
-            ..Default::default()
-        }
-        .run(&g, &r);
+        let base = ChitChatStream { threads: 1 }.run(&g, &r);
         let base_cost = schedule_cost(&g, &r, &base.schedule);
         for threads in [2usize, 3, 8] {
-            let res = ChitChatStream {
-                threads,
-                ..Default::default()
-            }
-            .run(&g, &r);
+            let res = ChitChatStream { threads }.run(&g, &r);
             assert_eq!(
                 schedule_cost(&g, &r, &res.schedule),
                 base_cost,

@@ -13,22 +13,23 @@
 //! Schedule quality degrades slowly (Figure 5), so a full re-optimization
 //! only pays off after a large batch of updates — the experiment harness
 //! measures exactly that trade-off.
+//!
+//! [`IncrementalScheduler`] is the one record of the churned graph: the
+//! optimized CSR base, one tombstone bit per base edge id, the base
+//! schedule, and the edges added since, each listed once on the side that
+//! serves it. [`IncrementalScheduler::freeze_graph`] materializes the live
+//! graph as a fresh CSR snapshot when a full re-optimization is due.
+
+use std::convert::Infallible;
 
 use piggyback_graph::fx::FxHashMap;
-use piggyback_graph::{CsrGraph, DynamicGraph, EdgeId, NodeId};
+use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::{EdgeCosts, Rates};
 
+use crate::bitset::BitSet;
 use crate::cost::{hybrid_edge_cost, schedule_cost};
 use crate::schedule::Schedule;
 use crate::validate::StalenessViolation;
-
-/// How an overlay (post-snapshot) edge is served. Overlay edges are always
-/// direct — that is the §3.3 policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum OverlayAssignment {
-    Push,
-    Pull,
-}
 
 /// Which users' serving sets an edge mutation touched.
 ///
@@ -37,7 +38,8 @@ enum OverlayAssignment {
 /// listed users need their sets recompiled.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChurnEffect {
-    /// Whether the mutation was applied (false: edge already there/missing).
+    /// Whether the mutation was applied (false: edge already there/missing,
+    /// a self-loop, or a user outside the rate model).
     pub applied: bool,
     /// Users whose push set (`h[u]` of Algorithm 3) changed.
     pub push_changed: Vec<NodeId>,
@@ -53,12 +55,18 @@ pub struct ChurnEffect {
 
 /// A schedule kept consistent across edge insertions and deletions.
 ///
-/// Wraps a frozen base graph + schedule (produced by any optimizer) and a
-/// [`DynamicGraph`] overlay. Maintains the running cost so the harness can
-/// plot degradation without O(m) recomputation per update.
+/// Holds the frozen base graph and schedule (produced by any optimizer),
+/// one tombstone bit per base edge removed since, and the edges added
+/// since — always served directly, so each is listed once, under the user
+/// whose set serves it: a push under its producer, a pull under its
+/// consumer. Maintains the running cost so the harness can plot
+/// degradation without O(m) recomputation per update.
 #[derive(Clone, Debug)]
 pub struct IncrementalScheduler {
-    graph: DynamicGraph,
+    base: CsrGraph,
+    /// Base edges removed since the snapshot, by edge id. A removed edge is
+    /// also unassigned in `schedule`.
+    removed: BitSet,
     rates: Rates,
     /// Per-base-edge hybrid costs, computed once at snapshot time. The
     /// churn path re-serves orphaned base edges at their hybrid cost; the
@@ -66,7 +74,13 @@ pub struct IncrementalScheduler {
     /// one flat-array load.
     edge_costs: EdgeCosts,
     schedule: Schedule,
-    overlay: FxHashMap<(NodeId, NodeId), OverlayAssignment>,
+    /// Added edges the hybrid rule pushes: producer -> consumers.
+    pushes: FxHashMap<NodeId, Vec<NodeId>>,
+    /// Added edges the hybrid rule pulls: consumer -> producers.
+    pulls: FxHashMap<NodeId, Vec<NodeId>>,
+    /// The base's node count, grown by the ids of added edges; never
+    /// shrinks, so a freeze keeps every user it ever saw.
+    node_count: usize,
     /// hub node -> base edges covered through it (for orphan re-serving).
     hub_covers: FxHashMap<NodeId, Vec<EdgeId>>,
     cost: f64,
@@ -78,7 +92,8 @@ impl IncrementalScheduler {
     /// Wraps an optimized `(graph, schedule)` pair for incremental updates.
     ///
     /// The schedule should be feasible for `graph`; rates must cover every
-    /// node that will ever appear (edges to brand-new users are rejected).
+    /// node that will ever appear (edges to users outside them are not
+    /// applied).
     pub fn new(graph: CsrGraph, rates: Rates, schedule: Schedule) -> Self {
         assert_eq!(graph.edge_count(), schedule.edge_count());
         let cost = schedule_cost(&graph, &rates, &schedule);
@@ -88,11 +103,14 @@ impl IncrementalScheduler {
             hub_covers.entry(schedule.hub_of(e)).or_default().push(e);
         }
         IncrementalScheduler {
-            graph: DynamicGraph::new(graph),
+            removed: BitSet::new(graph.edge_count()),
+            node_count: graph.node_count(),
+            base: graph,
             rates,
             edge_costs,
             schedule,
-            overlay: FxHashMap::default(),
+            pushes: FxHashMap::default(),
+            pulls: FxHashMap::default(),
             hub_covers,
             cost,
             base_cost: cost,
@@ -119,9 +137,9 @@ impl IncrementalScheduler {
         self.cost - self.base_cost
     }
 
-    /// The underlying dynamic graph.
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    /// The optimized snapshot this scheduler started from.
+    pub fn base_graph(&self) -> &CsrGraph {
+        &self.base
     }
 
     /// The rates the scheduler prices operations with.
@@ -129,69 +147,73 @@ impl IncrementalScheduler {
         &self.rates
     }
 
-    /// The base-graph schedule (overlay edges are tracked separately).
+    /// The base-graph schedule (added edges are tracked separately).
     pub fn base_schedule(&self) -> &Schedule {
         &self.schedule
     }
 
-    /// Number of edges added since the optimized snapshot.
+    /// Number of edges added since the optimized snapshot and still live
+    /// (re-added base edges not included).
     pub fn added_count(&self) -> usize {
-        self.graph.added_count()
+        self.pushes
+            .values()
+            .chain(self.pulls.values())
+            .map(Vec::len)
+            .sum()
+    }
+
+    /// Whether the hybrid rule serves `u → v` by push (else by pull), or
+    /// `None` if the rate model does not cover both users.
+    fn hybrid_push(&self, u: NodeId, v: NodeId) -> Option<bool> {
+        let n = self.rates.len();
+        ((u as usize) < n && (v as usize) < n).then(|| self.rates.rp(u) <= self.rates.rc(v))
     }
 
     /// Adds the follow `u → v`, serving it directly with the cheaper of
-    /// push and pull. Returns `false` if the edge already exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` or `v` is not covered by the rate model.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        self.add_edge_detailed(u, v).applied
-    }
-
-    /// [`add_edge`](Self::add_edge), reporting which users' serving sets
-    /// changed.
+    /// push and pull, and reports which users' serving sets changed. Not
+    /// applied if the edge already exists, is a self-loop, or names a user
+    /// outside the rate model.
     pub fn add_edge_detailed(&mut self, u: NodeId, v: NodeId) -> ChurnEffect {
-        assert!(
-            (u as usize) < self.rates.len() && (v as usize) < self.rates.len(),
-            "rates do not cover user {u} or {v}"
-        );
         let mut effect = ChurnEffect::default();
-        if !self.graph.add_edge(u, v) {
+        let Some(push) = self.hybrid_push(u, v).filter(|_| u != v) else {
             return effect;
-        }
-        effect.applied = true;
-        // A re-added base edge gets its bit back in the base schedule;
-        // brand-new edges go to the overlay. Either way: hybrid assignment.
-        let push = self.rates.rp(u) <= self.rates.rc(v);
-        let base_id = self.base_edge_id(u, v);
-        match base_id {
+        };
+        // A re-added base edge clears its tombstone and gets its bit back in
+        // the base schedule; brand-new edges join the overlay. Either way:
+        // hybrid assignment.
+        let direct_cost = match self.base_edge_id(u, v) {
             Some(e) => {
+                if !self.removed.remove(e) {
+                    return effect;
+                }
                 if push {
                     self.schedule.set_push(e);
                 } else {
                     self.schedule.set_pull(e);
                 }
+                self.base_hybrid_cost(e, u, v)
             }
             None => {
-                let a = if push {
-                    OverlayAssignment::Push
+                let (list, x) = if push {
+                    (self.pushes.entry(u).or_default(), v)
                 } else {
-                    OverlayAssignment::Pull
+                    (self.pulls.entry(v).or_default(), u)
                 };
-                self.overlay.insert((u, v), a);
+                if list.contains(&x) {
+                    return effect;
+                }
+                list.push(x);
+                self.node_count = self.node_count.max(u.max(v) as usize + 1);
+                hybrid_edge_cost(&self.rates, u, v)
             }
-        }
+        };
+        effect.applied = true;
         if push {
             effect.push_changed.push(u);
         } else {
             effect.pull_changed.push(v);
         }
         effect.reserved_direct.push((u, v));
-        let direct_cost = match base_id {
-            Some(e) => self.base_hybrid_cost(e, u, v),
-            None => hybrid_edge_cost(&self.rates, u, v),
-        };
         self.cost += direct_cost;
         effect
     }
@@ -211,36 +233,39 @@ impl IncrementalScheduler {
     }
 
     /// Removes the follow `u → v`, re-serving any cross edges that were
-    /// piggybacking on it. Returns `false` if the edge does not exist.
-    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        self.remove_edge_detailed(u, v).applied
-    }
-
-    /// [`remove_edge`](Self::remove_edge), reporting which users' serving
-    /// sets changed — including users whose piggybacked edges were orphaned
-    /// by the removal and re-served directly.
+    /// piggybacking on it, and reports which users' serving sets changed —
+    /// including users whose piggybacked edges were orphaned by the removal
+    /// and re-served directly. Not applied if the edge does not exist.
     pub fn remove_edge_detailed(&mut self, u: NodeId, v: NodeId) -> ChurnEffect {
         let mut effect = ChurnEffect::default();
-        // Overlay edges are direct: drop them and refund the hybrid cost.
-        if let Some(a) = self.overlay.remove(&(u, v)) {
-            self.graph.remove_edge(u, v);
+        let Some(e) = self.base_edge_id(u, v) else {
+            // Added edges are direct: drop them and refund the hybrid cost.
+            let Some(push) = self.hybrid_push(u, v) else {
+                return effect;
+            };
+            let (list, x) = if push {
+                (self.pushes.get_mut(&u), v)
+            } else {
+                (self.pulls.get_mut(&v), u)
+            };
+            let Some(list) = list else {
+                return effect;
+            };
+            let Some(pos) = list.iter().position(|&y| y == x) else {
+                return effect;
+            };
+            list.swap_remove(pos);
             effect.applied = true;
-            self.cost -= match a {
-                OverlayAssignment::Push => {
-                    effect.push_changed.push(u);
-                    self.rates.rp(u)
-                }
-                OverlayAssignment::Pull => {
-                    effect.pull_changed.push(v);
-                    self.rates.rc(v)
-                }
+            self.cost -= if push {
+                effect.push_changed.push(u);
+                self.rates.rp(u)
+            } else {
+                effect.pull_changed.push(v);
+                self.rates.rc(v)
             };
             return effect;
-        }
-        let Some(e) = self.base_edge_id(u, v) else {
-            return effect;
         };
-        if !self.graph.remove_edge(u, v) {
+        if !self.removed.insert(e) {
             return effect;
         }
         effect.applied = true;
@@ -284,11 +309,10 @@ impl IncrementalScheduler {
         let Some(list) = self.hub_covers.get_mut(&hub) else {
             return;
         };
-        let base = self.graph.base();
         let mut kept = Vec::with_capacity(list.len());
         let mut orphaned = Vec::new();
         for &f in list.iter() {
-            let (src, dst) = base.edge_endpoints(f);
+            let (src, dst) = self.base.edge_endpoints(f);
             if matches(src, dst) {
                 orphaned.push((f, src, dst));
             } else {
@@ -299,7 +323,7 @@ impl IncrementalScheduler {
         for (f, src, dst) in orphaned {
             self.schedule.unassign(f);
             // The edge might itself have been removed from the graph.
-            if !self.graph.has_edge(src, dst) {
+            if self.removed.contains(f) {
                 continue;
             }
             if self.rates.rp(src) <= self.rates.rc(dst) {
@@ -315,29 +339,38 @@ impl IncrementalScheduler {
         }
     }
 
-    /// The current push set `h[u]` of Algorithm 3 over the *dynamic* graph:
-    /// every `v` whose view must be updated when `u` shares (base-schedule
-    /// pushes plus direct-push overlay edges, excluding removed edges).
+    /// The current push set `h[u]` of Algorithm 3 over the live graph:
+    /// every `v` whose view must be updated when `u` shares — the live base
+    /// edges the schedule pushes, then the added edges pushed by `u`.
     pub fn push_targets(&self, u: NodeId) -> Vec<NodeId> {
-        self.graph
-            .out_neighbors(u)
-            .filter(|&v| match self.base_edge_id(u, v) {
-                Some(e) => self.schedule.is_push(e),
-                None => self.overlay.get(&(u, v)) == Some(&OverlayAssignment::Push),
-            })
-            .collect()
+        let mut out = Vec::new();
+        if (u as usize) < self.base.node_count() {
+            out.extend(
+                self.base
+                    .out_edges(u)
+                    .filter(|&(_, e)| !self.removed.contains(e) && self.schedule.is_push(e))
+                    .map(|(v, _)| v),
+            );
+        }
+        out.extend(self.pushes.get(&u).into_iter().flatten());
+        out
     }
 
-    /// The current pull set `l[v]` of Algorithm 3 over the *dynamic* graph:
-    /// every `u` whose view must be queried when `v` reads its stream.
+    /// The current pull set `l[v]` of Algorithm 3 over the live graph:
+    /// every `u` whose view must be queried when `v` reads its stream — the
+    /// live base edges the schedule pulls, then the added edges `v` pulls.
     pub fn pull_sources(&self, v: NodeId) -> Vec<NodeId> {
-        self.graph
-            .in_neighbors(v)
-            .filter(|&u| match self.base_edge_id(u, v) {
-                Some(e) => self.schedule.is_pull(e),
-                None => self.overlay.get(&(u, v)) == Some(&OverlayAssignment::Pull),
-            })
-            .collect()
+        let mut out = Vec::new();
+        if (v as usize) < self.base.node_count() {
+            out.extend(
+                self.base
+                    .in_edges(v)
+                    .filter(|&(_, e)| !self.removed.contains(e) && self.schedule.is_pull(e))
+                    .map(|(u, _)| u),
+            );
+        }
+        out.extend(self.pulls.get(&v).into_iter().flatten());
+        out
     }
 
     /// Whether the live edge `u → v` is served *directly* — `v` in `u`'s
@@ -348,16 +381,22 @@ impl IncrementalScheduler {
     /// the moment the mutation returns.
     pub fn serves_edge_directly(&self, u: NodeId, v: NodeId) -> bool {
         match self.base_edge_id(u, v) {
-            Some(e) => self.schedule.is_push(e) || self.schedule.is_pull(e),
-            None => self.overlay.contains_key(&(u, v)),
+            Some(e) => {
+                !self.removed.contains(e) && (self.schedule.is_push(e) || self.schedule.is_pull(e))
+            }
+            None => match self.hybrid_push(u, v) {
+                Some(true) => self.pushes.get(&u).is_some_and(|vs| vs.contains(&v)),
+                Some(false) => self.pulls.get(&v).is_some_and(|us| us.contains(&u)),
+                None => false,
+            },
         }
     }
 
-    /// Base-graph edge id of `(u, v)`, if `(u, v)` is a base edge.
+    /// Base-graph edge id of `(u, v)`, if `(u, v)` is a base edge (live or
+    /// removed).
     fn base_edge_id(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let base = self.graph.base();
-        if (u as usize) < base.node_count() {
-            let e = base.edge_id(u, v);
+        if (u as usize) < self.base.node_count() {
+            let e = self.base.edge_id(u, v);
             if e != piggyback_graph::INVALID_EDGE {
                 return Some(e);
             }
@@ -365,26 +404,32 @@ impl IncrementalScheduler {
         None
     }
 
+    /// Whether `(u, v)` is a live base edge that `schedule` assigns by
+    /// `assigned` (a hub leg must be one to carry its covered edges).
+    fn live_base_leg(&self, u: NodeId, v: NodeId, assigned: fn(&Schedule, EdgeId) -> bool) -> bool {
+        self.base_edge_id(u, v)
+            .is_some_and(|e| !self.removed.contains(e) && assigned(&self.schedule, e))
+    }
+
     /// Recomputes the cost from scratch (O(m); for tests and audits).
     pub fn recompute_cost(&self) -> f64 {
-        let mut c = schedule_cost(self.graph.base(), &self.rates, &self.schedule);
-        for (&(u, v), a) in &self.overlay {
-            c += match a {
-                OverlayAssignment::Push => self.rates.rp(u),
-                OverlayAssignment::Pull => self.rates.rc(v),
-            };
+        let mut c = schedule_cost(&self.base, &self.rates, &self.schedule);
+        for (&u, vs) in &self.pushes {
+            c += self.rates.rp(u) * vs.len() as f64;
+        }
+        for (&v, us) in &self.pulls {
+            c += self.rates.rc(v) * us.len() as f64;
         }
         c
     }
 
-    /// Checks bounded staleness over the *current* (dynamic) graph: every
+    /// Checks bounded staleness over the *current* (live) graph: every
     /// existing edge must be pushed, pulled, or covered by a hub whose legs
     /// still exist and are still scheduled push/pull.
     pub fn validate(&self) -> Result<(), StalenessViolation> {
-        let base = self.graph.base();
-        for (e, u, v) in base.edges() {
-            if !self.graph.has_edge(u, v) {
-                continue; // removed
+        for (e, u, v) in self.base.edges() {
+            if self.removed.contains(e) {
+                continue;
             }
             if self.schedule.is_push(e) || self.schedule.is_pull(e) {
                 continue;
@@ -393,26 +438,38 @@ impl IncrementalScheduler {
                 return Err(StalenessViolation::Unserved { edge: e });
             }
             let w = self.schedule.hub_of(e);
-            let ok = self.graph.has_edge(u, w)
-                && self.graph.has_edge(w, v)
-                && self
-                    .base_edge_id(u, w)
-                    .is_some_and(|leg| self.schedule.is_push(leg))
-                && self
-                    .base_edge_id(w, v)
-                    .is_some_and(|leg| self.schedule.is_pull(leg));
-            if !ok {
+            if !(self.live_base_leg(u, w, Schedule::is_push)
+                && self.live_base_leg(w, v, Schedule::is_pull))
+            {
                 return Err(StalenessViolation::BrokenHub { edge: e, hub: w });
             }
         }
-        // Overlay edges are direct by construction; nothing to check beyond
-        // their presence in the map, which `add_edge` guarantees.
+        // Added edges are direct by construction: listing one under its
+        // serving side is what serves it.
         Ok(())
     }
 
-    /// Freezes the current graph into a new snapshot for re-optimization.
+    /// Freezes the live graph into a new snapshot for re-optimization,
+    /// replaying the live base edges and then the added ones once per pass
+    /// of [`CsrGraph::from_replayed`]: no edge buffer, no global sort. The
+    /// node count is [`IncrementalScheduler`]'s, so users whose added edges
+    /// were all removed again stay in the snapshot.
     pub fn freeze_graph(&self) -> CsrGraph {
-        self.graph.freeze()
+        let Ok(g) = CsrGraph::from_replayed(self.node_count, |_, sink| {
+            for (e, u, v) in self.base.edges() {
+                if !self.removed.contains(e) {
+                    sink.emit(u, v);
+                }
+            }
+            for (&u, vs) in &self.pushes {
+                vs.iter().for_each(|&v| sink.emit(u, v));
+            }
+            for (&v, us) in &self.pulls {
+                us.iter().for_each(|&u| sink.emit(u, v));
+            }
+            Ok::<(), Infallible>(())
+        });
+        g
     }
 }
 
@@ -447,7 +504,7 @@ mod tests {
         let s = optimized(&g, &r);
         let mut inc = IncrementalScheduler::new(g, r, s);
         let before = inc.cost();
-        assert!(inc.add_edge(3, 4));
+        assert!(inc.add_edge_detailed(3, 4).applied);
         assert!((inc.cost() - before - 1.0).abs() < 1e-9); // min(rp3=1, rc4=5)
         assert!((inc.recompute_cost() - inc.cost()).abs() < 1e-9);
         inc.validate().unwrap();
@@ -458,7 +515,7 @@ mod tests {
         let (g, r) = hub_world();
         let s = optimized(&g, &r);
         let mut inc = IncrementalScheduler::new(g, r, s);
-        assert!(!inc.add_edge(0, 1));
+        assert!(!inc.add_edge_detailed(0, 1).applied);
     }
 
     #[test]
@@ -469,7 +526,7 @@ mod tests {
         assert!(s.is_covered(e02), "precondition: 0->2 rides hub 1");
         let mut inc = IncrementalScheduler::new(g.clone(), r.clone(), s);
         // Remove the pull leg 1->2; 0->2 must become direct.
-        assert!(inc.remove_edge(1, 2));
+        assert!(inc.remove_edge_detailed(1, 2).applied);
         inc.validate().unwrap();
         assert!(
             inc.base_schedule().is_push(e02) || inc.base_schedule().is_pull(e02),
@@ -484,7 +541,7 @@ mod tests {
         let s = optimized(&g, &r);
         let e02 = g.edge_id(0, 2);
         let mut inc = IncrementalScheduler::new(g.clone(), r.clone(), s);
-        assert!(inc.remove_edge(0, 1));
+        assert!(inc.remove_edge_detailed(0, 1).applied);
         inc.validate().unwrap();
         assert!(inc.base_schedule().is_push(e02) || inc.base_schedule().is_pull(e02));
         assert!((inc.recompute_cost() - inc.cost()).abs() < 1e-9);
@@ -514,8 +571,8 @@ mod tests {
         let (g, r) = hub_world();
         let s = optimized(&g, &r);
         let mut inc = IncrementalScheduler::new(g.clone(), r, s);
-        inc.add_edge(3, 4); // overlay edge, direct by construction
-        inc.remove_edge(1, 2); // orphans 0 -> 2, re-served directly
+        inc.add_edge_detailed(3, 4); // overlay edge, direct by construction
+        inc.remove_edge_detailed(1, 2); // orphans 0 -> 2, re-served directly
         let n = g.node_count() as NodeId;
         for u in 0..n {
             let push = inc.push_targets(u);
@@ -539,7 +596,7 @@ mod tests {
         let s = optimized(&g, &r);
         let mut inc = IncrementalScheduler::new(g, r, s);
         let before = inc.cost();
-        assert!(inc.remove_edge(0, 2));
+        assert!(inc.remove_edge_detailed(0, 2).applied);
         assert!((inc.cost() - before).abs() < 1e-9);
         inc.validate().unwrap();
     }
@@ -550,8 +607,8 @@ mod tests {
         let s = optimized(&g, &r);
         let mut inc = IncrementalScheduler::new(g, r, s);
         let before = inc.cost();
-        inc.add_edge(3, 4);
-        inc.remove_edge(3, 4);
+        inc.add_edge_detailed(3, 4);
+        inc.remove_edge_detailed(3, 4);
         assert!((inc.cost() - before).abs() < 1e-9);
         assert!((inc.recompute_cost() - inc.cost()).abs() < 1e-9);
     }
@@ -578,9 +635,9 @@ mod tests {
                 continue;
             }
             if rng.random_bool(0.6) {
-                inc.add_edge(u, v);
+                inc.add_edge_detailed(u, v);
             } else {
-                inc.remove_edge(u, v);
+                inc.remove_edge_detailed(u, v);
             }
         }
         inc.validate().unwrap();
@@ -617,9 +674,9 @@ mod tests {
                 continue;
             }
             if rng.random_bool(0.5) {
-                inc.add_edge(u, v);
+                inc.add_edge_detailed(u, v);
             } else {
-                inc.remove_edge(u, v);
+                inc.remove_edge_detailed(u, v);
             }
             // The delta is always the running cost relative to the frozen
             // base cost, and the running cost matches a from-scratch
@@ -716,7 +773,7 @@ mod tests {
             let u = rng.random_range(0..300) as NodeId;
             let v = rng.random_range(0..300) as NodeId;
             if u != v {
-                inc.add_edge(u, v);
+                inc.add_edge_detailed(u, v);
             }
         }
         let frozen = inc.freeze_graph();

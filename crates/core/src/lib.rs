@@ -51,6 +51,12 @@ pub mod staleness;
 mod textbook;
 pub mod validate;
 
+/// Upper bound `b` on the cross edges materialized per hub-graph (§3.2;
+/// the paper uses 100 000 on the Twitter graph). Bounds memory on very
+/// dense hubs; CHITCHAT, its streaming execution and PARALLELNOSY all run
+/// with it.
+pub const CROSS_CAP: usize = 100_000;
+
 pub use baseline::{hybrid_schedule, pull_all_schedule, push_all_schedule};
 pub use chitchat::{ChitChat, ChitChatResult};
 pub use chitchat_stream::{ChitChatStream, ChitChatStreamResult};

@@ -37,16 +37,15 @@ use piggyback_workload::{EdgeCosts, Rates};
 
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
+use crate::CROSS_CAP;
 
-/// Configuration for PARALLELNOSY.
+/// Configuration for PARALLELNOSY. Hub-graphs materialize at most
+/// [`CROSS_CAP`] cross edges.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelNosy {
     /// Iteration cap (the algorithm usually converges much earlier; the
     /// paper's curves flatten within ~10 iterations).
     pub max_iterations: usize,
-    /// Upper bound `b` on cross edges per hub-graph (§3.2; 100 000 in the
-    /// paper's Twitter runs). Bounds memory on very dense hubs.
-    pub cross_cap: usize,
     /// Worker threads for the candidate-selection phase. `0` means one per
     /// available core. The schedule is identical for every value — threads
     /// only change wall time.
@@ -62,7 +61,6 @@ impl Default for ParallelNosy {
     fn default() -> Self {
         ParallelNosy {
             max_iterations: 30,
-            cross_cap: 100_000,
             threads: 0,
             conservative_locks: false,
         }
@@ -352,7 +350,6 @@ impl ParallelNosy {
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ParallelNosyResult {
         let costs = EdgeCosts::hybrid(g, rates);
         let costs = &costs;
-        let cross_cap = self.cross_cap;
         let sched_lock = RwLock::new(Schedule::for_graph(g));
         let sl = &sched_lock;
         // Each chunk re-reads the frozen schedule through the lock; the
@@ -364,7 +361,7 @@ impl ParallelNosy {
                     let sched = sl.read();
                     edges
                         .iter()
-                        .filter_map(|&e| build_candidate(g, rates, costs, &sched, e, cross_cap))
+                        .filter_map(|&e| build_candidate(g, rates, costs, &sched, e, CROSS_CAP))
                         .collect()
                 }
             },

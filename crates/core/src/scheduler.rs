@@ -319,14 +319,8 @@ pub fn registry_with_threads(threads: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(PushAll),
         Box::new(PullAll),
         Box::new(Hybrid),
-        Box::new(ChitChat {
-            threads,
-            ..Default::default()
-        }),
-        Box::new(ChitChatStream {
-            threads,
-            ..Default::default()
-        }),
+        Box::new(ChitChat { threads }),
+        Box::new(ChitChatStream { threads }),
         Box::new(ParallelNosy {
             threads,
             ..Default::default()

@@ -15,11 +15,7 @@ fn assert_identical(
     base: &piggyback_core::chitchat::ChitChatResult,
     threads: usize,
 ) {
-    let res = ChitChat {
-        threads,
-        ..Default::default()
-    }
-    .run(g, r);
+    let res = ChitChat { threads }.run(g, r);
     assert_eq!(
         res.oracle_calls, base.oracle_calls,
         "threads={threads}: oracle-call count diverged"
@@ -50,11 +46,7 @@ fn assert_identical(
 fn identical_schedules_across_thread_counts_on_seeded_10k_graph() {
     let g = gen::erdos_renyi(10_000, 30_000, 42);
     let r = Rates::log_degree(&g, 5.0);
-    let base = ChitChat {
-        threads: 1,
-        ..Default::default()
-    }
-    .run(&g, &r);
+    let base = ChitChat { threads: 1 }.run(&g, &r);
     for threads in [0usize, 2, 8] {
         assert_identical(&g, &r, &base, threads);
     }
@@ -67,11 +59,7 @@ fn identical_schedules_across_thread_counts_on_seeded_10k_graph() {
 fn identical_schedules_across_thread_counts_on_clustered_graph() {
     let g = gen::flickr_like(1500, 7);
     let r = Rates::log_degree(&g, 5.0);
-    let base = ChitChat {
-        threads: 1,
-        ..Default::default()
-    }
-    .run(&g, &r);
+    let base = ChitChat { threads: 1 }.run(&g, &r);
     for threads in [0usize, 2, 3, 8] {
         assert_identical(&g, &r, &base, threads);
     }

@@ -69,17 +69,9 @@ fn stream_within_five_percent_of_batch_on_flickr_100k() {
 #[test]
 fn identical_streaming_schedules_for_any_thread_count() {
     let (g, r) = world(3_000);
-    let base = ChitChatStream {
-        threads: 1,
-        ..Default::default()
-    }
-    .run(&g, &r);
+    let base = ChitChatStream { threads: 1 }.run(&g, &r);
     for threads in [0usize, 2, 3, 8] {
-        let res = ChitChatStream {
-            threads,
-            ..Default::default()
-        }
-        .run(&g, &r);
+        let res = ChitChatStream { threads }.run(&g, &r);
         assert_eq!(
             res.hubs_admitted, base.hubs_admitted,
             "threads={threads}: hub admissions diverged"

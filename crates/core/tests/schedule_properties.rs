@@ -150,3 +150,128 @@ fn semantic_and_structural_feasibility_agree() {
         );
     }
 }
+
+/// Random follows and unfollows on an [`IncrementalScheduler`] against a
+/// plain edge-set model: each mutation is applied exactly when the model
+/// says it changes the graph, the freeze is the model's edge set on the
+/// grown node count, the schedule stays valid, and the serving sets list
+/// exactly the live edges assigned to them. The churn re-adds removed base
+/// edges, tries self-loops, follows users past the base's node count and
+/// unfollows earlier follows, so some grown node count outlives the edges
+/// that grew it; the test asserts that each of the four happened.
+#[test]
+fn incremental_churn_matches_an_edge_set_model() {
+    use piggyback_core::incremental::IncrementalScheduler;
+    use piggyback_graph::fx::FxHashSet;
+    const USERS: u32 = 32;
+    let (mut readds, mut self_loops, mut past_base, mut kept_nodes) = (0, 0, 0, 0);
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(600 + seed);
+        let base = arb_graph(&mut rng, 25, 4);
+        let rates = Rates::from_vecs(
+            (0..USERS).map(|_| rng.random_range(0.5..5.0)).collect(),
+            (0..USERS).map(|_| rng.random_range(0.5..5.0)).collect(),
+        );
+        let pn = ParallelNosy {
+            threads: 1,
+            ..ParallelNosy::default()
+        };
+        let sched = pn.run(&base, &rates).schedule;
+        let base_edges: Vec<(u32, u32)> = base.edges().map(|(_, u, v)| (u, v)).collect();
+        let mut inc = IncrementalScheduler::new(base.clone(), rates.clone(), sched);
+        let mut model: FxHashSet<(u32, u32)> = base_edges.iter().copied().collect();
+        let mut nodes = base.node_count();
+        let mut follows: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..rng.random_range(0..160usize) {
+            let unfollow = !follows.is_empty() && rng.random_bool(0.2);
+            let (u, v) = if unfollow {
+                follows[rng.random_range(0..follows.len())]
+            } else if !base_edges.is_empty() && rng.random_bool(0.4) {
+                base_edges[rng.random_range(0..base_edges.len())]
+            } else {
+                (rng.random_range(0..USERS), rng.random_range(0..USERS))
+            };
+            if !unfollow && rng.random_bool(0.5) {
+                let expected = u != v && !model.contains(&(u, v));
+                let effect = inc.add_edge_detailed(u, v);
+                assert_eq!(effect.applied, expected, "seed {seed}: add {u} -> {v}");
+                self_loops += usize::from(u == v);
+                if expected {
+                    model.insert((u, v));
+                    readds += usize::from(base_edges.contains(&(u, v)));
+                    past_base += usize::from(u.max(v) as usize >= base.node_count());
+                    nodes = nodes.max(u.max(v) as usize + 1);
+                    follows.push((u, v));
+                }
+            } else {
+                let expected = model.remove(&(u, v));
+                let effect = inc.remove_edge_detailed(u, v);
+                assert_eq!(effect.applied, expected, "seed {seed}: remove {u} -> {v}");
+            }
+        }
+        inc.validate().unwrap();
+        let live_nodes = model.iter().map(|&(u, v)| u.max(v) as usize + 1).max();
+        kept_nodes += usize::from(nodes > live_nodes.unwrap_or(0).max(base.node_count()));
+        let frozen = inc.freeze_graph();
+        assert_eq!(frozen.node_count(), nodes, "seed {seed}");
+        let frozen_set: FxHashSet<(u32, u32)> = frozen.edges().map(|(_, u, v)| (u, v)).collect();
+        assert_eq!(frozen_set, model, "seed {seed}");
+        // A live edge is assigned to push or pull by the base schedule if
+        // it is a base edge, else by the hybrid rule.
+        let s = inc.base_schedule();
+        let base_id = |u: u32, v: u32| {
+            let e = ((u as usize) < base.node_count()).then(|| base.edge_id(u, v));
+            e.filter(|&e| e != piggyback_graph::INVALID_EDGE)
+        };
+        let pushed = |u: u32, v: u32| match base_id(u, v) {
+            Some(e) => s.is_push(e),
+            None => rates.rp(u) <= rates.rc(v),
+        };
+        let pulled = |u: u32, v: u32| match base_id(u, v) {
+            Some(e) => s.is_pull(e),
+            None => rates.rp(u) > rates.rc(v),
+        };
+        for x in 0..USERS {
+            let mut got = inc.push_targets(x);
+            got.sort_unstable();
+            let mut want: Vec<u32> = model
+                .iter()
+                .filter(|&&(u, v)| u == x && pushed(u, v))
+                .map(|&(_, v)| v)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "seed {seed}: push set of {x}");
+            let mut got = inc.pull_sources(x);
+            got.sort_unstable();
+            let mut want: Vec<u32> = model
+                .iter()
+                .filter(|&&(u, v)| v == x && pulled(u, v))
+                .map(|&(u, _)| u)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "seed {seed}: pull set of {x}");
+        }
+        // Every live edge is pushed, pulled, or covered through a hub whose
+        // legs are a live push and a live pull.
+        for &(u, v) in &model {
+            let covered = base_id(u, v).is_some_and(|e| {
+                let w = s.hub_of(e);
+                s.is_covered(e)
+                    && model.contains(&(u, w))
+                    && model.contains(&(w, v))
+                    && pushed(u, w)
+                    && pulled(w, v)
+            });
+            assert!(
+                pushed(u, v) || pulled(u, v) || covered,
+                "seed {seed}: {u} -> {v} unserved"
+            );
+        }
+    }
+    assert!(
+        readds > 0 && self_loops > 0 && past_base > 0 && kept_nodes > 0,
+        "churn must reach re-adds ({readds}), self-loops ({self_loops}), ids \
+         past the base ({past_base}) and grown node counts outliving their \
+         edges ({kept_nodes})"
+    );
+}

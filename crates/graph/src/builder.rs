@@ -1,7 +1,8 @@
 //! The one way to build a [`CsrGraph`]: a two-pass counting-sort kernel.
 //!
 //! Every graph — [`GraphBuilder::build`], the edge-list loaders, the
-//! generators and [`crate::DynamicGraph::freeze`] — comes out of
+//! generators and the churn freeze (`IncrementalScheduler::freeze_graph`
+//! in `piggyback-core`) — comes out of
 //! [`CsrGraph::from_replayed`], which asks its source for the same edge
 //! sequence twice. Pass one ([`Pass::Count`]) counts out-degrees; pass two
 //! ([`Pass::Fill`]) writes each target straight into its final CSR slot;

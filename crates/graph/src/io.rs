@@ -5,6 +5,11 @@
 //! de-facto format of published social-graph datasets (SNAP et al.), so a
 //! user with access to the real Flickr/Twitter crawls can feed them straight
 //! into the harness.
+//!
+//! Node ids must be below [`NODE_ID_LIMIT`] (2^27, about 134 M users, three
+//! times the paper's largest crawl, Twitter's 41.7 M): a graph is sized by
+//! its largest id, so one stray large id would otherwise ask for gigabytes
+//! of degree census. A line naming a larger id is a parse error.
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -13,12 +18,16 @@ use std::path::Path;
 use crate::csr::{CsrGraph, NodeId};
 use crate::{GraphBuilder, Pass};
 
+/// Node ids the loaders accept are `0..NODE_ID_LIMIT`.
+pub const NODE_ID_LIMIT: NodeId = 1 << 27;
+
 /// Errors produced when parsing an edge list.
 #[derive(Debug)]
 pub enum EdgeListError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// A line that is neither a comment nor a valid `src dst` pair.
+    /// A line that is neither a comment nor a valid `src dst` pair of ids
+    /// below [`NODE_ID_LIMIT`].
     Parse {
         /// 1-based line number.
         line: usize,
@@ -32,7 +41,11 @@ impl std::fmt::Display for EdgeListError {
         match self {
             EdgeListError::Io(e) => write!(f, "i/o error: {e}"),
             EdgeListError::Parse { line, content } => {
-                write!(f, "line {line}: cannot parse edge from {content:?}")
+                write!(
+                    f,
+                    "line {line}: cannot parse edge from {content:?} \
+                     (expected two decimal node ids below {NODE_ID_LIMIT})"
+                )
             }
         }
     }
@@ -55,13 +68,14 @@ impl From<io::Error> for EdgeListError {
 
 /// Parses every edge of an edge-list reader into `emit`, in file order.
 /// A line that is neither a comment, a blank nor a `src dst` pair of ids
-/// up to `u32::MAX - 1` is an error carrying its 1-based line number.
+/// below [`NODE_ID_LIMIT`] is an error carrying its 1-based line number.
 fn for_each_edge<R: BufRead>(
     reader: R,
     mut emit: impl FnMut(NodeId, NodeId),
 ) -> Result<(), EdgeListError> {
-    // `u32::MAX` itself would make the node count 2^32.
-    let parse = |tok: Option<&str>| tok?.parse().ok().filter(|&id: &NodeId| id < NodeId::MAX);
+    // Checked before any edge reaches the kernel, which sizes its degree
+    // census by the largest id.
+    let parse = |tok: Option<&str>| tok?.parse().ok().filter(|&id: &NodeId| id < NODE_ID_LIMIT);
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -84,7 +98,8 @@ fn for_each_edge<R: BufRead>(
 
 /// Reads a graph from an edge-list reader in one pass through
 /// [`GraphBuilder`], which buffers every edge: for a source that cannot be
-/// replayed. A file loads through [`load_edge_list`].
+/// replayed. A file loads through [`load_edge_list`]. Ids at or above
+/// [`NODE_ID_LIMIT`] are a parse error naming their line.
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, EdgeListError> {
     let mut b = GraphBuilder::new();
     for_each_edge(reader, |u, v| b.add_edge(u, v))?;
@@ -92,7 +107,8 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, EdgeListError> 
 }
 
 /// Reads a graph from an edge-list file, opened twice for
-/// [`read_edge_list_two_pass`].
+/// [`read_edge_list_two_pass`]. Ids at or above [`NODE_ID_LIMIT`] are a
+/// parse error naming their line.
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<CsrGraph, EdgeListError> {
     let path = path.as_ref();
     read_edge_list_two_pass(
@@ -105,7 +121,9 @@ pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<CsrGraph, EdgeListError
 /// degree census, `pass2` the slot placement. Equivalent to
 /// [`read_edge_list`] for any input — same graph, same errors — but never
 /// materializes a `Vec<(u, v)>` edge list, which roughly halves peak
-/// memory on SNAP-scale files.
+/// memory on SNAP-scale files. Ids at or above [`NODE_ID_LIMIT`] are a
+/// parse error naming their line, raised in the census pass before
+/// anything is sized by them.
 ///
 /// `pass1` and `pass2` must yield the same byte stream (two independent
 /// opens of the same file); a source that changed between the passes
@@ -180,6 +198,25 @@ mod tests {
                     assert_eq!((line, content.as_str()), (2, "4294967295 0"));
                 }
                 other => panic!("expected parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn node_id_at_the_limit_is_a_parse_error() {
+        // A legal `u32` far past the limit would size the degree census
+        // at about 16 GB; both loaders reject it by line first.
+        for text in ["0 1\n0 4000000000\n", "0 1\n134217728 0\n"] {
+            for got in [
+                read_edge_list(text.as_bytes()),
+                read_edge_list_two_pass(text.as_bytes(), text.as_bytes()),
+            ] {
+                match got {
+                    Err(EdgeListError::Parse { line, content }) => {
+                        assert_eq!((line, content.as_str()), (2, &text[4..text.len() - 1]));
+                    }
+                    other => panic!("expected parse error, got {other:?}"),
+                }
             }
         }
     }

@@ -12,9 +12,6 @@
 //!   opened twice, a seeded generator, a graph being frozen). It merges
 //!   duplicates and drops self-loops; [`GraphBuilder`] buffers an unordered
 //!   edge list and replays it through the same kernel.
-//! * [`DynamicGraph`] — a mutation overlay on top of a [`CsrGraph`] used by
-//!   the incremental-update machinery of the scheduling algorithms (§3.3 of
-//!   the paper).
 //! * [`gen`] — synthetic social-graph generators (Erdős–Rényi, copying
 //!   model, planted partition and the `flickr_like` / `twitter_like`
 //!   presets used by the evaluation harness).
@@ -48,7 +45,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod dynamic;
 pub mod fx;
 pub mod gen;
 pub mod io;
@@ -57,7 +53,6 @@ pub mod stats;
 
 pub use builder::{EdgeSink, GraphBuilder, Pass};
 pub use csr::{intersect_sorted, CsrGraph, EdgeId, NodeId, INVALID_EDGE};
-pub use dynamic::DynamicGraph;
 
 #[cfg(test)]
 mod tests {

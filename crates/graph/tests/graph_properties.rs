@@ -8,7 +8,7 @@
 use piggyback_graph::fx::FxHashSet;
 use piggyback_graph::io::{read_edge_list, write_edge_list};
 use piggyback_graph::sample::{bfs_sample, random_walk_sample};
-use piggyback_graph::{CsrGraph, DynamicGraph, GraphBuilder, INVALID_EDGE};
+use piggyback_graph::{CsrGraph, GraphBuilder, INVALID_EDGE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,40 +120,6 @@ fn io_roundtrip() {
             h.edges().collect::<Vec<_>>(),
             "seed {seed}"
         );
-    }
-}
-
-#[test]
-fn dynamic_graph_matches_reference() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(600 + seed);
-        let base = build(&arb_edges(&mut rng, 25, 150));
-        let mut dynamic = DynamicGraph::new(base.clone());
-        let mut reference: FxHashSet<(u32, u32)> = base.edges().map(|(_, u, v)| (u, v)).collect();
-        let ops = rng.random_range(0..120usize);
-        for _ in 0..ops {
-            let add = rng.random_bool(0.5);
-            let (u, v) = (rng.random_range(0..25u32), rng.random_range(0..25u32));
-            if add {
-                let expected = u != v && !reference.contains(&(u, v));
-                assert_eq!(dynamic.add_edge(u, v), expected, "seed {seed}");
-                if expected {
-                    reference.insert((u, v));
-                }
-            } else {
-                let expected = reference.remove(&(u, v));
-                assert_eq!(dynamic.remove_edge(u, v), expected, "seed {seed}");
-            }
-        }
-        assert_eq!(dynamic.edge_count(), reference.len(), "seed {seed}");
-        for &(u, v) in &reference {
-            assert!(dynamic.has_edge(u, v), "seed {seed}");
-        }
-        // Freeze and compare the full edge set.
-        let frozen = dynamic.freeze();
-        assert_eq!(frozen.node_count(), dynamic.node_count(), "seed {seed}");
-        let frozen_set: FxHashSet<(u32, u32)> = frozen.edges().map(|(_, u, v)| (u, v)).collect();
-        assert_eq!(frozen_set, reference, "seed {seed}");
     }
 }
 

@@ -186,12 +186,6 @@ impl Snapshot {
         self.entries.insert(name.to_string(), MetricValue::Gauge(v));
     }
 
-    /// Inserts (or overwrites) a histogram entry.
-    pub fn set_histogram(&mut self, name: &str, h: LatencyHistogram) {
-        self.entries
-            .insert(name.to_string(), MetricValue::Histogram(h));
-    }
-
     /// What changed since `earlier` (same instrument set assumed):
     /// counters subtract saturating at zero, histograms subtract
     /// bucket-wise, gauges keep their current value (a gauge *is* its

@@ -74,18 +74,15 @@ impl ChurnApplier {
     /// Upon churn: applies and publishes it. `None` when the edge did not
     /// change, or a user is outside the rate model and cannot be priced.
     pub(crate) fn apply(&mut self, add: bool, u: NodeId, v: NodeId) -> Option<ChurnEffect> {
-        let n = self.inc.rates().len() as u64;
-        let effect = (u64::from(u) < n && u64::from(v) < n).then(|| {
-            if add {
-                self.inc.add_edge_detailed(u, v)
-            } else {
-                self.inc.remove_edge_detailed(u, v)
-            }
-        });
-        let Some(effect) = effect.filter(|e| e.applied) else {
+        let effect = if add {
+            self.inc.add_edge_detailed(u, v)
+        } else {
+            self.inc.remove_edge_detailed(u, v)
+        };
+        if !effect.applied {
             self.churn_rejected += 1;
             return None;
-        };
+        }
         if add {
             self.follows_applied += 1;
         } else {
@@ -214,7 +211,7 @@ impl ReoptInstaller {
         };
         let scheduler = Arc::clone(self.scheduler.as_ref().filter(|_| due)?);
         // Still under the control plane's lock: moving the freeze out of it
-        // needs a CSR base the dynamic graph shares.
+        // needs a CSR base the incremental scheduler shares.
         let graph = inc.freeze_graph();
         let rates = inc.rates().clone();
         if !scheduler.supports(&Instance::new(&graph, &rates)) {

@@ -1060,15 +1060,15 @@ impl Rig {
     fn land(&mut self) {
         let result = self.job.take().expect("a job is out")();
         let mut expected = IncrementalScheduler::new(
-            result.inc.graph().base().clone(),
+            result.inc.base_graph().clone(),
             self.rt.control.lock().applier.inc().rates().clone(),
             result.inc.base_schedule().clone(),
         );
         for (add, u, v) in self.replayed.drain(..) {
             if add {
-                expected.add_edge(u, v);
+                expected.add_edge_detailed(u, v);
             } else {
-                expected.remove_edge(u, v);
+                expected.remove_edge_detailed(u, v);
             }
         }
         let installs = self.report().reopts;

@@ -271,11 +271,6 @@ impl StoreServer {
         self.query_with(views, k, &mut scratch).to_vec()
     }
 
-    /// Number of views materialized on this server.
-    pub fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
     /// Drops every materialized view — the "process restarted empty"
     /// half of a shard rejoin. Operation counters survive: the harness
     /// aggregates them run-wide and a restart must not make totals

@@ -65,13 +65,6 @@ impl EventTuple {
         }
     }
 
-    /// Decodes every tuple remaining in `buf`, appending to `out`.
-    pub fn decode_all(buf: &mut impl Buf, out: &mut Vec<EventTuple>) {
-        while let Some(t) = EventTuple::decode(buf) {
-            out.push(t);
-        }
-    }
-
     /// Decodes a tuple; returns `None` if fewer than 24 bytes remain.
     pub fn decode(buf: &mut impl Buf) -> Option<Self> {
         if buf.remaining() < TUPLE_BYTES {

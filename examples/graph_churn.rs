@@ -27,6 +27,7 @@ fn main() {
 
     // ... then churn: bursts of follows and unfollows.
     let mut rng = StdRng::seed_from_u64(3);
+    let mut frozen = graph;
     for burst in 1..=5 {
         for _ in 0..2_000 {
             let u = rng.random_range(0..n) as u32;
@@ -35,23 +36,23 @@ fn main() {
                 continue;
             }
             if rng.random_bool(0.7) {
-                inc.add_edge(u, v);
+                inc.add_edge_detailed(u, v);
             } else {
-                inc.remove_edge(u, v);
+                inc.remove_edge_detailed(u, v);
             }
         }
         inc.validate()
             .expect("incremental schedule must stay feasible");
+        frozen = inc.freeze_graph();
         println!(
             "after burst {burst}: cost {:.1} ({} edges, {} added since snapshot)",
             inc.cost(),
-            inc.graph().edge_count(),
+            frozen.edge_count(),
             inc.added_count()
         );
     }
 
     // Degradation check: compare against re-optimizing from scratch.
-    let frozen = inc.freeze_graph();
     let frozen_inst = Instance::new(&frozen, &rates);
     let reopt_cost = pn.schedule(&frozen_inst).stats.cost;
     let ff_cost = Hybrid.schedule(&frozen_inst).stats.cost;

@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use piggyback_core::staleness::{check_semantic_staleness, random_actions};
     pub use piggyback_core::validate::validate_bounded_staleness;
-    pub use piggyback_graph::{gen, sample, stats, CsrGraph, DynamicGraph, GraphBuilder};
+    pub use piggyback_graph::{gen, sample, stats, CsrGraph, GraphBuilder};
     pub use piggyback_obs::LatencyHistogram;
     pub use piggyback_serve::{
         run_harness, Arrival, HarnessConfig, HarnessReport, ServeClient, ServeConfig, ServeRuntime,

@@ -153,9 +153,9 @@ fn incremental_updates_preserve_feasibility_and_bound() {
             continue;
         }
         if rng.random_bool(0.65) {
-            inc.add_edge(u, v);
+            inc.add_edge_detailed(u, v);
         } else {
-            inc.remove_edge(u, v);
+            inc.remove_edge_detailed(u, v);
         }
     }
     inc.validate().unwrap();
