@@ -46,14 +46,18 @@ pub fn schedule_cost(g: &CsrGraph, rates: &Rates, s: &Schedule) -> f64 {
         s.edge_count(),
         "schedule sized for a different graph"
     );
+    // Pushes, then pulls, each in edge-id order: that summation order fixes
+    // the result's bits. The CSR walk yields each edge's endpoints.
     let mut cost = 0.0;
-    for e in s.push_edges() {
-        let (u, _) = g.edge_endpoints(e);
-        cost += rates.rp(u);
+    for (e, u, _) in g.edges() {
+        if s.is_push(e) {
+            cost += rates.rp(u);
+        }
     }
-    for e in s.pull_edges() {
-        let (_, v) = g.edge_endpoints(e);
-        cost += rates.rc(v);
+    for (e, _, v) in g.edges() {
+        if s.is_pull(e) {
+            cost += rates.rc(v);
+        }
     }
     cost
 }

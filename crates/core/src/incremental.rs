@@ -10,6 +10,11 @@
 //!   hub `w` is re-served directly, and symmetrically for a removed push
 //!   `x → w` and its covered edges `x → y`.
 //!
+//! The schedule is the one record of the cover: it stores each covered
+//! edge's hub, so a removed pull `w → y` finds its orphans by walking
+//! `y`'s in-edges for hub `w`, and a removed push `x → w` by walking `x`'s
+//! out-edges for hub `w`. Both walks run in ascending edge id.
+//!
 //! Schedule quality degrades slowly (Figure 5), so a full re-optimization
 //! only pays off after a large batch of updates — the experiment harness
 //! measures exactly that trade-off.
@@ -24,18 +29,19 @@ use std::convert::Infallible;
 
 use piggyback_graph::fx::FxHashMap;
 use piggyback_graph::{CsrGraph, EdgeId, NodeId};
-use piggyback_workload::{EdgeCosts, Rates};
+use piggyback_workload::Rates;
 
 use crate::bitset::BitSet;
 use crate::cost::{hybrid_edge_cost, schedule_cost};
 use crate::schedule::Schedule;
-use crate::validate::StalenessViolation;
+use crate::validate::{first_violation, StalenessViolation};
 
 /// Which users' serving sets an edge mutation touched.
 ///
 /// Online consumers (the `piggyback-serve` runtime) keep per-user push/pull
 /// sets compiled for the serving hot path; after a churn operation only the
-/// listed users need their sets recompiled.
+/// listed users need their sets recompiled. Each list names a user at most
+/// once.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChurnEffect {
     /// Whether the mutation was applied (false: edge already there/missing,
@@ -59,8 +65,10 @@ pub struct ChurnEffect {
 /// one tombstone bit per base edge removed since, and the edges added
 /// since — always served directly, so each is listed once, under the user
 /// whose set serves it: a push under its producer, a pull under its
-/// consumer. Maintains the running cost so the harness can plot
-/// degradation without O(m) recomputation per update.
+/// consumer. The base schedule also records the cover: a covered edge's
+/// hub is its `hub_of`, and nothing else indexes it. Maintains the running
+/// cost so the harness can plot degradation without O(m) recomputation per
+/// update.
 #[derive(Clone, Debug)]
 pub struct IncrementalScheduler {
     base: CsrGraph,
@@ -68,11 +76,6 @@ pub struct IncrementalScheduler {
     /// also unassigned in `schedule`.
     removed: BitSet,
     rates: Rates,
-    /// Per-base-edge hybrid costs, computed once at snapshot time. The
-    /// churn path re-serves orphaned base edges at their hybrid cost; the
-    /// cache turns each of those from two rate lookups plus a `min` into
-    /// one flat-array load.
-    edge_costs: EdgeCosts,
     schedule: Schedule,
     /// Added edges the hybrid rule pushes: producer -> consumers.
     pushes: FxHashMap<NodeId, Vec<NodeId>>,
@@ -81,8 +84,6 @@ pub struct IncrementalScheduler {
     /// The base's node count, grown by the ids of added edges; never
     /// shrinks, so a freeze keeps every user it ever saw.
     node_count: usize,
-    /// hub node -> base edges covered through it (for orphan re-serving).
-    hub_covers: FxHashMap<NodeId, Vec<EdgeId>>,
     cost: f64,
     /// Cost of the optimized snapshot this scheduler started from.
     base_cost: f64,
@@ -97,21 +98,14 @@ impl IncrementalScheduler {
     pub fn new(graph: CsrGraph, rates: Rates, schedule: Schedule) -> Self {
         assert_eq!(graph.edge_count(), schedule.edge_count());
         let cost = schedule_cost(&graph, &rates, &schedule);
-        let edge_costs = EdgeCosts::hybrid(&graph, &rates);
-        let mut hub_covers: FxHashMap<NodeId, Vec<EdgeId>> = FxHashMap::default();
-        for e in schedule.covered_edges() {
-            hub_covers.entry(schedule.hub_of(e)).or_default().push(e);
-        }
         IncrementalScheduler {
             removed: BitSet::new(graph.edge_count()),
             node_count: graph.node_count(),
             base: graph,
             rates,
-            edge_costs,
             schedule,
             pushes: FxHashMap::default(),
             pulls: FxHashMap::default(),
-            hub_covers,
             cost,
             base_cost: cost,
         }
@@ -181,17 +175,12 @@ impl IncrementalScheduler {
         // A re-added base edge clears its tombstone and gets its bit back in
         // the base schedule; brand-new edges join the overlay. Either way:
         // hybrid assignment.
-        let direct_cost = match self.base_edge_id(u, v) {
+        match self.base_edge_id(u, v) {
             Some(e) => {
                 if !self.removed.remove(e) {
                     return effect;
                 }
-                if push {
-                    self.schedule.set_push(e);
-                } else {
-                    self.schedule.set_pull(e);
-                }
-                self.base_hybrid_cost(e, u, v)
+                self.serve_direct(e, u, v);
             }
             None => {
                 let (list, x) = if push {
@@ -204,9 +193,9 @@ impl IncrementalScheduler {
                 }
                 list.push(x);
                 self.node_count = self.node_count.max(u.max(v) as usize + 1);
-                hybrid_edge_cost(&self.rates, u, v)
+                self.cost += hybrid_edge_cost(&self.rates, u, v);
             }
-        };
+        }
         effect.applied = true;
         if push {
             effect.push_changed.push(u);
@@ -214,22 +203,22 @@ impl IncrementalScheduler {
             effect.pull_changed.push(v);
         }
         effect.reserved_direct.push((u, v));
-        self.cost += direct_cost;
         effect
     }
 
-    /// Cached hybrid cost of base edge `e` (= `u -> v`), asserted against
-    /// the direct formula in debug builds — the cache is computed once at
-    /// snapshot time and must never drift from the rate model.
-    fn base_hybrid_cost(&self, e: EdgeId, u: NodeId, v: NodeId) -> f64 {
-        let cached = self.edge_costs.hybrid_cost(e);
-        debug_assert!(
-            (cached - hybrid_edge_cost(&self.rates, u, v)).abs() < 1e-12,
-            "EdgeCosts cache inconsistent at edge {e} ({u} -> {v}): \
-             cached {cached} vs direct {}",
-            hybrid_edge_cost(&self.rates, u, v)
-        );
-        cached
+    /// Serves base edge `f` (= `x → y`) directly by the hybrid rule and
+    /// charges `min(rp(x), rc(y))`; returns whether it is pushed.
+    fn serve_direct(&mut self, f: EdgeId, x: NodeId, y: NodeId) -> bool {
+        let (rp, rc) = (self.rates.rp(x), self.rates.rc(y));
+        self.schedule.unassign(f);
+        let push = rp <= rc;
+        if push {
+            self.schedule.set_push(f);
+        } else {
+            self.schedule.set_pull(f);
+        }
+        self.cost += rp.min(rc);
+        push
     }
 
     /// Removes the follow `u → v`, re-serving any cross edges that were
@@ -269,74 +258,51 @@ impl IncrementalScheduler {
             return effect;
         }
         effect.applied = true;
+        let (push, pull) = (self.schedule.is_push(e), self.schedule.is_pull(e));
+        self.schedule.unassign(e);
         // Refund what the edge itself was paying.
-        if self.schedule.is_push(e) {
+        if push {
             self.cost -= self.rates.rp(u);
             effect.push_changed.push(u);
         }
-        if self.schedule.is_pull(e) {
+        if pull {
             self.cost -= self.rates.rc(v);
             effect.pull_changed.push(v);
         }
-        // Orphaned piggybackers: a removed pull w→y strands covered edges
-        // *into y* via hub w=u; a removed push x→w strands covered edges
-        // *from x* via hub w=v.
-        if self.schedule.is_pull(e) {
-            self.reserve_covered_via(u, |_, dst| dst == v, &mut effect);
-        }
-        if self.schedule.is_push(e) {
-            self.reserve_covered_via(v, |src, _| src == u, &mut effect);
-        }
-        if self.schedule.is_covered(e) {
-            let hub = self.schedule.hub_of(e);
-            if let Some(list) = self.hub_covers.get_mut(&hub) {
-                list.retain(|&f| f != e);
+        // Orphaned piggybackers, each re-served directly. A removed pull
+        // w → y strands the covered edges x → y through hub w = u; those
+        // re-served by pull land in `v`'s set, already listed.
+        if pull {
+            for (x, f) in self.covered_via(u, self.base.in_edges(v)) {
+                if self.serve_direct(f, x, v) {
+                    effect.push_changed.push(x);
+                }
+                effect.reserved_direct.push((x, v));
             }
         }
-        self.schedule.unassign(e);
+        // A removed push x → w strands the covered edges x → y through hub
+        // w = v; those re-served by push land in `u`'s set, already listed.
+        if push {
+            for (y, f) in self.covered_via(v, self.base.out_edges(u)) {
+                if !self.serve_direct(f, u, y) {
+                    effect.pull_changed.push(y);
+                }
+                effect.reserved_direct.push((u, y));
+            }
+        }
         effect
     }
 
-    /// Re-serves directly every edge covered through `hub` that matches the
-    /// endpoint predicate, charging the hybrid cost for each and recording
-    /// the touched users in `effect`.
-    fn reserve_covered_via(
-        &mut self,
-        hub: NodeId,
-        matches: impl Fn(NodeId, NodeId) -> bool,
-        effect: &mut ChurnEffect,
-    ) {
-        let Some(list) = self.hub_covers.get_mut(&hub) else {
-            return;
-        };
-        let mut kept = Vec::with_capacity(list.len());
-        let mut orphaned = Vec::new();
-        for &f in list.iter() {
-            let (src, dst) = self.base.edge_endpoints(f);
-            if matches(src, dst) {
-                orphaned.push((f, src, dst));
-            } else {
-                kept.push(f);
-            }
-        }
-        *list = kept;
-        for (f, src, dst) in orphaned {
-            self.schedule.unassign(f);
-            // The edge might itself have been removed from the graph.
-            if self.removed.contains(f) {
-                continue;
-            }
-            if self.rates.rp(src) <= self.rates.rc(dst) {
-                self.schedule.set_push(f);
-                effect.push_changed.push(src);
-            } else {
-                self.schedule.set_pull(f);
-                effect.pull_changed.push(dst);
-            }
-            effect.reserved_direct.push((src, dst));
-            let direct_cost = self.base_hybrid_cost(f, src, dst);
-            self.cost += direct_cost;
-        }
+    /// The `(other endpoint, edge)` pairs among `legs` that the schedule
+    /// covers through hub `w`. A removed edge is unassigned, so it is never
+    /// among them.
+    fn covered_via(
+        &self,
+        w: NodeId,
+        legs: impl Iterator<Item = (NodeId, EdgeId)>,
+    ) -> Vec<(NodeId, EdgeId)> {
+        legs.filter(|&(_, f)| self.schedule.is_covered(f) && self.schedule.hub_of(f) == w)
+            .collect()
     }
 
     /// The current push set `h[u]` of Algorithm 3 over the live graph:
@@ -404,13 +370,6 @@ impl IncrementalScheduler {
         None
     }
 
-    /// Whether `(u, v)` is a live base edge that `schedule` assigns by
-    /// `assigned` (a hub leg must be one to carry its covered edges).
-    fn live_base_leg(&self, u: NodeId, v: NodeId, assigned: fn(&Schedule, EdgeId) -> bool) -> bool {
-        self.base_edge_id(u, v)
-            .is_some_and(|e| !self.removed.contains(e) && assigned(&self.schedule, e))
-    }
-
     /// Recomputes the cost from scratch (O(m); for tests and audits).
     pub fn recompute_cost(&self) -> f64 {
         let mut c = schedule_cost(&self.base, &self.rates, &self.schedule);
@@ -425,28 +384,12 @@ impl IncrementalScheduler {
 
     /// Checks bounded staleness over the *current* (live) graph: every
     /// existing edge must be pushed, pulled, or covered by a hub whose legs
-    /// still exist and are still scheduled push/pull.
+    /// still exist and are still scheduled push/pull. A removed base edge is
+    /// unassigned, so a leg the schedule still pushes or pulls is live.
+    /// Added edges are direct by construction: listing one under its
+    /// serving side is what serves it.
     pub fn validate(&self) -> Result<(), StalenessViolation> {
-        for (e, u, v) in self.base.edges() {
-            if self.removed.contains(e) {
-                continue;
-            }
-            if self.schedule.is_push(e) || self.schedule.is_pull(e) {
-                continue;
-            }
-            if !self.schedule.is_covered(e) {
-                return Err(StalenessViolation::Unserved { edge: e });
-            }
-            let w = self.schedule.hub_of(e);
-            if !(self.live_base_leg(u, w, Schedule::is_push)
-                && self.live_base_leg(w, v, Schedule::is_pull))
-            {
-                return Err(StalenessViolation::BrokenHub { edge: e, hub: w });
-            }
-        }
-        // Added edges are direct by construction: listing one under its
-        // serving side is what serves it.
-        Ok(())
+        first_violation(&self.base, &self.schedule, |e| !self.removed.contains(e))
     }
 
     /// Freezes the live graph into a new snapshot for re-optimization,
@@ -564,6 +507,117 @@ mod tests {
         let effect = inc.remove_edge_detailed(3, 4);
         assert!(effect.reserved_direct.is_empty());
         inc.validate().unwrap();
+    }
+
+    /// Whether a list names each user at most once.
+    fn distinct(users: &[NodeId]) -> bool {
+        let mut sorted = users.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len() == users.len()
+    }
+
+    #[test]
+    fn removing_a_busy_hubs_legs_reserves_exactly_its_orphans() {
+        // Hub 0: producers 1..=5 push into it, consumers 6..=10 pull from
+        // it, and all 25 cross edges ride it. Hub 11 carries 1 -> 12 and
+        // 13 -> 6, so producer 1's out-edges and consumer 6's in-edges
+        // also hold edges covered through another hub.
+        let (hub, other) = (0, 11);
+        let (producers, consumers) = (1..=5, 6..=10);
+        let mut b = GraphBuilder::new();
+        for x in producers.clone() {
+            b.add_edge(x, hub);
+            for y in consumers.clone() {
+                b.add_edge(x, y);
+            }
+        }
+        for y in consumers.clone() {
+            b.add_edge(hub, y);
+        }
+        for (u, v) in [
+            (1, other),
+            (other, 12),
+            (1, 12),
+            (13, other),
+            (other, 6),
+            (13, 6),
+        ] {
+            b.add_edge(u, v);
+        }
+        let g = b.build();
+        let mut s = Schedule::for_graph(&g);
+        for (u, v) in [(1, other), (13, other)] {
+            s.set_push(g.edge_id(u, v));
+        }
+        for (u, v) in [(other, 12), (other, 6)] {
+            s.set_pull(g.edge_id(u, v));
+        }
+        s.set_covered(g.edge_id(1, 12), other);
+        s.set_covered(g.edge_id(13, 6), other);
+        for x in producers.clone() {
+            s.set_push(g.edge_id(x, hub));
+            for y in consumers.clone() {
+                s.set_covered(g.edge_id(x, y), hub);
+            }
+        }
+        for y in consumers.clone() {
+            s.set_pull(g.edge_id(hub, y));
+        }
+        // Dyadic rates keep every sum exact. Orphans go both ways on each
+        // leg: 1 -> 7 and 3..=5 -> 6 are pulled, the rest pushed.
+        let rp = [
+            2.0, 0.5, 1.0, 4.0, 8.0, 16.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+        ];
+        let rc = [
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.25, 2.0, 4.0, 32.0, 1.0, 1.0, 1.0,
+        ];
+        let r = Rates::from_vecs(rp.to_vec(), rc.to_vec());
+        let mut inc = IncrementalScheduler::new(g.clone(), r.clone(), s);
+        inc.validate().unwrap();
+        for (u, v) in [(1, hub), (hub, 6)] {
+            // The model: every edge covered through `hub` that rides the
+            // removed leg, re-served by the hybrid rule.
+            let s = inc.base_schedule();
+            let orphans: Vec<(NodeId, NodeId)> = g
+                .edges()
+                .filter(|&(f, x, y)| s.is_covered(f) && s.hub_of(f) == hub && (x == u || y == v))
+                .map(|(_, x, y)| (x, y))
+                .collect();
+            assert!(orphans.len() >= 4, "{u} -> {v} carries {orphans:?}");
+            let effect = inc.remove_edge_detailed(u, v);
+            assert!(effect.applied);
+            assert_eq!(effect.reserved_direct, orphans, "{u} -> {v}");
+            let pushed = |&&(x, y): &&(NodeId, NodeId)| r.rp(x) <= r.rc(y);
+            let mut push: Vec<NodeId> = orphans.iter().filter(pushed).map(|&(x, _)| x).collect();
+            let mut pull: Vec<NodeId> = orphans
+                .iter()
+                .filter(|o| !pushed(o))
+                .map(|&(_, y)| y)
+                .collect();
+            if u == hub {
+                pull.push(v);
+            } else {
+                push.push(u);
+            }
+            for want in [&mut push, &mut pull] {
+                want.sort_unstable();
+                want.dedup();
+            }
+            assert!(distinct(&effect.push_changed), "{:?}", effect.push_changed);
+            assert!(distinct(&effect.pull_changed), "{:?}", effect.pull_changed);
+            let (mut got_push, mut got_pull) = (effect.push_changed, effect.pull_changed);
+            got_push.sort_unstable();
+            got_pull.sort_unstable();
+            assert_eq!((got_push, got_pull), (push, pull), "{u} -> {v}");
+            assert_eq!(inc.cost(), inc.recompute_cost());
+            inc.validate().unwrap();
+        }
+        // Hub 11's covers rode neither removed leg.
+        let s = inc.base_schedule();
+        assert_eq!(s.hub_of(g.edge_id(1, 12)), other);
+        assert_eq!(s.hub_of(g.edge_id(13, 6)), other);
+        assert_eq!(s.covered_edges().count(), 2 + 4 * 4);
     }
 
     #[test]

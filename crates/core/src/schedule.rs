@@ -193,24 +193,6 @@ impl Schedule {
         }
         self.edge_count() - served
     }
-
-    /// The per-user *push set* `h[u]` of Algorithm 3: the users whose views
-    /// must be updated when `u` shares an event (not counting `u` itself).
-    pub fn push_set_of(&self, g: &CsrGraph, u: NodeId) -> Vec<NodeId> {
-        g.out_edges(u)
-            .filter(|&(_, e)| self.h.contains(e))
-            .map(|(v, _)| v)
-            .collect()
-    }
-
-    /// The per-user *pull set* `l[v]` of Algorithm 3: the views that must be
-    /// queried when `v` requests its event stream (not counting `v` itself).
-    pub fn pull_set_of(&self, g: &CsrGraph, v: NodeId) -> Vec<NodeId> {
-        g.in_edges(v)
-            .filter(|&(_, e)| self.l.contains(e))
-            .map(|(u, _)| u)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -278,18 +260,6 @@ mod tests {
         assert_eq!(s.assignment(1), EdgeAssignment::Unassigned);
         assert_eq!(s.hub_of(1), NO_HUB);
         s.set_push(1); // no longer panics
-    }
-
-    #[test]
-    fn per_user_sets() {
-        let g = triangle();
-        let mut s = Schedule::for_graph(&g);
-        s.set_push(0); // 0 -> 1 push
-        s.set_pull(2); // 1 -> 2 pull
-        assert_eq!(s.push_set_of(&g, 0), vec![1]);
-        assert_eq!(s.pull_set_of(&g, 2), vec![1]);
-        assert!(s.push_set_of(&g, 1).is_empty());
-        assert!(s.pull_set_of(&g, 1).is_empty());
     }
 
     #[test]

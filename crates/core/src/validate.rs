@@ -57,8 +57,20 @@ pub fn validate_bounded_staleness(g: &CsrGraph, s: &Schedule) -> Result<(), Stal
         s.edge_count(),
         "schedule/graph size mismatch"
     );
+    first_violation(g, s, |_| true)
+}
+
+/// The first edge of `g` that `live` keeps and `s` leaves unserved, in
+/// edge-id order. A hub leg counts only if `s` assigns it push or pull, so
+/// an edge dropped from `live` must also be unassigned in `s` to stop
+/// carrying its covered edges.
+pub(crate) fn first_violation(
+    g: &CsrGraph,
+    s: &Schedule,
+    live: impl Fn(EdgeId) -> bool,
+) -> Result<(), StalenessViolation> {
     for (e, u, v) in g.edges() {
-        if s.is_push(e) || s.is_pull(e) {
+        if !live(e) || s.is_push(e) || s.is_pull(e) {
             continue;
         }
         if !s.is_covered(e) {

@@ -158,13 +158,27 @@ fn semantic_and_structural_feasibility_agree() {
 /// exactly the live edges assigned to them. The churn re-adds removed base
 /// edges, tries self-loops, follows users past the base's node count and
 /// unfollows earlier follows, so some grown node count outlives the edges
-/// that grew it; the test asserts that each of the four happened.
+/// that grew it; the test asserts that each of the four happened. Every
+/// effect names each user at most once, and removing a live hub leg
+/// re-serves exactly the edges the schedule covered through it on that leg,
+/// which the churn must also do at least once.
 #[test]
 fn incremental_churn_matches_an_edge_set_model() {
-    use piggyback_core::incremental::IncrementalScheduler;
+    use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
     use piggyback_graph::fx::FxHashSet;
     const USERS: u32 = 32;
     let (mut readds, mut self_loops, mut past_base, mut kept_nodes) = (0, 0, 0, 0);
+    let mut hub_legs = 0;
+    let distinct = |effect: &ChurnEffect| {
+        [&effect.push_changed, &effect.pull_changed]
+            .iter()
+            .all(|users| {
+                let mut sorted = users.to_vec();
+                sorted.sort_unstable();
+                sorted.dedup();
+                sorted.len() == users.len()
+            })
+    };
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(600 + seed);
         let base = arb_graph(&mut rng, 25, 4);
@@ -195,6 +209,7 @@ fn incremental_churn_matches_an_edge_set_model() {
                 let expected = u != v && !model.contains(&(u, v));
                 let effect = inc.add_edge_detailed(u, v);
                 assert_eq!(effect.applied, expected, "seed {seed}: add {u} -> {v}");
+                assert!(distinct(&effect), "seed {seed}: add {u} -> {v}: {effect:?}");
                 self_loops += usize::from(u == v);
                 if expected {
                     model.insert((u, v));
@@ -204,9 +219,36 @@ fn incremental_churn_matches_an_edge_set_model() {
                     follows.push((u, v));
                 }
             } else {
+                // The orphans: covered edges into `v` through hub `u` if
+                // `u -> v` is pulled, out of `u` through hub `v` if pushed.
+                let s = inc.base_schedule();
+                let leg = base.edges().find(|&(_, x, y)| (x, y) == (u, v));
+                let (push, pull) =
+                    leg.map_or((false, false), |(e, _, _)| (s.is_push(e), s.is_pull(e)));
+                let mut orphans: Vec<(u32, u32)> = base
+                    .edges()
+                    .filter(|&(f, x, y)| {
+                        let w = s.hub_of(f);
+                        s.is_covered(f)
+                            && ((pull && (w, y) == (u, v)) || (push && (x, w) == (u, v)))
+                    })
+                    .map(|(_, x, y)| (x, y))
+                    .collect();
                 let expected = model.remove(&(u, v));
                 let effect = inc.remove_edge_detailed(u, v);
                 assert_eq!(effect.applied, expected, "seed {seed}: remove {u} -> {v}");
+                assert!(
+                    distinct(&effect),
+                    "seed {seed}: remove {u} -> {v}: {effect:?}"
+                );
+                if !expected {
+                    orphans.clear();
+                }
+                let mut reserved = effect.reserved_direct;
+                reserved.sort_unstable();
+                orphans.sort_unstable();
+                assert_eq!(reserved, orphans, "seed {seed}: orphans of {u} -> {v}");
+                hub_legs += usize::from(!orphans.is_empty());
             }
         }
         inc.validate().unwrap();
@@ -269,9 +311,9 @@ fn incremental_churn_matches_an_edge_set_model() {
         }
     }
     assert!(
-        readds > 0 && self_loops > 0 && past_base > 0 && kept_nodes > 0,
+        readds > 0 && self_loops > 0 && past_base > 0 && kept_nodes > 0 && hub_legs > 0,
         "churn must reach re-adds ({readds}), self-loops ({self_loops}), ids \
-         past the base ({past_base}) and grown node counts outliving their \
-         edges ({kept_nodes})"
+         past the base ({past_base}), grown node counts outliving their \
+         edges ({kept_nodes}) and live hub legs carrying covers ({hub_legs})"
     );
 }

@@ -465,8 +465,18 @@ mod tests {
         assert_eq!(compiled.users(), g.node_count());
         assert_eq!(compiled.users_changed(), g.node_count());
         for u in 0..g.node_count() as NodeId {
-            assert_eq!(compiled.push_targets(u), s.push_set_of(&g, u).as_slice());
-            assert_eq!(compiled.pull_sources(u), s.pull_set_of(&g, u).as_slice());
+            let push: Vec<NodeId> = g
+                .out_edges(u)
+                .filter(|&(_, e)| s.is_push(e))
+                .map(|(v, _)| v)
+                .collect();
+            let pull: Vec<NodeId> = g
+                .in_edges(u)
+                .filter(|&(_, e)| s.is_pull(e))
+                .map(|(p, _)| p)
+                .collect();
+            assert_eq!(compiled.push_targets(u), push.as_slice());
+            assert_eq!(compiled.pull_sources(u), pull.as_slice());
         }
     }
 
