@@ -9,6 +9,7 @@
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::Rates;
 
+use crate::cost::hybrid_edge_cost;
 use crate::schedule::Schedule;
 
 /// Cost decomposition of a schedule.
@@ -43,7 +44,7 @@ pub fn cost_breakdown(g: &CsrGraph, rates: &Rates, s: &Schedule) -> CostBreakdow
     }
     for e in s.covered_edges() {
         let (u, v) = g.edge_endpoints(e);
-        b.covered_hybrid_cost += rates.rp(u).min(rates.rc(v));
+        b.covered_hybrid_cost += hybrid_edge_cost(rates, u, v);
     }
     b
 }

@@ -5,6 +5,7 @@
 use piggyback_graph::CsrGraph;
 use piggyback_workload::Rates;
 
+use crate::cost::{assert_rates_cover, hybrid_pushes};
 use crate::schedule::Schedule;
 
 /// Push-all (§1): every edge is a push; each producer fans its events out to
@@ -33,21 +34,30 @@ pub fn pull_all_schedule(g: &CsrGraph) -> Schedule {
 /// This is the strongest previously-published policy and the baseline for
 /// every figure in the paper's evaluation.
 pub fn hybrid_schedule(g: &CsrGraph, rates: &Rates) -> Schedule {
-    assert!(
-        rates.len() >= g.node_count(),
-        "rates cover {} users, graph has {}",
-        rates.len(),
-        g.node_count()
-    );
     let mut s = Schedule::for_graph(g);
+    hybrid_fill(g, rates, &mut s);
+    s
+}
+
+/// Serves every edge the partial schedule `s` of `g` leaves unserved
+/// directly, by the hybrid rule ([`hybrid_pushes`]), in edge-id order, and
+/// returns how many it assigned: the tail of every optimizer that leaves
+/// edges to the hybrid rule. Panics if the rates do not cover `g`.
+pub fn hybrid_fill(g: &CsrGraph, rates: &Rates, s: &mut Schedule) -> usize {
+    assert_rates_cover(g, rates);
+    let mut filled = 0;
     for (e, u, v) in g.edges() {
-        if rates.rp(u) <= rates.rc(v) {
+        if s.is_served(e) {
+            continue;
+        }
+        if hybrid_pushes(rates, u, v) {
             s.set_push(e);
         } else {
             s.set_pull(e);
         }
+        filled += 1;
     }
-    s
+    filled
 }
 
 #[cfg(test)]

@@ -59,8 +59,8 @@
 //!   fully re-peeled once per incident singleton;
 //! * all oracle calls go through the allocation-free [`densest`] bucket
 //!   peel — queue maintenance asks it for the key only ([`Want::Key`]) —
-//!   and singleton costs come from a precomputed [`EdgeCosts`] array
-//!   instead of per-probe rate lookups.
+//!   and the singleton queue is one key array, each edge priced once by
+//!   [`hybrid_edge_cost`] during the CSR walk that builds it.
 //!
 //! Each selection accepts the argmin of `(exact cost-per-element, node id)`
 //! over the live candidates: every queue entry whose optimistic key is at
@@ -85,10 +85,11 @@ use std::collections::BinaryHeap;
 use parking_lot::RwLock;
 use piggyback_graph::fx::FxHashMap;
 use piggyback_graph::{CsrGraph, EdgeId, NodeId};
-use piggyback_workload::{EdgeCosts, Rates};
+use piggyback_workload::Rates;
 
 use crate::bitset::BitSet;
-use crate::densest::{densest, HubSelection, LegCost, OrdF64, PeelScratch, UncoveredDegrees, Want};
+use crate::cost::{assert_rates_cover, hybrid_edge_cost, hybrid_pushes, LegCost};
+use crate::densest::{densest, HubSelection, OrdF64, PeelScratch, UncoveredDegrees, Want};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 use crate::CROSS_CAP;
@@ -237,10 +238,9 @@ impl Shared<'_> {
             c.sched.set_pull(e);
             c.uncover(self.g, e, w, y);
         }
-        for &e in &sel.cross {
+        for &(e, x, y) in &sel.cross {
             c.sched.set_covered(e, w);
-            let (u, v) = self.g.edge_endpoints(e);
-            c.uncover(self.g, e, u, v);
+            c.uncover(self.g, e, x, y);
         }
     }
 }
@@ -506,16 +506,20 @@ pub(crate) fn full_bitset(m: usize) -> BitSet {
     b
 }
 
-/// The greedy SETCOVER loop. Singleton costs come precomputed per edge:
-/// the loop pays one array load per probe instead of an endpoint recovery
-/// plus two rate lookups.
-fn drive(sh: &Shared, search: &mut Search, pool: &HubPool, costs: &EdgeCosts) -> (usize, usize) {
+/// The greedy SETCOVER loop. Singleton keys are priced once, in the CSR
+/// walk that lists the edges: the loop pays one array load per probe
+/// instead of an endpoint recovery plus two rate lookups.
+fn drive(sh: &Shared, search: &mut Search, pool: &HubPool) -> (usize, usize) {
     search.seed(sh);
 
     // Singleton candidates, cheapest hybrid cost first.
     let m = sh.g.edge_count();
+    let single_key: Vec<f64> =
+        sh.g.edges()
+            .map(|(_, u, v)| hybrid_edge_cost(sh.rates, u, v))
+            .collect();
     let mut singles: Vec<EdgeId> = (0..m as EdgeId).collect();
-    singles.sort_unstable_by_key(|&e| OrdF64(costs.hybrid_cost(e)));
+    singles.sort_unstable_by_key(|&e| OrdF64(single_key[e as usize]));
     let mut single_ptr = 0usize;
 
     let mut hub_selections = 0usize;
@@ -531,7 +535,7 @@ fn drive(sh: &Shared, search: &mut Search, pool: &HubPool, costs: &EdgeCosts) ->
                 single_ptr += 1;
             }
             if single_ptr < singles.len() {
-                costs.hybrid_cost(singles[single_ptr])
+                single_key[singles[single_ptr] as usize]
             } else {
                 f64::INFINITY
             }
@@ -548,7 +552,7 @@ fn drive(sh: &Shared, search: &mut Search, pool: &HubPool, costs: &EdgeCosts) ->
             None => {
                 let e = singles[single_ptr];
                 let (u, v) = sh.g.edge_endpoints(e);
-                let push = sh.rates.rp(u) <= sh.rates.rc(v);
+                let push = hybrid_pushes(sh.rates, u, v);
                 // First try to prove the zeroing invisible. When the
                 // proof fires, later greedy steps see a still-valid lower
                 // bound instead of a refreshed exact key — the selections
@@ -586,10 +590,7 @@ fn drive(sh: &Shared, search: &mut Search, pool: &HubPool, costs: &EdgeCosts) ->
 
 impl ChitChat {
     fn fresh_state<'a>(&self, g: &'a CsrGraph, rates: &'a Rates) -> (Shared<'a>, Search) {
-        assert!(
-            rates.len() >= g.node_count(),
-            "rates do not cover the graph"
-        );
+        assert_rates_cover(g, rates);
         let m = g.edge_count();
         let n = g.node_count();
         let shared = Shared {
@@ -621,13 +622,12 @@ impl ChitChat {
     /// Deterministic for any [`ChitChat::threads`] value: the fan-out only
     /// divides pure oracle work, never the greedy's decision order.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ChitChatResult {
-        let costs = EdgeCosts::hybrid(g, rates);
         let (shared, mut search) = self.fresh_state(g, rates);
         let sh = &shared;
         let ((hub_selections, singleton_selections), telemetry) = FanoutPool::scope(
             self.threads,
             || hub_peeler(sh),
-            |pool| drive(sh, &mut search, pool, &costs),
+            |pool| drive(sh, &mut search, pool),
         );
 
         ChitChatResult {
@@ -753,6 +753,14 @@ mod tests {
         let res = ChitChat::default().run(&g, &r);
         assert_eq!(res.schedule.edge_count(), 0);
         assert_eq!(res.hub_selections, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rates cover 29 users, graph has 30")]
+    fn rejects_rates_one_user_short() {
+        let g = erdos_renyi(30, 120, 4);
+        let r = Rates::uniform(g.node_count() - 1, 1.0, 5.0);
+        let _ = ChitChat::default().run(&g, &r);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!    seed density, which (by the same monotonicity) is a lower bound too
 //!    and tracks the batch greedy's pick order far more tightly.
 //! 2. **Monotone admission threshold over marginal prices.** The peels run
-//!    in the oracle's [`LegCost::Marginal`](crate::densest::LegCost) mode:
+//!    in the oracle's [`LegCost::Marginal`] mode:
 //!    a leg still in `Z` will be served anyway (its hybrid cost is sunk),
 //!    so it is priced at only its orientation surcharge. This is the key
 //!    to one-pass quality — the batch greedy reaches cross-rich selections
@@ -57,20 +57,23 @@
 //!    schedule, cost, and oracle-call count** (the batch size is a
 //!    constant, not a function of the thread budget).
 //!
-//! Leftover uncovered edges take their hybrid assignment, exactly like the
-//! batch greedy's singleton tail. The result: one peel per surviving hub
-//! plus one per admission, instead of the batch path's schedule of seed,
-//! re-validation, and strict-recompute calls — pigbench's `opt_stream` and
-//! `opt_chitchat` workloads measure both, and the differential suite
+//! Leftover uncovered edges take their hybrid assignment
+//! ([`hybrid_fill`]), exactly like the batch greedy's singleton tail. The
+//! result: one peel per surviving hub plus one per admission, instead of
+//! the batch path's schedule of seed, re-validation, and strict-recompute
+//! calls — pigbench's `opt_stream` and `opt_chitchat` workloads measure
+//! both, and the differential suite
 //! (`chitchat_stream_differential`) pins the cost within 5% of batch
 //! CHITCHAT on the benchmark families.
 
 use parking_lot::RwLock;
 use piggyback_graph::{CsrGraph, NodeId};
-use piggyback_workload::{EdgeCosts, Rates};
+use piggyback_workload::Rates;
 
+use crate::baseline::hybrid_fill;
 use crate::chitchat::{full_bitset, seed_lower_bound, Cover, HubPool, Shared};
-use crate::densest::{densest, HubSelection, LegCost, OrdF64, PeelScratch, UncoveredDegrees, Want};
+use crate::cost::{assert_rates_cover, hybrid_edge_cost, LegCost};
+use crate::densest::{densest, HubSelection, OrdF64, PeelScratch, UncoveredDegrees, Want};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 use crate::CROSS_CAP;
@@ -127,11 +130,7 @@ impl ChitChatStream {
     ///
     /// Deterministic for any [`ChitChatStream::threads`] value.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ChitChatStreamResult {
-        assert!(
-            rates.len() >= g.node_count(),
-            "rates do not cover the graph"
-        );
-        let costs = EdgeCosts::hybrid(g, rates);
+        assert_rates_cover(g, rates);
         let m = g.edge_count();
         let shared = Shared {
             g,
@@ -163,32 +162,18 @@ impl ChitChatStream {
                         .collect()
                 }
             },
-            |pool| self.drive(sh, pool, &costs, &mut sweep),
+            |pool| self.drive(sh, pool, &mut sweep),
         );
 
-        // Leftover sweep: every still-uncovered edge takes its hybrid
-        // assignment, in CSR order — the batch greedy's singleton tail
-        // without the per-step threshold bookkeeping.
-        let mut singleton_selections = 0usize;
-        {
-            let mut c = shared.cover.write();
-            for e in 0..m as piggyback_graph::EdgeId {
-                if !c.z.contains(e) {
-                    continue;
-                }
-                let (u, v) = g.edge_endpoints(e);
-                if rates.rp(u) <= rates.rc(v) {
-                    c.sched.set_push(e);
-                } else {
-                    c.sched.set_pull(e);
-                }
-                c.uncover(g, e, u, v);
-                singleton_selections += 1;
-            }
-        }
+        // Leftover sweep: every still-unserved edge (exactly `Z`) takes its
+        // hybrid assignment, in CSR order — the batch greedy's singleton
+        // tail without the per-step threshold bookkeeping. The cover is
+        // done with, so `Z` is left as it is.
+        let mut schedule = shared.cover.into_inner().sched;
+        let singleton_selections = hybrid_fill(g, rates, &mut schedule);
 
         ChitChatStreamResult {
-            schedule: shared.cover.into_inner().sched,
+            schedule,
             hubs_admitted: sweep.hubs_admitted,
             singleton_selections,
             oracle_calls: sweep.oracle_calls,
@@ -200,7 +185,7 @@ impl ChitChatStream {
 
     /// The ordered sweep plus refinement passes. Coordinator-only except
     /// for the pooled frozen-state peels.
-    fn drive(&self, sh: &Shared, pool: &HubPool, costs: &EdgeCosts, sweep: &mut Sweep) {
+    fn drive(&self, sh: &Shared, pool: &HubPool, sweep: &mut Sweep) {
         let g = sh.g;
         if g.edge_count() == 0 {
             return;
@@ -247,7 +232,7 @@ impl ChitChatStream {
             sweep.passes += 1;
             let admitted_before = sweep.hubs_admitted;
             let mut rejected: Vec<(OrdF64, NodeId)> = Vec::new();
-            self.run_pass(sh, pool, costs, sweep, &list, &mut rejected);
+            self.run_pass(sh, pool, sweep, &list, &mut rejected);
             if sweep.hubs_admitted == admitted_before {
                 // Fixed point: no admission means no state change, so the
                 // next pass would reproduce every rejection verbatim.
@@ -271,7 +256,6 @@ impl ChitChatStream {
         &self,
         sh: &Shared,
         pool: &HubPool,
-        costs: &EdgeCosts,
         sweep: &mut Sweep,
         list: &[NodeId],
         rejected: &mut Vec<(OrdF64, NodeId)>,
@@ -290,7 +274,7 @@ impl ChitChatStream {
                     oracle(sh, w, &mut sweep.scratch)
                 };
                 while let Some(s) = sel.take() {
-                    let threshold = displaced_cost(costs, &s);
+                    let threshold = displaced_cost(sh.rates, &s);
                     if s.weight < threshold {
                         sh.apply_hub(&s);
                         sweep.hubs_admitted += 1;
@@ -357,8 +341,11 @@ fn marginal_peel(
 /// displaced_cost` is the exact "strictly cheaper than serving directly"
 /// test (equivalent to batch bookkeeping's `full weight < legs + cross`,
 /// with the leg terms moved across the inequality).
-fn displaced_cost(costs: &EdgeCosts, s: &HubSelection) -> f64 {
-    s.cross.iter().map(|&e| costs.hybrid_cost(e)).sum()
+fn displaced_cost(rates: &Rates, s: &HubSelection) -> f64 {
+    s.cross
+        .iter()
+        .map(|&(_, x, y)| hybrid_edge_cost(rates, x, y))
+        .sum()
 }
 
 /// Upper bound on the hybrid cost of any element hub `w` could ever cover:
@@ -372,9 +359,8 @@ fn max_displaceable_cost(g: &CsrGraph, rates: &Rates, w: NodeId) -> f64 {
     for &x in g.in_neighbors(w) {
         m = m.max(rates.rp(x));
     }
-    let rpw = rates.rp(w);
     for &y in g.out_neighbors(w) {
-        m = m.max(rpw.min(rates.rc(y)));
+        m = m.max(hybrid_edge_cost(rates, w, y));
     }
     m
 }
@@ -506,6 +492,14 @@ mod tests {
         assert_eq!(res.schedule.edge_count(), 0);
         assert_eq!(res.hubs_admitted, 0);
         assert_eq!(res.oracle_calls, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rates cover 29 users, graph has 30")]
+    fn rejects_rates_one_user_short() {
+        let g = erdos_renyi(30, 120, 4);
+        let r = Rates::uniform(g.node_count() - 1, 1.0, 5.0);
+        let _ = ChitChatStream::default().run(&g, &r);
     }
 
     #[test]

@@ -21,18 +21,113 @@
 //! ```text
 //! batched = Σ_u rp(u) · |servers({u} ∪ h[u])|  +  rc(u) · |servers({u} ∪ l[u])|
 //! ```
+//!
+//! # The hybrid rule
+//!
+//! This module is the one place FEEDINGFRENZY's rule is written: serve
+//! `u → v` directly by push iff `rp(u) <= rc(v)` ([`hybrid_pushes`]), at
+//! `c*(u → v) = min(rp(u), rc(v))` ([`hybrid_edge_cost`]); a hub leg's
+//! price nets that out of a push or a pull ([`LegCost::leg`]). Callers
+//! pass the endpoints their walk already holds.
 
 use piggyback_graph::{CsrGraph, NodeId};
 use piggyback_workload::Rates;
 
 use crate::schedule::Schedule;
 
-/// Cost of serving edge `u → v` directly under the hybrid policy of
-/// Silberstein et al.: the cheaper of a push and a pull,
-/// `c*(u → v) = min(rp(u), rc(v))`.
+/// Panics unless `rates` cover every node of `g`: the optimizers and the
+/// hybrid rule read both endpoints' rates of every edge.
+pub(crate) fn assert_rates_cover(g: &CsrGraph, rates: &Rates) {
+    assert!(
+        rates.len() >= g.node_count(),
+        "rates cover {} users, graph has {}",
+        rates.len(),
+        g.node_count()
+    );
+}
+
+/// Whether the hybrid policy of Silberstein et al. serves edge `u → v` by
+/// a push (else by a pull): `rp(u) <= rc(v)`, so ties go to push.
+#[inline]
+pub fn hybrid_pushes(rates: &Rates, u: NodeId, v: NodeId) -> bool {
+    rates.rp(u) <= rates.rc(v)
+}
+
+/// Cost of serving edge `u → v` directly under the hybrid policy: the
+/// cheaper of a push and a pull, `c*(u → v) = min(rp(u), rc(v))`.
 #[inline]
 pub fn hybrid_edge_cost(rates: &Rates, u: NodeId, v: NodeId) -> f64 {
     rates.rp(u).min(rates.rc(v))
+}
+
+/// Where a hub leg stands in the schedule being built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LegState {
+    /// Already assigned the orientation the hub needs: free.
+    Paid,
+    /// Assigned the other orientation: the hub needs a second assignment.
+    Other,
+    /// Not served yet: the hybrid rule would serve it if no hub does.
+    Unassigned,
+}
+
+impl LegState {
+    /// The state of a leg already assigned the orientation the hub needs
+    /// (`paid`), else assigned the other way (`other`), else unassigned.
+    #[inline]
+    pub fn new(paid: bool, other: bool) -> Self {
+        match (paid, other) {
+            (true, _) => LegState::Paid,
+            (false, true) => LegState::Other,
+            (false, false) => LegState::Unassigned,
+        }
+    }
+}
+
+/// How a hub-graph leg is priced.
+///
+/// * [`LegCost::Absolute`] is Algorithm 1's bookkeeping: an unpaid leg
+///   costs the full push/pull it schedules (`rp(x)` / `rc(y)`). This is
+///   what the batch greedy compares against singleton candidates.
+/// * [`LegCost::Marginal`] nets out the *sunk* hybrid cost: an unassigned
+///   leg will be served one way or another — if not through this hub, then
+///   by the hybrid tail at `min(rp, rc)` — so its true incremental price is
+///   only the orientation surcharge `rp(x) − min(rp(x), rc(w))` (resp.
+///   `rc(y) − min(rp(w), rc(y))`): §3.2's `cX`/`cY`. Legs already assigned
+///   the *other* orientation keep their absolute price (their hybrid cost
+///   is spent and the hub needs a second assignment), and paid legs stay
+///   free.
+///
+/// The admission inequality is identical under both modes (the netted
+/// hybrid terms move from one side to the other), but the peel *optimizes*
+/// what it prices: marginal mode surfaces cross-rich subgraphs whose legs
+/// are cheap-as-hybrid even when their absolute weight drowns the quotient
+/// — exactly the selections the batch greedy only reaches after its
+/// interleaved singleton picks have paid those legs one by one. Streaming
+/// CHITCHAT and PARALLELNOSY run on marginal prices for that reason.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LegCost {
+    /// Full push/pull price for unpaid legs (batch greedy bookkeeping).
+    Absolute,
+    /// Orientation surcharge only for unassigned legs.
+    Marginal,
+}
+
+impl LegCost {
+    /// Price of hub leg `u → v` the hub needs pushed by `u` (`push`, full
+    /// price `rp(u)`) or pulled by `v` (full price `rc(v)`): 0 when paid,
+    /// the full price when assigned the other way, and when unassigned the
+    /// full price under [`LegCost::Absolute`], less [`hybrid_edge_cost`]
+    /// under [`LegCost::Marginal`].
+    #[inline]
+    pub fn leg(self, rates: &Rates, u: NodeId, v: NodeId, push: bool, state: LegState) -> f64 {
+        let full = || if push { rates.rp(u) } else { rates.rc(v) };
+        match (state, self) {
+            (LegState::Paid, _) => 0.0,
+            (LegState::Unassigned, LegCost::Marginal) => full() - hybrid_edge_cost(rates, u, v),
+            (LegState::Other, _) | (LegState::Unassigned, LegCost::Absolute) => full(),
+        }
+    }
 }
 
 /// Total cost `c(H, L)` of a schedule (§2.1).
@@ -274,6 +369,102 @@ mod tests {
         let r = rates();
         assert_eq!(hybrid_edge_cost(&r, 0, 1), 2.0); // min(rp0=2, rc1=11)
         assert_eq!(hybrid_edge_cost(&r, 2, 0), 5.0); // min(rp2=5, rc0=7)
+    }
+
+    #[test]
+    fn hybrid_rule_sends_ties_to_push() {
+        let r = Rates::from_vecs(vec![1.0, 4.0, 2.0], vec![2.0, 3.0, 1.0]);
+        assert!(hybrid_pushes(&r, 0, 2)); // rp0 = 1 == rc2 = 1: tie, push
+        assert!(hybrid_pushes(&r, 0, 1)); // rp0 = 1 < rc1 = 3
+        assert!(!hybrid_pushes(&r, 1, 0)); // rp1 = 4 > rc0 = 2
+        assert_eq!(hybrid_edge_cost(&r, 0, 2), 1.0);
+        assert_eq!(hybrid_edge_cost(&r, 1, 0), 2.0);
+    }
+
+    /// The pricing table of a hub leg, for hub `w = 1` with producer
+    /// `x = 0` and consumer `y = 2`: every state under both pricings.
+    #[test]
+    fn leg_prices_follow_the_table() {
+        let r = Rates::from_vecs(vec![4.0, 3.0, 1.0], vec![1.0, 2.5, 5.0]);
+        let (x, w, y) = (0, 1, 2);
+        // §3.2: cX = rp(x) − min(rp(x), rc(w)) = 4 − min(4, 2.5) = 1.5 and
+        // cY = rc(y) − min(rp(w), rc(y)) = 5 − min(3, 5) = 2 for unassigned
+        // legs; a leg assigned the other way pays in full, a paid one 0.
+        // Algorithm 1's weights g(x) = rp(x) = 4 and g(y) = rc(y) = 5, or 0
+        // once paid, whatever else the leg carries.
+        assert_eq!(LegState::new(true, true), LegState::Paid);
+        assert_eq!(LegState::new(false, true), LegState::Other);
+        assert_eq!(LegState::new(false, false), LegState::Unassigned);
+        let table = [
+            (LegCost::Absolute, LegState::Paid, 0.0, 0.0),
+            (LegCost::Absolute, LegState::Other, 4.0, 5.0),
+            (LegCost::Absolute, LegState::Unassigned, 4.0, 5.0),
+            (LegCost::Marginal, LegState::Paid, 0.0, 0.0),
+            (LegCost::Marginal, LegState::Other, 4.0, 5.0),
+            (LegCost::Marginal, LegState::Unassigned, 1.5, 2.0),
+        ];
+        for (cost, state, push, pull) in table {
+            assert_eq!(
+                cost.leg(&r, x, w, true, state),
+                push,
+                "{cost:?} {state:?} push"
+            );
+            assert_eq!(
+                cost.leg(&r, w, y, false, state),
+                pull,
+                "{cost:?} {state:?} pull"
+            );
+        }
+    }
+
+    #[test]
+    fn hybrid_fill_serves_exactly_the_unserved_edges_by_the_rule() {
+        use crate::baseline::hybrid_fill;
+        use piggyback_graph::gen::erdos_renyi;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let g = erdos_renyi(120, 900, 11);
+        // Small integer rates, so that rp(u) == rc(v) ties are common.
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = g.node_count();
+        let rp: Vec<f64> = (0..n).map(|_| rng.random_range(1..5) as f64).collect();
+        let rc: Vec<f64> = (0..n).map(|_| rng.random_range(1..5) as f64).collect();
+        let r = Rates::from_vecs(rp.clone(), rc.clone());
+        let mut s = Schedule::for_graph(&g);
+        for (e, _, _) in g.edges() {
+            match rng.random_range(0u32..5) {
+                0 => {
+                    s.set_push(e);
+                }
+                1 => {
+                    s.set_pull(e);
+                }
+                2 => {
+                    s.set_covered(e, 0);
+                }
+                _ => {}
+            }
+        }
+        let before = s.clone();
+        let filled = hybrid_fill(&g, &r, &mut s);
+        let (mut unserved, mut ties) = (0, 0);
+        for (e, u, v) in g.edges() {
+            if before.is_served(e) {
+                assert_eq!(s.assignment(e), before.assignment(e), "edge {e} reassigned");
+                continue;
+            }
+            unserved += 1;
+            ties += usize::from(rp[u as usize] == rc[v as usize]);
+            let push = rp[u as usize] <= rc[v as usize];
+            assert_eq!(
+                (s.is_push(e), s.is_pull(e)),
+                (push, !push),
+                "edge {u} -> {v}"
+            );
+        }
+        assert_eq!(filled, unserved);
+        assert!(ties > 0, "the sample must exercise the tie");
     }
 
     #[test]

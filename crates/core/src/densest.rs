@@ -51,6 +51,7 @@ use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::Rates;
 
 use crate::bitset::BitSet;
+use crate::cost::{hybrid_edge_cost, LegCost, LegState};
 use crate::schedule::Schedule;
 
 /// Output of the generic weighted peeling.
@@ -438,9 +439,10 @@ pub struct HubSelection {
     /// Consumers whose pulls the selection schedules, with their leg
     /// edge ids `w → y`.
     pub ys: Vec<(NodeId, EdgeId)>,
-    /// Uncovered *cross* edges `x → y` the selection covers through the
-    /// hub (the covered legs are the `Z`-members among `xs` / `ys`).
-    pub cross: Vec<EdgeId>,
+    /// Uncovered *cross* edges the selection covers through the hub, as
+    /// `(edge id, x, y)` for `x → y` (the covered legs are the
+    /// `Z`-members among `xs` / `ys`).
+    pub cross: Vec<(EdgeId, NodeId, NodeId)>,
     /// Total number of uncovered edges covered: `Z`-member legs plus all
     /// of `cross`.
     pub covered: usize,
@@ -586,34 +588,6 @@ pub fn densest_hub_graph_scratch(
     )
 }
 
-/// How a hub-graph leg is priced during staging.
-///
-/// * [`LegCost::Absolute`] is Algorithm 1's bookkeeping: an unpaid leg
-///   costs the full push/pull it schedules (`rp(x)` / `rc(y)`). This is
-///   what the batch greedy compares against singleton candidates.
-/// * [`LegCost::Marginal`] nets out the *sunk* hybrid cost: a leg still in
-///   `Z` will be served one way or another — if not through this hub, then
-///   by the hybrid tail at `min(rp, rc)` — so its true incremental price is
-///   only the orientation surcharge `rp(x) − min(rp(x), rc(w))` (resp.
-///   `rc(y) − min(rp(w), rc(y))`). Legs already assigned the *other*
-///   orientation keep their absolute price (their hybrid cost is spent and
-///   the hub needs a second assignment), and paid legs stay free.
-///
-/// The admission inequality is identical under both modes (the netted
-/// hybrid terms move from one side to the other), but the peel *optimizes*
-/// what it prices: marginal mode surfaces cross-rich subgraphs whose legs
-/// are cheap-as-hybrid even when their absolute weight drowns the quotient
-/// — exactly the selections the batch greedy only reaches after its
-/// interleaved singleton picks have paid those legs one by one. Streaming
-/// CHITCHAT runs on marginal prices for that reason.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LegCost {
-    /// Full push/pull price for unpaid legs (batch greedy bookkeeping).
-    Absolute,
-    /// Orientation surcharge only for legs still in `Z` (streaming).
-    Marginal,
-}
-
 /// Front half of [`densest`]: stages hub `w`'s graph into `scratch` and
 /// runs the bucket peel. Returns the pinned hub vertex's index, or `None`
 /// when no countable edge exists.
@@ -685,32 +659,14 @@ fn stage_and_peel(
     let hub_vertex = (nx + ny) as u32;
 
     weights.clear();
-    let (rpw, rcw) = (rates.rp(w), rates.rc(w));
+    // Legs here are uncovered, so an unpaid one out of `Z` was assigned
+    // the other way.
+    let state = |paid: bool, leg: EdgeId| LegState::new(paid, !z.contains(leg));
     for &(x, leg) in xs.iter() {
-        weights.push(if sched.is_push(leg) {
-            0.0
-        } else {
-            let rp = rates.rp(x);
-            match leg_cost {
-                LegCost::Absolute => rp,
-                // Unassigned legs will be served anyway: only the push's
-                // surcharge over the sunk hybrid price is incremental.
-                LegCost::Marginal if z.contains(leg) => rp - rp.min(rcw),
-                LegCost::Marginal => rp,
-            }
-        });
+        weights.push(leg_cost.leg(rates, x, w, true, state(sched.is_push(leg), leg)));
     }
     for &(y, leg) in ys.iter() {
-        weights.push(if sched.is_pull(leg) {
-            0.0
-        } else {
-            let rc = rates.rc(y);
-            match leg_cost {
-                LegCost::Absolute => rc,
-                LegCost::Marginal if z.contains(leg) => rc - rpw.min(rc),
-                LegCost::Marginal => rc,
-            }
-        });
+        weights.push(leg_cost.leg(rates, w, y, false, state(sched.is_pull(leg), leg)));
     }
     weights.push(0.0); // hub
     reset(pinned, n, false);
@@ -760,7 +716,7 @@ fn stage_and_peel(
                     edges.push((i as u32, (nx + j) as u32));
                     edge_ids.push(e);
                     if leg_cost == LegCost::Marginal {
-                        edge_values.push(rates.rp(x).min(rates.rc(t)));
+                        edge_values.push(hybrid_edge_cost(rates, x, t));
                     }
                     cross_budget -= 1;
                     if cross_budget == 0 {
@@ -782,7 +738,7 @@ fn stage_and_peel(
                     edges.push((i as u32, (nx + j) as u32));
                     edge_ids.push(e);
                     if leg_cost == LegCost::Marginal {
-                        edge_values.push(rates.rp(x).min(rates.rc(t)));
+                        edge_values.push(hybrid_edge_cost(rates, x, t));
                     }
                     j += 1;
                     cross_budget -= 1;
@@ -826,14 +782,15 @@ fn materialize_selection(
     let nx = xs.len();
     reset(incident, nx + ys.len() + 1, false);
     let mut covered = 0usize;
-    let mut cross: Vec<EdgeId> = Vec::new();
+    let mut cross: Vec<(EdgeId, NodeId, NodeId)> = Vec::new();
     for (idx, &(a, b)) in edges.iter().enumerate() {
         if alive[a as usize] && alive[b as usize] {
             covered += 1;
             incident[a as usize] = true;
             incident[b as usize] = true;
             if full && a != hub_vertex && b != hub_vertex {
-                cross.push(edge_ids[idx]);
+                // A cross edge joins producer `a` to consumer `b - nx`.
+                cross.push((edge_ids[idx], xs[a as usize].0, ys[b as usize - nx].0));
             }
         }
     }
@@ -1203,7 +1160,7 @@ mod tests {
         assert_eq!(sel.ys, vec![(2, g.edge_id(1, 2))]);
         // Covers all three edges at cost rp(0) + rc(2) = 2.8.
         assert_eq!(sel.covered, 3);
-        assert_eq!(sel.cross, vec![g.edge_id(0, 2)]);
+        assert_eq!(sel.cross, vec![(g.edge_id(0, 2), 0, 2)]);
         assert!((sel.weight - 2.8).abs() < 1e-12);
         assert!((sel.density - 3.0 / 2.8).abs() < 1e-12);
         assert!((sel.cost_per_element() - 2.8 / 3.0).abs() < 1e-12);

@@ -32,7 +32,7 @@ use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::Rates;
 
 use crate::bitset::BitSet;
-use crate::cost::{hybrid_edge_cost, schedule_cost};
+use crate::cost::{hybrid_edge_cost, hybrid_pushes, schedule_cost};
 use crate::schedule::Schedule;
 use crate::validate::{first_violation, StalenessViolation};
 
@@ -160,7 +160,7 @@ impl IncrementalScheduler {
     /// `None` if the rate model does not cover both users.
     fn hybrid_push(&self, u: NodeId, v: NodeId) -> Option<bool> {
         let n = self.rates.len();
-        ((u as usize) < n && (v as usize) < n).then(|| self.rates.rp(u) <= self.rates.rc(v))
+        ((u as usize) < n && (v as usize) < n).then(|| hybrid_pushes(&self.rates, u, v))
     }
 
     /// Adds the follow `u → v`, serving it directly with the cheaper of
@@ -209,15 +209,14 @@ impl IncrementalScheduler {
     /// Serves base edge `f` (= `x → y`) directly by the hybrid rule and
     /// charges `min(rp(x), rc(y))`; returns whether it is pushed.
     fn serve_direct(&mut self, f: EdgeId, x: NodeId, y: NodeId) -> bool {
-        let (rp, rc) = (self.rates.rp(x), self.rates.rc(y));
         self.schedule.unassign(f);
-        let push = rp <= rc;
+        let push = hybrid_pushes(&self.rates, x, y);
         if push {
             self.schedule.set_push(f);
         } else {
             self.schedule.set_pull(f);
         }
-        self.cost += rp.min(rc);
+        self.cost += hybrid_edge_cost(&self.rates, x, y);
         push
     }
 

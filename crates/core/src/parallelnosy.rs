@@ -33,8 +33,10 @@
 
 use parking_lot::RwLock;
 use piggyback_graph::{intersect_sorted, CsrGraph, EdgeId, NodeId, INVALID_EDGE};
-use piggyback_workload::{EdgeCosts, Rates};
+use piggyback_workload::Rates;
 
+use crate::baseline::hybrid_fill;
+use crate::cost::{assert_rates_cover, hybrid_edge_cost, LegCost, LegState};
 use crate::fanout::{FanoutPool, FanoutTelemetry};
 use crate::schedule::Schedule;
 use crate::CROSS_CAP;
@@ -121,30 +123,17 @@ impl Candidate {
     }
 }
 
-/// Positive cost of scheduling push leg `x → w` over edge `e` (§3.2's
-/// `cX`). The hybrid cost comes from the precomputed per-edge cache.
+/// Positive cost of scheduling hub leg `u → v` (edge `e`) as a push
+/// (`push`, §3.2's `cX`) or a pull (`cY`) in the iteration's frozen
+/// schedule: the leg's price under [`LegCost::Marginal`].
 #[inline]
-fn push_leg_cost(rates: &Rates, costs: &EdgeCosts, sched: &Schedule, x: NodeId, e: EdgeId) -> f64 {
-    if sched.is_push(e) {
-        0.0
-    } else if sched.is_pull(e) {
-        rates.rp(x)
+fn leg_cost(rates: &Rates, sched: &Schedule, u: NodeId, v: NodeId, e: EdgeId, push: bool) -> f64 {
+    let state = if push {
+        LegState::new(sched.is_push(e), sched.is_pull(e))
     } else {
-        rates.rp(x) - costs.hybrid_cost(e)
-    }
-}
-
-/// Positive cost of scheduling pull leg `w → y` over edge `e` (specular to
-/// `cX`).
-#[inline]
-fn pull_leg_cost(rates: &Rates, costs: &EdgeCosts, sched: &Schedule, y: NodeId, e: EdgeId) -> f64 {
-    if sched.is_pull(e) {
-        0.0
-    } else if sched.is_push(e) {
-        rates.rc(y)
-    } else {
-        rates.rc(y) - costs.hybrid_cost(e)
-    }
+        LegState::new(sched.is_pull(e), sched.is_push(e))
+    };
+    LegCost::Marginal.leg(rates, u, v, push, state)
 }
 
 /// Phase 1 for a single edge `w → y`: build the hub-graph and return it if
@@ -152,7 +141,6 @@ fn pull_leg_cost(rates: &Rates, costs: &EdgeCosts, sched: &Schedule, y: NodeId, 
 fn build_candidate(
     g: &CsrGraph,
     rates: &Rates,
-    costs: &EdgeCosts,
     sched: &Schedule,
     hub_edge: EdgeId,
     cross_cap: usize,
@@ -179,7 +167,7 @@ fn build_candidate(
             && !sched.is_pull(xy_e)
         {
             xs.push((x, xw_e, xy_e));
-            saved += costs.hybrid_cost(xy_e);
+            saved += hybrid_edge_cost(rates, x, y);
             if xs.len() >= cross_cap {
                 return false;
             }
@@ -189,9 +177,9 @@ fn build_candidate(
     if xs.is_empty() {
         return None;
     }
-    let mut cost = pull_leg_cost(rates, costs, sched, y, hub_edge);
+    let mut cost = leg_cost(rates, sched, w, y, hub_edge, false);
     for &(x, xw_e, _) in &xs {
-        cost += push_leg_cost(rates, costs, sched, x, xw_e);
+        cost += leg_cost(rates, sched, x, w, xw_e, true);
     }
     let gain = saved - cost;
     if gain > 1e-12 {
@@ -249,7 +237,6 @@ struct Decision {
 /// profitability on the reduced hub-graph (Algorithm 2, lines 16–22).
 fn decide(
     rates: &Rates,
-    costs: &EdgeCosts,
     sched: &Schedule,
     cand: &Candidate,
     conservative: bool,
@@ -269,14 +256,14 @@ fn decide(
     for &(x, xw_e, xy_e) in &cand.xs {
         if held(xw_e, !sched.is_push(xw_e)) && granted(xy_e) {
             legs.push((xw_e, xy_e));
-            saved += costs.hybrid_cost(xy_e);
-            cost += push_leg_cost(rates, costs, sched, x, xw_e);
+            saved += hybrid_edge_cost(rates, x, cand.y);
+            cost += leg_cost(rates, sched, x, cand.w, xw_e, true);
         }
     }
     if legs.is_empty() {
         return None;
     }
-    cost += pull_leg_cost(rates, costs, sched, cand.y, cand.hub_edge);
+    cost += leg_cost(rates, sched, cand.w, cand.y, cand.hub_edge, false);
     if saved - cost > 1e-12 {
         Some(Decision {
             hub_edge: cand.hub_edge,
@@ -309,12 +296,6 @@ fn apply_decisions(sched: &mut Schedule, decisions: &[Decision]) -> usize {
 /// Cost of a (possibly partial) schedule where unscheduled edges pay the
 /// hybrid cost — the series plotted in Figure 4.
 pub fn partial_cost(g: &CsrGraph, rates: &Rates, sched: &Schedule) -> f64 {
-    partial_cost_cached(g, rates, &EdgeCosts::hybrid(g, rates), sched)
-}
-
-/// [`partial_cost`] with the per-edge hybrid costs already built — what
-/// the iteration loop calls once per iteration.
-fn partial_cost_cached(g: &CsrGraph, rates: &Rates, costs: &EdgeCosts, sched: &Schedule) -> f64 {
     let mut cost = 0.0;
     for (e, u, v) in g.edges() {
         if sched.is_push(e) {
@@ -323,24 +304,11 @@ fn partial_cost_cached(g: &CsrGraph, rates: &Rates, costs: &EdgeCosts, sched: &S
         if sched.is_pull(e) {
             cost += rates.rc(v);
         }
-        if !sched.is_push(e) && !sched.is_pull(e) && !sched.is_covered(e) {
-            cost += costs.hybrid_cost(e);
+        if !sched.is_served(e) {
+            cost += hybrid_edge_cost(rates, u, v);
         }
     }
     cost
-}
-
-/// Fills every unscheduled edge with its hybrid (cheaper-side) assignment.
-fn finalize(g: &CsrGraph, rates: &Rates, sched: &mut Schedule) {
-    for (e, u, v) in g.edges() {
-        if !sched.is_served(e) {
-            if rates.rp(u) <= rates.rc(v) {
-                sched.set_push(e);
-            } else {
-                sched.set_pull(e);
-            }
-        }
-    }
 }
 
 impl ParallelNosy {
@@ -348,8 +316,7 @@ impl ParallelNosy {
     /// 2–3 and the apply run on the coordinator. Deterministic for any
     /// [`ParallelNosy::threads`] value.
     pub fn run(&self, g: &CsrGraph, rates: &Rates) -> ParallelNosyResult {
-        let costs = EdgeCosts::hybrid(g, rates);
-        let costs = &costs;
+        assert_rates_cover(g, rates);
         let sched_lock = RwLock::new(Schedule::for_graph(g));
         let sl = &sched_lock;
         // Each chunk re-reads the frozen schedule through the lock; the
@@ -361,11 +328,11 @@ impl ParallelNosy {
                     let sched = sl.read();
                     edges
                         .iter()
-                        .filter_map(|&e| build_candidate(g, rates, costs, &sched, e, CROSS_CAP))
+                        .filter_map(|&e| build_candidate(g, rates, &sched, e, CROSS_CAP))
                         .collect()
                 }
             },
-            |pool| self.iterate(g, rates, costs, sl, pool),
+            |pool| self.iterate(g, rates, sl, pool),
         );
 
         ParallelNosyResult {
@@ -386,13 +353,12 @@ impl ParallelNosy {
         &self,
         g: &CsrGraph,
         rates: &Rates,
-        costs: &EdgeCosts,
         sched_lock: &RwLock<Schedule>,
         pool: &FanoutPool<EdgeId, Candidate>,
     ) -> (usize, Vec<f64>, usize) {
         let m = g.edge_count();
         let edges: Vec<EdgeId> = (0..m as EdgeId).collect();
-        let mut history = vec![partial_cost_cached(g, rates, costs, &sched_lock.read())];
+        let mut history = vec![partial_cost(g, rates, &sched_lock.read())];
         let mut hubs_applied = 0usize;
         let mut iterations = 0usize;
 
@@ -415,7 +381,7 @@ impl ParallelNosy {
                 let decisions: Vec<Decision> = cands
                     .iter()
                     .filter_map(|c| {
-                        decide(rates, costs, &sched, c, self.conservative_locks, |e| {
+                        decide(rates, &sched, c, self.conservative_locks, |e| {
                             locks.granted_to(e, c.hub_edge)
                         })
                     })
@@ -425,13 +391,13 @@ impl ParallelNosy {
             };
             iterations += 1;
             hubs_applied += applied;
-            history.push(partial_cost_cached(g, rates, costs, &sched_lock.read()));
+            history.push(partial_cost(g, rates, &sched_lock.read()));
             if applied == 0 {
                 break;
             }
         }
 
-        finalize(g, rates, &mut sched_lock.write());
+        hybrid_fill(g, rates, &mut sched_lock.write());
         (iterations, history, hubs_applied)
     }
 }
@@ -599,9 +565,8 @@ mod tests {
         }
         let g = b.build();
         let r = Rates::uniform(40, 1.0, 5.0);
-        let costs = EdgeCosts::hybrid(&g, &r);
         let sched = Schedule::for_graph(&g);
-        let cand = build_candidate(&g, &r, &costs, &sched, g.edge_id(w, y), 5).unwrap();
+        let cand = build_candidate(&g, &r, &sched, g.edge_id(w, y), 5).unwrap();
         assert_eq!(cand.xs.len(), 5);
     }
 
@@ -611,6 +576,14 @@ mod tests {
         let r = Rates::uniform(0, 1.0, 1.0);
         let res = ParallelNosy::default().run(&g, &r);
         assert_eq!(res.schedule.edge_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rates cover 29 users, graph has 30")]
+    fn rejects_rates_one_user_short() {
+        let g = erdos_renyi(30, 120, 4);
+        let r = Rates::uniform(g.node_count() - 1, 1.0, 5.0);
+        let _ = ParallelNosy::default().run(&g, &r);
     }
 
     #[test]

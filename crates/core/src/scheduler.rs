@@ -30,7 +30,7 @@ use piggyback_workload::Rates;
 use crate::baseline::{hybrid_schedule, pull_all_schedule, push_all_schedule};
 use crate::chitchat::ChitChat;
 use crate::chitchat_stream::ChitChatStream;
-use crate::cost::schedule_cost;
+use crate::cost::{assert_rates_cover, schedule_cost};
 use crate::optimal::{optimal_schedule, search_space};
 use crate::parallelnosy::ParallelNosy;
 use crate::schedule::Schedule;
@@ -53,12 +53,7 @@ impl<'a> Instance<'a> {
     ///
     /// Panics if the rates do not cover every node of the graph.
     pub fn new(graph: &'a CsrGraph, rates: &'a Rates) -> Self {
-        assert!(
-            rates.len() >= graph.node_count(),
-            "rates cover {} users, graph has {}",
-            rates.len(),
-            graph.node_count()
-        );
+        assert_rates_cover(graph, rates);
         Instance { graph, rates }
     }
 

@@ -25,8 +25,8 @@ use piggyback_graph::{CsrGraph, EdgeId, NodeId};
 use piggyback_workload::Rates;
 
 use crate::bitset::BitSet;
-use crate::cost::hybrid_edge_cost;
-use crate::densest::{HubSelection, LegCost, OrdF64, PeelResult};
+use crate::cost::LegCost;
+use crate::densest::{HubSelection, OrdF64, PeelResult};
 use crate::schedule::Schedule;
 
 /// Peel priority `deg(u) / g(u)`; infinite for zero-weight ("already
@@ -241,7 +241,10 @@ pub(crate) fn densest_hub_graph(
     let cross = live
         .iter()
         .filter(|&&k| edges[k].1 != hub)
-        .map(|&k| ids[k])
+        .map(|&k| {
+            let (x, y) = g.edge_endpoints(ids[k]);
+            (ids[k], x, y)
+        })
         .collect();
     let kept = |i: usize| alive[i] && incident[i];
     let xs_out: Vec<_> = (0..nx).filter(|&i| kept(i)).map(|i| xs[i]).collect();
@@ -297,7 +300,7 @@ pub(crate) fn chitchat_eager(g: &CsrGraph, rates: &Rates, cross_cap: usize) -> E
 
     let single_cost = |e: EdgeId| {
         let (u, v) = g.edge_endpoints(e);
-        hybrid_edge_cost(rates, u, v)
+        rates.rp(u).min(rates.rc(v))
     };
     let mut singles: Vec<EdgeId> = (0..m as EdgeId).collect();
     singles.sort_unstable_by_key(|&e| OrdF64(single_cost(e)));
@@ -328,7 +331,7 @@ pub(crate) fn chitchat_eager(g: &CsrGraph, rates: &Rates, cross_cap: usize) -> E
                     sched.set_pull(e);
                     left_z.push(e);
                 }
-                for &e in &sel.cross {
+                for &(e, _, _) in &sel.cross {
                     sched.set_covered(e, sel.hub);
                     left_z.push(e);
                 }

@@ -182,9 +182,12 @@ fn incremental_churn_matches_an_edge_set_model() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(600 + seed);
         let base = arb_graph(&mut rng, 25, 4);
+        // Rates on a half-unit grid, so that rp(u) == rc(v) ties are common
+        // and the model's tie-to-push rule is exercised.
+        let mut rate = || f64::from(rng.random_range(1..10u32)) * 0.5;
         let rates = Rates::from_vecs(
-            (0..USERS).map(|_| rng.random_range(0.5..5.0)).collect(),
-            (0..USERS).map(|_| rng.random_range(0.5..5.0)).collect(),
+            (0..USERS).map(|_| rate()).collect(),
+            (0..USERS).map(|_| rate()).collect(),
         );
         let pn = ParallelNosy {
             threads: 1,

@@ -82,9 +82,7 @@ impl Counter {
     }
 }
 
-/// Last-write-wins f64 gauge stored as atomic bits. All values the runtime
-/// gauges are non-negative (costs, depths, ages), but `set_max` compares as
-/// floats, so the full range behaves correctly.
+/// Last-write-wins f64 gauge stored as atomic bits.
 #[derive(Clone, Debug)]
 pub struct Gauge {
     bits: Arc<AtomicU64>,
@@ -114,22 +112,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Raises the gauge to `v` if `v` is larger (high-water mark).
-    pub fn set_max(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match self.bits.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
     }
 
     /// Adds `v` (compare-and-swap loop; gauges are read-mostly so this is
@@ -178,32 +160,15 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_get_max() {
+    fn gauge_set_get_add() {
         let g = Gauge::new();
         assert_eq!(g.get(), 0.0);
         g.set(3.5);
         assert_eq!(g.get(), 3.5);
-        g.set_max(2.0);
-        assert_eq!(g.get(), 3.5, "set_max never lowers");
-        g.set_max(9.25);
-        assert_eq!(g.get(), 9.25);
+        g.set(2.0);
+        assert_eq!(g.get(), 2.0, "the last write wins");
+        g.set(9.25);
         g.add(0.75);
         assert_eq!(g.get(), 10.0);
-    }
-
-    #[test]
-    fn gauge_concurrent_set_max_keeps_high_water() {
-        let g = Gauge::new();
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let h = g.clone();
-                s.spawn(move || {
-                    for i in 0..1_000u32 {
-                        h.set_max(f64::from(t * 1_000 + i));
-                    }
-                });
-            }
-        });
-        assert_eq!(g.get(), 3_999.0);
     }
 }

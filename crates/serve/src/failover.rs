@@ -33,6 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use piggyback_core::cost::hybrid_edge_cost;
 use piggyback_core::incremental::{ChurnEffect, IncrementalScheduler};
 use piggyback_graph::fx::FxHashSet;
 use piggyback_graph::NodeId;
@@ -618,7 +619,7 @@ impl Rebalancer {
         let (old, rates) = (Arc::clone(snap.topology()), inc.rates());
         for &(x, y) in &effect.reserved_direct {
             if old.server_of(x) != old.server_of(y) {
-                self.cross_churned += rates.rp(x).min(rates.rc(y));
+                self.cross_churned += hybrid_edge_cost(rates, x, y);
             }
         }
         if let Some(m) = &self.publisher.metrics {

@@ -95,7 +95,6 @@ pub struct FaultInjector {
     duplicated: AtomicU64,
     delayed: AtomicU64,
     refused: AtomicU64,
-    partitioned_msgs: AtomicU64,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -120,7 +119,6 @@ impl FaultInjector {
             duplicated: AtomicU64::new(0),
             delayed: AtomicU64::new(0),
             refused: AtomicU64::new(0),
-            partitioned_msgs: AtomicU64::new(0),
         }
     }
 
@@ -170,16 +168,6 @@ impl FaultInjector {
         }
     }
 
-    /// Records one message lost to a partition (either direction).
-    pub fn note_partitioned(&self) {
-        self.partitioned_msgs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Messages lost to partitions since construction.
-    pub fn partitioned_count(&self) -> u64 {
-        self.partitioned_msgs.load(Ordering::Relaxed)
-    }
-
     /// Whether `shard` refuses requests.
     #[inline]
     pub fn is_killed(&self, shard: usize) -> bool {
@@ -190,14 +178,6 @@ impl FaultInjector {
     pub fn killed_since(&self, shard: usize) -> Option<Duration> {
         let at = self.killed_at_ns[shard].load(Ordering::Relaxed);
         (at != 0).then(|| self.clock.since(at))
-    }
-
-    /// Shards currently dead.
-    pub fn killed_count(&self) -> usize {
-        self.killed
-            .iter()
-            .filter(|k| k.load(Ordering::Relaxed))
-            .count()
     }
 
     /// Deterministic per-message draw. `write` batches are eligible for
@@ -262,7 +242,7 @@ mod tests {
         clock.advance(Duration::from_millis(20));
         assert!(!f.kill(2), "second kill is a no-op");
         assert!(f.is_killed(2));
-        assert_eq!(f.killed_count(), 1);
+        assert!((0..4).filter(|&s| s != 2).all(|s| !f.is_killed(s)));
         assert_eq!(f.killed_since(2), Some(Duration::from_millis(20)));
         assert!(f.killed_since(0).is_none());
     }
@@ -289,7 +269,7 @@ mod tests {
         assert!(f.revive(1));
         assert!(!f.is_killed(1));
         assert!(f.killed_since(1).is_none());
-        assert_eq!(f.killed_count(), 0);
+        assert!((0..4).all(|s| !f.is_killed(s)));
         assert!(f.kill(1), "a revived shard can die again");
     }
 
@@ -303,9 +283,6 @@ mod tests {
         assert_eq!(f.partition_of(1), None);
         assert_eq!(f.partition_of(2), Some(PartitionDir::Outbound));
         assert!(!f.is_killed(0), "a partitioned shard is not dead");
-        f.note_partitioned();
-        f.note_partitioned();
-        assert_eq!(f.partitioned_count(), 2);
         f.heal_partition(0);
         assert_eq!(f.partition_of(0), None);
         assert_eq!(f.partition_of(2), Some(PartitionDir::Outbound));

@@ -343,29 +343,22 @@ impl Topology {
     /// replica slot. Server count, replication and the domain map carry
     /// over untouched — the spread table is indexed by primary, so the
     /// replica slots of a re-homed user stay domain-spread. A user whose
-    /// every slot is dead stays where it is and is reported in
-    /// [`Repair::lost`]: exactly what domain-blind placement risks under a
+    /// every slot is dead stays on its dead primary and is not in
+    /// [`Repair::moved`]: exactly what domain-blind placement risks under a
     /// whole-domain kill and domain-spread placement rules out.
     pub fn repaired(&self, dead: &[bool]) -> Repair {
         let mut topology = self.clone();
-        let (mut moved, mut lost) = (Vec::new(), Vec::new());
+        let mut moved = Vec::new();
         for u in 0..self.users() as NodeId {
             if !dead[self.server_of(u)] {
                 continue;
             }
-            match self.replica_slots(u).find(|&r| !dead[r]) {
-                Some(next) => {
-                    topology.shard_of[u as usize] = next as u32;
-                    moved.push(u);
-                }
-                None => lost.push(u),
+            if let Some(next) = self.replica_slots(u).find(|&r| !dead[r]) {
+                topology.shard_of[u as usize] = next as u32;
+                moved.push(u);
             }
         }
-        Repair {
-            topology,
-            moved,
-            lost,
-        }
+        Repair { topology, moved }
     }
 }
 
@@ -374,10 +367,9 @@ impl Topology {
 pub struct Repair {
     /// The repaired map.
     pub topology: Topology,
-    /// Users re-pointed at a surviving replica slot, ascending.
+    /// Users re-pointed at a surviving replica slot, ascending. A user
+    /// whose primary died and who is not here has no surviving slot.
     pub moved: Vec<NodeId>,
-    /// Users with no surviving replica slot (left homed on a dead server).
-    pub lost: Vec<NodeId>,
 }
 
 /// Sorts the pre-tagged `(server, view)` pairs in `scratch` and emits one

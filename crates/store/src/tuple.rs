@@ -2,7 +2,7 @@
 //! as (user id, event id, timestamp) tuples into user views ... The tuple
 //! size is 24 bytes").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use piggyback_graph::NodeId;
 
 /// Wire size of an encoded tuple.
@@ -37,13 +37,6 @@ impl EventTuple {
         buf.put_u64_le(self.user as u64);
         buf.put_u64_le(self.event_id);
         buf.put_u64_le(self.timestamp);
-    }
-
-    /// Encodes into a fresh buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(TUPLE_BYTES);
-        self.encode(&mut b);
-        b.freeze()
     }
 
     /// Encodes into a stack array — the allocation-free wire form the
@@ -84,17 +77,25 @@ impl EventTuple {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+
+    /// `t` encoded into a fresh buffer.
+    fn encoded(t: &EventTuple) -> Bytes {
+        let mut b = BytesMut::new();
+        t.encode(&mut b);
+        b.freeze()
+    }
 
     #[test]
     fn wire_size_is_24_bytes() {
         let t = EventTuple::new(7, 42, 1000);
-        assert_eq!(t.to_bytes().len(), TUPLE_BYTES);
+        assert_eq!(encoded(&t).len(), TUPLE_BYTES);
     }
 
     #[test]
     fn roundtrip() {
         let t = EventTuple::new(123, u64::MAX, 55);
-        let mut bytes = t.to_bytes();
+        let mut bytes = encoded(&t);
         assert_eq!(EventTuple::decode(&mut bytes), Some(t));
     }
 
@@ -102,7 +103,7 @@ mod tests {
     fn wire_array_matches_heap_encoding() {
         let t = EventTuple::new(77, 42, 9000);
         let wire = t.to_wire();
-        assert_eq!(&wire[..], &t.to_bytes()[..]);
+        assert_eq!(&wire[..], &encoded(&t)[..]);
         let mut cursor: &[u8] = &wire;
         assert_eq!(EventTuple::decode(&mut cursor), Some(t));
     }
@@ -110,8 +111,7 @@ mod tests {
     #[test]
     fn decode_short_buffer_fails() {
         let t = EventTuple::new(1, 2, 3);
-        let bytes = t.to_bytes();
-        let mut short = bytes.slice(0..10);
+        let mut short = encoded(&t).slice(0..10);
         assert_eq!(EventTuple::decode(&mut short), None);
     }
 

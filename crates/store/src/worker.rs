@@ -484,13 +484,11 @@ impl ShardClient {
                         // kill, the client learns nothing at send time —
                         // only the heartbeat prober's silence walks the
                         // shard toward Down.
-                        f.note_partitioned();
                         return;
                     }
                     Some(PartitionDir::Outbound) => {
                         // The request arrives and mutates shard state,
                         // but the reply is lost.
-                        f.note_partitioned();
                         outbox.deliver(shard, views, op, false);
                         return;
                     }

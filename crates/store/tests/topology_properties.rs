@@ -311,7 +311,7 @@ fn repaired_routes_around_the_dead_set_or_reports_the_loss() {
                     );
                     let healthy = t.repaired(&[false; SERVERS]);
                     assert_eq!(healthy.topology, t, "{ctx}: identity");
-                    assert!(healthy.moved.is_empty() && healthy.lost.is_empty(), "{ctx}");
+                    assert!(healthy.moved.is_empty(), "{ctx}");
                     for seed in 1..=6usize {
                         let dead: Vec<bool> = (0..SERVERS)
                             .map(|s| ((seed * 2_654_435_761 + s * s * 40_503) >> 7) % 5 < 2)
@@ -319,23 +319,24 @@ fn repaired_routes_around_the_dead_set_or_reports_the_loss() {
                         let fixed = t.repaired(&dead);
                         for u in 0..t.users() as u32 {
                             let moved = fixed.moved.binary_search(&u).is_ok();
-                            let lost = fixed.lost.binary_search(&u).is_ok();
+                            let lost = t.replica_slots(u).all(|r| dead[r]);
                             let home = fixed.topology.server_of(u);
                             assert!(
                                 !dead[home] || lost,
                                 "{ctx}/{seed}: {u} homed on dead {home}"
                             );
+                            if lost {
+                                assert_eq!(
+                                    home,
+                                    t.server_of(u),
+                                    "{ctx}/{seed}: lost {u} left its dead primary"
+                                );
+                            }
                             assert_eq!(
-                                lost,
-                                t.replica_slots(u).all(|r| dead[r]),
-                                "{ctx}/{seed}: {u} lost <=> every slot dead"
+                                moved,
+                                dead[t.server_of(u)] && !lost,
+                                "{ctx}/{seed}: {u} moved <=> its primary died, a slot lives"
                             );
-                            assert_eq!(
-                                moved || lost,
-                                dead[t.server_of(u)],
-                                "{ctx}/{seed}: {u} touched <=> its primary died"
-                            );
-                            assert!(!(moved && lost), "{ctx}/{seed}: {u} both moved and lost");
                             if moved {
                                 let mut in_domains: Vec<u32> = fixed
                                     .topology
@@ -353,7 +354,6 @@ fn repaired_routes_around_the_dead_set_or_reports_the_loss() {
                         }
                         let again = fixed.topology.repaired(&dead);
                         assert!(again.moved.is_empty(), "{ctx}/{seed}: second repair moved");
-                        assert_eq!(again.lost, fixed.lost, "{ctx}/{seed}");
                         assert_eq!(again.topology, fixed.topology, "{ctx}/{seed}");
                     }
                 }

@@ -12,11 +12,14 @@
 //! [`Rates::log_degree`] constructor reproduces exactly that model;
 //! [`RequestTrace`] turns rates into a concrete request sequence for the
 //! store prototype.
+//!
+//! This crate holds the two rate columns only. What is derived from them
+//! per edge — the hybrid rule's `min(rp(u), rc(v))` and the hub-leg
+//! prices — is computed by `piggyback_core::cost` from both endpoints'
+//! rates wherever a walk holds the endpoints, not stored per edge.
 
-pub mod edge_costs;
 pub mod rates;
 pub mod trace;
 
-pub use edge_costs::EdgeCosts;
 pub use rates::Rates;
 pub use trace::{Op, OpTrace, RequestKind, RequestTrace, TimedRequest};

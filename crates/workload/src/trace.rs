@@ -28,11 +28,6 @@ impl RequestKind {
             RequestKind::Share(u) | RequestKind::Query(u) => u,
         }
     }
-
-    /// Whether this is a query (event-stream read).
-    pub fn is_query(self) -> bool {
-        matches!(self, RequestKind::Query(_))
-    }
 }
 
 /// A reproducible stream of requests distributed according to a [`Rates`]
@@ -301,7 +296,10 @@ mod tests {
         let rates = Rates::uniform(50, 1.0, 4.0);
         let mut t = RequestTrace::new(&rates, 7);
         let reqs = t.sample(20_000);
-        let queries = reqs.iter().filter(|r| r.is_query()).count();
+        let queries = reqs
+            .iter()
+            .filter(|r| matches!(r, RequestKind::Query(_)))
+            .count();
         let frac = queries as f64 / reqs.len() as f64;
         assert!((frac - 0.8).abs() < 0.02, "query fraction {frac}");
     }
